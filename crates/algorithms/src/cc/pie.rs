@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use grape_core::output_delta::{diff_sorted, DeltaOutput, OutputDelta};
+use grape_core::output_delta::{DeltaOutput, OutputDelta};
 use grape_core::pie::{
     DamagePolicy, IncrementalPie, Messages, PieProgram, ProcessCodec, SerdeProcessCodec,
 };
@@ -34,6 +34,7 @@ use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cc::sequential::UnionFind;
+use crate::util::diff_min_rows;
 
 /// CC takes no parameters; the query type exists for API uniformity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -342,26 +343,24 @@ impl DeltaOutput for Cc {
 
     /// Min-merges the per-fragment cids straight off the partials — the same
     /// rows `canonical(assemble(...))` yields, minus the intermediate
-    /// [`CcResult`].
+    /// [`CcResult`], its hashing and the sort (see `util::diff_min_rows`;
+    /// declines on sparse vertex ids).
     fn diff_output(
         &self,
         _query: &CcQuery,
         previous: &[(VertexId, VertexId)],
         partials: &[CcPartial],
     ) -> Option<OutputDelta<VertexId, VertexId>> {
-        let mut labels: HashMap<VertexId, VertexId> = HashMap::new();
-        for partial in partials {
-            for (l, &v) in partial.globals.iter().enumerate() {
-                let cid = partial.component_cid[partial.component_of[l]];
-                labels
-                    .entry(v)
-                    .and_modify(|existing| *existing = (*existing).min(cid))
-                    .or_insert(cid);
-            }
-        }
-        let mut next: Vec<(VertexId, VertexId)> = labels.into_iter().collect();
-        next.sort_unstable();
-        Some(diff_sorted(previous, &next))
+        let rows = partials.iter().flat_map(|partial| {
+            partial
+                .globals
+                .iter()
+                .zip(&partial.component_of)
+                .map(|(&v, &c)| (v, partial.component_cid[c]))
+        });
+        // A cid is at most its vertex's own id, and an id of `MAX` is far
+        // past the dense-table bound, so `MAX` never names a real label.
+        diff_min_rows(previous, VertexId::MAX, rows)
     }
 }
 
@@ -538,6 +537,91 @@ mod tests {
         assert!(!split.same_component(6, 11));
         assert!(split.same_component(0, 5));
         assert_matches_sequential(prepared.fragmentation().source(), &split);
+    }
+
+    /// The path `diff_output` must agree with: assemble, canonicalize,
+    /// `diff_sorted`.
+    fn reference_diff(
+        previous: &[(VertexId, VertexId)],
+        partials: &[CcPartial],
+    ) -> OutputDelta<VertexId, VertexId> {
+        let next = Cc.canonical(&CcQuery, &Cc.assemble(&CcQuery, partials.to_vec()));
+        grape_core::output_delta::diff_sorted(previous, &next)
+    }
+
+    #[test]
+    fn diff_output_equals_assemble_and_diff_on_seeded_graphs() {
+        use grape_core::output_delta::apply_sorted;
+        use grape_graph::delta::GraphDelta;
+
+        for seed in 0..4u64 {
+            // Sparse random graphs: many small components plus isolated
+            // vertices, cut four ways.
+            let g = erdos_renyi(300, 260, 0, Directedness::Undirected, seed);
+            let frag = HashEdgeCut::new(4).partition(&g).unwrap();
+            let mut prepared = GrapeSession::with_workers(2)
+                .prepare(frag, Cc, CcQuery)
+                .unwrap();
+            let mut previous = prepared.canonical_rows().unwrap();
+
+            let cut = g.edges()[0];
+            let detached = g
+                .edges()
+                .iter()
+                .map(|e| e.dst)
+                .find(|&v| v != cut.src && v != cut.dst)
+                .unwrap();
+            let deltas = [
+                // Merges components and reaches a brand-new id, leaving
+                // ids 300..=308 in no edge's reach.
+                GraphDelta::new().add_edge(0, 299).add_edge(299, 309),
+                GraphDelta::new().remove_edge(cut.src, cut.dst),
+                GraphDelta::new().remove_vertex(detached),
+                GraphDelta::new().add_edge(detached, 309),
+            ];
+            for delta in &deltas {
+                prepared.update(delta).unwrap();
+                let fast = Cc
+                    .diff_output(&CcQuery, &previous, prepared.partials())
+                    .expect("dense vertex ids take the fast path");
+                assert_eq!(fast, reference_diff(&previous, prepared.partials()));
+                apply_sorted(&mut previous, &fast);
+                assert_eq!(previous, prepared.canonical_rows().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn diff_output_takes_the_owner_minimum_and_declines_sparse_ids() {
+        let partial =
+            |globals: Vec<VertexId>, component_of: Vec<usize>, cids: Vec<VertexId>| CcPartial {
+                border_members: vec![Vec::new(); cids.len()],
+                component_of,
+                component_cid: cids,
+                globals,
+            };
+        let partials = vec![
+            // Fragment 0: {1, 4} share a component; its outer copy of 9
+            // sits in a local component that has not heard of cid 2.
+            partial(vec![1, 4, 9], vec![0, 0, 1], vec![1, 9]),
+            // Fragment 1 owns 9 and 12, joined to 2 through another cut.
+            partial(vec![9, 12, 2], vec![0, 0, 0], vec![2]),
+        ];
+        // 4 moves component, 6 was detached out of every fragment, 20 lies
+        // past every id the partials name.
+        let previous = vec![(1, 1), (2, 2), (4, 4), (6, 6), (9, 9), (20, 20)];
+        let fast = Cc.diff_output(&CcQuery, &previous, &partials).unwrap();
+        assert_eq!(fast.changed, vec![(4, 1), (9, 2), (12, 2)]);
+        assert_eq!(fast.removed, vec![6, 20]);
+        assert_eq!(fast, reference_diff(&previous, &partials));
+
+        let nothing = Cc.diff_output(&CcQuery, &previous, &[]).unwrap();
+        assert_eq!(nothing, reference_diff(&previous, &[]));
+
+        // A dense table over ids this sparse would dwarf the answer: the
+        // fast path declines and the engine assembles instead.
+        let sparse = vec![partial(vec![1 << 40], vec![0], vec![1 << 40])];
+        assert!(Cc.diff_output(&CcQuery, &previous, &sparse).is_none());
     }
 
     #[test]

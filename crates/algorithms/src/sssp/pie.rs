@@ -22,7 +22,7 @@
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
-use grape_core::output_delta::{diff_sorted, DeltaOutput, OutputDelta};
+use grape_core::output_delta::{DeltaOutput, OutputDelta};
 use grape_core::pie::{
     DamagePolicy, IncrementalPie, Messages, PieProgram, ProcessCodec, SerdeProcessCodec,
 };
@@ -33,7 +33,7 @@ use grape_partition::fragment::Fragment;
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize};
 
-use crate::util::{MinDist, INF};
+use crate::util::{diff_min_rows, MinDist, INF};
 
 /// An SSSP query: the source vertex `s`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -354,29 +354,23 @@ impl DeltaOutput for Sssp {
 
     /// Min-merges the retained distances straight off the partials — the
     /// same rows `canonical(assemble(...))` yields, minus the intermediate
-    /// [`SsspResult`].
+    /// [`SsspResult`], its hashing and the sort (see
+    /// `util::diff_min_rows`; declines on sparse vertex ids).
     fn diff_output(
         &self,
         _query: &SsspQuery,
         previous: &[(VertexId, f64)],
         partials: &[SsspPartial],
     ) -> Option<OutputDelta<VertexId, f64>> {
-        let mut merged: HashMap<VertexId, f64> = HashMap::new();
-        for partial in partials {
-            for (idx, &v) in partial.globals.iter().enumerate() {
-                let d = partial.dist[idx];
-                if !d.is_finite() {
-                    continue;
-                }
-                merged
-                    .entry(v)
-                    .and_modify(|existing| *existing = existing.min(d))
-                    .or_insert(d);
-            }
-        }
-        let mut next: Vec<(VertexId, f64)> = merged.into_iter().collect();
-        next.sort_unstable_by_key(|&(v, _)| v);
-        Some(diff_sorted(previous, &next))
+        let rows = partials.iter().flat_map(|partial| {
+            partial
+                .globals
+                .iter()
+                .zip(&partial.dist)
+                .map(|(&v, &d)| (v, d))
+                .filter(|(_, d)| d.is_finite())
+        });
+        diff_min_rows(previous, INF, rows)
     }
 }
 
@@ -558,6 +552,104 @@ mod tests {
         }
         // The cut really disconnects 5..12.
         assert_eq!(prepared.output().distance(6), None);
+    }
+
+    /// The path `diff_output` must agree with: assemble, canonicalize,
+    /// `diff_sorted`.
+    fn reference_diff(
+        previous: &[(VertexId, f64)],
+        partials: &[SsspPartial],
+    ) -> OutputDelta<VertexId, f64> {
+        let query = SsspQuery::new(0);
+        let next = Sssp.canonical(&query, &Sssp.assemble(&query, partials.to_vec()));
+        grape_core::output_delta::diff_sorted(previous, &next)
+    }
+
+    #[test]
+    fn diff_output_equals_assemble_and_diff_on_seeded_graphs() {
+        use grape_core::output_delta::apply_sorted;
+        use grape_graph::delta::GraphDelta;
+
+        for seed in 0..4u64 {
+            // Directed power-law graphs leave many vertices unreachable
+            // from the source; four hash fragments give every border
+            // vertex outer copies.
+            let g = power_law(300, 900, 0, seed);
+            let frag = HashEdgeCut::new(4).partition(&g).unwrap();
+            let query = SsspQuery::new(seed);
+            let mut prepared = GrapeSession::with_workers(2)
+                .prepare(frag, Sssp, query)
+                .unwrap();
+            let mut previous = prepared.canonical_rows().unwrap();
+            assert!(
+                (20..g.num_vertices()).contains(&previous.len()),
+                "{} rows: want a real answer with some vertex unreachable",
+                previous.len()
+            );
+
+            let cut = g.edges()[0];
+            let detached = g
+                .edges()
+                .iter()
+                .map(|e| e.dst)
+                .find(|&v| v != seed && v != cut.src && v != cut.dst)
+                .unwrap();
+            let deltas = [
+                // Reconnects a region and reaches a brand-new id, leaving
+                // ids 300..=308 in no fragment's reach.
+                GraphDelta::new()
+                    .add_weighted_edge(seed, 299, 0.5)
+                    .add_weighted_edge(299, 309, 0.25),
+                GraphDelta::new().remove_edge(cut.src, cut.dst),
+                GraphDelta::new().remove_vertex(detached),
+                GraphDelta::new().add_weighted_edge(seed, detached, 0.125),
+            ];
+            for delta in &deltas {
+                prepared.update(delta).unwrap();
+                let fast = Sssp
+                    .diff_output(&query, &previous, prepared.partials())
+                    .expect("dense vertex ids take the fast path");
+                assert_eq!(fast, reference_diff(&previous, prepared.partials()));
+                apply_sorted(&mut previous, &fast);
+                assert_eq!(previous, prepared.canonical_rows().unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn diff_output_takes_the_owner_minimum_and_declines_sparse_ids() {
+        let query = SsspQuery::new(0);
+        let partials = vec![
+            // Fragment 0 owns 0, 1, 4 and holds an outer copy of 9 whose
+            // locally derived distance is worse than the owner's.
+            SsspPartial {
+                dist: vec![0.0, 2.0, INF, 7.5],
+                globals: vec![0, 1, 4, 9],
+            },
+            // Fragment 1 owns 9 and 12; its outer copy of 4 is unreached
+            // too, so 4 drops out of the answer.
+            SsspPartial {
+                dist: vec![3.0, INF, 4.0],
+                globals: vec![9, 4, 12],
+            },
+        ];
+        // 20 lies past every id the partials name.
+        let previous = vec![(0, 0.0), (1, 2.5), (4, 1.0), (20, 9.0)];
+        let fast = Sssp.diff_output(&query, &previous, &partials).unwrap();
+        assert_eq!(fast.changed, vec![(1, 2.0), (9, 3.0), (12, 4.0)]);
+        assert_eq!(fast.removed, vec![4, 20]);
+        assert_eq!(fast, reference_diff(&previous, &partials));
+
+        let nothing = Sssp.diff_output(&query, &previous, &[]).unwrap();
+        assert_eq!(nothing, reference_diff(&previous, &[]));
+
+        // A dense table over ids this sparse would dwarf the answer: the
+        // fast path declines and the engine assembles instead.
+        let sparse = vec![SsspPartial {
+            dist: vec![1.0],
+            globals: vec![1 << 40],
+        }];
+        assert!(Sssp.diff_output(&query, &previous, &sparse).is_none());
     }
 
     #[test]

@@ -2,6 +2,9 @@
 
 use std::cmp::Ordering;
 
+use grape_core::output_delta::OutputDelta;
+use grape_graph::types::VertexId;
+
 /// A `(distance, vertex)` entry for min-heaps over `f64` distances.
 ///
 /// `f64` is not `Ord`; distances produced by shortest-path algorithms are
@@ -35,6 +38,56 @@ impl<V: PartialEq> Ord for MinDist<V> {
 
 /// Positive infinity used as the "unreached" distance (paper: `dist(s, v) = ∞`).
 pub const INF: f64 = f64::INFINITY;
+
+/// The sort-free `diff_output` of the min-aggregated, vertex-keyed answers
+/// (SSSP distances, CC labels): diffs `previous` against the per-vertex
+/// minimum of `rows` — every fragment's `(vertex, value)` pairs, outer
+/// copies included, whose owner-side value is the global minimum at the
+/// fixpoint — without hashing or sorting.
+///
+/// The minima are filled into a dense table indexed by vertex id (`absent`
+/// marks a vertex no row names, or names only with `absent` itself), and
+/// one walk of the table in id order against the key-sorted `previous`
+/// yields the delta already sorted: `O(max id + |rows| + |previous|)`.
+/// Returns `None` when the ids are too sparse for a table that size to be
+/// worth it; the engine then takes its assemble-and-`diff_sorted` path,
+/// which is correct for any ids.
+pub(crate) fn diff_min_rows<V: Copy + PartialOrd>(
+    previous: &[(VertexId, V)],
+    absent: V,
+    rows: impl Iterator<Item = (VertexId, V)> + Clone,
+) -> Option<OutputDelta<VertexId, V>> {
+    let (count, max_id) = rows
+        .clone()
+        .fold((0usize, 0), |(n, max), (v, _)| (n + 1, max.max(v)));
+    if max_id >= (4 * count + 1024) as VertexId {
+        return None;
+    }
+    let mut table = vec![absent; if count == 0 { 0 } else { max_id as usize + 1 }];
+    for (v, value) in rows {
+        let slot = &mut table[v as usize];
+        if value < *slot {
+            *slot = value;
+        }
+    }
+    let mut delta = OutputDelta::empty();
+    let mut previous = previous.iter().peekable();
+    for (v, &value) in table.iter().enumerate() {
+        let v = v as VertexId;
+        // The walk visits every id up to the table's end, so a previous
+        // row inside that range is always met at its own key.
+        let before = previous.next_if(|&&(key, _)| key == v);
+        if value != absent {
+            if before.is_none_or(|&(_, old)| old != value) {
+                delta.changed.push((v, value));
+            }
+        } else if before.is_some() {
+            delta.removed.push(v);
+        }
+    }
+    delta.removed.extend(previous.map(|&(key, _)| key));
+    Some(delta)
+}
 
 #[cfg(test)]
 mod tests {

@@ -118,20 +118,70 @@ pub fn diff_sorted<K: Ord + Clone, V: PartialEq + Clone>(
     delta
 }
 
-/// Applies a delta to key-sorted rows in place (the replay direction of
-/// the equivalence pin).
+/// Applies a delta to key-sorted rows (the replay direction of the
+/// equivalence pin) by merging — `O(|rows| + |delta|)` however many keys
+/// appear or vanish.
 pub fn apply_sorted<K: Ord + Clone, V: Clone>(rows: &mut Vec<(K, V)>, delta: &OutputDelta<K, V>) {
-    for (k, v) in &delta.changed {
-        match rows.binary_search_by(|(rk, _)| rk.cmp(k)) {
-            Ok(i) => rows[i].1 = v.clone(),
-            Err(i) => rows.insert(i, (k.clone(), v.clone())),
+    merge_apply(rows, &delta.changed, &delta.removed, K::cmp);
+}
+
+/// `rows ⊕ (changed, removed)` as ordered merges; all three must be sorted
+/// by `cmp`, with `changed` and `removed` disjoint.  Removed keys that are
+/// not in `rows` are ignored.
+///
+/// One pass over `rows` in place rewrites the values that changed and
+/// drops the keys that vanished — the whole job for a delta that adds no
+/// key, which then allocates nothing.  Keys new to `rows` are set aside
+/// and merged in by a second pass, so any number of them costs one
+/// rebuild, not one shift of the tail each.
+fn merge_apply<K: Clone, V: Clone>(
+    rows: &mut Vec<(K, V)>,
+    changed: &[(K, V)],
+    removed: &[K],
+    cmp: impl Fn(&K, &K) -> Ordering,
+) {
+    debug_assert!(changed
+        .windows(2)
+        .all(|w| cmp(&w[0].0, &w[1].0) == Ordering::Less));
+    debug_assert!(removed
+        .windows(2)
+        .all(|w| cmp(&w[0], &w[1]) == Ordering::Less));
+    let mut changed = changed.iter().peekable();
+    let mut removed = removed.iter().peekable();
+    let mut added: Vec<&(K, V)> = Vec::new();
+    rows.retain_mut(|row| {
+        while let Some(new) = changed.next_if(|(k, _)| cmp(k, &row.0) == Ordering::Less) {
+            added.push(new);
         }
-    }
-    for k in &delta.removed {
-        if let Ok(i) = rows.binary_search_by(|(rk, _)| rk.cmp(k)) {
-            rows.remove(i);
+        while removed
+            .next_if(|k| cmp(k, &row.0) == Ordering::Less)
+            .is_some()
+        {}
+        if removed
+            .next_if(|k| cmp(k, &row.0) == Ordering::Equal)
+            .is_some()
+        {
+            return false;
         }
+        if let Some((_, v)) = changed.next_if(|(k, _)| cmp(k, &row.0) == Ordering::Equal) {
+            row.1 = v.clone();
+        }
+        true
+    });
+    added.extend(changed);
+    if added.is_empty() {
+        return;
     }
+    let kept = std::mem::take(rows);
+    rows.reserve(kept.len() + added.len());
+    let mut added = added.into_iter().peekable();
+    for row in kept {
+        while let Some(new) = added.next_if(|(k, _)| cmp(k, &row.0) == Ordering::Less) {
+            rows.push(new.clone());
+        }
+        rows.push(row);
+    }
+    rows.extend(added.cloned());
 }
 
 /// The per-program answer-delta contract: an extension of
@@ -238,19 +288,10 @@ impl WireOutputDelta {
     }
 
     /// Applies the delta to rows kept sorted by [`value_cmp`] — the wire
-    /// side of the replay equivalence pin.
+    /// side of the replay equivalence pin, and the same merge as
+    /// [`apply_sorted`].
     pub fn apply_to(&self, rows: &mut Vec<(Value, Value)>) {
-        for (k, v) in &self.changed {
-            match rows.binary_search_by(|(rk, _)| value_cmp(rk, k)) {
-                Ok(i) => rows[i].1 = v.clone(),
-                Err(i) => rows.insert(i, (k.clone(), v.clone())),
-            }
-        }
-        for k in &self.removed {
-            if let Ok(i) = rows.binary_search_by(|(rk, _)| value_cmp(rk, k)) {
-                rows.remove(i);
-            }
-        }
+        merge_apply(rows, &self.changed, &self.removed, value_cmp);
     }
 }
 
@@ -359,6 +400,50 @@ mod tests {
         let mut replay = previous.clone();
         apply_sorted(&mut replay, &delta);
         assert_eq!(replay, next);
+    }
+
+    /// The per-key replay the merge pass replaced — `Vec::insert` /
+    /// `Vec::remove` per structural change — kept as the reference.
+    fn apply_per_key(rows: &mut Vec<(u64, u64)>, delta: &OutputDelta<u64, u64>) {
+        for &(k, v) in &delta.changed {
+            match rows.binary_search_by_key(&k, |&(rk, _)| rk) {
+                Ok(i) => rows[i].1 = v,
+                Err(i) => rows.insert(i, (k, v)),
+            }
+        }
+        for k in &delta.removed {
+            if let Ok(i) = rows.binary_search_by_key(k, |&(rk, _)| rk) {
+                rows.remove(i);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_apply_equals_the_per_key_replay_on_a_large_structural_delta() {
+        // A 20 000-row answer on the even keys; the delta removes 5 000 of
+        // them (a disconnected region), inserts 5 000 odd keys (a
+        // reconnected one, some past the last row), rewrites 1 000 in place
+        // and names a few removed keys the answer never held.
+        let base: Vec<(u64, u64)> = (0..20_000u64).map(|i| (2 * i, i)).collect();
+        let mut changed: Vec<(u64, u64)> = (0..4_999u64).map(|i| (8 * i + 1, i + 7)).collect();
+        changed.push((40_001, 7));
+        changed.extend((0..1_000u64).map(|i| (40 * i + 2, 99)));
+        changed.sort_unstable();
+        let mut removed: Vec<u64> = (0..5_000u64).map(|i| 8 * i + 4).collect();
+        removed.extend([3, 39_999, 50_001]);
+        removed.sort_unstable();
+        let delta = OutputDelta { changed, removed };
+
+        let mut expected = base.clone();
+        apply_per_key(&mut expected, &delta);
+        let mut typed = base.clone();
+        apply_sorted(&mut typed, &delta);
+        assert_eq!(typed, expected);
+        assert_eq!(typed.len(), 20_000);
+
+        let mut wire = wire_rows(&base);
+        delta.to_wire().apply_to(&mut wire);
+        assert_eq!(wire, wire_rows(&expected));
     }
 
     #[test]

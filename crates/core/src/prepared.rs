@@ -197,6 +197,12 @@ impl<P: PieProgram> PreparedQuery<P> {
         &self.fragmentation
     }
 
+    /// The retained per-fragment partials `Q(F_i)`, in fragment order —
+    /// what [`crate::output_delta::DeltaOutput::diff_output`] reads.
+    pub fn partials(&self) -> &[P::Partial] {
+        &self.partials
+    }
+
     /// Metrics of the initial preparation run.
     pub fn prepare_metrics(&self) -> &EngineMetrics {
         &self.prepare_metrics

@@ -60,6 +60,9 @@
 //! each slot owns its partials, the single [`DeltaApplication`] is shared
 //! read-only, and the per-slot outcomes are merged into one [`ServeReport`]
 //! sorted by handle id — byte-identical regardless of completion order.
+//! A watched slot's answer delta is diffed by the worker that just
+//! refreshed it, so the diffs of `K` watched queries run as wide as their
+//! refreshes instead of one after another behind the join.
 //! Everything that needs the whole server (catch-up replay, timeline
 //! bookkeeping, pruning, eviction) stays serialized around the fan-out.
 //! [`GrapeServer::apply_batch`] additionally pipelines the partition work:
@@ -738,6 +741,14 @@ impl SubscriptionId {
     }
 }
 
+/// One slot's share of a commit's fan-out: its id, its refresh outcome, and
+/// the answer delta it emitted (watched, resident, refreshed successfully).
+type RefreshOutcome = (
+    usize,
+    Result<UpdateReport, EngineError>,
+    Option<WireOutputDelta>,
+);
+
 /// One planned commit of an [`GrapeServer::apply_batch`]: the (possibly
 /// merged) delta, the index of its first raw delta in the caller's slice,
 /// and how many raw deltas it absorbs.
@@ -1234,12 +1245,13 @@ impl GrapeServer {
     /// One commit: fans `applied` out to every ready resident query (on up
     /// to `refresh_threads` scoped workers), merges the outcomes into an
     /// id-sorted [`ServeReport`], and advances the timeline.  Everything
-    /// except the refreshes themselves — catch-up replay, version
-    /// bookkeeping, retention/pruning, policy eviction — runs on the
-    /// calling thread.  `started` marks when the server began working on
-    /// this delta (before `apply_delta` for [`GrapeServer::apply`], at
-    /// commit pickup for the pipelined [`GrapeServer::apply_batch`]); the
-    /// elapsed time is recorded as one latency sample.
+    /// except the refreshes and the watched slots' answer diffs — catch-up
+    /// replay, version bookkeeping, retention/pruning, policy eviction —
+    /// runs on the calling thread.  `started` marks when the server began
+    /// working on this delta (before `apply_delta` for
+    /// [`GrapeServer::apply`], at commit pickup for the pipelined
+    /// [`GrapeServer::apply_batch`]); the elapsed time is recorded as one
+    /// latency sample.
     fn commit(
         &mut self,
         applied: Arc<DeltaApplication>,
@@ -1301,7 +1313,8 @@ impl GrapeServer {
 
         // Concurrent fan-out: each ready slot refreshes against the shared
         // read-only DeltaApplication with exclusive access to its own
-        // partials.
+        // partials — and, when watched, diffs its answer on the same
+        // worker, so the K diffs run `refresh_threads`-wide too.
         let results = Self::refresh_ready(
             &mut self.slots,
             &ready,
@@ -1310,7 +1323,7 @@ impl GrapeServer {
             delta,
         );
         let mut events: Vec<QueryDelta> = Vec::new();
-        for (id, result) in results {
+        for (id, result, emitted) in results {
             if result.is_ok() || self.slots[id].entry.is_poisoned() {
                 // Success, or quarantined forever: the query never replays
                 // this step.
@@ -1319,17 +1332,12 @@ impl GrapeServer {
             // Otherwise the failed full re-preparation left the handle
             // consistent at `current`; keep its true version so the step
             // retained below replays into it later.
-            if result.is_ok() {
-                // One answer delta per watched query per commit; a
-                // catch-up replay performed in the pre-pass folds into the
-                // same emission, so watchers see one merged delta.
-                if let Some(wire) = self.slots[id].entry.watch_emit() {
-                    events.push(QueryDelta {
-                        query: id,
-                        version: new_version,
-                        event: OutputEvent::Delta(wire),
-                    });
-                }
+            if let Some(wire) = emitted {
+                events.push(QueryDelta {
+                    query: id,
+                    version: new_version,
+                    event: OutputEvent::Delta(wire),
+                });
             }
             refreshed.push(QueryRefresh { query: id, result });
         }
@@ -1389,22 +1397,40 @@ impl GrapeServer {
     }
 
     /// Refreshes the ready slots, fanning out over up to `threads` scoped
-    /// workers pulling from one shared queue.  Returns `(id, outcome)`
-    /// pairs sorted by id.  An associated function over the slot slice (not
-    /// `&mut self`) so the commit loop above can keep borrowing the rest of
-    /// the server.
+    /// workers pulling from one shared queue.  The worker that refreshed a
+    /// slot also emits its answer delta ([`ServedQuery::watch_emit`]) — one
+    /// per watched query per commit, and only after a successful refresh,
+    /// so a failed one never advances the watch rows; a catch-up replay the
+    /// commit's pre-pass performed folds into the same emission.  Returns
+    /// `(id, outcome, answer delta)` triples sorted by id.  An associated
+    /// function over the slot slice (not `&mut self`) so the commit loop
+    /// above can keep borrowing the rest of the server.
     fn refresh_ready(
         slots: &mut [Slot],
         ready: &[usize],
         threads: usize,
         applied: &DeltaApplication,
         delta: &GraphDelta,
-    ) -> Vec<(usize, Result<UpdateReport, EngineError>)> {
+    ) -> Vec<RefreshOutcome> {
+        fn refresh_one(
+            id: usize,
+            entry: &mut dyn ServedQuery,
+            applied: &DeltaApplication,
+            delta: &GraphDelta,
+        ) -> RefreshOutcome {
+            let result = entry.refresh(applied, delta);
+            let emitted = if result.is_ok() {
+                entry.watch_emit()
+            } else {
+                None
+            };
+            (id, result, emitted)
+        }
         let width = threads.max(1).min(ready.len());
         if width <= 1 {
             return ready
                 .iter()
-                .map(|&id| (id, slots[id].entry.refresh(applied, delta)))
+                .map(|&id| refresh_one(id, slots[id].entry.as_mut(), applied, delta))
                 .collect();
         }
         // `ready` is ascending by construction, so membership is a binary
@@ -1423,16 +1449,13 @@ impl GrapeServer {
                 scope.spawn(|| loop {
                     let job = queue.lock().expect("refresh queue lock").next();
                     let Some((id, entry)) = job else { break };
-                    let result = entry.refresh(applied, delta);
-                    results
-                        .lock()
-                        .expect("refresh results lock")
-                        .push((id, result));
+                    let outcome = refresh_one(id, entry.as_mut(), applied, delta);
+                    results.lock().expect("refresh results lock").push(outcome);
                 });
             }
         });
         let mut out = results.into_inner().expect("refresh results lock");
-        out.sort_by_key(|(id, _)| *id);
+        out.sort_by_key(|(id, ..)| *id);
         out
     }
 

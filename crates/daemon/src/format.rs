@@ -217,6 +217,10 @@ fn render_metrics(info: &MetricsInfo) -> String {
         "per-delta latency over last {} commit(s): mean {:.3}ms  p50 {:.3}ms  p99 {:.3}ms  max {:.3}ms\n",
         info.latency_samples, l.mean_ms, l.p50_ms, l.p99_ms, l.max_ms
     ));
+    out.push_str(&format!(
+        "watch events: {} encode(s) | {} frame(s) | {} payload byte(s)\n",
+        info.event_encodes, info.event_frames, info.event_bytes
+    ));
     if let Some(samples) = &info.samples {
         out.push_str(&format!(
             "samples (ms): {}\n",

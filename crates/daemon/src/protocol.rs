@@ -27,11 +27,12 @@
 //! payload structs derive.
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 use grape_algorithms::cc::CcResult;
 use grape_algorithms::sssp::SsspResult;
 use grape_core::metrics::LatencySummary;
-use grape_core::output_delta::{OutputEvent, WireOutputDelta};
+use grape_core::output_delta::{OutputEvent, QueryDelta, WireOutputDelta};
 use grape_core::serve::{QueryStatus, ServeError, ServeReport};
 use grape_core::spec::QuerySpec;
 use grape_core::EngineError;
@@ -77,11 +78,25 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame: length line, payload, terminating newline, flush.
+/// Writes one frame — length line, payload, terminating newline — and
+/// does **not** flush.  The payload is the concatenation of `parts`, so a
+/// caller holding a shared pre-encoded piece (see [`encode_event_tail`])
+/// frames it without copying it into a fresh string first.  The one framing
+/// function: [`write_frame`] and [`send`] are this plus a flush, and the
+/// daemon's connection writer calls it per queued frame and flushes once
+/// when its channel runs dry.
+pub fn put_frame<W: Write>(w: &mut W, parts: &[&str]) -> std::io::Result<()> {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    writeln!(w, "{len}")?;
+    for part in parts {
+        w.write_all(part.as_bytes())?;
+    }
+    w.write_all(b"\n")
+}
+
+/// Writes one frame ([`put_frame`]) and flushes.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> std::io::Result<()> {
-    writeln!(w, "{}", payload.len())?;
-    w.write_all(payload.as_bytes())?;
-    w.write_all(b"\n")?;
+    put_frame(w, &[payload])?;
     w.flush()
 }
 
@@ -119,10 +134,17 @@ pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<String>, WireError> {
         .map_err(|_| WireError::Frame("payload is not valid UTF-8".to_string()))
 }
 
-/// Serializes `value` and writes it as one frame.
-pub fn send<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), WireError> {
+/// Serializes `value` and writes it as one frame ([`put_frame`]: no
+/// flush).
+pub fn put<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), WireError> {
     let json = serde_json::to_string(value).map_err(|e| WireError::Json(e.to_string()))?;
-    write_frame(w, &json).map_err(WireError::Io)
+    put_frame(w, &[&json]).map_err(WireError::Io)
+}
+
+/// Serializes `value` and writes it as one frame, flushed.
+pub fn send<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), WireError> {
+    put(w, value)?;
+    w.flush().map_err(WireError::Io)
 }
 
 /// Reads one frame and deserializes it.  `Ok(None)` on clean EOF.
@@ -518,6 +540,19 @@ pub struct MetricsInfo {
     /// from older daemons).
     #[serde(default)]
     pub compactions: u64,
+    /// Event payloads serialized since start: one per (watched query,
+    /// commit or rehydration), however many subscriptions share it (absent
+    /// on the wire from older daemons, like the two counters below).
+    #[serde(default)]
+    pub event_encodes: u64,
+    /// Event frames queued to subscribers since start — each encode above
+    /// times the subscriptions on its query.
+    #[serde(default)]
+    pub event_frames: u64,
+    /// Payload bytes of those frames (the length line and newlines of the
+    /// framing excluded).
+    #[serde(default)]
+    pub event_bytes: u64,
     /// Per-query rows, sorted by id.
     pub queries: Vec<QueryRow>,
 }
@@ -866,25 +901,65 @@ pub struct EventFrame {
     pub event: OutputEvent,
 }
 
+/// Every entry of an event frame's map after the leading `subscription` —
+/// the part all subscribers of one query share for one commit.
+fn event_tail_entries(query: usize, version: usize, event: &OutputEvent) -> Vec<(String, Value)> {
+    let mut entries = vec![
+        ("query".to_string(), query.to_value()),
+        ("version".to_string(), version.to_value()),
+    ];
+    match event {
+        OutputEvent::Delta(delta) => {
+            entries.push(("event".to_string(), Value::Str("delta".to_string())));
+            entries.push(("changed".to_string(), delta.changed.to_value()));
+            entries.push(("removed".to_string(), delta.removed.to_value()));
+        }
+        OutputEvent::Poisoned => {
+            entries.push(("event".to_string(), Value::Str("poisoned".to_string())));
+        }
+    }
+    entries
+}
+
 impl Serialize for EventFrame {
     fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("subscription".to_string(), self.subscription.to_value()),
-            ("query".to_string(), self.query.to_value()),
-            ("version".to_string(), self.version.to_value()),
-        ];
-        match &self.event {
-            OutputEvent::Delta(delta) => {
-                entries.push(("event".to_string(), Value::Str("delta".to_string())));
-                entries.push(("changed".to_string(), delta.changed.to_value()));
-                entries.push(("removed".to_string(), delta.removed.to_value()));
-            }
-            OutputEvent::Poisoned => {
-                entries.push(("event".to_string(), Value::Str("poisoned".to_string())));
-            }
-        }
+        let mut entries = vec![("subscription".to_string(), self.subscription.to_value())];
+        entries.extend(event_tail_entries(self.query, self.version, &self.event));
         Value::Map(entries)
     }
+}
+
+/// The opening of every event frame's payload, up to the subscription id.
+const EVENT_HEAD: &str = "{\"subscription\":";
+
+/// Serializes the subscriber-independent tail of one [`QueryDelta`]'s event
+/// frame — `"query":Q,"version":V,"event":…}` — **once**, so the daemon
+/// can hand every subscriber of the query the same bytes.
+/// [`put_event_frame`] splices the per-subscriber head in front; the result
+/// is byte-identical to [`send`]ing the [`ServerFrame::Event`].
+pub fn encode_event_tail(delta: &QueryDelta) -> Arc<str> {
+    let tail = Value::Map(event_tail_entries(delta.query, delta.version, &delta.event));
+    let json = serde_json::to_string(&tail).expect("a Value tree always serializes");
+    // Drop the map's own `{`: the head opens the frame's map instead.
+    Arc::from(&json[1..])
+}
+
+/// Payload length of the event frame [`put_event_frame`] writes for
+/// `subscription` over `tail`.
+pub fn event_payload_len(subscription: usize, tail: &str) -> usize {
+    let digits = subscription.checked_ilog10().unwrap_or(0) as usize + 1;
+    EVENT_HEAD.len() + digits + 1 + tail.len()
+}
+
+/// Writes one event frame — `{"subscription":S,` spliced in front of a
+/// shared [`encode_event_tail`] — without flushing.
+pub fn put_event_frame<W: Write>(
+    w: &mut W,
+    subscription: usize,
+    tail: &str,
+) -> std::io::Result<()> {
+    let id = subscription.to_string();
+    put_frame(w, &[EVENT_HEAD, &id, ",", tail])
 }
 
 impl Deserialize for EventFrame {

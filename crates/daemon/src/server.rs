@@ -23,7 +23,7 @@
 //! the blocking `accept`.  In-flight requests on other connections get a
 //! [`ErrorKind::ShuttingDown`] reply.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,8 +46,8 @@ use grape_partition::strategy::PartitionStrategy;
 
 use crate::mock::{self, MockConfig};
 use crate::protocol::{
-    self, ApplySummary, ErrorKind, EventFrame, MetricsInfo, QueryAnswer, QueryRow, RejectedDelta,
-    Request, RequestBody, Response, ResponseBody, ServerFrame, StatusInfo,
+    self, ApplySummary, ErrorKind, MetricsInfo, QueryAnswer, QueryRow, RejectedDelta, Request,
+    RequestBody, Response, ResponseBody, StatusInfo,
 };
 
 /// The graph a daemon starts from (deltas evolve it afterwards).
@@ -206,12 +206,49 @@ enum AnyHandle {
     Cc(QueryHandle<Cc>),
 }
 
+/// What a connection's writer thread is handed: a reply to serialize, or a
+/// pushed event whose payload the engine thread already serialized — once
+/// for every subscriber of the query — minus the subscription id the writer
+/// splices in front ([`protocol::put_event_frame`]).  On the wire both are
+/// [`protocol::ServerFrame`]s; this enum never leaves the daemon.
+pub(crate) enum Outbound {
+    Reply(Response),
+    Event { subscription: usize, tail: Arc<str> },
+}
+
+impl Outbound {
+    /// Writes the frame into `w` without flushing.
+    fn put<W: Write>(&self, w: &mut W) -> Result<(), protocol::WireError> {
+        match self {
+            Outbound::Reply(response) => protocol::put(w, response),
+            Outbound::Event { subscription, tail } => {
+                Ok(protocol::put_event_frame(w, *subscription, tail)?)
+            }
+        }
+    }
+}
+
+/// A connection's writer thread: drains `frames` onto `stream` until every
+/// sender is gone or a write fails.  Each wake-up writes the frame it woke
+/// for plus everything queued behind it, then flushes once.
+fn write_frames(stream: TcpStream, frames: Receiver<Outbound>) -> Result<(), protocol::WireError> {
+    let mut writer = BufWriter::new(stream);
+    while let Ok(frame) = frames.recv() {
+        frame.put(&mut writer)?;
+        while let Ok(queued) = frames.try_recv() {
+            queued.put(&mut writer)?;
+        }
+        writer.flush()?;
+    }
+    Ok(())
+}
+
 /// One live wire subscription: the serve-layer id, the watched query, and
-/// the connection writer that receives its pushed [`EventFrame`]s.
+/// the connection writer that receives its pushed event frames.
 struct Subscriber {
     sub: SubscriptionId,
     query: usize,
-    tx: Sender<ServerFrame>,
+    tx: Sender<Outbound>,
 }
 
 /// The engine thread's state: the `GrapeServer` plus the spec/handle table
@@ -222,6 +259,12 @@ struct Engine {
     entries: Vec<(QuerySpec, AnyHandle)>,
     subscribers: Vec<Subscriber>,
     started: Instant,
+    /// Event payloads serialized / frames queued to subscribers / payload
+    /// bytes of those frames, since start (the `metrics` op's
+    /// `event_encodes`, `event_frames`, `event_bytes`).
+    event_encodes: u64,
+    event_frames: u64,
+    event_bytes: u64,
 }
 
 impl Engine {
@@ -318,9 +361,12 @@ impl Engine {
     }
 
     /// Fans every answer delta buffered by the `GrapeServer` out to the
-    /// matching wire subscriptions.  A failed send means the connection's
-    /// writer is gone: the subscriber is dropped and the serve-layer
-    /// subscription closed (so the cold-watch buffer stops growing).
+    /// matching wire subscriptions: the payload is serialized once per
+    /// delta, and each subscriber of the query gets the shared bytes plus
+    /// its own subscription id — the cost per extra watcher is one channel
+    /// send.  A failed send means the connection's writer is gone: the
+    /// subscriber is dropped and the serve-layer subscription closed (so
+    /// the cold-watch buffer stops growing).
     fn pump_events(&mut self) {
         let deltas = self.server.drain_events();
         if deltas.is_empty() {
@@ -328,18 +374,25 @@ impl Engine {
         }
         let mut dead: Vec<usize> = Vec::new();
         for delta in deltas {
+            if !self.subscribers.iter().any(|s| s.query == delta.query) {
+                continue;
+            }
+            let tail = protocol::encode_event_tail(&delta);
+            self.event_encodes += 1;
             for (idx, sub) in self.subscribers.iter().enumerate() {
                 if sub.query != delta.query || dead.contains(&idx) {
                     continue;
                 }
-                let frame = ServerFrame::Event(EventFrame {
-                    subscription: sub.sub.id(),
-                    query: delta.query,
-                    version: delta.version,
-                    event: delta.event.clone(),
-                });
+                let subscription = sub.sub.id();
+                let frame = Outbound::Event {
+                    subscription,
+                    tail: Arc::clone(&tail),
+                };
                 if sub.tx.send(frame).is_err() {
                     dead.push(idx);
+                } else {
+                    self.event_frames += 1;
+                    self.event_bytes += protocol::event_payload_len(subscription, &tail) as u64;
                 }
             }
         }
@@ -353,7 +406,7 @@ impl Engine {
     /// Executes one request body.  Runs on the engine thread only.
     /// `events` is the caller's event channel when the request arrived
     /// over a connection that can receive pushed frames.
-    fn handle(&mut self, body: RequestBody, events: Option<&Sender<ServerFrame>>) -> ResponseBody {
+    fn handle(&mut self, body: RequestBody, events: Option<&Sender<Outbound>>) -> ResponseBody {
         match body {
             RequestBody::Status => ResponseBody::Status(StatusInfo {
                 version: self.server.version(),
@@ -381,6 +434,9 @@ impl Engine {
                 },
                 resident_partial_bytes: self.server.resident_partial_bytes(),
                 compactions: self.server.compactions(),
+                event_encodes: self.event_encodes,
+                event_frames: self.event_frames,
+                event_bytes: self.event_bytes,
                 queries: self.rows(),
             }),
             RequestBody::Register { spec } => match self.register(spec) {
@@ -552,14 +608,14 @@ impl Engine {
 /// Where a command's reply goes: a private in-process channel (mock
 /// feeder, [`GrapedHandle::shutdown`]) or a connection's writer thread,
 /// where the reply is correlated to its request by id and interleaves
-/// with pushed [`EventFrame`]s.
+/// with pushed event frames.
 pub(crate) enum Replier {
     /// In-process caller; gets the bare body.
     Channel(Sender<ResponseBody>),
     /// A connection's writer; gets a framed [`Response`].
     Connection {
         /// The connection's outbound frame channel.
-        tx: Sender<ServerFrame>,
+        tx: Sender<Outbound>,
         /// The request id to echo.
         id: u64,
     },
@@ -570,14 +626,14 @@ impl Replier {
     fn send(&self, body: ResponseBody) -> bool {
         match self {
             Replier::Channel(tx) => tx.send(body).is_ok(),
-            Replier::Connection { tx, id } => tx
-                .send(ServerFrame::Reply(Response { id: *id, body }))
-                .is_ok(),
+            Replier::Connection { tx, id } => {
+                tx.send(Outbound::Reply(Response { id: *id, body })).is_ok()
+            }
         }
     }
 
     /// The caller's event channel, when it can receive pushed frames.
-    fn events(&self) -> Option<&Sender<ServerFrame>> {
+    fn events(&self) -> Option<&Sender<Outbound>> {
         match self {
             Replier::Channel(_) => None,
             Replier::Connection { tx, .. } => Some(tx),
@@ -632,6 +688,9 @@ impl GrapedHandle {
             entries: Vec::new(),
             subscribers: Vec::new(),
             started: Instant::now(),
+            event_encodes: 0,
+            event_frames: 0,
+            event_bytes: 0,
         };
         if let Some(mock_cfg) = &config.mock {
             for spec in mock::workload(mock_cfg, graph.num_vertices()) {
@@ -761,26 +820,32 @@ fn run_accept(listener: TcpListener, tx: Sender<Command>, stop: Arc<AtomicBool>)
 /// parsing the next request (requests pipeline); ordering is preserved
 /// because the engine thread executes commands and emits both replies and
 /// events into the same channel in arrival order.
+///
+/// The writer's flush rule is **flush when the channel runs dry**: it
+/// writes every frame already queued into its buffer and flushes once, so
+/// a commit's burst of event frames leaves in a few segments instead of one
+/// per frame, while a lone reply (nothing queued behind it) still leaves
+/// immediately — a frame never waits in the buffer for a later one.  The
+/// socket runs with `TCP_NODELAY`, so the tail of a burst does not wait for
+/// the peer's delayed ACK either.
 fn serve_connection(stream: TcpStream, tx: Sender<Command>) {
+    stream.set_nodelay(true).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let (frame_tx, frame_rx) = std::sync::mpsc::channel::<ServerFrame>();
+    let (frame_tx, frame_rx) = std::sync::mpsc::channel::<Outbound>();
     let writer = std::thread::spawn(move || {
-        let mut writer = BufWriter::new(stream);
-        while let Ok(frame) = frame_rx.recv() {
-            if protocol::send(&mut writer, &frame).is_err() {
-                break;
-            }
-        }
+        // A write error means the peer is gone; the reader side notices
+        // on its own and the engine reaps the subscriptions.
+        let _ = write_frames(stream, frame_rx);
     });
     loop {
         let request: Request = match protocol::recv(&mut reader) {
             Ok(Some(request)) => request,
             Ok(None) => break,
             Err(protocol::WireError::Json(m)) => {
-                let reply = ServerFrame::Reply(Response {
+                let reply = Outbound::Reply(Response {
                     id: 0,
                     body: ResponseBody::Error {
                         kind: ErrorKind::BadRequest,
@@ -793,7 +858,7 @@ fn serve_connection(stream: TcpStream, tx: Sender<Command>) {
                 continue;
             }
             Err(e) => {
-                let reply = ServerFrame::Reply(Response {
+                let reply = Outbound::Reply(Response {
                     id: 0,
                     body: ResponseBody::Error {
                         kind: ErrorKind::BadRequest,
@@ -815,7 +880,7 @@ fn serve_connection(stream: TcpStream, tx: Sender<Command>) {
             })
             .is_err()
         {
-            let _ = frame_tx.send(ServerFrame::Reply(Response {
+            let _ = frame_tx.send(Outbound::Reply(Response {
                 id,
                 body: ResponseBody::Error {
                     kind: ErrorKind::ShuttingDown,

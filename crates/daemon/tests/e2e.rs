@@ -25,7 +25,7 @@ use grape_core::spec::QuerySpec;
 use grape_daemon::client::{ClientError, GrapeClient};
 use grape_daemon::mock::{mock_delta, MockConfig};
 use grape_daemon::protocol::{
-    self, ErrorKind, QueryAnswer, Request, RequestBody, Response, ResponseBody,
+    self, ErrorKind, QueryAnswer, Request, RequestBody, Response, ResponseBody, ServerFrame,
 };
 use grape_daemon::server::{DaemonConfig, GrapedHandle, GraphSource};
 use grape_graph::delta::GraphDelta;
@@ -411,6 +411,206 @@ fn concurrent_watchers_get_identical_streams_that_replay_to_the_answer() {
         driver.shutdown().expect("shutdown");
         handle.wait();
     }
+}
+
+#[test]
+fn a_lone_event_frame_is_flushed_without_further_traffic() {
+    // The connection writer coalesces a burst into one flush, so the rule
+    // it must never break: a frame does not sit in the buffer waiting for
+    // a later one.  A subscribes and then goes silent; B commits once; A's
+    // event must arrive on its own.
+    let handle = GrapedHandle::spawn(daemon_config(EngineMode::Sync)).expect("spawn daemon");
+    let mut a = GrapeClient::connect(handle.addr()).expect("connect a");
+    let mut b = GrapeClient::connect(handle.addr()).expect("connect b");
+    let q = b.register(QuerySpec::Cc).expect("register");
+    let sub = a.subscribe(q).expect("subscribe");
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let _ = tx.send(a.next_event());
+    });
+    let applied = b.apply(mock_delta(5, BASE_VERTICES, 0)).expect("apply");
+    let event = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the event frame was never flushed")
+        .expect("event");
+    assert_eq!(event.subscription, sub);
+    assert_eq!(event.version, applied.reports[0].version);
+    reader.join().expect("reader thread");
+
+    b.shutdown().expect("shutdown");
+    handle.wait();
+}
+
+/// A raw protocol connection: frames written and read by hand, so a test
+/// can pipeline requests and look at event frames byte for byte.
+struct RawConnection {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    writer: std::net::TcpStream,
+}
+
+impl RawConnection {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let writer = std::net::TcpStream::connect(addr).expect("raw connect");
+        let reader = std::io::BufReader::new(writer.try_clone().expect("clone"));
+        RawConnection { reader, writer }
+    }
+
+    fn send(&mut self, id: u64, body: RequestBody) {
+        protocol::send(&mut self.writer, &Request { id, body }).expect("send");
+    }
+
+    fn payload(&mut self) -> String {
+        protocol::read_frame(&mut self.reader)
+            .expect("read frame")
+            .expect("frame before EOF")
+    }
+
+    fn frame(&mut self) -> ServerFrame {
+        serde_json::from_str(&self.payload()).expect("server frame")
+    }
+
+    fn subscribe(&mut self, id: u64, query: usize) -> usize {
+        self.send(id, RequestBody::Subscribe { query });
+        match self.frame() {
+            ServerFrame::Reply(Response {
+                body: ResponseBody::Subscribed { subscription, .. },
+                ..
+            }) => subscription,
+            other => panic!("expected a subscribed reply, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn each_delta_is_encoded_once_however_many_subscriptions_share_it() {
+    const W: usize = 4;
+    const N: usize = 3;
+    let handle = GrapedHandle::spawn(daemon_config(EngineMode::Sync)).expect("spawn daemon");
+    let mut driver = GrapeClient::connect(handle.addr()).expect("connect driver");
+    let queries = [
+        driver
+            .register(QuerySpec::Sssp { source: 0 })
+            .expect("register sssp"),
+        driver.register(QuerySpec::Cc).expect("register cc"),
+    ];
+    let k = queries.len();
+
+    let mut watcher = RawConnection::connect(handle.addr());
+    let mut id = 0;
+    for &query in &queries {
+        for _ in 0..W {
+            id += 1;
+            watcher.subscribe(id, query);
+        }
+    }
+    let before = driver.metrics().expect("metrics");
+    assert_eq!((before.event_encodes, before.event_frames), (0, 0));
+
+    for i in 0..N {
+        driver
+            .apply(mock_delta(31, BASE_VERTICES, i as u64))
+            .expect("apply");
+    }
+
+    // (query, version) → the payloads pushed for it, split at the end of
+    // the per-subscriber head.
+    let mut groups: std::collections::BTreeMap<(usize, usize), Vec<(usize, String)>> =
+        std::collections::BTreeMap::new();
+    let mut bytes = 0;
+    for _ in 0..N * k * W {
+        let payload = watcher.payload();
+        bytes += payload.len() as u64;
+        let ServerFrame::Event(event) = serde_json::from_str(&payload).expect("frame") else {
+            panic!("the watcher sent no request, so every frame is an event: {payload}");
+        };
+        let head = format!("{{\"subscription\":{},", event.subscription);
+        let tail = payload
+            .strip_prefix(&head)
+            .unwrap_or_else(|| panic!("frame does not open with {head}: {payload}"));
+        groups
+            .entry((event.query, event.version))
+            .or_default()
+            .push((event.subscription, tail.to_string()));
+    }
+    assert_eq!(
+        groups.len(),
+        N * k,
+        "one delta per watched query per commit"
+    );
+    for ((query, version), frames) in &groups {
+        assert_eq!(frames.len(), W, "query {query} v{version}");
+        let mut subs: Vec<usize> = frames.iter().map(|(sub, _)| *sub).collect();
+        subs.sort_unstable();
+        subs.dedup();
+        assert_eq!(subs.len(), W, "every subscription gets its own frame");
+        assert!(
+            frames.iter().all(|(_, tail)| tail == &frames[0].1),
+            "frames of query {query} v{version} differ beyond the subscription id"
+        );
+    }
+
+    // The counters the `metrics` op reports: encode count independent of
+    // W, frame count W times it, bytes exactly what the watcher read.
+    let after = driver.metrics().expect("metrics");
+    assert_eq!(after.event_encodes, (N * k) as u64);
+    assert_eq!(after.event_frames, (N * k * W) as u64);
+    assert_eq!(after.event_bytes, bytes);
+
+    driver.shutdown().expect("shutdown");
+    handle.wait();
+}
+
+#[test]
+fn pipelined_requests_keep_reply_order_around_their_events() {
+    // One connection that watches a query AND pipelines apply + output
+    // pairs without reading in between.  The engine thread emits reply,
+    // then the commit's events, then the next reply into one channel; the
+    // coalescing writer must put them on the wire in exactly that order.
+    const PAIRS: u64 = 3;
+    let handle = GrapedHandle::spawn(daemon_config(EngineMode::Sync)).expect("spawn daemon");
+    let mut driver = GrapeClient::connect(handle.addr()).expect("connect driver");
+    let q = driver.register(QuerySpec::Cc).expect("register");
+
+    let mut conn = RawConnection::connect(handle.addr());
+    let sub = conn.subscribe(1, q);
+    for i in 0..PAIRS {
+        conn.send(
+            10 + 2 * i,
+            RequestBody::Apply {
+                delta: mock_delta(47, BASE_VERTICES, i),
+            },
+        );
+        conn.send(11 + 2 * i, RequestBody::Output { query: q });
+    }
+    for i in 0..PAIRS {
+        let version = match conn.frame() {
+            ServerFrame::Reply(Response {
+                id,
+                body: ResponseBody::Applied { reports, .. },
+            }) => {
+                assert_eq!(id, 10 + 2 * i, "apply replies arrive in request order");
+                reports[0].version
+            }
+            other => panic!("expected the apply reply of pair {i}, got {other:?}"),
+        };
+        match conn.frame() {
+            ServerFrame::Event(event) => {
+                assert_eq!((event.subscription, event.version), (sub, version));
+            }
+            other => panic!("expected the event of v{version}, got {other:?}"),
+        }
+        match conn.frame() {
+            ServerFrame::Reply(Response {
+                id,
+                body: ResponseBody::Answer { .. },
+            }) => assert_eq!(id, 11 + 2 * i, "output replies arrive in request order"),
+            other => panic!("expected the output reply of pair {i}, got {other:?}"),
+        }
+    }
+
+    driver.shutdown().expect("shutdown");
+    handle.wait();
 }
 
 #[test]

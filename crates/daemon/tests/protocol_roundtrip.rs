@@ -9,7 +9,7 @@
 use std::io::Cursor;
 
 use grape_core::metrics::LatencySummary;
-use grape_core::output_delta::{OutputEvent, WireOutputDelta};
+use grape_core::output_delta::{OutputEvent, QueryDelta, WireOutputDelta};
 use grape_core::serve::QueryStatus;
 use grape_core::spec::QuerySpec;
 use grape_daemon::protocol::{
@@ -135,6 +135,24 @@ fn pre_tiering_status_frames_still_parse() {
     assert_eq!(info.queries[0].status.spill_chain, 0);
     assert_eq!(info.queries[0].status.spill_bytes, 0);
     assert_eq!(info.queries[0].status.compactions, 0);
+
+    // Likewise a metrics reply from a daemon that predates the spill
+    // compaction count and the watch-event counters.
+    let json = "{\"id\":8,\"reply\":\"metrics\",\"metrics\":{\
+        \"uptime_ms\":5,\"version\":1,\"deltas_applied\":1,\
+        \"latency\":{\"samples\":1,\"mean_ms\":1.0,\"p50_ms\":1.0,\
+            \"p99_ms\":1.0,\"max_ms\":1.0},\
+        \"latency_samples\":1,\"samples\":null,\
+        \"resident_partial_bytes\":10,\"queries\":[]}}";
+    let back: Response = serde_json::from_str(json).expect("deserialize");
+    let ResponseBody::Metrics(info) = back.body else {
+        panic!("expected a metrics reply");
+    };
+    assert_eq!(info.compactions, 0);
+    assert_eq!(
+        (info.event_encodes, info.event_frames, info.event_bytes),
+        (0, 0, 0)
+    );
 }
 
 #[test]
@@ -222,6 +240,9 @@ fn every_response_variant_round_trips() {
         samples: None,
         resident_partial_bytes: 1024,
         compactions: 0,
+        event_encodes: 0,
+        event_frames: 0,
+        event_bytes: 0,
         queries: vec![],
     }));
     roundtrip_response(ResponseBody::Metrics(MetricsInfo {
@@ -239,6 +260,9 @@ fn every_response_variant_round_trips() {
         samples: Some(vec![0.5, 1.0, 3.5]),
         resident_partial_bytes: 1024,
         compactions: 7,
+        event_encodes: 18,
+        event_frames: 72,
+        event_bytes: 446_098,
         queries: vec![],
     }));
     roundtrip_response(ResponseBody::Subscribed {
@@ -311,6 +335,66 @@ fn server_frames_round_trip_and_discriminate() {
     let json = serde_json::to_string(&reply).expect("serialize");
     let back: ServerFrame = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back, reply, "{json}");
+}
+
+#[test]
+fn a_spliced_shared_tail_is_byte_identical_to_a_sent_event_frame() {
+    // The daemon serializes an event's subscriber-independent tail once
+    // and splices each subscription id in front; old per-frame readers
+    // must not be able to tell.
+    let events = [
+        OutputEvent::Delta(WireOutputDelta::default()),
+        OutputEvent::Delta(WireOutputDelta {
+            // Non-finite floats degrade to null; string keys need escapes.
+            changed: vec![
+                (3u64.to_value(), f64::INFINITY.to_value()),
+                (4u64.to_value(), f64::NAN.to_value()),
+                (5u64.to_value(), (-0.0f64).to_value()),
+                (
+                    "quote\" slash\\ newline\n tab\t bell\u{7} é".to_value(),
+                    1.5f64.to_value(),
+                ),
+            ],
+            removed: vec![9u64.to_value(), "}{\",".to_value()],
+        }),
+        OutputEvent::Poisoned,
+    ];
+    for event in events {
+        let delta = QueryDelta {
+            query: 12,
+            version: 345,
+            event,
+        };
+        let tail = protocol::encode_event_tail(&delta);
+        for subscription in [0, 7, 10, 99, 100, 123_456] {
+            let mut sent = Vec::new();
+            protocol::send(
+                &mut sent,
+                &ServerFrame::Event(EventFrame {
+                    subscription,
+                    query: delta.query,
+                    version: delta.version,
+                    event: delta.event.clone(),
+                }),
+            )
+            .unwrap();
+            let mut spliced = Vec::new();
+            protocol::put_event_frame(&mut spliced, subscription, &tail).unwrap();
+            assert_eq!(
+                String::from_utf8(spliced).unwrap(),
+                String::from_utf8(sent.clone()).unwrap()
+            );
+            // The length the daemon's `event_bytes` counter adds is the
+            // payload's: the frame minus its length line and two newlines.
+            let payload = protocol::read_frame(&mut Cursor::new(sent))
+                .unwrap()
+                .expect("frame");
+            assert_eq!(
+                protocol::event_payload_len(subscription, &tail),
+                payload.len()
+            );
+        }
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [--scale small|medium|large] [--format text|json|csv]
 //!             [table1|fig6|fig7|fig8|fig9|incremental|serving|serving_scaling|
-//!              serving_watchers|rehydrate_latency|process_transport|loc|all]
+//!              serving_watchers|rehydrate_latency|loc|all]
 //! ```
 //!
 //! `incremental` is the prepared-query update experiment: update latency and
@@ -30,9 +30,9 @@
 
 use grape_bench::experiments;
 use grape_bench::runner::{
-    format_process_json, format_process_table, format_rehydrate_json, format_rehydrate_table,
-    format_rows_csv, format_rows_json, format_scaling_json, format_scaling_table, format_table,
-    format_watchers_json, format_watchers_table, RunRow, CSV_HEADER,
+    format_rehydrate_json, format_rehydrate_table, format_rows_csv, format_rows_json,
+    format_scaling_json, format_scaling_table, format_table, format_watchers_json,
+    format_watchers_table, RunRow, CSV_HEADER,
 };
 use grape_bench::workloads::Scale;
 
@@ -240,15 +240,11 @@ fn main() {
             print_rehydrate_latency(scale, format, scale_name);
             continue;
         }
-        if target == "process_transport" {
-            print_process_transport(scale, format, scale_name);
-            continue;
-        }
         let Some(sections) = sections_for(target, scale) else {
             eprintln!(
                 "unknown experiment {target:?} \
                  (use table1|fig6|fig7|fig8|fig9|incremental|serving|serving_scaling|\
-                 serving_watchers|rehydrate_latency|process_transport|loc|all)"
+                 serving_watchers|rehydrate_latency|loc|all)"
             );
             continue;
         };
@@ -269,7 +265,6 @@ fn main() {
             print_serving_scaling(scale, format, scale_name);
             print_serving_watchers(scale, format, scale_name);
             print_rehydrate_latency(scale, format, scale_name);
-            print_process_transport(scale, format, scale_name);
             if format == Format::Text {
                 print_loc();
             } else {
@@ -367,47 +362,6 @@ fn print_rehydrate_latency(scale: Scale, format: Format, scale_name: &str) {
             print!(
                 "{}",
                 format_rehydrate_json("rehydrate_latency", scale_name, &rows)
-            );
-        }
-    }
-}
-
-/// Prints the process-transport section in its own row shape (per-run
-/// latency + pipe megabytes per transport cell); CSV has no column set for
-/// it, so it is skipped there with a note on stderr.  Requires the
-/// `grape-worker` binary next to this one (`cargo build --release -p
-/// grape-daemon --bin grape-worker`).
-fn print_process_transport(scale: Scale, format: Format, scale_name: &str) {
-    if grape_core::worker_proto::locate_worker_binary().is_none() {
-        eprintln!(
-            "process_transport needs the grape-worker binary; build it with \
-             `cargo build -p grape-daemon --bin grape-worker` (same profile) \
-             or point GRAPE_WORKER_BIN at it — skipping"
-        );
-        return;
-    }
-    match format {
-        Format::Csv => {
-            eprintln!(
-                "process_transport has its own row shape (pipe megabytes per \
-                 transport cell); use --format text|json"
-            );
-        }
-        Format::Text => {
-            let rows = experiments::process_transport(scale);
-            print!(
-                "{}",
-                format_process_table(
-                    "Process transport: in-process vs grape-worker subprocesses",
-                    &rows
-                )
-            );
-        }
-        Format::Json => {
-            let rows = experiments::process_transport(scale);
-            print!(
-                "{}",
-                format_process_json("process_transport", scale_name, &rows)
             );
         }
     }

@@ -5,10 +5,10 @@
 
 use crate::runner::{
     run_cc, run_cf, run_incremental_cc, run_incremental_cf, run_incremental_sim,
-    run_incremental_sssp, run_incremental_subiso, run_process_transport,
-    run_refresh_comparison_sssp, run_rehydrate_latency, run_serving, run_serving_scaling,
-    run_serving_watchers, run_sim, run_sim_ni, run_sim_optimized, run_sssp, run_subiso, ProcessRow,
-    RehydrateRow, RunRow, ScalingRow, System, WatcherRow,
+    run_incremental_sssp, run_incremental_subiso, run_refresh_comparison_sssp,
+    run_rehydrate_latency, run_serving, run_serving_scaling, run_serving_watchers, run_sim,
+    run_sim_ni, run_sim_optimized, run_sssp, run_subiso, RehydrateRow, RunRow, ScalingRow, System,
+    WatcherRow,
 };
 use crate::workloads::{self, Scale};
 
@@ -208,23 +208,6 @@ pub fn refresh_comparison(scale: Scale) -> Vec<RunRow> {
     let insert_delta = workloads::ranged_insertion_delta(0, region, batch.min(64), 0xD9);
     let delete_delta = workloads::ranged_deletion_delta(&g, 0, region, batch.min(64), 0xD8);
     run_refresh_comparison_sssp(&g, &insert_delta, &delete_delta, 0, n, "regional-traffic")
-}
-
-/// The **process-transport** experiment (the location-transparency claim):
-/// SSSP and CC over the traffic network, each engine mode's in-process
-/// substrate head-to-head with `TransportSpec::Process` at the same worker
-/// count — per-run latency plus the bytes that crossed the worker pipes.
-/// Answer equality between the two placements is asserted inside the
-/// runner before a row is emitted.
-///
-/// The checked-in `BENCH_process_transport.json` baseline records the gap
-/// on the CI machine (single-CPU container: the subprocess cells pay the
-/// pipe serialization without gaining real parallelism, so the checked-in
-/// overhead is an upper bound).
-pub fn process_transport(scale: Scale) -> Vec<ProcessRow> {
-    let n = *worker_counts(scale).last().unwrap();
-    let g = workloads::traffic(scale);
-    run_process_transport(&g, 0, n, "traffic")
 }
 
 /// The prepared-query **serving** experiment (the ROADMAP's

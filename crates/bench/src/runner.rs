@@ -1388,225 +1388,6 @@ pub fn format_rehydrate_table(title: &str, rows: &[RehydrateRow]) -> String {
     out
 }
 
-/// One measured cell of the **process-transport** experiment: the same
-/// query over the same fragmentation, evaluated either in-process (the
-/// mode's natural substrate) or sharded across `grape-worker` subprocesses
-/// (`TransportSpec::Process`).  `pipe_mb` is the traffic that crossed the
-/// worker pipes — handshake fragments, per-evaluation messages, collected
-/// partials — and is 0 by definition for the in-process cells.
-#[derive(Debug, Clone, Serialize)]
-pub struct ProcessRow {
-    /// Query class (sssp, cc).
-    pub query: String,
-    /// Workload name.
-    pub workload: String,
-    /// Engine mode (`sync` / `async`).
-    pub mode: String,
-    /// Transport name (`barrier` / `channel` / `process`).
-    pub transport: String,
-    /// Engine workers; for `process`, also the subprocess count.
-    pub workers: usize,
-    /// Response time in seconds.
-    pub seconds: f64,
-    /// Megabytes that crossed worker-subprocess pipes.
-    pub pipe_mb: f64,
-    /// Supersteps executed.
-    pub supersteps: usize,
-    /// Messages routed between fragments.
-    pub messages: usize,
-}
-
-/// The process-transport experiment: SSSP and CC over the traffic network,
-/// each mode's in-process substrate head-to-head with the subprocess
-/// transport at the same worker count.  Answer equality between the two
-/// placements is asserted inside the runner (via the canonical key-sorted
-/// row form), so a row is only emitted for runs that produced identical
-/// answers — the latency/pipe-bytes gap is the price of process isolation,
-/// not of divergent work.
-pub fn run_process_transport(
-    graph: &Graph,
-    source: VertexId,
-    workers: usize,
-    workload: &str,
-) -> Vec<ProcessRow> {
-    use grape_core::config::EngineMode;
-    use grape_core::output_delta::DeltaOutput;
-    use grape_core::transport::TransportSpec;
-
-    /// Everything a cell shares with its in-process twin: only the
-    /// transport placement differs between the two runs being compared.
-    struct Cell<'a> {
-        mode: EngineMode,
-        workers: usize,
-        workload: &'a str,
-    }
-
-    fn cell<P: DeltaOutput>(
-        program: &P,
-        query: &P::Query,
-        frag: &Fragmentation,
-        ctx: &Cell<'_>,
-        spec: TransportSpec,
-        baseline: &mut Option<String>,
-    ) -> ProcessRow {
-        let Cell {
-            mode,
-            workers,
-            workload,
-        } = *ctx;
-        let session = GrapeSession::builder()
-            .workers(workers)
-            .mode(mode)
-            .transport(spec)
-            .build()
-            .expect("process-transport session");
-        let run = session
-            .run(frag, program, query)
-            .expect("process-transport run");
-        let answer =
-            serde_json::to_string(&program.canonical(query, &run.output)).expect("canonical rows");
-        match baseline {
-            None => *baseline = Some(answer),
-            Some(base) => assert_eq!(
-                &answer,
-                base,
-                "{} over {} diverges from the in-process answer ({mode:?})",
-                program.name(),
-                spec.name()
-            ),
-        }
-        ProcessRow {
-            query: program.name().to_string(),
-            workload: workload.to_string(),
-            mode: format!("{mode:?}").to_lowercase(),
-            transport: spec.name().to_string(),
-            workers,
-            seconds: run.metrics.seconds(),
-            pipe_mb: run.metrics.pipe_bytes as f64 / (1024.0 * 1024.0),
-            supersteps: run.metrics.supersteps,
-            messages: run.metrics.total_messages,
-        }
-    }
-
-    let frag = partition(graph, workers);
-    let undirected = graph.to_undirected();
-    let cc_frag = partition(&undirected, workers);
-    let sssp_query = SsspQuery::new(source);
-    let mut rows = Vec::new();
-    for mode in [EngineMode::Sync, EngineMode::Async] {
-        let in_process = match mode {
-            EngineMode::Sync => TransportSpec::Barrier,
-            EngineMode::Async => TransportSpec::Channel,
-        };
-        let specs = [in_process, TransportSpec::Process { workers }];
-        let ctx = Cell {
-            mode,
-            workers,
-            workload,
-        };
-        let mut sssp_answer = None;
-        for spec in specs {
-            rows.push(cell(
-                &Sssp,
-                &sssp_query,
-                &frag,
-                &ctx,
-                spec,
-                &mut sssp_answer,
-            ));
-        }
-        let mut cc_answer = None;
-        for spec in specs {
-            rows.push(cell(&Cc, &CcQuery, &cc_frag, &ctx, spec, &mut cc_answer));
-        }
-    }
-    rows
-}
-
-/// A [`ProcessRow`] tagged with its experiment and scale — the record of
-/// the `BENCH_process_transport.json` baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct ProcessExport {
-    /// Experiment id (`process_transport`).
-    pub experiment: String,
-    /// Workload scale (`small`, `medium`, `large`).
-    pub scale: String,
-    /// Query class.
-    pub query: String,
-    /// Workload name.
-    pub workload: String,
-    /// Engine mode.
-    pub mode: String,
-    /// Transport name.
-    pub transport: String,
-    /// Engine workers / subprocess count.
-    pub workers: usize,
-    /// Response time in seconds.
-    pub seconds: f64,
-    /// Megabytes over worker pipes.
-    pub pipe_mb: f64,
-    /// Supersteps executed.
-    pub supersteps: usize,
-    /// Messages routed.
-    pub messages: usize,
-}
-
-/// Formats process-transport rows as JSON Lines.
-pub fn format_process_json(experiment: &str, scale: &str, rows: &[ProcessRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        let export = ProcessExport {
-            experiment: experiment.to_string(),
-            scale: scale.to_string(),
-            query: row.query.clone(),
-            workload: row.workload.clone(),
-            mode: row.mode.clone(),
-            transport: row.transport.clone(),
-            workers: row.workers,
-            seconds: row.seconds,
-            pipe_mb: row.pipe_mb,
-            supersteps: row.supersteps,
-            messages: row.messages,
-        };
-        out.push_str(&serde_json::to_string(&export).expect("ProcessExport serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats process-transport rows as an aligned text table.
-pub fn format_process_table(title: &str, rows: &[ProcessRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<8} {:<16} {:<6} {:<9} {:>7} {:>10} {:>9} {:>10} {:>9}\n",
-        "query",
-        "workload",
-        "mode",
-        "transport",
-        "workers",
-        "time (s)",
-        "pipe (MB)",
-        "supersteps",
-        "messages"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<8} {:<16} {:<6} {:<9} {:>7} {:>10.4} {:>9.3} {:>10} {:>9}\n",
-            r.query,
-            r.workload,
-            r.mode,
-            r.transport,
-            r.workers,
-            r.seconds,
-            r.pipe_mb,
-            r.supersteps,
-            r.messages
-        ));
-    }
-    out
-}
-
 /// A [`RunRow`] tagged with the experiment (table/figure) and scale it came
 /// from — the machine-readable record emitted by `experiments --format
 /// json|csv`, one per (algorithm, system, scale) run, so figures can be

@@ -60,8 +60,7 @@ use crate::load_balance::LoadBalancer;
 use crate::metrics::{EngineMetrics, SuperstepMetrics};
 use crate::pie::{KeyVertex, PieProgram};
 use crate::transport::{
-    BarrierTransport, ChannelTransport, MessageOps, ProcessTransport, Transport, TransportSnapshot,
-    TransportSpec,
+    BarrierTransport, ChannelTransport, MessageOps, Transport, TransportSnapshot, TransportSpec,
 };
 
 /// Errors produced by an engine run.
@@ -357,12 +356,12 @@ pub(crate) fn prepare_parts<P: PieProgram>(
             let pipe = host.pipe_counter();
             let run = match mode {
                 EngineMode::Sync => {
-                    superstep_loop(&ctx, &host, &ProcessTransport::new(m, ops), &mut metrics)
+                    superstep_loop(&ctx, &host, &BarrierTransport::new(m, ops), &mut metrics)
                 }
                 EngineMode::Async => streaming_loop(
                     &ctx,
                     &host,
-                    &ProcessTransport::streaming(m, ops),
+                    &ChannelTransport::new(m, ops),
                     &mut metrics,
                     Phase::Full,
                 ),
@@ -591,7 +590,7 @@ pub(crate) fn refresh_parts<P: PieProgram>(
             let pipe = host.pipe_counter();
             let run = match mode {
                 EngineMode::Sync => {
-                    let transport = ProcessTransport::new(m, ops);
+                    let transport = BarrierTransport::new(m, ops);
                     seed(
                         &transport,
                         ctx.gp,
@@ -603,7 +602,7 @@ pub(crate) fn refresh_parts<P: PieProgram>(
                     superstep_loop(&ctx, &host, &transport, &mut metrics)
                 }
                 EngineMode::Async => {
-                    let transport = ProcessTransport::streaming(m, ops);
+                    let transport = ChannelTransport::new(m, ops);
                     seed(
                         &transport,
                         ctx.gp,

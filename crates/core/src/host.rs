@@ -31,7 +31,8 @@ use serde::{Deserialize, Serialize, Value};
 use crate::engine::EngineError;
 use crate::pie::{AggregateFn, Messages, PieProgram, ProcessCodec};
 use crate::worker_proto::{
-    init_frame, locate_worker_binary, read_frame, write_value_frame, WORKER_BIN_ENV,
+    decode_value, encode_init, encode_value, locate_worker_binary, partial_entries, Pipe,
+    WORKER_BIN_ENV,
 };
 
 /// What one PEval/IncEval evaluation hands back to the engine: the
@@ -150,23 +151,28 @@ impl<P: PieProgram> WorkerHost<P> for InProcessHost<'_, P> {
     }
 }
 
-/// One spawned `grape-worker` subprocess with its pipe endpoints.
+/// One spawned `grape-worker` subprocess with its pipe endpoints and the
+/// encode/decode buffers reused across every request of the run.
 struct WorkerChild {
     child: Child,
     stdin: ChildStdin,
     stdout: std::io::BufReader<ChildStdout>,
+    pipe: Pipe,
 }
 
 impl WorkerChild {
-    /// One request/reply round trip.  Returns the reply plus the bytes that
-    /// crossed the pipe (request + reply payloads).
-    fn request(&mut self, frame: &Value) -> Result<(Value, usize), String> {
-        let sent = write_value_frame(&mut self.stdin, frame)?;
-        let reply = read_frame(&mut self.stdout)?
+    /// One request/reply round trip: the request payload is whatever
+    /// `encode` appends, written to the pipe in one `write_all`.  Returns
+    /// the reply plus the bytes that crossed the pipe (request + reply
+    /// payloads).
+    fn request(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(Value, usize), String> {
+        let sent = self.pipe.send(&mut self.stdin, encode)?;
+        let reply = self
+            .pipe
+            .recv(&mut self.stdout)?
             .ok_or_else(|| "worker subprocess closed its pipe mid-run".to_string())?;
         let bytes = sent + reply.len();
-        let v: Value =
-            serde_json::from_str(&reply).map_err(|e| format!("malformed worker reply: {e}"))?;
+        let v = decode_value(reply).map_err(|e| format!("malformed worker reply: {e}"))?;
         Ok((v, bytes))
     }
 }
@@ -243,6 +249,7 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
                 child,
                 stdin,
                 stdout,
+                pipe: Pipe::default(),
             };
             // Handshake: only this shard's fragments (and partials) ship.
             let shard_frags: Vec<(usize, &Fragment)> = shard
@@ -256,14 +263,11 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
                     .collect(),
                 None => Vec::new(),
             };
-            let init = init_frame(
-                program.name(),
-                codec.encode_query(query),
-                &shard_frags,
-                shard_partials,
-            );
+            let query = codec.encode_query(query);
             let (reply, bytes) = worker
-                .request(&init)
+                .request(|out| {
+                    encode_init(out, program.name(), query, &shard_frags, shard_partials)
+                })
                 .map_err(|e| EngineError::Worker(format!("worker {wi} handshake: {e}")))?;
             pipe_bytes.fetch_add(bytes, Ordering::Relaxed);
             check_ok(&reply).map_err(EngineError::Worker)?;
@@ -284,18 +288,18 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
         self.pipe_bytes.clone()
     }
 
-    fn rpc(&self, wi: usize, frame: &Value) -> Result<Value, EngineError> {
+    fn rpc(&self, wi: usize, request: &Value) -> Result<Value, EngineError> {
         let (reply, bytes) = self.children[wi]
             .lock()
-            .request(frame)
+            .request(|out| encode_value(out, request))
             .map_err(|e| EngineError::Worker(format!("worker {wi}: {e}")))?;
         self.pipe_bytes.fetch_add(bytes, Ordering::Relaxed);
         check_ok(&reply).map_err(|e| EngineError::Worker(format!("worker {wi}: {e}")))?;
         Ok(reply)
     }
 
-    fn eval(&self, fi: usize, frame: Value) -> EvalResult<P> {
-        let reply = self.rpc(self.owner[fi], &frame)?;
+    fn eval(&self, fi: usize, request: Value) -> EvalResult<P> {
+        let reply = self.rpc(self.owner[fi], &request)?;
         let mut out = Vec::new();
         match reply.get_field("messages") {
             Some(Value::Seq(entries)) => {
@@ -393,28 +397,22 @@ impl<P: PieProgram> WorkerHost<P> for ProcessHost<'_, P> {
 
     fn restore_partials(&self, saved: &[Option<P::Partial>]) -> Result<(), EngineError> {
         for wi in 0..self.children.len() {
-            let entries: Vec<Value> = saved
+            let entries = saved
                 .iter()
                 .enumerate()
                 .filter(|&(fi, _)| self.owner.get(fi) == Some(&wi))
                 .map(|(fi, p)| {
-                    Value::Map(vec![
-                        ("id".to_string(), fi.to_value()),
-                        (
-                            "partial".to_string(),
-                            match p {
-                                Some(p) => self.codec.encode_partial(p),
-                                None => Value::Null,
-                            },
-                        ),
-                    ])
-                })
-                .collect();
+                    let p = match p {
+                        Some(p) => self.codec.encode_partial(p),
+                        None => Value::Null,
+                    };
+                    (fi, p)
+                });
             self.rpc(
                 wi,
                 &op_frame(
                     "set_partials",
-                    vec![("partials".to_string(), Value::Seq(entries))],
+                    vec![("partials".to_string(), Value::Seq(partial_entries(entries)))],
                 ),
             )?;
         }

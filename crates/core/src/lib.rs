@@ -43,6 +43,9 @@
 //!   streaming loop) behind a session,
 //! * [`transport`] — the pluggable message substrate ([`transport::Transport`],
 //!   with barrier and mpsc-style channel implementations),
+//! * [`worker_proto`] — the binary pipe protocol of subprocess workers
+//!   (`TransportSpec::Process`), framed by [`frame`], the length-delimited
+//!   framing the daemon's TCP protocol shares,
 //! * [`config`] — engine configuration (workers, sync/async mode, fault
 //!   tolerance, superstep limits),
 //! * [`metrics`] — response-time / superstep / communication accounting,
@@ -52,6 +55,7 @@
 
 pub mod config;
 pub mod engine;
+pub mod frame;
 mod host;
 pub mod load_balance;
 pub mod metrics;

@@ -794,6 +794,9 @@ pub struct GrapeServer {
     compaction_threshold: usize,
     /// Completed spill-store compactions across all queries.
     compactions: u64,
+    /// Worker-pipe bytes moved by every registration and successful
+    /// refresh (see [`GrapeServer::pipe_bytes`]).
+    pipe_bytes: u64,
     /// Monotone clock behind [`Slot::last_touch`].
     touch_clock: u64,
     /// Raw deltas absorbed — counts every member of a group-committed
@@ -854,6 +857,7 @@ impl GrapeServer {
             policy: EvictionPolicy::Manual,
             compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
             compactions: 0,
+            pipe_bytes: 0,
             touch_clock: 0,
             deltas_absorbed: 0,
             latencies: Vec::new(),
@@ -917,6 +921,14 @@ impl GrapeServer {
     /// folds at evict time plus explicit [`GrapeServer::compact`] calls.
     pub fn compactions(&self) -> u64 {
         self.compactions
+    }
+
+    /// Bytes moved over `grape-worker` pipes since the server started: the
+    /// sum of [`EngineMetrics::pipe_bytes`] over every registration and
+    /// every successful refresh (commits, catch-ups, rehydration replays).
+    /// Always `0` unless the session runs `TransportSpec::Process`.
+    pub fn pipe_bytes(&self) -> u64 {
+        self.pipe_bytes
     }
 
     /// The current fragmentation (the newest timeline version).
@@ -1045,6 +1057,7 @@ impl GrapeServer {
         let prepared = self
             .session
             .prepare(self.fragmentation().clone(), program, query)?;
+        self.pipe_bytes += prepared.prepare_metrics().pipe_bytes as u64;
         let id = self.slots.len();
         self.slots.push(Slot {
             entry: Box::new(ServedEntry {
@@ -1324,6 +1337,9 @@ impl GrapeServer {
         );
         let mut events: Vec<QueryDelta> = Vec::new();
         for (id, result, emitted) in results {
+            if let Ok(report) = &result {
+                self.pipe_bytes += report.metrics.pipe_bytes as u64;
+            }
             if result.is_ok() || self.slots[id].entry.is_poisoned() {
                 // Success, or quarantined forever: the query never replays
                 // this step.
@@ -1569,6 +1585,7 @@ impl GrapeServer {
                 .entry
                 .refresh(&applied, &self.steps[i].delta)?;
             self.slots[id].version += 1;
+            self.pipe_bytes += report.metrics.pipe_bytes as u64;
             replayed.push(report);
         }
         Ok(replayed)

@@ -72,10 +72,10 @@ impl<K, V> std::fmt::Debug for MessageOps<'_, K, V> {
 /// (`grape-worker`): PEval/IncEval execute inside the process that owns
 /// each fragment, and only seed/border messages plus the assembled
 /// partials cross the stdin/stdout pipes.  Message routing stays in the
-/// parent — under `Sync` the [`ProcessTransport`] publishes at the
-/// superstep barrier (and therefore checkpoints), under `Async` it
-/// streams.  The serde impls are written by hand because the derive shim
-/// only handles fieldless enums.
+/// parent, on the mode's in-process substrate: [`BarrierTransport`] under
+/// `Sync` (so it checkpoints), [`ChannelTransport`] under `Async`.  The
+/// serde impls are written by hand because the derive shim only handles
+/// fieldless enums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportSpec {
     /// Per-sender staging published at the superstep barrier
@@ -84,7 +84,7 @@ pub enum TransportSpec {
     /// Streaming mailboxes with no barrier ([`ChannelTransport`]).
     Channel,
     /// Fragments sharded across `workers` OS subprocesses; parent-side
-    /// mailboxes ([`ProcessTransport`]), evaluation over pipes.
+    /// mailboxes, evaluation over pipes.
     Process {
         /// Number of `grape-worker` subprocesses (clamped to
         /// `1..=num_fragments` at run time).
@@ -645,121 +645,6 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// ProcessTransport
-// ---------------------------------------------------------------------------
-
-/// The message substrate of [`TransportSpec::Process`]: parent-side
-/// mailboxes fronting subprocess workers.
-///
-/// Fragment *evaluation* moves into `grape-worker` subprocesses (that is
-/// the `crate::host::WorkerHost` boundary, not the transport's), but
-/// message *routing* stays in the parent: the engine routes every emitted
-/// update through `G_P` and this transport queues it for the owning
-/// fragment exactly as in-process runs do.  The transport therefore wraps
-/// the in-process substrate matching the engine mode — [`BarrierTransport`]
-/// under [`crate::config::EngineMode::Sync`] (so superstep-aligned
-/// checkpoints keep working: parent mailboxes snapshot here, worker
-/// partials are collected over the pipe), [`ChannelTransport`] under
-/// [`crate::config::EngineMode::Async`] — and is constructible without any
-/// subprocess, which is how the conformance suite drives it through every
-/// contract case.
-pub struct ProcessTransport<'p, K, V> {
-    inner: ProcessInner<'p, K, V>,
-}
-
-enum ProcessInner<'p, K, V> {
-    Barrier(BarrierTransport<'p, K, V>),
-    Channel(ChannelTransport<'p, K, V>),
-}
-
-impl<'p, K, V> ProcessTransport<'p, K, V> {
-    /// A barrier-semantics (BSP) process transport over `num_fragments`
-    /// mailboxes — the [`crate::config::EngineMode::Sync`] substrate.
-    pub fn new(num_fragments: usize, ops: MessageOps<'p, K, V>) -> Self {
-        ProcessTransport {
-            inner: ProcessInner::Barrier(BarrierTransport::new(num_fragments, ops)),
-        }
-    }
-
-    /// A streaming process transport — the
-    /// [`crate::config::EngineMode::Async`] substrate.
-    pub fn streaming(num_fragments: usize, ops: MessageOps<'p, K, V>) -> Self {
-        ProcessTransport {
-            inner: ProcessInner::Channel(ChannelTransport::new(num_fragments, ops)),
-        }
-    }
-
-    fn as_dyn(&self) -> &dyn Transport<K, V>
-    where
-        K: Clone + Eq + Hash + Send,
-        V: Clone + PartialEq + Send,
-    {
-        match &self.inner {
-            ProcessInner::Barrier(t) => t,
-            ProcessInner::Channel(t) => t,
-        }
-    }
-}
-
-impl<K, V> Transport<K, V> for ProcessTransport<'_, K, V>
-where
-    K: Clone + Eq + Hash + Send,
-    V: Clone + PartialEq + Send,
-{
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn is_streaming(&self) -> bool {
-        self.as_dyn().is_streaming()
-    }
-
-    fn send_batch(&self, from: usize, dest: usize, step: usize, updates: Vec<(K, V)>) {
-        self.as_dyn().send_batch(from, dest, step, updates);
-    }
-
-    fn flush(&self) -> TransportStats {
-        self.as_dyn().flush()
-    }
-
-    fn drain(&self, fragment: usize) -> Drained<K, V> {
-        self.as_dyn().drain(fragment)
-    }
-
-    fn has_pending(&self, fragment: usize) -> bool {
-        self.as_dyn().has_pending(fragment)
-    }
-
-    fn pending_mailboxes(&self) -> usize {
-        self.as_dyn().pending_mailboxes()
-    }
-
-    fn seal(&self) {
-        self.as_dyn().seal();
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.as_dyn().stats()
-    }
-
-    fn supports_checkpoints(&self) -> bool {
-        self.as_dyn().supports_checkpoints()
-    }
-
-    fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
-        self.as_dyn().snapshot()
-    }
-
-    fn restore(&self, snapshot: &TransportSnapshot<K, V>) {
-        self.as_dyn().restore(snapshot);
-    }
-
-    fn reset(&self) {
-        self.as_dyn().reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,57 +808,6 @@ mod tests {
     fn channel_transport_conforms() {
         let ops = MIN_OPS;
         conformance(&ChannelTransport::new(3, ops));
-    }
-
-    /// `ProcessTransport` (both incarnations) passes every contract case
-    /// the in-process transports do: empty flush (case 8), seal after
-    /// drain (cases 9–10), dedup, aggregation, accounting.
-    #[test]
-    fn process_transport_conforms() {
-        let ops = MIN_OPS;
-        conformance(&ProcessTransport::new(3, ops));
-        conformance(&ProcessTransport::streaming(3, ops));
-    }
-
-    /// The sync-mode process transport holds sends until the barrier and
-    /// checkpoints; the async-mode one streams and does not.
-    #[test]
-    fn process_transport_follows_its_mode() {
-        let ops = MIN_OPS;
-        let sync = ProcessTransport::new(2, ops);
-        sync.send_batch(0, 1, 0, vec![(1, 1)]);
-        assert!(!sync.has_pending(1), "sync process publishes at flush only");
-        assert!(!sync.is_streaming());
-        assert!(sync.supports_checkpoints());
-        sync.flush();
-        assert!(sync.has_pending(1));
-
-        let streaming = ProcessTransport::streaming(2, ops);
-        streaming.send_batch(0, 1, 0, vec![(1, 1)]);
-        assert!(streaming.has_pending(1), "streaming delivers immediately");
-        assert!(streaming.is_streaming());
-        assert!(!streaming.supports_checkpoints());
-        assert!(streaming.snapshot().is_none());
-    }
-
-    /// A mid-superstep snapshot/restore through the process transport:
-    /// staged-but-unflushed sends are discarded on restore, exactly like
-    /// the barrier transport it wraps.
-    #[test]
-    fn process_snapshot_mid_superstep_discards_staged_sends() {
-        let ops = MIN_OPS;
-        let t = ProcessTransport::new(2, ops);
-        t.send_batch(0, 1, 0, vec![(3, 30)]);
-        t.flush();
-        t.send_batch(0, 1, 1, vec![(4, 40)]); // staged, not flushed
-        let snap = t.snapshot().expect("sync process transports checkpoint");
-        t.flush();
-        let mut d = t.drain(1).updates;
-        d.sort_unstable();
-        assert_eq!(d, vec![(3, 30), (4, 40)]);
-        t.restore(&snap);
-        assert_eq!(t.drain(1).updates, vec![(3, 30)]);
-        assert_eq!(t.flush(), TransportStats::default(), "staging was cleared");
     }
 
     #[test]

@@ -9,19 +9,23 @@
 //! checkpoint bookkeeping all stay in the parent — the worker is a pure
 //! evaluation server.
 //!
-//! ## Framing
+//! ## Wire
 //!
-//! Frames use the same length-delimited JSON layout as the daemon's TCP
-//! protocol — a decimal byte length, `\n`, the JSON payload, `\n` — over
-//! the child's stdin/stdout.  Every request is answered by exactly one
-//! reply; replies carry `{"ok": true, ...}` on success and
+//! Frames use the shared length-delimited framing of [`crate::frame`] over
+//! the child's stdin/stdout.  Every payload is one binary value tree
+//! (`grape_graph::io::write_value_tree`: tagged little-endian, each `f64`
+//! carried as its bits) — except the `init` request, whose tree is
+//! followed by the dense fragment block of
+//! `grape_partition::snapshot::write_fragment_records`.  Nothing may follow
+//! either: decoding rejects trailing bytes.  Every request is answered by
+//! exactly one reply; replies carry `{"ok": true, ...}` on success and
 //! `{"ok": false, "error": "…"}` on failure.
 //!
 //! ## Requests
 //!
 //! | op             | request fields                    | reply fields      |
 //! |----------------|-----------------------------------|-------------------|
-//! | `init`         | `program`, `query`, `fragments`, optional `partials` | — |
+//! | `init`         | `program`, `query`, `fragments`, optional `partials` (+ fragment block) | — |
 //! | `peval`        | `fragment`                        | `messages`        |
 //! | `inceval`      | `fragment`, `updates`             | `messages`        |
 //! | `get_partials` | —                                 | `partials`        |
@@ -29,10 +33,10 @@
 //! | `clear`        | —                                 | —                 |
 //! | `exit`         | —                                 | —                 |
 //!
-//! `fragments` is a sequence of `{"id": <global fragment id>, "frag": …}`
-//! records (the spill-snapshot fragment codec); `partials` entries are
-//! `{"id": …, "partial": …}` with `null` for a slot that has not been
-//! evaluated yet; `messages`/`updates` entries are whatever the program's
+//! `fragments` lists the **global** fragment id of each record in the
+//! block, in block order; `partials` entries are `{"id": …, "partial": …}`
+//! with `null` for a slot that has not been evaluated yet;
+//! `messages`/`updates` entries are whatever the program's
 //! [`crate::pie::ProcessCodec`] produces (two-element `[key, value]`
 //! sequences for [`crate::pie::SerdeProcessCodec`]).
 
@@ -40,60 +44,13 @@ use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
+use grape_graph::io::{ensure_fully_consumed, read_value_tree, write_value_tree};
 use grape_partition::fragment::Fragment;
-use grape_partition::snapshot::{fragment_from_value, fragment_to_value};
+use grape_partition::snapshot::{read_fragment_records, write_fragment_records};
 use serde::{Deserialize, Serialize, Value};
 
+use crate::frame;
 use crate::pie::{Messages, PieProgram};
-
-/// Upper bound on one frame, mirroring the daemon's TCP framing cap.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
-
-/// Writes one length-delimited frame.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &str) -> std::io::Result<()> {
-    w.write_all(payload.len().to_string().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.write_all(payload.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
-}
-
-/// Reads one length-delimited frame.  `Ok(None)` is a clean end of stream
-/// (the peer closed the pipe before a length line).
-pub fn read_frame<R: BufRead + ?Sized>(r: &mut R) -> Result<Option<String>, String> {
-    let mut len_line = String::new();
-    let n = r
-        .read_line(&mut len_line)
-        .map_err(|e| format!("pipe read failed: {e}"))?;
-    if n == 0 {
-        return Ok(None);
-    }
-    let len: usize = len_line
-        .trim()
-        .parse()
-        .map_err(|_| format!("malformed frame length {:?}", len_line.trim()))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(format!(
-            "frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}"
-        ));
-    }
-    let mut payload = vec![0u8; len + 1]; // payload + trailing newline
-    r.read_exact(&mut payload)
-        .map_err(|e| format!("truncated frame: {e}"))?;
-    if payload.pop() != Some(b'\n') {
-        return Err("frame missing trailing newline".to_string());
-    }
-    String::from_utf8(payload)
-        .map_err(|_| "frame payload is not UTF-8".to_string())
-        .map(Some)
-}
-
-/// Serializes a value tree and ships it as one frame.
-pub fn write_value_frame<W: Write + ?Sized>(w: &mut W, v: &Value) -> Result<usize, String> {
-    let payload = serde_json::to_string(v).map_err(|e| format!("frame encode failed: {e}"))?;
-    write_frame(w, &payload).map_err(|e| format!("pipe write failed: {e}"))?;
-    Ok(payload.len())
-}
 
 /// Name of the environment variable that pins the worker binary path
 /// (otherwise discovered next to the current executable).
@@ -133,6 +90,115 @@ pub fn locate_worker_binary() -> Option<PathBuf> {
     None
 }
 
+/// Appends the binary encoding of one value tree to a payload buffer.
+pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
+    write_value_tree(out, v).expect("writing into a Vec cannot fail");
+}
+
+/// Decodes a payload that holds exactly one value tree.
+pub fn decode_value(payload: &[u8]) -> Result<Value, String> {
+    let mut rest = payload;
+    let v = read_value_tree(&mut rest).map_err(|e| e.to_string())?;
+    ensure_fully_consumed(&mut rest).map_err(|e| e.to_string())?;
+    Ok(v)
+}
+
+/// Appends the `init` handshake payload: the header tree (program name,
+/// encoded query, the global ids of `fragments`, and — only when present —
+/// the retained partials paired with their ids), then the dense fragment
+/// block.
+pub fn encode_init(
+    out: &mut Vec<u8>,
+    program: &str,
+    query: Value,
+    fragments: &[(usize, &Fragment)],
+    partials: Vec<(usize, Value)>,
+) {
+    let ids: Vec<Value> = fragments.iter().map(|(id, _)| id.to_value()).collect();
+    let mut map = vec![
+        ("op".to_string(), Value::Str("init".to_string())),
+        ("program".to_string(), Value::Str(program.to_string())),
+        ("query".to_string(), query),
+        ("fragments".to_string(), Value::Seq(ids)),
+    ];
+    if !partials.is_empty() {
+        map.push((
+            "partials".to_string(),
+            Value::Seq(partial_entries(partials)),
+        ));
+    }
+    encode_value(out, &Value::Map(map));
+    let records: Vec<&Fragment> = fragments.iter().map(|&(_, frag)| frag).collect();
+    write_fragment_records(&records, out);
+}
+
+/// Splits an `init` payload into its header tree and the fragments of the
+/// dense block after it (every byte must belong to one or the other).
+pub fn decode_init(payload: &[u8]) -> Result<(Value, Vec<Fragment>), String> {
+    let mut rest = payload;
+    let header = read_value_tree(&mut rest).map_err(|e| e.to_string())?;
+    let fragments = read_fragment_records(rest).map_err(|e| e.to_string())?;
+    Ok((header, fragments))
+}
+
+/// `{"id": …, "partial": …}` entries, the shape of `partials` fields.
+pub(crate) fn partial_entries(partials: impl IntoIterator<Item = (usize, Value)>) -> Vec<Value> {
+    partials
+        .into_iter()
+        .map(|(id, p)| {
+            Value::Map(vec![
+                ("id".to_string(), id.to_value()),
+                ("partial".to_string(), p),
+            ])
+        })
+        .collect()
+}
+
+/// One end of a worker pipe with its reused buffers: each outgoing payload
+/// is encoded into one buffer, framed into another and handed to the
+/// writer in a single `write_all`; each incoming payload lands in a third.
+#[derive(Default)]
+pub(crate) struct Pipe {
+    payload: Vec<u8>,
+    frame: Vec<u8>,
+    incoming: Vec<u8>,
+}
+
+impl Pipe {
+    /// Sends one frame whose payload is whatever `encode` appends, and
+    /// returns the payload's length.
+    pub(crate) fn send(
+        &mut self,
+        w: &mut dyn Write,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<usize, String> {
+        self.payload.clear();
+        encode(&mut self.payload);
+        self.frame.clear();
+        frame::put_frame(&mut self.frame, &[&self.payload])
+            .expect("writing into a Vec cannot fail");
+        w.write_all(&self.frame)
+            .and_then(|()| w.flush())
+            .map_err(|e| format!("pipe write failed: {e}"))?;
+        Ok(self.payload.len())
+    }
+
+    /// Sends one value tree as a frame.
+    pub(crate) fn send_value(&mut self, w: &mut dyn Write, v: &Value) -> Result<usize, String> {
+        self.send(w, |out| encode_value(out, v))
+    }
+
+    /// Reads the next frame's payload; `Ok(None)` is a clean end of stream
+    /// (the peer closed the pipe before a length line).
+    pub(crate) fn recv(&mut self, r: &mut dyn BufRead) -> Result<Option<&[u8]>, String> {
+        match frame::read_frame(r, &mut self.incoming) {
+            Ok(true) => Ok(Some(&self.incoming)),
+            Ok(false) => Ok(None),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+}
+
 fn get<'v>(v: &'v Value, name: &str) -> Result<&'v Value, String> {
     v.get_field(name)
         .ok_or_else(|| format!("request is missing field `{name}`"))
@@ -152,8 +218,9 @@ fn reply_err(msg: &str) -> Value {
 }
 
 /// The worker side of the pipe protocol: serves one program's evaluation
-/// requests until `exit` or end of stream.  `init` is the already-read
-/// handshake frame (the caller peeks at its `program` field to pick `P`).
+/// requests until `exit` or end of stream.  `init` and `records` are the
+/// already-decoded handshake ([`decode_init`]; the caller peeks at the
+/// header's `program` field to pick `P`).
 ///
 /// Request-level failures (unknown fragment, codec mismatch, IncEval before
 /// PEval) are answered with `{"ok": false}` and the loop keeps serving —
@@ -163,6 +230,7 @@ fn reply_err(msg: &str) -> Value {
 pub fn serve_program<P: PieProgram>(
     program: &P,
     init: &Value,
+    records: Vec<Fragment>,
     input: &mut dyn BufRead,
     output: &mut dyn Write,
 ) -> Result<(), String> {
@@ -174,22 +242,20 @@ pub fn serve_program<P: PieProgram>(
     let query = codec
         .decode_query(get(init, "query")?)
         .map_err(|e| format!("handshake query: {e}"))?;
-    let mut order: Vec<usize> = Vec::new();
+    let ids = Vec::<usize>::from_value(get(init, "fragments")?)
+        .map_err(|e| format!("handshake fragment ids: {e}"))?;
+    if ids.len() != records.len() {
+        return Err(format!(
+            "handshake names {} fragments but carries {}",
+            ids.len(),
+            records.len()
+        ));
+    }
     let mut fragments: HashMap<usize, Fragment> = HashMap::new();
     let mut partials: HashMap<usize, Option<P::Partial>> = HashMap::new();
-    match get(init, "fragments")? {
-        Value::Seq(entries) => {
-            for entry in entries {
-                let id = usize::from_value(get(entry, "id")?)
-                    .map_err(|e| format!("fragment id: {e}"))?;
-                let frag = fragment_from_value(get(entry, "frag")?)
-                    .map_err(|e| format!("fragment {id}: {e}"))?;
-                order.push(id);
-                fragments.insert(id, frag);
-                partials.insert(id, None);
-            }
-        }
-        _ => return Err("handshake `fragments` is not a sequence".to_string()),
+    for (&id, frag) in ids.iter().zip(records) {
+        fragments.insert(id, frag);
+        partials.insert(id, None);
     }
     if let Some(Value::Seq(entries)) = init.get_field("partials") {
         for entry in entries {
@@ -204,7 +270,8 @@ pub fn serve_program<P: PieProgram>(
             partials.insert(id, Some(p));
         }
     }
-    write_value_frame(output, &reply_ok(Vec::new()))?;
+    let mut pipe = Pipe::default();
+    pipe.send_value(output, &reply_ok(Vec::new()))?;
 
     let crash_after: Option<usize> = std::env::var(WORKER_CRASH_ENV)
         .ok()
@@ -213,11 +280,10 @@ pub fn serve_program<P: PieProgram>(
     let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
 
     loop {
-        let Some(payload) = read_frame(input)? else {
+        let Some(payload) = pipe.recv(input)? else {
             return Ok(()); // parent closed the pipe: orderly shutdown
         };
-        let request: Value =
-            serde_json::from_str(&payload).map_err(|e| format!("malformed request: {e}"))?;
+        let request = decode_value(payload).map_err(|e| format!("malformed request: {e}"))?;
         let op = request
             .get_field("op")
             .and_then(Value::as_str)
@@ -276,19 +342,13 @@ pub fn serve_program<P: PieProgram>(
                 .unwrap_or_else(|e| reply_err(&e))
             }
             "get_partials" => {
-                let encoded: Vec<Value> = order
-                    .iter()
-                    .map(|&id| {
-                        let p = match &partials[&id] {
-                            Some(p) => codec.encode_partial(p),
-                            None => Value::Null,
-                        };
-                        Value::Map(vec![
-                            ("id".to_string(), id.to_value()),
-                            ("partial".to_string(), p),
-                        ])
-                    })
-                    .collect();
+                let encoded = partial_entries(ids.iter().map(|&id| {
+                    let p = match &partials[&id] {
+                        Some(p) => codec.encode_partial(p),
+                        None => Value::Null,
+                    };
+                    (id, p)
+                }));
                 reply_ok(vec![("partials".to_string(), Value::Seq(encoded))])
             }
             "set_partials" => (|| -> Result<Value, String> {
@@ -319,87 +379,119 @@ pub fn serve_program<P: PieProgram>(
                 reply_ok(Vec::new())
             }
             "exit" => {
-                write_value_frame(output, &reply_ok(Vec::new()))?;
+                pipe.send_value(output, &reply_ok(Vec::new()))?;
                 return Ok(());
             }
             other => reply_err(&format!("unknown op `{other}`")),
         };
-        write_value_frame(output, &reply)?;
+        pipe.send_value(output, &reply)?;
     }
-}
-
-/// Parent-side helper: the handshake frame [`serve_program`] expects.
-/// `fragments` pairs each shipped fragment with its **global** id;
-/// `partials` (when present) pairs retained partials with their ids.
-pub fn init_frame(
-    program: &str,
-    query: Value,
-    fragments: &[(usize, &Fragment)],
-    partials: Vec<(usize, Value)>,
-) -> Value {
-    let frags: Vec<Value> = fragments
-        .iter()
-        .map(|(id, frag)| {
-            Value::Map(vec![
-                ("id".to_string(), id.to_value()),
-                ("frag".to_string(), fragment_to_value(frag)),
-            ])
-        })
-        .collect();
-    let mut map = vec![
-        ("op".to_string(), Value::Str("init".to_string())),
-        ("program".to_string(), Value::Str(program.to_string())),
-        ("query".to_string(), query),
-        ("fragments".to_string(), Value::Seq(frags)),
-    ];
-    if !partials.is_empty() {
-        let entries: Vec<Value> = partials
-            .into_iter()
-            .map(|(id, p)| {
-                Value::Map(vec![
-                    ("id".to_string(), id.to_value()),
-                    ("partial".to_string(), p),
-                ])
-            })
-            .collect();
-        map.push(("partials".to_string(), Value::Seq(entries)));
-    }
-    Value::Map(map)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grape_graph::builder::GraphBuilder;
+    use grape_partition::edge_cut::RangeEdgeCut;
+    use grape_partition::strategy::PartitionStrategy;
 
+    /// One pipe end's reused buffers carry frames of any size back to back:
+    /// each `send` is one complete frame, each `recv` one payload.
     #[test]
     fn frames_round_trip() {
-        let mut buf: Vec<u8> = Vec::new();
-        write_frame(&mut buf, "hello").unwrap();
-        write_frame(&mut buf, "").unwrap();
-        let mut r = std::io::BufReader::new(&buf[..]);
-        assert_eq!(read_frame(&mut r).unwrap(), Some("hello".to_string()));
-        assert_eq!(read_frame(&mut r).unwrap(), Some(String::new()));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        let mut pipe = Pipe::default();
+        let mut wire: Vec<u8> = Vec::new();
+        let big = Value::Seq((0..1000u64).map(Value::UInt).collect());
+        for v in [&Value::Null, &big, &Value::Str("x".to_string())] {
+            let sent = pipe.send_value(&mut wire, v).unwrap();
+            let mut expect = Vec::new();
+            encode_value(&mut expect, v);
+            assert_eq!(sent, expect.len());
+        }
+        pipe.send(&mut wire, |_| {}).unwrap();
+        assert!(wire.starts_with(b"1\n\0\n"), "null is one tag byte");
+
+        let mut r = std::io::BufReader::new(&wire[..]);
+        let mut reader = Pipe::default();
+        for v in [Value::Null, big, Value::Str("x".to_string())] {
+            assert_eq!(
+                decode_value(reader.recv(&mut r).unwrap().unwrap()).unwrap(),
+                v
+            );
+        }
+        assert_eq!(reader.recv(&mut r).unwrap(), Some(&[][..]));
+        assert_eq!(reader.recv(&mut r).unwrap(), None);
     }
 
+    /// The worker pipe inherits the shared framing's checks: the size cap
+    /// before allocation, bad length lines, truncation, and overruns.
     #[test]
     fn oversized_and_malformed_frames_are_rejected() {
-        let mut r = std::io::BufReader::new(&b"999999999999\npayload\n"[..]);
-        assert!(read_frame(&mut r).unwrap_err().contains("exceeds cap"));
-        let mut r = std::io::BufReader::new(&b"not-a-length\n"[..]);
-        assert!(read_frame(&mut r)
-            .unwrap_err()
-            .contains("malformed frame length"));
-        let mut r = std::io::BufReader::new(&b"10\nshort\n"[..]);
-        assert!(read_frame(&mut r).unwrap_err().contains("truncated"));
+        let recv = |wire: &[u8]| {
+            let mut r = std::io::BufReader::new(wire);
+            Pipe::default().recv(&mut r).map(|p| p.map(<[u8]>::to_vec))
+        };
+        let cap = format!("{}\n", frame::MAX_FRAME_BYTES + 1);
+        for (wire, needle) in [
+            (&b"999999999999\npayload\n"[..], "cap"),
+            (cap.as_bytes(), "cap"),
+            (&b"not-a-length\n"[..], "bad frame length line"),
+            (&b"10\nshort\n"[..], "truncated"),
+            (&b"3\nlonger\n"[..], "overruns"),
+        ] {
+            let err = recv(wire).unwrap_err();
+            assert!(err.contains(needle), "{err:?} vs {needle:?}");
+        }
     }
 
     #[test]
     fn init_frame_carries_partials_only_when_present() {
-        let v = init_frame("sssp", Value::Null, &[], Vec::new());
-        assert!(v.get_field("partials").is_none());
-        assert_eq!(v.get_field("program").and_then(Value::as_str), Some("sssp"));
-        let v = init_frame("sssp", Value::Null, &[], vec![(0, Value::UInt(7))]);
-        assert!(v.get_field("partials").is_some());
+        let graph = GraphBuilder::directed()
+            .add_edge(0, 1)
+            .add_edge(1, 2)
+            .build();
+        let frag = RangeEdgeCut::new(2).partition(&graph).unwrap();
+        let shipped = [(1, frag.fragment(1))];
+
+        let mut payload = Vec::new();
+        encode_init(&mut payload, "sssp", Value::Null, &shipped, Vec::new());
+        let (header, fragments) = decode_init(&payload).unwrap();
+        assert!(header.get_field("partials").is_none());
+        assert_eq!(
+            header.get_field("program").and_then(Value::as_str),
+            Some("sssp")
+        );
+        assert_eq!(
+            header.get_field("fragments"),
+            Some(&Value::Seq(vec![Value::UInt(1)]))
+        );
+        assert_eq!(fragments.len(), 1);
+        assert_eq!(fragments[0].num_inner(), frag.fragment(1).num_inner());
+
+        payload.clear();
+        encode_init(
+            &mut payload,
+            "sssp",
+            Value::Null,
+            &shipped,
+            vec![(1, Value::UInt(7))],
+        );
+        let (header, _) = decode_init(&payload).unwrap();
+        assert!(header.get_field("partials").is_some());
+    }
+
+    #[test]
+    fn payloads_reject_trailing_and_missing_bytes() {
+        let mut payload = Vec::new();
+        let clear = Value::Map(vec![("op".to_string(), Value::Str("clear".to_string()))]);
+        encode_value(&mut payload, &clear);
+        assert!(decode_value(&payload).is_ok());
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(decode_value(&longer).unwrap_err().contains("trailing"));
+        assert!(decode_value(&payload[..payload.len() - 1]).is_err());
+
+        // An init header with no fragment block after it.
+        assert!(decode_init(&payload).is_err());
     }
 }

@@ -221,6 +221,10 @@ fn render_metrics(info: &MetricsInfo) -> String {
         "watch events: {} encode(s) | {} frame(s) | {} payload byte(s)\n",
         info.event_encodes, info.event_frames, info.event_bytes
     ));
+    out.push_str(&format!(
+        "worker pipes: {} payload byte(s)\n",
+        info.pipe_bytes
+    ));
     if let Some(samples) = &info.samples {
         out.push_str(&format!(
             "samples (ms): {}\n",

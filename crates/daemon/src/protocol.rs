@@ -15,7 +15,9 @@
 //! snapshot readers.  The JSON parser additionally rejects trailing
 //! characters after the value, so garbage cannot hide inside a
 //! correctly-framed payload either.  Frames above [`MAX_FRAME_BYTES`] are
-//! rejected before any allocation.
+//! rejected before any allocation.  The byte-level framing is
+//! [`grape_core::frame`], shared with the worker pipes; this module adds
+//! the UTF-8 check and the JSON codec on top.
 //!
 //! # Requests and responses
 //!
@@ -31,6 +33,7 @@ use std::sync::Arc;
 
 use grape_algorithms::cc::CcResult;
 use grape_algorithms::sssp::SsspResult;
+use grape_core::frame::{self, FrameError};
 use grape_core::metrics::LatencySummary;
 use grape_core::output_delta::{OutputEvent, QueryDelta, WireOutputDelta};
 use grape_core::serve::{QueryStatus, ServeError, ServeReport};
@@ -40,9 +43,7 @@ use grape_graph::delta::GraphDelta;
 use grape_graph::types::VertexId;
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Hard cap on a single frame's payload (64 MiB): a malicious or corrupt
-/// length line cannot make the reader allocate unboundedly.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
+pub use grape_core::frame::MAX_FRAME_BYTES;
 
 /// The default `graped` port.
 pub const DEFAULT_PORT: u16 = 4817;
@@ -78,20 +79,23 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame — length line, payload, terminating newline — and
-/// does **not** flush.  The payload is the concatenation of `parts`, so a
-/// caller holding a shared pre-encoded piece (see [`encode_event_tail`])
-/// frames it without copying it into a fresh string first.  The one framing
-/// function: [`write_frame`] and [`send`] are this plus a flush, and the
-/// daemon's connection writer calls it per queued frame and flushes once
-/// when its channel runs dry.
-pub fn put_frame<W: Write>(w: &mut W, parts: &[&str]) -> std::io::Result<()> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    writeln!(w, "{len}")?;
-    for part in parts {
-        w.write_all(part.as_bytes())?;
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => WireError::Io(e),
+            FrameError::Malformed(m) => WireError::Frame(m),
+        }
     }
-    w.write_all(b"\n")
+}
+
+/// Writes one frame ([`grape_core::frame::put_frame`]) and does **not**
+/// flush.  The payload is the concatenation of `parts`, so a caller holding
+/// a shared pre-encoded piece (see [`encode_event_tail`]) frames it without
+/// copying it into a fresh string first.  [`write_frame`] and [`send`] are
+/// this plus a flush, and the daemon's connection writer calls it per
+/// queued frame and flushes once when its channel runs dry.
+pub fn put_frame<W: Write>(w: &mut W, parts: &[&str]) -> std::io::Result<()> {
+    frame::put_frame(w, parts)
 }
 
 /// Writes one frame ([`put_frame`]) and flushes.
@@ -100,35 +104,14 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame's payload.  `Ok(None)` on a clean EOF *before* the
-/// length line — EOF anywhere else is a truncated frame.
+/// Reads one frame's payload ([`grape_core::frame::read_frame`]) and
+/// checks it is UTF-8.  `Ok(None)` on a clean EOF *before* the length line
+/// — EOF anywhere else is a truncated frame.
 pub fn read_frame<R: BufRead>(r: &mut R) -> Result<Option<String>, WireError> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    let mut buf = Vec::new();
+    if !frame::read_frame(r, &mut buf)? {
         return Ok(None);
     }
-    let trimmed = line.trim_end_matches(['\r', '\n']);
-    let len: usize = trimmed
-        .parse()
-        .map_err(|_| WireError::Frame(format!("bad frame length line {trimmed:?}")))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(WireError::Frame(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let mut buf = vec![0u8; len + 1];
-    r.read_exact(&mut buf).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => {
-            WireError::Frame(format!("truncated frame (declared {len} bytes)"))
-        }
-        _ => WireError::Io(e),
-    })?;
-    if buf[len] != b'\n' {
-        return Err(WireError::Frame(format!(
-            "payload overruns its declared length of {len} bytes"
-        )));
-    }
-    buf.pop();
     String::from_utf8(buf)
         .map(Some)
         .map_err(|_| WireError::Frame("payload is not valid UTF-8".to_string()))
@@ -553,6 +536,12 @@ pub struct MetricsInfo {
     /// framing excluded).
     #[serde(default)]
     pub event_bytes: u64,
+    /// Bytes moved over `grape-worker` pipes since start — every
+    /// registration's and refresh's request + reply payloads; `0` unless
+    /// the daemon runs `--transport process` (absent on the wire from
+    /// older daemons).
+    #[serde(default)]
+    pub pipe_bytes: u64,
     /// Per-query rows, sorted by id.
     pub queries: Vec<QueryRow>,
 }

@@ -437,6 +437,7 @@ impl Engine {
                 event_encodes: self.event_encodes,
                 event_frames: self.event_frames,
                 event_bytes: self.event_bytes,
+                pipe_bytes: self.server.pipe_bytes(),
                 queries: self.rows(),
             }),
             RequestBody::Register { spec } => match self.register(spec) {

@@ -740,8 +740,9 @@ fn worker_children() -> Vec<u32> {
 
 /// The serving stack on subprocess shards (`graped --transport process`):
 /// wire answers match a default-transport daemon byte-for-byte through a
-/// register → apply → output lifecycle, and shutting the daemon down
-/// leaves no orphaned `grape-worker` processes behind.
+/// register → apply → output lifecycle, the `metrics` op reports the pipe
+/// traffic, and shutting the daemon down leaves no orphaned `grape-worker`
+/// processes behind.
 #[test]
 fn process_transport_daemon_serves_and_reaps_its_workers() {
     if grape_core::worker_proto::locate_worker_binary().is_none() {
@@ -754,7 +755,7 @@ fn process_transport_daemon_serves_and_reaps_its_workers() {
     let mode = EngineMode::default_from_env();
     let deltas: Vec<GraphDelta> = (0..3).map(|i| mock_delta(11, BASE_VERTICES, i)).collect();
 
-    let run = |transport: Option<grape_core::TransportSpec>| -> (String, String) {
+    let run = |transport: Option<grape_core::TransportSpec>| -> ((String, String), u64) {
         let mut config = daemon_config(mode);
         config.transport = transport;
         let handle = GrapedHandle::spawn(config).expect("spawn daemon");
@@ -768,16 +769,24 @@ fn process_transport_daemon_serves_and_reaps_its_workers() {
         }
         let sssp = json(&client.output(q_sssp).expect("sssp answer"));
         let cc = json(&client.output(q_cc).expect("cc answer"));
+        let pipe_bytes = client.metrics().expect("metrics").pipe_bytes;
         client.shutdown().expect("shutdown");
         handle.wait();
-        (sssp, cc)
+        ((sssp, cc), pipe_bytes)
     };
 
-    let baseline = run(None);
-    let sharded = run(Some(grape_core::TransportSpec::Process { workers: 2 }));
+    let (baseline, in_process_pipe) = run(None);
+    let (sharded, sharded_pipe) = run(Some(grape_core::TransportSpec::Process { workers: 2 }));
     assert_eq!(
         sharded, baseline,
         "({mode:?}) subprocess-sharded daemon answers diverge from in-process"
+    );
+    // The `metrics` op counts worker-pipe bytes: none in-process, every
+    // registration's and refresh's traffic under `--transport process`.
+    assert_eq!(in_process_pipe, 0, "({mode:?})");
+    assert!(
+        sharded_pipe > 0,
+        "({mode:?}) process daemon reported no pipe bytes"
     );
     assert_eq!(
         worker_children(),

@@ -137,7 +137,7 @@ fn pre_tiering_status_frames_still_parse() {
     assert_eq!(info.queries[0].status.compactions, 0);
 
     // Likewise a metrics reply from a daemon that predates the spill
-    // compaction count and the watch-event counters.
+    // compaction count, the watch-event counters and the pipe-byte count.
     let json = "{\"id\":8,\"reply\":\"metrics\",\"metrics\":{\
         \"uptime_ms\":5,\"version\":1,\"deltas_applied\":1,\
         \"latency\":{\"samples\":1,\"mean_ms\":1.0,\"p50_ms\":1.0,\
@@ -153,6 +153,7 @@ fn pre_tiering_status_frames_still_parse() {
         (info.event_encodes, info.event_frames, info.event_bytes),
         (0, 0, 0)
     );
+    assert_eq!(info.pipe_bytes, 0);
 }
 
 #[test]
@@ -243,6 +244,7 @@ fn every_response_variant_round_trips() {
         event_encodes: 0,
         event_frames: 0,
         event_bytes: 0,
+        pipe_bytes: 0,
         queries: vec![],
     }));
     roundtrip_response(ResponseBody::Metrics(MetricsInfo {
@@ -263,6 +265,7 @@ fn every_response_variant_round_trips() {
         event_encodes: 18,
         event_frames: 72,
         event_bytes: 446_098,
+        pipe_bytes: 440_512,
         queries: vec![],
     }));
     roundtrip_response(ResponseBody::Subscribed {

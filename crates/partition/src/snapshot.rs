@@ -17,7 +17,11 @@
 //! * [`rehydrate_fragmentation`] reassembles a [`Fragmentation`] from
 //!   reloaded fragments plus the retained source graph and vertex
 //!   assignment, re-deriving the fragmentation graph `G_P` from the border
-//!   sets exactly like fresh partitioning does.
+//!   sets exactly like fresh partitioning does;
+//! * [`write_fragment_records`] / [`read_fragment_records`] are the dense
+//!   fixed-width encoding the worker pipes ship fragments in: the local
+//!   graph travels as its edge list alone and the CSR indexes are rebuilt
+//!   on decode.
 //!
 //! The codec is strict: every record is validated with
 //! [`Fragment::check_invariants`] on read, and malformed or truncated input
@@ -41,11 +45,11 @@ use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use grape_graph::graph::Graph;
+use grape_graph::graph::{Directedness, Graph};
 use grape_graph::io::{
     atomic_write_file, ensure_fully_consumed, read_value_tree, write_value_tree, IoError,
 };
-use grape_graph::types::VertexId;
+use grape_graph::types::{Edge, Label, VertexId};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::delta::QuotientTables;
@@ -89,11 +93,9 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Converts a fragment into its persistable value tree.
-///
-/// Public so that transports can ship fragments to worker subprocesses
-/// using the same codec that spill snapshots use.
-pub fn fragment_to_value(frag: &Fragment) -> Value {
+/// Converts a fragment into its persistable value tree (the spill-store
+/// record).
+fn fragment_to_value(frag: &Fragment) -> Value {
     let globals: Vec<VertexId> = frag.all_locals().map(|l| frag.global_of(l)).collect();
     Value::Map(vec![
         ("id".to_string(), (frag.id() as u64).to_value()),
@@ -117,7 +119,7 @@ fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SnapshotError> {
 }
 
 /// Rebuilds a fragment from its value tree, validating the invariants.
-pub fn fragment_from_value(v: &Value) -> Result<Fragment, SnapshotError> {
+fn fragment_from_value(v: &Value) -> Result<Fragment, SnapshotError> {
     let shape = |e: serde::Error| SnapshotError::Malformed(e.to_string());
     let id = u64::from_value(field(v, "id")?).map_err(shape)? as usize;
     let num_inner = u64::from_value(field(v, "num_inner")?).map_err(shape)? as usize;
@@ -303,6 +305,213 @@ pub fn rehydrate_fragmentation_persisted(
         source,
         strategy_name.to_string(),
     ))
+}
+
+// ---------------------------------------------------------------------------
+// Dense fragment records
+// ---------------------------------------------------------------------------
+
+/// Smallest possible dense record: id, `num_inner`, directedness byte and
+/// the four `u64` count prefixes of an empty fragment.
+const MIN_RECORD_BYTES: usize = 8 + 8 + 1 + 4 * 8;
+
+/// Appends a **dense fragment block** to `out`: a `u64` count, then one
+/// fixed-layout little-endian record per fragment —
+///
+/// ```text
+/// u64 id | u64 num_inner | u8 directedness (0 directed, 1 undirected)
+/// u64 |L| | |L| × u64 global id | |L| × u32 vertex label
+/// u64 |I| | |I| × u32 in-border local id
+/// u64 |O| | |O| × u32 out-border local id
+/// u64 |E| | |E| × (u32 src, u32 dst, f64 weight bits, u32 label)
+/// ```
+///
+/// so one record is `49 + 12·|L| + 4·(|I| + |O|) + 20·|E|` bytes.  The
+/// local graph ships as its edge list only: [`read_fragment_records`]
+/// rebuilds both CSR indexes with the same `Graph::from_parts` call the
+/// edge-cut builder makes, so the decoded fragment is structurally
+/// identical to the encoded one.  This is the worker-pipe handshake
+/// format; the spill store keeps the value-tree records above.
+pub fn write_fragment_records(fragments: &[&Fragment], out: &mut Vec<u8>) {
+    let size: usize = fragments
+        .iter()
+        .map(|f| {
+            MIN_RECORD_BYTES
+                + 12 * f.num_local()
+                + 4 * (f.in_border_locals().len() + f.out_border_locals().len())
+                + 20 * f.num_local_edges()
+        })
+        .sum();
+    out.reserve(8 + size);
+    out.extend_from_slice(&(fragments.len() as u64).to_le_bytes());
+    for frag in fragments {
+        let put_u64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+        let put_u32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
+        let local = frag.local_graph();
+        put_u64(out, frag.id() as u64);
+        put_u64(out, frag.num_inner() as u64);
+        out.push(match local.directedness() {
+            Directedness::Directed => 0,
+            Directedness::Undirected => 1,
+        });
+        put_u64(out, frag.num_local() as u64);
+        for l in frag.all_locals() {
+            put_u64(out, frag.global_of(l));
+        }
+        for l in frag.all_locals() {
+            put_u32(out, frag.label(l));
+        }
+        for border in [frag.in_border_locals(), frag.out_border_locals()] {
+            put_u64(out, border.len() as u64);
+            for &l in border {
+                put_u32(out, l);
+            }
+        }
+        put_u64(out, local.num_edges() as u64);
+        for e in local.edges() {
+            put_u32(out, e.src as u32);
+            put_u32(out, e.dst as u32);
+            put_u64(out, e.weight.to_bits());
+            put_u32(out, e.label);
+        }
+    }
+}
+
+/// A bounds-checked little-endian cursor over one dense block.
+struct RecordReader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> RecordReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if n > self.bytes.len() {
+            return Err(SnapshotError::Malformed(format!(
+                "fragment record truncated: {n} bytes needed, {} left",
+                self.bytes.len()
+            )));
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn u8(&mut self) -> Result<u8, SnapshotError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    /// A count prefix of items at least `width` bytes each, rejected unless
+    /// that many items fit in the bytes still present — so a corrupt count
+    /// can never size an allocation.
+    fn count(&mut self, width: usize, what: &str) -> Result<usize, SnapshotError> {
+        let n = self.u64()?;
+        if n > (self.bytes.len() / width) as u64 {
+            return Err(SnapshotError::Malformed(format!(
+                "{what} count {n} exceeds the {} bytes left in the record",
+                self.bytes.len()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// A count-prefixed run of local ids, each below `num_local`.
+    fn local_ids(&mut self, num_local: usize, what: &str) -> Result<Vec<LocalId>, SnapshotError> {
+        let n = self.count(4, what)?;
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            let l = self.u32()?;
+            if l as usize >= num_local {
+                return Err(SnapshotError::Malformed(format!(
+                    "{what} local id {l} out of range ({num_local} local vertices)"
+                )));
+            }
+            ids.push(l);
+        }
+        Ok(ids)
+    }
+
+    fn fragment(&mut self) -> Result<Fragment, SnapshotError> {
+        let overflow = |_| SnapshotError::Malformed("fragment header overflows usize".to_string());
+        let id = usize::try_from(self.u64()?).map_err(overflow)?;
+        let num_inner = usize::try_from(self.u64()?).map_err(overflow)?;
+        let directedness = match self.u8()? {
+            0 => Directedness::Directed,
+            1 => Directedness::Undirected,
+            other => {
+                return Err(SnapshotError::Malformed(format!(
+                    "unknown directedness byte {other}"
+                )))
+            }
+        };
+        let n = self.count(8 + 4, "vertex")?;
+        if num_inner > n {
+            return Err(SnapshotError::Malformed(format!(
+                "{num_inner} inner vertices of {n} local ones"
+            )));
+        }
+        let globals = (0..n)
+            .map(|_| self.u64())
+            .collect::<Result<Vec<VertexId>, _>>()?;
+        let labels = (0..n)
+            .map(|_| self.u32())
+            .collect::<Result<Vec<Label>, _>>()?;
+        let in_border = self.local_ids(n, "in-border")?;
+        let out_border = self.local_ids(n, "out-border")?;
+        let m = self.count(20, "edge")?;
+        let mut edges = Vec::with_capacity(m);
+        for _ in 0..m {
+            let src = self.u32()?;
+            let dst = self.u32()?;
+            let weight = f64::from_bits(self.u64()?);
+            let label = self.u32()?;
+            if src as usize >= n || dst as usize >= n {
+                return Err(SnapshotError::Malformed(format!(
+                    "edge {src} -> {dst} out of range ({n} local vertices)"
+                )));
+            }
+            edges.push(Edge::new(src as VertexId, dst as VertexId, weight, label));
+        }
+        let local = Graph::from_parts(directedness, n, edges, labels);
+        let frag = Fragment::from_raw_parts(id, local, globals, num_inner, in_border, out_border);
+        if !frag.check_invariants() {
+            return Err(SnapshotError::Malformed(
+                "fragment invariants do not hold (duplicate globals or inconsistent borders)"
+                    .to_string(),
+            ));
+        }
+        Ok(frag)
+    }
+}
+
+/// Decodes a dense fragment block written by [`write_fragment_records`].
+/// `bytes` must hold exactly the block: a trailing byte is an error, as is
+/// any count prefix larger than the bytes left, any border or edge id out
+/// of range, and any fragment failing [`Fragment::check_invariants`].
+pub fn read_fragment_records(bytes: &[u8]) -> Result<Vec<Fragment>, SnapshotError> {
+    let mut r = RecordReader { bytes };
+    let n = r.count(MIN_RECORD_BYTES, "fragment")?;
+    let mut fragments = Vec::with_capacity(n);
+    for _ in 0..n {
+        fragments.push(r.fragment()?);
+    }
+    if !r.bytes.is_empty() {
+        return Err(SnapshotError::Malformed(format!(
+            "{} trailing bytes after the fragment block",
+            r.bytes.len()
+        )));
+    }
+    Ok(fragments)
 }
 
 // ---------------------------------------------------------------------------
@@ -1083,10 +1292,12 @@ fn apply_increment_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge_cut::RangeEdgeCut;
+    use crate::edge_cut::{HashEdgeCut, RangeEdgeCut};
+    use crate::metis_like::MetisLike;
     use crate::strategy::PartitionStrategy;
     use grape_graph::builder::GraphBuilder;
-    use grape_graph::types::Edge;
+    use grape_graph::delta::GraphDelta;
+    use grape_graph::generators::erdos_renyi;
     use std::io::Cursor;
 
     fn chain_fragmentation() -> Fragmentation {
@@ -1435,5 +1646,209 @@ mod tests {
         write_value_tree(&mut buf, &v).unwrap();
         let err = read_fragment_snapshot(&mut Cursor::new(buf)).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+    }
+
+    // -- dense fragment records ---------------------------------------------
+
+    fn dense_block(fragments: &[&Fragment]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_fragment_records(fragments, &mut out);
+        out
+    }
+
+    /// `same_structure` plus the parts it leaves to the decoder: the
+    /// rebuilt out-/in-CSR, the vertex labels, and the invariants.
+    fn assert_record_identical(a: &Fragment, b: &Fragment) {
+        assert!(a.same_structure(b), "fragment {} changed shape", a.id());
+        let (ga, gb) = (a.local_graph(), b.local_graph());
+        assert_eq!(ga.directedness(), gb.directedness());
+        assert_eq!(ga.vertex_labels(), gb.vertex_labels());
+        for v in ga.vertices() {
+            assert_eq!(ga.out_neighbors(v), gb.out_neighbors(v), "out-CSR of {v}");
+            assert_eq!(ga.in_neighbors(v), gb.in_neighbors(v), "in-CSR of {v}");
+        }
+        assert!(b.check_invariants());
+    }
+
+    /// Every fragment survives the dense block alone and all together.
+    fn assert_records_round_trip(fragments: &[&Fragment]) {
+        for frag in fragments {
+            let back = read_fragment_records(&dense_block(&[frag])).unwrap();
+            assert_eq!(back.len(), 1);
+            assert_record_identical(frag, &back[0]);
+        }
+        let back = read_fragment_records(&dense_block(fragments)).unwrap();
+        assert_eq!(back.len(), fragments.len());
+        for (a, b) in fragments.iter().zip(&back) {
+            assert_record_identical(a, b);
+        }
+    }
+
+    fn refs(frag: &Fragmentation) -> Vec<&Fragment> {
+        frag.fragments().iter().map(|f| f.as_ref()).collect()
+    }
+
+    fn seeded_graphs() -> Vec<Graph> {
+        vec![
+            erdos_renyi(60, 240, 4, Directedness::Directed, 0x5EED_0001),
+            erdos_renyi(50, 150, 0, Directedness::Undirected, 0x5EED_0002),
+        ]
+    }
+
+    #[test]
+    fn dense_records_round_trip_edge_cuts() {
+        for g in seeded_graphs() {
+            for k in [1, 3, 4] {
+                assert_records_round_trip(&refs(&HashEdgeCut::new(k).partition(&g).unwrap()));
+                assert_records_round_trip(&refs(&MetisLike::new(k).partition(&g).unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_records_round_trip_after_delta_chains() {
+        let g = erdos_renyi(40, 160, 3, Directedness::Directed, 0x5EED_0003);
+        let n = g.num_vertices() as VertexId;
+        let some_edge = g.edges()[0];
+        let chain = [
+            // Edge removal.
+            GraphDelta::new().remove_edge(some_edge.src, some_edge.dst),
+            // Vertex detach: the id stays, every edge on it goes.
+            GraphDelta::new().remove_vertex(7).remove_vertex(19),
+            // New vertices past the old id range, leaving an id gap, and a
+            // labelled edge into one of them.
+            GraphDelta::new()
+                .add_vertex(n + 3, 9)
+                .add_edge_record(Edge::new(2, n + 3, 4.5, 6))
+                .add_weighted_edge(n + 3, 11, 0.25),
+        ];
+        for mut frag in [
+            HashEdgeCut::new(4).partition(&g).unwrap(),
+            MetisLike::new(3).partition(&g).unwrap(),
+        ] {
+            for delta in &chain {
+                frag = frag.apply_delta(delta).unwrap().fragmentation;
+                assert_records_round_trip(&refs(&frag));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_records_round_trip_expanded_fragments() {
+        let g = erdos_renyi(50, 140, 3, Directedness::Directed, 0x5EED_0004);
+        let frag = HashEdgeCut::new(3).partition(&g).unwrap();
+        for hops in [1, 2] {
+            let expanded: Vec<Fragment> = (0..frag.num_fragments())
+                .map(|i| frag.expand_fragment(i, hops).0)
+                .collect();
+            assert_records_round_trip(&expanded.iter().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn dense_records_round_trip_spilled_fragments() {
+        let dir = store_dir("dense_records");
+        let g = erdos_renyi(40, 120, 2, Directedness::Directed, 0x5EED_0005);
+        let frag = HashEdgeCut::new(3).partition(&g).unwrap();
+        let mut store = QuerySpillStore::create(&dir, 0).unwrap();
+        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
+        let loaded = store.load().unwrap();
+        assert_records_round_trip(&loaded.fragments.iter().collect::<Vec<_>>());
+        for (a, b) in frag.fragments().iter().zip(&loaded.fragments) {
+            assert_record_identical(a, b);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The record width is part of the wire: `49 + 12·|V_i| + 4·|I_i| +
+    /// 16·|O_i| + 20·|E_i|` bytes per edge-cut fragment (each outer copy is
+    /// a local vertex *and* an out-border id), plus the 8-byte block count.
+    #[test]
+    fn dense_record_length_is_closed_form() {
+        for g in seeded_graphs() {
+            let frag = HashEdgeCut::new(4).partition(&g).unwrap();
+            let mut total = 8;
+            for f in frag.fragments() {
+                let expect = 49
+                    + 12 * f.num_inner()
+                    + 4 * f.in_border_locals().len()
+                    + 16 * f.out_border_locals().len()
+                    + 20 * f.num_local_edges();
+                assert_eq!(dense_block(&[f]).len(), 8 + expect, "fragment {}", f.id());
+                total += expect;
+            }
+            assert_eq!(dense_block(&refs(&frag)).len(), total);
+        }
+    }
+
+    /// The `spill_crash.rs` discipline on the dense block: truncation at
+    /// every byte, absurd count prefixes, out-of-range ids and one trailing
+    /// byte are all clean `SnapshotError`s — no panic, and no allocation
+    /// sized by a count the bytes cannot back.
+    #[test]
+    fn corrupt_dense_blocks_are_clean_errors() {
+        let g = erdos_renyi(30, 90, 2, Directedness::Directed, 0x5EED_0006);
+        let frag = HashEdgeCut::new(2).partition(&g).unwrap();
+        let block = dense_block(&refs(&frag));
+        for cut in 0..block.len() {
+            assert!(
+                read_fragment_records(&block[..cut]).is_err(),
+                "prefix of {cut} bytes accepted"
+            );
+        }
+
+        let mut trailing = block.clone();
+        trailing.push(0);
+        let err = read_fragment_records(&trailing).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+
+        let f0 = frag.fragment(0);
+        let patched = |offset: usize, bytes: &[u8]| {
+            let mut b = block.clone();
+            b[offset..offset + bytes.len()].copy_from_slice(bytes);
+            read_fragment_records(&b)
+        };
+        // Offsets inside fragment 0's record (after the block count).
+        let vertices_at = 8 + 17;
+        let in_border_at = vertices_at + 8 + 12 * f0.num_local();
+        let out_border_at = in_border_at + 8 + 4 * f0.in_border_locals().len();
+        let edges_at = out_border_at + 8 + 4 * f0.out_border_locals().len();
+        for (offset, what) in [
+            (0, "fragment"),
+            (vertices_at, "vertex"),
+            (in_border_at, "in-border"),
+            (edges_at, "edge"),
+        ] {
+            for absurd in [u64::MAX, 1 << 40, (block.len() as u64) + 1] {
+                let err = patched(offset, &absurd.to_le_bytes()).unwrap_err();
+                assert!(
+                    err.to_string().contains(what),
+                    "{what} count {absurd}: {err}"
+                );
+            }
+        }
+        assert!(patched(8 + 16, &[7]).is_err(), "unknown directedness byte");
+        assert!(
+            patched(8 + 8, &u64::MAX.to_le_bytes()).is_err(),
+            "num_inner > |L|"
+        );
+        let out_of_range = (f0.num_local() as u32).to_le_bytes();
+        assert!(patched(edges_at + 8, &out_of_range).is_err(), "edge source");
+        assert!(
+            patched(edges_at + 12, &out_of_range).is_err(),
+            "edge target"
+        );
+        if !f0.out_border_locals().is_empty() {
+            assert!(
+                patched(out_border_at + 8, &out_of_range).is_err(),
+                "border id"
+            );
+            // An outer copy declared as in-border breaks the invariants.
+            let inner = 0u32.to_le_bytes();
+            assert!(
+                patched(out_border_at + 8, &inner).is_err(),
+                "inner id in F.O"
+            );
+        }
     }
 }

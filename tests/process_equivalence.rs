@@ -329,8 +329,8 @@ fn incremental_refresh_is_byte_equal_across_transports() {
     }
 }
 
-/// Subprocess runs report the pipe traffic they caused; in-process runs
-/// report none.
+/// Subprocess runs report the pipe traffic they caused, within a pinned
+/// ceiling; in-process runs report none.
 #[test]
 fn pipe_bytes_are_accounted_only_for_the_process_transport() {
     if !worker_available() {
@@ -354,4 +354,13 @@ fn pipe_bytes_are_accounted_only_for_the_process_transport() {
         "a Process run must account its pipe traffic"
     );
     assert_eq!(subprocess.metrics.transport, "process");
+    // The binary worker wire moves 5 147 payload bytes for this seeded run
+    // (the JSON wire it replaced moved 7 901).  The count is deterministic
+    // under Sync, so the ceiling is exact: a wire that grows fails here
+    // before it shows up in a benchmark run.
+    assert!(
+        subprocess.metrics.pipe_bytes <= 5_147,
+        "pipe traffic grew to {} bytes",
+        subprocess.metrics.pipe_bytes
+    );
 }

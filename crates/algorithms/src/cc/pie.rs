@@ -15,21 +15,26 @@
 //! (components only merge, minimum ids only decrease), so `Q(G ⊕ ΔG)` is
 //! refreshed by re-deriving the local component structure of the affected
 //! fragments — seeded with the retained cids — and shipping the border cids
-//! that decreased.  Deletions can split components; they take the **bounded
-//! refresh** under [`DamagePolicy::Reachability`]: only the fragments whose
-//! retained cids could have flowed through a deleted edge are re-rooted
-//! with PEval, everyone else keeps its partial and reseeds its border cids.
+//! that decreased.  An edge **deletion** that splits nothing is absorbed by
+//! [`IncrementalPie::retract`]: a bidirectional search shows each removed
+//! edge's endpoints still linked, so the labels are those of `G ∪ inserts`
+//! and the same rebase is exact — `O(smaller search side)`, never a full
+//! relabel.  A removal that does split a component (and every vertex
+//! removal) is declined and takes the **bounded refresh** under
+//! [`DamagePolicy::Reachability`]: only the fragments whose retained cids
+//! could have flowed through a deleted edge are re-rooted with PEval,
+//! everyone else keeps its partial and reseeds its border cids.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use grape_core::output_delta::{DeltaOutput, OutputDelta};
 use grape_core::pie::{
-    DamagePolicy, IncrementalPie, Messages, PieProgram, ProcessCodec, SerdeProcessCodec,
+    DamagePolicy, IncrementalPie, Messages, PieProgram, ProcessCodec, Retraction, SerdeProcessCodec,
 };
 use grape_graph::delta::GraphDelta;
 use grape_graph::types::VertexId;
-use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_partition::delta::{DeltaApplication, FragmentDelta};
+use grape_partition::fragment::{Fragment, Fragmentation, LocalId};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize, Value};
 
@@ -162,6 +167,64 @@ impl Cc {
     }
 }
 
+/// A local vertex of one fragment: `(fragment, local id)`.
+type Cell = (usize, LocalId);
+
+impl Cc {
+    /// Appends the cells a cid can flow to from `cell` (`forward`) or from
+    /// which one can flow into it (`!forward`).  Local edges join their
+    /// endpoints' components in both directions; across fragments a cid
+    /// only travels from an outer copy to its owner (scope `Out`).
+    fn flow_neighbours(frag: &Fragmentation, (i, l): Cell, forward: bool, out: &mut Vec<Cell>) {
+        let f = frag.fragment(i);
+        for n in f.out_edges(l).iter().chain(f.in_edges(l)) {
+            out.push((i, n.target as LocalId));
+        }
+        let v = f.global_of(l);
+        if forward && !f.is_inner(l) {
+            let o = frag.gp().owner(v);
+            out.extend(frag.fragment(o).local_of(v).map(|lo| (o, lo)));
+        } else if !forward && f.is_inner(l) {
+            for &k in frag.gp().outer_holders(v) {
+                let k = k as usize;
+                out.extend(frag.fragment(k).local_of(v).map(|lk| (k, lk)));
+            }
+        }
+    }
+
+    /// Whether a cid at `from` reaches `to`: a bidirectional search, forward
+    /// from `from` and backward from `to`, always growing the smaller
+    /// frontier.  It stops when the two meet, or — the removal really
+    /// splits — when either side runs out, so its cost is bounded by the
+    /// smaller side.
+    fn reaches(frag: &Fragmentation, from: Cell, to: Cell) -> bool {
+        let mut seen = [HashSet::from([from]), HashSet::from([to])];
+        let mut frontier = [vec![from], vec![to]];
+        let mut next = Vec::new();
+        loop {
+            if seen[0].contains(&to) {
+                return true;
+            }
+            if frontier[0].is_empty() || frontier[1].is_empty() {
+                return false;
+            }
+            let side = usize::from(frontier[1].len() < frontier[0].len());
+            for cell in std::mem::take(&mut frontier[side]) {
+                next.clear();
+                Self::flow_neighbours(frag, cell, side == 0, &mut next);
+                for &n in &next {
+                    if seen[1 - side].contains(&n) {
+                        return true;
+                    }
+                    if seen[side].insert(n) {
+                        frontier[side].push(n);
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl PieProgram for Cc {
     type Query = CcQuery;
     type Partial = CcPartial;
@@ -271,20 +334,28 @@ impl IncrementalPie for Cc {
     fn rebase(
         &self,
         _query: &CcQuery,
-        _old_frag: &Fragment,
+        old_frag: &Fragment,
         new_frag: &Fragment,
         partial: CcPartial,
         _delta: &FragmentDelta,
     ) -> (CcPartial, Vec<(VertexId, VertexId)>) {
-        let old_cid_of: HashMap<VertexId, VertexId> = partial
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, partial.component_cid[partial.component_of[l]]))
-            .collect();
-        let rebased = Self::local_structure(new_frag, |g| {
-            old_cid_of.get(&g).copied().unwrap_or(g).min(g)
-        });
+        debug_assert!(
+            partial.globals.len() == old_frag.num_local()
+                && partial
+                    .globals
+                    .iter()
+                    .enumerate()
+                    .all(|(l, &g)| old_frag.global_of(l as LocalId) == g),
+            "a partial is stored in its fragment's local order"
+        );
+        // The partial is in `old_frag`'s local order: its index does the
+        // lookup by global id.
+        let old_cid_of = |g: VertexId| {
+            old_frag
+                .local_of(g)
+                .map(|l| partial.component_cid[partial.component_of[l as usize]])
+        };
+        let rebased = Self::local_structure(new_frag, |g| old_cid_of(g).unwrap_or(g).min(g));
         let mut sends = Vec::new();
         for &l in new_frag
             .out_border_locals()
@@ -293,12 +364,79 @@ impl IncrementalPie for Cc {
         {
             let g = new_frag.global_of(l);
             let new_cid = rebased.component_cid[rebased.component_of[l as usize]];
-            let old_cid = old_cid_of.get(&g).copied().unwrap_or(VertexId::MAX);
+            let old_cid = old_cid_of(g).unwrap_or(VertexId::MAX);
             if new_cid < old_cid {
                 sends.push((g, new_cid));
             }
         }
         (rebased, sends)
+    }
+
+    /// Keeps the labels when no removal splits anything: for every removed
+    /// local edge `a → b` (both orientations on undirected graphs) the two
+    /// cells it linked — `a` in its fragment, and `b`'s copy there, or `b`
+    /// at its owner when the copy left with the edge — must still reach
+    /// each other in the updated **cell flow graph** (`Cc::reaches`).
+    /// Then every label that reached a cell before still reaches it, so
+    /// the fixpoint equals the one over `G ∪ inserts` and the monotone
+    /// rebase of the rebuilt fragments with the retained cids is exact.
+    /// On undirected graphs that is plain connectivity of the endpoints;
+    /// on directed ones cids only flow from an outer copy to its owner, so
+    /// a path in the undirected view alone would not do.  A removal that
+    /// disconnects, and every vertex removal, is declined.
+    fn retract(
+        &self,
+        query: &CcQuery,
+        old: &Fragmentation,
+        applied: &DeltaApplication,
+        delta: &GraphDelta,
+        partials: &mut [CcPartial],
+    ) -> Option<Retraction<Self>> {
+        if !delta.removed_vertices().is_empty() {
+            return None;
+        }
+        let new = &applied.fragmentation;
+        let orientations = if new.source().is_directed() { 1 } else { 2 };
+        for &(s, d) in delta.removed_edges() {
+            for (a, b) in [(s, d), (d, s)].into_iter().take(orientations) {
+                let cell = |v: VertexId| {
+                    let i = new.gp().owner(v);
+                    (
+                        i,
+                        new.fragment(i)
+                            .local_of(v)
+                            .expect("an owner holds its vertex"),
+                    )
+                };
+                let (i, la) = cell(a);
+                let linked = match new.fragment(i).local_of(b) {
+                    Some(lb) => (i, lb),
+                    None => cell(b),
+                };
+                if !(Self::reaches(new, (i, la), linked) && Self::reaches(new, linked, (i, la))) {
+                    return None;
+                }
+            }
+        }
+        let mut seeds = Vec::new();
+        for fd in &applied.affected {
+            let i = fd.fragment;
+            let (rebased, sends) = self.rebase(
+                query,
+                old.fragment(i),
+                new.fragment(i),
+                partials[i].clone(),
+                fd,
+            );
+            partials[i] = rebased;
+            if !sends.is_empty() {
+                seeds.push((i, sends));
+            }
+        }
+        Some(Retraction {
+            seeds,
+            retracted: 0,
+        })
     }
 
     /// The min-cid fixpoint is schedule-independent given fixed border
@@ -537,6 +675,136 @@ mod tests {
         assert!(!split.same_component(6, 11));
         assert!(split.same_component(0, 5));
         assert_matches_sequential(prepared.fragmentation().source(), &split);
+    }
+
+    /// Retraction soundness for CC: over seeded Hash and MetisLike cuts of
+    /// sparse undirected graphs (plenty of bridges), the hook declines if
+    /// and only if some removal disconnects its endpoints in the new graph
+    /// — and whichever path runs, the answer equals a recompute.
+    #[test]
+    fn retraction_declines_exactly_when_a_removal_disconnects() {
+        use grape_core::prepared::RefreshKind;
+        use grape_graph::delta::GraphDelta;
+        use grape_partition::metis_like::MetisLike;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let (mut absorbed, mut declined) = (0, 0);
+        for seed in 0..8u64 {
+            let g = erdos_renyi(60, 70, 0, Directedness::Undirected, seed);
+            let frag = if seed % 2 == 0 {
+                HashEdgeCut::new(3).partition(&g).unwrap()
+            } else {
+                MetisLike::new(3).partition(&g).unwrap()
+            };
+            let session = GrapeSession::with_workers(2);
+            let mut prepared = session.prepare(frag, Cc, CcQuery).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for round in 0..8 {
+                let old = prepared.fragmentation().clone();
+                let edges = old.source().edges();
+                let mut delta = GraphDelta::new();
+                for _ in 0..1 + round % 2 {
+                    let e = edges[rng.gen_range(0..edges.len() as u64) as usize];
+                    if !delta.removed_edges().contains(&(e.src, e.dst)) {
+                        delta = delta.remove_edge(e.src, e.dst);
+                    }
+                }
+                if round % 3 == 0 {
+                    let n = old.source().num_vertices() as u64;
+                    delta = delta.add_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+                }
+                let tag = format!("seed {seed} round {round}");
+                let applied = old.apply_delta(&delta).unwrap();
+                let labels = connected_components(applied.fragmentation.source());
+                let splits = delta
+                    .removed_edges()
+                    .iter()
+                    .any(|&(a, b)| labels[a as usize] != labels[b as usize]);
+                let mut partials = prepared.partials().to_vec();
+                let retraction = Cc.retract(&CcQuery, &old, &applied, &delta, &mut partials);
+                assert_eq!(retraction.is_none(), splits, "{tag}");
+
+                let report = prepared.update(&delta).unwrap();
+                if splits {
+                    declined += 1;
+                    assert_ne!(report.kind, RefreshKind::Retracted, "{tag}");
+                } else {
+                    absorbed += 1;
+                    assert_eq!(report.kind, RefreshKind::Retracted, "{tag}");
+                    assert_eq!(report.metrics.peval_calls, 0, "{tag}");
+                }
+                let recompute = session
+                    .run(prepared.fragmentation(), &Cc, &CcQuery)
+                    .unwrap();
+                let output = prepared.output();
+                for v in prepared.fragmentation().source().vertices() {
+                    assert_eq!(
+                        output.component(v),
+                        recompute.output.component(v),
+                        "vertex {v} ({tag})"
+                    );
+                }
+            }
+        }
+        assert!(absorbed > 10 && declined > 10, "{absorbed} / {declined}");
+    }
+
+    /// On a directed graph cids only flow from an outer copy to its owner,
+    /// so endpoints that stay connected are not enough.  Fragment 0 holds
+    /// 0 and 1, fragment 1 holds 3; edges 0 → 3, 1 → 3, 3 → 0.  Removing
+    /// 0 → 3 leaves 0 and 3 connected through 3 → 0, but the local
+    /// component {1, copy of 3} no longer hears of cid 0: a recompute
+    /// labels 1 with 1.  The hook must decline.
+    #[test]
+    fn directed_removal_that_strands_a_local_component_is_declined() {
+        use grape_core::prepared::RefreshKind;
+        use grape_graph::delta::GraphDelta;
+
+        let g = GraphBuilder::directed()
+            .add_edge(0, 3)
+            .add_edge(1, 3)
+            .add_edge(3, 0)
+            .build();
+        let frag = RangeEdgeCut::new(2).partition(&g).unwrap();
+        let session = GrapeSession::with_workers(2);
+        let mut prepared = session.prepare(frag, Cc, CcQuery).unwrap();
+        assert_eq!(prepared.output().component(1), Some(0));
+
+        let report = prepared
+            .update(&GraphDelta::new().remove_edge(0, 3))
+            .unwrap();
+        assert_ne!(report.kind, RefreshKind::Retracted);
+        let recompute = session
+            .run(prepared.fragmentation(), &Cc, &CcQuery)
+            .unwrap();
+        assert_eq!(recompute.output.component(1), Some(1));
+        for v in 0..4 {
+            assert_eq!(
+                prepared.output().component(v),
+                recompute.output.component(v)
+            );
+        }
+
+        // With 0 → 3 back and a local edge 1 → 0, removing 1 → 3 strands
+        // nothing: 1 still reaches the copy of 3 through 0.
+        let report = prepared
+            .update(&GraphDelta::new().add_edge(0, 3).add_edge(1, 0))
+            .unwrap();
+        assert_eq!(report.kind, RefreshKind::Monotone);
+        let report = prepared
+            .update(&GraphDelta::new().remove_edge(1, 3))
+            .unwrap();
+        assert_eq!(report.kind, RefreshKind::Retracted);
+        let recompute = session
+            .run(prepared.fragmentation(), &Cc, &CcQuery)
+            .unwrap();
+        for v in 0..4 {
+            assert_eq!(
+                prepared.output().component(v),
+                recompute.output.component(v)
+            );
+        }
     }
 
     /// The path `diff_output` must agree with: assemble, canonicalize,

@@ -4,32 +4,39 @@
 //!   `C_i = F_i.O`, `aggregateMsg = min`.
 //! * PEval: Dijkstra over the local fragment.
 //! * IncEval: bounded incremental Dijkstra seeded with the decreased border
-//!   distances received in `M_i`.
+//!   distances received in `M_i`; it records the pre-relax value of each
+//!   border vertex it lowers and ships those, so its cost is a function of
+//!   `|M_i| + |AFF|`, not of `|F_i|`.
 //! * Assemble: union of the per-fragment distances, taking the minimum for
 //!   border vertices.
 //!
 //! SSSP also implements [`IncrementalPie`]: *insert-only* deltas are
 //! monotone (a new edge can only shorten distances), so `Q(G ⊕ ΔG)` is
 //! refreshed by re-relaxing around the inserted edges and letting IncEval
-//! propagate the improvements — no PEval.  Deletions can lengthen shortest
-//! paths, which the min-aggregated variables cannot express; they take the
-//! **bounded refresh** under [`DamagePolicy::Reachability`]: only the
-//! fragments whose retained distances could depend on a deleted edge
-//! (the message-flow closure of the structurally changed fragments) are
-//! re-rooted with PEval, while every other fragment keeps its partial and
-//! reseeds its border distances into the fixpoint.
+//! propagate the improvements — no PEval.  Edge **deletions** are absorbed
+//! by [`IncrementalPie::retract`] on the coordinator, still without PEval:
+//! the retracted set is the shortest-path subtree hanging off every removed
+//! edge that was *tight* (`dist[u] + w == dist[v]`), closed under tight
+//! out-edges and under "an outer copy whose owner holds the same value
+//! retracts the owner"; it is reset to `∞`, re-relaxed from its
+//! non-retracted in-neighbours and outer copies, and every border value
+//! that changed is shipped.  A removal off every shortest path costs only
+//! the remap of the rebuilt fragments.  Vertex removals are declined and
+//! take the **bounded refresh** under [`DamagePolicy::Reachability`]: only
+//! the fragments whose retained distances could depend on a deleted edge
+//! are re-rooted with PEval, the rest keep their partials and reseed their
+//! border distances into the fixpoint.
 
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use grape_core::output_delta::{DeltaOutput, OutputDelta};
 use grape_core::pie::{
-    DamagePolicy, IncrementalPie, Messages, PieProgram, ProcessCodec, SerdeProcessCodec,
+    DamagePolicy, IncrementalPie, Messages, PieProgram, ProcessCodec, Retraction, SerdeProcessCodec,
 };
 use grape_graph::delta::GraphDelta;
-use grape_graph::types::VertexId;
-use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_graph::types::{Edge, VertexId};
+use grape_partition::delta::{DeltaApplication, FragmentDelta};
+use grape_partition::fragment::{Fragment, Fragmentation, LocalId};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize};
 
@@ -92,11 +99,25 @@ pub struct SsspPartial {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sssp;
 
+/// Border locals an incremental step lowered or reset, each with the value
+/// it held before (a local may appear more than once; its first entry
+/// carries the original value) — what [`Sssp::send_changed`] ships.
+type Changes = Vec<(LocalId, f64)>;
+
+/// A retained cell: `(fragment, local id)`.
+type Cell = (usize, LocalId);
+
 impl Sssp {
     /// Local Dijkstra continuation: relaxes edges starting from the given
-    /// seed heap until exhaustion (the tail of PEval and the whole of
-    /// IncEval).
-    fn relax(frag: &Fragment, dist: &mut [f64], mut heap: BinaryHeap<MinDist<u32>>) {
+    /// seed heap until exhaustion (the tail of PEval and of every
+    /// incremental step).  With `changes`, every border local it lowers is
+    /// recorded with its previous value.
+    fn relax(
+        frag: &Fragment,
+        dist: &mut [f64],
+        mut heap: BinaryHeap<MinDist<u32>>,
+        mut changes: Option<&mut Changes>,
+    ) {
         while let Some(MinDist { dist: d, vertex: u }) = heap.pop() {
             if d > dist[u as usize] {
                 continue;
@@ -105,6 +126,11 @@ impl Sssp {
                 let t = n.target as u32;
                 let alt = d + n.weight;
                 if alt < dist[t as usize] {
+                    if let Some(changes) = changes.as_deref_mut() {
+                        if frag.is_border(t) {
+                            changes.push((t, dist[t as usize]));
+                        }
+                    }
                     dist[t as usize] = alt;
                     heap.push(MinDist {
                         dist: alt,
@@ -115,35 +141,183 @@ impl Sssp {
         }
     }
 
-    /// Sends the (finite) distances of the border vertices that improved —
-    /// the message segment `M_i = {dist(s, v) | v ∈ F_i.O, dist decreased}`.
-    /// The inner border is included as well so that vertex-cut partitions
-    /// (where a shared vertex's edges are spread over several fragments) stay
-    /// consistent; under edge-cut those values have no destination and are
-    /// dropped for free by the router.
-    fn send_border(
+    /// Lowers `dist[l]` to `d` when that improves it: records a border
+    /// local's previous value and queues `l` for [`Sssp::relax`].
+    fn lower(
         frag: &Fragment,
-        dist: &[f64],
-        previous: Option<&[f64]>,
-        ctx: &mut Messages<VertexId, f64>,
+        dist: &mut [f64],
+        l: LocalId,
+        d: f64,
+        heap: &mut BinaryHeap<MinDist<u32>>,
+        changes: &mut Changes,
     ) {
+        if d < dist[l as usize] {
+            if frag.is_border(l) {
+                changes.push((l, dist[l as usize]));
+            }
+            dist[l as usize] = d;
+            heap.push(MinDist { dist: d, vertex: l });
+        }
+    }
+
+    /// Sends every finite border distance — the message segment of PEval
+    /// and of a reseed.  The inner border is included as well so that
+    /// vertex-cut partitions (where a shared vertex's edges are spread over
+    /// several fragments) stay consistent; under edge-cut those values have
+    /// no destination and are dropped for free by the router.
+    fn send_border(frag: &Fragment, dist: &[f64], ctx: &mut Messages<VertexId, f64>) {
         for &l in frag
             .out_border_locals()
             .iter()
             .chain(frag.in_border_locals())
         {
             let d = dist[l as usize];
-            if !d.is_finite() {
-                continue;
-            }
-            let improved = match previous {
-                Some(prev) => d < prev[l as usize],
-                None => true,
-            };
-            if improved {
+            if d.is_finite() {
                 ctx.send(frag.global_of(l), d);
             }
         }
+    }
+
+    /// Sends the border distances an incremental step changed — the
+    /// message segment `M_i = {dist(s, v) | v ∈ F_i.O ∪ F_i.I, dist
+    /// changed}` — in ascending local order, one send per local.
+    fn send_changed(
+        frag: &Fragment,
+        dist: &[f64],
+        mut changes: Changes,
+        ctx: &mut Messages<VertexId, f64>,
+    ) {
+        // Stable sort: each local's first entry, its original value, stays
+        // in front of later ones and survives the dedup.
+        changes.sort_by_key(|&(l, _)| l);
+        changes.dedup_by_key(|&mut (l, _)| l);
+        for (l, before) in changes {
+            let d = dist[l as usize];
+            if d.is_finite() && d != before {
+                ctx.send(frag.global_of(l), d);
+            }
+        }
+    }
+
+    /// The retained distances of `old_frag`'s partial re-indexed onto the
+    /// rebuilt `new_frag` by global id; vertices new to the fragment start
+    /// at `∞`.  The partial is stored in `old_frag`'s local order, so
+    /// `old_frag`'s own index does the lookup.
+    fn remap(old_frag: &Fragment, new_frag: &Fragment, partial: &SsspPartial) -> SsspPartial {
+        debug_assert!(
+            partial.globals.len() == old_frag.num_local()
+                && partial
+                    .globals
+                    .iter()
+                    .enumerate()
+                    .all(|(l, &g)| old_frag.global_of(l as LocalId) == g),
+            "a partial is stored in its fragment's local order"
+        );
+        let globals: Vec<VertexId> = new_frag
+            .all_locals()
+            .map(|l| new_frag.global_of(l))
+            .collect();
+        let dist = globals
+            .iter()
+            .map(|&g| {
+                old_frag
+                    .local_of(g)
+                    .map_or(INF, |o| partial.dist[o as usize])
+            })
+            .collect();
+        SsspPartial { dist, globals }
+    }
+
+    /// Queues both endpoints of every inserted local edge at their current
+    /// (finite) distance: the new adjacency, which includes those edges,
+    /// does the rest of the relaxation.
+    fn push_inserted(
+        frag: &Fragment,
+        dist: &[f64],
+        inserted: &[Edge],
+        heap: &mut BinaryHeap<MinDist<u32>>,
+    ) {
+        for e in inserted {
+            for v in [e.src, e.dst] {
+                if let Some(l) = frag.local_of(v) {
+                    let d = dist[l as usize];
+                    if d.is_finite() {
+                        heap.push(MinDist { dist: d, vertex: l });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The retracted set `A` of a deletion over the retained state `old` /
+    /// `partials`: every cell a removed **tight** edge `u → v` fed
+    /// (`dist[u] + w == dist[v]` in `u`'s fragment, old weight), closed
+    /// under tight out-edges within a fragment and under "a retracted outer
+    /// copy whose owner holds the same value retracts the owner's cell"
+    /// (the owner may have taken its value from that copy).  Source cells
+    /// are never retracted: every copy of the source is `0` by definition.
+    ///
+    /// A cell outside `A` keeps a witness chain back to the source that
+    /// avoids every removed edge, so its retained value is still achievable
+    /// after the delta: resetting `A` leaves only valid upper bounds, and
+    /// relaxation from there converges to the exact fixpoint.
+    fn retraction_set(
+        query: &SsspQuery,
+        old: &Fragmentation,
+        delta: &GraphDelta,
+        partials: &[SsspPartial],
+    ) -> Vec<Cell> {
+        let mut seen: HashSet<Cell> = HashSet::new();
+        let mut set: Vec<Cell> = Vec::new();
+        let retract = |(i, l): Cell, seen: &mut HashSet<Cell>, set: &mut Vec<Cell>| {
+            if old.fragment(i).global_of(l) != query.source && seen.insert((i, l)) {
+                set.push((i, l));
+            }
+        };
+        // An undirected edge lives in both endpoints' fragments.
+        let orientations = if old.source().is_directed() { 1 } else { 2 };
+        for &(s, d) in delta.removed_edges() {
+            for (a, b) in [(s, d), (d, s)].into_iter().take(orientations) {
+                let i = old.gp().owner(a);
+                let f = old.fragment(i);
+                let dist = &partials[i].dist;
+                let Some(la) = f.local_of(a) else { continue };
+                let da = dist[la as usize];
+                if !da.is_finite() {
+                    continue;
+                }
+                for n in f.out_edges(la) {
+                    let t = n.target as LocalId;
+                    if f.global_of(t) == b && da + n.weight == dist[t as usize] {
+                        retract((i, t), &mut seen, &mut set);
+                    }
+                }
+            }
+        }
+        let mut next = 0;
+        while next < set.len() {
+            let (i, l) = set[next];
+            next += 1;
+            let f = old.fragment(i);
+            let dist = &partials[i].dist;
+            let d = dist[l as usize];
+            if f.is_inner(l) {
+                for n in f.out_edges(l) {
+                    if d + n.weight == dist[n.target as usize] {
+                        retract((i, n.target as LocalId), &mut seen, &mut set);
+                    }
+                }
+            } else {
+                let v = f.global_of(l);
+                let o = old.gp().owner(v);
+                if let Some(lo) = old.fragment(o).local_of(v) {
+                    if partials[o].dist[lo as usize] == d {
+                        retract((o, lo), &mut seen, &mut set);
+                    }
+                }
+            }
+        }
+        set
     }
 }
 
@@ -181,8 +355,8 @@ impl PieProgram for Sssp {
                 vertex: source_local,
             });
         }
-        Self::relax(frag, &mut dist, heap);
-        Self::send_border(frag, &dist, None, ctx);
+        Self::relax(frag, &mut dist, heap, None);
+        Self::send_border(frag, &dist, ctx);
         SsspPartial {
             dist,
             globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
@@ -197,21 +371,18 @@ impl PieProgram for Sssp {
         messages: &[(VertexId, f64)],
         ctx: &mut Messages<VertexId, f64>,
     ) {
-        let previous = partial.dist.clone();
+        let mut changes = Changes::new();
         let mut heap = BinaryHeap::new();
         for &(v, d) in messages {
             if let Some(l) = frag.local_of(v) {
-                if d < partial.dist[l as usize] {
-                    partial.dist[l as usize] = d;
-                    heap.push(MinDist { dist: d, vertex: l });
-                }
+                Self::lower(frag, &mut partial.dist, l, d, &mut heap, &mut changes);
             }
         }
         if heap.is_empty() {
             return;
         }
-        Self::relax(frag, &mut partial.dist, heap);
-        Self::send_border(frag, &partial.dist, Some(&previous), ctx);
+        Self::relax(frag, &mut partial.dist, heap, Some(&mut changes));
+        Self::send_changed(frag, &partial.dist, changes, ctx);
     }
 
     fn assemble(&self, _query: &SsspQuery, partials: Vec<SsspPartial>) -> SsspResult {
@@ -242,7 +413,7 @@ impl PieProgram for Sssp {
 impl IncrementalPie for Sssp {
     /// Edge/vertex insertions only decrease distances — monotone under the
     /// `min` order.  Any removal can increase them, which the retained
-    /// variables cannot express.
+    /// variables cannot express; edge removals go to [`Sssp::retract`].
     fn delta_is_monotone(&self, delta: &GraphDelta) -> bool {
         !delta.has_removals()
     }
@@ -254,64 +425,152 @@ impl IncrementalPie for Sssp {
     fn rebase(
         &self,
         query: &SsspQuery,
-        _old_frag: &Fragment,
+        old_frag: &Fragment,
         new_frag: &Fragment,
         partial: SsspPartial,
         delta: &FragmentDelta,
     ) -> (SsspPartial, Vec<(VertexId, f64)>) {
-        let old_index: HashMap<VertexId, usize> = partial
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i))
-            .collect();
-        let mut dist = vec![INF; new_frag.num_local()];
-        for l in new_frag.all_locals() {
-            if let Some(&i) = old_index.get(&new_frag.global_of(l)) {
-                dist[l as usize] = partial.dist[i];
-            }
-        }
-        let previous = dist.clone();
-
+        let mut partial = Self::remap(old_frag, new_frag, &partial);
+        let mut changes = Changes::new();
         let mut heap = BinaryHeap::new();
         // A newly local copy of the source (new vertex, or fresh outer copy)
         // anchors at distance 0, exactly as PEval would.
         if let Some(sl) = new_frag.local_of(query.source) {
-            if dist[sl as usize] > 0.0 {
-                dist[sl as usize] = 0.0;
-                heap.push(MinDist {
-                    dist: 0.0,
-                    vertex: sl,
-                });
-            }
+            Self::lower(
+                new_frag,
+                &mut partial.dist,
+                sl,
+                0.0,
+                &mut heap,
+                &mut changes,
+            );
         }
-        // Re-relax from the endpoints of every inserted local edge; the new
-        // adjacency (which includes those edges) does the rest.
-        for e in &delta.added_edges {
-            for v in [e.src, e.dst] {
-                if let Some(l) = new_frag.local_of(v) {
-                    let d = dist[l as usize];
-                    if d.is_finite() {
-                        heap.push(MinDist { dist: d, vertex: l });
-                    }
-                }
-            }
-        }
-        Self::relax(new_frag, &mut dist, heap);
+        Self::push_inserted(new_frag, &partial.dist, &delta.added_edges, &mut heap);
+        Self::relax(new_frag, &mut partial.dist, heap, Some(&mut changes));
 
         let mut msgs = Messages::new();
-        Self::send_border(new_frag, &dist, Some(&previous), &mut msgs);
-        let sends = msgs.take();
-        (
-            SsspPartial {
-                dist,
-                globals: new_frag
-                    .all_locals()
-                    .map(|l| new_frag.global_of(l))
-                    .collect(),
-            },
-            sends,
-        )
+        Self::send_changed(new_frag, &partial.dist, changes, &mut msgs);
+        (partial, msgs.take())
+    }
+
+    /// Retracts the shortest-path subtree of every removed tight edge
+    /// (`Sssp::retraction_set`) over the retained partials, which live on
+    /// the coordinator under every host:
+    ///
+    /// 1. rebuilt fragments are remapped onto their new structure, and the
+    ///    retracted cells are reset to `∞` (the source stays `0`);
+    /// 2. each touched fragment re-relaxes from the non-retracted
+    ///    in-neighbours of its reset cells (in-CSR), from the outer copies
+    ///    other fragments hold of its reset inner vertices, and from both
+    ///    endpoints of every inserted local edge;
+    /// 3. every finite border value that now differs from its value before
+    ///    the retraction is shipped — for a reset cell, any finite value:
+    ///    the owner it feeds may have been reset as well, and fragments are
+    ///    re-relaxed one after another — and IncEval finishes the fixpoint.
+    ///
+    /// Every finite cell value is an achievable distance of the new graph
+    /// throughout, so over-retracting only costs work.  A removal on no
+    /// shortest path retracts nothing and costs the remap; a tight one
+    /// costs `O(|A| + its boundary)`.  Vertex removals are declined.
+    fn retract(
+        &self,
+        query: &SsspQuery,
+        old: &Fragmentation,
+        applied: &DeltaApplication,
+        delta: &GraphDelta,
+        partials: &mut [SsspPartial],
+    ) -> Option<Retraction<Self>> {
+        if !delta.removed_vertices().is_empty() {
+            return None;
+        }
+        let new = &applied.fragmentation;
+        let cells = Self::retraction_set(query, old, delta, partials);
+
+        // 1. Remap the rebuilt fragments, then reset the retracted cells.
+        let m = new.num_fragments();
+        let mut touched = vec![false; m];
+        let mut rebuilt = vec![false; m];
+        let mut inserted: Vec<&[Edge]> = vec![&[]; m];
+        for fd in &applied.affected {
+            let i = fd.fragment;
+            partials[i] = Self::remap(old.fragment(i), new.fragment(i), &partials[i]);
+            touched[i] = true;
+            rebuilt[i] = true;
+            inserted[i] = &fd.added_edges;
+        }
+        let mut reset: Vec<Vec<LocalId>> = vec![Vec::new(); m];
+        let mut changes: Vec<Changes> = vec![Changes::new(); m];
+        for &(i, l) in &cells {
+            let f = new.fragment(i);
+            let l = if rebuilt[i] {
+                // A copy the delta dropped from the fragment is gone.
+                match f.local_of(old.fragment(i).global_of(l)) {
+                    Some(l) => l,
+                    None => continue,
+                }
+            } else {
+                l
+            };
+            // A reset border cell ships whatever finite value it ends with,
+            // even its old one: the owner it feeds may have been reset too.
+            if f.is_border(l) {
+                changes[i].push((l, INF));
+            }
+            partials[i].dist[l as usize] = INF;
+            reset[i].push(l);
+            touched[i] = true;
+        }
+
+        // 2–3. Re-relax every touched fragment and collect its sends.
+        let mut seeds = Vec::new();
+        for i in (0..m).filter(|&i| touched[i]) {
+            let f = new.fragment(i);
+            let mut lows: Vec<(LocalId, f64)> = Vec::new();
+            if let Some(sl) = f.local_of(query.source) {
+                lows.push((sl, 0.0));
+            }
+            for &l in &reset[i] {
+                let dist = &partials[i].dist;
+                let mut best = f
+                    .in_edges(l)
+                    .iter()
+                    .map(|n| dist[n.target as usize] + n.weight)
+                    .fold(INF, f64::min);
+                if f.is_inner(l) {
+                    let v = f.global_of(l);
+                    for &k in new.gp().outer_holders(v) {
+                        let k = k as usize;
+                        if k == i {
+                            continue;
+                        }
+                        if let Some(lk) = new.fragment(k).local_of(v) {
+                            best = best.min(partials[k].dist[lk as usize]);
+                        }
+                    }
+                }
+                if best.is_finite() {
+                    lows.push((l, best));
+                }
+            }
+            let mut heap = BinaryHeap::new();
+            let dist = &mut partials[i].dist;
+            let mut changed = std::mem::take(&mut changes[i]);
+            for (l, d) in lows {
+                Self::lower(f, dist, l, d, &mut heap, &mut changed);
+            }
+            Self::push_inserted(f, dist, inserted[i], &mut heap);
+            Self::relax(f, dist, heap, Some(&mut changed));
+            let mut msgs = Messages::new();
+            Self::send_changed(f, dist, changed, &mut msgs);
+            let sends = msgs.take();
+            if !sends.is_empty() {
+                seeds.push((i, sends));
+            }
+        }
+        Some(Retraction {
+            seeds,
+            retracted: cells.len(),
+        })
     }
 
     /// Dijkstra's fixpoint is schedule-independent given fixed border
@@ -331,7 +590,7 @@ impl IncrementalPie for Sssp {
         partial: &SsspPartial,
     ) -> Vec<(VertexId, f64)> {
         let mut msgs = Messages::new();
-        Self::send_border(frag, &partial.dist, None, &mut msgs);
+        Self::send_border(frag, &partial.dist, &mut msgs);
         msgs.take()
     }
 }
@@ -491,8 +750,21 @@ mod tests {
         assert_eq!(prepared.output().distance(far), Some(0.25));
     }
 
+    fn assert_matches_dijkstra(prepared: &grape_core::prepared::PreparedQuery<Sssp>, tag: &str) {
+        let source = prepared.query().source;
+        let expected = dijkstra(prepared.fragmentation().source(), source);
+        let output = prepared.output();
+        for (v, d) in expected.iter().enumerate() {
+            match output.distance(v as VertexId) {
+                Some(got) => assert_eq!(got.to_bits(), d.to_bits(), "vertex {v} ({tag})"),
+                None => assert!(!d.is_finite(), "vertex {v} expected {d} ({tag})"),
+            }
+        }
+    }
+
     #[test]
-    fn prepared_update_falls_back_on_deletion() {
+    fn prepared_update_retracts_on_deletion() {
+        use grape_core::prepared::RefreshKind;
         use grape_graph::delta::GraphDelta;
 
         let g = road_grid(6, 6, 9);
@@ -503,55 +775,183 @@ mod tests {
         let report = prepared
             .update(&GraphDelta::new().remove_edge(e.src, e.dst))
             .unwrap();
-        assert!(!report.incremental, "deletions are not monotone for SSSP");
-        assert!(report.metrics.peval_calls > 0);
-
-        let expected = dijkstra(prepared.fragmentation().source(), 0);
-        for (v, d) in expected.iter().enumerate() {
-            match prepared.output().distance(v as VertexId) {
-                Some(got) => assert!((got - d).abs() < 1e-9, "vertex {v}: {got} vs {d}"),
-                None => assert!(!d.is_finite(), "vertex {v}"),
-            }
-        }
+        assert_eq!(report.kind, RefreshKind::Retracted);
+        assert!(report.incremental, "a retraction runs no PEval");
+        assert_eq!(report.metrics.peval_calls, 0);
+        assert_eq!(prepared.retracted_updates(), 1);
+        assert_matches_dijkstra(&prepared, "after the removal");
     }
 
-    #[test]
-    fn localized_deletion_repevals_only_the_downstream_frontier() {
-        use grape_core::prepared::RefreshKind;
+    /// Weighted path 0 → 1 → … → 11 over four range fragments of 3.
+    fn weighted_path() -> grape_partition::fragment::Fragmentation {
         use grape_graph::builder::GraphBuilder;
-        use grape_graph::delta::GraphDelta;
         use grape_partition::edge_cut::RangeEdgeCut;
 
-        // Weighted path 0 → 1 → … → 11 over four range fragments of 3.
-        // Deleting the fragment-local edge 4 → 5 can only lengthen distances
-        // downstream: the damage frontier is {1, 2, 3}, never fragment 0.
         let mut b = GraphBuilder::directed();
         for v in 0..11u64 {
             b.push_edge(grape_graph::types::Edge::weighted(v, v + 1, 1.0 + v as f64));
         }
-        let g = b.build();
-        let frag = RangeEdgeCut::new(4).partition(&g).unwrap();
-        let session = GrapeSession::with_workers(2);
-        let mut prepared = session.prepare(frag, Sssp, SsspQuery::new(0)).unwrap();
+        RangeEdgeCut::new(4).partition(&b.build()).unwrap()
+    }
 
+    #[test]
+    fn localized_deletion_retracts_only_the_downstream_subtree() {
+        use grape_core::prepared::RefreshKind;
+        use grape_graph::delta::GraphDelta;
+
+        // Deleting the fragment-local edge 4 → 5 retracts the subtree it
+        // fed: 5's cell and the copy of 6 in fragment 1, then every cell
+        // of 6..=11 downstream (owners and copies) — 9 cells, no PEval.
+        let session = GrapeSession::with_workers(2);
+        let mut prepared = session
+            .prepare(weighted_path(), Sssp, SsspQuery::new(0))
+            .unwrap();
         let report = prepared
             .update(&GraphDelta::new().remove_edge(4, 5))
             .unwrap();
-        assert_eq!(report.kind, RefreshKind::Bounded);
+        assert_eq!(report.kind, RefreshKind::Retracted);
         assert_eq!(report.rebuilt, vec![1], "the edge is local to fragment 1");
-        assert_eq!(report.repeval, vec![1, 2, 3]);
-        assert_eq!(report.metrics.peval_calls, 3, "3 of 4 fragments re-rooted");
-        assert_eq!(prepared.bounded_updates(), 1);
-
-        let expected = dijkstra(prepared.fragmentation().source(), 0);
-        for (v, d) in expected.iter().enumerate() {
-            match prepared.output().distance(v as VertexId) {
-                Some(got) => assert!((got - d).abs() < 1e-9, "vertex {v}: {got} vs {d}"),
-                None => assert!(!d.is_finite(), "vertex {v} expected {d}"),
-            }
-        }
+        assert!(report.repeval.is_empty());
+        assert_eq!(report.metrics.peval_calls, 0);
+        assert_eq!(report.retracted, 9);
+        assert_matches_dijkstra(&prepared, "after the cut");
         // The cut really disconnects 5..12.
         assert_eq!(prepared.output().distance(6), None);
+
+        // An edge on no shortest path (a parallel detour) retracts nothing.
+        let report = prepared
+            .update(&GraphDelta::new().add_weighted_edge(0, 2, 50.0))
+            .unwrap();
+        assert_eq!(report.kind, RefreshKind::Monotone);
+        let report = prepared
+            .update(&GraphDelta::new().remove_edge(0, 2))
+            .unwrap();
+        assert_eq!(report.kind, RefreshKind::Retracted);
+        assert_eq!(report.retracted, 0);
+        assert_matches_dijkstra(&prepared, "after the detour");
+    }
+
+    /// SSSP declines vertex removals: they take the bounded refresh, which
+    /// re-roots only the message-flow closure of the damage.
+    #[test]
+    fn vertex_removal_takes_the_bounded_refresh() {
+        use grape_core::prepared::RefreshKind;
+        use grape_graph::delta::GraphDelta;
+
+        let session = GrapeSession::with_workers(2);
+        let mut prepared = session
+            .prepare(weighted_path(), Sssp, SsspQuery::new(0))
+            .unwrap();
+        let report = prepared
+            .update(&GraphDelta::new().remove_vertex(5))
+            .unwrap();
+        assert_eq!(report.kind, RefreshKind::Bounded);
+        assert_eq!(report.rebuilt, vec![1, 2], "F2 loses its in-border 6");
+        assert_eq!(report.repeval, vec![1, 2, 3]);
+        assert_eq!(report.metrics.peval_calls, 3, "3 of 4 fragments re-rooted");
+        assert_eq!(report.retracted, 0);
+        assert_eq!(prepared.bounded_updates(), 1);
+        assert_matches_dijkstra(&prepared, "after the detach");
+        assert_eq!(prepared.output().distance(6), None);
+    }
+
+    /// A seeded weighted graph with zero-weight edges: directed, or the
+    /// undirected view of the same edges.
+    fn arb_weighted(seed: u64, directed: bool) -> grape_graph::graph::Graph {
+        use grape_graph::builder::GraphBuilder;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 40u64;
+        let mut b = if directed {
+            GraphBuilder::directed()
+        } else {
+            GraphBuilder::undirected()
+        }
+        .ensure_vertices(n as usize);
+        for _ in 0..110 {
+            let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if s != d {
+                let w = rng.gen_range(0u32..4) as f64;
+                b.push_edge(grape_graph::types::Edge::weighted(s, d, w));
+            }
+        }
+        b.build()
+    }
+
+    /// Retraction soundness: the retracted set covers the owner cell of
+    /// every vertex whose Dijkstra distance rose, over seeded Hash and
+    /// MetisLike cuts of directed and undirected graphs with zero-weight
+    /// edges — for random removals, removals incident to the source and
+    /// removals of cross edges — and the refreshed answer is Dijkstra's.
+    #[test]
+    fn retraction_set_covers_every_vertex_whose_distance_rose() {
+        use grape_graph::delta::GraphDelta;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rose = 0;
+        for seed in 0..12u64 {
+            let directed = seed % 2 == 0;
+            let g = arb_weighted(seed, directed);
+            let frag = if seed % 4 < 2 {
+                HashEdgeCut::new(3).partition(&g).unwrap()
+            } else {
+                MetisLike::new(3).partition(&g).unwrap()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let source = rng.gen_range(0..g.num_vertices() as u64);
+            let query = SsspQuery::new(source);
+            let mut prepared = GrapeSession::with_workers(2)
+                .prepare(frag, Sssp, query)
+                .unwrap();
+            for round in 0..6 {
+                let old = prepared.fragmentation().clone();
+                let edges = old.source().edges();
+                let pick = |want: &dyn Fn(&grape_graph::types::Edge) -> bool, rng: &mut StdRng| {
+                    let hits: Vec<_> = edges.iter().filter(|e| want(e)).collect();
+                    (!hits.is_empty()).then(|| *hits[rng.gen_range(0..hits.len() as u64) as usize])
+                };
+                let owner = |v: VertexId| old.gp().owner(v);
+                let mut delta = GraphDelta::new();
+                for e in [
+                    pick(&|_| true, &mut rng),
+                    pick(&|e| e.src == source || e.dst == source, &mut rng),
+                    pick(&|e| owner(e.src) != owner(e.dst), &mut rng),
+                ]
+                .into_iter()
+                .flatten()
+                .take(1 + round % 3)
+                {
+                    if !delta.removed_edges().contains(&(e.src, e.dst))
+                        && !delta.removed_edges().contains(&(e.dst, e.src))
+                    {
+                        delta = delta.remove_edge(e.src, e.dst);
+                    }
+                }
+                let tag = format!("seed {seed} round {round} directed {directed}");
+                let cells: HashSet<Cell> =
+                    Sssp::retraction_set(&query, &old, &delta, prepared.partials())
+                        .into_iter()
+                        .collect();
+                let before = dijkstra(old.source(), source);
+                let after = dijkstra(&old.source().apply_delta(&delta).unwrap(), source);
+                for v in 0..before.len() {
+                    if after[v] > before[v] {
+                        rose += 1;
+                        let o = owner(v as VertexId);
+                        let l = old.fragment(o).local_of(v as VertexId).unwrap();
+                        assert!(cells.contains(&(o, l)), "vertex {v} rose ({tag})");
+                    }
+                }
+                let report = prepared.update(&delta).unwrap();
+                assert_eq!(report.kind, grape_core::prepared::RefreshKind::Retracted);
+                assert_eq!(report.retracted, cells.len(), "{tag}");
+                assert_matches_dijkstra(&prepared, &tag);
+            }
+        }
+        assert!(rose > 20, "the removals must lengthen real paths ({rose})");
     }
 
     /// The path `diff_output` must agree with: assemble, canonicalize,

@@ -143,7 +143,7 @@ fn sections_for(target: &str, scale: Scale) -> Option<Vec<Section>> {
             ),
             section(
                 "refresh_comparison",
-                "Bounded refresh: recompute vs bounded vs monotone (regional traffic)",
+                "Deletion refresh: recompute vs retracted vs monotone (regional traffic)",
                 experiments::refresh_comparison(scale),
             ),
         ]),
@@ -172,7 +172,7 @@ fn sections_for(target: &str, scale: Scale) -> Option<Vec<Section>> {
             ));
             all.push(section(
                 "refresh_comparison",
-                "Bounded refresh: recompute vs bounded vs monotone (regional traffic)",
+                "Deletion refresh: recompute vs retracted vs monotone (regional traffic)",
                 experiments::refresh_comparison(scale),
             ));
             all.push(section(

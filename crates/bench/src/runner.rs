@@ -436,9 +436,9 @@ pub fn run_incremental_sim(
 /// Prepares over an explicit (locality-aligned) fragmentation, applies one
 /// `ΔG` through the update path it naturally takes, and pairs it with a
 /// full recompute on the updated graph.  The first row's system name
-/// records the refresh kind — `GRAPE (monotone)`, `GRAPE (bounded)` or
-/// `GRAPE (full)` — so the experiment output shows which decision-table row
-/// fired; `supersteps`/`messages`/`seconds` quantify what it saved.
+/// records the refresh kind — `GRAPE (monotone)`, `GRAPE (retracted)`,
+/// `GRAPE (bounded)` or `GRAPE (full)` — so the experiment output shows
+/// which decision-table row fired; `supersteps`/`messages`/`seconds` quantify what it saved.
 fn run_refresh_pair<P>(
     query_name: &str,
     workload: &str,
@@ -458,6 +458,7 @@ where
     let report = prepared.update(delta).expect("apply delta");
     let label = match report.kind {
         grape_core::prepared::RefreshKind::Monotone => "GRAPE (monotone)",
+        grape_core::prepared::RefreshKind::Retracted => "GRAPE (retracted)",
         grape_core::prepared::RefreshKind::Bounded => "GRAPE (bounded)",
         grape_core::prepared::RefreshKind::Full => "GRAPE (full)",
     };
@@ -522,14 +523,15 @@ pub fn run_incremental_subiso(
     )
 }
 
-/// The `recompute vs bounded vs monotone` comparison on the regional
+/// The `recompute vs retracted vs monotone` comparison on the regional
 /// traffic workload: from one prepared SSSP query, (1) a batch of new road
 /// segments takes the monotone IncEval-only path, then (2) a batch of road
-/// closures confined to the first region takes the bounded refresh, and
-/// (3) the recompute row prices answering the final graph from scratch.
-/// Range-partitioned into **two fragments per region**, so fragments align
-/// with regions (the closure stays regional: `peval_calls ≤ 2`) while
-/// intra-region borders keep real message traffic in every row.
+/// closures confined to the first region is retracted (the shortest-path
+/// subtrees of the closed segments are reset and re-derived by IncEval,
+/// no PEval), and (3) the recompute row prices answering the final graph
+/// from scratch.  Range-partitioned into **two fragments per region**, so
+/// fragments align with regions while intra-region borders keep real
+/// message traffic in every row.
 pub fn run_refresh_comparison_sssp(
     graph: &Graph,
     insert_delta: &grape_graph::delta::GraphDelta,
@@ -544,20 +546,19 @@ pub fn run_refresh_comparison_sssp(
         .expect("partition");
     let query = SsspQuery::new(source);
     let mut prepared = session.prepare(frag, Sssp, query).expect("prepare");
-    let m = prepared.fragmentation().num_fragments();
 
     let monotone = prepared.update(insert_delta).expect("insert batch");
     assert!(
         monotone.incremental,
         "road-segment insertions take the monotone path"
     );
-    let bounded = prepared.update(delete_delta).expect("deletion batch");
+    let retracted = prepared.update(delete_delta).expect("deletion batch");
     assert_eq!(
-        bounded.kind,
-        grape_core::prepared::RefreshKind::Bounded,
-        "regional closures keep the frontier regional"
+        retracted.kind,
+        grape_core::prepared::RefreshKind::Retracted,
+        "road closures retract their shortest-path subtrees"
     );
-    assert!(bounded.metrics.peval_calls < m);
+    assert_eq!(retracted.metrics.peval_calls, 0);
 
     vec![
         labeled_row(
@@ -571,8 +572,8 @@ pub fn run_refresh_comparison_sssp(
             "sssp",
             workload,
             workers,
-            &bounded.metrics,
-            "GRAPE (bounded)",
+            &retracted.metrics,
+            "GRAPE (retracted)",
         ),
         recompute_row(&session, &prepared, "sssp", workload, workers),
     ]

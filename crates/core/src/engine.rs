@@ -58,7 +58,7 @@ use crate::config::{EngineConfig, EngineMode};
 use crate::host::{InProcessHost, ProcessHost, WorkerHost};
 use crate::load_balance::LoadBalancer;
 use crate::metrics::{EngineMetrics, SuperstepMetrics};
-use crate::pie::{KeyVertex, PieProgram};
+use crate::pie::{KeyVertex, PieProgram, SeedBatch};
 use crate::transport::{
     BarrierTransport, ChannelTransport, MessageOps, Transport, TransportSnapshot, TransportSpec,
 };
@@ -375,13 +375,6 @@ pub(crate) fn prepare_parts<P: PieProgram>(
     Ok((partials, metrics))
 }
 
-/// One fragment's seed batch: the sender fragment and the changed update
-/// parameters its rebase produced.
-pub(crate) type SeedBatch<P> = (
-    usize,
-    Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>,
-);
-
 /// What an incremental refresh starts from: the previous fixpoint's
 /// per-fragment partials plus the `ΔG`-derived seed messages — a list of
 /// `(sender fragment, changed update parameters)` that the engine routes
@@ -392,12 +385,14 @@ pub(crate) struct RefreshState<P: PieProgram> {
     /// rooting step before anything reads them.
     pub partials: Vec<P::Partial>,
     /// Seed messages: the rebase step's changed update parameters (monotone
-    /// refresh) or the undamaged neighbours' reseeded border segments
-    /// (bounded refresh).
+    /// refresh), the border values a retraction changed (retracted refresh)
+    /// or the undamaged neighbours' reseeded border segments (bounded
+    /// refresh).
     pub seeds: Vec<SeedBatch<P>>,
     /// The damage frontier of a **bounded** refresh: fragments whose
     /// retained partials may be stale and are re-rooted with PEval in
-    /// superstep 0.  Empty for the monotone IncEval-only refresh.  When
+    /// superstep 0.  Empty for the IncEval-only (monotone, retracted)
+    /// refreshes.  When
     /// non-empty, seed messages are delivered to damaged fragments only.
     pub repeval: Vec<usize>,
 }

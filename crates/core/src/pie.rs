@@ -17,8 +17,8 @@ use std::hash::Hash;
 
 use grape_graph::delta::GraphDelta;
 use grape_graph::types::VertexId;
-use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_partition::delta::{DeltaApplication, FragmentDelta};
+use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -325,6 +325,25 @@ pub type Rebased<P> = (
     Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>,
 );
 
+/// One fragment's seed batch: the sender fragment and the changed update
+/// parameters a rebase or retraction produced, routed through `G_P` like a
+/// normal evaluation's sends.
+pub type SeedBatch<P> = (
+    usize,
+    Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>,
+);
+
+/// What [`IncrementalPie::retract`] returns when it absorbs a non-monotone
+/// delta: the seeds of the IncEval-only refresh that follows, and how many
+/// retained cells it reset.
+pub struct Retraction<P: PieProgram> {
+    /// The changed border values, one batch per sending fragment.
+    pub seeds: Vec<SeedBatch<P>>,
+    /// Retained partial-result cells the retraction reset before
+    /// re-deriving them (reported as `UpdateReport::retracted`).
+    pub retracted: usize,
+}
+
 /// Extension trait for PIE programs that can answer queries **under graph
 /// updates** (the paper's Section 3.4): once `Q(G)` has been prepared, the
 /// program can compute `Q(G ⊕ ΔG)` by rebasing its retained partials onto the
@@ -348,8 +367,12 @@ pub type Rebased<P> = (
 /// (match variables only flip to `false`).  [`IncrementalPie::delta_is_monotone`]
 /// makes that call per program.
 ///
-/// A **non-monotone** delta no longer forces PEval everywhere: the prepared
-/// query runs a *bounded refresh* instead.  The program's
+/// A **non-monotone** delta is first offered to [`IncrementalPie::retract`]:
+/// a program that can name the retained cells the delta invalidated resets
+/// just those and the refresh stays IncEval-only (SSSP retracts the
+/// shortest-path subtree below a removed tight edge; CC keeps its labels
+/// when no removal splits a component).  A delta the program declines runs
+/// the *bounded refresh* instead.  The program's
 /// [`IncrementalPie::damage_policy`] tells the partition layer how far the
 /// staleness spreads across the fragment quotient graph
 /// ([`grape_partition::delta::damage_frontier`]); PEval re-roots only the
@@ -362,9 +385,39 @@ pub type Rebased<P> = (
 pub trait IncrementalPie: PieProgram {
     /// Whether `delta` can be absorbed by the IncEval-only refresh: every
     /// update parameter must only ever move along the program's partial
-    /// order under this delta.  Deltas for which this returns `false` are
-    /// handled by re-running PEval on every fragment.
+    /// order under this delta.  A delta for which this returns `false` is
+    /// offered to [`IncrementalPie::retract`] and, if the program declines
+    /// it, refreshed by the bounded refresh (PEval on the damage frontier).
     fn delta_is_monotone(&self, delta: &GraphDelta) -> bool;
+
+    /// Absorbs a **non-monotone** delta without PEval, or declines it.
+    ///
+    /// `old` is the fragmentation the retained `partials` (one per
+    /// fragment, in fragment order) were computed on, `applied` what
+    /// `old.apply_delta(delta)` returned.  A program that can bound what
+    /// the delta invalidated rewrites `partials` in place so that every
+    /// entry is a partial of the corresponding fragment of
+    /// `applied.fragmentation` from which the IncEval fixpoint, started
+    /// with the returned seeds, reaches exactly the from-scratch answer —
+    /// rebuilt fragments included, since the caller rebases nothing else.
+    ///
+    /// Returning `None` declines the delta and must leave `partials`
+    /// untouched; the bounded refresh then runs as if this hook did not
+    /// exist.  The default declines everything.
+    fn retract(
+        &self,
+        query: &Self::Query,
+        old: &Fragmentation,
+        applied: &DeltaApplication,
+        delta: &GraphDelta,
+        partials: &mut [Self::Partial],
+    ) -> Option<Retraction<Self>>
+    where
+        Self: Sized,
+    {
+        let _ = (query, old, applied, delta, partials);
+        None
+    }
 
     /// Rebases the retained partial result of one *affected* fragment onto
     /// its rebuilt incarnation and returns the changed update parameters.
@@ -376,8 +429,11 @@ pub trait IncrementalPie: PieProgram {
     /// a normal evaluation; only *changed* values should be returned, in
     /// keeping with GRAPE's changed-parameters-only discipline.
     ///
-    /// Only called for monotone deltas, so implementations may assume the
-    /// direction of change (e.g. SSSP distances never increase).
+    /// The engine calls it for monotone deltas only, so implementations may
+    /// assume the direction of change (e.g. SSSP distances never increase);
+    /// a program's own [`IncrementalPie::retract`] may call it for a
+    /// non-monotone delta it has shown to be equivalent to a monotone one
+    /// (CC, when no removal splits a component).
     fn rebase(
         &self,
         query: &Self::Query,

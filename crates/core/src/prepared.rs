@@ -20,10 +20,13 @@
 //! [`IncrementalPie::rebase`] converts the structural change into seed
 //! messages, and the engine re-enters the IncEval fixpoint from the retained
 //! state — zero PEval calls for monotone deltas, pinned by
-//! [`crate::metrics::EngineMetrics::peval_calls`].  Non-monotone deltas
-//! (e.g. edge deletions under SSSP) take the **bounded refresh**: the
-//! damage frontier derived from `ΔG` via `G_P` is re-rooted with PEval while
-//! every undamaged fragment keeps (and reseeds) its retained partial, so
+//! [`crate::metrics::EngineMetrics::peval_calls`].  A non-monotone delta
+//! (e.g. an edge deletion under SSSP) is first offered to the program's
+//! [`IncrementalPie::retract`], which resets only the retained cells the
+//! removals invalidated and keeps the refresh IncEval-only; a delta the
+//! program declines takes the **bounded refresh**: the damage frontier
+//! derived from `ΔG` via `G_P` is re-rooted with PEval while every
+//! undamaged fragment keeps (and reseeds) its retained partial, so
 //! `peval_calls == |damaged|` instead of `num_fragments`; only a frontier
 //! covering every fragment degenerates into the classic full
 //! re-preparation.  On every path [`PreparedQuery::output`] equals a
@@ -36,7 +39,7 @@ use grape_partition::fragment::Fragmentation;
 use crate::engine::{prepare_parts, refresh_parts, EngineError, RefreshState};
 use crate::metrics::EngineMetrics;
 use crate::output_delta::{diff_sorted, DeltaOutput, OutputDelta};
-use crate::pie::{IncrementalPie, PieProgram};
+use crate::pie::{IncrementalPie, PieProgram, SeedBatch};
 use crate::session::GrapeSession;
 
 /// A prepared query: the partitioned graph, the program, the query and the
@@ -61,6 +64,7 @@ pub struct PreparedQuery<P: PieProgram> {
     pub(crate) updates_applied: usize,
     pub(crate) incremental_updates: usize,
     pub(crate) bounded_updates: usize,
+    pub(crate) retracted_updates: usize,
     /// Set while a refresh has consumed or half-rebased the retained
     /// partials and cleared only when the refresh commits: a handle left
     /// with this flag holds state that corresponds to no graph version.
@@ -75,6 +79,11 @@ pub enum RefreshKind {
     /// fragments were rebased, IncEval alone absorbed the change
     /// (`peval_calls == 0`).
     Monotone,
+    /// Non-monotone delta the program absorbed with
+    /// [`IncrementalPie::retract`]: only the retained cells the removals
+    /// invalidated were reset, then IncEval alone re-derived them
+    /// (`peval_calls == 0`).
+    Retracted,
     /// Non-monotone delta with a localized damage frontier: PEval re-rooted
     /// only the damaged fragments, the rest kept their retained partials
     /// (`peval_calls == repeval.len() < num_fragments`).
@@ -87,11 +96,13 @@ pub enum RefreshKind {
 /// What one [`PreparedQuery::update`] call did.
 #[derive(Debug, Clone)]
 pub struct UpdateReport {
-    /// `true` when the delta was absorbed by the IncEval-only path
-    /// (equivalent to `kind == RefreshKind::Monotone`).
+    /// `true` when the delta was absorbed without PEval (`kind` is
+    /// `Monotone` or `Retracted`).
     pub incremental: bool,
     /// Which refresh path ran.
     pub kind: RefreshKind,
+    /// Retained cells the retraction reset (`0` on every other path).
+    pub retracted: usize,
     /// Number of fragments whose structure changed under the delta
     /// (`== rebuilt.len()`, kept for compatibility).
     pub affected_fragments: usize,
@@ -100,14 +111,14 @@ pub struct UpdateReport {
     /// `Arc` storage).
     pub rebuilt: Vec<usize>,
     /// Fragments the engine re-rooted with PEval: empty on the monotone
-    /// path, the damage frontier on the bounded path, all fragments on the
-    /// full path.  `metrics.peval_calls == repeval.len()` always.
+    /// and retracted paths, the damage frontier on the bounded path, all
+    /// fragments on the full path.  `metrics.peval_calls == repeval.len()` always.
     pub repeval: Vec<usize>,
     /// Number of fragments whose structure the partition layer reused
     /// verbatim (`num_fragments - rebuilt.len()`).
     pub reused: usize,
     /// Engine metrics of the refresh (or of the full re-preparation).
-    /// On the monotone path `metrics.peval_calls == 0`.
+    /// On the monotone and retracted paths `metrics.peval_calls == 0`.
     pub metrics: EngineMetrics,
 }
 
@@ -144,6 +155,7 @@ impl GrapeSession {
             updates_applied: 0,
             incremental_updates: 0,
             bounded_updates: 0,
+            retracted_updates: 0,
             poisoned: false,
         })
     }
@@ -219,7 +231,7 @@ impl<P: PieProgram> PreparedQuery<P> {
         self.updates_applied
     }
 
-    /// Number of deltas absorbed by the IncEval-only path.
+    /// Number of deltas absorbed by the monotone IncEval-only path.
     pub fn incremental_updates(&self) -> usize {
         self.incremental_updates
     }
@@ -228,6 +240,12 @@ impl<P: PieProgram> PreparedQuery<P> {
     /// (PEval on the damage frontier only, not everywhere).
     pub fn bounded_updates(&self) -> usize {
         self.bounded_updates
+    }
+
+    /// Number of non-monotone deltas absorbed by the program's retraction
+    /// (IncEval only, no PEval).
+    pub fn retracted_updates(&self) -> usize {
+        self.retracted_updates
     }
 }
 
@@ -242,20 +260,24 @@ impl<P: IncrementalPie> PreparedQuery<P> {
     ///    rebased, their changed update parameters are seeded through `G_P`,
     ///    and the engine iterates **IncEval only** to the new fixpoint from
     ///    the retained state (`metrics.peval_calls == 0`).
-    /// 2. **Bounded** — the delta is non-monotone but its *damage frontier*
-    ///    ([`IncrementalPie::damage_policy`]) does not cover every fragment:
-    ///    PEval re-roots only the damaged fragments, the undamaged ones keep
-    ///    their retained partials and — under the reachability policy —
-    ///    reseed their border segments into the fixpoint
+    /// 2. **Retracted** — the delta is non-monotone and the program's
+    ///    [`IncrementalPie::retract`] absorbed it: it reset only the
+    ///    retained cells the removals invalidated, and IncEval alone
+    ///    re-derives them (`metrics.peval_calls == 0`).
+    /// 3. **Bounded** — the program declined, and the delta's *damage
+    ///    frontier* ([`IncrementalPie::damage_policy`]) does not cover every
+    ///    fragment: PEval re-roots only the damaged fragments, the undamaged
+    ///    ones keep their retained partials and — under the reachability
+    ///    policy — reseed their border segments into the fixpoint
     ///    (`metrics.peval_calls == |damaged| < num_fragments`).
-    /// 3. **Full** — the frontier covers everything: classic full
+    /// 4. **Full** — the frontier covers everything: classic full
     ///    re-preparation (PEval everywhere).
     ///
-    /// All three produce output identical to a from-scratch recompute on the
+    /// All four produce output identical to a from-scratch recompute on the
     /// updated graph, pinned by `tests/delta_fuzz.rs`.
     ///
-    /// On an engine error during the monotone or bounded refresh the handle
-    /// is **poisoned** — its partials were consumed or half-rebased, so
+    /// On an engine error during the monotone, retracted or bounded refresh
+    /// the handle is **poisoned** — its partials were consumed or half-rebased, so
     /// [`PreparedQuery::output`] panics, [`PreparedQuery::try_output`] and
     /// further updates return [`EngineError::PoisonedHandle`] — instead of
     /// silently assembling an empty answer.  A delta rejected by the
@@ -287,10 +309,8 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         if self.poisoned {
             return Err(EngineError::PoisonedHandle);
         }
-        let session = self.session.clone();
         let m = applied.fragmentation.num_fragments();
         let rebuilt: Vec<usize> = applied.affected.iter().map(|fd| fd.fragment).collect();
-        let reused = m - rebuilt.len();
 
         // A delta that changed no fragment's structure (an empty `ΔG`) is a
         // no-op for every program: the retained partials already *are* the
@@ -298,26 +318,15 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         // transport, no balancer spin-up just to report zero supersteps.
         if applied.affected.is_empty() {
             self.fragmentation = applied.fragmentation.clone();
-            self.updates_applied += 1;
-            self.incremental_updates += 1;
             let metrics = EngineMetrics {
                 program: self.program.name().to_string(),
-                workers: session.config().num_workers,
+                workers: self.session.config().num_workers,
                 fragments: m,
-                transport: session.transport().name().to_string(),
+                transport: self.session.transport().name().to_string(),
                 incremental: true,
                 ..Default::default()
             };
-            self.last_metrics = metrics.clone();
-            return Ok(UpdateReport {
-                incremental: true,
-                kind: RefreshKind::Monotone,
-                affected_fragments: 0,
-                rebuilt,
-                repeval: Vec::new(),
-                reused,
-                metrics,
-            });
+            return Ok(self.commit(RefreshKind::Monotone, rebuilt, Vec::new(), 0, metrics));
         }
 
         // The monotone path needs the program's blessing.  d-hop expansion
@@ -327,12 +336,11 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         let monotone =
             self.program.delta_is_monotone(delta) && self.program.expansion_hops(&self.query) == 0;
 
+        // From here until a refresh commits, the handle holds rebased,
+        // retracted or taken partials: an engine error must not let
+        // `output()` assemble them.
+        self.poisoned = true;
         if monotone {
-            // From here until the refresh commits the handle holds rebased
-            // and then taken partials: an engine error must not let
-            // `output()` assemble them.
-            self.poisoned = true;
-
             // Rebase the affected fragments' partials and collect the seeds.
             let mut seeds = Vec::with_capacity(applied.affected.len());
             for fd in &applied.affected {
@@ -350,40 +358,33 @@ impl<P: IncrementalPie> PreparedQuery<P> {
                     seeds.push((fi, sends));
                 }
             }
-
-            let state = RefreshState {
-                partials: std::mem::take(&mut self.partials),
-                seeds,
-                repeval: Vec::new(),
-            };
-            let (partials, metrics) = refresh_parts(
-                session.config(),
-                session.balancer(),
-                session.transport(),
-                &applied.fragmentation,
-                &self.program,
-                &self.query,
-                state,
-            )?;
-            self.fragmentation = applied.fragmentation.clone();
-            self.partials = partials;
-            self.poisoned = false;
-            self.updates_applied += 1;
-            self.incremental_updates += 1;
-            self.last_metrics = metrics.clone();
-            return Ok(UpdateReport {
-                incremental: true,
-                kind: RefreshKind::Monotone,
-                affected_fragments: rebuilt.len(),
-                rebuilt,
-                repeval: Vec::new(),
-                reused,
-                metrics,
-            });
+            let metrics = self.run_refresh(applied, seeds, Vec::new())?;
+            return Ok(self.commit(RefreshKind::Monotone, rebuilt, Vec::new(), 0, metrics));
         }
 
-        // Non-monotone: derive the damage frontier from ΔG over the union
-        // of the old and new fragment quotient graphs.
+        // Non-monotone: the program may retract exactly the retained cells
+        // the removals invalidated and keep the refresh IncEval-only.
+        if let Some(retraction) = self.program.retract(
+            &self.query,
+            &self.fragmentation,
+            applied,
+            delta,
+            &mut self.partials,
+        ) {
+            let metrics = self.run_refresh(applied, retraction.seeds, Vec::new())?;
+            return Ok(self.commit(
+                RefreshKind::Retracted,
+                rebuilt,
+                Vec::new(),
+                retraction.retracted,
+                metrics,
+            ));
+        }
+        // Declined: the partials are untouched.
+        self.poisoned = false;
+
+        // Derive the damage frontier from ΔG over the union of the old and
+        // new fragment quotient graphs.
         let frontier = damage_frontier(
             &self.fragmentation,
             &applied.fragmentation,
@@ -398,26 +399,16 @@ impl<P: IncrementalPie> PreparedQuery<P> {
             // Nothing is mutated before `prepare_parts` succeeds, so an
             // error here leaves the handle consistent at the old graph.
             let (partials, metrics) = prepare_parts(
-                session.config(),
-                session.balancer(),
-                session.transport(),
+                self.session.config(),
+                self.session.balancer(),
+                self.session.transport(),
                 &applied.fragmentation,
                 &self.program,
                 &self.query,
             )?;
             self.fragmentation = applied.fragmentation.clone();
             self.partials = partials;
-            self.updates_applied += 1;
-            self.last_metrics = metrics.clone();
-            return Ok(UpdateReport {
-                incremental: false,
-                kind: RefreshKind::Full,
-                affected_fragments: rebuilt.len(),
-                rebuilt,
-                repeval,
-                reused,
-                metrics,
-            });
+            return Ok(self.commit(RefreshKind::Full, rebuilt, repeval, 0, metrics));
         }
 
         // Bounded refresh: undamaged fragments that feed a damaged one
@@ -437,15 +428,30 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         }
         // The taken partials are unrecoverable past this point.
         self.poisoned = true;
+        let metrics = self.run_refresh(applied, seeds, repeval.clone())?;
+        Ok(self.commit(RefreshKind::Bounded, rebuilt, repeval, 0, metrics))
+    }
+
+    /// Takes the retained partials, runs the refresh (PEval re-roots
+    /// `repeval`, IncEval iterates from `seeds` to the fixpoint) and
+    /// installs its result together with the updated fragmentation,
+    /// clearing the poison flag.  On an engine error the handle stays
+    /// poisoned.
+    fn run_refresh(
+        &mut self,
+        applied: &DeltaApplication,
+        seeds: Vec<SeedBatch<P>>,
+        repeval: Vec<usize>,
+    ) -> Result<EngineMetrics, EngineError> {
         let state = RefreshState {
             partials: std::mem::take(&mut self.partials),
             seeds,
-            repeval: repeval.clone(),
+            repeval,
         };
         let (partials, metrics) = refresh_parts(
-            session.config(),
-            session.balancer(),
-            session.transport(),
+            self.session.config(),
+            self.session.balancer(),
+            self.session.transport(),
             &applied.fragmentation,
             &self.program,
             &self.query,
@@ -454,18 +460,37 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         self.fragmentation = applied.fragmentation.clone();
         self.partials = partials;
         self.poisoned = false;
+        Ok(metrics)
+    }
+
+    /// Books one absorbed delta under its refresh kind and builds the
+    /// report.
+    fn commit(
+        &mut self,
+        kind: RefreshKind,
+        rebuilt: Vec<usize>,
+        repeval: Vec<usize>,
+        retracted: usize,
+        metrics: EngineMetrics,
+    ) -> UpdateReport {
         self.updates_applied += 1;
-        self.bounded_updates += 1;
+        match kind {
+            RefreshKind::Monotone => self.incremental_updates += 1,
+            RefreshKind::Retracted => self.retracted_updates += 1,
+            RefreshKind::Bounded => self.bounded_updates += 1,
+            RefreshKind::Full => {}
+        }
         self.last_metrics = metrics.clone();
-        Ok(UpdateReport {
-            incremental: false,
-            kind: RefreshKind::Bounded,
+        UpdateReport {
+            incremental: matches!(kind, RefreshKind::Monotone | RefreshKind::Retracted),
+            kind,
+            retracted,
             affected_fragments: rebuilt.len(),
+            reused: self.fragmentation.num_fragments() - rebuilt.len(),
             rebuilt,
             repeval,
-            reused,
             metrics,
-        })
+        }
     }
 }
 
@@ -543,6 +568,7 @@ impl<P: PieProgram + Clone> Clone for PreparedQuery<P> {
             updates_applied: self.updates_applied,
             incremental_updates: self.incremental_updates,
             bounded_updates: self.bounded_updates,
+            retracted_updates: self.retracted_updates,
             poisoned: self.poisoned,
         }
     }
@@ -576,12 +602,9 @@ mod tests {
             let s = session(mode);
             let mut prepared = s.prepare(frag, MinForward, ()).unwrap();
 
-            // New edge 8 -> 1 pulls vertex 1's minimum (via nothing — 8's
-            // min is 0 through the path) … 0 -> everything stays 0 except
-            // upstream vertices.  Add 5 -> 0 instead: makes 0's component
-            // minimum stay 0; use a genuinely value-changing edge 7 -> 2?
-            // The path means min(v) = 0 for all v already.  Add a detached
-            // cluster first via vertex insertion, then bridge it.
+            // Every path vertex already carries the minimum 0, so no edge
+            // inside the path changes a value: grow a detached cluster
+            // first, then bridge it.
             let grow = GraphDelta::new().add_edge(20, 21).add_edge(21, 22);
             let report = prepared.update(&grow).unwrap();
             assert!(report.incremental);

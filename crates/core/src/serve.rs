@@ -17,8 +17,8 @@
 //!   and returns a typed [`QueryHandle`];
 //! * [`GrapeServer::apply`] runs `Fragmentation::apply_delta` **exactly
 //!   once** per `ΔG` and fans the resulting [`DeltaApplication`] out to
-//!   every resident query through its own monotone/bounded/full decision
-//!   table (the crate-internal `PreparedQuery::refresh_from` — the update
+//!   every resident query through its own monotone/retracted/bounded/full
+//!   decision table (the crate-internal `PreparedQuery::refresh_from` — the update
 //!   path of [`crate::prepared`] with the partition work factored out);
 //!   the rebuilt fragment set is shared by all of them via the existing
 //!   `Arc<Fragment>` refcounting;
@@ -47,7 +47,7 @@
 //! the graph); once every query has caught up the history is pruned.
 //!
 //! Refresh failures keep every query's version honest.  A failed
-//! monotone/bounded refresh poisons the query (its partials were consumed),
+//! monotone/retracted/bounded refresh poisons the query (its partials were consumed),
 //! and the server quarantines it.  A failed **full** re-preparation leaves
 //! the handle consistent at its pre-delta fragmentation, so the server
 //! keeps the query on its old version and replays the retained steps into
@@ -215,8 +215,8 @@ pub struct QueryRefresh {
     /// The query id ([`QueryHandle::id`]).
     pub query: usize,
     /// The query's own [`UpdateReport`] — or the engine error that stopped
-    /// it (the server keeps serving the others).  A monotone/bounded
-    /// refresh error poisons the query; a failed **full** re-preparation
+    /// it (the server keeps serving the others).  A monotone, retracted or
+    /// bounded refresh error poisons the query; a failed **full** re-preparation
     /// leaves it consistent at its pre-delta version, and the server
     /// retains the step and replays it (like an evicted query) before the
     /// next refresh or output.
@@ -405,6 +405,10 @@ pub struct QueryStatus {
     pub incremental_updates: usize,
     /// How many took the bounded path.
     pub bounded_updates: usize,
+    /// How many were non-monotone deltas the program absorbed by
+    /// retraction (IncEval only, no PEval).
+    #[serde(default)]
+    pub retracted_updates: usize,
     /// Serialized size of the resident partials (`0` while evicted).
     pub partial_bytes: usize,
     /// Active subscriptions on this query ([`GrapeServer::subscribe`]).
@@ -491,6 +495,7 @@ struct QueryBookkeeping {
     updates_applied: usize,
     incremental_updates: usize,
     bounded_updates: usize,
+    retracted_updates: usize,
 }
 
 /// The program, query and bookkeeping of an evicted entry — everything that
@@ -615,6 +620,7 @@ where
             updates_applied: cold.book.updates_applied,
             incremental_updates: cold.book.incremental_updates,
             bounded_updates: cold.book.bounded_updates,
+            retracted_updates: cold.book.retracted_updates,
             poisoned: false,
         });
         Ok(())
@@ -641,6 +647,7 @@ where
                 updates_applied: p.updates_applied,
                 incremental_updates: p.incremental_updates,
                 bounded_updates: p.bounded_updates,
+                retracted_updates: p.retracted_updates,
             }
         } else {
             self.cold
@@ -1035,6 +1042,7 @@ impl GrapeServer {
                     updates_applied: book.updates_applied,
                     incremental_updates: book.incremental_updates,
                     bounded_updates: book.bounded_updates,
+                    retracted_updates: book.retracted_updates,
                     partial_bytes: slot.entry.partial_bytes(),
                     watchers: self.watcher_count(id),
                     spill_chain: spill.chain_len,
@@ -1149,8 +1157,8 @@ impl GrapeServer {
     /// `Fragmentation::apply_delta` call, one rebuilt-fragment set — and
     /// refreshes every resident query from it.  Evicted queries are
     /// deferred (they replay on rehydration); queries poisoned by an
-    /// earlier failed refresh are skipped.  A query whose monotone/bounded
-    /// refresh errors is reported in [`ServeReport::refreshed`] and
+    /// earlier failed refresh are skipped.  A query whose monotone,
+    /// retracted or bounded refresh errors is reported in [`ServeReport::refreshed`] and
     /// poisoned; a query whose **full** re-preparation errors stays
     /// consistent at its pre-delta version, and the server retains this
     /// step and replays it into the query before its next refresh or

@@ -143,7 +143,9 @@ fn render_answer(query: usize, answer: &QueryAnswer) -> String {
 }
 
 fn render_rows(out: &mut String, queries: &[QueryRow]) {
-    out.push_str("  id  spec              version  state     updates  inc/bnd  bytes     spill\n");
+    out.push_str(
+        "  id  spec              version  state     updates  inc/ret/bnd  bytes     spill\n",
+    );
     for (id, row) in queries.iter().enumerate() {
         let s = &row.status;
         let state = if s.poisoned {
@@ -164,13 +166,14 @@ fn render_rows(out: &mut String, queries: &[QueryRow]) {
             )
         };
         out.push_str(&format!(
-            "  {:<3} {:<17} {:<8} {:<9} {:<8} {:>3}/{:<4} {:<9} {}\n",
+            "  {:<3} {:<17} {:<8} {:<9} {:<8} {:>3}/{:>3}/{:<4} {:<9} {}\n",
             id,
             row.spec.to_string(),
             s.version,
             state,
             s.updates_applied,
             s.incremental_updates,
+            s.retracted_updates,
             s.bounded_updates,
             s.partial_bytes,
             spill
@@ -294,6 +297,46 @@ mod tests {
             render(&err, Format::Text),
             "error (UnknownHandle): no query 9"
         );
+    }
+
+    #[test]
+    fn status_rendering_shows_the_retraction_count() {
+        use crate::protocol::{QueryRow, StatusInfo};
+        use grape_core::serve::QueryStatus;
+
+        let body = ResponseBody::Status(StatusInfo {
+            version: 9,
+            deltas_applied: 9,
+            retained_versions: 1,
+            num_queries: 1,
+            num_evicted: 0,
+            resident_partial_bytes: 64,
+            spill_dir: String::new(),
+            compactions: 0,
+            queries: vec![QueryRow {
+                spec: QuerySpec::Sssp { source: 0 },
+                status: QueryStatus {
+                    query: 0,
+                    version: 9,
+                    evicted: false,
+                    poisoned: false,
+                    updates_applied: 9,
+                    incremental_updates: 4,
+                    bounded_updates: 2,
+                    retracted_updates: 3,
+                    partial_bytes: 64,
+                    watchers: 0,
+                    spill_chain: 0,
+                    spill_bytes: 0,
+                    compactions: 0,
+                },
+            }],
+        });
+        let text = render(&body, Format::Text);
+        assert!(text.contains("inc/ret/bnd"), "{text}");
+        assert!(text.contains("  4/  3/2 "), "{text}");
+        let json = render(&body, Format::Json);
+        assert!(json.contains("\"retracted_updates\":3"), "{json}");
     }
 
     #[test]

@@ -51,6 +51,7 @@ fn sample_status() -> QueryStatus {
         updates_applied: 5,
         incremental_updates: 4,
         bounded_updates: 1,
+        retracted_updates: 2,
         partial_bytes: 0,
         watchers: 0,
         spill_chain: 2,
@@ -118,7 +119,8 @@ fn metrics_without_the_flag_still_parses_as_a_request() {
 fn pre_tiering_status_frames_still_parse() {
     // A status reply from a daemon built before the tiered spill store
     // carries neither the spill fields on the query rows nor the
-    // spill_dir/compactions on the summary line; they all default.
+    // spill_dir/compactions on the summary line, nor the retraction count
+    // added later; they all default.
     let json = "{\"id\":7,\"reply\":\"status\",\"status\":{\
         \"version\":1,\"deltas_applied\":1,\"retained_versions\":1,\
         \"num_queries\":1,\"num_evicted\":0,\"resident_partial_bytes\":10,\
@@ -135,6 +137,7 @@ fn pre_tiering_status_frames_still_parse() {
     assert_eq!(info.queries[0].status.spill_chain, 0);
     assert_eq!(info.queries[0].status.spill_bytes, 0);
     assert_eq!(info.queries[0].status.compactions, 0);
+    assert_eq!(info.queries[0].status.retracted_updates, 0);
 
     // Likewise a metrics reply from a daemon that predates the spill
     // compaction count, the watch-event counters and the pipe-byte count.

@@ -106,6 +106,19 @@ impl Fragment {
         (local as usize) < self.num_inner
     }
 
+    /// Whether the local id is in `F_i.O ∪ F_i.I` — the vertices whose
+    /// update parameters leave the fragment.  `O(log |border|)`: both
+    /// border lists are ascending ([`Fragment::check_invariants`]).
+    #[inline]
+    pub fn is_border(&self, local: LocalId) -> bool {
+        let set = if self.is_inner(local) {
+            &self.in_border
+        } else {
+            &self.out_border
+        };
+        set.binary_search(&local).is_ok()
+    }
+
     /// Global id of a local vertex.
     #[inline]
     pub fn global_of(&self, local: LocalId) -> VertexId {
@@ -137,7 +150,8 @@ impl Fragment {
     }
 
     /// Consistency checks used by tests: mapping is a bijection, inner/outer
-    /// split matches the border sets, all border ids are in range.
+    /// split matches the border sets, all border ids are in range and each
+    /// border list is strictly ascending.
     pub fn check_invariants(&self) -> bool {
         let bijective = self.globals.len() == self.to_local.len()
             && self
@@ -147,7 +161,12 @@ impl Fragment {
                 .all(|(l, g)| self.to_local.get(g) == Some(&(l as LocalId)));
         let borders_in_range = self.out_border.iter().all(|&l| !self.is_inner(l))
             && self.in_border.iter().all(|&l| self.is_inner(l));
-        bijective && borders_in_range && self.local.check_invariants()
+        let ascending = |set: &[LocalId]| set.windows(2).all(|w| w[0] < w[1]);
+        bijective
+            && borders_in_range
+            && ascending(&self.out_border)
+            && ascending(&self.in_border)
+            && self.local.check_invariants()
     }
 
     /// Reassembles a fragment from its persisted parts (the inverse of the

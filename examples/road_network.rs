@@ -5,12 +5,11 @@
 //! compares the METIS-like partition against hash partitioning, **prepares**
 //! SSSP under GRAPE (PEval once, partials retained), then absorbs live
 //! updates: opening a new road segment is an edge insertion — monotone for
-//! SSSP, so the refresh runs IncEval only, with zero PEval calls — while a
-//! road closure is a deletion, refreshed by the **bounded** path: PEval
-//! re-roots only the damage frontier derived from `ΔG` (on a connected
-//! grid that can be every fragment; on a regional network it stays
-//! regional).  The vertex-centric baseline is re-run from scratch for the
-//! comparison row.
+//! SSSP, so the refresh runs IncEval only, with zero PEval calls — and a
+//! road closure is a deletion, **retracted**: only the shortest-path
+//! subtree that ran over the closed road is reset and re-derived by
+//! IncEval, again with zero PEval calls.  The vertex-centric baseline is
+//! re-run from scratch for the comparison row.
 //!
 //! ```text
 //! cargo run --release --example road_network
@@ -107,25 +106,25 @@ fn main() {
     assert!(report.incremental && m.peval_calls == 0);
 
     // A closure on one of the source's roads: deletions are not monotone
-    // for SSSP (distances can grow back), so the update takes the bounded
-    // refresh — PEval re-roots the damage frontier, every other fragment
-    // keeps its retained partials — same answer as recomputing from
-    // scratch.  (The grid is one strongly connected region, so here the
-    // frontier legitimately covers all fragments; `report.kind` records
-    // which decision-table row fired.)
+    // for SSSP (distances can grow back), so SSSP retracts — the cells
+    // whose shortest path ran over the closed road are reset to ∞ and
+    // re-derived from their neighbours by IncEval, every other cell keeps
+    // its retained distance — same answer as recomputing from scratch,
+    // still with zero PEval calls.
     let closed = graph.out_neighbors(0)[0].target;
     let closure = GraphDelta::new().remove_edge(0, closed);
     let report = prepared.update(&closure).expect("close a road");
     println!(
-        "closing a road (delete): kind = {:?}, PEval re-rooted {} of {} fragments \
+        "closing a road (delete): kind = {:?}, {} cell(s) retracted, PEval calls = {} \
          (rebuilt {:?}, reused {}), {:.4} s",
         report.kind,
-        report.repeval.len(),
-        prepared.fragmentation().num_fragments(),
+        report.retracted,
+        report.metrics.peval_calls,
         report.rebuilt,
         report.reused,
         report.metrics.seconds()
     );
+    assert!(report.incremental && report.metrics.peval_calls == 0);
 
     // The prepared output always equals a from-scratch run on the evolved graph.
     let recompute = session

@@ -98,8 +98,9 @@ fn main() {
         server.num_queries()
     );
 
-    // A road closes while the depot is cold: resident queries refresh via
-    // the bounded path; the cold one is deferred (the server retains the
+    // A road closes while the depot is cold: resident queries retract the
+    // shortest-path subtrees of the closed road (IncEval only, no PEval);
+    // the cold one is deferred (the server retains the
     // timeline it will replay from).
     let closure = GraphDelta::new().remove_edge(10, 11).remove_edge(11, 10);
     let report = server.apply(&closure).expect("apply closure");

@@ -8,10 +8,13 @@
 //!
 //! * batches in a program's monotone direction take the IncEval-only path
 //!   (`peval_calls == 0`),
-//! * non-monotone batches take the **bounded refresh** — PEval re-roots only
-//!   the damage frontier (`peval_calls == repeval.len()`), with a dedicated
-//!   locality test pinning `peval_calls < num_fragments` when the damage is
-//!   confined to one quotient component,
+//! * non-monotone batches the program retracts (SSSP edge removals, CC
+//!   removals that split nothing) stay IncEval-only too — pinned over a
+//!   churn stream of grid edges, `peval_calls == 0` every round,
+//! * the other non-monotone batches take the **bounded refresh** — PEval
+//!   re-roots only the damage frontier (`peval_calls == repeval.len()`),
+//!   with a dedicated locality test pinning `peval_calls < num_fragments`
+//!   when the damage is confined to one quotient component,
 //! * a frontier covering everything degenerates into the classic full
 //!   re-preparation.
 //!
@@ -20,6 +23,7 @@
 //! scheduled CI job alongside the `Scale::Large` profile.
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use grape::algorithms::cc::{Cc, CcQuery};
@@ -34,10 +38,12 @@ use grape::core::transport::TransportSpec;
 use grape::core::worker_proto::locate_worker_binary;
 use grape::graph::builder::GraphBuilder;
 use grape::graph::delta::GraphDelta;
+use grape::graph::generators::road_grid;
 use grape::graph::graph::{Directedness, Graph};
 use grape::graph::pattern::Pattern;
 use grape::graph::types::Edge;
 use grape::partition::edge_cut::{HashEdgeCut, RangeEdgeCut};
+use grape::partition::metis_like::MetisLike;
 use grape::partition::strategy::PartitionStrategy;
 
 const MODES: [EngineMode; 2] = [EngineMode::Sync, EngineMode::Async];
@@ -152,8 +158,14 @@ fn check_report(report: &grape::core::prepared::UpdateReport, m: usize, tag: &st
     );
     assert_eq!(report.affected_fragments, report.rebuilt.len(), "{tag}");
     assert_eq!(report.reused, m - report.rebuilt.len(), "{tag}");
+    if report.kind != RefreshKind::Retracted {
+        assert_eq!(
+            report.retracted, 0,
+            "only a retraction resets cells ({tag})"
+        );
+    }
     match report.kind {
-        RefreshKind::Monotone => {
+        RefreshKind::Monotone | RefreshKind::Retracted => {
             assert!(report.incremental, "{tag}");
             assert_eq!(report.metrics.peval_calls, 0, "{tag}");
         }
@@ -458,28 +470,36 @@ fn localized_nonmonotone_damage_keeps_peval_below_fragment_count() {
     for mode in MODES {
         let s = session(2, mode);
 
-        // SSSP: delete an edge of the second chain.
+        // SSSP: deleting an edge of the second chain retracts the chain's
+        // tail (no PEval at all); detaching a vertex there is declined and
+        // takes the bounded refresh.
         let g = two_chain_graph(true);
         let frag = RangeEdgeCut::new(4).partition(&g).unwrap();
         let mut prepared = s.prepare(frag, Sssp, SsspQuery::new(12)).unwrap();
-        let report = prepared
-            .update(&GraphDelta::new().remove_edge(14, 15))
-            .unwrap();
-        assert_eq!(report.kind, RefreshKind::Bounded, "sssp {mode:?}");
-        assert!(
-            report.metrics.peval_calls < prepared.fragmentation().num_fragments(),
-            "sssp {mode:?}: localized damage must not re-prepare everywhere"
-        );
-        assert!(report.repeval.iter().all(|&i| i >= 2), "sssp {mode:?}");
-        let recompute = s
-            .run(prepared.fragmentation(), &Sssp, &SsspQuery::new(12))
-            .unwrap();
-        for v in prepared.fragmentation().source().vertices() {
-            assert_eq!(
-                prepared.output().distance(v).map(|d| d.to_bits()),
-                recompute.output.distance(v).map(|d| d.to_bits()),
-                "sssp vertex {v} {mode:?}"
+        for (delta, kind) in [
+            (
+                GraphDelta::new().remove_edge(14, 15),
+                RefreshKind::Retracted,
+            ),
+            (GraphDelta::new().remove_vertex(13), RefreshKind::Bounded),
+        ] {
+            let report = prepared.update(&delta).unwrap();
+            assert_eq!(report.kind, kind, "sssp {mode:?}");
+            assert!(
+                report.metrics.peval_calls < prepared.fragmentation().num_fragments(),
+                "sssp {mode:?}: localized damage must not re-prepare everywhere"
             );
+            assert!(report.repeval.iter().all(|&i| i >= 2), "sssp {mode:?}");
+            let recompute = s
+                .run(prepared.fragmentation(), &Sssp, &SsspQuery::new(12))
+                .unwrap();
+            for v in prepared.fragmentation().source().vertices() {
+                assert_eq!(
+                    prepared.output().distance(v).map(|d| d.to_bits()),
+                    recompute.output.distance(v).map(|d| d.to_bits()),
+                    "sssp vertex {v} {mode:?} {kind:?}"
+                );
+            }
         }
 
         // CC: split the second chain.
@@ -529,6 +549,74 @@ fn localized_nonmonotone_damage_keeps_peval_below_fragment_count() {
     }
 }
 
+/// The serving churn shape over a road grid: round `i` removes grid edge
+/// `e_i` and re-inserts `e_{i−1}`, so every delta is non-monotone and the
+/// graph is stationary.  SSSP retracts each removal and CC keeps its labels
+/// (nothing splits a grid): zero PEval every round, and both answers equal
+/// a from-scratch recompute bit for bit.
+fn churn_stream(mode: EngineMode, transport: Option<TransportSpec>, rounds: usize, seed: u64) {
+    let g = road_grid(8, 8, seed);
+    let strategies: [Box<dyn PartitionStrategy>; 2] =
+        [Box::new(HashEdgeCut::new(4)), Box::new(MetisLike::new(4))];
+    for strategy in &strategies {
+        let frag = strategy.partition(&g).unwrap();
+        let s = session_over(2, mode, transport);
+        let source = seed % g.num_vertices() as u64;
+        let mut sssp = s
+            .prepare(frag.clone(), Sssp, SsspQuery::new(source))
+            .unwrap();
+        let mut cc = s.prepare(frag, Cc, CcQuery).unwrap();
+
+        let mut order = g.edges().to_vec();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut missing: Option<Edge> = None;
+        for (round, e) in order.iter().take(rounds).enumerate() {
+            let mut delta = GraphDelta::new().remove_edge(e.src, e.dst);
+            if let Some(back) = missing.replace(*e) {
+                delta = delta.add_edge_record(back);
+            }
+            let tag = format!("churn round {round} seed {seed} {mode:?} {transport:?}");
+
+            let report = sssp.update(&delta).unwrap();
+            check_report(&report, 4, &tag);
+            assert_eq!(report.kind, RefreshKind::Retracted, "sssp {tag}");
+            let recompute = s
+                .run(sssp.fragmentation(), &Sssp, &SsspQuery::new(source))
+                .unwrap();
+            let output = sssp.output();
+            for v in g.vertices() {
+                assert_eq!(
+                    output.distance(v).map(f64::to_bits),
+                    recompute.output.distance(v).map(f64::to_bits),
+                    "sssp vertex {v} {tag}"
+                );
+            }
+
+            let report = cc.update(&delta).unwrap();
+            check_report(&report, 4, &tag);
+            assert_eq!(report.kind, RefreshKind::Retracted, "cc {tag}");
+            let recompute = s.run(cc.fragmentation(), &Cc, &CcQuery).unwrap();
+            let output = cc.output();
+            for v in g.vertices() {
+                assert_eq!(
+                    output.component(v),
+                    recompute.output.component(v),
+                    "cc vertex {v} {tag}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn churn_stream_retracts_without_peval_in_both_modes() {
+    for mode in MODES {
+        for seed in [1, 2] {
+            churn_stream(mode, None, 24, seed);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Process-transport axis: the same harness with fragments sharded across
 // grape-worker subprocesses.  Every prepare *and* every refresh spawns a
@@ -570,6 +658,7 @@ fn process_transport_delta_fuzz_matches_recompute_in_both_modes() {
         fuzz_sssp(&PROCESS_TIER1, mode, PROCESS_SPEC, 0xF2_0100);
         fuzz_cc(&PROCESS_TIER1, mode, PROCESS_SPEC, 0xF2_0200);
         fuzz_sim(&PROCESS_TIER1, mode, PROCESS_SPEC, 0xF2_0300);
+        churn_stream(mode, PROCESS_SPEC, 3, 3);
     }
 }
 

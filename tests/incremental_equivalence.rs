@@ -13,6 +13,7 @@ use grape::algorithms::cc::{Cc, CcQuery};
 use grape::algorithms::sim::{Sim, SimQuery};
 use grape::algorithms::sssp::{Sssp, SsspQuery};
 use grape::core::config::EngineMode;
+use grape::core::prepared::RefreshKind;
 use grape::core::session::GrapeSession;
 use grape::graph::builder::GraphBuilder;
 use grape::graph::delta::GraphDelta;
@@ -130,11 +131,17 @@ fn sssp_update_sequence_matches_recompute_in_both_modes() {
                 }
             }
 
-            // One non-monotone (deletion) delta: must fall back, still agree.
+            // One non-monotone (deletion) delta: retracted without PEval,
+            // still agrees.
             let delta = delete_delta(&mut rng, prepared.fragmentation().source(), 4);
             if !delta.is_empty() {
                 let report = prepared.update(&delta).unwrap();
-                assert!(!report.incremental, "case {case} ({mode:?})");
+                assert_eq!(
+                    report.kind,
+                    RefreshKind::Retracted,
+                    "case {case} ({mode:?})"
+                );
+                assert_eq!(report.metrics.peval_calls, 0, "case {case} ({mode:?})");
                 let recompute = s
                     .run(prepared.fragmentation(), &Sssp, &SsspQuery::new(source))
                     .unwrap();

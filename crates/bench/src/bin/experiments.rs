@@ -3,7 +3,7 @@
 //! ```text
 //! experiments [--scale small|medium|large] [--format text|json|csv]
 //!             [table1|fig6|fig7|fig8|fig9|incremental|serving|serving_scaling|
-//!              serving_watchers|rehydrate_latency|loc|all]
+//!              serving_watchers|loc|all]
 //! ```
 //!
 //! `incremental` is the prepared-query update experiment: update latency and
@@ -30,9 +30,8 @@
 
 use grape_bench::experiments;
 use grape_bench::runner::{
-    format_rehydrate_json, format_rehydrate_table, format_rows_csv, format_rows_json,
-    format_scaling_json, format_scaling_table, format_table, format_watchers_json,
-    format_watchers_table, RunRow, CSV_HEADER,
+    format_rows_csv, format_rows_json, format_scaling_json, format_scaling_table, format_table,
+    format_watchers_json, format_watchers_table, RunRow, CSV_HEADER,
 };
 use grape_bench::workloads::Scale;
 
@@ -236,15 +235,11 @@ fn main() {
             print_serving_watchers(scale, format, scale_name);
             continue;
         }
-        if target == "rehydrate_latency" {
-            print_rehydrate_latency(scale, format, scale_name);
-            continue;
-        }
         let Some(sections) = sections_for(target, scale) else {
             eprintln!(
                 "unknown experiment {target:?} \
                  (use table1|fig6|fig7|fig8|fig9|incremental|serving|serving_scaling|\
-                 serving_watchers|rehydrate_latency|loc|all)"
+                 serving_watchers|loc|all)"
             );
             continue;
         };
@@ -264,7 +259,6 @@ fn main() {
         if target == "all" {
             print_serving_scaling(scale, format, scale_name);
             print_serving_watchers(scale, format, scale_name);
-            print_rehydrate_latency(scale, format, scale_name);
             if format == Format::Text {
                 print_loc();
             } else {
@@ -330,38 +324,6 @@ fn print_serving_watchers(scale: Scale, format: Format, scale_name: &str) {
             print!(
                 "{}",
                 format_watchers_json("serving_watchers", scale_name, &rows)
-            );
-        }
-    }
-}
-
-/// Prints the rehydrate-latency section in its own row shape (spill bytes
-/// and rehydrate wall time per eviction round, tiered vs wholesale store);
-/// CSV has no column set for it, so it is skipped there with a note on
-/// stderr.
-fn print_rehydrate_latency(scale: Scale, format: Format, scale_name: &str) {
-    match format {
-        Format::Csv => {
-            eprintln!(
-                "rehydrate_latency has its own row shape (spill bytes / latency \
-                 per round); use --format text|json"
-            );
-        }
-        Format::Text => {
-            let rows = experiments::rehydrate_latency(scale);
-            print!(
-                "{}",
-                format_rehydrate_table(
-                    "GrapeServer rehydrate latency: tiered vs wholesale spill store",
-                    &rows
-                )
-            );
-        }
-        Format::Json => {
-            let rows = experiments::rehydrate_latency(scale);
-            print!(
-                "{}",
-                format_rehydrate_json("rehydrate_latency", scale_name, &rows)
             );
         }
     }

@@ -5,10 +5,9 @@
 
 use crate::runner::{
     run_cc, run_cf, run_incremental_cc, run_incremental_cf, run_incremental_sim,
-    run_incremental_sssp, run_incremental_subiso, run_refresh_comparison_sssp,
-    run_rehydrate_latency, run_serving, run_serving_scaling, run_serving_watchers, run_sim,
-    run_sim_ni, run_sim_optimized, run_sssp, run_subiso, RehydrateRow, RunRow, ScalingRow, System,
-    WatcherRow,
+    run_incremental_sssp, run_incremental_subiso, run_refresh_comparison_sssp, run_serving,
+    run_serving_scaling, run_serving_watchers, run_sim, run_sim_ni, run_sim_optimized, run_sssp,
+    run_subiso, RunRow, ScalingRow, System, WatcherRow,
 };
 use crate::workloads::{self, Scale};
 
@@ -296,31 +295,6 @@ pub fn serving_watchers(scale: Scale) -> Vec<WatcherRow> {
     run_serving_watchers(&g, &sources, &deltas, &[1, 2, 4], 4, "traffic")
 }
 
-/// The rehydrate-latency experiment (the tiered spill store): one standing
-/// SSSP query cycles through evict → delta → rehydrate, once under the
-/// tiered store (base + delta-encoded increments, default compaction) and
-/// once with compaction threshold 0 (`wholesale`, the full-snapshot cost
-/// profile).  The runner pins the store's contract — post-base evictions
-/// write O(|ΔG|) bytes, the chain stays bounded, rehydrate latency stays
-/// flat within 2× as the evict count grows, answers equal a never-evicted
-/// twin — and the rows record the spill-byte and latency curves the
-/// checked-in `BENCH_rehydrate_latency.json` baseline tracks.
-pub fn rehydrate_latency(scale: Scale) -> Vec<RehydrateRow> {
-    // Regional traffic with range fragments aligned to the regions, and
-    // every delta confined to region 0: each round's changes stay inside
-    // one fragment, which is what makes a tiered increment O(|ΔG|)
-    // instead of a re-spill of everything.
-    let regions = 8;
-    let g = workloads::regional_traffic(scale, regions);
-    let region = g.num_vertices() as u64 / regions as u64;
-    let rounds = 8;
-    let batch = workloads::delta_batch_size(scale).min(16);
-    let deltas: Vec<grape_graph::delta::GraphDelta> = (0..rounds)
-        .map(|i| workloads::ranged_insertion_delta(0, region, batch, 0xD0 + i))
-        .collect();
-    run_rehydrate_latency(&g, 1, &deltas, regions, "regional_traffic")
-}
-
 /// Figure 8 is the communication view of the Figure 6 runs; the same rows are
 /// reused (every row already carries `comm_mb`).
 pub fn fig8_comm(scale: Scale) -> Vec<RunRow> {
@@ -440,47 +414,6 @@ mod tests {
         assert_eq!(rows[0].watchers, 1);
         assert_eq!(rows[2].watchers, 4);
         assert_eq!(rows[2].pushed_bytes, 4 * rows[0].pushed_bytes);
-    }
-
-    #[test]
-    fn rehydrate_latency_covers_both_store_flavors() {
-        let rows = rehydrate_latency(Scale::Small);
-        assert_eq!(rows.len(), 16, "8 rounds x 2 store flavors");
-        let tiered: Vec<&RehydrateRow> = rows.iter().filter(|r| r.store == "tiered").collect();
-        let wholesale: Vec<&RehydrateRow> =
-            rows.iter().filter(|r| r.store == "wholesale").collect();
-        assert_eq!(tiered.len(), 8);
-        assert_eq!(wholesale.len(), 8);
-        // The runner pins O(|ΔG|) increments, bounded chains, flat latency
-        // and twin equality; the row-level claim is the byte curve:
-        // increment rounds (chain_len > 0) are cheap, base rounds (round 0
-        // and compaction folds) pay the full snapshot — which is every
-        // wholesale round.
-        let tiered_base = tiered[0].spill_bytes;
-        for r in &tiered[1..] {
-            if r.chain_len > 0 {
-                assert!(
-                    r.spill_bytes < tiered_base / 2,
-                    "tiered round {} spilled {} B against a {} B base",
-                    r.round,
-                    r.spill_bytes,
-                    tiered_base
-                );
-            }
-        }
-        assert!(
-            tiered[1..].iter().any(|r| r.chain_len == 0),
-            "8 rounds at the default threshold must fold the chain at least once"
-        );
-        for r in &wholesale[1..] {
-            assert!(
-                r.spill_bytes >= tiered_base / 2,
-                "wholesale round {} spilled only {} B — it must rewrite a base",
-                r.round,
-                r.spill_bytes
-            );
-            assert_eq!(r.chain_len, 0, "wholesale folds the chain every round");
-        }
     }
 
     #[test]

@@ -1196,199 +1196,6 @@ pub fn format_watchers_table(title: &str, rows: &[WatcherRow]) -> String {
     out
 }
 
-/// One eviction round of the rehydrate-latency experiment: what this
-/// round's spill wrote to disk and how long the rehydration took.
-#[derive(Debug, Clone, Serialize)]
-pub struct RehydrateRow {
-    /// Workload name.
-    pub workload: String,
-    /// Store flavor: `tiered` (delta increments, default compaction) or
-    /// `wholesale` (compaction threshold 0 — the chain is folded into a
-    /// lone base after every evict, the pre-LSM behavior).
-    pub store: String,
-    /// Eviction round, 0-based (round 0 writes the base).
-    pub round: usize,
-    /// Bytes of the file this round's eviction wrote (the increment under
-    /// `tiered` after round 0; the freshly folded base under `wholesale`).
-    pub spill_bytes: u64,
-    /// Increment-chain length on disk after this round's eviction.
-    pub chain_len: usize,
-    /// Wall time of this round's `rehydrate` call, in milliseconds
-    /// (store load + fold + replay of the deltas applied while cold).
-    pub rehydrate_ms: f64,
-}
-
-/// The rehydrate-latency experiment: one standing SSSP query is repeatedly
-/// evicted, left behind by one delta batch, and rehydrated — once with the
-/// tiered store (round 0 writes a base, later rounds append delta-encoded
-/// increments, the chain compacting at the default threshold) and once
-/// with compaction threshold 0 (`wholesale`: the store folds to a lone
-/// base after every evict, reproducing the cost profile of full-snapshot
-/// spills).
-///
-/// Three properties are asserted inside the runner:
-///
-/// * **O(|ΔG|) spills**: under `tiered`, every post-base eviction writes
-///   less than half the base's bytes;
-/// * **bounded chains**: the on-disk chain never exceeds the compaction
-///   threshold + 1;
-/// * **flat rehydration**: the mean latency of the later rounds stays
-///   within 2× of the earlier rounds' (plus a 1 ms floor for CI noise) —
-///   i.e. rehydration does not slow down as the evict count grows — and
-///   every rehydrated answer equals a never-evicted twin's.
-pub fn run_rehydrate_latency(
-    graph: &Graph,
-    source: VertexId,
-    deltas: &[grape_graph::delta::GraphDelta],
-    fragments: usize,
-    workload: &str,
-) -> Vec<RehydrateRow> {
-    use grape_core::serve::GrapeServer;
-    use std::time::Instant;
-
-    let session = grape_session(1);
-    // Range partition, not METIS-like: the callers pair this runner with
-    // region-aligned workloads whose deltas land in one contiguous id
-    // range, so contiguous fragments are what keeps an increment's
-    // changed-fragment set — and therefore its byte size — O(|ΔG|).
-    let frag = grape_partition::edge_cut::RangeEdgeCut::new(fragments)
-        .partition(graph)
-        .expect("partition");
-    let query = SsspQuery::new(source);
-
-    let mut rows = Vec::new();
-    for (store, threshold) in [("tiered", 4usize), ("wholesale", 0usize)] {
-        let mut server =
-            GrapeServer::new(session.clone(), frag.clone()).compaction_threshold(threshold);
-        let handle = server.register(Sssp, query).expect("register");
-        let mut twin = GrapeServer::new(session.clone(), frag.clone());
-        let twin_handle = twin.register(Sssp, query).expect("register twin");
-
-        let mut base_bytes = 0u64;
-        let mut latencies = Vec::new();
-        for (round, delta) in deltas.iter().enumerate() {
-            let spill = server.evict(&handle).expect("evict");
-            let spill_bytes = std::fs::metadata(&spill).expect("spill written").len();
-            // evict returns the increment it appended — or the freshly
-            // folded base when the eviction tripped a compaction.
-            let wrote_base = spill.extension().is_some_and(|e| e == "base");
-            if wrote_base {
-                base_bytes = spill_bytes;
-            } else {
-                assert!(
-                    spill_bytes < base_bytes / 2,
-                    "round {round}: a tiered increment ({spill_bytes} B) must stay \
-                     well under the base ({base_bytes} B)"
-                );
-            }
-            server.apply(delta).expect("apply while cold");
-            twin.apply(delta).expect("twin apply");
-
-            let start = Instant::now();
-            server.rehydrate(&handle).expect("rehydrate");
-            let rehydrate_ms = start.elapsed().as_secs_f64() * 1e3;
-            latencies.push(rehydrate_ms);
-
-            let status = &server.query_statuses()[handle.id()];
-            assert!(
-                status.spill_chain <= threshold + 1,
-                "round {round}: chain {} exceeds compaction threshold {threshold}",
-                status.spill_chain
-            );
-            assert_eq!(
-                server.output(&handle).expect("output").distances(),
-                twin.output(&twin_handle).expect("twin output").distances(),
-                "round {round}: rehydrated answer diverged from the never-evicted twin"
-            );
-            rows.push(RehydrateRow {
-                workload: workload.to_string(),
-                store: store.to_string(),
-                round,
-                spill_bytes,
-                chain_len: status.spill_chain,
-                rehydrate_ms,
-            });
-        }
-        // Flatness is a trend claim, not a per-round one: within a
-        // compaction cycle a rehydrate folding a 4-file chain is
-        // legitimately slower than one reading a lone base.  Compare the
-        // mean of the later rounds against the earlier ones — linear
-        // growth with the evict count (the pre-tiering replay-from-
-        // scratch behavior) triples the later mean, while cycle shape and
-        // timer noise leave the two halves alike.
-        let (early, late) = latencies.split_at(latencies.len() / 2);
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!(
-            mean(late) <= 2.0 * mean(early) + 1.0,
-            "{store}: rehydrate latency grew with the evict count \
-             (first-half mean {:.3} ms, second-half mean {:.3} ms)",
-            mean(early),
-            mean(late)
-        );
-    }
-    rows
-}
-
-/// A [`RehydrateRow`] tagged with its experiment and scale — the record of
-/// the `BENCH_rehydrate_latency.json` baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct RehydrateExport {
-    /// Experiment id (`rehydrate_latency`).
-    pub experiment: String,
-    /// Workload scale (`small`, `medium`, `large`).
-    pub scale: String,
-    /// Workload name.
-    pub workload: String,
-    /// Store flavor (`tiered` | `wholesale`).
-    pub store: String,
-    /// Eviction round, 0-based.
-    pub round: usize,
-    /// Bytes this round's eviction wrote.
-    pub spill_bytes: u64,
-    /// On-disk chain length after this round's eviction.
-    pub chain_len: usize,
-    /// Rehydrate wall time in milliseconds.
-    pub rehydrate_ms: f64,
-}
-
-/// Formats rehydrate rows as JSON Lines (the `BENCH_rehydrate_latency.json`
-/// format).
-pub fn format_rehydrate_json(experiment: &str, scale: &str, rows: &[RehydrateRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        let export = RehydrateExport {
-            experiment: experiment.to_string(),
-            scale: scale.to_string(),
-            workload: row.workload.clone(),
-            store: row.store.clone(),
-            round: row.round,
-            spill_bytes: row.spill_bytes,
-            chain_len: row.chain_len,
-            rehydrate_ms: row.rehydrate_ms,
-        };
-        out.push_str(&serde_json::to_string(&export).expect("RehydrateExport serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats rehydrate rows as an aligned text table.
-pub fn format_rehydrate_table(title: &str, rows: &[RehydrateRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<16} {:<10} {:>5} {:>11} {:>6} {:>14}\n",
-        "workload", "store", "round", "spill (B)", "chain", "rehydrate (ms)"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:<10} {:>5} {:>11} {:>6} {:>14.3}\n",
-            r.workload, r.store, r.round, r.spill_bytes, r.chain_len, r.rehydrate_ms
-        ));
-    }
-    out
-}
-
 /// A [`RunRow`] tagged with the experiment (table/figure) and scale it came
 /// from — the machine-readable record emitted by `experiments --format
 /// json|csv`, one per (algorithm, system, scale) run, so figures can be

@@ -22,23 +22,24 @@
 //!   path of [`crate::prepared`] with the partition work factored out);
 //!   the rebuilt fragment set is shared by all of them via the existing
 //!   `Arc<Fragment>` refcounting;
-//! * [`GrapeServer::evict`] spills a cold query into its tiered
-//!   [`QuerySpillStore`] ([`grape_partition::snapshot`]) and frees its
-//!   in-memory state: the first eviction writes a **base snapshot** (all
-//!   fragments, all partials, plus the persisted `G_P` and quotient
-//!   routing tables); later evictions append **increments** holding only
-//!   what changed since the previous spill, so repeated evict cycles cost
-//!   `O(|ΔG|)` on disk, not `O(|G|)`.  The next [`GrapeServer::output`]
-//!   (or an explicit [`GrapeServer::rehydrate`]) folds base ⊕ increments
-//!   back — **without re-partitioning, without a single PEval call, and
-//!   without re-deriving `G_P` or the quotient tables** — and replays the
-//!   deltas that arrived while it was cold from the server's retained
-//!   timeline.  When an increment chain outgrows
-//!   [`GrapeServer::compaction_threshold`] (or on an explicit
-//!   [`GrapeServer::compact`]), the chain is folded into a fresh base
-//!   atomically, bounding rehydration latency.  Every store write stages
+//! * [`GrapeServer::evict`] spills a cold query's **partials** into its
+//!   [`QuerySpillStore`] ([`grape_partition::snapshot`]) and frees them:
+//!   the first eviction writes a **base** (one record per partial); later
+//!   evictions append **increments** holding only the partials that
+//!   changed since the previous spill.  Fragments, `G_P` and the quotient
+//!   tables are never written: they are shared structure, and the evicted
+//!   query pins its timeline version, which holds them.  The next
+//!   [`GrapeServer::output`] (or an explicit [`GrapeServer::rehydrate`])
+//!   takes the fragmentation from that version (an `Arc` clone, no I/O),
+//!   folds base ⊕ increments into the partials — **without
+//!   re-partitioning and without a single PEval call** — and replays the
+//!   deltas that arrived while the query was cold.  When the increments
+//!   outweigh the base on disk (or on an explicit [`GrapeServer::compact`])
+//!   the chain is folded into a fresh base atomically, so a reload never
+//!   reads more than twice the base's bytes.  Every store write stages
 //!   through a temp file, fsync and rename, so a crash mid-spill leaves
-//!   the previous on-disk state fully readable.
+//!   the previous on-disk state fully readable.  Spill files are process
+//!   scratch: nothing reads them after the server is gone.
 //!
 //! The timeline keeps one fragmentation per version only while an evicted
 //! query — or a resident one left *behind* by a failed refresh — still
@@ -86,13 +87,9 @@ use std::time::{Duration, Instant};
 
 use grape_graph::delta::GraphDelta;
 use grape_graph::io::{write_value_tree, IoError};
-use grape_graph::types::VertexId;
 use grape_partition::delta::DeltaApplication;
 use grape_partition::fragment::Fragmentation;
-use grape_partition::snapshot::{
-    rehydrate_fragmentation, rehydrate_fragmentation_persisted, QuerySpillStore, SnapshotError,
-    SpillStoreStats,
-};
+use grape_partition::snapshot::{QuerySpillStore, SnapshotError, SpillStoreStats};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::EngineError;
@@ -101,10 +98,6 @@ use crate::output_delta::{apply_sorted, DeltaOutput, OutputEvent, QueryDelta, Wi
 use crate::pie::IncrementalPie;
 use crate::prepared::{PreparedQuery, UpdateReport};
 use crate::session::GrapeSession;
-
-/// Compaction threshold default: fold the increment chain into a fresh
-/// base once more than this many increments are stacked on it.
-const DEFAULT_COMPACTION_THRESHOLD: usize = 4;
 
 /// Process-unique server tokens: stamped into every [`QueryHandle`] so a
 /// handle cannot silently operate on a *different* server that happens to
@@ -254,8 +247,8 @@ pub struct ServeReport {
     /// Queries the server's [`EvictionPolicy`] spilled after this commit
     /// (empty under [`EvictionPolicy::Manual`]).
     pub evicted: Vec<usize>,
-    /// Queries whose policy-driven spill pushed their increment chain past
-    /// [`GrapeServer::compaction_threshold`], folding it into a fresh base.
+    /// Queries whose policy-driven spill left increments outweighing their
+    /// base on disk, folding the chain into a fresh base.
     pub compacted: Vec<usize>,
     /// Answer deltas for subscribed queries, sorted by query id: one
     /// [`OutputEvent::Delta`] per watched resident healthy query per commit
@@ -442,13 +435,14 @@ trait ServedQuery: Send {
         applied: &DeltaApplication,
         delta: &GraphDelta,
     ) -> Result<UpdateReport, EngineError>;
-    /// Spills the entry into its tiered store (base on the first call,
-    /// delta-encoded increments afterwards) and demotes it to cold.
+    /// Spills the entry's partials into its store (base on the first call,
+    /// changed-partial increments afterwards) and demotes it to cold.
     /// Returns the path of the file the store wrote.
     fn evict(&mut self, store: &mut QuerySpillStore) -> Result<PathBuf, ServeError>;
-    /// Reloads the entry from its spill store (base ⊕ increments).  The
-    /// store is **not** cleared afterwards — it stays the entry's on-disk
-    /// recovery point, and the next evict appends to it.
+    /// Reloads the entry: partials from its spill store (base ⊕
+    /// increments), fragmentation from `at`, the timeline version it was
+    /// spilled at.  The store is **not** cleared afterwards — it stays the
+    /// entry's on-disk recovery point, and the next evict appends to it.
     fn rehydrate(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError>;
     /// Drops the resident in-memory state (possibly poisoned or
     /// half-replayed) and points the entry back at its spill store — the
@@ -499,8 +493,8 @@ struct QueryBookkeeping {
 }
 
 /// The program, query and bookkeeping of an evicted entry — everything that
-/// stays in memory while the heavy state (fragments + partials) lives in
-/// the slot's [`QuerySpillStore`].
+/// stays in memory while its partials live in the slot's
+/// [`QuerySpillStore`] (the fragmentation stays in the server's timeline).
 struct ColdState<P: IncrementalPie> {
     session: GrapeSession,
     program: P,
@@ -562,12 +556,9 @@ where
             "rehydrate is only called on evicted entries"
         );
         let loaded = store.load()?;
-        if loaded.fragments.len() != at.num_fragments()
-            || loaded.partials.len() != loaded.fragments.len()
-        {
+        if loaded.partials.len() != at.num_fragments() {
             return Err(ServeError::Snapshot(SnapshotError::Malformed(format!(
-                "spill holds {} fragments / {} partials for a {}-fragment timeline",
-                loaded.fragments.len(),
+                "spill holds {} partials for a {}-fragment timeline",
                 loaded.partials.len(),
                 at.num_fragments()
             ))));
@@ -578,42 +569,14 @@ where
             .map(P::Partial::from_value)
             .collect::<Result<_, _>>()
             .map_err(|e| ServeError::Snapshot(SnapshotError::Malformed(e.to_string())))?;
-        let fragmentation = match loaded.gp {
-            Some(gp) => {
-                // Tiered store: G_P and the quotient routing tables come
-                // straight off disk — nothing is re-derived.
-                let fragmentation = rehydrate_fragmentation_persisted(
-                    loaded.fragments,
-                    gp,
-                    at.source().clone(),
-                    at.strategy_name(),
-                )?;
-                if let Some(tables) = loaded.quotient {
-                    fragmentation.install_quotient_tables(tables);
-                }
-                fragmentation
-            }
-            None => {
-                // Legacy wholesale spill: the vertex assignment is read off
-                // the retained timeline's G_P and the index is re-derived
-                // from the fragments' border sets.
-                let assignment: Vec<u32> = (0..at.gp().num_vertices() as VertexId)
-                    .map(|v| at.gp().owner(v) as u32)
-                    .collect();
-                rehydrate_fragmentation(
-                    loaded.fragments,
-                    assignment,
-                    at.source().clone(),
-                    at.strategy_name(),
-                )?
-            }
-        };
         let cold = self.cold.take().expect("checked above");
         self.prepared = Some(PreparedQuery {
             session: cold.session,
             program: cold.program,
             query: cold.query,
-            fragmentation,
+            // The version the query was spilled at: its fragments, G_P and
+            // quotient-table cell are shared with the timeline, not copied.
+            fragmentation: at.clone(),
             partials,
             prepare_metrics: cold.book.prepare_metrics,
             last_metrics: cold.book.last_metrics,
@@ -718,7 +681,7 @@ where
 struct Slot {
     entry: Box<dyn ServedQuery>,
     version: usize,
-    /// The query's tiered on-disk spill store — created on the first
+    /// The query's on-disk partial log — created on the first
     /// eviction and kept for the slot's lifetime (it outlives rehydration
     /// as the recovery point the next evict appends to).
     store: Option<QuerySpillStore>,
@@ -795,10 +758,6 @@ pub struct GrapeServer {
     group_limit: usize,
     /// Server-driven eviction policy.
     policy: EvictionPolicy,
-    /// Fold a query's increment chain into a fresh base once it exceeds
-    /// this many increments (`0` = fold after every increment, i.e.
-    /// wholesale-equivalent spills).
-    compaction_threshold: usize,
     /// Completed spill-store compactions across all queries.
     compactions: u64,
     /// Worker-pipe bytes moved by every registration and successful
@@ -862,7 +821,6 @@ impl GrapeServer {
             refresh_threads,
             group_limit: 0,
             policy: EvictionPolicy::Manual,
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
             compactions: 0,
             pipe_bytes: 0,
             touch_clock: 0,
@@ -904,16 +862,6 @@ impl GrapeServer {
         self
     }
 
-    /// Sets the spill-store compaction threshold: after an eviction leaves
-    /// more than `n` increments chained on a query's base snapshot, the
-    /// chain is folded into a fresh base.  `0` folds after every increment
-    /// (each evict leaves a single wholesale base on disk — the tiering
-    /// off-switch); the default is 4.
-    pub fn compaction_threshold(mut self, n: usize) -> Self {
-        self.compaction_threshold = n;
-        self
-    }
-
     /// The configured refresh fan-out width.
     pub fn refresh_threads(&self) -> usize {
         self.refresh_threads
@@ -924,7 +872,7 @@ impl GrapeServer {
         &self.spill_dir
     }
 
-    /// Completed spill-store compactions across all queries — threshold
+    /// Completed spill-store compactions across all queries — byte-rule
     /// folds at evict time plus explicit [`GrapeServer::compact`] calls.
     pub fn compactions(&self) -> u64 {
         self.compactions
@@ -1483,18 +1431,19 @@ impl GrapeServer {
         out
     }
 
-    /// Spills slot `id` into its tiered store (shared by explicit
+    /// Spills slot `id` into its store (shared by explicit
     /// [`GrapeServer::evict`] and the [`EvictionPolicy`]), folding the
-    /// increment chain when it exceeds the compaction threshold.  Returns
-    /// the path written and whether a compaction ran.
+    /// increment chain once its bytes outweigh the base's.  Returns the
+    /// path written and whether a compaction ran.
     fn spill_slot(&mut self, id: usize) -> Result<(PathBuf, bool), ServeError> {
         if self.slots[id].store.is_none() {
             self.slots[id].store = Some(QuerySpillStore::create(&self.spill_dir, id)?);
         }
         let mut store = self.slots[id].store.take().expect("created above");
         let result = self.slots[id].entry.evict(&mut store).and_then(|path| {
-            if store.chain_len() > self.compaction_threshold && store.compact()? {
-                Ok((store.active_base_path(), true))
+            let stats = store.stats();
+            if stats.increment_bytes > stats.base_bytes && store.compact()? {
+                Ok((store.base_path(), true))
             } else {
                 Ok((path, false))
             }
@@ -1599,13 +1548,13 @@ impl GrapeServer {
         Ok(replayed)
     }
 
-    /// Spills a cold query into its tiered store and frees its in-memory
-    /// state: a full base snapshot on the first eviction, a delta-encoded
-    /// increment (changed fragments + changed partials only) afterwards.
-    /// The server retains the timeline version the query was last refreshed
-    /// at, so a later rehydration replays only the deltas that arrived in
-    /// between.  Returns the path of the file written (the fresh base when
-    /// this eviction triggered a compaction).
+    /// Spills a cold query's partials into its store and frees its
+    /// in-memory state: a base on the first eviction, an increment (the
+    /// changed partials only) afterwards.  The server retains the timeline
+    /// version the query was last refreshed at — the fragmentation the
+    /// partials belong to — so a later rehydration replays only the deltas
+    /// that arrived in between.  Returns the path of the file written (the
+    /// fresh base when this eviction triggered a compaction).
     pub fn evict<P>(&mut self, handle: &QueryHandle<P>) -> Result<PathBuf, ServeError>
     where
         P: DeltaOutput + 'static,
@@ -1618,8 +1567,8 @@ impl GrapeServer {
         self.spill_slot(handle.id).map(|(path, _)| path)
     }
 
-    /// Folds the query's spill-store increment chain into a fresh base
-    /// snapshot, atomically.  Works whether the query is resident or
+    /// Folds the query's spill-store increment chain into a fresh base,
+    /// atomically.  Works whether the query is resident or
     /// evicted (the store outlives rehydration); returns `false` when the
     /// query has never spilled or its chain is already empty.
     pub fn compact<P>(&mut self, handle: &QueryHandle<P>) -> Result<bool, ServeError>
@@ -1631,11 +1580,11 @@ impl GrapeServer {
         self.compact_slot(handle.id)
     }
 
-    /// Reloads an evicted query from its spill file — zero PEval calls,
-    /// no re-partitioning — and replays the deltas applied while it was
-    /// cold from the retained timeline (again without any `apply_delta`).
-    /// The spill file is reclaimed only once the replay fully succeeds; on
-    /// a replay error the entry falls back to the on-disk snapshot — still
+    /// Reloads an evicted query — its partials from the spill store, its
+    /// fragmentation from the retained timeline version it was spilled at;
+    /// zero PEval calls, no re-partitioning — and replays the deltas
+    /// applied while it was cold (again without any `apply_delta`).  On a
+    /// replay error the entry falls back to the on-disk partials — still
     /// evicted at its spill version, retryable — instead of being left
     /// resident with half-replayed state.
     ///
@@ -1964,9 +1913,9 @@ mod tests {
             "partials were released"
         );
 
-        // Rehydration folds the spill store back: no PEval, no
-        // re-partitioning, answers identical to the handle that never left
-        // memory.
+        // Rehydration folds the partials back onto the timeline's
+        // fragmentation: no PEval, no re-partitioning, answers identical to
+        // the handle that never left memory.
         let report = server.rehydrate(&cold).unwrap();
         assert_eq!(report.replayed.len(), 0);
         assert_eq!(report.peval_calls(), 0);
@@ -1976,8 +1925,8 @@ mod tests {
         );
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
 
-        // The second eviction appends a delta-encoded increment instead of
-        // rewriting the base snapshot.
+        // The second eviction appends an increment of the changed partials
+        // instead of rewriting the base.
         server.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
         let second = server.evict(&cold).unwrap();
         assert!(
@@ -1997,51 +1946,72 @@ mod tests {
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
     }
 
+    /// Rehydration does no fragment I/O: the entry's fragmentation is the
+    /// timeline's own version — the same fragment `Arc`s, the same `G_P`,
+    /// the same quotient-table cell — and the replay steps it forward
+    /// through the timeline too.
     #[test]
-    fn rehydration_installs_the_persisted_gp_and_quotient_tables() {
+    fn rehydration_takes_its_fragmentation_from_the_timeline() {
         for mode in [EngineMode::Sync, EngineMode::Async] {
             let (mut server, handles) = server_with(1, mode);
             let h = handles[0];
             server.apply(&GraphDelta::new().add_edge(0, 5)).unwrap();
+
+            // Up to date: the rehydrated entry holds the spilled version.
+            let spilled = server.fragmentation().clone();
             server.evict(&h).unwrap();
             server.rehydrate(&h).unwrap();
-
             let frag = server.prepared(&h).unwrap().unwrap().fragmentation();
+            for i in 0..spilled.num_fragments() {
+                assert!(frag.shares_fragment_storage(&spilled, i), "{mode:?} {i}");
+            }
+            assert_eq!(frag.gp(), spilled.gp(), "{mode:?}");
             assert!(
-                frag.quotient_tables_cached(),
-                "quotient tables come off disk, not a re-derivation ({mode:?})"
+                Arc::ptr_eq(&frag.quotient_tables(), &spilled.quotient_tables()),
+                "one quotient-table cell per version ({mode:?})"
             );
-            // Pinned equal to what a fresh derivation over the live
-            // timeline would produce.
+
+            // Behind: rehydrate starts from the spilled version and replays
+            // onto the current one, still without copying a fragment.
+            let spilled = server.fragmentation().clone();
+            server.evict(&h).unwrap();
+            let applied = server.apply(&GraphDelta::new().add_edge(12, 4)).unwrap();
+            assert_eq!(server.rehydrate(&h).unwrap().replayed.len(), 1);
+            let frag = server.prepared(&h).unwrap().unwrap().fragmentation();
+            for i in 0..frag.num_fragments() {
+                assert!(
+                    frag.shares_fragment_storage(server.fragmentation(), i),
+                    "{mode:?} {i}"
+                );
+                if !applied.rebuilt.contains(&i) {
+                    assert!(frag.shares_fragment_storage(&spilled, i), "{mode:?} {i}");
+                }
+            }
             assert_eq!(frag.gp(), server.fragmentation().gp(), "{mode:?}");
-            assert_eq!(
-                *frag.quotient_tables(),
-                grape_partition::delta::QuotientTables::derive(server.fragmentation()),
-                "{mode:?}"
-            );
         }
     }
 
     #[test]
     fn compaction_bounds_the_chain_and_explicit_compact_folds_it() {
-        let g = path_graph(12);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let mut server = GrapeServer::new(session(EngineMode::Sync), frag).compaction_threshold(1);
-        let kept = server.register(MinForward, ()).unwrap();
-        let cold = server.register(MinForward, ()).unwrap();
+        let (mut server, handles) = server_with(2, EngineMode::Sync);
+        let (kept, cold) = (handles[0], handles[1]);
 
-        for round in 0..4u64 {
+        for round in 0..6u64 {
             server.evict(&cold).unwrap();
             server
                 .apply(&GraphDelta::new().add_edge(12 + round, round))
                 .unwrap();
             server.rehydrate(&cold).unwrap();
+            let stats = server.slots[cold.id()].store.as_ref().unwrap().stats();
             assert!(
-                server.query_statuses()[cold.id()].spill_chain <= 2,
-                "the threshold keeps the chain bounded"
+                stats.increment_bytes <= stats.base_bytes,
+                "round {round}: the byte rule folds increments that outweigh the base \
+                 ({} > {} bytes)",
+                stats.increment_bytes,
+                stats.base_bytes
             );
         }
-        assert!(server.compactions() >= 1, "threshold folds happened");
+        assert!(server.compactions() >= 1, "byte-rule folds happened");
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
 
         // An explicit compact folds whatever chain remains and is
@@ -2131,8 +2101,8 @@ mod tests {
         let (mut server, handles) = server_with(1, EngineMode::Sync);
         let h = handles[0];
         let spill = server.evict(&h).unwrap();
-        // Concatenated per-fragment records must line up exactly: a
-        // trailing byte is corruption, not slack.
+        // Concatenated partial records must line up exactly: a trailing
+        // byte is corruption, not slack.
         let mut bytes = std::fs::read(&spill).unwrap();
         bytes.push(0x55);
         std::fs::write(&spill, bytes).unwrap();

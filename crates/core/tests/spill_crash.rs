@@ -1,5 +1,5 @@
-//! Crash-injection tests for the tiered spill store, driven through the
-//! public serving API.
+//! Crash-injection tests for the spill store (the per-query partial log),
+//! driven through the public serving API.
 //!
 //! The store's contract: every write is atomic (tmp + fsync + rename), so
 //! a crash at ANY byte boundary leaves either the previous complete state
@@ -112,15 +112,12 @@ fn every_truncated_increment_prefix_is_a_clean_snapshot_error() {
     }
 }
 
-/// Byte offset of the first `u64` record count in a v2 spill record: after
-/// the 6-byte magic/version/kind preamble, a base carries three value
-/// trees (header, G_P, quotient tables) and an increment two (header,
-/// owner suffix) before its count.
-fn count_offset(bytes: &[u8], trees_before_count: usize) -> usize {
+/// Byte offset of the `u64` partial count in a spill file: after the
+/// 6-byte magic/version/kind preamble, base and increment alike carry one
+/// value tree (the header) before their count.
+fn count_offset(bytes: &[u8]) -> usize {
     let mut cursor = Cursor::new(&bytes[6..]);
-    for _ in 0..trees_before_count {
-        read_value_tree(&mut cursor).expect("well-formed prefix tree");
-    }
+    read_value_tree(&mut cursor).expect("well-formed header tree");
     6 + cursor.position() as usize
 }
 
@@ -137,15 +134,14 @@ fn flipped_count_prefixes_are_clean_snapshot_errors() {
     server.apply(&nth_delta(2)).expect("apply");
     let expected = server.output(&h).expect("output before evict");
 
-    // Base: the fragment count sits after the header, G_P and quotient
-    // trees.
+    // Base: one partial per fragment.
     let base = server.evict(&h).expect("evict");
     let bytes = fs::read(&base).expect("read base");
-    let offset = count_offset(&bytes, 3);
+    let offset = count_offset(&bytes);
     let original = u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap());
-    assert!(
-        (1..=16).contains(&original),
-        "the count at the computed offset ({original}) is not a plausible fragment count"
+    assert_eq!(
+        original, 3,
+        "the count at the computed offset is not the fragment count"
     );
     for flipped in [u64::MAX, original + 1, original - 1, 0] {
         fs::write(&base, with_count(&bytes, offset, flipped)).expect("corrupt");
@@ -153,14 +149,15 @@ fn flipped_count_prefixes_are_clean_snapshot_errors() {
     }
     expect_recovery(&mut server, &h, &base, &bytes, &expected);
 
-    // Increment: the changed-fragment count sits after the header and
-    // owner-suffix trees.
+    // Increment: the changed-partial count.
     server.apply(&nth_delta(3)).expect("apply");
     let expected = server.output(&h).expect("output before second evict");
     let inc = server.evict(&h).expect("second evict");
+    assert!(inc.to_string_lossy().contains(".inc-"), "{}", inc.display());
     let bytes = fs::read(&inc).expect("read increment");
-    let offset = count_offset(&bytes, 2);
+    let offset = count_offset(&bytes);
     let original = u64::from_le_bytes(bytes[offset..offset + 8].try_into().unwrap());
+    assert!(original >= 1, "the delta changed at least one partial");
     for flipped in [u64::MAX, original + 1, original.saturating_sub(1)] {
         if flipped == original {
             continue;
@@ -183,6 +180,13 @@ fn bad_magic_and_orphan_tmp_debris_do_not_break_rehydration() {
     // A foreign file under the spill path is rejected, not half-read.
     fs::write(&base, b"GRPX\x02 not a spill").expect("overwrite");
     expect_snapshot_error(&mut server, &h, "bad magic");
+
+    // So is a file of the previous format (version 2, which also carried
+    // fragments, G_P and quotient tables): unsupported, not misread.
+    let mut v2 = bytes.clone();
+    v2[4] = 2;
+    fs::write(&base, &v2).expect("downgrade version byte");
+    expect_snapshot_error(&mut server, &h, "version 2");
 
     // A kill-9 mid-spill leaves a half-written `.tmp` NEXT TO the intact
     // previous state (the rename never happened).  The orphan must be
@@ -227,7 +231,7 @@ fn repeated_evict_apply_rehydrate_chains_match_a_never_evicted_twin() {
         let stats = &server.query_statuses()[h.id()];
         assert!(
             stats.spill_bytes > 0,
-            "the tiered store persisted across the whole chain"
+            "the store persisted across the whole chain"
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -183,8 +183,8 @@ pub enum RequestBody {
         /// The handle id.
         query: usize,
     },
-    /// Spill a query into its tiered on-disk store (a base snapshot on the
-    /// first eviction, a delta-encoded increment afterwards).
+    /// Spill a query's partials into its on-disk store (a base on the
+    /// first eviction, an increment of the changed partials afterwards).
     Evict {
         /// The handle id.
         query: usize,
@@ -194,8 +194,7 @@ pub enum RequestBody {
         /// The handle id.
         query: usize,
     },
-    /// Fold a query's spill-store increment chain into a fresh base
-    /// snapshot.
+    /// Fold a query's spill-store increment chain into a fresh base.
     Compact {
         /// The handle id.
         query: usize,

@@ -198,8 +198,8 @@ fn write_value<W: Write>(w: &mut W, v: &Value) -> io::Result<()> {
 
 /// Encodes one serde [`Value`] tree to a writer in the tagged
 /// little-endian format of the binary snapshots.  Public building block of
-/// the persistent-storage stack: `grape-partition`'s fragment snapshots and
-/// the prepared-query spill files compose their records out of these trees.
+/// the persistent-storage stack: the prepared-query spill files compose
+/// their partial records out of these trees.
 /// The encoding is self-delimiting, so records can be concatenated into one
 /// stream and read back one at a time with [`read_value_tree`].
 pub fn write_value_tree<W: Write>(writer: &mut W, value: &Value) -> Result<(), IoError> {

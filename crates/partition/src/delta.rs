@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use grape_graph::delta::{DeltaError as GraphDeltaError, GraphDelta};
 use grape_graph::types::{Edge, VertexId};
-use serde::Value;
 
 use crate::fragment::{assemble_edge_cut, build_edge_cut_fragment, Fragment, Fragmentation};
 use crate::fragmentation_graph::BorderScope;
@@ -293,8 +292,7 @@ pub enum DamagePolicy {
 /// structural adjacency.  They are a pure function of `G_P`, O(m²) small,
 /// and consulted on every damage-frontier computation — so a
 /// [`Fragmentation`] derives them **once** and caches the result (shared
-/// across clones of the same version), and the spill store persists them so
-/// rehydration installs the tables instead of re-deriving anything.
+/// across clones of the same version).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuotientTables {
     /// Successor sets under [`BorderScope::Out`].
@@ -349,62 +347,6 @@ impl QuotientTables {
             BorderScope::Both => &self.successors_both,
         }
     }
-
-    /// Encodes the tables as a value tree (each table a sequence of
-    /// ascending-fragment-id sequences) for the spill store.
-    pub fn to_value(&self) -> Value {
-        let table = |t: &[BTreeSet<usize>]| {
-            Value::Seq(
-                t.iter()
-                    .map(|s| Value::Seq(s.iter().map(|&f| Value::UInt(f as u64)).collect()))
-                    .collect(),
-            )
-        };
-        Value::Map(vec![
-            ("out".to_string(), table(&self.successors_out)),
-            ("in".to_string(), table(&self.successors_in)),
-            ("both".to_string(), table(&self.successors_both)),
-            ("adj".to_string(), table(&self.adjacency)),
-        ])
-    }
-
-    /// Decodes the tables back; `num_fragments` bounds every entry (a
-    /// persisted fragment id outside the fragmentation is corruption).
-    pub fn from_value(v: &Value, num_fragments: usize) -> Result<QuotientTables, String> {
-        let table = |name: &str| -> Result<Vec<BTreeSet<usize>>, String> {
-            let field = v
-                .get_field(name)
-                .ok_or_else(|| format!("missing quotient table `{name}`"))?;
-            let Value::Seq(rows) = field else {
-                return Err(format!("quotient table `{name}` is not a sequence"));
-            };
-            if rows.len() != num_fragments {
-                return Err(format!(
-                    "quotient table `{name}` covers {} fragments, expected {num_fragments}",
-                    rows.len()
-                ));
-            }
-            rows.iter()
-                .map(|row| {
-                    let Value::Seq(ids) = row else {
-                        return Err(format!("quotient table `{name}` row is not a sequence"));
-                    };
-                    ids.iter()
-                        .map(|id| match id {
-                            Value::UInt(f) if (*f as usize) < num_fragments => Ok(*f as usize),
-                            _ => Err(format!("quotient table `{name}` id out of range")),
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        Ok(QuotientTables {
-            successors_out: table("out")?,
-            successors_in: table("in")?,
-            successors_both: table("both")?,
-            adjacency: table("adj")?,
-        })
-    }
 }
 
 impl Fragmentation {
@@ -415,20 +357,6 @@ impl Fragmentation {
         self.quotient_cell()
             .get_or_init(|| Arc::new(QuotientTables::derive(self)))
             .clone()
-    }
-
-    /// Installs externally persisted quotient tables (the spill store's
-    /// rehydration path) without deriving anything.  Returns `false` if the
-    /// cache was already populated — the installed value is then the cached
-    /// one and `tables` is dropped.
-    pub fn install_quotient_tables(&self, tables: Arc<QuotientTables>) -> bool {
-        self.quotient_cell().set(tables).is_ok()
-    }
-
-    /// Whether the quotient tables are already materialised (used to pin
-    /// that rehydration installed them instead of re-deriving).
-    pub fn quotient_tables_cached(&self) -> bool {
-        self.quotient_cell().get().is_some()
     }
 
     /// The message-flow successor sets of the fragment quotient graph: for
@@ -826,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn quotient_tables_cache_is_shared_and_value_round_trips() {
+    fn quotient_tables_cache_is_shared_across_clones() {
         let (_, frag) = three_chain();
         let t1 = frag.quotient_tables();
         let t2 = frag.clone().quotient_tables();
@@ -835,30 +763,11 @@ mod tests {
             t1.successors(BorderScope::Out),
             frag.quotient_successors(BorderScope::Out)
         );
-
-        let v = t1.to_value();
-        let back = QuotientTables::from_value(&v, frag.num_fragments()).unwrap();
-        assert_eq!(back, *t1);
-        assert!(
-            QuotientTables::from_value(&v, 2).is_err(),
-            "fragment-count mismatch is corruption"
-        );
-    }
-
-    #[test]
-    fn installed_quotient_tables_are_served_without_derivation() {
-        let (_, frag) = three_chain();
-        let derived = QuotientTables::derive(&frag);
         let applied = frag.apply_delta(&GraphDelta::new()).unwrap();
         assert!(
-            !applied.fragmentation.quotient_tables_cached(),
-            "a new version starts with an empty cell"
+            !Arc::ptr_eq(&applied.fragmentation.quotient_tables(), &t1),
+            "a new version derives its own tables"
         );
-        assert!(applied
-            .fragmentation
-            .install_quotient_tables(Arc::new(derived.clone())));
-        assert!(applied.fragmentation.quotient_tables_cached());
-        assert_eq!(*applied.fragmentation.quotient_tables(), derived);
     }
 
     #[test]

@@ -462,27 +462,6 @@ pub(crate) fn assemble_edge_cut(
     }
 }
 
-/// Assembles a [`Fragmentation`] around an already-materialised `G_P` — the
-/// spill store's rehydration path, where `G_P` was *persisted* alongside the
-/// fragments and must not be re-derived from the border sets.  The caller
-/// guarantees that `gp` is the fragmentation graph of exactly these
-/// fragments over `source` (the store validates counts and the tests pin
-/// full equality against a fresh derivation).
-pub(crate) fn from_persisted_parts(
-    fragments: Vec<Arc<Fragment>>,
-    gp: FragmentationGraph,
-    source: Arc<Graph>,
-    strategy_name: String,
-) -> Fragmentation {
-    Fragmentation {
-        fragments,
-        gp,
-        source,
-        strategy_name,
-        quotient: Arc::new(OnceLock::new()),
-    }
-}
-
 /// Builds an edge-cut fragmentation from a vertex → fragment assignment.
 ///
 /// Fragment `i` receives every vertex assigned to it plus, for every edge

@@ -30,7 +30,7 @@ pub enum BorderScope {
 }
 
 /// The fragmentation graph `G_P`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FragmentationGraph {
     num_fragments: usize,
     /// Owner (the fragment whose inner set contains the vertex); for
@@ -45,7 +45,6 @@ pub struct FragmentationGraph {
     /// must reach *every* fragment holding a copy, whatever the scope
     /// (paper, Section 3.2(3b): "if P is vertex-cut, it identifies nodes
     /// shared by F_i and F_j").
-    #[serde(default)]
     shared_vertex_routing: bool,
 }
 
@@ -141,47 +140,6 @@ impl FragmentationGraph {
         seen.sort_unstable();
         seen.dedup();
         seen.into_iter()
-    }
-
-    /// Applies a **border patch**: the `G_P` maintenance a delta-encoded
-    /// spill increment carries instead of a full rewrite.  `owner_suffix`
-    /// extends the owner map with the vertices created since the previous
-    /// spill (vertex ids are dense and never reassigned under edge-cut delta
-    /// application), and `changed` lists, for every fragment whose structure
-    /// changed, its **new** border sets `(fragment, F_i.O globals, F_i.I
-    /// globals)`.  Unlisted fragments kept their border sets byte-identical,
-    /// so swapping only the listed fragments' holder entries reproduces
-    /// exactly the `G_P` a fresh [`FragmentationGraph::new`] over all border
-    /// sets would build.
-    pub fn apply_border_patch(
-        &mut self,
-        owner_suffix: &[u32],
-        changed: &[(usize, Vec<VertexId>, Vec<VertexId>)],
-    ) {
-        self.owner.extend_from_slice(owner_suffix);
-        let changed_ids: Vec<u32> = changed.iter().map(|&(i, ..)| i as u32).collect();
-        for map in [&mut self.outer_holders, &mut self.in_holders] {
-            map.retain(|_, list| {
-                list.retain(|f| !changed_ids.contains(f));
-                !list.is_empty()
-            });
-        }
-        for (i, out, inb) in changed {
-            for &v in out {
-                self.outer_holders.entry(v).or_default().push(*i as u32);
-            }
-            for &v in inb {
-                self.in_holders.entry(v).or_default().push(*i as u32);
-            }
-        }
-        for list in self.outer_holders.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
-        for list in self.in_holders.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
     }
 
     /// The destinations of an update to vertex `v` produced by fragment
@@ -299,30 +257,5 @@ mod tests {
     fn non_border_vertex_routes_nowhere_under_in_scope() {
         let gp = sample();
         assert!(gp.route(1, 0, BorderScope::In).is_empty());
-    }
-
-    #[test]
-    fn border_patch_reproduces_a_fresh_rebuild() {
-        // Start from sample(); fragment 0 changes: drops its outer copy of 2,
-        // gains an outer copy of 3, and a new vertex 4 lands in fragment 0.
-        let mut patched = sample();
-        patched.apply_border_patch(&[0], &[(0, vec![3], vec![0])]);
-
-        let owner = vec![0, 0, 1, 1, 0];
-        let outer = vec![vec![3], vec![0]];
-        let inner_border = vec![vec![0], vec![2]];
-        let fresh = FragmentationGraph::new(owner, &outer, &inner_border);
-        assert_eq!(patched, fresh);
-        assert_eq!(patched.num_vertices(), 5);
-        assert!(!patched.outer_holders(2).contains(&0));
-        assert_eq!(patched.outer_holders(3), &[0]);
-    }
-
-    #[test]
-    fn border_patch_with_no_changes_is_identity() {
-        let mut gp = sample();
-        let before = gp.clone();
-        gp.apply_border_patch(&[], &[]);
-        assert_eq!(gp, before);
     }
 }

@@ -1,49 +1,32 @@
-//! Per-fragment binary snapshots: persisting [`Fragment`]s with the same
-//! tagged little-endian value encoding as `grape_graph::io`'s graph
-//! snapshots — the second half of the persistent-storage roadmap item.
+//! Fragment records for the worker pipes, and the per-query spill store.
 //!
-//! A prepared query that has been **evicted** from memory must come back
-//! without re-partitioning the graph or re-running PEval.  That needs the
-//! fragments themselves (local subgraph, global-id mapping, inner/outer
-//! split, border sets) to round-trip through disk:
-//!
-//! * [`write_fragment_snapshot`] / [`read_fragment_snapshot`] persist **one**
-//!   fragment as a self-delimiting record (magic header + value tree), so
-//!   records can be *concatenated* into a single spill file and read back
-//!   one at a time;
-//! * [`write_fragments_file`] / [`read_fragments_file`] store a whole
-//!   fragment set as a count-prefixed concatenation, rejecting trailing
-//!   bytes after the last record;
-//! * [`rehydrate_fragmentation`] reassembles a [`Fragmentation`] from
-//!   reloaded fragments plus the retained source graph and vertex
-//!   assignment, re-deriving the fragmentation graph `G_P` from the border
-//!   sets exactly like fresh partitioning does;
 //! * [`write_fragment_records`] / [`read_fragment_records`] are the dense
 //!   fixed-width encoding the worker pipes ship fragments in: the local
 //!   graph travels as its edge list alone and the CSR indexes are rebuilt
-//!   on decode.
+//!   on decode.  The reader is strict: every record is validated with
+//!   [`Fragment::check_invariants`], and malformed or truncated input
+//!   surfaces as [`SnapshotError`] instead of a half-built fragment.
+//! * [`QuerySpillStore`] is the **partial log** of one evicted query.  In
+//!   the paper's terms the state that belongs to a query is its partial
+//!   results `Q(F_i)`; the fragments `F_i` and `G_P` are shared structure,
+//!   which the serving layer keeps in its fragmentation timeline (an
+//!   evicted query pins the version it was spilled at).  So the store
+//!   writes partials and nothing else.  The first spill writes a **base**
+//!   (one value-tree record per partial); every later spill appends an
+//!   **increment** holding only the partials whose record changed since
+//!   the previous spill.  [`QuerySpillStore::load`] folds base ⊕ increments
+//!   back, and [`QuerySpillStore::compact`] rewrites the fold as a new base
+//!   (a new *generation*).  Every file is staged with
+//!   `grape_graph::io::atomic_write_file` (tmp + fsync + rename, then a
+//!   parent-directory fsync), so a crash mid-spill leaves the previous
+//!   on-disk state fully readable.
 //!
-//! The codec is strict: every record is validated with
-//! [`Fragment::check_invariants`] on read, and malformed or truncated input
-//! surfaces as [`SnapshotError`] instead of a half-built fragment.
-//!
-//! On top of the per-fragment codec sits the **tiered spill store**
-//! ([`QuerySpillStore`]): one LSM-lite store per evicted query.  The first
-//! spill writes a **base snapshot** (full fragments, partials, the
-//! fragmentation graph `G_P` and the derived quotient routing tables);
-//! every later spill appends a **delta-encoded increment** carrying only
-//! the fragments and partials whose serialized records changed since the
-//! previous spill, plus the `G_P` border patch and fresh quotient tables.
-//! [`QuerySpillStore::load`] folds base ⊕ increments back into one state,
-//! and [`QuerySpillStore::compact`] rewrites the folded state as a new base
-//! (a new *generation*), atomically.  Every file is staged with
-//! `grape_graph::io::atomic_write_file` (tmp + fsync + rename), so a crash
-//! mid-spill leaves the previous on-disk state fully readable and at worst
-//! an orphaned `.tmp` that [`QuerySpillStore::recover`] cleans up.
+//! Spill files are process scratch: [`QuerySpillStore::create`] wipes
+//! whatever an earlier incarnation of the query id left behind, and no
+//! store is read across processes.
 
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use grape_graph::graph::{Directedness, Graph};
 use grape_graph::io::{
@@ -52,29 +35,22 @@ use grape_graph::io::{
 use grape_graph::types::{Edge, Label, VertexId};
 use serde::{Deserialize, Serialize, Value};
 
-use crate::delta::QuotientTables;
-use crate::fragment::{assemble_edge_cut, from_persisted_parts, Fragment, Fragmentation, LocalId};
-use crate::fragmentation_graph::FragmentationGraph;
+use crate::fragment::{Fragment, Fragmentation, LocalId};
 
-/// Magic header of one fragment snapshot record: "GRPF" + format version 1.
-const FRAGMENT_MAGIC: &[u8; 5] = b"GRPF\x01";
-
-/// Errors produced by the fragment snapshot codec.
+/// Errors produced by the fragment-record codec and the spill store.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Underlying I/O or value-tree failure.
     Io(IoError),
-    /// A record that decodes but does not describe a valid fragment.
+    /// Input that decodes but does not describe a valid record.
     Malformed(String),
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::Io(e) => write!(f, "fragment snapshot i/o: {e}"),
-            SnapshotError::Malformed(reason) => {
-                write!(f, "malformed fragment snapshot: {reason}")
-            }
+            SnapshotError::Io(e) => write!(f, "snapshot i/o: {e}"),
+            SnapshotError::Malformed(reason) => write!(f, "malformed snapshot: {reason}"),
         }
     }
 }
@@ -91,220 +67,6 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(IoError::Io(e))
     }
-}
-
-/// Converts a fragment into its persistable value tree (the spill-store
-/// record).
-fn fragment_to_value(frag: &Fragment) -> Value {
-    let globals: Vec<VertexId> = frag.all_locals().map(|l| frag.global_of(l)).collect();
-    Value::Map(vec![
-        ("id".to_string(), (frag.id() as u64).to_value()),
-        (
-            "num_inner".to_string(),
-            (frag.num_inner() as u64).to_value(),
-        ),
-        ("globals".to_string(), globals.to_value()),
-        ("in_border".to_string(), frag.in_border_locals().to_value()),
-        (
-            "out_border".to_string(),
-            frag.out_border_locals().to_value(),
-        ),
-        ("local".to_string(), frag.local_graph().to_value()),
-    ])
-}
-
-fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SnapshotError> {
-    v.get_field(name)
-        .ok_or_else(|| SnapshotError::Malformed(format!("missing field `{name}`")))
-}
-
-/// Rebuilds a fragment from its value tree, validating the invariants.
-fn fragment_from_value(v: &Value) -> Result<Fragment, SnapshotError> {
-    let shape = |e: serde::Error| SnapshotError::Malformed(e.to_string());
-    let id = u64::from_value(field(v, "id")?).map_err(shape)? as usize;
-    let num_inner = u64::from_value(field(v, "num_inner")?).map_err(shape)? as usize;
-    let globals = Vec::<VertexId>::from_value(field(v, "globals")?).map_err(shape)?;
-    let in_border = Vec::<LocalId>::from_value(field(v, "in_border")?).map_err(shape)?;
-    let out_border = Vec::<LocalId>::from_value(field(v, "out_border")?).map_err(shape)?;
-    let local = Graph::from_value(field(v, "local")?).map_err(shape)?;
-    if num_inner > globals.len() || local.num_vertices() != globals.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "inner/local counts disagree: {num_inner} inner, {} globals, {} local vertices",
-            globals.len(),
-            local.num_vertices()
-        )));
-    }
-    if in_border
-        .iter()
-        .chain(out_border.iter())
-        .any(|&l| (l as usize) >= globals.len())
-    {
-        return Err(SnapshotError::Malformed(
-            "border local id out of range".to_string(),
-        ));
-    }
-    let frag = Fragment::from_raw_parts(id, local, globals, num_inner, in_border, out_border);
-    if !frag.check_invariants() {
-        return Err(SnapshotError::Malformed(
-            "fragment invariants do not hold (duplicate globals or inconsistent borders)"
-                .to_string(),
-        ));
-    }
-    Ok(frag)
-}
-
-/// Writes **one** fragment as a self-delimiting record (magic header +
-/// value tree).  Records written back to back form a valid concatenated
-/// stream for [`read_fragment_snapshot`].
-pub fn write_fragment_snapshot<W: Write>(
-    frag: &Fragment,
-    writer: &mut W,
-) -> Result<(), SnapshotError> {
-    writer.write_all(FRAGMENT_MAGIC)?;
-    write_value_tree(writer, &fragment_to_value(frag))?;
-    Ok(())
-}
-
-/// Reads exactly one fragment record, leaving the reader positioned at the
-/// first byte after it (no lookahead, so concatenated records read back one
-/// at a time).
-pub fn read_fragment_snapshot<R: Read>(reader: &mut R) -> Result<Fragment, SnapshotError> {
-    let mut magic = [0u8; 5];
-    reader
-        .read_exact(&mut magic)
-        .map_err(|e| SnapshotError::Io(IoError::Io(e)))?;
-    if &magic != FRAGMENT_MAGIC {
-        return Err(SnapshotError::Malformed(
-            "bad magic header (not a grape fragment snapshot, or wrong version)".to_string(),
-        ));
-    }
-    let value = read_value_tree(reader)?;
-    fragment_from_value(&value)
-}
-
-/// Writes a fragment set to a writer: a `u64` little-endian count prefix
-/// followed by the concatenated per-fragment records.  Composable — e.g.
-/// the prepared-query spill files embed this block followed by the
-/// partials.
-pub fn write_fragments<W: Write>(
-    fragments: &[Arc<Fragment>],
-    writer: &mut W,
-) -> Result<(), SnapshotError> {
-    writer.write_all(&(fragments.len() as u64).to_le_bytes())?;
-    for frag in fragments {
-        write_fragment_snapshot(frag, writer)?;
-    }
-    Ok(())
-}
-
-/// Reads a count-prefixed fragment block back, leaving the reader
-/// positioned after the last declared record (no end-of-input check — the
-/// caller of a composed format decides when the stream must end).
-pub fn read_fragments<R: Read>(reader: &mut R) -> Result<Vec<Fragment>, SnapshotError> {
-    let mut count = [0u8; 8];
-    reader.read_exact(&mut count)?;
-    let n = u64::from_le_bytes(count) as usize;
-    let mut fragments = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        fragments.push(read_fragment_snapshot(reader)?);
-    }
-    Ok(fragments)
-}
-
-/// Writes a whole fragment set to `path` ([`write_fragments`] as the entire
-/// file).
-pub fn write_fragments_file<P: AsRef<Path>>(
-    fragments: &[Arc<Fragment>],
-    path: P,
-) -> Result<(), SnapshotError> {
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_fragments(fragments, &mut w)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a fragment set back from `path`, rejecting trailing bytes after
-/// the last declared record (concatenation gone out of sync with the count
-/// prefix must not read back silently).
-pub fn read_fragments_file<P: AsRef<Path>>(path: P) -> Result<Vec<Fragment>, SnapshotError> {
-    let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-    let fragments = read_fragments(&mut r)?;
-    ensure_fully_consumed(&mut r)?;
-    Ok(fragments)
-}
-
-/// Reassembles a [`Fragmentation`] from reloaded fragments: `G_P` is
-/// re-derived from the fragments' border sets, exactly as fresh edge-cut
-/// partitioning does.  `assignment` must map every vertex of `source` to
-/// its owning fragment (the evolving-graph timeline retains it) and the
-/// fragments must be the complete set, in fragment-id order.
-pub fn rehydrate_fragmentation(
-    fragments: Vec<Fragment>,
-    assignment: Vec<u32>,
-    source: Arc<Graph>,
-    strategy_name: &str,
-) -> Result<Fragmentation, SnapshotError> {
-    if assignment.len() != source.num_vertices() {
-        return Err(SnapshotError::Malformed(format!(
-            "assignment covers {} vertices, source has {}",
-            assignment.len(),
-            source.num_vertices()
-        )));
-    }
-    for (i, frag) in fragments.iter().enumerate() {
-        if frag.id() != i {
-            return Err(SnapshotError::Malformed(format!(
-                "fragment {} found at position {i}: snapshots out of order",
-                frag.id()
-            )));
-        }
-    }
-    Ok(assemble_edge_cut(
-        fragments.into_iter().map(Arc::new).collect(),
-        assignment,
-        source,
-        strategy_name.to_string(),
-    ))
-}
-
-/// Reassembles a [`Fragmentation`] around a **persisted** `G_P` — the tiered
-/// store's rehydration path, which must not re-derive anything from border
-/// sets.  Counts are validated against the retained source graph; the tests
-/// additionally pin the persisted `G_P` equal to a freshly derived one.
-pub fn rehydrate_fragmentation_persisted(
-    fragments: Vec<Fragment>,
-    gp: FragmentationGraph,
-    source: Arc<Graph>,
-    strategy_name: &str,
-) -> Result<Fragmentation, SnapshotError> {
-    if gp.num_vertices() != source.num_vertices() {
-        return Err(SnapshotError::Malformed(format!(
-            "persisted G_P covers {} vertices, source has {}",
-            gp.num_vertices(),
-            source.num_vertices()
-        )));
-    }
-    if gp.num_fragments() != fragments.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "persisted G_P has {} fragments, snapshot has {}",
-            gp.num_fragments(),
-            fragments.len()
-        )));
-    }
-    for (i, frag) in fragments.iter().enumerate() {
-        if frag.id() != i {
-            return Err(SnapshotError::Malformed(format!(
-                "fragment {} found at position {i}: snapshots out of order",
-                frag.id()
-            )));
-        }
-    }
-    Ok(from_persisted_parts(
-        fragments.into_iter().map(Arc::new).collect(),
-        gp,
-        source,
-        strategy_name.to_string(),
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +93,7 @@ const MIN_RECORD_BYTES: usize = 8 + 8 + 1 + 4 * 8;
 /// rebuilds both CSR indexes with the same `Graph::from_parts` call the
 /// edge-cut builder makes, so the decoded fragment is structurally
 /// identical to the encoded one.  This is the worker-pipe handshake
-/// format; the spill store keeps the value-tree records above.
+/// format.
 pub fn write_fragment_records(fragments: &[&Fragment], out: &mut Vec<u8>) {
     let size: usize = fragments
         .iter()
@@ -515,25 +277,23 @@ pub fn read_fragment_records(bytes: &[u8]) -> Result<Vec<Fragment>, SnapshotErro
 }
 
 // ---------------------------------------------------------------------------
-// The tiered spill store
+// The per-query partial log
 // ---------------------------------------------------------------------------
 
 /// Magic prefix of every query spill file; the byte after it is the format
-/// version.
+/// version and the byte after that the record kind.
 const SPILL_MAGIC: &[u8; 4] = b"GRQS";
-/// Version 1: the legacy wholesale format (full fragments + partials, no
-/// `G_P`, no increments).  Still readable as a base snapshot.
-const SPILL_VERSION_V1: u8 = 1;
-/// Version 2: the tiered format (base + increment records).
-const SPILL_VERSION_V2: u8 = 2;
-/// Record kind byte of a version-2 base snapshot.
+/// Version 3: partials only.  Versions 1 and 2 also carried fragments,
+/// `G_P` and quotient tables; they are rejected as unsupported.
+const SPILL_VERSION: u8 = 3;
+/// Record kind byte of a base.
 const RECORD_BASE: u8 = b'B';
-/// Record kind byte of a version-2 increment.
+/// Record kind byte of an increment.
 const RECORD_INCREMENT: u8 = b'I';
 
-/// FNV-1a, the change detector of the increment encoder: a fragment or
-/// partial whose serialized record hashes identically to the previous spill
-/// is byte-identical (the codec is deterministic) and is not rewritten.
+/// FNV-1a, the change detector of the increment encoder: a partial whose
+/// serialized record hashes identically to the previous spill is
+/// byte-identical (the codec is deterministic) and is not rewritten.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -543,45 +303,39 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Reads the 4-byte magic + 1-byte version, splitting "not a spill file"
-/// from "a spill file of an unsupported version" (the latter names the
-/// found and supported versions so the operator knows what to do).
-fn read_spill_version<R: Read>(r: &mut R) -> Result<u8, SnapshotError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|e| SnapshotError::Io(IoError::Io(e)))?;
-    if &magic != SPILL_MAGIC {
+/// Reads the 6-byte preamble (magic, version, record kind), splitting "not
+/// a spill file" from "a spill file of an unsupported version" (the latter
+/// names the found and supported versions).
+fn read_preamble<R: Read>(r: &mut R, kind: u8) -> Result<(), SnapshotError> {
+    let mut preamble = [0u8; 6];
+    r.read_exact(&mut preamble)?;
+    if &preamble[..4] != SPILL_MAGIC {
         return Err(SnapshotError::Malformed(
             "not a grape query spill file (bad magic header)".to_string(),
         ));
     }
-    let mut ver = [0u8; 1];
-    r.read_exact(&mut ver)
-        .map_err(|e| SnapshotError::Io(IoError::Io(e)))?;
-    match ver[0] {
-        SPILL_VERSION_V1 | SPILL_VERSION_V2 => Ok(ver[0]),
-        other => Err(SnapshotError::Malformed(format!(
-            "unsupported query spill format version {other}: this build reads versions \
-             {SPILL_VERSION_V1} (wholesale) and {SPILL_VERSION_V2} (tiered) — \
-             rewrite the spill with a matching build or clear the spill directory"
-        ))),
+    if preamble[4] != SPILL_VERSION {
+        return Err(SnapshotError::Malformed(format!(
+            "unsupported query spill format version {}: this build reads version \
+             {SPILL_VERSION} (partials only); spill files are process scratch, so \
+             clear the spill directory",
+            preamble[4]
+        )));
     }
+    if preamble[5] != kind {
+        return Err(SnapshotError::Malformed(format!(
+            "expected a {:?} record, found kind {:?}",
+            kind as char, preamble[5] as char
+        )));
+    }
+    Ok(())
 }
 
-fn header_u64(v: &Value, name: &str) -> Result<u64, SnapshotError> {
-    match field(v, name)? {
-        Value::UInt(n) => Ok(*n),
+fn header_u64(header: &Value, name: &str) -> Result<u64, SnapshotError> {
+    match header.get_field(name) {
+        Some(Value::UInt(n)) => Ok(*n),
         _ => Err(SnapshotError::Malformed(format!(
-            "header field `{name}` is not an unsigned integer"
-        ))),
-    }
-}
-
-fn header_str(v: &Value, name: &str) -> Result<String, SnapshotError> {
-    match field(v, name)? {
-        Value::Str(s) => Ok(s.clone()),
-        _ => Err(SnapshotError::Malformed(format!(
-            "header field `{name}` is not a string"
+            "header field `{name}` is missing or not an unsigned integer"
         ))),
     }
 }
@@ -592,33 +346,13 @@ fn read_count<R: Read>(r: &mut R) -> Result<usize, SnapshotError> {
     Ok(u64::from_le_bytes(buf) as usize)
 }
 
-/// Reads a `u64`-count-prefixed run of partial value trees.
-fn read_partials<R: Read>(r: &mut R) -> Result<Vec<Value>, SnapshotError> {
-    let n = read_count(r)?;
-    let mut partials = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        partials.push(read_value_tree(r)?);
-    }
-    Ok(partials)
-}
-
 /// The folded on-disk state of one query: base ⊕ all increments.
 #[derive(Debug)]
 pub struct LoadedSpill {
-    /// The complete fragment set, in fragment-id order.
-    pub fragments: Vec<Fragment>,
-    /// The persisted fragmentation graph; `None` for a legacy (v1) base,
-    /// whose reader falls back to re-deriving it.
-    pub gp: Option<FragmentationGraph>,
-    /// The persisted quotient routing tables (newest record wins); `None`
-    /// for a legacy base.
-    pub quotient: Option<Arc<QuotientTables>>,
-    /// One partial-result value tree per fragment.
+    /// One partial-result value tree per fragment, in fragment-id order.
     pub partials: Vec<Value>,
     /// Compaction generation of the base this state was folded from.
     pub generation: u64,
-    /// Partition strategy recorded in the base (`None` for legacy bases).
-    pub strategy: Option<String>,
 }
 
 /// Point-in-time counters of one query's spill store.
@@ -626,7 +360,7 @@ pub struct LoadedSpill {
 pub struct SpillStoreStats {
     /// Number of increments currently chained on the base.
     pub chain_len: usize,
-    /// On-disk size of the current base snapshot.
+    /// On-disk size of the current base.
     pub base_bytes: u64,
     /// Combined on-disk size of the chained increments.
     pub increment_bytes: u64,
@@ -636,20 +370,21 @@ pub struct SpillStoreStats {
     pub compactions: u64,
 }
 
-/// An LSM-lite, crash-safe spill store for **one** evicted query.
+/// The crash-safe partial log of **one** evicted query.
 ///
 /// File set inside the spill directory, all staged via tmp + fsync + rename:
 ///
-/// | file                    | content                                          |
-/// |-------------------------|--------------------------------------------------|
-/// | `query-{id}.base`       | v2 base: header, `G_P`, quotient tables, all fragments, all partials |
-/// | `query-{id}.inc-{seq}`  | v2 increment: header, owner suffix, changed fragments, fresh quotient tables, changed partials |
-/// | `query-{id}.spill`      | legacy v1 wholesale snapshot, accepted as a base |
+/// | file                    | content                                                   |
+/// |-------------------------|-----------------------------------------------------------|
+/// | `query-{id}.base`       | preamble, header `{generation, query}`, `u64` count, one value tree per partial |
+/// | `query-{id}.inc-{seq}`  | preamble, header `{generation, seq, query}`, `u64` count, `(u64 index, value tree)` per changed partial |
 /// | `*.tmp`                 | staging leftovers of a crashed write — never read, cleaned up |
 ///
+/// The preamble is `GRQS`, the format version and the record kind byte.
 /// Increments carry the base's *generation*; compaction writes a new base
 /// with generation + 1, so increments orphaned by a crash mid-compaction
-/// are recognisably stale and ignored.
+/// are recognisably stale and ignored.  Every increment is parsed and
+/// validated completely before it is folded.
 #[derive(Debug)]
 pub struct QuerySpillStore {
     dir: PathBuf,
@@ -657,14 +392,8 @@ pub struct QuerySpillStore {
     generation: u64,
     chain_len: usize,
     has_base: bool,
-    legacy_base: bool,
-    /// FNV-1a over each fragment's serialized record as of the last spill.
-    frag_hashes: Vec<u64>,
     /// FNV-1a over each partial's serialized value tree as of the last spill.
     partial_hashes: Vec<u64>,
-    /// `G_P` owner-map length as of the last spill (vertex ids are dense and
-    /// never reassigned, so the delta is a pure suffix).
-    owner_len: usize,
     base_bytes: u64,
     increment_bytes: u64,
     last_spill_bytes: u64,
@@ -679,10 +408,7 @@ impl QuerySpillStore {
             generation: 0,
             chain_len: 0,
             has_base: false,
-            legacy_base: false,
-            frag_hashes: Vec::new(),
             partial_hashes: Vec::new(),
-            owner_len: 0,
             base_bytes: 0,
             increment_bytes: 0,
             last_spill_bytes: 0,
@@ -700,41 +426,32 @@ impl QuerySpillStore {
         Ok(store)
     }
 
-    /// Recovers a store from whatever a previous process left on disk:
-    /// reads the base (v2 or legacy v1), accepts the longest valid
+    /// Re-reads a store from disk: reads the base, accepts the longest valid
     /// increment chain of the base's generation, and deletes everything
     /// else — stale-generation increments from a crashed compaction,
     /// increments past a corrupt link, and orphaned `.tmp` files.  Returns
-    /// `None` when no base exists.
+    /// `None` when no base exists.  The serving layer never calls this —
+    /// its stores do not outlive the process; it exists so a harness can
+    /// re-read a live store that a server wrote.
     pub fn recover(dir: &Path, query_id: usize) -> Result<Option<QuerySpillStore>, SnapshotError> {
         let mut store = Self::empty(dir, query_id);
         store.clean_temps();
-        let legacy = if store.base_path().exists() {
-            false
-        } else if store.legacy_path().exists() {
-            true
-        } else {
+        if !store.base_path().exists() {
             store.remove_query_files()?;
             return Ok(None);
-        };
+        }
         store.has_base = true;
-        store.legacy_base = legacy;
-        let mut folded = read_base_file(&store.active_base_path())?;
+        let mut folded = read_base_file(&store.base_path())?;
         store.generation = folded.generation;
-
         let mut chain = 0usize;
-        if !legacy {
-            loop {
-                let path = store.increment_path(chain);
-                if !path.exists() {
-                    break;
-                }
-                if apply_increment_file(&path, &mut folded, store.generation, chain as u64).is_err()
-                {
-                    break;
-                }
-                chain += 1;
+        loop {
+            let path = store.increment_path(chain);
+            if !path.exists()
+                || apply_increment_file(&path, &mut folded, store.generation, chain as u64).is_err()
+            {
+                break;
             }
+            chain += 1;
         }
         store.chain_len = chain;
         // Increments past the accepted chain are stale or corrupt.
@@ -743,28 +460,20 @@ impl QuerySpillStore {
                 let _ = std::fs::remove_file(path);
             }
         }
-        store.install_manifest(&folded)?;
-        store.base_bytes = std::fs::metadata(store.active_base_path())?.len();
-        store.increment_bytes = 0;
+        store.partial_hashes = serialize_partial_records(&folded.partials)?
+            .iter()
+            .map(|b| fnv1a(b))
+            .collect();
+        store.base_bytes = std::fs::metadata(store.base_path())?.len();
         for seq in 0..chain {
             store.increment_bytes += std::fs::metadata(store.increment_path(seq))?.len();
         }
         Ok(Some(store))
     }
 
-    /// The spill directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The path of the current base snapshot (`.base`, or the legacy
-    /// `.spill` while the store still sits on a v1 file).
-    pub fn active_base_path(&self) -> PathBuf {
-        if self.legacy_base {
-            self.legacy_path()
-        } else {
-            self.base_path()
-        }
+    /// The path of the current base.
+    pub fn base_path(&self) -> PathBuf {
+        self.dir.join(format!("query-{}.base", self.query_id))
     }
 
     /// The path of increment `seq` of the current chain.
@@ -772,20 +481,12 @@ impl QuerySpillStore {
         self.dir.join(format!("query-{}.inc-{seq}", self.query_id))
     }
 
-    fn base_path(&self) -> PathBuf {
-        self.dir.join(format!("query-{}.base", self.query_id))
-    }
-
-    fn legacy_path(&self) -> PathBuf {
-        self.dir.join(format!("query-{}.spill", self.query_id))
-    }
-
     /// Number of increments chained on the current base.
     pub fn chain_len(&self) -> usize {
         self.chain_len
     }
 
-    /// Whether a base snapshot has been written.
+    /// Whether a base has been written.
     pub fn has_base(&self) -> bool {
         self.has_base
     }
@@ -801,10 +502,11 @@ impl QuerySpillStore {
         }
     }
 
-    /// Spills the query's current state: the first call (or any call while
-    /// the base is a legacy v1 file) writes a full base snapshot; later
-    /// calls append an increment holding only what changed since the
-    /// previous spill.  Returns the path of the file written.
+    /// Spills the query's partials, one per fragment of `frag` (the
+    /// fragmentation itself is not written — only its fragment count is
+    /// checked).  The first call writes a base; later calls append an
+    /// increment holding only the partials that changed since the previous
+    /// spill.  Returns the path of the file written.
     pub fn spill(
         &mut self,
         frag: &Fragmentation,
@@ -817,48 +519,23 @@ impl QuerySpillStore {
                 partials.len()
             )));
         }
-        let frag_records = serialize_fragment_records(frag.fragments())?;
-        let partial_records = serialize_partial_records(partials)?;
-        let frag_hashes: Vec<u64> = frag_records.iter().map(|b| fnv1a(b)).collect();
-        let partial_hashes: Vec<u64> = partial_records.iter().map(|b| fnv1a(b)).collect();
-        let owner_total = frag.gp().num_vertices();
-
-        let path = if !self.has_base || self.legacy_base {
-            self.write_base(
-                &frag.gp().to_value(),
-                &frag.quotient_tables().to_value(),
-                frag.strategy_name(),
-                &frag_records,
-                &partial_records,
-            )?
+        let records = serialize_partial_records(partials)?;
+        let hashes: Vec<u64> = records.iter().map(|b| fnv1a(b)).collect();
+        let path = if !self.has_base {
+            self.write_base(&records)?
         } else {
-            if self.frag_hashes.len() != m || self.partial_hashes.len() != partials.len() {
+            if self.partial_hashes.len() != m {
                 return Err(SnapshotError::Malformed(format!(
                     "fragment count changed across spills ({} -> {m})",
-                    self.frag_hashes.len()
+                    self.partial_hashes.len()
                 )));
             }
-            let changed_frags: Vec<usize> = (0..m)
-                .filter(|&i| frag_hashes[i] != self.frag_hashes[i])
+            let changed: Vec<usize> = (0..m)
+                .filter(|&i| hashes[i] != self.partial_hashes[i])
                 .collect();
-            let changed_partials: Vec<usize> = (0..m)
-                .filter(|&i| partial_hashes[i] != self.partial_hashes[i])
-                .collect();
-            let owner_suffix: Vec<u64> = (self.owner_len..owner_total)
-                .map(|v| frag.gp().owner(v as VertexId) as u64)
-                .collect();
-            self.write_increment(
-                &owner_suffix,
-                &changed_frags,
-                &frag_records,
-                &frag.quotient_tables().to_value(),
-                &changed_partials,
-                &partial_records,
-            )?
+            self.write_increment(&changed, &records)?
         };
-        self.frag_hashes = frag_hashes;
-        self.partial_hashes = partial_hashes;
-        self.owner_len = owner_total;
+        self.partial_hashes = hashes;
         Ok(path)
     }
 
@@ -866,13 +543,13 @@ impl QuerySpillStore {
     pub fn load(&self) -> Result<LoadedSpill, SnapshotError> {
         if !self.has_base {
             return Err(SnapshotError::Malformed(
-                "spill store has no base snapshot".to_string(),
+                "spill store has no base".to_string(),
             ));
         }
-        let mut folded = read_base_file(&self.active_base_path())?;
+        let mut folded = read_base_file(&self.base_path())?;
         if folded.generation != self.generation {
             return Err(SnapshotError::Malformed(format!(
-                "base snapshot generation {} does not match the store's {}",
+                "base generation {} does not match the store's {}",
                 folded.generation, self.generation
             )));
         }
@@ -887,75 +564,36 @@ impl QuerySpillStore {
         Ok(folded)
     }
 
-    /// Folds the increment chain into a new base snapshot of the next
-    /// generation, atomically: the new base is staged and renamed first;
-    /// only then are the old increments deleted.  A crash in between leaves
-    /// stale-generation increments that [`QuerySpillStore::recover`]
-    /// recognises and removes.  Returns `false` when there is nothing to
-    /// fold.
+    /// Folds the increment chain into a new base of the next generation,
+    /// atomically: the new base is staged and renamed first; only then are
+    /// the old increments deleted.  A crash in between leaves
+    /// stale-generation increments that no later load accepts.  Returns
+    /// `false` when there is nothing to fold.
     pub fn compact(&mut self) -> Result<bool, SnapshotError> {
         if self.chain_len == 0 {
             return Ok(false);
         }
         let folded = self.load()?;
-        let gp = folded.gp.as_ref().ok_or_else(|| {
-            SnapshotError::Malformed("cannot compact a legacy chain without G_P".to_string())
-        })?;
-        let quotient = folded.quotient.as_ref().ok_or_else(|| {
-            SnapshotError::Malformed("cannot compact a chain without quotient tables".to_string())
-        })?;
-        let frag_arcs: Vec<Arc<Fragment>> =
-            folded.fragments.iter().cloned().map(Arc::new).collect();
-        let frag_records = serialize_fragment_records(&frag_arcs)?;
-        let partial_records = serialize_partial_records(&folded.partials)?;
-        let strategy = folded.strategy.clone().unwrap_or_default();
-        self.write_base(
-            &gp.to_value(),
-            &quotient.to_value(),
-            &strategy,
-            &frag_records,
-            &partial_records,
-        )?;
+        self.write_base(&serialize_partial_records(&folded.partials)?)?;
         self.compactions += 1;
         Ok(true)
     }
 
-    /// Deletes every file of this store.
-    pub fn remove(&mut self) -> Result<(), SnapshotError> {
-        self.remove_query_files()?;
-        *self = Self::empty(&self.dir, self.query_id);
-        Ok(())
-    }
-
-    /// Writes a base snapshot (generation + 1), then retires the previous
-    /// generation's files.
-    fn write_base(
-        &mut self,
-        gp: &Value,
-        quotient: &Value,
-        strategy: &str,
-        frag_records: &[Vec<u8>],
-        partial_records: &[Vec<u8>],
-    ) -> Result<PathBuf, SnapshotError> {
+    /// Writes a base (generation + 1), then retires the previous
+    /// generation's increments.
+    fn write_base(&mut self, records: &[Vec<u8>]) -> Result<PathBuf, SnapshotError> {
         let path = self.base_path();
         let generation = self.generation + 1;
         let header = Value::Map(vec![
             ("generation".to_string(), Value::UInt(generation)),
             ("query".to_string(), Value::UInt(self.query_id as u64)),
-            ("strategy".to_string(), Value::Str(strategy.to_string())),
         ]);
         atomic_write_file::<SnapshotError, _>(&path, |w| {
             w.write_all(SPILL_MAGIC)?;
-            w.write_all(&[SPILL_VERSION_V2, RECORD_BASE])?;
+            w.write_all(&[SPILL_VERSION, RECORD_BASE])?;
             write_value_tree(w, &header)?;
-            write_value_tree(w, gp)?;
-            write_value_tree(w, quotient)?;
-            w.write_all(&(frag_records.len() as u64).to_le_bytes())?;
-            for record in frag_records {
-                w.write_all(record)?;
-            }
-            w.write_all(&(partial_records.len() as u64).to_le_bytes())?;
-            for record in partial_records {
+            w.write_all(&(records.len() as u64).to_le_bytes())?;
+            for record in records {
                 w.write_all(record)?;
             }
             Ok(())
@@ -963,13 +601,9 @@ impl QuerySpillStore {
         for seq in 0..self.chain_len {
             let _ = std::fs::remove_file(self.increment_path(seq));
         }
-        if self.legacy_base {
-            let _ = std::fs::remove_file(self.legacy_path());
-        }
         self.generation = generation;
         self.chain_len = 0;
         self.has_base = true;
-        self.legacy_base = false;
         self.base_bytes = std::fs::metadata(&path)?.len();
         self.increment_bytes = 0;
         self.last_spill_bytes = self.base_bytes;
@@ -978,12 +612,8 @@ impl QuerySpillStore {
 
     fn write_increment(
         &mut self,
-        owner_suffix: &[u64],
-        changed_frags: &[usize],
-        frag_records: &[Vec<u8>],
-        quotient: &Value,
-        changed_partials: &[usize],
-        partial_records: &[Vec<u8>],
+        changed: &[usize],
+        records: &[Vec<u8>],
     ) -> Result<PathBuf, SnapshotError> {
         let seq = self.chain_len;
         let path = self.increment_path(seq);
@@ -992,21 +622,14 @@ impl QuerySpillStore {
             ("seq".to_string(), Value::UInt(seq as u64)),
             ("query".to_string(), Value::UInt(self.query_id as u64)),
         ]);
-        let suffix = Value::Seq(owner_suffix.iter().map(|&o| Value::UInt(o)).collect());
         atomic_write_file::<SnapshotError, _>(&path, |w| {
             w.write_all(SPILL_MAGIC)?;
-            w.write_all(&[SPILL_VERSION_V2, RECORD_INCREMENT])?;
+            w.write_all(&[SPILL_VERSION, RECORD_INCREMENT])?;
             write_value_tree(w, &header)?;
-            write_value_tree(w, &suffix)?;
-            w.write_all(&(changed_frags.len() as u64).to_le_bytes())?;
-            for &i in changed_frags {
-                w.write_all(&frag_records[i])?;
-            }
-            write_value_tree(w, quotient)?;
-            w.write_all(&(changed_partials.len() as u64).to_le_bytes())?;
-            for &i in changed_partials {
+            w.write_all(&(changed.len() as u64).to_le_bytes())?;
+            for &i in changed {
                 w.write_all(&(i as u64).to_le_bytes())?;
-                w.write_all(&partial_records[i])?;
+                w.write_all(&records[i])?;
             }
             Ok(())
         })?;
@@ -1015,27 +638,6 @@ impl QuerySpillStore {
         self.increment_bytes += bytes;
         self.last_spill_bytes = bytes;
         Ok(path)
-    }
-
-    /// Rebuilds the change-detection manifest from a folded state (the
-    /// recovery path — an in-process store maintains it incrementally).
-    fn install_manifest(&mut self, folded: &LoadedSpill) -> Result<(), SnapshotError> {
-        let mut frag_hashes = Vec::with_capacity(folded.fragments.len());
-        for frag in &folded.fragments {
-            let mut buf = Vec::new();
-            write_fragment_snapshot(frag, &mut buf)?;
-            frag_hashes.push(fnv1a(&buf));
-        }
-        let mut partial_hashes = Vec::with_capacity(folded.partials.len());
-        for partial in &folded.partials {
-            let mut buf = Vec::new();
-            write_value_tree(&mut buf, partial)?;
-            partial_hashes.push(fnv1a(&buf));
-        }
-        self.frag_hashes = frag_hashes;
-        self.partial_hashes = partial_hashes;
-        self.owner_len = folded.gp.as_ref().map_or(0, |gp| gp.num_vertices());
-        Ok(())
     }
 
     /// All `query-{id}.inc-{seq}` files on disk, with their parsed seq.
@@ -1071,7 +673,8 @@ impl QuerySpillStore {
         }
     }
 
-    /// Removes every `query-{id}.*` file (spills, increments, temps).
+    /// Removes every `query-{id}.*` file (bases, increments, temps, and any
+    /// file an older format left under the query's name).
     fn remove_query_files(&self) -> Result<(), SnapshotError> {
         let prefix = format!("query-{}.", self.query_id);
         if !self.dir.exists() {
@@ -1089,17 +692,6 @@ impl QuerySpillStore {
     }
 }
 
-fn serialize_fragment_records(fragments: &[Arc<Fragment>]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    fragments
-        .iter()
-        .map(|frag| {
-            let mut buf = Vec::new();
-            write_fragment_snapshot(frag, &mut buf)?;
-            Ok(buf)
-        })
-        .collect()
-}
-
 fn serialize_partial_records(partials: &[Value]) -> Result<Vec<Vec<u8>>, SnapshotError> {
     partials
         .iter()
@@ -1111,78 +703,21 @@ fn serialize_partial_records(partials: &[Value]) -> Result<Vec<Vec<u8>>, Snapsho
         .collect()
 }
 
-/// Reads one base file — v2 (`G_P` + quotient tables included) or legacy v1
-/// wholesale (accepted, with `gp`/`quotient` left `None`).
+/// Reads one base file.
 fn read_base_file(path: &Path) -> Result<LoadedSpill, SnapshotError> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
-    let version = read_spill_version(&mut r)?;
-    if version == SPILL_VERSION_V1 {
-        let fragments = read_fragments(&mut r)?;
-        let partials = read_partials(&mut r)?;
-        ensure_fully_consumed(&mut r)?;
-        validate_folded(&fragments, &partials)?;
-        return Ok(LoadedSpill {
-            fragments,
-            gp: None,
-            quotient: None,
-            partials,
-            generation: 0,
-            strategy: None,
-        });
+    read_preamble(&mut r, RECORD_BASE)?;
+    let generation = header_u64(&read_value_tree(&mut r)?, "generation")?;
+    let n = read_count(&mut r)?;
+    let mut partials = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        partials.push(read_value_tree(&mut r)?);
     }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    if kind[0] != RECORD_BASE {
-        return Err(SnapshotError::Malformed(format!(
-            "expected a base record, found kind {:?}",
-            kind[0] as char
-        )));
-    }
-    let header = read_value_tree(&mut r)?;
-    let generation = header_u64(&header, "generation")?;
-    let strategy = header_str(&header, "strategy")?;
-    let gp = FragmentationGraph::from_value(&read_value_tree(&mut r)?)
-        .map_err(|e| SnapshotError::Malformed(format!("persisted G_P: {e}")))?;
-    let quotient = QuotientTables::from_value(&read_value_tree(&mut r)?, gp.num_fragments())
-        .map_err(SnapshotError::Malformed)?;
-    let fragments = read_fragments(&mut r)?;
-    let partials = read_partials(&mut r)?;
     ensure_fully_consumed(&mut r)?;
-    validate_folded(&fragments, &partials)?;
-    if gp.num_fragments() != fragments.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "persisted G_P has {} fragments, base has {}",
-            gp.num_fragments(),
-            fragments.len()
-        )));
-    }
     Ok(LoadedSpill {
-        fragments,
-        gp: Some(gp),
-        quotient: Some(Arc::new(quotient)),
         partials,
         generation,
-        strategy: Some(strategy),
     })
-}
-
-fn validate_folded(fragments: &[Fragment], partials: &[Value]) -> Result<(), SnapshotError> {
-    for (i, frag) in fragments.iter().enumerate() {
-        if frag.id() != i {
-            return Err(SnapshotError::Malformed(format!(
-                "fragment {} found at position {i}: records out of order",
-                frag.id()
-            )));
-        }
-    }
-    if partials.len() != fragments.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "{} partials for {} fragments",
-            partials.len(),
-            fragments.len()
-        )));
-    }
-    Ok(())
 }
 
 /// Reads increment `expect_seq` and folds it into `folded`.  The file is
@@ -1195,20 +730,7 @@ fn apply_increment_file(
     expect_seq: u64,
 ) -> Result<(), SnapshotError> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
-    let version = read_spill_version(&mut r)?;
-    if version != SPILL_VERSION_V2 {
-        return Err(SnapshotError::Malformed(format!(
-            "spill increment must be format version {SPILL_VERSION_V2}, found {version}"
-        )));
-    }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    if kind[0] != RECORD_INCREMENT {
-        return Err(SnapshotError::Malformed(format!(
-            "expected an increment record, found kind {:?}",
-            kind[0] as char
-        )));
-    }
+    read_preamble(&mut r, RECORD_INCREMENT)?;
     let header = read_value_tree(&mut r)?;
     let generation = header_u64(&header, "generation")?;
     let seq = header_u64(&header, "seq")?;
@@ -1223,44 +745,9 @@ fn apply_increment_file(
             "increment declares seq {seq}, expected {expect_seq}"
         )));
     }
-    let suffix_tree = read_value_tree(&mut r)?;
-    let Value::Seq(suffix_items) = &suffix_tree else {
-        return Err(SnapshotError::Malformed(
-            "owner suffix is not a sequence".to_string(),
-        ));
-    };
-    let mut owner_suffix = Vec::with_capacity(suffix_items.len());
-    for item in suffix_items {
-        match item {
-            Value::UInt(o) => owner_suffix.push(*o as u32),
-            _ => {
-                return Err(SnapshotError::Malformed(
-                    "owner suffix entry is not an unsigned integer".to_string(),
-                ))
-            }
-        }
-    }
-    let changed_count = read_count(&mut r)?;
-    let mut changed = Vec::with_capacity(changed_count.min(1 << 16));
-    for _ in 0..changed_count {
-        let frag = read_fragment_snapshot(&mut r)?;
-        if frag.id() >= folded.fragments.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "increment patches fragment {}, base has {}",
-                frag.id(),
-                folded.fragments.len()
-            )));
-        }
-        changed.push(frag);
-    }
-    let gp = folded.gp.as_mut().ok_or_else(|| {
-        SnapshotError::Malformed("increments cannot extend a legacy (v1) base".to_string())
-    })?;
-    let quotient = QuotientTables::from_value(&read_value_tree(&mut r)?, folded.fragments.len())
-        .map_err(SnapshotError::Malformed)?;
-    let patched_count = read_count(&mut r)?;
-    let mut patched_partials = Vec::with_capacity(patched_count.min(1 << 16));
-    for _ in 0..patched_count {
+    let n = read_count(&mut r)?;
+    let mut patched = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
         let index = read_count(&mut r)?;
         if index >= folded.partials.len() {
             return Err(SnapshotError::Malformed(format!(
@@ -1268,22 +755,10 @@ fn apply_increment_file(
                 folded.partials.len()
             )));
         }
-        patched_partials.push((index, read_value_tree(&mut r)?));
+        patched.push((index, read_value_tree(&mut r)?));
     }
     ensure_fully_consumed(&mut r)?;
-
-    // Everything parsed and validated — fold.
-    let borders: Vec<(usize, Vec<VertexId>, Vec<VertexId>)> = changed
-        .iter()
-        .map(|f| (f.id(), f.out_border_globals(), f.in_border_globals()))
-        .collect();
-    gp.apply_border_patch(&owner_suffix, &borders);
-    for frag in changed {
-        let id = frag.id();
-        folded.fragments[id] = frag;
-    }
-    folded.quotient = Some(Arc::new(quotient));
-    for (index, partial) in patched_partials {
+    for (index, partial) in patched {
         folded.partials[index] = partial;
     }
     Ok(())
@@ -1308,126 +783,44 @@ mod tests {
         RangeEdgeCut::new(3).partition(&b.build()).unwrap()
     }
 
-    fn assert_same_fragment(a: &Fragment, b: &Fragment) {
-        assert_eq!(a.id(), b.id());
-        assert_eq!(a.num_inner(), b.num_inner());
-        assert_eq!(a.num_local(), b.num_local());
-        assert_eq!(a.in_border_locals(), b.in_border_locals());
-        assert_eq!(a.out_border_locals(), b.out_border_locals());
-        assert_eq!(a.local_graph().edges(), b.local_graph().edges());
-        for l in a.all_locals() {
-            assert_eq!(a.global_of(l), b.global_of(l));
-        }
-    }
-
-    #[test]
-    fn single_fragment_round_trip() {
-        let frag = chain_fragmentation();
-        for i in 0..frag.num_fragments() {
-            let mut buf = Vec::new();
-            write_fragment_snapshot(frag.fragment(i), &mut buf).unwrap();
-            let back = read_fragment_snapshot(&mut Cursor::new(buf)).unwrap();
-            assert_same_fragment(frag.fragment(i), &back);
-            assert!(back.check_invariants());
-        }
-    }
-
-    #[test]
-    fn concatenated_records_read_back_in_order() {
-        let frag = chain_fragmentation();
-        let mut buf = Vec::new();
-        for f in frag.fragments() {
-            write_fragment_snapshot(f, &mut buf).unwrap();
-        }
-        let mut r = Cursor::new(buf);
-        for i in 0..frag.num_fragments() {
-            let back = read_fragment_snapshot(&mut r).unwrap();
-            assert_same_fragment(frag.fragment(i), &back);
-        }
-        ensure_fully_consumed(&mut r).unwrap();
-    }
-
-    #[test]
-    fn fragments_file_round_trip_and_rehydration() {
-        let frag = chain_fragmentation();
-        let path = std::env::temp_dir().join("grape_fragments_roundtrip.bin");
-        write_fragments_file(frag.fragments(), &path).unwrap();
-        let back = read_fragments_file(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back.len(), frag.num_fragments());
-
-        let assignment: Vec<u32> = (0..frag.gp().num_vertices() as VertexId)
-            .map(|v| frag.gp().owner(v) as u32)
-            .collect();
-        let rehydrated = rehydrate_fragmentation(
-            back,
-            assignment,
-            frag.source().clone(),
-            frag.strategy_name(),
-        )
-        .unwrap();
-        assert_eq!(rehydrated.num_fragments(), frag.num_fragments());
-        for i in 0..frag.num_fragments() {
-            assert_same_fragment(frag.fragment(i), rehydrated.fragment(i));
-        }
-        // G_P is re-derived, not persisted: routing must agree.
-        for v in frag.gp().border_vertices() {
-            assert_eq!(frag.gp().owner(v), rehydrated.gp().owner(v));
-        }
-        assert_eq!(rehydrated.num_border_vertices(), frag.num_border_vertices());
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let frag = chain_fragmentation();
-        let mut buf = Vec::new();
-        write_fragment_snapshot(frag.fragment(0), &mut buf).unwrap();
-        let mut wrong = buf.clone();
-        wrong[0] = b'X';
-        assert!(read_fragment_snapshot(&mut Cursor::new(wrong)).is_err());
-        buf.truncate(buf.len() - 2);
-        assert!(read_fragment_snapshot(&mut Cursor::new(buf)).is_err());
-    }
-
-    #[test]
-    fn fragments_file_rejects_trailing_garbage() {
-        let frag = chain_fragmentation();
-        let path = std::env::temp_dir().join("grape_fragments_trailing.bin");
-        write_fragments_file(frag.fragments(), &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0x7f);
-        std::fs::write(&path, bytes).unwrap();
-        let err = read_fragments_file(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            err.to_string().contains("trailing"),
-            "expected trailing-bytes rejection, got {err}"
-        );
-    }
-
     fn store_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("grape_spill_store_{name}"));
+        let dir =
+            std::env::temp_dir().join(format!("grape_spill_store_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
+    /// One 64-entry partial per fragment, every entry depending on `tag`.
     fn partials_of(frag: &Fragmentation, tag: u64) -> Vec<Value> {
-        (0..frag.num_fragments())
-            .map(|i| Value::UInt(tag * 100 + i as u64))
+        (0..frag.num_fragments() as u64)
+            .map(|i| {
+                Value::Seq(
+                    (0..64)
+                        .map(|j| Value::UInt(tag * 10_000 + i * 100 + j))
+                        .collect(),
+                )
+            })
             .collect()
     }
 
-    fn assert_folded_matches(folded: &LoadedSpill, frag: &Fragmentation, partials: &[Value]) {
-        assert_eq!(folded.fragments.len(), frag.num_fragments());
-        for i in 0..frag.num_fragments() {
-            assert_same_fragment(&folded.fragments[i], frag.fragment(i));
-        }
-        assert_eq!(folded.gp.as_ref().unwrap(), frag.gp());
-        assert_eq!(
-            folded.quotient.as_deref().unwrap(),
-            &*frag.quotient_tables()
-        );
-        assert_eq!(folded.partials, partials);
+    /// `partials_of(frag, 0)` with only partial `i` retagged.
+    fn one_changed(frag: &Fragmentation, i: usize, tag: u64) -> Vec<Value> {
+        let mut partials = partials_of(frag, 0);
+        partials[i] = partials_of(frag, tag).swap_remove(i);
+        partials
+    }
+
+    /// Length of the value tree starting at `bytes[offset..]`.
+    fn tree_len(bytes: &[u8], offset: usize) -> usize {
+        let mut cursor = Cursor::new(&bytes[offset..]);
+        read_value_tree(&mut cursor).unwrap();
+        cursor.position() as usize
+    }
+
+    fn record_len(partial: &Value) -> usize {
+        let mut buf = Vec::new();
+        write_value_tree(&mut buf, partial).unwrap();
+        buf.len()
     }
 
     #[test]
@@ -1439,15 +832,44 @@ mod tests {
         assert!(base.to_string_lossy().ends_with("query-7.base"), "{base:?}");
         assert_eq!(store.chain_len(), 0);
 
-        let delta = grape_graph::delta::GraphDelta::new().add_edge(8, 9);
-        let f1 = f0.apply_delta(&delta).unwrap().fragmentation;
+        let f1 = f0
+            .apply_delta(&GraphDelta::new().add_edge(8, 9))
+            .unwrap()
+            .fragmentation;
         let inc = store.spill(&f1, &partials_of(&f1, 1)).unwrap();
         assert!(inc.to_string_lossy().ends_with("query-7.inc-0"), "{inc:?}");
         assert_eq!(store.chain_len(), 1);
 
         let folded = store.load().unwrap();
-        assert_folded_matches(&folded, &f1, &partials_of(&f1, 1));
-        assert_eq!(folded.strategy.as_deref(), Some(f0.strategy_name()));
+        assert_eq!(folded.partials, partials_of(&f1, 1));
+        assert_eq!(folded.generation, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The format pin: a base is the preamble, the header tree, the count
+    /// and the partial records — and nothing else, so no fragment, `G_P`,
+    /// quotient or owner byte is ever written.  An increment is the same
+    /// with an index before each changed record.
+    #[test]
+    fn spill_files_hold_only_the_header_and_partial_records() {
+        let dir = store_dir("sizes");
+        let mut store = QuerySpillStore::create(&dir, 5).unwrap();
+        let frag = chain_fragmentation();
+        let partials = partials_of(&frag, 0);
+        let base = store.spill(&frag, &partials).unwrap();
+        let bytes = std::fs::read(&base).unwrap();
+        let records: usize = partials.iter().map(record_len).sum();
+        assert_eq!(bytes.len(), 6 + tree_len(&bytes, 6) + 8 + records);
+        assert_eq!(store.stats().base_bytes, bytes.len() as u64);
+
+        let changed = one_changed(&frag, 1, 3);
+        let inc = store.spill(&frag, &changed).unwrap();
+        let bytes = std::fs::read(&inc).unwrap();
+        assert_eq!(
+            bytes.len(),
+            6 + tree_len(&bytes, 6) + 8 + 8 + record_len(&changed[1])
+        );
+        assert_eq!(store.stats().last_spill_bytes, bytes.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1459,7 +881,7 @@ mod tests {
         store.spill(&frag, &partials_of(&frag, 0)).unwrap();
         let base_bytes = store.stats().base_bytes;
         for tag in 1..=2 {
-            store.spill(&frag, &partials_of(&frag, tag)).unwrap();
+            store.spill(&frag, &one_changed(&frag, 0, tag)).unwrap();
             assert!(
                 store.stats().last_spill_bytes < base_bytes / 2,
                 "increment ({} bytes) should be far smaller than the base ({base_bytes} bytes)",
@@ -1475,7 +897,8 @@ mod tests {
         assert!(!store.increment_path(0).exists());
         assert!(!store.increment_path(1).exists());
         let folded = store.load().unwrap();
-        assert_folded_matches(&folded, &frag, &partials_of(&frag, 2));
+        assert_eq!(folded.partials, one_changed(&frag, 0, 2));
+        assert_eq!(folded.generation, 2);
 
         // Nothing left to fold.
         assert!(!store.compact().unwrap());
@@ -1505,15 +928,13 @@ mod tests {
         assert!(!orphan.exists());
         assert!(!inc1.exists());
         assert!(!dir.join("query-7.inc-5").exists());
-        let folded = recovered.load().unwrap();
-        assert_folded_matches(&folded, &frag, &partials_of(&frag, 1));
+        assert_eq!(recovered.load().unwrap().partials, partials_of(&frag, 1));
 
         // The recovered store keeps appending where the accepted chain ends.
         let mut recovered = recovered;
         let path = recovered.spill(&frag, &partials_of(&frag, 3)).unwrap();
         assert!(path.to_string_lossy().ends_with("query-7.inc-1"));
-        let folded = recovered.load().unwrap();
-        assert_folded_matches(&folded, &frag, &partials_of(&frag, 3));
+        assert_eq!(recovered.load().unwrap().partials, partials_of(&frag, 3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1533,48 +954,13 @@ mod tests {
         let recovered = QuerySpillStore::recover(&dir, 4).unwrap().unwrap();
         assert_eq!(recovered.chain_len(), 0);
         assert!(!recovered.increment_path(0).exists());
-        let folded = recovered.load().unwrap();
-        assert_folded_matches(&folded, &frag, &partials_of(&frag, 1));
+        assert_eq!(recovered.load().unwrap().partials, partials_of(&frag, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn legacy_v1_spill_is_accepted_and_upgraded() {
-        let dir = store_dir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let frag = chain_fragmentation();
-        let partials = partials_of(&frag, 0);
-
-        // Hand-write the v1 wholesale format the previous release produced.
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(b"GRQS\x01");
-        write_fragments(frag.fragments(), &mut buf).unwrap();
-        buf.extend_from_slice(&(partials.len() as u64).to_le_bytes());
-        for p in &partials {
-            write_value_tree(&mut buf, p).unwrap();
-        }
-        std::fs::write(dir.join("query-3.spill"), &buf).unwrap();
-
-        let mut store = QuerySpillStore::recover(&dir, 3).unwrap().unwrap();
-        assert_eq!(store.chain_len(), 0);
-        let folded = store.load().unwrap();
-        assert!(folded.gp.is_none());
-        assert!(folded.quotient.is_none());
-        assert_eq!(folded.partials, partials);
-        assert_eq!(folded.fragments.len(), frag.num_fragments());
-
-        // The next spill upgrades in place: a fresh v2 base replaces the
-        // legacy file, and increments chain from there.
-        let path = store.spill(&frag, &partials_of(&frag, 1)).unwrap();
-        assert!(path.to_string_lossy().ends_with("query-3.base"));
-        assert!(!dir.join("query-3.spill").exists());
-        let path = store.spill(&frag, &partials_of(&frag, 2)).unwrap();
-        assert!(path.to_string_lossy().ends_with("query-3.inc-0"));
-        let folded = store.load().unwrap();
-        assert_folded_matches(&folded, &frag, &partials_of(&frag, 2));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
+    /// Versions 1 and 2 (which carried fragments, `G_P` and quotient
+    /// tables) are named as unsupported, as is any future version; a
+    /// foreign file is "not a spill file".
     #[test]
     fn bad_magic_and_unsupported_version_are_distinct_errors() {
         let dir = store_dir("versions");
@@ -1587,65 +973,63 @@ mod tests {
             "{err}"
         );
 
-        let future = dir.join("future");
-        std::fs::write(&future, b"GRQS\x09rest").unwrap();
-        let err = read_base_file(&future).unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("unsupported query spill format version 9"),
-            "{msg}"
-        );
-        assert!(
-            msg.contains('2'),
-            "should name the supported versions: {msg}"
-        );
+        for version in [1u8, 2, 9] {
+            let path = dir.join(format!("v{version}"));
+            let mut bytes = b"GRQS".to_vec();
+            bytes.extend_from_slice(&[version, RECORD_BASE]);
+            bytes.extend_from_slice(b"rest");
+            std::fs::write(&path, bytes).unwrap();
+            let msg = read_base_file(&path).unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("unsupported query spill format version {version}")),
+                "{msg}"
+            );
+            assert!(
+                msg.contains('3'),
+                "should name the supported version: {msg}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn persisted_rehydration_rejects_mismatched_counts() {
+    fn rejects_bad_magic_and_truncation() {
+        let dir = store_dir("magic");
+        let mut store = QuerySpillStore::create(&dir, 0).unwrap();
         let frag = chain_fragmentation();
-        let fragments: Vec<Fragment> = frag
-            .fragments()
-            .iter()
-            .map(|f| f.as_ref().clone())
-            .collect();
-        let gp = frag.gp().clone();
-        let ok = rehydrate_fragmentation_persisted(
-            fragments.clone(),
-            gp.clone(),
-            frag.source().clone(),
-            frag.strategy_name(),
-        )
-        .unwrap();
-        assert_eq!(ok.gp(), frag.gp());
-
-        let err = rehydrate_fragmentation_persisted(
-            fragments[..2].to_vec(),
-            gp,
-            frag.source().clone(),
-            frag.strategy_name(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        let base = store.spill(&frag, &partials_of(&frag, 0)).unwrap();
+        let bytes = std::fs::read(&base).unwrap();
+        let mut wrong = bytes.clone();
+        wrong[0] = b'X';
+        std::fs::write(&base, &wrong).unwrap();
+        let err = store.load().unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        std::fs::write(&base, &bytes[..bytes.len() - 2]).unwrap();
+        assert!(store.load().is_err(), "a truncated base must not load");
+        std::fs::write(&base, &bytes).unwrap();
+        assert_eq!(store.load().unwrap().partials, partials_of(&frag, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A store holds exactly one partial per fragment, and that count is
+    /// fixed for the store's lifetime.
     #[test]
-    fn malformed_borders_are_rejected() {
+    fn spills_reject_mismatched_partial_counts() {
+        let dir = store_dir("counts");
+        let mut store = QuerySpillStore::create(&dir, 1).unwrap();
         let frag = chain_fragmentation();
-        let mut v = fragment_to_value(frag.fragment(1));
-        if let Value::Map(entries) = &mut v {
-            for (k, val) in entries.iter_mut() {
-                if k == "out_border" {
-                    *val = Value::Seq(vec![Value::UInt(10_000)]);
-                }
-            }
-        }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(FRAGMENT_MAGIC);
-        write_value_tree(&mut buf, &v).unwrap();
-        let err = read_fragment_snapshot(&mut Cursor::new(buf)).unwrap_err();
+        let mut short = partials_of(&frag, 0);
+        short.pop();
+        let err = store.spill(&frag, &short).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        assert!(!store.has_base(), "a rejected spill writes nothing");
+
+        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
+        let wider = RangeEdgeCut::new(4).partition(frag.source()).unwrap();
+        let err = store.spill(&wider, &partials_of(&wider, 1)).unwrap_err();
+        assert!(err.to_string().contains("fragment count changed"), "{err}");
+        assert_eq!(store.chain_len(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // -- dense fragment records ---------------------------------------------
@@ -1696,6 +1080,27 @@ mod tests {
     }
 
     #[test]
+    fn single_fragment_round_trip() {
+        let frag = chain_fragmentation();
+        for f in frag.fragments() {
+            let back = read_fragment_records(&dense_block(&[f])).unwrap();
+            assert_eq!(back.len(), 1);
+            assert_record_identical(f, &back[0]);
+        }
+    }
+
+    #[test]
+    fn concatenated_records_read_back_in_order() {
+        let frag = chain_fragmentation();
+        let back = read_fragment_records(&dense_block(&refs(&frag))).unwrap();
+        let ids: Vec<usize> = back.iter().map(|f| f.id()).collect();
+        assert_eq!(ids, (0..frag.num_fragments()).collect::<Vec<_>>());
+        for (a, b) in frag.fragments().iter().zip(&back) {
+            assert_record_identical(a, b);
+        }
+    }
+
+    #[test]
     fn dense_records_round_trip_edge_cuts() {
         for g in seeded_graphs() {
             for k in [1, 3, 4] {
@@ -1743,21 +1148,6 @@ mod tests {
                 .collect();
             assert_records_round_trip(&expanded.iter().collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn dense_records_round_trip_spilled_fragments() {
-        let dir = store_dir("dense_records");
-        let g = erdos_renyi(40, 120, 2, Directedness::Directed, 0x5EED_0005);
-        let frag = HashEdgeCut::new(3).partition(&g).unwrap();
-        let mut store = QuerySpillStore::create(&dir, 0).unwrap();
-        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
-        let loaded = store.load().unwrap();
-        assert_records_round_trip(&loaded.fragments.iter().collect::<Vec<_>>());
-        for (a, b) in frag.fragments().iter().zip(&loaded.fragments) {
-            assert_record_identical(a, b);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The record width is part of the wire: `49 + 12·|V_i| + 4·|I_i| +
@@ -1838,17 +1228,28 @@ mod tests {
             patched(edges_at + 12, &out_of_range).is_err(),
             "edge target"
         );
-        if !f0.out_border_locals().is_empty() {
-            assert!(
-                patched(out_border_at + 8, &out_of_range).is_err(),
-                "border id"
-            );
-            // An outer copy declared as in-border breaks the invariants.
-            let inner = 0u32.to_le_bytes();
-            assert!(
-                patched(out_border_at + 8, &inner).is_err(),
-                "inner id in F.O"
-            );
+    }
+
+    /// A border id outside the fragment, or an inner vertex listed in
+    /// `F.O`, is a malformed record — never a fragment with a dangling or
+    /// inconsistent border.
+    #[test]
+    fn malformed_borders_are_rejected() {
+        let frag = chain_fragmentation();
+        let f1 = frag.fragment(1);
+        assert!(!f1.out_border_locals().is_empty());
+        let block = dense_block(&[f1]);
+        // Block count, record header, vertices, in-border, out-border count.
+        let first_out_border =
+            8 + 17 + 8 + 12 * f1.num_local() + 8 + 4 * f1.in_border_locals().len() + 8;
+        for (id, what) in [
+            (f1.num_local() as u32, "out of range"),
+            (0, "inner id in F.O"),
+        ] {
+            let mut bytes = block.clone();
+            bytes[first_out_border..first_out_border + 4].copy_from_slice(&id.to_le_bytes());
+            let err = read_fragment_records(&bytes).unwrap_err();
+            assert!(matches!(err, SnapshotError::Malformed(_)), "{what}: {err}");
         }
     }
 }

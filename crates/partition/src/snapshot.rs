@@ -992,6 +992,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The v1 wholesale file (`query-{id}.spill`) is no longer read: a
+    /// leftover one is cleared by `recover` (no base, so `None`) and by
+    /// `create`, and the next spill writes a current base.  A v1 record
+    /// found under a base name is an unsupported version, not misread.
+    #[test]
+    fn legacy_v1_spill_is_cleared_not_read() {
+        let dir = store_dir("legacy");
+        std::fs::create_dir_all(&dir).unwrap();
+        let frag = chain_fragmentation();
+        let mut v1 = b"GRQS\x01".to_vec();
+        v1.extend_from_slice(&(frag.num_fragments() as u64).to_le_bytes());
+        let legacy = dir.join("query-3.spill");
+
+        std::fs::write(&legacy, &v1).unwrap();
+        assert!(QuerySpillStore::recover(&dir, 3).unwrap().is_none());
+        assert!(!legacy.exists(), "recover clears the v1 file");
+
+        std::fs::write(&legacy, &v1).unwrap();
+        let mut store = QuerySpillStore::create(&dir, 3).unwrap();
+        assert!(!legacy.exists(), "create clears the v1 file");
+        let path = store.spill(&frag, &partials_of(&frag, 1)).unwrap();
+        assert!(path.to_string_lossy().ends_with("query-3.base"));
+        assert_eq!(store.load().unwrap().partials, partials_of(&frag, 1));
+
+        std::fs::write(store.base_path(), &v1).unwrap();
+        let err = QuerySpillStore::recover(&dir, 3).unwrap_err().to_string();
+        assert!(
+            err.contains("unsupported query spill format version 1"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn rejects_bad_magic_and_truncation() {
         let dir = store_dir("magic");

@@ -26,17 +26,24 @@
 //!   values arrive without waiting for a barrier, this is no larger (and on
 //!   high-diameter workloads smaller) than the synchronous superstep count.
 //!
-//! Both runtimes root a run through a per-fragment **PEval mask**
-//! (`RunCtx::peval`):
+//! Every run enters through one function, `run_parts`, and starts from a
+//! `RunStart`: the retained partials, the seed messages, and the fragments
+//! PEval roots in the first step (the per-fragment **PEval mask**,
+//! `RunCtx::peval`).
 //!
-//! * a full run (`prepare_parts`) masks every fragment — the classic
-//!   PEval-everywhere superstep 0;
-//! * an incremental refresh (`refresh_parts`) retains the partial results
-//!   of an earlier run and pre-loads `ΔG`-derived seed messages: the mask
-//!   is **empty** for a monotone delta (the paper's "queries under
-//!   updates" protocol of Section 3.4 — `Q(G ⊕ ΔG)` from `Q(G)` without a
-//!   single PEval call) and equals the **damage frontier** for a bounded
+//! * A full run (`RunStart::full`) retains nothing, seeds nothing and masks
+//!   every fragment — the classic PEval-everywhere superstep 0.
+//! * An incremental refresh retains the partial results of an earlier run
+//!   and pre-loads `ΔG`-derived seed messages.  The mask is **empty** for a
+//!   monotone or retracted delta (the paper's "queries under updates"
+//!   protocol of Section 3.4 — `Q(G ⊕ ΔG)` from `Q(G)` without a single
+//!   PEval call) and equals the **damage frontier** for a bounded
 //!   non-monotone refresh (PEval re-roots only the stale fragments).
+//!
+//! A full run is thus the refresh whose frontier is every fragment.
+//! `run_parts` picks the worker host (threads in this process, or
+//! `grape-worker` subprocesses under [`TransportSpec::Process`]), and
+//! `schedule` picks the transport and the loop.
 //!
 //! Physical workers are OS threads; fragments are virtual workers mapped
 //! onto physical workers by the [`crate::load_balance::LoadBalancer`].
@@ -56,9 +63,9 @@ use grape_partition::fragmentation_graph::{BorderScope, FragmentationGraph};
 
 use crate::config::{EngineConfig, EngineMode};
 use crate::host::{InProcessHost, ProcessHost, WorkerHost};
-use crate::load_balance::LoadBalancer;
 use crate::metrics::{EngineMetrics, SuperstepMetrics};
 use crate::pie::{KeyVertex, PieProgram, SeedBatch};
+use crate::session::GrapeSession;
 use crate::transport::{
     BarrierTransport, ChannelTransport, MessageOps, Transport, TransportSnapshot, TransportSpec,
 };
@@ -137,32 +144,50 @@ struct RunCtx<'r> {
     gp: &'r FragmentationGraph,
     scope: BorderScope,
     /// Which fragments run PEval in the rooting step: all of them for a
-    /// full run, the *damage frontier* for a bounded refresh, none for a
-    /// monotone IncEval-only refresh.
+    /// full run, the *damage frontier* for a bounded refresh, none for an
+    /// IncEval-only refresh.
     peval: &'r [bool],
 }
 
-/// Routes one evaluation's updates through `G_P` and ships them, batched per
-/// destination, tagged with the sender's logical step.
-fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized>(
-    transport: &T,
-    gp: &FragmentationGraph,
-    scope: BorderScope,
-    from: usize,
-    step: usize,
-    updates: Vec<(K, V)>,
-) {
-    route_and_send_to(transport, gp, scope, from, step, updates, None);
+/// The first host failure of a run (e.g. a dead worker subprocess).
+/// Recording it raises the abort flag every worker thread checks before its
+/// next evaluation, so the run returns the error instead of serving a
+/// partial answer or spinning on counters a dead peer can no longer move.
+struct FirstError {
+    error: Mutex<Option<EngineError>>,
+    abort: AtomicBool,
 }
 
-/// [`route_and_send`] with an optional destination filter: `Some(mask)`
-/// drops every destination whose mask entry is `false` (used by the bounded
-/// refresh to deliver reseeded border values to damaged fragments only).
-#[allow(clippy::too_many_arguments)]
-fn route_and_send_to<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized>(
+impl FirstError {
+    fn new() -> Self {
+        FirstError {
+            error: Mutex::new(None),
+            abort: AtomicBool::new(false),
+        }
+    }
+
+    /// Keeps `e` unless an earlier failure was recorded, and raises the flag.
+    fn record(&self, e: EngineError) {
+        self.error.lock().get_or_insert(e);
+        self.abort.store(true, Ordering::SeqCst);
+    }
+
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::SeqCst)
+    }
+
+    fn into_result(self) -> Result<(), EngineError> {
+        self.error.into_inner().map_or(Ok(()), Err)
+    }
+}
+
+/// Routes one evaluation's updates through `G_P` and ships them, batched per
+/// destination, tagged with the sender's logical step.  `Some(mask)` drops
+/// every destination whose mask entry is `false` (a bounded refresh delivers
+/// its seeds to the re-rooted fragments only).
+fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
+    ctx: &RunCtx<'_>,
     transport: &T,
-    gp: &FragmentationGraph,
-    scope: BorderScope,
     from: usize,
     step: usize,
     updates: Vec<(K, V)>,
@@ -173,7 +198,7 @@ fn route_and_send_to<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized
     }
     let mut per_dest: HashMap<usize, Vec<(K, V)>> = HashMap::new();
     for (key, value) in updates {
-        for dest in gp.route(key.vertex(), from, scope) {
+        for dest in ctx.gp.route(key.vertex(), from, ctx.scope) {
             if restrict_to.is_some_and(|mask| !mask[dest]) {
                 continue;
             }
@@ -188,25 +213,10 @@ fn route_and_send_to<K: KeyVertex + Clone, V: Clone, T: Transport<K, V> + ?Sized
     }
 }
 
-/// Which evaluation roots a run: a fresh PEval pass, or retained partials
-/// plus pre-seeded mailboxes (IncEval only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// PEval roots every fragment in superstep 0, then IncEval to fixpoint.
-    Full,
-    /// Partials are retained from an earlier run and the transport has been
-    /// pre-seeded with `ΔG`-derived messages.  `RunCtx::peval` selects the
-    /// fragments PEval re-roots in superstep 0 (none for a monotone
-    /// IncEval-only refresh, the damage frontier for a bounded refresh);
-    /// everything else continues from its retained partial.
-    Incremental,
-}
-
 /// Validates a (mode, transport, fault-tolerance) policy combination.
 ///
-/// Called by [`crate::session::GrapeSessionBuilder::build`] (fail fast) and
-/// again by the engine entry points, so configurations replayed through
-/// [`crate::session::GrapeSessionBuilder::config`] get the same checks.
+/// Called by [`crate::session::GrapeSessionBuilder::build`], the only way to
+/// make a session; the engine runs only sessions, so every run has passed it.
 pub(crate) fn validate_policies(
     config: &EngineConfig,
     spec: TransportSpec,
@@ -243,197 +253,93 @@ pub(crate) fn validate_policies(
 
 /// Runs a PIE program to its fixpoint and assembles the answer.  This is the
 /// one-shot entry point behind [`crate::session::GrapeSession::run`] — a
-/// full preparation whose partial results are assembled and then dropped.
+/// full run whose partial results are assembled and then dropped.
 pub(crate) fn execute<P: PieProgram>(
-    config: &EngineConfig,
-    balancer: &LoadBalancer,
-    spec: TransportSpec,
+    session: &GrapeSession,
     fragmentation: &Fragmentation,
     program: &P,
     query: &P::Query,
 ) -> Result<RunResult<P::Output>, EngineError> {
     let total_start = Instant::now();
-    let (partials, mut metrics) =
-        prepare_parts(config, balancer, spec, fragmentation, program, query)?;
+    let start = RunStart::full(fragmentation.num_fragments());
+    let (partials, mut metrics) = run_parts(session, fragmentation, program, query, start)?;
     let output = program.assemble(query, partials);
     metrics.total_time = total_start.elapsed();
     Ok(RunResult { output, metrics })
 }
 
-/// The *prepare* phase: runs PEval on every fragment and iterates IncEval to
-/// the fixpoint, returning the per-fragment partial results `Q(F_i)` without
-/// assembling them.  [`crate::prepared::PreparedQuery`] retains these
-/// partials so later [`refresh_parts`] calls can skip PEval entirely.
-pub(crate) fn prepare_parts<P: PieProgram>(
-    config: &EngineConfig,
-    balancer: &LoadBalancer,
-    spec: TransportSpec,
-    fragmentation: &Fragmentation,
-    program: &P,
-    query: &P::Query,
-) -> Result<(Vec<P::Partial>, EngineMetrics), EngineError> {
-    let m = fragmentation.num_fragments();
-    if m == 0 {
-        return Err(EngineError::NoFragments);
-    }
-    validate_policies(config, spec)?;
-
-    let total_start = Instant::now();
-    let mut metrics = EngineMetrics {
-        program: program.name().to_string(),
-        workers: config.num_workers,
-        fragments: m,
-        transport: spec.name().to_string(),
-        ..Default::default()
-    };
-
-    // Optional d-hop fragment expansion (SubIso).  The shipped
-    // vertices/edges are counted as communication, mirroring the paper's
-    // "message M_i … including all nodes and edges in C_i.x̄ from other
-    // fragments".
-    let hops = program.expansion_hops(query);
-    let fragments: Vec<Arc<Fragment>> = if hops > 0 {
-        let mut expanded = Vec::with_capacity(m);
-        for i in 0..m {
-            let (f, shipped_vertices, shipped_edges) = fragmentation.expand_fragment(i, hops);
-            metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
-            expanded.push(Arc::new(f));
-        }
-        expanded
-    } else {
-        fragmentation.fragments().to_vec()
-    };
-
-    // Map virtual workers (fragments) onto physical workers.
-    let assignment = balancer.assign(fragmentation, config.num_workers);
-
-    let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
-    let key_size = |k: &P::Key| program.key_size(k);
-    let value_size = |v: &P::Value| program.value_size(v);
-    let ops = MessageOps {
-        aggregate: &aggregate,
-        key_size: &key_size,
-        value_size: &value_size,
-    };
-    let peval = vec![true; m];
-    let ctx = RunCtx {
-        config,
-        num_fragments: m,
-        assignment: &assignment,
-        gp: fragmentation.gp(),
-        scope: program.scope(),
-        peval: &peval,
-    };
-
-    let empty: Vec<Option<P::Partial>> = (0..m).map(|_| None).collect();
-    let partials = match (config.mode, spec) {
-        (EngineMode::Sync, TransportSpec::Barrier) => {
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, empty);
-            superstep_loop(&ctx, &host, &BarrierTransport::new(m, ops), &mut metrics)?;
-            host.into_partials()?
-        }
-        (EngineMode::Sync, TransportSpec::Channel) => {
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, empty);
-            superstep_loop(&ctx, &host, &ChannelTransport::new(m, ops), &mut metrics)?;
-            host.into_partials()?
-        }
-        (EngineMode::Async, TransportSpec::Barrier) => {
-            unreachable!("validate_policies rejects Async over a barrier transport")
-        }
-        (EngineMode::Async, TransportSpec::Channel) => {
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, empty);
-            streaming_loop(
-                &ctx,
-                &host,
-                &ChannelTransport::new(m, ops),
-                &mut metrics,
-                Phase::Full,
-            )?;
-            host.into_partials()?
-        }
-        (mode, TransportSpec::Process { workers }) => {
-            let host = ProcessHost::spawn(program, query, &fragments, None, workers)?;
-            let pipe = host.pipe_counter();
-            let run = match mode {
-                EngineMode::Sync => {
-                    superstep_loop(&ctx, &host, &BarrierTransport::new(m, ops), &mut metrics)
-                }
-                EngineMode::Async => streaming_loop(
-                    &ctx,
-                    &host,
-                    &ChannelTransport::new(m, ops),
-                    &mut metrics,
-                    Phase::Full,
-                ),
-            };
-            let partials = run.and_then(|()| host.into_partials());
-            metrics.pipe_bytes = pipe.load(Ordering::Relaxed);
-            partials?
-        }
-    };
-    metrics.total_time = total_start.elapsed();
-    Ok((partials, metrics))
-}
-
-/// What an incremental refresh starts from: the previous fixpoint's
-/// per-fragment partials plus the `ΔG`-derived seed messages — a list of
+/// What a run starts from.  A full run retains nothing, seeds nothing and
+/// PEval-roots every fragment; an incremental refresh carries the previous
+/// fixpoint's partials plus the `ΔG`-derived seed messages — a list of
 /// `(sender fragment, changed update parameters)` that the engine routes
 /// exactly like a normal evaluation's sends.
-pub(crate) struct RefreshState<P: PieProgram> {
-    /// Retained partial results, one per fragment.  The entries of damaged
-    /// fragments (`repeval`) are placeholders: PEval overwrites them in the
-    /// rooting step before anything reads them.
-    pub partials: Vec<P::Partial>,
+pub(crate) struct RunStart<P: PieProgram> {
+    /// Retained partial results, one per fragment; `None` on a full run.
+    /// The entries of fragments in `repeval` are placeholders: PEval
+    /// overwrites them in the rooting step before anything reads them.
+    pub partials: Option<Vec<P::Partial>>,
     /// Seed messages: the rebase step's changed update parameters (monotone
     /// refresh), the border values a retraction changed (retracted refresh)
     /// or the undamaged neighbours' reseeded border segments (bounded
     /// refresh).
     pub seeds: Vec<SeedBatch<P>>,
-    /// The damage frontier of a **bounded** refresh: fragments whose
-    /// retained partials may be stale and are re-rooted with PEval in
-    /// superstep 0.  Empty for the IncEval-only (monotone, retracted)
-    /// refreshes.  When
-    /// non-empty, seed messages are delivered to damaged fragments only.
+    /// The fragments PEval roots in the first step: every fragment on a
+    /// full run, the damage frontier of a bounded refresh, none on the
+    /// IncEval-only (monotone, retracted) refreshes.  When non-empty, seed
+    /// messages are delivered to these fragments only.
     pub repeval: Vec<usize>,
 }
 
-/// The *refresh* phase of a prepared query: given the retained state,
-/// routes the seeds through `G_P`, re-roots the damage frontier with PEval
-/// (none for a monotone delta), then iterates IncEval to the new fixpoint.
-/// `EngineMetrics::peval_calls` equals `|repeval|` by construction — **0**
-/// on the monotone path, pinned by the equivalence suites.
-pub(crate) fn refresh_parts<P: PieProgram>(
-    config: &EngineConfig,
-    balancer: &LoadBalancer,
-    spec: TransportSpec,
+impl<P: PieProgram> RunStart<P> {
+    /// A full run over `m` fragments: nothing retained, PEval everywhere.
+    pub fn full(m: usize) -> Self {
+        RunStart {
+            partials: None,
+            seeds: Vec::new(),
+            repeval: (0..m).collect(),
+        }
+    }
+}
+
+/// The one engine entry: roots the run from `start`, iterates IncEval to
+/// the fixpoint and returns the per-fragment partial results `Q(F_i)`
+/// without assembling them.  [`crate::prepared::PreparedQuery`] retains
+/// these so later refreshes can skip PEval.  `EngineMetrics::peval_calls`
+/// equals `|start.repeval|` by construction — **0** on the IncEval-only
+/// refreshes, pinned by the equivalence suites.
+pub(crate) fn run_parts<P: PieProgram>(
+    session: &GrapeSession,
     fragmentation: &Fragmentation,
     program: &P,
     query: &P::Query,
-    state: RefreshState<P>,
+    start: RunStart<P>,
 ) -> Result<(Vec<P::Partial>, EngineMetrics), EngineError> {
-    let RefreshState {
-        partials,
+    let RunStart {
+        partials: retained,
         seeds,
         repeval,
-    } = state;
+    } = start;
+    let config = session.config();
+    let spec = session.transport();
     let m = fragmentation.num_fragments();
     if m == 0 {
         return Err(EngineError::NoFragments);
     }
-    validate_policies(config, spec)?;
-    if !config.injected_failures.is_empty() {
-        return Err(EngineError::InvalidConfig(
-            "failure injection is superstep-aligned to a PEval-rooted run; \
-             it is not supported on the incremental refresh path"
-                .to_string(),
-        ));
-    }
-    if partials.len() != m {
-        return Err(EngineError::InvalidConfig(format!(
-            "retained {} partials for {} fragments",
-            partials.len(),
-            m
-        )));
+    if let Some(retained) = &retained {
+        if !config.injected_failures.is_empty() {
+            return Err(EngineError::InvalidConfig(
+                "failure injection is superstep-aligned to a PEval-rooted run; \
+                 it is not supported on the incremental refresh path"
+                    .to_string(),
+            ));
+        }
+        if retained.len() != m {
+            return Err(EngineError::InvalidConfig(format!(
+                "retained {} partials for {} fragments",
+                retained.len(),
+                m
+            )));
+        }
     }
     let mut peval = vec![false; m];
     for &i in &repeval {
@@ -444,7 +350,12 @@ pub(crate) fn refresh_parts<P: PieProgram>(
         }
         peval[i] = true;
     }
-    if program.expansion_hops(query) > 0 && repeval.is_empty() && !seeds.is_empty() {
+    debug_assert!(
+        retained.is_some() || !peval.contains(&false),
+        "a run without retained partials must PEval every fragment"
+    );
+    let hops = program.expansion_hops(query);
+    if hops > 0 && repeval.is_empty() && !seeds.is_empty() {
         return Err(EngineError::InvalidConfig(
             "d-hop expansion programs cannot refresh from seed messages alone; \
              use the bounded refresh (damage frontier) or re-prepare"
@@ -458,32 +369,32 @@ pub(crate) fn refresh_parts<P: PieProgram>(
         workers: config.num_workers,
         fragments: m,
         transport: spec.name().to_string(),
-        incremental: true,
+        incremental: retained.is_some(),
         ..Default::default()
     };
 
-    // `d`-hop expansion (SubIso): only the damaged fragments are re-rooted,
-    // so only they need their expanded incarnation — the bounded refresh
-    // ships `|damaged|` neighborhoods instead of all `m`.
-    let hops = program.expansion_hops(query);
+    // Optional d-hop fragment expansion (SubIso), for the fragments PEval
+    // roots only: a bounded refresh ships `|damaged|` neighbourhoods instead
+    // of all `m`.  The shipped vertices/edges are counted as communication,
+    // mirroring the paper's "message M_i … including all nodes and edges in
+    // C_i.x̄ from other fragments".
     let fragments: Vec<Arc<Fragment>> = if hops > 0 {
         (0..m)
             .map(|i| {
-                if peval[i] {
-                    let (f, shipped_vertices, shipped_edges) =
-                        fragmentation.expand_fragment(i, hops);
-                    metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
-                    Arc::new(f)
-                } else {
-                    fragmentation.fragments()[i].clone()
+                if !peval[i] {
+                    return fragmentation.fragments()[i].clone();
                 }
+                let (f, shipped_vertices, shipped_edges) = fragmentation.expand_fragment(i, hops);
+                metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
+                Arc::new(f)
             })
             .collect()
     } else {
         fragmentation.fragments().to_vec()
     };
 
-    let assignment = balancer.assign(fragmentation, config.num_workers);
+    // Map virtual workers (fragments) onto physical workers.
+    let assignment = session.balancer().assign(fragmentation, config.num_workers);
     let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
     let key_size = |k: &P::Key| program.key_size(k);
     let value_size = |v: &P::Value| program.value_size(v);
@@ -501,121 +412,82 @@ pub(crate) fn refresh_parts<P: PieProgram>(
         peval: &peval,
     };
 
-    // Seeds are routed at logical step 0 and published before the loop
-    // starts, so the first IncEval round sees them like any other mail; the
-    // published volume is accounted as `seed_messages` (separate from the
-    // per-superstep flow, included in the run totals).  During a bounded
-    // refresh, only the damaged fragments start from a fresh PEval with no
-    // memory of their neighbours' values — everyone else already holds them
-    // — so seed delivery is restricted to the damage frontier.
-    fn seed<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
-        transport: &T,
-        gp: &FragmentationGraph,
-        scope: BorderScope,
-        seeds: Vec<(usize, Vec<(K, V)>)>,
-        restrict_to: Option<&[bool]>,
-        metrics: &mut EngineMetrics,
-    ) {
-        for (from, updates) in seeds {
-            route_and_send_to(transport, gp, scope, from, 0, updates, restrict_to);
-        }
-        transport.flush();
-        let s = transport.stats();
-        metrics.seed_messages = s.messages;
-        metrics.total_messages += s.messages;
-        metrics.total_bytes += s.bytes;
-    }
-    let restrict_to = if repeval.is_empty() {
-        None
-    } else {
-        Some(peval.as_slice())
-    };
-
-    let partials = match (config.mode, spec) {
-        (EngineMode::Sync, TransportSpec::Barrier) => {
-            let retained = partials.into_iter().map(Some).collect();
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            let transport = BarrierTransport::new(m, ops);
-            seed(
-                &transport,
-                ctx.gp,
-                ctx.scope,
-                seeds,
-                restrict_to,
-                &mut metrics,
-            );
-            superstep_loop(&ctx, &host, &transport, &mut metrics)?;
-            host.into_partials()?
-        }
-        (EngineMode::Sync, TransportSpec::Channel) => {
-            let retained = partials.into_iter().map(Some).collect();
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            let transport = ChannelTransport::new(m, ops);
-            seed(
-                &transport,
-                ctx.gp,
-                ctx.scope,
-                seeds,
-                restrict_to,
-                &mut metrics,
-            );
-            superstep_loop(&ctx, &host, &transport, &mut metrics)?;
-            host.into_partials()?
-        }
-        (EngineMode::Async, TransportSpec::Barrier) => {
-            unreachable!("validate_policies rejects Async over a barrier transport")
-        }
-        (EngineMode::Async, TransportSpec::Channel) => {
-            let retained = partials.into_iter().map(Some).collect();
-            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            let transport = ChannelTransport::new(m, ops);
-            seed(
-                &transport,
-                ctx.gp,
-                ctx.scope,
-                seeds,
-                restrict_to,
-                &mut metrics,
-            );
-            streaming_loop(&ctx, &host, &transport, &mut metrics, Phase::Incremental)?;
-            host.into_partials()?
-        }
-        (mode, TransportSpec::Process { workers }) => {
-            let host = ProcessHost::spawn(program, query, &fragments, Some(&partials), workers)?;
+    // The host: where the evaluations run.
+    let partials = match spec {
+        TransportSpec::Process { workers } => {
+            let host =
+                ProcessHost::spawn(program, query, &fragments, retained.as_deref(), workers)?;
             let pipe = host.pipe_counter();
-            let run = match mode {
-                EngineMode::Sync => {
-                    let transport = BarrierTransport::new(m, ops);
-                    seed(
-                        &transport,
-                        ctx.gp,
-                        ctx.scope,
-                        seeds,
-                        restrict_to,
-                        &mut metrics,
-                    );
-                    superstep_loop(&ctx, &host, &transport, &mut metrics)
-                }
-                EngineMode::Async => {
-                    let transport = ChannelTransport::new(m, ops);
-                    seed(
-                        &transport,
-                        ctx.gp,
-                        ctx.scope,
-                        seeds,
-                        restrict_to,
-                        &mut metrics,
-                    );
-                    streaming_loop(&ctx, &host, &transport, &mut metrics, Phase::Incremental)
-                }
-            };
-            let collected = run.and_then(|()| host.into_partials());
+            let collected = schedule(&ctx, spec, &host, ops, seeds, &mut metrics)
+                .and_then(|()| host.into_partials());
             metrics.pipe_bytes = pipe.load(Ordering::Relaxed);
             collected?
+        }
+        TransportSpec::Barrier | TransportSpec::Channel => {
+            let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
+            schedule(&ctx, spec, &host, ops, seeds, &mut metrics)?;
+            host.into_partials()?
         }
     };
     metrics.total_time = total_start.elapsed();
     Ok((partials, metrics))
+}
+
+/// Picks the transport and the loop: the superstep loop over a
+/// [`BarrierTransport`] under [`EngineMode::Sync`] (over a
+/// [`ChannelTransport`] when the session asks for `Channel`), the streaming
+/// loop over a [`ChannelTransport`] under [`EngineMode::Async`].  The seeds
+/// are published before the loop starts.
+fn schedule<P: PieProgram, H: WorkerHost<P>>(
+    ctx: &RunCtx<'_>,
+    spec: TransportSpec,
+    host: &H,
+    ops: MessageOps<'_, P::Key, P::Value>,
+    seeds: Vec<SeedBatch<P>>,
+    metrics: &mut EngineMetrics,
+) -> Result<(), EngineError> {
+    let m = ctx.num_fragments;
+    match (ctx.config.mode, spec) {
+        (EngineMode::Sync, TransportSpec::Channel) => {
+            let transport = ChannelTransport::new(m, ops);
+            seed(ctx, &transport, seeds, metrics);
+            superstep_loop(ctx, host, &transport, metrics)
+        }
+        (EngineMode::Sync, _) => {
+            let transport = BarrierTransport::new(m, ops);
+            seed(ctx, &transport, seeds, metrics);
+            superstep_loop(ctx, host, &transport, metrics)
+        }
+        (EngineMode::Async, _) => {
+            let transport = ChannelTransport::new(m, ops);
+            seed(ctx, &transport, seeds, metrics);
+            streaming_loop(ctx, host, &transport, metrics)
+        }
+    }
+}
+
+/// Routes the seed messages at logical step 0 and publishes them before the
+/// loop starts, so the first round sees them like any other mail; the
+/// published volume is accounted as `seed_messages` (separate from the
+/// per-superstep flow, included in the run totals).  Fragments that PEval
+/// re-roots start with no memory of their neighbours' values while everyone
+/// else already holds them, so when the mask selects any fragment the seeds
+/// reach those fragments only.
+fn seed<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
+    ctx: &RunCtx<'_>,
+    transport: &T,
+    seeds: Vec<(usize, Vec<(K, V)>)>,
+    metrics: &mut EngineMetrics,
+) {
+    let restrict_to = ctx.peval.contains(&true).then_some(ctx.peval);
+    for (from, updates) in seeds {
+        route_and_send(ctx, transport, from, 0, updates, restrict_to);
+    }
+    transport.flush();
+    let s = transport.stats();
+    metrics.seed_messages = s.messages;
+    metrics.total_messages += s.messages;
+    metrics.total_bytes += s.bytes;
 }
 
 /// The BSP runtime: supersteps separated by a global barrier at which the
@@ -681,7 +553,7 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
         let step_start = Instant::now();
         // The rooting step: superstep 0 runs PEval on the fragments the
         // mask selects (all of them in a full run, the damage frontier in a
-        // bounded refresh, none in a monotone refresh).
+        // bounded refresh, none in an IncEval-only refresh).
         let rooting = superstep == 0;
 
         // Decide which fragments are active this superstep.
@@ -702,16 +574,13 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
         let active_ref = &active;
         let peval_count_ref = &peval_count;
         let inceval_count_ref = &inceval_count;
-        let abort = AtomicBool::new(false);
-        let abort_ref = &abort;
-        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-        let first_error_ref = &first_error;
+        let failure = FirstError::new();
+        let failure_ref = &failure;
         std::thread::scope(|s| {
             for worker_fragments in ctx.assignment {
-                let worker_fragments = worker_fragments.clone();
                 s.spawn(move || {
-                    for fi in worker_fragments {
-                        if abort_ref.load(Ordering::Relaxed) {
+                    for &fi in worker_fragments {
+                        if failure_ref.aborted() {
                             return;
                         }
                         if !active_ref[fi] {
@@ -732,14 +601,10 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                         };
                         match evaluated {
                             Ok(updates) => {
-                                route_and_send(transport, ctx.gp, ctx.scope, fi, superstep, updates)
+                                route_and_send(ctx, transport, fi, superstep, updates, None)
                             }
                             Err(e) => {
-                                let mut slot = first_error_ref.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                abort_ref.store(true, Ordering::Relaxed);
+                                failure_ref.record(e);
                                 return;
                             }
                         }
@@ -747,9 +612,7 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                 });
             }
         });
-        if let Some(e) = first_error.into_inner() {
-            return Err(e);
-        }
+        failure.into_result()?;
 
         // Barrier: the transport publishes this superstep's messages.
         transport.flush();
@@ -808,7 +671,6 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
     host: &H,
     transport: &T,
     metrics: &mut EngineMetrics,
-    phase: Phase,
 ) -> Result<(), EngineError> {
     let peval_count = AtomicUsize::new(0);
     let inceval_count = AtomicUsize::new(0);
@@ -822,24 +684,20 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
     // whole observation — then no busy transition completed inside the
     // window, `busy` was constant 0 throughout, no send was in flight, and
     // the observed zeros really did overlap.
-    // Only the mask-selected fragments have a PEval to wait for (all in the
-    // full phase, the damage frontier in a bounded refresh, none in a
-    // monotone refresh).
+    // Only the mask-selected fragments have a PEval to wait for (all of
+    // them in a full run, the damage frontier in a bounded refresh, none in
+    // an IncEval-only refresh).
     let unstarted = AtomicUsize::new(ctx.peval.iter().filter(|&&p| p).count());
     let busy = AtomicUsize::new(0);
     let activity = AtomicUsize::new(0);
     let diverged = AtomicBool::new(false);
-    // Host failures (a dead worker subprocess) abort the run: the failing
-    // thread records the first error and raises `abort`, which every
-    // worker's drain loop checks — so nobody spins on quiescence counters
-    // that a dead peer can no longer move.
-    let abort = AtomicBool::new(false);
-    let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
+    // A host failure (a dead worker subprocess) aborts the run; every
+    // worker's drain loop checks the flag.
+    let failure = FirstError::new();
     let records: Mutex<Vec<EvalRecord>> = Mutex::new(Vec::new());
 
     {
-        let abort_ref = &abort;
-        let first_error_ref = &first_error;
+        let failure_ref = &failure;
         let unstarted_ref = &unstarted;
         let busy_ref = &busy;
         let activity_ref = &activity;
@@ -849,7 +707,6 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
         let inceval_count_ref = &inceval_count;
         std::thread::scope(|s| {
             for worker_fragments in ctx.assignment {
-                let worker_fragments = worker_fragments.clone();
                 s.spawn(move || {
                     let mut local: Vec<EvalRecord> = Vec::new();
                     // Per-fragment evaluation counters (this worker is the
@@ -867,35 +724,39 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                     // (which inflates evaluation counts) and chains of
                     // interim values (which inflate message depth).
                     let mut evals: HashMap<usize, usize> = HashMap::new();
+                    // Ends a busy transition.  `activity` is always bumped
+                    // BEFORE the busy transition it announces: an observer
+                    // whose activity re-read is unchanged can then be sure
+                    // no transition completed inside its window.
+                    let done = || {
+                        activity_ref.fetch_add(1, Ordering::SeqCst);
+                        busy_ref.fetch_sub(1, Ordering::SeqCst);
+                    };
                     // PEval for the mask-selected fragments this worker owns
-                    // (all of its fragments in the full phase, the damaged
-                    // ones in a bounded refresh, none in a monotone refresh
+                    // (all of its fragments in a full run, the damaged ones
+                    // in a bounded refresh, none in an IncEval-only refresh
                     // — which starts straight from the retained partials and
                     // the pre-seeded mailboxes).  No global barrier
                     // afterwards: mail addressed to a fragment whose PEval
-                    // has not run yet simply waits in its mailbox.
-                    for &fi in &worker_fragments {
+                    // has not run yet simply waits in its mailbox.  On an
+                    // abort the drain loop below exits before its first
+                    // sweep.
+                    for &fi in worker_fragments {
                         if !ctx.peval[fi] {
                             continue;
                         }
-                        if abort_ref.load(Ordering::SeqCst) {
-                            records_ref.lock().extend(local);
-                            return;
+                        if failure_ref.aborted() {
+                            break;
                         }
                         let t0 = Instant::now();
                         let updates = match host.peval(fi) {
                             Ok(updates) => updates,
                             Err(e) => {
-                                let mut slot = first_error_ref.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                abort_ref.store(true, Ordering::SeqCst);
-                                records_ref.lock().extend(local);
-                                return;
+                                failure_ref.record(e);
+                                break;
                             }
                         };
-                        route_and_send(transport, ctx.gp, ctx.scope, fi, 0, updates);
+                        route_and_send(ctx, transport, fi, 0, updates, None);
                         unstarted_ref.fetch_sub(1, Ordering::SeqCst);
                         peval_count_ref.fetch_add(1, Ordering::Relaxed);
                         evals.insert(fi, 0);
@@ -910,7 +771,7 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                     // Drain to quiescence.
                     let mut idle_rounds = 0u32;
                     loop {
-                        if diverged_ref.load(Ordering::SeqCst) || abort_ref.load(Ordering::SeqCst) {
+                        if diverged_ref.load(Ordering::SeqCst) || failure_ref.aborted() {
                             break;
                         }
                         let mut progressed = false;
@@ -918,33 +779,22 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                         // pending count skips the per-mailbox locking when
                         // there is nothing anywhere.
                         let anything_pending = transport.pending_mailboxes() > 0;
-                        for &fi in &worker_fragments {
+                        for &fi in worker_fragments {
                             if !anything_pending || !transport.has_pending(fi) {
                                 continue;
                             }
-                            // `activity` is always bumped BEFORE the busy
-                            // transition it announces: an observer whose
-                            // activity re-read is unchanged can then be sure
-                            // no transition completed inside its window.
                             activity_ref.fetch_add(1, Ordering::SeqCst);
                             busy_ref.fetch_add(1, Ordering::SeqCst);
                             let drained = transport.drain(fi);
                             if drained.updates.is_empty() {
-                                activity_ref.fetch_add(1, Ordering::SeqCst);
-                                busy_ref.fetch_sub(1, Ordering::SeqCst);
+                                done();
                                 continue;
                             }
-                            // First evaluation of a fragment: round 1 in the
-                            // full phase (its PEval was round 0), round 0 in
-                            // the incremental phase (seeds carry step 0 and
-                            // there is no PEval round).
-                            let own = evals.get(&fi).map_or(
-                                match phase {
-                                    Phase::Full => 1,
-                                    Phase::Incremental => 0,
-                                },
-                                |e| e + 1,
-                            );
+                            // A fragment's first evaluation runs in round 1
+                            // after its PEval (round 0) and in round 0 when
+                            // it had none (seeds carry step 0); every later
+                            // one is one round past the previous.
+                            let own = evals.get(&fi).map_or(0, |e| e + 1);
                             let step = own.min(drained.max_step + 1);
                             // Guard divergence on the *logical* round, not
                             // the raw evaluation count: piecemeal arrival
@@ -955,8 +805,7 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                             // carries its sender's assigned round).
                             if step >= ctx.config.max_supersteps {
                                 diverged_ref.store(true, Ordering::SeqCst);
-                                activity_ref.fetch_add(1, Ordering::SeqCst);
-                                busy_ref.fetch_sub(1, Ordering::SeqCst);
+                                done();
                                 break;
                             }
                             evals.insert(fi, own);
@@ -964,19 +813,13 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
                             let updates = match host.inc_eval(fi, &drained.updates) {
                                 Ok(updates) => updates,
                                 Err(e) => {
-                                    let mut slot = first_error_ref.lock();
-                                    if slot.is_none() {
-                                        *slot = Some(e);
-                                    }
-                                    abort_ref.store(true, Ordering::SeqCst);
-                                    activity_ref.fetch_add(1, Ordering::SeqCst);
-                                    busy_ref.fetch_sub(1, Ordering::SeqCst);
+                                    failure_ref.record(e);
+                                    done();
                                     break;
                                 }
                             };
-                            route_and_send(transport, ctx.gp, ctx.scope, fi, step, updates);
-                            activity_ref.fetch_add(1, Ordering::SeqCst);
-                            busy_ref.fetch_sub(1, Ordering::SeqCst);
+                            route_and_send(ctx, transport, fi, step, updates, None);
+                            done();
                             inceval_count_ref.fetch_add(1, Ordering::Relaxed);
                             local.push(EvalRecord {
                                 fragment: fi,
@@ -1017,9 +860,7 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
         });
     }
 
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
+    failure.into_result()?;
     if diverged.load(Ordering::SeqCst) {
         return Err(EngineError::DidNotConverge {
             max_supersteps: ctx.config.max_supersteps,
@@ -1030,9 +871,9 @@ fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
     // the reported superstep count is the depth of an equivalent BSP
     // schedule of the same deliveries.  Messages consumed by an evaluation
     // in round `s` are attributed to the end of round `s - 1`, matching the
-    // synchronous accounting; round-0 consumption only exists in the
-    // incremental phase, where it is the injected seeds (accounted
-    // separately as `seed_messages` by the caller).
+    // synchronous accounting; round-0 consumption only exists on a refresh,
+    // where it is the injected seeds (accounted separately as
+    // `seed_messages` by `seed`).
     let records = records.into_inner();
     if records.is_empty() {
         // Incremental refresh with nothing to do: zero supersteps.
@@ -1410,6 +1251,40 @@ mod tests {
             assert_eq!(result.metrics.peval_calls, 3, "{mode:?}");
             assert!(result.metrics.inceval_calls > 0, "{mode:?}");
             assert!(!result.metrics.incremental);
+        }
+    }
+
+    /// A refresh whose frontier is every fragment, with no seeds, is a full
+    /// run: the identity `RunStart::full` relies on.  Its placeholders are
+    /// empty maps, which IncEval would index into and panic on, so the run
+    /// also proves PEval overwrote every one of them first.
+    #[test]
+    fn full_frontier_refresh_equals_a_fresh_prepare() {
+        let g = ring_graph(12);
+        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
+        for mode in [EngineMode::Sync, EngineMode::Async] {
+            let session = GrapeSession::builder()
+                .workers(2)
+                .mode(mode)
+                .build()
+                .unwrap();
+            let fresh = session.prepare(frag.clone(), MinPropagation, ()).unwrap();
+            let start = RunStart {
+                partials: Some(vec![MinPartial::new(); 3]),
+                seeds: Vec::new(),
+                repeval: vec![0, 1, 2],
+            };
+            let (partials, metrics) =
+                run_parts(&session, &frag, &MinPropagation, &(), start).unwrap();
+            assert_eq!(partials, fresh.partials(), "{mode:?}");
+            assert_eq!(metrics.peval_calls, 3, "{mode:?}");
+            assert!(metrics.incremental, "{mode:?}");
+            if mode == EngineMode::Sync {
+                let prepared = fresh.prepare_metrics();
+                assert_eq!(metrics.supersteps, prepared.supersteps);
+                assert_eq!(metrics.total_messages, prepared.total_messages);
+                assert_eq!(metrics.inceval_calls, prepared.inceval_calls);
+            }
         }
     }
 }

@@ -83,22 +83,25 @@ pub(crate) struct InProcessHost<'r, P: PieProgram> {
 }
 
 impl<'r, P: PieProgram> InProcessHost<'r, P> {
-    /// `initial` pre-populates the partials: `None` everywhere for a full
-    /// run, the retained partials for an incremental refresh.
+    /// `retained` pre-populates the partials: `None` (no partial yet) for a
+    /// full run, the retained partials for an incremental refresh.
     pub fn new(
         program: &'r P,
         query: &'r P::Query,
         fragments: &'r [Arc<Fragment>],
         aggregate: AggregateFn<'r, P::Key, P::Value>,
-        initial: Vec<Option<P::Partial>>,
+        retained: Option<Vec<P::Partial>>,
     ) -> Self {
-        debug_assert_eq!(initial.len(), fragments.len());
+        let partials = match retained {
+            Some(partials) => partials.into_iter().map(|p| Mutex::new(Some(p))).collect(),
+            None => fragments.iter().map(|_| Mutex::new(None)).collect(),
+        };
         InProcessHost {
             program,
             query,
             fragments,
             aggregate,
-            partials: initial.into_iter().map(Mutex::new).collect(),
+            partials,
         }
     }
 }

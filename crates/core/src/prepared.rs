@@ -36,7 +36,7 @@ use grape_graph::delta::GraphDelta;
 use grape_partition::delta::{damage_frontier, DeltaApplication};
 use grape_partition::fragment::Fragmentation;
 
-use crate::engine::{prepare_parts, refresh_parts, EngineError, RefreshState};
+use crate::engine::{run_parts, EngineError, RunStart};
 use crate::metrics::EngineMetrics;
 use crate::output_delta::{diff_sorted, DeltaOutput, OutputDelta};
 use crate::pie::{IncrementalPie, PieProgram, SeedBatch};
@@ -136,14 +136,8 @@ impl GrapeSession {
         program: P,
         query: P::Query,
     ) -> Result<PreparedQuery<P>, EngineError> {
-        let (partials, metrics) = prepare_parts(
-            self.config(),
-            self.balancer(),
-            self.transport(),
-            &fragmentation,
-            &program,
-            &query,
-        )?;
+        let start = RunStart::full(fragmentation.num_fragments());
+        let (partials, metrics) = run_parts(self, &fragmentation, &program, &query, start)?;
         Ok(PreparedQuery {
             session: self.clone(),
             program,
@@ -396,15 +390,14 @@ impl<P: IncrementalPie> PreparedQuery<P> {
 
         if repeval.len() == m {
             // The frontier covers everything: classic full re-preparation.
-            // Nothing is mutated before `prepare_parts` succeeds, so an
-            // error here leaves the handle consistent at the old graph.
-            let (partials, metrics) = prepare_parts(
-                self.session.config(),
-                self.session.balancer(),
-                self.session.transport(),
+            // Nothing is mutated before `run_parts` succeeds, so an error
+            // here leaves the handle consistent at the old graph.
+            let (partials, metrics) = run_parts(
+                &self.session,
                 &applied.fragmentation,
                 &self.program,
                 &self.query,
+                RunStart::full(m),
             )?;
             self.fragmentation = applied.fragmentation.clone();
             self.partials = partials;
@@ -443,19 +436,17 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         seeds: Vec<SeedBatch<P>>,
         repeval: Vec<usize>,
     ) -> Result<EngineMetrics, EngineError> {
-        let state = RefreshState {
-            partials: std::mem::take(&mut self.partials),
+        let start = RunStart {
+            partials: Some(std::mem::take(&mut self.partials)),
             seeds,
             repeval,
         };
-        let (partials, metrics) = refresh_parts(
-            self.session.config(),
-            self.session.balancer(),
-            self.session.transport(),
+        let (partials, metrics) = run_parts(
+            &self.session,
             &applied.fragmentation,
             &self.program,
             &self.query,
-            state,
+            start,
         )?;
         self.fragmentation = applied.fragmentation.clone();
         self.partials = partials;
@@ -771,9 +762,10 @@ mod tests {
     }
 
     /// The empty-delta short-circuit must answer before entering the
-    /// engine.  Pinned through a side door: `refresh_parts` categorically
-    /// rejects failure-injection sessions, so a no-op update succeeding on
-    /// one proves the engine was never spun up.
+    /// engine.  Pinned through a side door: the engine rejects
+    /// failure-injection sessions on every run that starts from retained
+    /// partials, so a no-op update succeeding on one proves the engine was
+    /// never spun up.
     #[test]
     fn empty_delta_short_circuits_before_the_engine() {
         let g = path_graph(9);

@@ -75,14 +75,7 @@ impl GrapeSession {
         program: &P,
         query: &P::Query,
     ) -> Result<RunResult<P::Output>, EngineError> {
-        execute(
-            &self.config,
-            &self.balancer,
-            self.transport,
-            fragmentation,
-            program,
-            query,
-        )
+        execute(self, fragmentation, program, query)
     }
 
     /// The session configuration.
@@ -176,9 +169,8 @@ impl GrapeSessionBuilder {
         self
     }
 
-    /// Validates the combined policies (shared with the engine's own
-    /// run-time check, so the deprecated shim path gets the same rules) and
-    /// produces the session.
+    /// Validates the combined policies and produces the session.  The
+    /// engine runs only sessions, so every run has passed this check.
     pub fn build(self) -> Result<GrapeSession, EngineError> {
         let transport = self
             .transport

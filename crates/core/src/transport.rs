@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -222,23 +222,14 @@ type StagedBatch<K, V> = (usize, usize, Vec<(K, V)>);
 /// Contract (checked by the conformance suite in this module's tests):
 ///
 /// * updates become visible to [`Transport::drain`] after
-///   [`Transport::flush`] (barrier transports) or immediately (streaming
-///   transports, [`Transport::is_streaming`] = `true`);
+///   [`Transport::flush`] (the barrier transport) or immediately (the
+///   streaming one);
 /// * conflicting assignments to one key are resolved with `aggregateMsg`
 ///   before delivery, whichever sender they came from;
 /// * a value identical to the last one delivered to that mailbox is dropped
 ///   free of charge (the *delivered* cache) — only **changed** values ship
-///   and are accounted;
-/// * after [`Transport::seal`], further sends panic (a programming error),
-///   while pending mail can still be drained.
+///   and are accounted.
 pub trait Transport<K, V>: Send + Sync {
-    /// Implementation name (metrics/debugging).
-    fn name(&self) -> &'static str;
-
-    /// Whether sends become visible without a `flush` — required by the
-    /// barrier-free asynchronous runtime.
-    fn is_streaming(&self) -> bool;
-
     /// Ships a batch of updates from fragment `from` to the mailbox of
     /// `dest`, tagged with the sender's logical step.
     fn send_batch(&self, from: usize, dest: usize, step: usize, updates: Vec<(K, V)>);
@@ -256,18 +247,10 @@ pub trait Transport<K, V>: Send + Sync {
     /// Number of mailboxes with published messages waiting.
     fn pending_mailboxes(&self) -> usize;
 
-    /// Rejects further sends; draining stays legal.
-    fn seal(&self);
-
     /// Cumulative accounting since construction (monotone, survives
     /// [`Transport::reset`] — re-shipped messages after a failure recovery
     /// are real communication).
     fn stats(&self) -> TransportStats;
-
-    /// Whether [`Transport::snapshot`] returns `Some` — the capability the
-    /// checkpointing machinery queries.  Must agree with `snapshot()`
-    /// (checked by the conformance suite).
-    fn supports_checkpoints(&self) -> bool;
 
     /// Captures mailbox state for checkpointing, or `None` when the
     /// transport cannot checkpoint (streaming transports).
@@ -318,7 +301,6 @@ pub struct BarrierTransport<'p, K, V> {
     mailboxes: Vec<Mutex<BarrierMailbox<K, V>>>,
     messages: AtomicUsize,
     bytes: AtomicUsize,
-    sealed: AtomicBool,
 }
 
 impl<'p, K, V> BarrierTransport<'p, K, V> {
@@ -332,7 +314,6 @@ impl<'p, K, V> BarrierTransport<'p, K, V> {
                 .collect(),
             messages: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
-            sealed: AtomicBool::new(false),
         }
     }
 }
@@ -342,19 +323,7 @@ where
     K: Clone + Eq + Hash + Send,
     V: Clone + PartialEq + Send,
 {
-    fn name(&self) -> &'static str {
-        "barrier"
-    }
-
-    fn is_streaming(&self) -> bool {
-        false
-    }
-
     fn send_batch(&self, from: usize, dest: usize, step: usize, updates: Vec<(K, V)>) {
-        assert!(
-            !self.sealed.load(Ordering::SeqCst),
-            "send_batch on a sealed transport"
-        );
         if updates.is_empty() {
             return;
         }
@@ -432,19 +401,11 @@ where
             .count()
     }
 
-    fn seal(&self) {
-        self.sealed.store(true, Ordering::SeqCst);
-    }
-
     fn stats(&self) -> TransportStats {
         TransportStats {
             messages: self.messages.load(Ordering::SeqCst),
             bytes: self.bytes.load(Ordering::SeqCst),
         }
-    }
-
-    fn supports_checkpoints(&self) -> bool {
-        true
     }
 
     fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
@@ -512,7 +473,6 @@ pub struct ChannelTransport<'p, K, V> {
     nonempty: AtomicUsize,
     messages: AtomicUsize,
     bytes: AtomicUsize,
-    sealed: AtomicBool,
 }
 
 impl<'p, K, V> ChannelTransport<'p, K, V> {
@@ -526,7 +486,6 @@ impl<'p, K, V> ChannelTransport<'p, K, V> {
             nonempty: AtomicUsize::new(0),
             messages: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
-            sealed: AtomicBool::new(false),
         }
     }
 }
@@ -536,19 +495,7 @@ where
     K: Clone + Eq + Hash + Send,
     V: Clone + PartialEq + Send,
 {
-    fn name(&self) -> &'static str {
-        "channel"
-    }
-
-    fn is_streaming(&self) -> bool {
-        true
-    }
-
     fn send_batch(&self, _from: usize, dest: usize, step: usize, updates: Vec<(K, V)>) {
-        assert!(
-            !self.sealed.load(Ordering::SeqCst),
-            "send_batch on a sealed transport"
-        );
         if updates.is_empty() {
             return;
         }
@@ -612,19 +559,11 @@ where
         self.nonempty.load(Ordering::SeqCst)
     }
 
-    fn seal(&self) {
-        self.sealed.store(true, Ordering::SeqCst);
-    }
-
     fn stats(&self) -> TransportStats {
         TransportStats {
             messages: self.messages.load(Ordering::SeqCst),
             bytes: self.bytes.load(Ordering::SeqCst),
         }
-    }
-
-    fn supports_checkpoints(&self) -> bool {
-        false
     }
 
     fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
@@ -669,17 +608,7 @@ mod tests {
     /// Accounting *timing* differs between the two (barrier charges at
     /// flush, channel at drain), so the suite always observes stats after a
     /// full send → flush → drain cycle, where both must agree.
-    fn conformance<T: Transport<u64, u64>>(t: &T) {
-        let name = t.name();
-
-        // (0) The checkpoint capability must agree with what snapshot()
-        // actually returns — the validation layer trusts the former.
-        assert_eq!(
-            t.supports_checkpoints(),
-            t.snapshot().is_some(),
-            "{name}: supports_checkpoints() must agree with snapshot()"
-        );
-
+    fn conformance<T: Transport<u64, u64>>(name: &str, t: &T) {
         // (1) Delivery: one update from fragment 0 to fragment 1.
         t.send_batch(0, 1, 0, vec![(5, 40)]);
         t.flush();
@@ -777,37 +706,18 @@ mod tests {
             vec![(21, 21)],
             "{name}: empty flush dropped or duplicated pending mail"
         );
-
-        // (9) Seal: pending mail can still be drained.
-        t.send_batch(0, 2, 6, vec![(11, 11)]);
-        t.flush();
-        t.seal();
-        assert_eq!(t.drain(2).updates, vec![(11, 11)], "{name}");
-
-        // (10) Seal after drain: the transport stays drainable (empty) and
-        // consistent once everything has been consumed.
-        assert!(t.drain(2).updates.is_empty(), "{name}: drained twice");
-        assert!(!t.has_pending(2), "{name}");
-        assert_eq!(t.pending_mailboxes(), 0, "{name}");
-        let sealed_stats = t.stats();
-        assert!(t.drain(0).updates.is_empty(), "{name}");
-        assert_eq!(
-            t.stats(),
-            sealed_stats,
-            "{name}: sealed drains must be free"
-        );
     }
 
     #[test]
     fn barrier_transport_conforms() {
         let ops = MIN_OPS;
-        conformance(&BarrierTransport::new(3, ops));
+        conformance("barrier", &BarrierTransport::new(3, ops));
     }
 
     #[test]
     fn channel_transport_conforms() {
         let ops = MIN_OPS;
-        conformance(&ChannelTransport::new(3, ops));
+        conformance("channel", &ChannelTransport::new(3, ops));
     }
 
     #[test]
@@ -816,14 +726,12 @@ mod tests {
         let barrier = BarrierTransport::new(2, ops);
         barrier.send_batch(0, 1, 0, vec![(1, 1)]);
         assert!(!barrier.has_pending(1), "barrier publishes at flush only");
-        assert!(!barrier.is_streaming());
         barrier.flush();
         assert!(barrier.has_pending(1));
 
         let channel = ChannelTransport::new(2, ops);
         channel.send_batch(0, 1, 0, vec![(1, 1)]);
         assert!(channel.has_pending(1), "channel delivers immediately");
-        assert!(channel.is_streaming());
     }
 
     #[test]
@@ -892,41 +800,11 @@ mod tests {
         assert_eq!(t.drain(1).updates, vec![(4, 40)]);
     }
 
-    /// Draining a sealed transport stays legal indefinitely, and a sealed
-    /// channel transport keeps its immediate-delivery semantics for mail
-    /// that was in flight before the seal.
-    #[test]
-    fn channel_seal_after_drain_stays_consistent() {
-        let ops = MIN_OPS;
-        let t: ChannelTransport<u64, u64> = ChannelTransport::new(2, ops);
-        t.send_batch(0, 1, 0, vec![(1, 10)]);
-        assert_eq!(t.drain(1).updates, vec![(1, 10)]);
-        t.seal();
-        assert!(t.drain(1).updates.is_empty());
-        assert_eq!(t.pending_mailboxes(), 0);
-        assert_eq!(
-            t.stats(),
-            TransportStats {
-                messages: 1,
-                bytes: 16
-            }
-        );
-    }
-
     #[test]
     fn channel_snapshot_is_unsupported() {
         let ops = MIN_OPS;
         let t: ChannelTransport<u64, u64> = ChannelTransport::new(2, ops);
         assert!(t.snapshot().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "sealed")]
-    fn sends_after_seal_panic() {
-        let ops = MIN_OPS;
-        let t = BarrierTransport::new(2, ops);
-        t.seal();
-        t.send_batch(0, 1, 0, vec![(1, 1)]);
     }
 
     #[test]

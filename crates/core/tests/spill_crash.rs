@@ -169,6 +169,28 @@ fn flipped_count_prefixes_are_clean_snapshot_errors() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A corrupt string length inside a spill file (here the first header key,
+/// `generation`) is a clean snapshot error: the reader bounds it by the
+/// bytes present instead of allocating what the prefix claims.
+#[test]
+fn corrupted_string_lengths_are_clean_snapshot_errors() {
+    let dir = scratch_dir("strlen");
+    let (mut server, h) = server_with_store(EngineMode::Sync, &dir);
+    let expected = server.output(&h).expect("output before evict");
+    let base = server.evict(&h).expect("evict");
+    let bytes = fs::read(&base).expect("read base");
+    // Preamble (6 bytes), map tag, entry count, then the key's length.
+    let offset = 6 + 1 + 8;
+    assert_eq!(&bytes[offset..offset + 8], &10u64.to_le_bytes());
+    assert_eq!(&bytes[offset + 8..offset + 18], b"generation");
+    for len in [u64::MAX >> 1, 1 << 40] {
+        fs::write(&base, with_count(&bytes, offset, len)).expect("corrupt");
+        expect_snapshot_error(&mut server, &h, &format!("string length {len}"));
+    }
+    expect_recovery(&mut server, &h, &base, &bytes, &expected);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_magic_and_orphan_tmp_debris_do_not_break_rehydration() {
     let dir = scratch_dir("debris");

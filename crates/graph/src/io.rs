@@ -230,12 +230,6 @@ pub fn ensure_fully_consumed<R: Read>(reader: &mut R) -> Result<(), IoError> {
     }
 }
 
-fn read_exact_buf<R: Read>(r: &mut R, n: usize) -> Result<Vec<u8>, IoError> {
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
 fn read_u64<R: Read>(r: &mut R) -> Result<u64, IoError> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
@@ -246,9 +240,19 @@ fn read_len<R: Read>(r: &mut R) -> Result<usize, IoError> {
     usize::try_from(read_u64(r)?).map_err(|_| IoError::Snapshot("length overflow".to_string()))
 }
 
+/// Reads a length-prefixed string.  The prefix comes from a file or a pipe,
+/// so it only bounds the read (`take`); the buffer grows with the bytes that
+/// actually arrive, and a corrupt length is an error, not an allocation.
 fn read_str<R: Read>(r: &mut R) -> Result<String, IoError> {
-    let len = read_len(r)?;
-    let bytes = read_exact_buf(r, len)?;
+    let len = read_u64(r)?;
+    let mut bytes = Vec::with_capacity(len.min(1 << 16) as usize);
+    r.by_ref().take(len).read_to_end(&mut bytes)?;
+    if (bytes.len() as u64) < len {
+        return Err(IoError::Snapshot(format!(
+            "string of {len} bytes ends after {}",
+            bytes.len()
+        )));
+    }
     String::from_utf8(bytes).map_err(|_| IoError::Snapshot("non-UTF-8 string".to_string()))
 }
 
@@ -540,6 +544,19 @@ mod tests {
     fn tmp_sibling_appends_suffix_in_place() {
         let p = Path::new("/a/b/query-3.base");
         assert_eq!(tmp_sibling(p), Path::new("/a/b/query-3.base.tmp"));
+    }
+
+    /// A string length prefix larger than the input must come back as an
+    /// error: the reader never allocates what a corrupt prefix claims.
+    #[test]
+    fn corrupt_string_lengths_are_errors_not_allocations() {
+        for (len, tail) in [(u64::MAX >> 1, &b""[..]), (1 << 40, &b"abc"[..])] {
+            let mut buf = vec![TAG_STR];
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(tail);
+            let err = read_value_tree(&mut Cursor::new(buf)).unwrap_err();
+            assert!(matches!(err, IoError::Snapshot(_)), "length {len}: {err:?}");
+        }
     }
 
     #[test]

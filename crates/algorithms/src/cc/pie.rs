@@ -396,7 +396,7 @@ impl IncrementalPie for Cc {
             return None;
         }
         let new = &applied.fragmentation;
-        let orientations = if new.source().is_directed() { 1 } else { 2 };
+        let orientations = if new.is_directed() { 1 } else { 2 };
         for &(s, d) in delta.removed_edges() {
             for (a, b) in [(s, d), (d, s)].into_iter().take(orientations) {
                 let cell = |v: VertexId| {

@@ -275,7 +275,7 @@ impl Sssp {
             }
         };
         // An undirected edge lives in both endpoints' fragments.
-        let orientations = if old.source().is_directed() { 1 } else { 2 };
+        let orientations = if old.is_directed() { 1 } else { 2 };
         for &(s, d) in delta.removed_edges() {
             for (a, b) in [(s, d), (d, s)].into_iter().take(orientations) {
                 let i = old.gp().owner(a);

@@ -215,9 +215,11 @@ impl Graph {
     /// Applies a batch of updates, producing `G ⊕ ΔG`.
     ///
     /// The graph is immutable (CSR-frozen), so this rebuilds the edge list
-    /// and re-indexes — `O(|V| + |E| + |ΔG|)`.  The point of the prepared
-    /// query machinery is that the *computation* over the updated graph is
-    /// incremental; rebuilding the structure itself is a linear scan.
+    /// and re-indexes — `O(|V| + |E| + |ΔG|)`.  This is the oracle and test
+    /// path: the serving path never calls it, because
+    /// `grape_partition`'s `Fragmentation::apply_delta` patches the touched
+    /// fragments instead and checks removals with exactly these rules and
+    /// this error precedence.
     ///
     /// See the module docs for the exact semantics of each update kind.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Graph, DeltaError> {

@@ -1,4 +1,4 @@
-//! Applying a [`GraphDelta`] to a [`Fragmentation`]: fragment rebuilds,
+//! Applying a [`GraphDelta`] to a [`Fragmentation`]: fragment patches,
 //! border-set maintenance and fragmentation-graph (`G_P`) maintenance.
 //!
 //! The update path of a prepared query (see `grape_core::prepared`) needs
@@ -6,13 +6,31 @@
 //!
 //! 1. the **updated fragments** — only the fragments whose local structure
 //!    (inner vertices, outer copies, local edges, border sets) actually
-//!    changed are rebuilt; all others are reused untouched, so their
-//!    retained partial results stay valid by construction;
+//!    changed are replaced; all others keep their `Arc`, so their retained
+//!    partial results stay valid by construction;
 //! 2. the **updated `G_P`** — border sets can grow or shrink with `ΔG`, and
 //!    message routing must follow immediately;
 //! 3. the **per-fragment restriction of `ΔG`** ([`FragmentDelta`]) — what an
 //!    `IncrementalPie` program's rebase step needs in order to convert the
 //!    delta into update-parameter messages.
+//!
+//! The fragments are the only copy of the graph, so the cost of a delta does
+//! not depend on `|G|`.  Removals are validated against the owner
+//! fragment's adjacency (same [`GraphDeltaError`]s, same precedence as
+//! [`grape_graph::graph::Graph::apply_delta`], which stays as the oracle).
+//! Each touched fragment is then patched from its own CSR in one
+//! `O(|F_i| + |ΔG|)` pass — the inner vertices whose adjacency `ΔG` edits
+//! are rewritten (old edges in order minus the removed ones, then the added
+//! ones in delta order, exactly the adjacency a rebuilt global CSR would
+//! have), outer copies are rediscovered and local ids remapped through a
+//! dense table — and the result is byte-identical to a fresh
+//! [`crate::fragment::build_edge_cut`] of the updated graph under the same
+//! assignment.
+//! `G_P` is cloned and updated from the patched fragments' outer-set diffs
+//! only; a vertex whose outer-copy holders become empty or non-empty flips
+//! its owner's in-border set (`v ∈ F_i.I` iff some other fragment holds `v`
+//! as an outer copy).  A removed vertex's in-neighbours are found through
+//! its holders in `G_P`.
 //!
 //! Delta application is implemented for **edge-cut** fragmentations (the
 //! default strategy family, including [`crate::metis_like::MetisLike`] and
@@ -24,19 +42,21 @@
 //! same stateless rule a streaming partitioner would apply; a later
 //! re-partition can rebalance.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
+use grape_graph::csr::Neighbor;
 use grape_graph::delta::{DeltaError as GraphDeltaError, GraphDelta};
-use grape_graph::types::{Edge, VertexId};
+use grape_graph::graph::{Directedness, Graph};
+use grape_graph::types::{Edge, Label, VertexId, NO_LABEL};
 
-use crate::fragment::{assemble_edge_cut, build_edge_cut_fragment, Fragment, Fragmentation};
+use crate::fragment::{Fragment, Fragmentation, LocalId};
 use crate::fragmentation_graph::BorderScope;
 
 /// Errors produced by [`Fragmentation::apply_delta`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
-    /// The underlying graph rejected the delta (missing edge/vertex, …).
+    /// The delta does not fit the graph (missing edge/vertex, …).
     Graph(GraphDeltaError),
     /// The fragmentation was not produced by an edge-cut strategy.
     UnsupportedPartition(String),
@@ -70,7 +90,7 @@ impl From<GraphDeltaError> for DeltaError {
 /// Edge removals implied by a *vertex* removal are not enumerated here (they
 /// follow from [`FragmentDelta::removed_vertices`] and the old fragment's
 /// adjacency); only explicit edge removals are listed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentDelta {
     /// The fragment this restriction belongs to.
     pub fragment: usize,
@@ -88,14 +108,88 @@ pub struct FragmentDelta {
 /// The result of applying `ΔG` to a fragmentation.
 #[derive(Debug, Clone)]
 pub struct DeltaApplication {
-    /// The updated fragmentation: rebuilt affected fragments, reused
-    /// unaffected ones, and a freshly derived `G_P`.
+    /// The updated fragmentation: patched affected fragments, shared
+    /// unaffected ones, and the updated `G_P`.
     pub fragmentation: Fragmentation,
     /// One entry per fragment whose structure changed, with the delta
     /// restricted to it.  Fragments not listed here are bit-identical to
     /// before and their retained partial results need no rebase.
     pub affected: Vec<FragmentDelta>,
 }
+
+/// `ΔG` indexed by the vertex whose adjacency each update edits.
+struct DeltaIndex {
+    /// Per vertex, the neighbours its adjacency gains, in delta order: an
+    /// edge enters its source's list, on undirected graphs also its
+    /// target's (a self-loop once).
+    added: HashMap<VertexId, Vec<Neighbor>>,
+    /// Per vertex, the neighbours it loses every edge to.
+    removed: HashMap<VertexId, Vec<VertexId>>,
+    /// Detached vertices, sorted.
+    detached: Vec<VertexId>,
+    /// Labels of inserted vertices (the last insertion of an id wins).
+    labels: HashMap<VertexId, Label>,
+}
+
+impl DeltaIndex {
+    fn new(delta: &GraphDelta, directed: bool) -> DeltaIndex {
+        let mut added: HashMap<VertexId, Vec<Neighbor>> = HashMap::new();
+        for e in delta.added_edges() {
+            let to = |target| Neighbor {
+                target,
+                weight: e.weight,
+                label: e.label,
+            };
+            added.entry(e.src).or_default().push(to(e.dst));
+            if !directed && e.src != e.dst {
+                added.entry(e.dst).or_default().push(to(e.src));
+            }
+        }
+        let mut removed: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        for &(src, dst) in delta.removed_edges() {
+            removed.entry(src).or_default().push(dst);
+            if !directed {
+                removed.entry(dst).or_default().push(src);
+            }
+        }
+        let mut detached = delta.removed_vertices().to_vec();
+        detached.sort_unstable();
+        detached.dedup();
+        DeltaIndex {
+            added,
+            removed,
+            detached,
+            labels: delta.added_vertices().iter().copied().collect(),
+        }
+    }
+
+    fn is_detached(&self, v: VertexId) -> bool {
+        self.detached.binary_search(&v).is_ok()
+    }
+}
+
+/// The edit `ΔG` makes to one fragment: the inner vertices whose adjacency
+/// it rewrites (old local ids) and the new vertices it gains as inner ones.
+#[derive(Default)]
+struct Edit {
+    dirty: Vec<LocalId>,
+    fresh: Vec<VertexId>,
+}
+
+/// A fragment after `ΔG`, before its in-border set is known (that needs the
+/// updated `G_P`; until then it carries the old one).
+struct Patched {
+    fragment: Fragment,
+    /// Vertices that joined the vertex set, in new local order: the fresh
+    /// inner vertices first, then the new outer copies.
+    joined: Vec<VertexId>,
+    fresh: usize,
+    /// Outer copies that left the vertex set, in old local order.
+    left: Vec<VertexId>,
+}
+
+/// Marks a slot of `Fragmentation::patch`'s remap table with no local id yet.
+const UNMAPPED: usize = usize::MAX;
 
 impl Fragmentation {
     /// Applies a batch of graph updates, maintaining fragments, border sets
@@ -105,105 +199,358 @@ impl Fragmentation {
         if self.gp().shared_vertex_routing() {
             return Err(DeltaError::UnsupportedPartition("vertex-cut".to_string()));
         }
+        self.validate(delta)?;
+        let old_gp = self.gp();
         let m = self.num_fragments();
-        let old_source = self.source().as_ref();
-        let new_source = Arc::new(old_source.apply_delta(delta)?);
+        let old_n = old_gp.num_vertices();
+        // Ids stay dense and stable: new ids are hashed onto fragments.
+        let new_n = delta
+            .added_vertices()
+            .iter()
+            .map(|&(v, _)| v)
+            .chain(delta.added_edges().iter().flat_map(|e| [e.src, e.dst]))
+            .map(|v| v as usize + 1)
+            .fold(old_n, usize::max);
+        let owner_of = |v: VertexId| {
+            if (v as usize) < old_n {
+                old_gp.owner(v)
+            } else {
+                (v % m as VertexId) as usize
+            }
+        };
+        let index = DeltaIndex::new(delta, self.is_directed());
 
-        // Extend the vertex → fragment assignment; ids never move, new ids
-        // are hashed onto fragments.
-        let old_n = self.gp().num_vertices();
-        let new_n = new_source.num_vertices();
-        let mut assignment: Vec<u32> = (0..old_n as VertexId)
-            .map(|v| self.gp().owner(v) as u32)
-            .collect();
-        assignment.extend((old_n..new_n).map(|v| (v % m) as u32));
-        let owner_of = |v: VertexId| assignment[v as usize] as usize;
-
-        // Candidate fragments whose local structure can have changed: the
-        // owners of both endpoints of every changed edge (the source's
-        // fragment holds the edge and its outer copies; the target's
-        // fragment may gain or lose in-border status), the owners of new
-        // vertices, and — for removed vertices — the owners of every former
-        // neighbor (their fragments held the copies).
-        let mut candidates: BTreeSet<usize> = BTreeSet::new();
-        for e in delta.added_edges() {
-            candidates.insert(owner_of(e.src));
-            candidates.insert(owner_of(e.dst));
+        // Which inner vertices' adjacency the delta rewrites: the endpoints
+        // of changed edges whose adjacency holds them, every detached vertex,
+        // and a detached vertex's in-neighbours — local sources of an edge
+        // into it in the fragments holding it (its owner and, per `G_P`, its
+        // outer-copy holders).
+        let mut edits: BTreeMap<usize, Edit> = BTreeMap::new();
+        let mut mark = |i: usize, l: LocalId| edits.entry(i).or_default().dirty.push(l);
+        for &v in index.added.keys().chain(index.removed.keys()) {
+            if (v as usize) < old_n {
+                let i = old_gp.owner(v);
+                mark(i, self.inner_local(i, v));
+            }
         }
-        for &(src, dst) in delta.removed_edges() {
-            candidates.insert(owner_of(src));
-            candidates.insert(owner_of(dst));
+        for &v in &index.detached {
+            let owner = old_gp.owner(v);
+            mark(owner, self.inner_local(owner, v));
+            let holders = old_gp.outer_holders(v).iter().map(|&j| j as usize);
+            for i in std::iter::once(owner).chain(holders) {
+                let f = self.fragment(i);
+                let copy = f.local_of(v).expect("a holder holds its copy");
+                for nb in f.in_edges(copy) {
+                    mark(i, nb.target as LocalId);
+                }
+            }
         }
-        // Every new vertex id — explicit insertions and the gap-filling ids
-        // implicitly created by edge insertions (ids stay dense) — lands as
-        // a fresh inner vertex of its owner.
         for v in old_n as VertexId..new_n as VertexId {
-            candidates.insert(owner_of(v));
+            edits.entry(owner_of(v)).or_default().fresh.push(v);
         }
-        for &v in delta.removed_vertices() {
-            candidates.insert(owner_of(v));
-            for n in old_source.out_neighbors(v) {
-                candidates.insert(owner_of(n.target));
-            }
-            for n in old_source.in_neighbors(v) {
-                candidates.insert(owner_of(n.target));
+
+        let mut patched: BTreeMap<usize, Patched> = BTreeMap::new();
+        for (i, edit) in edits {
+            if let Some(p) = self.patch(i, edit, &index, old_n) {
+                patched.insert(i, p);
             }
         }
 
-        // Inner vertex lists (global order) for the candidates only.
-        let mut inner: HashMap<usize, Vec<VertexId>> =
-            candidates.iter().map(|&i| (i, Vec::new())).collect();
-        for v in new_source.vertices() {
-            if let Some(list) = inner.get_mut(&owner_of(v)) {
-                list.push(v);
+        // G_P: the outer-set diffs, then the in-border flips they cause.
+        let mut gp = old_gp.clone();
+        for v in old_n as VertexId..new_n as VertexId {
+            gp.push_owner(owner_of(v) as u32);
+        }
+        let mut touched: Vec<VertexId> = Vec::new();
+        for (&i, p) in &patched {
+            for &v in &p.left {
+                gp.remove_outer_holder(v, i as u32);
+            }
+            for &v in &p.joined[p.fresh..] {
+                gp.add_outer_holder(v, i as u32);
+            }
+            touched.extend(&p.left);
+            touched.extend(&p.joined[p.fresh..]);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let mut flips: BTreeMap<usize, Vec<(VertexId, bool)>> = BTreeMap::new();
+        for v in touched {
+            let was = (v as usize) < old_n && !old_gp.outer_holders(v).is_empty();
+            let is = !gp.outer_holders(v).is_empty();
+            if was != is {
+                let owner = owner_of(v);
+                gp.set_in_holder(v, is.then_some(owner as u32));
+                flips.entry(owner).or_default().push((v, is));
             }
         }
 
-        // Rebuild candidates; keep the old fragment whenever the rebuild is
-        // structurally identical (the delta did not actually touch it).
-        // Untouched fragments keep their `Arc`, so every prepared query over
-        // the old fragmentation keeps sharing their storage.
+        // Finish every changed fragment: its in-border set, then its share
+        // of the delta.
+        let changed: BTreeSet<usize> = patched.keys().chain(flips.keys()).copied().collect();
         let mut fragments: Vec<Arc<Fragment>> = self.fragments().to_vec();
-        let mut affected: Vec<FragmentDelta> = Vec::new();
-        for &i in &candidates {
-            let rebuilt = build_edge_cut_fragment(&new_source, &assignment, i, &inner[&i]);
-            if rebuilt.same_structure(&fragments[i]) {
-                continue;
+        let mut affected: Vec<FragmentDelta> = Vec::with_capacity(changed.len());
+        for i in changed {
+            let (mut fragment, joined, left) = match patched.remove(&i) {
+                Some(p) => (p.fragment, p.joined, p.left),
+                None => (self.fragment(i).clone(), Vec::new(), Vec::new()),
+            };
+            if let Some(flips) = flips.get(&i) {
+                let local = |v| fragment.local_of(v).expect("an owner holds its vertex");
+                let off: BTreeSet<LocalId> =
+                    flips.iter().filter(|f| !f.1).map(|f| local(f.0)).collect();
+                let on: Vec<LocalId> = flips.iter().filter(|f| f.1).map(|f| local(f.0)).collect();
+                let mut in_border: Vec<LocalId> = fragment
+                    .in_border
+                    .iter()
+                    .copied()
+                    .filter(|l| !off.contains(l))
+                    .chain(on)
+                    .collect();
+                in_border.sort_unstable();
+                fragment.in_border = in_border;
             }
             affected.push(restrict_delta(
                 delta,
-                i,
-                &fragments[i],
-                &rebuilt,
+                &fragment,
+                joined,
+                left,
                 &owner_of,
-                new_source.is_directed(),
+                self.is_directed(),
             ));
-            fragments[i] = Arc::new(rebuilt);
+            fragments[i] = Arc::new(fragment);
         }
 
-        let fragmentation = assemble_edge_cut(
+        let fragmentation = Fragmentation::from_parts(
             fragments,
-            assignment,
-            new_source,
+            gp,
+            self.is_directed(),
             self.strategy_name().to_string(),
+            None,
         );
         Ok(DeltaApplication {
             fragmentation,
             affected,
         })
     }
+
+    /// Checks `delta` against this version with [`Graph::apply_delta`]'s
+    /// rules and precedence: removed vertices must exist, then removed edges
+    /// must exist (either orientation on undirected graphs — looked up in
+    /// the source's owner fragment), then inserted vertices must be new.
+    fn validate(&self, delta: &GraphDelta) -> Result<(), GraphDeltaError> {
+        let n = self.gp().num_vertices();
+        for &v in delta.removed_vertices() {
+            if v as usize >= n {
+                return Err(GraphDeltaError::MissingVertex(v));
+            }
+        }
+        for &(src, dst) in delta.removed_edges() {
+            let found = (src as usize) < n && {
+                let i = self.gp().owner(src);
+                let f = self.fragment(i);
+                let l = self.inner_local(i, src);
+                f.out_edges(l)
+                    .iter()
+                    .any(|nb| f.global_of(nb.target as LocalId) == dst)
+            };
+            if !found {
+                return Err(GraphDeltaError::MissingEdge { src, dst });
+            }
+        }
+        for &(v, _) in delta.added_vertices() {
+            if (v as usize) < n {
+                return Err(GraphDeltaError::VertexExists(v));
+            }
+        }
+        Ok(())
+    }
+
+    /// The local id of `v` in its owner fragment `i`.
+    fn inner_local(&self, i: usize, v: VertexId) -> LocalId {
+        self.fragment(i)
+            .local_of(v)
+            .expect("an owner holds its inner vertices")
+    }
+
+    /// Patches fragment `i` under `edit`, or `None` when its local graph
+    /// comes out unchanged (its in-border set may still flip).
+    ///
+    /// Targets of a rewritten adjacency are *slots*: `0..num_local` are the
+    /// old local ids, `num_local + k` is `extra[k]`, a vertex the old
+    /// fragment lacks (fresh inner vertices first).  Outer copies are then
+    /// rediscovered in the order [`crate::fragment::build_edge_cut_fragment`]
+    /// finds them — first appearance over the inner vertices' adjacency —
+    /// through a dense slot → local-id table, so the pass hashes only the
+    /// delta's own vertices.
+    fn patch(&self, i: usize, mut edit: Edit, index: &DeltaIndex, old_n: usize) -> Option<Patched> {
+        let old = self.fragment(i);
+        let n_old = old.num_local();
+        let old_inner = old.num_inner();
+        let fresh = edit.fresh.len();
+        let fresh_ids = edit.fresh.clone();
+        let mut extra: Vec<VertexId> = edit.fresh;
+        let mut slot_of: HashMap<VertexId, usize> = extra
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| (v, n_old + k))
+            .collect();
+        let mut resolve = |v: VertexId| -> usize {
+            if let Some(l) = old.local_of(v) {
+                return l as usize;
+            }
+            *slot_of.entry(v).or_insert_with(|| {
+                extra.push(v);
+                n_old + extra.len() - 1
+            })
+        };
+        // v's adjacency after ΔG: its old edges in order minus the removed
+        // ones, then the inserted ones in delta order.
+        let mut rewrite = |v: VertexId, base: &[Neighbor]| -> Vec<Neighbor> {
+            let gone = index.removed.get(&v);
+            let mut adj: Vec<Neighbor> = if index.is_detached(v) {
+                Vec::new()
+            } else {
+                base.iter()
+                    .filter(|nb| {
+                        let t = old.global_of(nb.target as LocalId);
+                        !index.is_detached(t) && !gone.is_some_and(|g| g.contains(&t))
+                    })
+                    .copied()
+                    .collect()
+            };
+            for nb in index.added.get(&v).into_iter().flatten() {
+                adj.push(Neighbor {
+                    target: resolve(nb.target) as VertexId,
+                    ..*nb
+                });
+            }
+            adj
+        };
+
+        edit.dirty.sort_unstable();
+        edit.dirty.dedup();
+        let mut rewritten: Vec<(LocalId, Vec<Neighbor>)> = Vec::new();
+        for &l in &edit.dirty {
+            let adj = rewrite(old.global_of(l), old.out_edges(l));
+            if adj != old.out_edges(l) {
+                rewritten.push((l, adj));
+            }
+        }
+        if rewritten.is_empty() && fresh == 0 {
+            return None;
+        }
+        let fresh_adj: Vec<Vec<Neighbor>> = fresh_ids.iter().map(|&v| rewrite(v, &[])).collect();
+
+        // Slot → new local id: inner vertices keep theirs, fresh ones follow
+        // them, outer copies get theirs in order of first appearance.
+        let num_inner = old_inner + fresh;
+        let mut remap = vec![UNMAPPED; n_old + extra.len()];
+        let mut slots: Vec<usize> = (0..old_inner).chain(n_old..n_old + fresh).collect();
+        for (l, &s) in slots.iter().enumerate() {
+            remap[s] = l;
+        }
+        let mut rewritten = rewritten.iter().peekable();
+        let adjacency: Vec<&[Neighbor]> = (0..num_inner)
+            .map(|u| {
+                if u >= old_inner {
+                    &fresh_adj[u - old_inner][..]
+                } else if let Some((_, adj)) = rewritten.next_if(|(l, _)| *l as usize == u) {
+                    &adj[..]
+                } else {
+                    old.out_edges(u as LocalId)
+                }
+            })
+            .collect();
+        for nb in adjacency.iter().flat_map(|adj| adj.iter()) {
+            let s = nb.target as usize;
+            if remap[s] == UNMAPPED {
+                remap[s] = slots.len();
+                slots.push(s);
+            }
+        }
+
+        let mut edges = Vec::with_capacity(adjacency.iter().map(|adj| adj.len()).sum());
+        for (u, adj) in adjacency.iter().enumerate() {
+            for nb in adj.iter() {
+                let t = remap[nb.target as usize] as VertexId;
+                edges.push(Edge::new(u as VertexId, t, nb.weight, nb.label));
+            }
+        }
+        let globals: Vec<VertexId> = slots
+            .iter()
+            .map(|&s| match s.checked_sub(n_old) {
+                Some(k) => extra[k],
+                None => old.global_of(s as LocalId),
+            })
+            .collect();
+        let labels: Vec<Label> = slots
+            .iter()
+            .zip(&globals)
+            .map(|(&s, &v)| match s < n_old {
+                true => old.label(s as LocalId),
+                false => self.label_of_new(v, index, old_n),
+            })
+            .collect();
+        let local = Graph::from_parts(Directedness::Directed, globals.len(), edges, labels);
+
+        let left: Vec<VertexId> = (old_inner..n_old)
+            .filter(|&l| remap[l] == UNMAPPED)
+            .map(|l| old.global_of(l as LocalId))
+            .collect();
+        let mut to_local = old.to_local.clone();
+        for v in &left {
+            to_local.remove(v);
+        }
+        let mut joined = Vec::new();
+        for (l, &s) in slots.iter().enumerate().skip(old_inner) {
+            if s >= n_old {
+                joined.push(globals[l]);
+                to_local.insert(globals[l], l as LocalId);
+            } else if s != l {
+                to_local.insert(globals[l], l as LocalId);
+            }
+        }
+        let fragment = Fragment {
+            id: i,
+            local,
+            to_local,
+            num_inner,
+            in_border: old.in_border.clone(),
+            out_border: (num_inner as LocalId..globals.len() as LocalId).collect(),
+            globals,
+        };
+        Some(Patched {
+            fragment,
+            joined,
+            fresh,
+            left,
+        })
+    }
+
+    /// The label of a vertex a fragment gains: an existing vertex carries
+    /// its owner's label, a new one its inserted label (or none).
+    fn label_of_new(&self, v: VertexId, index: &DeltaIndex, old_n: usize) -> Label {
+        if (v as usize) < old_n {
+            let i = self.gp().owner(v);
+            self.fragment(i).label(self.inner_local(i, v))
+        } else {
+            index.labels.get(&v).copied().unwrap_or(NO_LABEL)
+        }
+    }
 }
 
-/// Restricts `delta` to fragment `i`, given the fragment before and after
-/// the rebuild.
+/// Restricts `delta` to the changed fragment `frag` (already updated),
+/// given the vertices that joined and left its vertex set.
 fn restrict_delta(
     delta: &GraphDelta,
-    i: usize,
-    old_frag: &Fragment,
-    new_frag: &Fragment,
+    frag: &Fragment,
+    added_vertices: Vec<VertexId>,
+    mut removed_vertices: Vec<VertexId>,
     owner_of: &dyn Fn(VertexId) -> usize,
     directed: bool,
 ) -> FragmentDelta {
+    let i = frag.id();
     // An edge lives in the local subgraph of its source's owner; undirected
     // edges additionally appear (mirrored) in the target's owner.
     let local_edge =
@@ -220,26 +567,13 @@ fn restrict_delta(
         .filter(|&&(s, d)| local_edge(s, d))
         .copied()
         .collect();
-
-    // Vertex membership diff between the old and the new fragment.
-    let added_vertices: Vec<VertexId> = new_frag
-        .all_locals()
-        .map(|l| new_frag.global_of(l))
-        .filter(|&g| old_frag.local_of(g).is_none())
-        .collect();
-    let mut removed_vertices: Vec<VertexId> = old_frag
-        .all_locals()
-        .map(|l| old_frag.global_of(l))
-        .filter(|&g| new_frag.local_of(g).is_none())
-        .collect();
     // Detached inner vertices stay present (tombstones) but count as removed
     // for the program's purposes.
     for &v in delta.removed_vertices() {
-        if new_frag.local_of(v).is_some() && !removed_vertices.contains(&v) {
+        if frag.local_of(v).is_some() && !removed_vertices.contains(&v) {
             removed_vertices.push(v);
         }
     }
-
     FragmentDelta {
         fragment: i,
         added_edges,
@@ -503,10 +837,12 @@ pub fn damage_frontier(
 mod tests {
     use super::*;
     use crate::edge_cut::{HashEdgeCut, RangeEdgeCut};
+    use crate::metis_like::MetisLike;
     use crate::strategy::PartitionStrategy;
     use crate::vertex_cut::GreedyVertexCut;
     use grape_graph::builder::GraphBuilder;
-    use grape_graph::graph::Graph;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// 0 -> 1 -> 2 -> 3 -> 4 -> 5, ranges {0,1,2} and {3,4,5}.
     fn chain() -> (Graph, Fragmentation) {
@@ -519,46 +855,112 @@ mod tests {
         (g, frag)
     }
 
-    /// Rebuilding from scratch must agree with incremental application.
-    fn assert_matches_fresh_partition(applied: &DeltaApplication) {
-        let fresh = {
-            let src = applied.fragmentation.source().clone();
-            let m = applied.fragmentation.num_fragments();
-            let assignment: Vec<u32> = (0..src.num_vertices() as VertexId)
-                .map(|v| applied.fragmentation.gp().owner(v) as u32)
-                .collect();
-            crate::fragment::build_edge_cut(&src, &assignment, m, "fresh")
-        };
-        for i in 0..fresh.num_fragments() {
-            let a = applied.fragmentation.fragment(i);
-            let b = fresh.fragment(i);
-            assert_eq!(a.num_inner(), b.num_inner(), "fragment {i} inner");
-            assert_eq!(a.num_local(), b.num_local(), "fragment {i} local");
-            assert_eq!(
-                a.out_border_globals(),
-                b.out_border_globals(),
-                "fragment {i} F.O"
-            );
+    /// Applies `delta` to `frag` (a partition of `g`) and pins patch ≡
+    /// rebuild: every fragment, its labels and `G_P` equal a fresh edge-cut
+    /// partition of `Graph::apply_delta`'s result under the same
+    /// assignment; the affected list names exactly the fragments whose
+    /// structure changed, with the restriction the rebuild derives; every
+    /// other fragment keeps its storage; and the derived source is the
+    /// updated graph.  Returns the application and the updated graph.
+    fn checked(g: &Graph, frag: &Fragmentation, delta: &GraphDelta) -> (DeltaApplication, Graph) {
+        let applied = frag.apply_delta(delta).expect("valid delta");
+        let oracle = g.apply_delta(delta).expect("the oracle agrees");
+        let new = &applied.fragmentation;
+        let m = new.num_fragments();
+        let assignment: Vec<u32> = (0..oracle.num_vertices() as VertexId)
+            .map(|v| new.gp().owner(v) as u32)
+            .collect();
+        let fresh =
+            crate::fragment::build_edge_cut(&Arc::new(oracle.clone()), &assignment, m, "fresh");
+        assert_eq!(new.gp(), fresh.gp(), "G_P");
+        let owner_of = |v: VertexId| assignment[v as usize] as usize;
+        let mut expected_affected = Vec::new();
+        for i in 0..m {
+            let (a, b) = (new.fragment(i), fresh.fragment(i));
+            assert!(a.same_structure(b), "fragment {i} differs from the rebuild");
             assert_eq!(
                 a.in_border_globals(),
                 b.in_border_globals(),
                 "fragment {i} F.I"
             );
             assert_eq!(
-                a.num_local_edges(),
-                b.num_local_edges(),
-                "fragment {i} edges"
+                a.local_graph().vertex_labels(),
+                b.local_graph().vertex_labels(),
+                "fragment {i} labels"
             );
-            assert!(a.check_invariants());
+            assert!(a.check_invariants(), "fragment {i} invariants");
+            let old = frag.fragment(i);
+            if b.same_structure(old) {
+                assert!(
+                    frag.shares_fragment_storage(new, i),
+                    "fragment {i} was copied"
+                );
+            } else {
+                expected_affected.push(rebuild_restriction(
+                    delta,
+                    old,
+                    b,
+                    &owner_of,
+                    g.is_directed(),
+                ));
+            }
         }
+        assert_eq!(applied.affected, expected_affected, "affected fragments");
+
+        let source = new.source();
+        assert_eq!(source.num_vertices(), oracle.num_vertices());
+        assert_eq!(source.vertex_labels(), oracle.vertex_labels());
+        let key = |e: &Edge| {
+            let (s, d) = if g.is_directed() {
+                (e.src, e.dst)
+            } else {
+                (e.src.min(e.dst), e.src.max(e.dst))
+            };
+            (s, d, e.weight.to_bits(), e.label)
+        };
+        let mut ours: Vec<_> = source.edges().iter().map(key).collect();
+        let mut theirs: Vec<_> = oracle.edges().iter().map(key).collect();
+        ours.sort_unstable();
+        theirs.sort_unstable();
+        assert_eq!(ours, theirs, "derived source edges");
+        (applied, oracle)
+    }
+
+    /// The restriction the rebuild-and-compare path derived from the old
+    /// and the rebuilt fragment.
+    fn rebuild_restriction(
+        delta: &GraphDelta,
+        old: &Fragment,
+        new: &Fragment,
+        owner_of: &dyn Fn(VertexId) -> usize,
+        directed: bool,
+    ) -> FragmentDelta {
+        let added_vertices = new
+            .all_locals()
+            .map(|l| new.global_of(l))
+            .filter(|&v| old.local_of(v).is_none())
+            .collect();
+        let removed_vertices = old
+            .all_locals()
+            .map(|l| old.global_of(l))
+            .filter(|&v| new.local_of(v).is_none())
+            .collect();
+        restrict_delta(
+            delta,
+            new,
+            added_vertices,
+            removed_vertices,
+            owner_of,
+            directed,
+        )
     }
 
     #[test]
     fn inserting_a_cross_edge_grows_both_border_sets() {
-        let (_, frag) = chain();
+        let (g, frag) = chain();
         // New cross edge 1 -> 4: F0 gains outer copy 4, F1 gains in-border 4.
         let delta = GraphDelta::new().add_weighted_edge(1, 4, 2.0);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         let f0 = applied.fragmentation.fragment(0);
         let f1 = applied.fragmentation.fragment(1);
         let mut f0_out = f0.out_border_globals();
@@ -567,7 +969,6 @@ mod tests {
         assert!(f1.in_border_globals().contains(&4));
         assert!(applied.fragmentation.gp().is_border(4));
         assert_eq!(applied.affected.len(), 2);
-        assert_matches_fresh_partition(&applied);
         // The restriction routes the edge to fragment 0 (owner of vertex 1).
         let d0 = applied.affected.iter().find(|d| d.fragment == 0).unwrap();
         assert_eq!(d0.added_edges.len(), 1);
@@ -581,20 +982,19 @@ mod tests {
 
     #[test]
     fn purely_local_insert_affects_one_fragment() {
-        let (_, frag) = chain();
+        let (g, frag) = chain();
         let delta = GraphDelta::new().add_weighted_edge(0, 2, 5.0);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         assert_eq!(applied.affected.len(), 1);
         assert_eq!(applied.affected[0].fragment, 0);
-        assert_matches_fresh_partition(&applied);
     }
 
     #[test]
     fn removing_the_only_cross_edge_clears_the_border() {
-        let (_, frag) = chain();
+        let (g, frag) = chain();
         assert!(frag.gp().is_border(3));
         let delta = GraphDelta::new().remove_edge(2, 3);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         assert!(!applied.fragmentation.gp().is_border(3));
         assert!(applied
             .fragmentation
@@ -606,16 +1006,15 @@ mod tests {
             .fragment(1)
             .in_border_globals()
             .is_empty());
-        assert_matches_fresh_partition(&applied);
     }
 
     #[test]
     fn new_vertices_are_hashed_onto_fragments() {
-        let (_, frag) = chain();
+        let (g, frag) = chain();
         // Vertex 7 -> fragment 7 % 2 = 1; edge 5 -> 7 is fragment-local to
         // F1; the implicitly created gap vertex 6 lands in fragment 6 % 2 = 0.
         let delta = GraphDelta::new().add_weighted_edge(5, 7, 1.0);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         assert_eq!(applied.fragmentation.gp().owner(7), 1);
         assert_eq!(applied.affected.len(), 2);
         let d0 = applied.affected.iter().find(|d| d.fragment == 0).unwrap();
@@ -623,14 +1022,13 @@ mod tests {
         let d1 = applied.affected.iter().find(|d| d.fragment == 1).unwrap();
         assert!(d1.added_vertices.contains(&7));
         assert_eq!(d1.added_edges.len(), 1);
-        assert_matches_fresh_partition(&applied);
     }
 
     #[test]
     fn vertex_removal_drops_copies_everywhere() {
-        let (_, frag) = chain();
+        let (g, frag) = chain();
         let delta = GraphDelta::new().remove_vertex(3);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         // F0 loses the outer copy of 3; F1 keeps the detached inner vertex.
         let f0 = applied.fragmentation.fragment(0);
         let f1 = applied.fragmentation.fragment(1);
@@ -644,7 +1042,6 @@ mod tests {
             d1.removed_vertices.contains(&3),
             "detached counts as removed"
         );
-        assert_matches_fresh_partition(&applied);
     }
 
     #[test]
@@ -657,7 +1054,7 @@ mod tests {
             .build();
         let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
         let delta = GraphDelta::new().add_weighted_edge(0, 1, 9.0);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         assert_eq!(applied.affected.len(), 1);
         assert_eq!(applied.affected[0].fragment, 0);
         // Reused means *shared*: the untouched fragments' `Arc`s survive
@@ -676,12 +1073,11 @@ mod tests {
             .build();
         let frag = RangeEdgeCut::new(2).partition(&g).unwrap();
         let delta = GraphDelta::new().add_edge(1, 2);
-        let applied = frag.apply_delta(&delta).unwrap();
+        let (applied, _) = checked(&g, &frag, &delta);
         assert_eq!(applied.affected.len(), 2);
         for d in &applied.affected {
             assert_eq!(d.added_edges.len(), 1, "fragment {}", d.fragment);
         }
-        assert_matches_fresh_partition(&applied);
     }
 
     #[test]
@@ -903,8 +1299,127 @@ mod tests {
             .add_weighted_edge(3, 18, 0.5)
             .add_weighted_edge(20, 4, 2.0)
             .remove_edge(0, 1);
-        let applied = frag.apply_delta(&delta).unwrap();
-        assert_matches_fresh_partition(&applied);
+        let (applied, _) = checked(&g, &frag, &delta);
         assert_eq!(applied.fragmentation.source().num_vertices(), 21);
+    }
+
+    /// A small random graph with parallel edges, self-loops and labels.
+    fn random_graph(rng: &mut StdRng, directedness: Directedness) -> Graph {
+        let n = 24u64;
+        let mut b = GraphBuilder::new(directedness).ensure_vertices(n as usize);
+        for _ in 0..48 {
+            let src = rng.gen_range(0..n);
+            let dst = if rng.gen_range(0..8) == 0 {
+                src
+            } else {
+                rng.gen_range(0..n)
+            };
+            let edge = Edge::new(src, dst, rng.gen_range(1..4) as f64, rng.gen_range(0..2));
+            b.push_edge(edge);
+            if rng.gen_range(0..6) == 0 {
+                b.push_edge(edge);
+            }
+        }
+        for v in 0..n {
+            b.push_vertex_label(v, rng.gen_range(0..3));
+        }
+        b.build()
+    }
+
+    /// A valid mixed delta over `g`: inserts (self-loops, parallel copies,
+    /// edges to new ids past a gap), removals of present edges (re-inserted
+    /// identically now and then), vertex insertions and detachments.
+    fn random_delta(rng: &mut StdRng, g: &Graph) -> GraphDelta {
+        let n = g.num_vertices() as u64;
+        let edges = g.edges();
+        let mut delta = GraphDelta::new();
+        for _ in 0..rng.gen_range(0..4) {
+            let src = rng.gen_range(0..n);
+            let dst = match rng.gen_range(0..5) {
+                0 => src,
+                1 => n + rng.gen_range(0..3),
+                _ => rng.gen_range(0..n),
+            };
+            delta = delta.add_edge_record(Edge::new(src, dst, rng.gen_range(1..4) as f64, 0));
+        }
+        if !edges.is_empty() {
+            for _ in 0..rng.gen_range(0..3) {
+                let e = edges[rng.gen_range(0..edges.len())];
+                let (src, dst) = if !g.is_directed() && rng.gen_range(0..2) == 0 {
+                    (e.dst, e.src)
+                } else {
+                    (e.src, e.dst)
+                };
+                delta = delta.remove_edge(src, dst);
+                match rng.gen_range(0..4) {
+                    0 => delta = delta.add_edge_record(e),
+                    1 => delta = delta.add_edge_record(edges[rng.gen_range(0..edges.len())]),
+                    _ => {}
+                }
+            }
+        }
+        if rng.gen_range(0..4) == 0 {
+            delta = delta.remove_vertex(rng.gen_range(0..n));
+        }
+        if rng.gen_range(0..5) == 0 {
+            delta = delta.add_vertex(n + rng.gen_range(0..4), rng.gen_range(1..3));
+        }
+        delta
+    }
+
+    /// An invalid delta: one bad update (missing edge or vertex, an existing
+    /// id re-inserted, ids out of range) mixed into valid ones, so the
+    /// error's precedence is exercised too.
+    fn invalid_delta(rng: &mut StdRng, g: &Graph) -> GraphDelta {
+        let n = g.num_vertices() as u64;
+        let mut delta = random_delta(rng, g);
+        match rng.gen_range(0..6) {
+            0 => delta = delta.remove_vertex(n + rng.gen_range(0..1_000_000)),
+            1 => delta = delta.remove_edge(n + rng.gen_range(0..5), rng.gen_range(0..n)),
+            2 => delta = delta.remove_edge(rng.gen_range(0..n), n + rng.gen_range(0..5)),
+            3 => delta = delta.add_vertex(rng.gen_range(0..n), 1),
+            _ => {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                delta = delta.remove_edge(src, dst);
+            }
+        }
+        delta
+    }
+
+    /// Patch ≡ rebuild over seeded chains of mixed deltas, for Hash, Range
+    /// and MetisLike cuts on directed and undirected graphs; invalid deltas
+    /// fail exactly like `Graph::apply_delta` and leave nothing behind.
+    #[test]
+    fn patch_matches_rebuild_over_random_delta_chains() {
+        for seed in 0..6u64 {
+            for directedness in [Directedness::Directed, Directedness::Undirected] {
+                let strategies: [Box<dyn PartitionStrategy>; 3] = [
+                    Box::new(HashEdgeCut::new(4)),
+                    Box::new(RangeEdgeCut::new(3)),
+                    Box::new(MetisLike::new(4)),
+                ];
+                for strategy in strategies {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut g = random_graph(&mut rng, directedness);
+                    let mut frag = strategy.partition(&g).unwrap();
+                    for step in 0..25 {
+                        let bad = invalid_delta(&mut rng, &g);
+                        match g.apply_delta(&bad) {
+                            Err(e) => assert_eq!(
+                                frag.apply_delta(&bad).unwrap_err(),
+                                DeltaError::Graph(e),
+                                "seed {seed} step {step} {directedness:?} {}",
+                                strategy.name()
+                            ),
+                            Ok(_) => assert!(frag.apply_delta(&bad).is_ok()),
+                        }
+                        let delta = random_delta(&mut rng, &g);
+                        let (applied, next) = checked(&g, &frag, &delta);
+                        frag = applied.fragmentation;
+                        g = next;
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,8 +4,11 @@
 //! subgraph over *local* dense vertex ids together with the mapping to global
 //! ids, the inner/outer split, and the border sets `F_i.I` / `F_i.O`.
 //! A [`Fragmentation`] bundles all fragments with the fragmentation graph
-//! `G_P` and keeps a handle to the source graph so that PIE programs that
-//! need `d`-hop neighborhood expansion (SubIso, Section 5.1) can be served.
+//! `G_P`.  The fragments are the only stored copy of the graph: the global
+//! graph ([`Fragmentation::source`]) is a per-version view, kept as given at
+//! partition time and otherwise derived from the fragments on first use —
+//! by oracles, tests, and the `d`-hop neighborhood expansion SubIso needs
+//! (Section 5.1).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -23,19 +26,19 @@ pub type LocalId = u32;
 /// A fragment `F_i`: a local subgraph plus border bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Fragment {
-    id: usize,
+    pub(crate) id: usize,
     /// Local adjacency: dense local ids `0..num_local`, directed edges.
-    local: Graph,
+    pub(crate) local: Graph,
     /// Local id → global id.
-    globals: Vec<VertexId>,
+    pub(crate) globals: Vec<VertexId>,
     /// Global id → local id.
-    to_local: HashMap<VertexId, LocalId>,
+    pub(crate) to_local: HashMap<VertexId, LocalId>,
     /// Local ids `0..num_inner` are inner vertices; the rest are outer copies.
-    num_inner: usize,
+    pub(crate) num_inner: usize,
     /// `F_i.I`: inner vertices (local ids) with an incoming cross edge.
-    in_border: Vec<LocalId>,
+    pub(crate) in_border: Vec<LocalId>,
     /// `F_i.O`: outer copies (local ids).
-    out_border: Vec<LocalId>,
+    pub(crate) out_border: Vec<LocalId>,
 }
 
 impl Fragment {
@@ -198,10 +201,9 @@ impl Fragment {
     }
 
     /// Whether two fragments are structurally identical: same vertex mapping,
-    /// inner/outer split, border sets and local adjacency.  Both sides must
-    /// come from the deterministic edge-cut construction (which they do —
-    /// this is how delta application decides that a candidate fragment was
-    /// not actually affected by `ΔG`).
+    /// inner/outer split, border sets and local adjacency (vertex labels are
+    /// not compared).
+    #[cfg(test)]
     pub(crate) fn same_structure(&self, other: &Fragment) -> bool {
         self.id == other.id
             && self.num_inner == other.num_inner
@@ -212,21 +214,30 @@ impl Fragment {
     }
 }
 
-/// A complete fragmentation: all fragments, the fragmentation graph `G_P`,
-/// and a shared handle on the source graph.
+/// A complete fragmentation: all fragments and the fragmentation graph
+/// `G_P`.
 ///
 /// Fragments are **refcounted** (`Arc<Fragment>`): cloning a fragmentation —
 /// which is how every `PreparedQuery` handle gets its own copy — shares the
 /// fragment storage instead of duplicating it, so a server can keep
 /// thousands of prepared queries over one evolving graph cheaply.  Delta
-/// application replaces only the rebuilt fragments' `Arc`s; untouched
+/// application replaces only the patched fragments' `Arc`s; untouched
 /// fragments stay shared across all handles.
+///
+/// The fragments are the graph: no global copy is maintained under `ΔG`.
+/// [`Fragmentation::source`] is a derived per-version view — holding the
+/// input graph at partition time, built from the fragments on first call
+/// for a version produced by [`Fragmentation::apply_delta`].
 #[derive(Debug, Clone)]
 pub struct Fragmentation {
     fragments: Vec<Arc<Fragment>>,
     gp: FragmentationGraph,
-    source: Arc<Graph>,
+    directed: bool,
     strategy_name: String,
+    /// The global graph of this version, shared across clones like
+    /// `quotient`: pre-filled with the input graph at partition time,
+    /// otherwise derived from the fragments on first use.
+    source: Arc<OnceLock<Arc<Graph>>>,
     /// Lazily derived quotient routing tables (see
     /// [`crate::delta::QuotientTables`]): one derivation per fragmentation
     /// *version*, shared across clones — cloning keeps the `Arc` so every
@@ -235,6 +246,29 @@ pub struct Fragmentation {
 }
 
 impl Fragmentation {
+    /// Assembles a fragmentation; `source` is the global graph when the
+    /// caller has it (partition time), `None` for a delta-produced version.
+    pub(crate) fn from_parts(
+        fragments: Vec<Arc<Fragment>>,
+        gp: FragmentationGraph,
+        directed: bool,
+        strategy_name: String,
+        source: Option<Arc<Graph>>,
+    ) -> Fragmentation {
+        let cell = OnceLock::new();
+        if let Some(graph) = source {
+            let _ = cell.set(graph);
+        }
+        Fragmentation {
+            fragments,
+            gp,
+            directed,
+            strategy_name,
+            source: Arc::new(cell),
+            quotient: Arc::new(OnceLock::new()),
+        }
+    }
+
     /// Number of fragments `m`.
     pub fn num_fragments(&self) -> usize {
         self.fragments.len()
@@ -261,9 +295,63 @@ impl Fragmentation {
         &self.gp
     }
 
-    /// The partitioned source graph.
+    /// Whether the partitioned graph is directed.
+    pub fn is_directed(&self) -> bool {
+        self.directed
+    }
+
+    /// The global graph of this version.  At partition time this is the
+    /// input graph; a version produced by [`Fragmentation::apply_delta`]
+    /// derives it from its fragments on the first call — `O(|V| + |E|)`,
+    /// once per version, shared across clones.  The update path never
+    /// calls it; oracles, tests and [`Fragmentation::expand_fragment`] do.
+    ///
+    /// A derived graph lists its edges by source vertex, so its edge order
+    /// differs from the input's; on an undirected graph each edge is stored
+    /// as `(min, max)` and per-vertex adjacency order can differ too.
     pub fn source(&self) -> &Arc<Graph> {
-        &self.source
+        self.source.get_or_init(|| Arc::new(self.derive_source()))
+    }
+
+    /// Whether this version holds its global graph — pre-filled at
+    /// partition time or built by a [`Fragmentation::source`] call.  Lets
+    /// tests pin that the serving path never builds it.
+    pub fn source_is_built(&self) -> bool {
+        self.source.get().is_some()
+    }
+
+    /// Rebuilds the global graph from the fragments: every vertex with its
+    /// owner's label, every edge from its source's owner (an undirected
+    /// edge sits in both endpoints' adjacency and is kept once).  Only
+    /// edge-cut versions are ever derived: a vertex-cut fragmentation keeps
+    /// its input graph, since `apply_delta` rejects it.
+    fn derive_source(&self) -> Graph {
+        let n = self.gp.num_vertices();
+        let mut home: Vec<(usize, LocalId)> = vec![(0, 0); n];
+        for f in &self.fragments {
+            for l in f.inner_locals() {
+                home[f.global_of(l) as usize] = (f.id, l);
+            }
+        }
+        let mut labels = Vec::with_capacity(n);
+        let mut edges = Vec::new();
+        for (v, &(i, l)) in home.iter().enumerate() {
+            let f = &self.fragments[i];
+            let v = v as VertexId;
+            labels.push(f.label(l));
+            for nb in f.out_edges(l) {
+                let t = f.global_of(nb.target as LocalId);
+                if self.directed || v <= t {
+                    edges.push(Edge::new(v, t, nb.weight, nb.label));
+                }
+            }
+        }
+        let directedness = if self.directed {
+            Directedness::Directed
+        } else {
+            Directedness::Undirected
+        };
+        Graph::from_parts(directedness, n, edges, labels)
     }
 
     /// Name of the strategy that produced this fragmentation.
@@ -292,7 +380,7 @@ impl Fragmentation {
     /// engine to account for communication).
     pub fn expand_fragment(&self, i: usize, hops: usize) -> (Fragment, usize, usize) {
         let base = &self.fragments[i];
-        let g = self.source.as_ref();
+        let g = self.source().as_ref();
         // Start from all vertices already present locally.
         let mut keep: HashMap<VertexId, bool> = HashMap::new(); // vertex -> is_inner
         for l in base.all_locals() {
@@ -318,7 +406,7 @@ impl Fragmentation {
         let mut globals: Vec<VertexId> = base.inner_locals().map(|l| base.global_of(l)).collect();
         let mut extra: Vec<VertexId> = keep
             .iter()
-            .filter(|(v, is_inner)| !**is_inner && !globals.contains(*v))
+            .filter(|(_, is_inner)| !**is_inner)
             .map(|(v, _)| *v)
             .collect();
         extra.sort_unstable();
@@ -331,12 +419,12 @@ impl Fragmentation {
             .map(|(l, &v)| (v, l as LocalId))
             .collect();
 
-        // Local edges: every source-graph edge with both endpoints kept.
+        // Local edges: every source-graph edge with both endpoints kept, in
+        // `globals` order so the expansion is the same on every run.
         let mut edges = Vec::new();
         let mut shipped_edges = 0usize;
-        for (&v, _) in keep.iter() {
-            let src_local = to_local[&v];
-            let src_is_inner = base.local_of(v).map(|l| base.is_inner(l)).unwrap_or(false);
+        for (src_local, &v) in globals.iter().enumerate() {
+            let src_is_inner = src_local < base.num_inner();
             for n in g.out_neighbors(v) {
                 if let Some(&dst_local) = to_local.get(&n.target) {
                     edges.push(Edge::new(
@@ -370,10 +458,10 @@ impl Fragmentation {
 
 /// Builds fragment `i` of an edge-cut fragmentation: the given inner
 /// vertices (in global order) plus outer copies discovered from their
-/// out-edges, the local adjacency, and both border sets.  Shared by the
-/// full [`build_edge_cut`] construction and by the incremental rebuild in
-/// [`crate::delta`], so delta application and fresh partitioning produce
-/// byte-identical fragments.
+/// out-edges, the local adjacency, and both border sets.  Delta application
+/// ([`crate::delta`]) patches fragments instead of calling this, and its
+/// tests pin that the patch is byte-identical to this construction over the
+/// updated graph.
 pub(crate) fn build_edge_cut_fragment(
     g: &Graph,
     assignment: &[u32],
@@ -440,28 +528,6 @@ pub(crate) fn build_edge_cut_fragment(
     }
 }
 
-/// Assembles a [`Fragmentation`] from already-built fragments, recomputing
-/// the fragmentation graph `G_P` from their border sets.  Used by
-/// [`build_edge_cut`] and by delta application.
-pub(crate) fn assemble_edge_cut(
-    fragments: Vec<Arc<Fragment>>,
-    assignment: Vec<u32>,
-    source: Arc<Graph>,
-    strategy_name: String,
-) -> Fragmentation {
-    let outer_sets: Vec<Vec<VertexId>> = fragments.iter().map(|f| f.out_border_globals()).collect();
-    let in_border_sets: Vec<Vec<VertexId>> =
-        fragments.iter().map(|f| f.in_border_globals()).collect();
-    let gp = FragmentationGraph::new(assignment, &outer_sets, &in_border_sets);
-    Fragmentation {
-        fragments,
-        gp,
-        source,
-        strategy_name,
-        quotient: Arc::new(OnceLock::new()),
-    }
-}
-
 /// Builds an edge-cut fragmentation from a vertex → fragment assignment.
 ///
 /// Fragment `i` receives every vertex assigned to it plus, for every edge
@@ -493,11 +559,16 @@ pub fn build_edge_cut(
         .enumerate()
         .map(|(i, inner_vs)| Arc::new(build_edge_cut_fragment(g, assignment, i, inner_vs)))
         .collect();
-    assemble_edge_cut(
+    let outer_sets: Vec<Vec<VertexId>> = fragments.iter().map(|f| f.out_border_globals()).collect();
+    let in_border_sets: Vec<Vec<VertexId>> =
+        fragments.iter().map(|f| f.in_border_globals()).collect();
+    let gp = FragmentationGraph::new(assignment.to_vec(), &outer_sets, &in_border_sets);
+    Fragmentation::from_parts(
         fragments,
-        assignment.to_vec(),
-        Arc::clone(graph),
+        gp,
+        g.is_directed(),
         strategy_name.to_string(),
+        Some(Arc::clone(graph)),
     )
 }
 
@@ -623,13 +694,13 @@ pub fn build_vertex_cut(
 
     let gp =
         FragmentationGraph::new(owner, &outer_sets, &in_border_sets).with_shared_vertex_routing();
-    Fragmentation {
+    Fragmentation::from_parts(
         fragments,
         gp,
-        source: Arc::clone(graph),
-        strategy_name: strategy_name.to_string(),
-        quotient: Arc::new(OnceLock::new()),
-    }
+        g.is_directed(),
+        strategy_name.to_string(),
+        Some(Arc::clone(graph)),
+    )
 }
 
 #[cfg(test)]
@@ -758,6 +829,26 @@ mod tests {
         let (expanded, shipped_v, _) = frag.expand_fragment(0, 0);
         assert_eq!(expanded.num_local(), frag.fragment(0).num_local());
         assert_eq!(shipped_v, 0);
+    }
+
+    #[test]
+    fn expansion_is_the_same_on_every_run() {
+        // A grid-ish graph, so the halo has many vertices and edges whose
+        // order a hash map would scramble.
+        let mut b = GraphBuilder::directed();
+        for v in 0..40u64 {
+            b.push_edge(Edge::weighted(v, (v + 1) % 40, 1.0));
+            b.push_edge(Edge::weighted(v, (v * 7 + 3) % 40, 2.0));
+        }
+        let g = Arc::new(b.build());
+        let assignment: Vec<u32> = (0..40).map(|v| (v / 10) as u32).collect();
+        let frag = build_edge_cut(&g, &assignment, 4, "test");
+        for i in 0..frag.num_fragments() {
+            let (a, ..) = frag.expand_fragment(i, 2);
+            let (b, ..) = frag.expand_fragment(i, 2);
+            assert!(a.same_structure(&b), "fragment {i}");
+            assert_eq!(a.in_edges(0), b.in_edges(0), "fragment {i}");
+        }
     }
 
     #[test]

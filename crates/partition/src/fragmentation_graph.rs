@@ -93,6 +93,45 @@ impl FragmentationGraph {
         self
     }
 
+    /// Registers the next vertex id, owned by `fragment`.
+    pub(crate) fn push_owner(&mut self, fragment: u32) {
+        self.owner.push(fragment);
+    }
+
+    /// Records `v ∈ F_i.O`.
+    pub(crate) fn add_outer_holder(&mut self, v: VertexId, i: u32) {
+        let list = self.outer_holders.entry(v).or_default();
+        if let Err(at) = list.binary_search(&i) {
+            list.insert(at, i);
+        }
+    }
+
+    /// Records `v ∉ F_i.O`; a vertex no fragment holds as an outer copy
+    /// drops out of the index.
+    pub(crate) fn remove_outer_holder(&mut self, v: VertexId, i: u32) {
+        if let Some(list) = self.outer_holders.get_mut(&v) {
+            if let Ok(at) = list.binary_search(&i) {
+                list.remove(at);
+            }
+            if list.is_empty() {
+                self.outer_holders.remove(&v);
+            }
+        }
+    }
+
+    /// Sets the fragment holding `v` in `F_i.I` (edge-cut: its owner), or
+    /// none.
+    pub(crate) fn set_in_holder(&mut self, v: VertexId, holder: Option<u32>) {
+        match holder {
+            Some(i) => {
+                self.in_holders.insert(v, vec![i]);
+            }
+            None => {
+                self.in_holders.remove(&v);
+            }
+        }
+    }
+
     /// Whether vertex-cut (shared vertex) routing semantics are in effect.
     pub fn shared_vertex_routing(&self) -> bool {
         self.shared_vertex_routing

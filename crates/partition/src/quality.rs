@@ -25,9 +25,8 @@ pub struct PartitionQuality {
 
 /// Computes all quality statistics of a fragmentation.
 pub fn evaluate(frag: &Fragmentation) -> PartitionQuality {
-    let g = frag.source();
     let m = frag.num_fragments();
-    let n = g.num_vertices().max(1);
+    let n = frag.gp().num_vertices().max(1);
 
     let cut_edges = cut_edge_count(frag);
     let total_directed_edges: usize = frag
@@ -85,7 +84,7 @@ pub fn cut_edge_count(frag: &Fragmentation) -> usize {
 /// replication at all; edge-cut partitions replicate border vertices as outer
 /// copies, vertex-cut partitions replicate shared endpoints).
 pub fn replication_factor(frag: &Fragmentation) -> f64 {
-    let n = frag.source().num_vertices();
+    let n = frag.gp().num_vertices();
     if n == 0 {
         return 1.0;
     }

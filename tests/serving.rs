@@ -3,12 +3,14 @@
 //! reports, `Arc`-shared fragment storage, answers identical to independent
 //! handles and to full recomputes), and an evict → rehydrate round trip
 //! through the per-fragment binary snapshots yields `output()` identical to
-//! the never-evicted handle with `peval_calls == 0` on rehydration.
+//! the never-evicted handle with `peval_calls == 0` on rehydration.  The
+//! serving path never builds the global graph: the fragments are the graph.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use grape::algorithms::sssp::{Sssp, SsspQuery};
+use grape::algorithms::cc::{connected_components, Cc, CcQuery};
+use grape::algorithms::sssp::{dijkstra, Sssp, SsspQuery};
 use grape::core::config::EngineMode;
 use grape::core::serve::GrapeServer;
 use grape::core::session::GrapeSession;
@@ -224,5 +226,77 @@ fn evict_rehydrate_matches_the_never_evicted_handle() {
         let a = server.output(&cold).unwrap(); // lazy rehydrate + replay
         let b = server.output(&hot).unwrap();
         assert_same_sssp(&a, &b, &format!("deletion replay ({mode:?})"));
+    }
+}
+
+/// The serving path never builds the global graph.  The server starts from
+/// a delta-produced version (which holds no graph, unlike a fresh
+/// partition), registers SSSP and CC, and serves a mixed insert and churn
+/// stream — the churn steps remove one edge and re-insert the one removed
+/// before, so SSSP retracts and CC keeps its labels.  Every answer matches
+/// its oracle over a mirror graph, and no timeline version's `source`
+/// cache was ever filled: a stray `source()` on the update path would
+/// bring back an `O(|G|)` cost per commit.
+#[test]
+fn serving_never_builds_the_global_graph() {
+    for mode in MODES {
+        let g = seeded_graph(0xB0A7, 40, 120);
+        let start = partition(&g)
+            .apply_delta(&GraphDelta::new())
+            .unwrap()
+            .fragmentation;
+        let mut server = GrapeServer::new(session(mode), start);
+        let sssp = server.register(Sssp, SsspQuery::new(0)).unwrap();
+        let cc = server.register(Cc, CcQuery).unwrap();
+        // Clones share each version's source cache.
+        let mut versions = vec![server.fragmentation().clone()];
+        let mut mirror = g.clone();
+        let mut rng = StdRng::seed_from_u64(0xC4E2);
+        let mut parked = None;
+        for step in 0..12 {
+            let delta = if step % 3 == 0 {
+                insert_batch(&mut rng, 40, 3)
+            } else {
+                let e = mirror.edges()[rng.gen_range(0..mirror.num_edges())];
+                let mut delta = GraphDelta::new().remove_edge(e.src, e.dst);
+                if let Some(back) = parked.replace(e) {
+                    delta = delta.add_edge_record(back);
+                }
+                delta
+            };
+            server.apply(&delta).unwrap();
+            mirror = mirror.apply_delta(&delta).unwrap();
+            versions.push(server.fragmentation().clone());
+
+            let want: Vec<(VertexId, f64)> = dijkstra(&mirror, 0)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, d)| d.is_finite())
+                .map(|(v, d)| (v as VertexId, d))
+                .collect();
+            let dist = server.output(&sssp).unwrap();
+            let mut got: Vec<(VertexId, f64)> = dist
+                .distances()
+                .iter()
+                .filter(|(_, d)| d.is_finite())
+                .map(|(&v, &d)| (v, d))
+                .collect();
+            got.sort_by_key(|&(v, _)| v);
+            assert_eq!(got, want, "{mode:?} step {step}: sssp");
+            let labels = server.output(&cc).unwrap();
+            for (v, c) in connected_components(&mirror).into_iter().enumerate() {
+                assert_eq!(
+                    labels.labels()[&(v as VertexId)],
+                    c,
+                    "{mode:?} step {step}: cc"
+                );
+            }
+        }
+        for (version, frag) in versions.iter().enumerate() {
+            assert!(
+                !frag.source_is_built(),
+                "{mode:?}: version {version} built the global graph"
+            );
+        }
     }
 }

@@ -255,16 +255,12 @@ impl Fragmentation {
         strategy_name: String,
         source: Option<Arc<Graph>>,
     ) -> Fragmentation {
-        let cell = OnceLock::new();
-        if let Some(graph) = source {
-            let _ = cell.set(graph);
-        }
         Fragmentation {
             fragments,
             gp,
             directed,
             strategy_name,
-            source: Arc::new(cell),
+            source: Arc::new(source.map_or_else(OnceLock::new, OnceLock::from)),
             quotient: Arc::new(OnceLock::new()),
         }
     }

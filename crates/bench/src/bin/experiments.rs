@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! experiments [--scale small|medium|large] [--format text|json|csv]
-//!             [table1|fig6|fig7|fig8|fig9|incremental|serving|serving_scaling|
-//!              serving_watchers|loc|all]
+//!             [table1|fig6|fig7|fig8|fig9|incremental|serving|loc|all]
 //! ```
 //!
 //! `incremental` is the prepared-query update experiment: update latency and
@@ -18,21 +17,13 @@
 //! no run rows and is text-only: it is skipped — with a note on stderr —
 //! under the machine-readable formats, including within `all`.
 //!
-//! `serving_scaling` has its own row shape (per-delta latency percentiles
-//! per (K, threads, arrival) cell rather than a `RunRow`): it prints a text
-//! table or JSON Lines (the `BENCH_serving_scaling.json` baseline format)
-//! and is skipped — with a note on stderr — under `--format csv`.
-//!
 //! Absolute numbers are not expected to match the paper (24-node cluster vs
 //! threads on one machine, scaled-down synthetic datasets); the *shapes* —
 //! which system wins, by roughly what factor, and how the curves move with
 //! `n` and `|G|` — are what EXPERIMENTS.md records.
 
 use grape_bench::experiments;
-use grape_bench::runner::{
-    format_rows_csv, format_rows_json, format_scaling_json, format_scaling_table, format_table,
-    format_watchers_json, format_watchers_table, RunRow, CSV_HEADER,
-};
+use grape_bench::runner::{format_rows_csv, format_rows_json, format_table, RunRow, CSV_HEADER};
 use grape_bench::workloads::Scale;
 
 /// Output format of the run rows.
@@ -227,19 +218,10 @@ fn main() {
             }
             continue;
         }
-        if target == "serving_scaling" {
-            print_serving_scaling(scale, format, scale_name);
-            continue;
-        }
-        if target == "serving_watchers" {
-            print_serving_watchers(scale, format, scale_name);
-            continue;
-        }
         let Some(sections) = sections_for(target, scale) else {
             eprintln!(
                 "unknown experiment {target:?} \
-                 (use table1|fig6|fig7|fig8|fig9|incremental|serving|serving_scaling|\
-                 serving_watchers|loc|all)"
+                 (use table1|fig6|fig7|fig8|fig9|incremental|serving|loc|all)"
             );
             continue;
         };
@@ -257,74 +239,11 @@ fn main() {
             }
         }
         if target == "all" {
-            print_serving_scaling(scale, format, scale_name);
-            print_serving_watchers(scale, format, scale_name);
             if format == Format::Text {
                 print_loc();
             } else {
                 eprintln!("loc is text-only (Exp-6 has no run rows); skipping under --format");
             }
-        }
-    }
-}
-
-/// Prints the serving-scaling section in its own row shape; CSV has no
-/// column set for it, so it is skipped there with a note on stderr.
-fn print_serving_scaling(scale: Scale, format: Format, scale_name: &str) {
-    match format {
-        Format::Csv => {
-            eprintln!(
-                "serving_scaling has its own row shape (latency percentiles); \
-                 use --format text|json"
-            );
-        }
-        Format::Text => {
-            let rows = experiments::serving_scaling(scale);
-            print!(
-                "{}",
-                format_scaling_table(
-                    "GrapeServer scaling: K queries x refresh threads x arrival",
-                    &rows
-                )
-            );
-        }
-        Format::Json => {
-            let rows = experiments::serving_scaling(scale);
-            print!(
-                "{}",
-                format_scaling_json("serving_scaling", scale_name, &rows)
-            );
-        }
-    }
-}
-
-/// Prints the serving-watchers section in its own row shape (push-vs-poll
-/// byte totals per watcher count); CSV has no column set for it, so it is
-/// skipped there with a note on stderr.
-fn print_serving_watchers(scale: Scale, format: Format, scale_name: &str) {
-    match format {
-        Format::Csv => {
-            eprintln!(
-                "serving_watchers has its own row shape (pushed/polled bytes); \
-                 use --format text|json"
-            );
-        }
-        Format::Text => {
-            let rows = experiments::serving_watchers(scale);
-            print!(
-                "{}",
-                format_watchers_table(
-                    "GrapeServer watchers: K queries x W subscribers, pushed vs polled bytes",
-                    &rows
-                )
-            );
-        }
-        Format::Json => {
-            let rows = experiments::serving_watchers(scale);
-            print!(
-                "{}",
-                format_watchers_json("serving_watchers", scale_name, &rows)
-            );
         }
     }
 }

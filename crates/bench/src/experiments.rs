@@ -6,8 +6,7 @@
 use crate::runner::{
     run_cc, run_cf, run_incremental_cc, run_incremental_cf, run_incremental_sim,
     run_incremental_sssp, run_incremental_subiso, run_refresh_comparison_sssp, run_serving,
-    run_serving_scaling, run_serving_watchers, run_sim, run_sim_ni, run_sim_optimized, run_sssp,
-    run_subiso, RunRow, ScalingRow, System, WatcherRow,
+    run_sim, run_sim_ni, run_sim_optimized, run_sssp, run_subiso, RunRow, System,
 };
 use crate::workloads::{self, Scale};
 
@@ -237,64 +236,6 @@ pub fn serving(scale: Scale) -> Vec<RunRow> {
     run_serving(&g, &sources, &deltas, n, "traffic")
 }
 
-/// The serving-**scaling** experiment (ROADMAP: "parallel refresh fan-out +
-/// delta pipelining"): `K` standing SSSP queries on one `GrapeServer`,
-/// swept over refresh fan-out widths {1, 2, 4} and the two arrival
-/// patterns (`stream` = one `apply` per delta, `batch` = pipelined
-/// `apply_batch` chunks).  The engine runs a single worker per refresh so
-/// the fan-out width is the only concurrency knob; each cell reports the
-/// per-delta latency distribution (p50/p99/mean) and sustained deltas/sec.
-/// Answer equality across every cell — and against a from-scratch
-/// recompute — is asserted inside the runner.
-///
-/// The checked-in `BENCH_serving_scaling.json` baseline records the curve
-/// on the CI machine; on a single-CPU host the widths collapse to the same
-/// latency (the fan-out still runs, the hardware just serializes it).
-pub fn serving_scaling(scale: Scale) -> Vec<ScalingRow> {
-    let g = workloads::traffic(scale);
-    let k = match scale {
-        Scale::Small => 8,
-        Scale::Medium => 12,
-        Scale::Large => 24,
-    };
-    let v = g.num_vertices() as u64;
-    let sources: Vec<u64> = (0..k).map(|i| (i as u64 * 23 + 1) % v).collect();
-    let batch = workloads::delta_batch_size(scale).min(32);
-    let deltas: Vec<grape_graph::delta::GraphDelta> = (0..8)
-        .map(|i| workloads::insertion_delta(&g, batch, 0xF0 + i))
-        .collect();
-    run_serving_scaling(&g, &sources, &deltas, &[1, 2, 4], 4, "traffic")
-}
-
-/// The serving-**watchers** experiment (the push-based answer-delta
-/// subsystem): `K` standing SSSP queries on one `GrapeServer`, each watched
-/// by `W` subscribers, absorbing a stream of insertion batches.  Each cell
-/// reports total bytes pushed (`W ×` the per-commit `OutputDelta`s) against
-/// the bytes the same `W` clients would pull by polling the full answer
-/// after every commit.  Two pins run inside the runner: pushed rows per
-/// commit equal the exact answer diff (O(|change|), never O(|answer|)),
-/// and folding the pushed stream over the initial answer reproduces
-/// `output()` byte-for-byte, identically across all `W` cells.
-///
-/// The checked-in `BENCH_serving_watchers.json` baseline records the
-/// byte-economics curve on the CI machine (see `docs/baselines/README.md`:
-/// single-CPU-container numbers).
-pub fn serving_watchers(scale: Scale) -> Vec<WatcherRow> {
-    let g = workloads::traffic(scale);
-    let k = match scale {
-        Scale::Small => 4,
-        Scale::Medium => 8,
-        Scale::Large => 12,
-    };
-    let v = g.num_vertices() as u64;
-    let sources: Vec<u64> = (0..k).map(|i| (i as u64 * 29 + 3) % v).collect();
-    let batch = workloads::delta_batch_size(scale).min(24);
-    let deltas: Vec<grape_graph::delta::GraphDelta> = (0..6)
-        .map(|i| workloads::insertion_delta(&g, batch, 0xB0 + i))
-        .collect();
-    run_serving_watchers(&g, &sources, &deltas, &[1, 2, 4], 4, "traffic")
-}
-
 /// Figure 8 is the communication view of the Figure 6 runs; the same rows are
 /// reused (every row already carries `comm_mb`).
 pub fn fig8_comm(scale: Scale) -> Vec<RunRow> {
@@ -397,23 +338,6 @@ mod tests {
         // (Exact message counts can differ between the legs under the
         // barrier-free runtime's scheduling, so only the PEval-free shape
         // is pinned here; answer equality is asserted inside run_serving.)
-    }
-
-    #[test]
-    fn serving_watchers_pushes_less_than_polling() {
-        let rows = serving_watchers(Scale::Small);
-        assert_eq!(rows.len(), 3, "one row per watcher count");
-        for r in &rows {
-            // The asserts inside the runner pin O(|change|) and replay
-            // equality; the row-level claim is the byte economics.
-            assert!(r.pushed_bytes <= r.polled_bytes, "{r:?}");
-            assert!(r.push_ratio <= 1.0, "{r:?}");
-        }
-        // Pushed bytes scale linearly with the watcher count (same deltas,
-        // W copies): W=4 pushes exactly 4x the W=1 bytes.
-        assert_eq!(rows[0].watchers, 1);
-        assert_eq!(rows[2].watchers, 4);
-        assert_eq!(rows[2].pushed_bytes, 4 * rows[0].pushed_bytes);
     }
 
     #[test]

@@ -654,7 +654,7 @@ pub fn run_serving(
         }
     }
     let server_per_delta = server_start.elapsed().as_secs_f64() / deltas.len().max(1) as f64;
-    assert_eq!(server.deltas_applied(), deltas.len());
+    assert_eq!(server.version(), deltas.len());
 
     // K independent handles: K apply_delta calls per delta.
     let mut independent: Vec<_> = sources
@@ -708,492 +708,6 @@ pub fn run_serving(
             independent_per_delta,
         ),
     ]
-}
-
-/// One cell of the serving-scaling experiment: `K` standing queries, a
-/// refresh fan-out width, an arrival pattern, and the per-delta latency
-/// distribution it produced.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScalingRow {
-    /// Workload name.
-    pub workload: String,
-    /// Number of standing queries.
-    pub k: usize,
-    /// Refresh fan-out width ([`grape_core::serve::GrapeServer::threads`]).
-    pub threads: usize,
-    /// Arrival pattern: `stream` (one `apply` per delta) or `batch`
-    /// (pipelined `apply_batch` in chunks).
-    pub arrival: String,
-    /// Median per-delta latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-delta latency in milliseconds.
-    pub p99_ms: f64,
-    /// Mean per-delta latency in milliseconds.
-    pub mean_ms: f64,
-    /// Sustained throughput over the whole stream.
-    pub deltas_per_sec: f64,
-}
-
-/// The serving-scaling experiment: `K` standing SSSP queries on one
-/// [`grape_core::serve::GrapeServer`], swept over refresh fan-out widths
-/// and two arrival patterns.  The engine runs **one** worker per refresh so
-/// the fan-out is the only parallelism being measured; the per-delta
-/// latency distribution ([`grape_core::metrics::LatencySummary`]) and the
-/// sustained deltas/sec are the tracked artifact.
-///
-/// Answer equality is asserted *inside* the runner: every (threads,
-/// arrival) cell must produce distances identical to the first cell and to
-/// a from-scratch recompute on the final graph — the fan-out and the
-/// pipeline are not allowed to buy latency with wrong answers.
-pub fn run_serving_scaling(
-    graph: &Graph,
-    sources: &[VertexId],
-    deltas: &[grape_graph::delta::GraphDelta],
-    thread_counts: &[usize],
-    fragments: usize,
-    workload: &str,
-) -> Vec<ScalingRow> {
-    use grape_core::serve::GrapeServer;
-    use std::time::Instant;
-
-    let session = grape_session(1);
-    let k = sources.len();
-    let frag = partition(graph, fragments);
-    const BATCH_CHUNK: usize = 4;
-
-    let mut rows = Vec::new();
-    let mut reference: Option<Vec<grape_algorithms::sssp::SsspResult>> = None;
-    for &threads in thread_counts {
-        for arrival in ["stream", "batch"] {
-            let mut server = GrapeServer::new(session.clone(), frag.clone()).threads(threads);
-            let handles: Vec<_> = sources
-                .iter()
-                .map(|&src| {
-                    server
-                        .register(Sssp, SsspQuery::new(src))
-                        .expect("register scaling query")
-                })
-                .collect();
-
-            // The server records one latency sample per commit itself (the
-            // same histogram `graped` exports over the wire), so the bench
-            // no longer stopwatches each apply caller-side.
-            let start = Instant::now();
-            match arrival {
-                "stream" => {
-                    for delta in deltas {
-                        let report = server.apply(delta).expect("scaling apply");
-                        for refresh in &report.refreshed {
-                            assert!(refresh.result.is_ok(), "scaling refresh failed");
-                        }
-                    }
-                }
-                _ => {
-                    for chunk in deltas.chunks(BATCH_CHUNK) {
-                        let batch = server.apply_batch(chunk);
-                        assert!(batch.rejected.is_none(), "scaling batch rejected");
-                    }
-                }
-            }
-            let total = start.elapsed().as_secs_f64();
-            assert_eq!(server.deltas_applied(), deltas.len());
-            assert_eq!(
-                server.latency_samples(),
-                deltas.len(),
-                "one latency sample per commit"
-            );
-
-            // Answer equality across every cell — and vs a recompute.
-            let outputs: Vec<_> = handles
-                .iter()
-                .map(|h| server.output(h).expect("scaling output"))
-                .collect();
-            match &reference {
-                None => {
-                    for (i, (&src, out)) in sources.iter().zip(&outputs).enumerate() {
-                        let recompute = session
-                            .run(server.fragmentation(), &Sssp, &SsspQuery::new(src))
-                            .expect("scaling recompute");
-                        assert_eq!(
-                            out.distances().len(),
-                            recompute.output.distances().len(),
-                            "query {i} diverged from recompute"
-                        );
-                        for (v, d) in out.distances() {
-                            let other = recompute.output.distances()[v];
-                            assert!(
-                                (d - other).abs() < 1e-9,
-                                "query {i}: dist({v}) {d} vs recompute {other}"
-                            );
-                        }
-                    }
-                    reference = Some(outputs);
-                }
-                Some(reference) => {
-                    for (i, (out, base)) in outputs.iter().zip(reference).enumerate() {
-                        assert_eq!(out.distances().len(), base.distances().len());
-                        for (v, d) in out.distances() {
-                            let other = base.distances()[v];
-                            assert!(
-                                (d - other).abs() < 1e-9,
-                                "threads={threads} {arrival} query {i}: \
-                                 dist({v}) {d} vs {other}"
-                            );
-                        }
-                    }
-                }
-            }
-
-            let summary = server.latency_summary();
-            rows.push(ScalingRow {
-                workload: workload.to_string(),
-                k,
-                threads,
-                arrival: arrival.to_string(),
-                p50_ms: summary.p50_ms,
-                p99_ms: summary.p99_ms,
-                mean_ms: summary.mean_ms,
-                deltas_per_sec: deltas.len() as f64 / total.max(1e-12),
-            });
-        }
-    }
-    rows
-}
-
-/// A [`ScalingRow`] tagged with its experiment and scale — the record of
-/// the `BENCH_serving_scaling.json` baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScalingExport {
-    /// Experiment id (`serving_scaling`).
-    pub experiment: String,
-    /// Workload scale (`small`, `medium`, `large`).
-    pub scale: String,
-    /// Workload name.
-    pub workload: String,
-    /// Number of standing queries.
-    pub k: usize,
-    /// Refresh fan-out width.
-    pub threads: usize,
-    /// Arrival pattern (`stream` / `batch`).
-    pub arrival: String,
-    /// Median per-delta latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-delta latency in milliseconds.
-    pub p99_ms: f64,
-    /// Mean per-delta latency in milliseconds.
-    pub mean_ms: f64,
-    /// Sustained throughput over the whole stream.
-    pub deltas_per_sec: f64,
-}
-
-/// Formats scaling rows as JSON Lines (the `BENCH_serving_scaling.json`
-/// format).
-pub fn format_scaling_json(experiment: &str, scale: &str, rows: &[ScalingRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        let export = ScalingExport {
-            experiment: experiment.to_string(),
-            scale: scale.to_string(),
-            workload: row.workload.clone(),
-            k: row.k,
-            threads: row.threads,
-            arrival: row.arrival.clone(),
-            p50_ms: row.p50_ms,
-            p99_ms: row.p99_ms,
-            mean_ms: row.mean_ms,
-            deltas_per_sec: row.deltas_per_sec,
-        };
-        out.push_str(&serde_json::to_string(&export).expect("ScalingExport serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats scaling rows as an aligned text table.
-pub fn format_scaling_table(title: &str, rows: &[ScalingRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<16} {:>3} {:>7} {:<8} {:>10} {:>10} {:>10} {:>12}\n",
-        "workload", "K", "threads", "arrival", "p50 (ms)", "p99 (ms)", "mean (ms)", "deltas/sec"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:>3} {:>7} {:<8} {:>10.3} {:>10.3} {:>10.3} {:>12.2}\n",
-            r.workload, r.k, r.threads, r.arrival, r.p50_ms, r.p99_ms, r.mean_ms, r.deltas_per_sec
-        ));
-    }
-    out
-}
-
-/// One cell of the serving-watchers experiment: `K` standing queries, `W`
-/// subscribers per query, and the push-vs-poll byte economics the
-/// subscription subsystem exists to win.
-#[derive(Debug, Clone, Serialize)]
-pub struct WatcherRow {
-    /// Workload name.
-    pub workload: String,
-    /// Number of standing queries.
-    pub k: usize,
-    /// Subscribers per query (each gets its own copy of every event).
-    pub watchers: usize,
-    /// Deltas in the stream.
-    pub deltas: usize,
-    /// Total bytes pushed: `W ×` the serialized size of every per-commit
-    /// `OutputDelta` — what the daemon writes to the `W` sockets.
-    pub pushed_bytes: usize,
-    /// Total bytes the same `W` clients would pull by polling the full
-    /// answer after every commit instead.
-    pub polled_bytes: usize,
-    /// `pushed_bytes / polled_bytes` — below 1.0 whenever answers are
-    /// larger than their per-commit change.
-    pub push_ratio: f64,
-    /// Mean per-commit latency in milliseconds (the server's own
-    /// histogram, including delta derivation for the watched queries).
-    pub mean_ms: f64,
-}
-
-/// Exact row-level diff size between two canonical sorted answers — the
-/// `|change|` that the pushed delta is asserted to be proportional to.
-fn answer_diff_rows(
-    before: &[(serde::Value, serde::Value)],
-    after: &[(serde::Value, serde::Value)],
-) -> usize {
-    use grape_core::output_delta::value_cmp;
-    use std::cmp::Ordering;
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
-    while i < before.len() && j < after.len() {
-        match value_cmp(&before[i].0, &after[j].0) {
-            Ordering::Less => {
-                count += 1; // removed
-                i += 1;
-            }
-            Ordering::Greater => {
-                count += 1; // added
-                j += 1;
-            }
-            Ordering::Equal => {
-                if before[i].1 != after[j].1 {
-                    count += 1; // changed
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count + (before.len() - i) + (after.len() - j)
-}
-
-/// The serving-watchers experiment: `K` standing SSSP queries on one
-/// [`grape_core::serve::GrapeServer`], each watched by `W` subscribers,
-/// absorbing a stream of insertion deltas.  Per commit the server derives
-/// **one** `OutputDelta` per watched query and the wire layer copies it to
-/// every subscriber, so pushed bytes are `W ×` the delta size — priced here
-/// against the `W ×` full-answer bytes the same clients would pull by
-/// polling after every commit.
-///
-/// Two properties are asserted inside the runner, per commit and per query:
-///
-/// * **O(|change|)**: the pushed delta's row count equals the exact row
-///   diff of the answer before/after the commit — never the answer size;
-/// * **equality**: folding every pushed delta over the initial answer
-///   reproduces the final `output()` byte-for-byte (and the final answers
-///   are identical across all `W` cells).
-pub fn run_serving_watchers(
-    graph: &Graph,
-    sources: &[VertexId],
-    deltas: &[grape_graph::delta::GraphDelta],
-    watcher_counts: &[usize],
-    fragments: usize,
-    workload: &str,
-) -> Vec<WatcherRow> {
-    use grape_core::output_delta::{wire_rows, DeltaOutput, OutputEvent};
-    use grape_core::serve::GrapeServer;
-
-    let session = grape_session(1);
-    let k = sources.len();
-    let frag = partition(graph, fragments);
-    let queries: Vec<SsspQuery> = sources.iter().map(|&src| SsspQuery::new(src)).collect();
-
-    let mut rows = Vec::new();
-    let mut reference: Option<Vec<String>> = None;
-    for &w in watcher_counts {
-        let mut server = GrapeServer::new(session.clone(), frag.clone());
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| server.register(Sssp, *q).expect("register watched query"))
-            .collect();
-        let mut subs = Vec::new();
-        for h in &handles {
-            for _ in 0..w {
-                subs.push(server.subscribe(h).expect("subscribe watcher"));
-            }
-        }
-
-        // Each subscriber starts from the initial answer and folds pushed
-        // deltas — `replay` is that client-side copy, one per query.
-        let mut replay: Vec<Vec<(serde::Value, serde::Value)>> = handles
-            .iter()
-            .zip(&queries)
-            .map(|(h, q)| {
-                wire_rows(&Sssp.canonical(q, &server.output(h).expect("baseline output")))
-            })
-            .collect();
-
-        let mut pushed_bytes = 0usize;
-        let mut polled_bytes = 0usize;
-        for delta in deltas {
-            let report = server.apply(delta).expect("watchers apply");
-            for refresh in &report.refreshed {
-                assert!(refresh.result.is_ok(), "watchers refresh failed");
-            }
-            for qd in server.drain_events() {
-                let idx = handles
-                    .iter()
-                    .position(|h| h.id() == qd.query)
-                    .expect("event for a watched query");
-                let OutputEvent::Delta(d) = qd.event else {
-                    panic!("healthy query pushed a poison event");
-                };
-                let before = replay[idx].clone();
-                d.apply_to(&mut replay[idx]);
-                // O(|change|): pushed rows are exactly the answer diff.
-                assert_eq!(
-                    d.len(),
-                    answer_diff_rows(&before, &replay[idx]),
-                    "pushed delta must carry exactly the changed rows"
-                );
-                let event_bytes = serde_json::to_string(&d.changed)
-                    .expect("delta serializes")
-                    .len()
-                    + serde_json::to_string(&d.removed)
-                        .expect("delta serializes")
-                        .len();
-                pushed_bytes += w * event_bytes;
-                polled_bytes += w * serde_json::to_string(&replay[idx])
-                    .expect("answer serializes")
-                    .len();
-            }
-        }
-        assert_eq!(server.deltas_applied(), deltas.len());
-        assert!(
-            pushed_bytes <= polled_bytes,
-            "pushing deltas must not cost more than polling answers \
-             ({pushed_bytes} vs {polled_bytes})"
-        );
-
-        // Equality: every subscriber's folded copy is byte-identical to the
-        // final answer, and the final answers agree across all W cells.
-        let finals: Vec<String> = handles
-            .iter()
-            .zip(&queries)
-            .zip(&replay)
-            .map(|((h, q), folded)| {
-                let expect = serde_json::to_string(&wire_rows(
-                    &Sssp.canonical(q, &server.output(h).expect("final output")),
-                ))
-                .expect("answer serializes");
-                let got = serde_json::to_string(folded).expect("answer serializes");
-                assert_eq!(got, expect, "folded deltas diverged from output()");
-                expect
-            })
-            .collect();
-        match &reference {
-            None => reference = Some(finals),
-            Some(reference) => assert_eq!(
-                &finals, reference,
-                "final answers must not depend on the watcher count"
-            ),
-        }
-        for sub in subs {
-            server.unsubscribe(sub).expect("unsubscribe watcher");
-        }
-
-        rows.push(WatcherRow {
-            workload: workload.to_string(),
-            k,
-            watchers: w,
-            deltas: deltas.len(),
-            pushed_bytes,
-            polled_bytes,
-            push_ratio: pushed_bytes as f64 / polled_bytes.max(1) as f64,
-            mean_ms: server.latency_summary().mean_ms,
-        });
-    }
-    rows
-}
-
-/// A [`WatcherRow`] tagged with its experiment and scale — the record of
-/// the `BENCH_serving_watchers.json` baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct WatcherExport {
-    /// Experiment id (`serving_watchers`).
-    pub experiment: String,
-    /// Workload scale (`small`, `medium`, `large`).
-    pub scale: String,
-    /// Workload name.
-    pub workload: String,
-    /// Number of standing queries.
-    pub k: usize,
-    /// Subscribers per query.
-    pub watchers: usize,
-    /// Deltas in the stream.
-    pub deltas: usize,
-    /// Total bytes pushed to all subscribers.
-    pub pushed_bytes: usize,
-    /// Total bytes the same clients would poll.
-    pub polled_bytes: usize,
-    /// `pushed_bytes / polled_bytes`.
-    pub push_ratio: f64,
-    /// Mean per-commit latency in milliseconds.
-    pub mean_ms: f64,
-}
-
-/// Formats watcher rows as JSON Lines (the `BENCH_serving_watchers.json`
-/// format).
-pub fn format_watchers_json(experiment: &str, scale: &str, rows: &[WatcherRow]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        let export = WatcherExport {
-            experiment: experiment.to_string(),
-            scale: scale.to_string(),
-            workload: row.workload.clone(),
-            k: row.k,
-            watchers: row.watchers,
-            deltas: row.deltas,
-            pushed_bytes: row.pushed_bytes,
-            polled_bytes: row.polled_bytes,
-            push_ratio: row.push_ratio,
-            mean_ms: row.mean_ms,
-        };
-        out.push_str(&serde_json::to_string(&export).expect("WatcherExport serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats watcher rows as an aligned text table.
-pub fn format_watchers_table(title: &str, rows: &[WatcherRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("\n== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<16} {:>3} {:>8} {:>7} {:>13} {:>13} {:>7} {:>10}\n",
-        "workload", "K", "watchers", "deltas", "pushed (B)", "polled (B)", "ratio", "mean (ms)"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<16} {:>3} {:>8} {:>7} {:>13} {:>13} {:>7.3} {:>10.3}\n",
-            r.workload,
-            r.k,
-            r.watchers,
-            r.deltas,
-            r.pushed_bytes,
-            r.polled_bytes,
-            r.push_ratio,
-            r.mean_ms
-        ));
-    }
-    out
 }
 
 /// A [`RunRow`] tagged with the experiment (table/figure) and scale it came

@@ -70,10 +70,12 @@ pub struct EngineConfig {
     /// Failures to inject (testing / evaluation of the recovery path).
     /// Synchronous mode only.
     pub injected_failures: Vec<InjectedFailure>,
-    /// Default number of threads a [`crate::serve::GrapeServer`] uses to fan
+    /// Number of threads a [`crate::serve::GrapeServer`] uses to fan
     /// refreshes out over its resident queries (the per-query engines still
-    /// use `num_workers` threads each).  `0` (the serde default for configs
-    /// recorded before this knob existed) is treated as `1`.
+    /// use `num_workers` threads each).  Set it with
+    /// [`crate::session::GrapeSessionBuilder::refresh_threads`].  `0` (the
+    /// serde default for configs recorded before this knob existed) is
+    /// treated as `1`.
     #[serde(default)]
     pub refresh_threads: usize,
 }
@@ -125,12 +127,6 @@ impl EngineConfig {
         });
         self
     }
-
-    /// Sets the default `GrapeServer` refresh fan-out width (clamped ≥ 1).
-    pub fn with_refresh_threads(mut self, threads: usize) -> Self {
-        self.refresh_threads = threads.max(1);
-        self
-    }
 }
 
 impl Default for EngineConfig {
@@ -155,17 +151,8 @@ mod tests {
             .asynchronous()
             .with_max_supersteps(50)
             .with_checkpoint_every(5)
-            .with_injected_failure(3, 1)
-            .with_refresh_threads(4);
+            .with_injected_failure(3, 1);
         assert_eq!(cfg.mode, EngineMode::Async);
-        assert_eq!(cfg.refresh_threads, 4);
-        assert_eq!(
-            EngineConfig::with_workers(2)
-                .with_refresh_threads(0)
-                .refresh_threads,
-            1,
-            "refresh_threads clamps to one"
-        );
         assert_eq!(cfg.max_supersteps, 50);
         assert_eq!(cfg.checkpoint_every, Some(5));
         assert_eq!(

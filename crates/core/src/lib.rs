@@ -78,8 +78,8 @@ pub use output_delta::{DeltaOutput, OutputDelta, OutputEvent, QueryDelta, WireOu
 pub use pie::{IncrementalPie, KeyVertex, Messages, PieProgram, ProcessCodec, SerdeProcessCodec};
 pub use prepared::{PreparedQuery, RefreshKind, UpdateReport};
 pub use serve::{
-    BatchRejection, BatchReport, EvictionPolicy, GrapeServer, QueryHandle, QueryStatus,
-    RehydrationReport, ServeError, ServeReport, SubscriptionId,
+    BatchRejection, BatchReport, GrapeServer, QueryHandle, QueryStatus, RehydrationReport,
+    ServeError, ServeReport, SubscriptionId,
 };
 pub use session::{GrapeSession, GrapeSessionBuilder};
 pub use spec::QuerySpec;

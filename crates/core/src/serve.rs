@@ -57,25 +57,20 @@
 //! fragmentation it does not hold.
 //!
 //! **Concurrency.**  Within one [`GrapeServer::apply`] the per-query
-//! refreshes fan out over a scoped worker pool ([`GrapeServer::threads`]):
-//! each slot owns its partials, the single [`DeltaApplication`] is shared
+//! refreshes fan out over a scoped worker pool as wide as the session's
+//! `refresh_threads`
+//! ([`crate::session::GrapeSessionBuilder::refresh_threads`]): each slot
+//! owns its partials, the single [`DeltaApplication`] is shared
 //! read-only, and the per-slot outcomes are merged into one [`ServeReport`]
 //! sorted by handle id — byte-identical regardless of completion order.
 //! A watched slot's answer delta is diffed by the worker that just
 //! refreshed it, so the diffs of `K` watched queries run as wide as their
 //! refreshes instead of one after another behind the join.
 //! Everything that needs the whole server (catch-up replay, timeline
-//! bookkeeping, pruning, eviction) stays serialized around the fan-out.
-//! [`GrapeServer::apply_batch`] additionally pipelines the partition work:
-//! while the queries refresh against `ΔG_n`, a dedicated thread is already
-//! running `Fragmentation::apply_delta` for `ΔG_{n+1}`; with
-//! [`GrapeServer::group_commit`] enabled, small consecutive
-//! edge-insert-only deltas merge into a single `DeltaApplication` (the
-//! merge is restricted to that shape because removals and vertex inserts
-//! validate against the pre-batch graph — see
-//! [`GraphDelta::is_edge_insert_only`]).  The server can also spill cold
-//! queries on its own via an [`EvictionPolicy`] driven by touch recency
-//! and resident partial bytes.
+//! bookkeeping, pruning) stays serialized around the fan-out.  There is
+//! one commit path: [`GrapeServer::apply_batch`] is a loop over
+//! [`GrapeServer::apply`], and queries are spilled only by explicit
+//! [`GrapeServer::evict`] calls.
 
 use std::any::Any;
 use std::io::Write;
@@ -222,10 +217,6 @@ pub struct QueryRefresh {
 pub struct ServeReport {
     /// Timeline version after this delta.
     pub version: usize,
-    /// Raw deltas this commit absorbed — `1` for [`GrapeServer::apply`],
-    /// the group size for a group-committed [`GrapeServer::apply_batch`]
-    /// step.
-    pub deltas: usize,
     /// Fragments the **single** delta application rebuilt — by construction
     /// identical to the `rebuilt` set of every per-query [`UpdateReport`].
     pub rebuilt: Vec<usize>,
@@ -244,12 +235,6 @@ pub struct ServeReport {
     pub deferred: Vec<usize>,
     /// Queries skipped because an earlier failed refresh poisoned them.
     pub poisoned: Vec<usize>,
-    /// Queries the server's [`EvictionPolicy`] spilled after this commit
-    /// (empty under [`EvictionPolicy::Manual`]).
-    pub evicted: Vec<usize>,
-    /// Queries whose policy-driven spill left increments outweighing their
-    /// base on disk, folding the chain into a fresh base.
-    pub compacted: Vec<usize>,
     /// Answer deltas for subscribed queries, sorted by query id: one
     /// [`OutputEvent::Delta`] per watched resident healthy query per commit
     /// (a catch-up replay folds into the same event), plus one terminal
@@ -272,72 +257,31 @@ impl ServeReport {
 }
 
 /// What one [`GrapeServer::apply_batch`] did: one [`ServeReport`] per
-/// committed group, in stream order, plus the rejection (if any) that
+/// committed delta, in stream order, plus the rejection (if any) that
 /// stopped the batch.  Commits made before a rejection are durable — the
 /// timeline advanced and every resident query refreshed — which is why a
 /// batch returns a report instead of an all-or-nothing `Result`.
 #[derive(Debug)]
 pub struct BatchReport {
-    /// One report per committed group (a group is one delta unless
-    /// [`GrapeServer::group_commit`] merged consecutive edge-insert-only
-    /// deltas).
+    /// One report per committed delta.
     pub reports: Vec<ServeReport>,
     /// Present when the partition layer rejected a delta; everything from
     /// that delta on was not applied.
     pub rejected: Option<BatchRejection>,
 }
 
-impl BatchReport {
-    /// Raw deltas the batch durably committed (counts every member of a
-    /// merged group).
-    pub fn deltas_committed(&self) -> usize {
-        self.reports.iter().map(|r| r.deltas).sum()
-    }
-}
-
 /// A delta the partition layer rejected mid-batch.
 #[derive(Debug)]
 pub struct BatchRejection {
-    /// Index **into the caller's slice** of the first raw delta of the
-    /// rejected group.
+    /// Index **into the caller's slice** of the rejected delta.
     pub index: usize,
     /// The partition layer's reason.
     pub reason: String,
 }
 
-/// When the server itself spills queries to disk (on top of explicit
-/// [`GrapeServer::evict`] calls, which always work).
-///
-/// Recency is *user interest*: [`GrapeServer::register`],
-/// [`GrapeServer::rehydrate`] and [`GrapeServer::output`] touch a query;
-/// the server's own refreshes do not.  The policy is enforced after
-/// `register` and after every commit — a just-rehydrated query may
-/// transiently exceed the limit until the next delta arrives, so an actively
-/// watched query is never spilled in the middle of its `output()`.
-/// Poisoned queries cannot be spilled (their partials are gone) and are
-/// skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Only explicit [`GrapeServer::evict`] calls spill queries (default).
-    Manual,
-    /// Keep at most `max_resident` queries resident; beyond that the
-    /// least-recently-touched resident query spills.
-    Lru {
-        /// Resident-query cap.
-        max_resident: usize,
-    },
-    /// Keep the serialized size of all resident partials
-    /// ([`GrapeServer::resident_partial_bytes`]) within `bytes`, spilling
-    /// least-recently-touched queries until it fits.
-    MemoryBudget {
-        /// Resident partial-bytes cap.
-        bytes: usize,
-    },
-}
-
 /// An `io::Write` sink that only counts bytes: measures the serialized size
-/// of resident partials for [`EvictionPolicy::MemoryBudget`] without
-/// building the spill image in memory.
+/// of resident partials ([`QueryStatus::partial_bytes`]) without building
+/// the spill image in memory.
 #[derive(Default)]
 struct ByteCounter {
     bytes: usize,
@@ -453,8 +397,7 @@ trait ServedQuery: Send {
     /// The entry's current counters/metrics — from the live handle when
     /// resident, from the cold state when evicted.
     fn bookkeeping(&self) -> QueryBookkeeping;
-    /// Serialized size of the resident partials (`0` when evicted): the
-    /// unit [`EvictionPolicy::MemoryBudget`] accounts in.
+    /// Serialized size of the resident partials (`0` when evicted).
     fn partial_bytes(&self) -> usize;
     fn is_evicted(&self) -> bool;
     fn is_poisoned(&self) -> bool;
@@ -685,9 +628,6 @@ struct Slot {
     /// eviction and kept for the slot's lifetime (it outlives rehydration
     /// as the recovery point the next evict appends to).
     store: Option<QuerySpillStore>,
-    /// Logical timestamp of the last *user* touch (register / rehydrate /
-    /// output); drives [`EvictionPolicy`] recency.
-    last_touch: u64,
     /// Whether a watched query's terminal [`OutputEvent::Poisoned`] has
     /// already been pushed — the event is emitted exactly once.
     poison_notified: bool,
@@ -719,15 +659,6 @@ type RefreshOutcome = (
     Option<WireOutputDelta>,
 );
 
-/// One planned commit of an [`GrapeServer::apply_batch`]: the (possibly
-/// merged) delta, the index of its first raw delta in the caller's slice,
-/// and how many raw deltas it absorbs.
-struct DeltaGroup {
-    start: usize,
-    raw: usize,
-    delta: GraphDelta,
-}
-
 /// A server multiplexing many prepared queries over one evolving graph.
 /// See the [module docs](self) for the protocol.
 pub struct GrapeServer {
@@ -748,26 +679,11 @@ pub struct GrapeServer {
     /// This server's process-unique token, stamped into every issued
     /// [`QueryHandle`].
     token: usize,
-    /// Refresh fan-out width (≥ 1); seeded from the session's
-    /// `refresh_threads`, overridable with [`GrapeServer::threads`].  Never
-    /// clamped to the machine's parallelism — the caller asked for this
-    /// width.
-    refresh_threads: usize,
-    /// Group-commit cap in delta ops; `0` disables grouping (the default:
-    /// every delta of an `apply_batch` is its own commit).
-    group_limit: usize,
-    /// Server-driven eviction policy.
-    policy: EvictionPolicy,
     /// Completed spill-store compactions across all queries.
     compactions: u64,
     /// Worker-pipe bytes moved by every registration and successful
     /// refresh (see [`GrapeServer::pipe_bytes`]).
     pipe_bytes: u64,
-    /// Monotone clock behind [`Slot::last_touch`].
-    touch_clock: u64,
-    /// Raw deltas absorbed — counts every member of a group-committed
-    /// batch, so it can exceed the number of timeline commits.
-    deltas_absorbed: usize,
     /// Per-commit latency samples (see [`GrapeServer::latency_summary`]),
     /// windowed so a long-running server does not grow without bound.
     latencies: Vec<Duration>,
@@ -808,7 +724,6 @@ impl GrapeServer {
         fragmentation: Fragmentation,
         spill_dir: PathBuf,
     ) -> Self {
-        let refresh_threads = session.config().refresh_threads.max(1);
         GrapeServer {
             session,
             base: 0,
@@ -818,53 +733,12 @@ impl GrapeServer {
             spill_dir,
             owns_spill_dir: false,
             token: SERVER_SEQ.fetch_add(1, Ordering::Relaxed),
-            refresh_threads,
-            group_limit: 0,
-            policy: EvictionPolicy::Manual,
             compactions: 0,
             pipe_bytes: 0,
-            touch_clock: 0,
-            deltas_absorbed: 0,
             latencies: Vec::new(),
             subs: Vec::new(),
             pending_events: Vec::new(),
         }
-    }
-
-    /// Sets the refresh fan-out width: up to `n` resident queries refresh
-    /// concurrently per commit (clamped to ≥ 1, and at run time to the
-    /// number of queries actually ready).  Deliberately **not** clamped to
-    /// the machine's parallelism.  Each refresh still runs its own engine
-    /// with the session's `num_workers` threads, so the total thread demand
-    /// is `n × num_workers`.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.refresh_threads = n.max(1);
-        self
-    }
-
-    /// Enables group-commit for [`GrapeServer::apply_batch`]: consecutive
-    /// deltas merge into one commit while the merged batch stays within
-    /// `max_ops` updates **and** every appended delta is edge-insert-only
-    /// ([`GraphDelta::is_edge_insert_only`] explains why other shapes are
-    /// not sequential-equivalent under merging).  Any delta may *start* a
-    /// group.  `0` (the default) disables grouping.
-    pub fn group_commit(mut self, max_ops: usize) -> Self {
-        self.group_limit = max_ops;
-        self
-    }
-
-    /// Sets the server-driven [`EvictionPolicy`] (default
-    /// [`EvictionPolicy::Manual`]).  Enforced after `register` and after
-    /// every commit; spills performed by a commit are listed in
-    /// [`ServeReport::evicted`].
-    pub fn eviction_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The configured refresh fan-out width.
-    pub fn refresh_threads(&self) -> usize {
-        self.refresh_threads
     }
 
     /// The directory evicted queries spill into.
@@ -891,22 +765,15 @@ impl GrapeServer {
         self.timeline.last().expect("timeline is never empty")
     }
 
-    /// The current timeline version — the number of commits.  Equals
-    /// [`GrapeServer::deltas_applied`] unless [`GrapeServer::group_commit`]
-    /// merged consecutive deltas into one commit.
+    /// The current timeline version — the number of deltas applied, each
+    /// to the shared fragmentation exactly once regardless of how many
+    /// queries are registered.
     pub fn version(&self) -> usize {
         self.base + self.timeline.len() - 1
     }
 
-    /// How many raw deltas this server has absorbed (each applied to the
-    /// shared fragmentation exactly once — possibly group-committed with
-    /// its neighbors — regardless of how many queries are registered).
-    pub fn deltas_applied(&self) -> usize {
-        self.deltas_absorbed
-    }
-
-    /// Serialized size of every resident query's partials — what
-    /// [`EvictionPolicy::MemoryBudget`] accounts against.
+    /// Serialized size of every resident query's partials (the sum of
+    /// [`QueryStatus::partial_bytes`]).
     pub fn resident_partial_bytes(&self) -> usize {
         self.slots.iter().map(|s| s.entry.partial_bytes()).sum()
     }
@@ -941,9 +808,8 @@ impl GrapeServer {
 
     /// A [`LatencySummary`] (mean / p50 / p99 / max) over the per-commit
     /// latencies this server recorded itself — one sample per commit, from
-    /// delta arrival to the end of the refresh fan-out (for the pipelined
-    /// [`GrapeServer::apply_batch`] the sample starts at commit pickup, so
-    /// the overlapped partition work is not double-billed).  Only the most
+    /// delta arrival (before `apply_delta`) to the end of the refresh
+    /// fan-out.  Only the most
     /// recent window of commits is retained (see
     /// [`GrapeServer::latency_samples`] for the live sample count), so a
     /// long-running server reports recent behaviour, not its lifetime
@@ -967,37 +833,42 @@ impl GrapeServer {
             .collect()
     }
 
-    /// A serializable snapshot of every registered query's serving state,
-    /// sorted by query id — the per-query rows behind a `status` /
-    /// `metrics` endpoint.  Works off the type-erased slots, so it needs no
-    /// handles and covers evicted and poisoned queries too.
+    /// A serializable snapshot of one registered query's serving state, or
+    /// `None` when no query `id` is registered.  Works off the type-erased
+    /// slot, so it needs no handle and covers evicted and poisoned queries
+    /// too; it serializes only this query's partials (for
+    /// [`QueryStatus::partial_bytes`]).
+    pub fn query_status(&self, id: usize) -> Option<QueryStatus> {
+        let slot = self.slots.get(id)?;
+        let book = slot.entry.bookkeeping();
+        let spill: SpillStoreStats = slot
+            .store
+            .as_ref()
+            .map(QuerySpillStore::stats)
+            .unwrap_or_default();
+        Some(QueryStatus {
+            query: id,
+            version: slot.version,
+            evicted: slot.entry.is_evicted(),
+            poisoned: slot.entry.is_poisoned(),
+            updates_applied: book.updates_applied,
+            incremental_updates: book.incremental_updates,
+            bounded_updates: book.bounded_updates,
+            retracted_updates: book.retracted_updates,
+            partial_bytes: slot.entry.partial_bytes(),
+            watchers: self.watcher_count(id),
+            spill_chain: spill.chain_len,
+            spill_bytes: spill.base_bytes + spill.increment_bytes,
+            compactions: spill.compactions,
+        })
+    }
+
+    /// [`GrapeServer::query_status`] of every registered query, sorted by
+    /// query id — the per-query rows behind a `status` / `metrics`
+    /// endpoint.
     pub fn query_statuses(&self) -> Vec<QueryStatus> {
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(id, slot)| {
-                let book = slot.entry.bookkeeping();
-                let spill: SpillStoreStats = slot
-                    .store
-                    .as_ref()
-                    .map(QuerySpillStore::stats)
-                    .unwrap_or_default();
-                QueryStatus {
-                    query: id,
-                    version: slot.version,
-                    evicted: slot.entry.is_evicted(),
-                    poisoned: slot.entry.is_poisoned(),
-                    updates_applied: book.updates_applied,
-                    incremental_updates: book.incremental_updates,
-                    bounded_updates: book.bounded_updates,
-                    retracted_updates: book.retracted_updates,
-                    partial_bytes: slot.entry.partial_bytes(),
-                    watchers: self.watcher_count(id),
-                    spill_chain: spill.chain_len,
-                    spill_bytes: spill.base_bytes + spill.increment_bytes,
-                    compactions: spill.compactions,
-                }
-            })
+        (0..self.slots.len())
+            .filter_map(|id| self.query_status(id))
             .collect()
     }
 
@@ -1023,22 +894,13 @@ impl GrapeServer {
             }),
             version: self.version(),
             store: None,
-            last_touch: 0,
             poison_notified: false,
         });
-        self.touch(id);
-        self.enforce_policy();
         Ok(QueryHandle {
             server: self.token,
             id,
             _marker: PhantomData,
         })
-    }
-
-    /// Records user interest in a slot (LRU recency).
-    fn touch(&mut self, id: usize) {
-        self.touch_clock += 1;
-        self.slots[id].last_touch = self.touch_clock;
     }
 
     /// Subscribes to the query's answer deltas: every later commit (and
@@ -1117,115 +979,50 @@ impl GrapeServer {
             .fragmentation()
             .apply_delta(delta)
             .map_err(|e| ServeError::Delta(e.to_string()))?;
-        Ok(self.commit(Arc::new(applied), delta, 1, started))
+        Ok(self.commit(Arc::new(applied), delta, started))
     }
 
-    /// Applies a whole delta stream, pipelined: a dedicated thread runs
-    /// `Fragmentation::apply_delta` for `ΔG_{n+1}` while the registered
-    /// queries still refresh against `ΔG_n` (the partition work and the
-    /// refresh fan-out overlap; the commits themselves stay in stream
-    /// order).  With [`GrapeServer::group_commit`] enabled, consecutive
-    /// edge-insert-only deltas merge into one commit first.
+    /// Applies a delta stream: one [`GrapeServer::apply`] per delta, in
+    /// order, on the calling thread.
     ///
     /// A rejected delta stops the batch: everything committed before it is
     /// durable and reported, the rejection carries the caller-slice index
     /// of the offending delta, and nothing after it is applied — which is
     /// why this returns a [`BatchReport`] rather than an all-or-nothing
     /// `Result`.  Per-query refresh *failures* never stop a batch (exactly
-    /// as in [`GrapeServer::apply`], they are recorded in the group's
+    /// as in [`GrapeServer::apply`], they are recorded in the delta's
     /// [`ServeReport`] and the failed slot keeps its true version).
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> BatchReport {
-        let groups = self.plan_groups(deltas);
-        let mut reports = Vec::with_capacity(groups.len());
+        let mut reports = Vec::with_capacity(deltas.len());
         let mut rejected = None;
-        let base = self.fragmentation().clone();
-        type Applied = Result<Arc<DeltaApplication>, (usize, String)>;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Applied>(1);
-        std::thread::scope(|scope| {
-            let planned = &groups;
-            scope.spawn(move || {
-                // The applier chains apply_delta group by group off the
-                // snapshot it started from; commit() pushes the exact same
-                // fragmentation values onto the timeline, in the same
-                // order, so the main thread never observes a fork.  The
-                // application crosses the channel behind an `Arc`: the
-                // refresh fan-out, the retained step and any later replay
-                // all share one copy.
-                let mut frag = base;
-                for group in planned {
-                    match frag.apply_delta(&group.delta) {
-                        Ok(applied) => {
-                            frag = applied.fragmentation.clone();
-                            if tx.send(Ok(Arc::new(applied))).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err((group.start, e.to_string())));
-                            return;
-                        }
-                    }
-                }
-            });
-            for group in &groups {
-                let started = Instant::now();
-                match rx.recv() {
-                    Ok(Ok(applied)) => {
-                        reports.push(self.commit(applied, &group.delta, group.raw, started));
-                    }
-                    Ok(Err((index, reason))) => {
-                        rejected = Some(BatchRejection { index, reason });
-                        break;
-                    }
-                    Err(_) => break,
+        for (index, delta) in deltas.iter().enumerate() {
+            match self.apply(delta) {
+                Ok(report) => reports.push(report),
+                Err(e) => {
+                    let reason = match e {
+                        ServeError::Delta(reason) => reason,
+                        other => other.to_string(),
+                    };
+                    rejected = Some(BatchRejection { index, reason });
+                    break;
                 }
             }
-        });
+        }
         BatchReport { reports, rejected }
     }
 
-    /// Splits a delta stream into commit groups under the
-    /// [`GrapeServer::group_commit`] rule: any delta starts a group; a
-    /// delta joins the open group only if it is edge-insert-only and the
-    /// merged size stays within the cap.
-    fn plan_groups(&self, deltas: &[GraphDelta]) -> Vec<DeltaGroup> {
-        let mut groups: Vec<DeltaGroup> = Vec::new();
-        for (i, delta) in deltas.iter().enumerate() {
-            if self.group_limit > 0 {
-                if let Some(open) = groups.last_mut() {
-                    if delta.is_edge_insert_only()
-                        && open.delta.len() + delta.len() <= self.group_limit
-                    {
-                        open.delta = std::mem::take(&mut open.delta).merge(delta);
-                        open.raw += 1;
-                        continue;
-                    }
-                }
-            }
-            groups.push(DeltaGroup {
-                start: i,
-                raw: 1,
-                delta: delta.clone(),
-            });
-        }
-        groups
-    }
-
     /// One commit: fans `applied` out to every ready resident query (on up
-    /// to `refresh_threads` scoped workers), merges the outcomes into an
-    /// id-sorted [`ServeReport`], and advances the timeline.  Everything
-    /// except the refreshes and the watched slots' answer diffs — catch-up
-    /// replay, version bookkeeping, retention/pruning, policy eviction —
-    /// runs on the calling thread.  `started` marks when the server began
-    /// working on this delta (before `apply_delta` for
-    /// [`GrapeServer::apply`], at commit pickup for the pipelined
-    /// [`GrapeServer::apply_batch`]); the elapsed time is recorded as one
-    /// latency sample.
+    /// to the session's `refresh_threads` scoped workers), merges the
+    /// outcomes into an id-sorted [`ServeReport`], and advances the
+    /// timeline.  Everything except the refreshes and the watched slots'
+    /// answer diffs — catch-up replay, version bookkeeping,
+    /// retention/pruning — runs on the calling thread.  `started` marks
+    /// when [`GrapeServer::apply`] began working on this delta (before
+    /// `apply_delta`); the elapsed time is recorded as one latency sample.
     fn commit(
         &mut self,
         applied: Arc<DeltaApplication>,
         delta: &GraphDelta,
-        raw_deltas: usize,
         started: Instant,
     ) -> ServeReport {
         let current = self.version();
@@ -1287,7 +1084,7 @@ impl GrapeServer {
         let results = Self::refresh_ready(
             &mut self.slots,
             &ready,
-            self.refresh_threads,
+            self.session.config().refresh_threads,
             &applied,
             delta,
         );
@@ -1350,20 +1147,15 @@ impl GrapeServer {
             });
             self.prune();
         }
-        self.deltas_absorbed += raw_deltas;
         self.record_latency(started.elapsed());
-        let (evicted, compacted) = self.enforce_policy();
         ServeReport {
             version: new_version,
-            deltas: raw_deltas,
             rebuilt,
             reused,
             refreshed,
             caught_up,
             deferred,
             poisoned,
-            evicted,
-            compacted,
             events,
         }
     }
@@ -1431,11 +1223,10 @@ impl GrapeServer {
         out
     }
 
-    /// Spills slot `id` into its store (shared by explicit
-    /// [`GrapeServer::evict`] and the [`EvictionPolicy`]), folding the
-    /// increment chain once its bytes outweigh the base's.  Returns the
-    /// path written and whether a compaction ran.
-    fn spill_slot(&mut self, id: usize) -> Result<(PathBuf, bool), ServeError> {
+    /// Spills slot `id` into its store, folding the increment chain once
+    /// its bytes outweigh the base's.  Returns the path written (the fresh
+    /// base when a compaction ran).
+    fn spill_slot(&mut self, id: usize) -> Result<PathBuf, ServeError> {
         if self.slots[id].store.is_none() {
             self.slots[id].store = Some(QuerySpillStore::create(&self.spill_dir, id)?);
         }
@@ -1443,17 +1234,14 @@ impl GrapeServer {
         let result = self.slots[id].entry.evict(&mut store).and_then(|path| {
             let stats = store.stats();
             if stats.increment_bytes > stats.base_bytes && store.compact()? {
-                Ok((store.base_path(), true))
+                self.compactions += 1;
+                Ok(store.base_path())
             } else {
-                Ok((path, false))
+                Ok(path)
             }
         });
         self.slots[id].store = Some(store);
-        let (path, compacted) = result?;
-        if compacted {
-            self.compactions += 1;
-        }
-        Ok((path, compacted))
+        result
     }
 
     /// Folds slot `id`'s increment chain into a fresh base, if it has one.
@@ -1466,52 +1254,6 @@ impl GrapeServer {
             self.compactions += 1;
         }
         Ok(folded)
-    }
-
-    fn over_budget(&self) -> bool {
-        match self.policy {
-            EvictionPolicy::Manual => false,
-            EvictionPolicy::Lru { max_resident } => {
-                self.slots.iter().filter(|s| !s.entry.is_evicted()).count() > max_resident
-            }
-            EvictionPolicy::MemoryBudget { bytes } => self.resident_partial_bytes() > bytes,
-        }
-    }
-
-    /// Spills least-recently-touched resident queries until the policy is
-    /// satisfied (or no spillable candidate remains — poisoned entries
-    /// cannot spill, and a slot whose spill failed is not retried within
-    /// one enforcement pass).  Returns the ids spilled and the subset whose
-    /// spill triggered a chain compaction.
-    fn enforce_policy(&mut self) -> (Vec<usize>, Vec<usize>) {
-        let mut evicted = Vec::new();
-        let mut compacted = Vec::new();
-        if self.policy == EvictionPolicy::Manual {
-            return (evicted, compacted);
-        }
-        let mut skipped: Vec<usize> = Vec::new();
-        while self.over_budget() {
-            let victim = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(id, s)| {
-                    !s.entry.is_evicted() && !s.entry.is_poisoned() && !skipped.contains(id)
-                })
-                .min_by_key(|(_, s)| s.last_touch)
-                .map(|(id, _)| id);
-            let Some(id) = victim else { break };
-            match self.spill_slot(id) {
-                Ok((_, folded)) => {
-                    evicted.push(id);
-                    if folded {
-                        compacted.push(id);
-                    }
-                }
-                Err(_) => skipped.push(id),
-            }
-        }
-        (evicted, compacted)
     }
 
     /// Replays the retained steps from a **resident** query's version up to
@@ -1564,7 +1306,7 @@ impl GrapeServer {
         if self.slots[handle.id].entry.is_evicted() {
             return Err(ServeError::AlreadyEvicted(handle.id));
         }
-        self.spill_slot(handle.id).map(|(path, _)| path)
+        self.spill_slot(handle.id)
     }
 
     /// Folds the query's spill-store increment chain into a fresh base,
@@ -1598,7 +1340,6 @@ impl GrapeServer {
     {
         self.check_handle::<P>(handle)?;
         let id = handle.id;
-        self.touch(id);
         let current = self.version();
         if !self.slots[id].entry.is_evicted() {
             // Resident — but possibly behind: catch it up so output()
@@ -1872,7 +1613,7 @@ mod tests {
                     assert_eq!(ur.reused, report.reused, "{mode:?}");
                 }
             }
-            assert_eq!(server.deltas_applied(), 2);
+            assert_eq!(server.version(), 2);
             assert_eq!(server.retained_versions(), 1, "nothing evicted: pruned");
 
             // Every handle shares the server's (single) fragment storage.
@@ -1904,6 +1645,8 @@ mod tests {
         let (mut server, handles) = server_with(2, EngineMode::Sync);
         let (kept, cold) = (handles[0], handles[1]);
         server.apply(&GraphDelta::new().add_edge(0, 2)).unwrap();
+        let resident = server.query_status(cold.id()).unwrap().partial_bytes;
+        assert!(resident > 0, "resident partials have a measurable size");
 
         let spill = server.evict(&cold).unwrap();
         assert!(spill.exists());
@@ -1911,6 +1654,12 @@ mod tests {
         assert!(
             server.prepared(&cold).unwrap().is_none(),
             "partials were released"
+        );
+        assert_eq!(server.query_status(cold.id()).unwrap().partial_bytes, 0);
+        assert_eq!(
+            server.resident_partial_bytes(),
+            server.query_status(kept.id()).unwrap().partial_bytes,
+            "only the resident query's partials count"
         );
 
         // Rehydration folds the partials back onto the timeline's
@@ -1944,6 +1693,43 @@ mod tests {
         );
         server.rehydrate(&cold).unwrap();
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
+    }
+
+    #[test]
+    fn memory_budget_policy_respects_recorded_partial_sizes() {
+        let g = path_graph(12);
+        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
+        // Measure one query's footprint with a single-query server first.
+        let mut probe = GrapeServer::new(session(EngineMode::Sync), frag.clone());
+        probe.register(MinForward, ()).unwrap();
+        let one = probe.resident_partial_bytes();
+        assert!(one > 0, "partials have a measurable size");
+
+        // A budget for one resident query, not two: the caller's policy
+        // evicts by the recorded sizes.
+        let budget = one + one / 2;
+        let mut server = GrapeServer::new(session(EngineMode::Sync), frag);
+        let q0 = server.register(MinForward, ()).unwrap();
+        assert!(server.resident_partial_bytes() <= budget, "one query fits");
+        let q1 = server.register(MinForward, ()).unwrap();
+        assert!(server.resident_partial_bytes() > budget, "two do not");
+        server.evict(&q0).unwrap();
+        assert_eq!(server.num_evicted(), 1);
+        assert!(server.is_evicted(&q0).unwrap());
+        assert!(!server.is_evicted(&q1).unwrap());
+        assert_eq!(server.resident_partial_bytes(), one);
+        assert!(server.resident_partial_bytes() <= budget);
+
+        // Deltas arrive while q0 is cold; reading it rehydrates, replays,
+        // and matches a recompute.
+        let r = server.apply(&GraphDelta::new().add_edge(0, 2)).unwrap();
+        assert_eq!(r.deferred, vec![q0.id()]);
+        server.apply(&GraphDelta::new().add_edge(3, 7)).unwrap();
+        let recompute = session(EngineMode::Sync)
+            .run(server.fragmentation(), &MinForward, &())
+            .unwrap();
+        assert_eq!(server.output(&q0).unwrap(), recompute.output);
+        assert_eq!(server.output(&q1).unwrap(), recompute.output);
     }
 
     /// Rehydration does no fragment I/O: the entry's fragmentation is the
@@ -2384,8 +2170,13 @@ mod tests {
             for threads in [1usize, 3] {
                 let g = path_graph(12);
                 let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-                let mut server = GrapeServer::new(session(mode), frag).threads(threads);
-                assert_eq!(server.refresh_threads(), threads);
+                let s = GrapeSession::builder()
+                    .workers(2)
+                    .mode(mode)
+                    .refresh_threads(threads)
+                    .build()
+                    .unwrap();
+                let mut server = GrapeServer::new(s, frag);
                 let handles: Vec<_> = (0..4)
                     .map(|_| server.register(MinForward, ()).unwrap())
                     .collect();
@@ -2411,9 +2202,8 @@ mod tests {
         }
     }
 
-    /// `apply_batch` without group-commit IS N sequential applies: same
-    /// versions, same per-delta reports, same timeline pruning, same
-    /// outputs.
+    /// `apply_batch` IS N sequential applies: same versions, same
+    /// per-delta reports, same timeline pruning, same outputs.
     #[test]
     fn apply_batch_equals_sequential_applies() {
         let deltas = vec![
@@ -2436,15 +2226,13 @@ mod tests {
 
         let batch = batched.apply_batch(&deltas);
         assert!(batch.rejected.is_none());
-        assert_eq!(batch.reports.len(), deltas.len(), "no grouping by default");
-        assert_eq!(batch.deltas_committed(), deltas.len());
+        assert_eq!(batch.reports.len(), deltas.len(), "one report per delta");
         let seq_reports: Vec<ServeReport> = deltas
             .iter()
             .map(|d| sequential.apply(d).unwrap())
             .collect();
         for (b, s) in batch.reports.iter().zip(&seq_reports) {
             assert_eq!(b.version, s.version);
-            assert_eq!(b.deltas, 1);
             assert_eq!(b.rebuilt, s.rebuilt);
             assert_eq!(b.reused, s.reused);
             let ids = |r: &ServeReport| r.refreshed.iter().map(|q| q.query).collect::<Vec<_>>();
@@ -2458,7 +2246,6 @@ mod tests {
             }
         }
         assert_eq!(batched.version(), sequential.version());
-        assert_eq!(batched.deltas_applied(), sequential.deltas_applied());
         assert_eq!(batched.retained_versions(), 1, "pruned exactly like apply");
         for (hb, hs) in bh.iter().zip(&sh) {
             assert_eq!(batched.output(hb).unwrap(), sequential.output(hs).unwrap());
@@ -2477,12 +2264,10 @@ mod tests {
             GraphDelta::new().add_edge(1, 3),      // never reached
         ]);
         assert_eq!(batch.reports.len(), 1, "first delta committed");
-        assert_eq!(batch.deltas_committed(), 1);
         let rejection = batch.rejected.expect("second delta was rejected");
         assert_eq!(rejection.index, 1);
         assert!(rejection.reason.contains("cannot remove edge"));
         assert_eq!(server.version(), 1);
-        assert_eq!(server.deltas_applied(), 1);
 
         // The server is still healthy: later deltas and outputs work.
         server.apply(&GraphDelta::new().add_edge(1, 3)).unwrap();
@@ -2492,57 +2277,6 @@ mod tests {
         for h in &handles {
             assert_eq!(server.output(h).unwrap(), recompute.output);
         }
-    }
-
-    /// Group-commit merges runs of edge-insert-only deltas into a single
-    /// `DeltaApplication`: one timeline commit, one refresh per query per
-    /// group — pinned via version / updates_applied — while
-    /// `deltas_applied` keeps counting raw deltas.
-    #[test]
-    fn group_commit_runs_one_delta_application_per_group() {
-        let g = path_graph(12);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let mut server = GrapeServer::new(session(EngineMode::Sync), frag).group_commit(16);
-        let h = server.register(MinForward, ()).unwrap();
-
-        let deltas = vec![
-            GraphDelta::new().add_edge(0, 2),
-            GraphDelta::new().add_edge(0, 3),
-            GraphDelta::new().add_edge(1, 4),
-            GraphDelta::new().add_edge(2, 5),
-            GraphDelta::new().remove_edge(5, 6), // starts group 2
-            GraphDelta::new().add_edge(6, 8),    // merges into group 2
-            GraphDelta::new().add_edge(7, 9),
-        ];
-        let batch = server.apply_batch(&deltas);
-        assert!(batch.rejected.is_none());
-        assert_eq!(batch.reports.len(), 2, "two groups");
-        assert_eq!(batch.reports[0].deltas, 4);
-        assert_eq!(batch.reports[1].deltas, 3);
-        assert_eq!(
-            batch.reports[0].peval_calls(),
-            0,
-            "the merged insert-only group stays monotone"
-        );
-        assert_eq!(server.version(), 2, "one timeline commit per group");
-        assert_eq!(server.deltas_applied(), 7, "raw deltas still counted");
-        let p = server.prepared(&h).unwrap().unwrap();
-        assert_eq!(p.updates_applied(), 2, "one refresh per group");
-
-        // The answer still equals a from-scratch recompute AND an ungrouped
-        // sequential server over the same stream.
-        let recompute = session(EngineMode::Sync)
-            .run(server.fragmentation(), &MinForward, &())
-            .unwrap();
-        assert_eq!(server.output(&h).unwrap(), recompute.output);
-        let g = path_graph(12);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let mut plain = GrapeServer::new(session(EngineMode::Sync), frag);
-        let ph = plain.register(MinForward, ()).unwrap();
-        for d in &deltas {
-            plain.apply(d).unwrap();
-        }
-        assert_eq!(server.output(&h).unwrap(), plain.output(&ph).unwrap());
     }
 
     /// A refresh failure inside a batch leaves the earlier commits durable
@@ -2597,85 +2331,6 @@ mod tests {
             .unwrap()
             .output;
         assert_eq!(server.output(&flaky).unwrap(), recompute);
-    }
-
-    /// LRU spills the least-recently-*touched* resident query exactly when
-    /// residency exceeds `max_resident` — touches being user interest
-    /// (register / output / rehydrate), not server refreshes.
-    #[test]
-    fn lru_policy_evicts_the_least_recently_touched_at_the_boundary() {
-        let g = path_graph(12);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let mut server = GrapeServer::new(session(EngineMode::Sync), frag)
-            .eviction_policy(EvictionPolicy::Lru { max_resident: 2 });
-        let q0 = server.register(MinForward, ()).unwrap();
-        let q1 = server.register(MinForward, ()).unwrap();
-        assert_eq!(server.num_evicted(), 0, "at the cap, nothing spills");
-
-        // Touch q0 so q1 becomes the LRU victim.
-        server.output(&q0).unwrap();
-        let q2 = server.register(MinForward, ()).unwrap();
-        assert_eq!(server.num_evicted(), 1, "max_resident+1 spills exactly one");
-        assert!(server.is_evicted(&q1).unwrap(), "least-recently-touched");
-        assert!(!server.is_evicted(&q0).unwrap());
-        assert!(!server.is_evicted(&q2).unwrap());
-
-        // Watching the evicted query rehydrates it (transiently 3 resident);
-        // the next commit re-enforces the cap and reports who it spilled.
-        server.output(&q1).unwrap();
-        assert_eq!(server.num_evicted(), 0, "rehydration may exceed the cap");
-        let r = server.apply(&GraphDelta::new().add_edge(0, 2)).unwrap();
-        assert_eq!(r.evicted, vec![q0.id()], "now q0 is least recent");
-        assert_eq!(server.num_evicted(), 1);
-
-        // Everyone still answers exactly, evicted or not, with the fan-out.
-        let recompute = session(EngineMode::Sync)
-            .run(server.fragmentation(), &MinForward, &())
-            .unwrap();
-        for h in [&q0, &q1, &q2] {
-            assert_eq!(server.output(h).unwrap(), recompute.output);
-        }
-    }
-
-    /// The memory-budget policy accounts real serialized partial sizes and
-    /// spills least-recently-touched queries until the total fits; an
-    /// evicted-then-watched query rehydrates and catches up under a
-    /// concurrent apply.
-    #[test]
-    fn memory_budget_policy_respects_recorded_partial_sizes() {
-        let g = path_graph(12);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        // Measure one query's footprint with a plain server first.
-        let mut probe = GrapeServer::new(session(EngineMode::Sync), frag.clone());
-        probe.register(MinForward, ()).unwrap();
-        let one = probe.resident_partial_bytes();
-        assert!(one > 0, "partials have a measurable size");
-
-        // Budget for one resident query, not two.
-        let budget = one + one / 2;
-        let mut server = GrapeServer::new(session(EngineMode::Sync), frag)
-            .threads(4)
-            .eviction_policy(EvictionPolicy::MemoryBudget { bytes: budget });
-        let q0 = server.register(MinForward, ()).unwrap();
-        assert_eq!(server.num_evicted(), 0, "one query fits");
-        let q1 = server.register(MinForward, ()).unwrap();
-        assert!(
-            server.is_evicted(&q0).unwrap(),
-            "q0 was least recently touched"
-        );
-        assert!(!server.is_evicted(&q1).unwrap());
-        assert!(server.resident_partial_bytes() <= budget);
-
-        // Deltas arrive while q0 is cold; watching it rehydrates, replays,
-        // and matches a recompute — under the concurrent fan-out.
-        let r = server.apply(&GraphDelta::new().add_edge(0, 2)).unwrap();
-        assert_eq!(r.deferred, vec![q0.id()]);
-        server.apply(&GraphDelta::new().add_edge(3, 7)).unwrap();
-        let recompute = session(EngineMode::Sync)
-            .run(server.fragmentation(), &MinForward, &())
-            .unwrap();
-        assert_eq!(server.output(&q0).unwrap(), recompute.output);
-        assert_eq!(server.output(&q1).unwrap(), recompute.output);
     }
 
     /// The current answer as canonical wire rows — what a subscriber that
@@ -2864,33 +2519,5 @@ mod tests {
             server.unsubscribe(foreign).unwrap_err(),
             ServeError::UnknownSubscription(_)
         ));
-    }
-
-    /// Under group-commit a merged group is one commit — and therefore one
-    /// answer delta, which still replays to the exact answer.
-    #[test]
-    fn group_commit_emits_one_merged_delta_per_commit() {
-        let g = path_graph(12);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let mut server = GrapeServer::new(session(EngineMode::Sync), frag).group_commit(16);
-        let h = server.register(MinForward, ()).unwrap();
-        server.subscribe(&h).unwrap();
-        let mut rows = wire_answer(&mut server, &h);
-        server.drain_events();
-
-        let deltas = vec![
-            GraphDelta::new().add_edge(0, 2),
-            GraphDelta::new().add_edge(0, 3),
-            GraphDelta::new().add_edge(1, 4),
-        ];
-        let batch = server.apply_batch(&deltas);
-        assert!(batch.rejected.is_none());
-        assert_eq!(batch.reports.len(), 1, "one merged commit");
-        assert_eq!(batch.reports[0].events.len(), 1, "one merged answer delta");
-        let OutputEvent::Delta(wire) = &batch.reports[0].events[0].event else {
-            panic!("healthy stream");
-        };
-        wire.apply_to(&mut rows);
-        assert_eq!(rows, wire_answer(&mut server, &h));
     }
 }

@@ -141,9 +141,12 @@ impl GrapeSessionBuilder {
         self
     }
 
-    /// Default refresh fan-out width for [`crate::serve::GrapeServer`]s built
-    /// on this session (clamped to ≥ 1; overridable per server with
-    /// [`crate::serve::GrapeServer::threads`]).
+    /// Refresh fan-out width of every [`crate::serve::GrapeServer`] built on
+    /// this session: up to `threads` resident queries refresh concurrently
+    /// per commit (clamped to ≥ 1, and at run time to the number of queries
+    /// ready).  Not clamped to the machine's parallelism.  Each refresh
+    /// still runs its own engine with `num_workers` threads, so the total
+    /// thread demand is `threads × num_workers`.
     pub fn refresh_threads(mut self, threads: usize) -> Self {
         self.config.refresh_threads = threads.max(1);
         self
@@ -252,6 +255,8 @@ mod tests {
         assert_eq!(session.config().mode, EngineMode::Async);
         assert_eq!(session.config().max_supersteps, 50);
         assert_eq!(session.config().refresh_threads, 4);
+        let clamped = GrapeSession::builder().refresh_threads(0).build().unwrap();
+        assert_eq!(clamped.config().refresh_threads, 1, "clamps to one");
         assert_eq!(session.transport(), TransportSpec::Channel);
         assert!((session.balancer().comm_weight - 2.0).abs() < 1e-12);
     }

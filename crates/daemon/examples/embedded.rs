@@ -43,8 +43,8 @@ fn main() {
 
     let status = client.status().expect("status");
     println!(
-        "version {} after {} deltas across {} queries",
-        status.version, status.deltas_applied, status.num_queries
+        "version {} across {} queries",
+        status.version, status.num_queries
     );
 
     // Evict the SSSP query, let a delta land while it is cold, bring it

@@ -223,7 +223,8 @@ impl GrapeClient {
         }
     }
 
-    /// Applies a delta stream through the pipelined batch path.
+    /// Applies a delta stream, one commit per delta, stopping at the first
+    /// rejected delta.
     pub fn apply_batch(&mut self, deltas: Vec<GraphDelta>) -> Result<AppliedBatch, ClientError> {
         match self.call_ok(RequestBody::ApplyBatch { deltas })? {
             ResponseBody::Applied { reports, rejected } => Ok(AppliedBatch { reports, rejected }),

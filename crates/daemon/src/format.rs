@@ -48,9 +48,8 @@ fn render_text(body: &ResponseBody) -> String {
             let mut out = String::new();
             for r in reports {
                 out.push_str(&format!(
-                    "v{}: {} delta(s), rebuilt {} fragment(s), refreshed {:?}",
+                    "v{}: rebuilt {} fragment(s), refreshed {:?}",
                     r.version,
-                    r.deltas,
                     r.rebuilt.len(),
                     r.refreshed
                 ));
@@ -62,9 +61,6 @@ fn render_text(body: &ResponseBody) -> String {
                 }
                 if !r.poisoned.is_empty() {
                     out.push_str(&format!(", poisoned {:?}", r.poisoned));
-                }
-                if !r.evicted.is_empty() {
-                    out.push_str(&format!(", evicted {:?}", r.evicted));
                 }
                 out.push('\n');
             }
@@ -183,9 +179,8 @@ fn render_rows(out: &mut String, queries: &[QueryRow]) {
 
 fn render_status(info: &StatusInfo) -> String {
     let mut out = format!(
-        "version {} | {} delta(s) applied | {} version(s) retained | {} quer{} ({} evicted) | {} resident partial byte(s)\n",
+        "version {} | {} version(s) retained | {} quer{} ({} evicted) | {} resident partial byte(s)\n",
         info.version,
-        info.deltas_applied,
         info.retained_versions,
         info.num_queries,
         if info.num_queries == 1 { "y" } else { "ies" },
@@ -209,10 +204,9 @@ fn render_status(info: &StatusInfo) -> String {
 fn render_metrics(info: &MetricsInfo) -> String {
     let l = &info.latency;
     let mut out = format!(
-        "uptime {:.1}s | version {} | {} delta(s) applied | {} resident partial byte(s) | {} compaction(s)\n",
+        "uptime {:.1}s | version {} | {} resident partial byte(s) | {} compaction(s)\n",
         info.uptime_ms as f64 / 1e3,
         info.version,
-        info.deltas_applied,
         info.resident_partial_bytes,
         info.compactions
     );
@@ -306,7 +300,6 @@ mod tests {
 
         let body = ResponseBody::Status(StatusInfo {
             version: 9,
-            deltas_applied: 9,
             retained_versions: 1,
             num_queries: 1,
             num_evicted: 0,

@@ -167,7 +167,8 @@ pub enum RequestBody {
         /// The delta.
         delta: GraphDelta,
     },
-    /// Apply a stream of deltas through the pipelined batch path.
+    /// Apply a stream of deltas, one commit per delta, stopping at the
+    /// first rejected delta.
     ApplyBatch {
         /// The deltas, in stream order.
         deltas: Vec<GraphDelta>,
@@ -396,8 +397,6 @@ pub enum ErrorKind {
 pub struct ApplySummary {
     /// Timeline version after this commit.
     pub version: usize,
-    /// Raw deltas the commit absorbed (> 1 under group-commit).
-    pub deltas: usize,
     /// Fragments the single delta application rebuilt.
     pub rebuilt: Vec<usize>,
     /// Fragments every query kept sharing verbatim.
@@ -415,19 +414,12 @@ pub struct ApplySummary {
     pub deferred: Vec<usize>,
     /// Queries skipped because they are poisoned.
     pub poisoned: Vec<usize>,
-    /// Queries the eviction policy spilled after this commit.
-    pub evicted: Vec<usize>,
-    /// Queries whose spill chains were folded into a fresh base after this
-    /// commit (absent on the wire from older daemons).
-    #[serde(default)]
-    pub compacted: Vec<usize>,
 }
 
 impl From<&ServeReport> for ApplySummary {
     fn from(r: &ServeReport) -> Self {
         ApplySummary {
             version: r.version,
-            deltas: r.deltas,
             rebuilt: r.rebuilt.clone(),
             reused: r.reused,
             refreshed: r
@@ -446,8 +438,6 @@ impl From<&ServeReport> for ApplySummary {
             caught_up: r.caught_up.clone(),
             deferred: r.deferred.clone(),
             poisoned: r.poisoned.clone(),
-            evicted: r.evicted.clone(),
-            compacted: r.compacted.clone(),
         }
     }
 }
@@ -475,10 +465,8 @@ pub struct QueryRow {
 /// The `status` reply.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatusInfo {
-    /// Current timeline version.
+    /// Current timeline version: the number of deltas applied since start.
     pub version: usize,
-    /// Raw deltas absorbed since start.
-    pub deltas_applied: usize,
     /// Timeline versions retained for replay.
     pub retained_versions: usize,
     /// Registered queries.
@@ -504,10 +492,8 @@ pub struct StatusInfo {
 pub struct MetricsInfo {
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
-    /// Current timeline version.
+    /// Current timeline version: the number of deltas applied since start.
     pub version: usize,
-    /// Raw deltas absorbed since start.
-    pub deltas_applied: usize,
     /// Per-commit latency histogram recorded by the server itself.
     pub latency: LatencySummary,
     /// Live samples behind `latency` (windowed; see
@@ -585,6 +571,18 @@ impl QueryAnswer {
             QueryAnswer::Sssp { .. } => "sssp",
             QueryAnswer::Cc { .. } => "cc",
         }
+    }
+}
+
+impl From<&SsspResult> for QueryAnswer {
+    fn from(result: &SsspResult) -> Self {
+        QueryAnswer::from_sssp(result)
+    }
+}
+
+impl From<&CcResult> for QueryAnswer {
+    fn from(result: &CcResult) -> Self {
+        QueryAnswer::from_cc(result)
     }
 }
 

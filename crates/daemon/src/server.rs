@@ -201,9 +201,29 @@ impl From<std::io::Error> for DaemonError {
 
 /// A registered query's typed handle, erased into the one enum the engine
 /// thread dispatches on (specs arrive as data, not as types).
+#[derive(Clone, Copy)]
 enum AnyHandle {
     Sssp(QueryHandle<Sssp>),
     Cc(QueryHandle<Cc>),
+}
+
+/// Runs `$body` with `$h` bound to the typed handle behind `$any`.
+macro_rules! with_handle {
+    ($any:expr, $h:ident => $body:expr) => {
+        match $any {
+            AnyHandle::Sssp($h) => $body,
+            AnyHandle::Cc($h) => $body,
+        }
+    };
+}
+
+/// A failed request's error body, boxed: the `metrics` reply makes
+/// [`ResponseBody`] too large to return by value on the error path.
+type Failure = Box<ResponseBody>;
+
+/// The wire error body of a serve-layer error.
+fn serve_err(e: ServeError) -> Failure {
+    Box::new(protocol::serve_error_body(&e))
 }
 
 /// What a connection's writer thread is handed: a reply to serialize, or a
@@ -268,11 +288,11 @@ struct Engine {
 }
 
 impl Engine {
-    fn err(kind: ErrorKind, message: impl Into<String>) -> ResponseBody {
-        ResponseBody::Error {
+    fn err(kind: ErrorKind, message: impl Into<String>) -> Failure {
+        Box::new(ResponseBody::Error {
             kind,
             message: message.into(),
-        }
+        })
     }
 
     fn register(&mut self, spec: QuerySpec) -> Result<usize, ServeError> {
@@ -303,61 +323,53 @@ impl Engine {
             .collect()
     }
 
-    fn output(&mut self, query: usize) -> Result<QueryAnswer, ServeError> {
-        match &self.entries[query].1 {
-            AnyHandle::Sssp(h) => {
-                let h = *h;
-                self.server.output(&h).map(|r| QueryAnswer::from_sssp(&r))
-            }
-            AnyHandle::Cc(h) => {
-                let h = *h;
-                self.server.output(&h).map(|r| QueryAnswer::from_cc(&r))
-            }
-        }
+    /// The handle behind wire query id `query`, or the error body every
+    /// per-query request answers an unregistered id with.
+    fn handle_of(&self, query: usize) -> Result<AnyHandle, Failure> {
+        self.entries.get(query).map(|&(_, h)| h).ok_or_else(|| {
+            Self::err(
+                ErrorKind::UnknownHandle,
+                format!("query handle {query} was never registered"),
+            )
+        })
     }
 
-    fn try_output(&self, query: usize) -> ResponseBody {
-        let status = &self.server.query_statuses()[query];
+    /// The answer of a resident, caught-up, healthy query, without the
+    /// lazy rehydration or catch-up replay that `output` performs.  Reads
+    /// only this query's status row.
+    fn try_output(&self, query: usize, any: AnyHandle) -> Result<QueryAnswer, Failure> {
+        let status = self
+            .server
+            .query_status(query)
+            .expect("every wire entry has a server slot");
         if status.evicted {
-            return Self::err(
+            return Err(Self::err(
                 ErrorKind::NotResident,
                 format!("query {query} is evicted; use output or rehydrate"),
-            );
+            ));
         }
         if status.poisoned {
-            return Self::err(
+            return Err(Self::err(
                 ErrorKind::Poisoned,
                 format!("query {query} was poisoned by an earlier failed refresh"),
-            );
+            ));
         }
         if status.version < self.server.version() {
-            return Self::err(
+            return Err(Self::err(
                 ErrorKind::NotResident,
                 format!(
                     "query {query} is behind (version {} of {}); use output or rehydrate",
                     status.version,
                     self.server.version()
                 ),
-            );
+            ));
         }
-        let result = match &self.entries[query].1 {
-            AnyHandle::Sssp(h) => self
-                .server
-                .prepared(h)
-                .map(|p| p.expect("resident").try_output())
-                .and_then(|r| r.map_err(ServeError::Engine))
-                .map(|r| QueryAnswer::from_sssp(&r)),
-            AnyHandle::Cc(h) => self
-                .server
-                .prepared(h)
-                .map(|p| p.expect("resident").try_output())
-                .and_then(|r| r.map_err(ServeError::Engine))
-                .map(|r| QueryAnswer::from_cc(&r)),
-        };
-        match result {
-            Ok(answer) => ResponseBody::Answer { query, answer },
-            Err(e) => protocol::serve_error_body(&e),
-        }
+        with_handle!(any, h => self
+            .server
+            .prepared(&h)
+            .and_then(|p| p.expect("resident").try_output().map_err(ServeError::Engine))
+            .map(|r| QueryAnswer::from(&r)))
+        .map_err(serve_err)
     }
 
     /// Fans every answer delta buffered by the `GrapeServer` out to the
@@ -403,14 +415,18 @@ impl Engine {
         }
     }
 
-    /// Executes one request body.  Runs on the engine thread only.
-    /// `events` is the caller's event channel when the request arrived
-    /// over a connection that can receive pushed frames.
-    fn handle(&mut self, body: RequestBody, events: Option<&Sender<Outbound>>) -> ResponseBody {
-        match body {
+    /// Executes one request body; a failure comes back as the `Err` error
+    /// body, so the arms can bail out with `?`.  Runs on the engine thread
+    /// only.  `events` is the caller's event channel when the request
+    /// arrived over a connection that can receive pushed frames.
+    fn handle(
+        &mut self,
+        body: RequestBody,
+        events: Option<&Sender<Outbound>>,
+    ) -> Result<ResponseBody, Failure> {
+        Ok(match body {
             RequestBody::Status => ResponseBody::Status(StatusInfo {
                 version: self.server.version(),
-                deltas_applied: self.server.deltas_applied(),
                 retained_versions: self.server.retained_versions(),
                 num_queries: self.server.num_queries(),
                 num_evicted: self.server.num_evicted(),
@@ -422,7 +438,6 @@ impl Engine {
             RequestBody::Metrics { samples } => ResponseBody::Metrics(MetricsInfo {
                 uptime_ms: self.started.elapsed().as_millis() as u64,
                 version: self.server.version(),
-                deltas_applied: self.server.deltas_applied(),
                 latency: self.server.latency_summary(),
                 latency_samples: self.server.latency_samples(),
                 // The raw vector is opt-in: the summary above is O(1) on
@@ -440,17 +455,17 @@ impl Engine {
                 pipe_bytes: self.server.pipe_bytes(),
                 queries: self.rows(),
             }),
-            RequestBody::Register { spec } => match self.register(spec) {
-                Ok(query) => ResponseBody::Registered { query, spec },
-                Err(e) => protocol::serve_error_body(&e),
-            },
-            RequestBody::Apply { delta } => match self.server.apply(&delta) {
-                Ok(report) => ResponseBody::Applied {
+            RequestBody::Register { spec } => {
+                let query = self.register(spec).map_err(serve_err)?;
+                ResponseBody::Registered { query, spec }
+            }
+            RequestBody::Apply { delta } => {
+                let report = self.server.apply(&delta).map_err(serve_err)?;
+                ResponseBody::Applied {
                     reports: vec![ApplySummary::from(&report)],
                     rejected: None,
-                },
-                Err(e) => protocol::serve_error_body(&e),
-            },
+                }
+            }
             RequestBody::ApplyBatch { deltas } => {
                 let batch = self.server.apply_batch(&deltas);
                 ResponseBody::Applied {
@@ -462,147 +477,76 @@ impl Engine {
                 }
             }
             RequestBody::Output { query } => {
-                if query >= self.entries.len() {
-                    return Self::err(
-                        ErrorKind::UnknownHandle,
-                        format!("query handle {query} was never registered"),
-                    );
-                }
-                match self.output(query) {
-                    Ok(answer) => ResponseBody::Answer { query, answer },
-                    Err(e) => protocol::serve_error_body(&e),
-                }
+                let answer = with_handle!(self.handle_of(query)?, h => self
+                    .server
+                    .output(&h)
+                    .map(|r| QueryAnswer::from(&r)))
+                .map_err(serve_err)?;
+                ResponseBody::Answer { query, answer }
             }
             RequestBody::TryOutput { query } => {
-                if query >= self.entries.len() {
-                    return Self::err(
-                        ErrorKind::UnknownHandle,
-                        format!("query handle {query} was never registered"),
-                    );
-                }
-                self.try_output(query)
+                let answer = self.try_output(query, self.handle_of(query)?)?;
+                ResponseBody::Answer { query, answer }
             }
             RequestBody::Evict { query } => {
-                if query >= self.entries.len() {
-                    return Self::err(
-                        ErrorKind::UnknownHandle,
-                        format!("query handle {query} was never registered"),
-                    );
-                }
-                let result = match &self.entries[query].1 {
-                    AnyHandle::Sssp(h) => self.server.evict(h),
-                    AnyHandle::Cc(h) => self.server.evict(h),
-                };
-                match result {
-                    Ok(spill) => ResponseBody::Evicted {
-                        query,
-                        spill: spill.display().to_string(),
-                    },
-                    Err(e) => protocol::serve_error_body(&e),
+                let spill = with_handle!(self.handle_of(query)?, h => self.server.evict(&h))
+                    .map_err(serve_err)?;
+                ResponseBody::Evicted {
+                    query,
+                    spill: spill.display().to_string(),
                 }
             }
             RequestBody::Rehydrate { query } => {
-                if query >= self.entries.len() {
-                    return Self::err(
-                        ErrorKind::UnknownHandle,
-                        format!("query handle {query} was never registered"),
-                    );
-                }
-                let result = match &self.entries[query].1 {
-                    AnyHandle::Sssp(h) => {
-                        let h = *h;
-                        self.server.rehydrate(&h)
-                    }
-                    AnyHandle::Cc(h) => {
-                        let h = *h;
-                        self.server.rehydrate(&h)
-                    }
-                };
-                match result {
-                    Ok(report) => ResponseBody::Rehydrated {
-                        query,
-                        replayed: report.replayed.len(),
-                        peval_calls: report.peval_calls(),
-                    },
-                    Err(e) => protocol::serve_error_body(&e),
+                let report = with_handle!(self.handle_of(query)?, h => self.server.rehydrate(&h))
+                    .map_err(serve_err)?;
+                ResponseBody::Rehydrated {
+                    query,
+                    replayed: report.replayed.len(),
+                    peval_calls: report.peval_calls(),
                 }
             }
             RequestBody::Compact { query } => {
-                if query >= self.entries.len() {
-                    return Self::err(
-                        ErrorKind::UnknownHandle,
-                        format!("query handle {query} was never registered"),
-                    );
-                }
-                let result = match &self.entries[query].1 {
-                    AnyHandle::Sssp(h) => {
-                        let h = *h;
-                        self.server.compact(&h)
-                    }
-                    AnyHandle::Cc(h) => {
-                        let h = *h;
-                        self.server.compact(&h)
-                    }
-                };
-                match result {
-                    Ok(folded) => ResponseBody::Compacted { query, folded },
-                    Err(e) => protocol::serve_error_body(&e),
-                }
+                let folded = with_handle!(self.handle_of(query)?, h => self.server.compact(&h))
+                    .map_err(serve_err)?;
+                ResponseBody::Compacted { query, folded }
             }
             RequestBody::Subscribe { query } => {
                 let Some(events) = events else {
-                    return Self::err(
+                    return Err(Self::err(
                         ErrorKind::BadRequest,
                         "subscribe needs a connection that can receive pushed events",
-                    );
+                    ));
                 };
-                if query >= self.entries.len() {
-                    return Self::err(
-                        ErrorKind::UnknownHandle,
-                        format!("query handle {query} was never registered"),
-                    );
-                }
-                let result = match &self.entries[query].1 {
-                    AnyHandle::Sssp(h) => self.server.subscribe(h),
-                    AnyHandle::Cc(h) => self.server.subscribe(h),
-                };
-                match result {
-                    Ok(sub) => {
-                        let subscription = sub.id();
-                        self.subscribers.push(Subscriber {
-                            sub,
-                            query,
-                            tx: events.clone(),
-                        });
-                        ResponseBody::Subscribed {
-                            query,
-                            subscription,
-                        }
-                    }
-                    Err(e) => protocol::serve_error_body(&e),
+                let sub = with_handle!(self.handle_of(query)?, h => self.server.subscribe(&h))
+                    .map_err(serve_err)?;
+                let subscription = sub.id();
+                self.subscribers.push(Subscriber {
+                    sub,
+                    query,
+                    tx: events.clone(),
+                });
+                ResponseBody::Subscribed {
+                    query,
+                    subscription,
                 }
             }
             RequestBody::Unsubscribe { subscription } => {
-                match self
+                let idx = self
                     .subscribers
                     .iter()
                     .position(|s| s.sub.id() == subscription)
-                {
-                    Some(idx) => {
-                        let gone = self.subscribers.remove(idx);
-                        match self.server.unsubscribe(gone.sub) {
-                            Ok(()) => ResponseBody::Unsubscribed { subscription },
-                            Err(e) => protocol::serve_error_body(&e),
-                        }
-                    }
-                    None => Self::err(
-                        ErrorKind::UnknownSubscription,
-                        format!("subscription {subscription} is not active"),
-                    ),
-                }
+                    .ok_or_else(|| {
+                        Self::err(
+                            ErrorKind::UnknownSubscription,
+                            format!("subscription {subscription} is not active"),
+                        )
+                    })?;
+                let gone = self.subscribers.remove(idx);
+                self.server.unsubscribe(gone.sub).map_err(serve_err)?;
+                ResponseBody::Unsubscribed { subscription }
             }
             RequestBody::Shutdown => ResponseBody::ShuttingDown,
-        }
+        })
     }
 }
 
@@ -782,7 +726,9 @@ impl GrapedHandle {
 fn run_engine(mut engine: Engine, rx: Receiver<Command>, stop: Arc<AtomicBool>, addr: SocketAddr) {
     while let Ok(cmd) = rx.recv() {
         let shutting_down = matches!(cmd.body, RequestBody::Shutdown);
-        let response = engine.handle(cmd.body, cmd.replier.events());
+        let response = engine
+            .handle(cmd.body, cmd.replier.events())
+            .unwrap_or_else(|error| *error);
         let _ = cmd.replier.send(response);
         // Push whatever the command produced (applies emit one delta per
         // watched query, rehydrations one compacted delta) before the

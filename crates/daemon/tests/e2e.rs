@@ -102,10 +102,10 @@ fn wire_answers_are_byte_equal_to_library_answers_in_both_modes() {
             .register(QuerySpec::Sssp { source: 0 })
             .expect("register sssp");
         let q_cc = client.register(QuerySpec::Cc).expect("register cc");
-        for delta in &deltas {
+        for (i, delta) in deltas.iter().enumerate() {
             let applied = client.apply(delta.clone()).expect("wire apply");
             assert_eq!(applied.reports.len(), 1, "one commit per ΔG");
-            assert_eq!(applied.reports[0].deltas, 1);
+            assert_eq!(applied.reports[0].version, i + 1);
             assert!(applied.rejected.is_none());
         }
         let wire_sssp = json(&client.output(q_sssp).expect("wire sssp"));
@@ -166,7 +166,6 @@ fn wire_answers_are_byte_equal_to_library_answers_in_both_modes() {
             "the sssp query's persisted store is visible in status"
         );
         assert_eq!(status.version, 5);
-        assert_eq!(status.deltas_applied, 5);
         assert_eq!(status.num_queries, 2);
         assert_eq!(status.num_evicted, 0);
         assert_eq!(status.queries.len(), 2);
@@ -213,11 +212,10 @@ fn concurrent_clients_serialize_to_one_commit_per_delta() {
                     let v = 10 + (c * DELTAS_PER_CLIENT + j) as u64;
                     let delta = GraphDelta::new().add_weighted_edge(0, v, 1.0);
                     let applied = client.apply(delta).expect("apply");
-                    // Every wire apply is exactly one timeline commit of
-                    // exactly one raw delta — no batching, no splitting,
-                    // no double application, regardless of interleaving.
+                    // Every wire apply is exactly one timeline commit — no
+                    // batching, no splitting, no double application,
+                    // regardless of interleaving.
                     assert_eq!(applied.reports.len(), 1);
-                    assert_eq!(applied.reports[0].deltas, 1);
                     assert!(applied.rejected.is_none());
                 }
             })
@@ -229,11 +227,7 @@ fn concurrent_clients_serialize_to_one_commit_per_delta() {
 
     let total = CLIENTS * DELTAS_PER_CLIENT;
     let status = setup.status().expect("status");
-    assert_eq!(
-        status.deltas_applied, total,
-        "every ΔG applied exactly once"
-    );
-    assert_eq!(status.version, total, "exactly one version per ΔG");
+    assert_eq!(status.version, total, "every ΔG applied exactly once");
     assert_eq!(status.queries[q].status.updates_applied, total);
 
     // All 20 shortcut targets sit at most one hop off the source: the
@@ -279,7 +273,7 @@ fn mock_daemon_serves_generated_workload_and_stops() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let status = client.status().expect("status");
-        if status.deltas_applied >= 3 {
+        if status.version >= 3 {
             assert_eq!(status.version, 3);
             for row in &status.queries {
                 assert_eq!(row.status.updates_applied, 3);

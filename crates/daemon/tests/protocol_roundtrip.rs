@@ -63,7 +63,6 @@ fn sample_status() -> QueryStatus {
 fn sample_summary() -> ApplySummary {
     ApplySummary {
         version: 3,
-        deltas: 2,
         rebuilt: vec![0, 2],
         reused: 6,
         refreshed: vec![0, 1],
@@ -72,8 +71,6 @@ fn sample_summary() -> ApplySummary {
         caught_up: vec![1],
         deferred: vec![3],
         poisoned: vec![4],
-        evicted: vec![5],
-        compacted: vec![5],
     }
 }
 
@@ -122,7 +119,7 @@ fn pre_tiering_status_frames_still_parse() {
     // spill_dir/compactions on the summary line, nor the retraction count
     // added later; they all default.
     let json = "{\"id\":7,\"reply\":\"status\",\"status\":{\
-        \"version\":1,\"deltas_applied\":1,\"retained_versions\":1,\
+        \"version\":1,\"retained_versions\":1,\
         \"num_queries\":1,\"num_evicted\":0,\"resident_partial_bytes\":10,\
         \"queries\":[{\"spec\":{\"query\":\"cc\"},\"status\":{\
             \"query\":0,\"version\":1,\"evicted\":false,\"poisoned\":false,\
@@ -142,7 +139,7 @@ fn pre_tiering_status_frames_still_parse() {
     // Likewise a metrics reply from a daemon that predates the spill
     // compaction count, the watch-event counters and the pipe-byte count.
     let json = "{\"id\":8,\"reply\":\"metrics\",\"metrics\":{\
-        \"uptime_ms\":5,\"version\":1,\"deltas_applied\":1,\
+        \"uptime_ms\":5,\"version\":1,\
         \"latency\":{\"samples\":1,\"mean_ms\":1.0,\"p50_ms\":1.0,\
             \"p99_ms\":1.0,\"max_ms\":1.0},\
         \"latency_samples\":1,\"samples\":null,\
@@ -207,7 +204,6 @@ fn every_response_variant_round_trips() {
     });
     roundtrip_response(ResponseBody::Status(StatusInfo {
         version: 5,
-        deltas_applied: 9,
         retained_versions: 6,
         num_queries: 2,
         num_evicted: 1,
@@ -232,7 +228,6 @@ fn every_response_variant_round_trips() {
     roundtrip_response(ResponseBody::Metrics(MetricsInfo {
         uptime_ms: 12345,
         version: 5,
-        deltas_applied: 9,
         latency: LatencySummary {
             samples: 9,
             mean_ms: 1.25,
@@ -253,7 +248,6 @@ fn every_response_variant_round_trips() {
     roundtrip_response(ResponseBody::Metrics(MetricsInfo {
         uptime_ms: 12345,
         version: 5,
-        deltas_applied: 9,
         latency: LatencySummary {
             samples: 3,
             mean_ms: 1.25,

@@ -173,42 +173,6 @@ impl GraphDelta {
             + self.removed_edges.len()
             + self.removed_vertices.len()
     }
-
-    /// Whether the delta consists **exclusively** of edge insertions (no
-    /// vertex insertions, no removals of any kind).  The empty delta
-    /// qualifies.
-    ///
-    /// This is the group-commit merge-safety predicate: appending an
-    /// edge-insert-only delta to an earlier delta and applying the merged
-    /// batch once is equivalent to applying the two sequentially.  Any other
-    /// shape can diverge, because removals and vertex insertions are
-    /// *validated against the pre-batch graph* — e.g. `d₁ = add(a,b)`,
-    /// `d₂ = remove(a,b)` applies sequentially but the merged batch rejects
-    /// the removal (the edge is not in the pre-batch graph), and
-    /// `d₂ = add_vertex(v)` after `d₁` implicitly created `v` errors
-    /// sequentially but not merged.
-    pub fn is_edge_insert_only(&self) -> bool {
-        self.added_vertices.is_empty()
-            && self.removed_edges.is_empty()
-            && self.removed_vertices.is_empty()
-    }
-
-    /// Appends every update of `other` after this delta's updates, in order.
-    ///
-    /// Plain concatenation: `merged.added_edges()` is `self`'s insertions
-    /// followed by `other`'s, and likewise for the other three update kinds.
-    /// Applying the merged delta is equivalent to applying `self` then
-    /// `other` **only when `other.is_edge_insert_only()`** — see that
-    /// predicate for the counter-examples.  Callers doing group-commit must
-    /// check it before merging.
-    pub fn merge(mut self, other: &GraphDelta) -> Self {
-        self.added_vertices.extend_from_slice(&other.added_vertices);
-        self.added_edges.extend_from_slice(&other.added_edges);
-        self.removed_edges.extend_from_slice(&other.removed_edges);
-        self.removed_vertices
-            .extend_from_slice(&other.removed_vertices);
-        self
-    }
 }
 
 impl Graph {
@@ -392,53 +356,6 @@ mod tests {
         assert!(GraphDelta::new().remove_edge(0, 1).has_removals());
         assert!(GraphDelta::new().remove_vertex(2).has_removals());
         assert_eq!(GraphDelta::new().add_edge(0, 1).remove_vertex(2).len(), 2);
-    }
-
-    #[test]
-    fn merge_concatenates_in_order() {
-        let merged = GraphDelta::new()
-            .add_weighted_edge(0, 1, 1.0)
-            .remove_edge(2, 3)
-            .merge(&GraphDelta::new().add_weighted_edge(1, 2, 2.0));
-        assert_eq!(merged.added_edges().len(), 2);
-        assert_eq!(merged.added_edges()[0].dst, 1, "self's edges come first");
-        assert_eq!(merged.added_edges()[1].dst, 2);
-        assert_eq!(merged.removed_edges(), &[(2, 3)]);
-        assert_eq!(merged.len(), 3);
-    }
-
-    #[test]
-    fn edge_insert_only_predicate() {
-        assert!(GraphDelta::new().is_edge_insert_only(), "empty qualifies");
-        assert!(GraphDelta::new().add_edge(0, 1).is_edge_insert_only());
-        assert!(!GraphDelta::new().add_vertex(9, 0).is_edge_insert_only());
-        assert!(!GraphDelta::new().remove_edge(0, 1).is_edge_insert_only());
-        assert!(!GraphDelta::new().remove_vertex(1).is_edge_insert_only());
-    }
-
-    /// The merge-safety rule in action: merging an edge-insert-only suffix is
-    /// equivalent to sequential application, while merging a removal is not.
-    #[test]
-    fn merged_insert_only_suffix_equals_sequential_application() {
-        let g = diamond();
-        let d1 = GraphDelta::new()
-            .remove_edge(0, 1)
-            .add_weighted_edge(1, 4, 1.0);
-        let d2 = GraphDelta::new().add_weighted_edge(4, 5, 2.0);
-        let sequential = g.apply_delta(&d1).unwrap().apply_delta(&d2).unwrap();
-        let merged = g.apply_delta(&d1.clone().merge(&d2)).unwrap();
-        assert_eq!(sequential.num_vertices(), merged.num_vertices());
-        assert_eq!(sequential.num_edges(), merged.num_edges());
-
-        // Counter-example: d2 removes the edge d1 just added.  Sequential
-        // succeeds; the merged batch rejects the removal (not in the
-        // pre-batch graph).
-        let d2_removal = GraphDelta::new().remove_edge(1, 4);
-        assert!(g.apply_delta(&d1).unwrap().apply_delta(&d2_removal).is_ok());
-        assert_eq!(
-            g.apply_delta(&d1.merge(&d2_removal)).unwrap_err(),
-            DeltaError::MissingEdge { src: 1, dst: 4 }
-        );
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! * every road update is applied to the fragmentation **once**
 //!   (`apply` → one `apply_delta`, one rebuilt-fragment set shared by all
 //!   registered queries through the `Arc<Fragment>` refcounting),
-//! * rarely-asked depots are **evicted**: their fragments and partials
-//!   spill to per-fragment binary snapshots on disk, and the next
-//!   `output()` reloads them — zero PEval calls — and replays whatever
-//!   deltas arrived while they were cold,
-//! * per-delta refreshes fan out over a scoped worker pool
-//!   (`threads(n)`) — every depot's refresh is independent once the shared
-//!   `DeltaApplication` exists — and a burst of updates goes through
-//!   `apply_batch`, which pipelines the next delta's partition maintenance
-//!   under the current delta's refreshes.
+//! * rarely-asked depots are **evicted**: their partials spill to a
+//!   binary store on disk, and the next `output()` reloads them — zero
+//!   PEval calls, the fragmentation comes back from the server's timeline
+//!   — and replays whatever deltas arrived while they were cold,
+//! * per-delta refreshes fan out over a scoped worker pool as wide as the
+//!   session's `refresh_threads` — every depot's refresh is independent
+//!   once the shared `DeltaApplication` exists — and a burst of updates
+//!   goes through `apply_batch`, one `apply` per delta in arrival order.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -36,9 +35,13 @@ fn main() {
     );
 
     let fragments = MetisLike::new(4).partition(&graph).expect("partition");
-    let session = GrapeSession::with_workers(4);
     // Refresh up to 4 depots concurrently once each ΔG is applied.
-    let mut server = GrapeServer::new(session, fragments).threads(4);
+    let session = GrapeSession::builder()
+        .workers(4)
+        .refresh_threads(4)
+        .build()
+        .expect("session");
+    let mut server = GrapeServer::new(session, fragments);
 
     // Three depots, three standing SSSP queries over ONE fragmentation.
     let depots: Vec<VertexId> = vec![0, 1770, 3599];
@@ -125,9 +128,8 @@ fn main() {
     );
 
     // Morning rush: a burst of updates arrives at once.  `apply_batch`
-    // pipelines the stream — while version n's refreshes run on the fan-out
-    // pool, version n+1's `apply_delta` is already computing on a dedicated
-    // thread — and commits in arrival order.
+    // commits it in arrival order, one `apply` per delta, and stops at the
+    // first delta the partition layer rejects.
     let burst: Vec<GraphDelta> = (0..4)
         .map(|i| {
             GraphDelta::new()
@@ -137,9 +139,9 @@ fn main() {
         .collect();
     let batch = server.apply_batch(&burst);
     println!(
-        "ΔG burst: {} deltas committed in {} report(s), rejected: {}",
-        batch.deltas_committed(),
+        "ΔG burst: {} of {} deltas committed, rejected: {}",
         batch.reports.len(),
+        burst.len(),
         if batch.rejected.is_none() {
             "none"
         } else {
@@ -147,8 +149,8 @@ fn main() {
         },
     );
 
-    // The closure commit and the burst each pushed one more delta to the
-    // subscription (group commits would fold theirs into one per group).
+    // The closure commit and every burst commit each pushed one more delta
+    // to the subscription.
     let pending = server.drain_events();
     println!(
         "subscription caught {} more pushed delta(s) from the closure + burst",

@@ -56,9 +56,7 @@ pub mod prelude {
     pub use grape_core::metrics::EngineMetrics;
     pub use grape_core::pie::{IncrementalPie, PieProgram};
     pub use grape_core::prepared::{PreparedQuery, RefreshKind, UpdateReport};
-    pub use grape_core::serve::{
-        BatchReport, EvictionPolicy, GrapeServer, QueryHandle, ServeReport,
-    };
+    pub use grape_core::serve::{BatchReport, GrapeServer, QueryHandle, ServeReport};
     pub use grape_core::session::{GrapeSession, GrapeSessionBuilder};
     pub use grape_core::transport::{Transport, TransportSpec};
     pub use grape_graph::builder::GraphBuilder;

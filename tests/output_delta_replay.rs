@@ -2,18 +2,22 @@
 //! answer reproduces `output()` **byte-identically** — for all five
 //! algorithm families × {Sync, Async} × refresh fan-out widths {1, 4},
 //! including across evict → apply-while-cold → rehydrate interleavings
-//! (where the whole cold stretch arrives as one compacted delta).
+//! (where the whole cold stretch arrives as one compacted delta) — and
+//! every pushed delta carries **exactly** the rows that changed: its
+//! `len()` equals the number of keys whose row differs between the folded
+//! answer before and after it, never the answer size.
 //!
 //! The comparison is on canonical wire rows serialized to JSON, i.e. the
 //! exact bytes a `grapectl watch` client folds into its local answer copy:
 //! if this pin holds, a subscriber that starts from `output()` and applies
 //! every pushed delta never needs to poll again.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use grape::algorithms::cc::{Cc, CcQuery};
 use grape::algorithms::cf::{Cf, CfQuery};
@@ -21,7 +25,7 @@ use grape::algorithms::sim::{Sim, SimQuery};
 use grape::algorithms::sssp::{Sssp, SsspQuery};
 use grape::algorithms::subiso::{SubIso, SubIsoQuery};
 use grape::core::config::EngineMode;
-use grape::core::output_delta::{wire_rows, DeltaOutput, OutputEvent};
+use grape::core::output_delta::{value_cmp, wire_rows, DeltaOutput, OutputEvent};
 use grape::core::serve::{GrapeServer, QueryHandle};
 use grape::core::session::GrapeSession;
 use grape::graph::builder::GraphBuilder;
@@ -106,9 +110,36 @@ fn delta_stream(rng: &mut StdRng, g: &Graph, steps: usize) -> Vec<GraphDelta> {
         .collect()
 }
 
+/// Exact row-level diff size between two canonical sorted answers: the
+/// keys removed, added, or whose value changed.
+fn answer_diff_rows(before: &[(Value, Value)], after: &[(Value, Value)]) -> usize {
+    let (mut i, mut j, mut count) = (0usize, 0usize, 0usize);
+    while i < before.len() && j < after.len() {
+        match value_cmp(&before[i].0, &after[j].0) {
+            Ordering::Less => {
+                count += 1; // removed
+                i += 1;
+            }
+            Ordering::Greater => {
+                count += 1; // added
+                j += 1;
+            }
+            Ordering::Equal => {
+                if before[i].1 != after[j].1 {
+                    count += 1; // changed
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    count + (before.len() - i) + (after.len() - j)
+}
+
 /// Subscribes, drives the delta stream (with an optional cold stretch),
 /// then asserts the replayed stream over the baseline reproduces the final
-/// answer byte-for-byte on canonical wire rows.
+/// answer byte-for-byte on canonical wire rows, and that every delta holds
+/// exactly the rows it changed.
 fn drive_and_replay<P>(
     server: &mut GrapeServer,
     pie: &P,
@@ -168,10 +199,17 @@ fn drive_and_replay<P>(
             "{tag}: event versions must be monotone"
         );
         last_version = qd.version;
-        match qd.event {
-            OutputEvent::Delta(d) => d.apply_to(&mut replay),
-            OutputEvent::Poisoned => panic!("{tag}: healthy query pushed a poison event"),
-        }
+        let OutputEvent::Delta(d) = qd.event else {
+            panic!("{tag}: healthy query pushed a poison event");
+        };
+        let before = replay.clone();
+        d.apply_to(&mut replay);
+        assert_eq!(
+            d.len(),
+            answer_diff_rows(&before, &replay),
+            "{tag}: the delta at version {} must carry exactly the changed rows",
+            qd.version
+        );
     }
 
     let expect = wire_rows(&pie.canonical(query, &fin));

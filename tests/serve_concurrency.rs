@@ -10,8 +10,7 @@
 //! * mid-stream eviction/rehydration and failure injection (the
 //!   [`TrippablePrepare`] behind/poisoned protocol) behave identically at
 //!   every width,
-//! * `apply_batch` (the pipelined path, with and without group-commit)
-//!   lands on the same answers as one `apply` per delta.
+//! * `apply_batch` lands on the same answers as one `apply` per delta.
 //!
 //! Both [`EngineMode::Sync`] and [`EngineMode::Async`] run in tier-1 with a
 //! fixed seed set (8 seeds per mode); the `#[ignore]`-gated `long_fuzz_*`
@@ -58,10 +57,11 @@ const NIGHTLY: Profile = Profile {
     max_m: 500,
 };
 
-fn session(workers: usize, mode: EngineMode) -> GrapeSession {
+fn session(workers: usize, mode: EngineMode, refresh_threads: usize) -> GrapeSession {
     GrapeSession::builder()
         .workers(workers)
         .mode(mode)
+        .refresh_threads(refresh_threads)
         .build()
         .unwrap()
 }
@@ -130,9 +130,8 @@ fn report_digest(r: &ServeReport, tag: &str) -> Vec<String> {
     assert_eq!(ids, sorted, "refreshed entries not sorted by id ({tag})");
 
     let mut digest = vec![format!(
-        "version={} deltas={} rebuilt={:?} reused={} caught_up={:?} \
-         deferred={:?} poisoned={:?} evicted={:?}",
-        r.version, r.deltas, r.rebuilt, r.reused, r.caught_up, r.deferred, r.poisoned, r.evicted
+        "version={} rebuilt={:?} reused={} caught_up={:?} deferred={:?} poisoned={:?}",
+        r.version, r.rebuilt, r.reused, r.caught_up, r.deferred, r.poisoned
     )];
     for q in &r.refreshed {
         digest.push(match &q.result {
@@ -146,8 +145,9 @@ fn report_digest(r: &ServeReport, tag: &str) -> Vec<String> {
     digest
 }
 
-/// One server per fan-out width over the same fragmentation, with the same
-/// K SSSP queries plus one MinForward query registered in the same order.
+/// One server per fan-out width over the same fragmentation — each on its
+/// own session, built with that width — with the same K SSSP queries plus
+/// one MinForward query registered in the same order.
 struct Fleet {
     servers: Vec<GrapeServer>,
     sssp: Vec<Vec<QueryHandle<Sssp>>>,
@@ -155,13 +155,19 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn new(s: &GrapeSession, graph: &Graph, fragments: usize, sources: &[u64]) -> Fleet {
+    fn new(
+        workers: usize,
+        mode: EngineMode,
+        graph: &Graph,
+        fragments: usize,
+        sources: &[u64],
+    ) -> Fleet {
         let frag = HashEdgeCut::new(fragments).partition(graph).unwrap();
         let mut servers = Vec::new();
         let mut sssp = Vec::new();
         let mut min = Vec::new();
         for &w in &WIDTHS {
-            let mut server = GrapeServer::new(s.clone(), frag.clone()).threads(w);
+            let mut server = GrapeServer::new(session(workers, mode, w), frag.clone());
             sssp.push(
                 sources
                     .iter()
@@ -238,8 +244,8 @@ fn fuzz_fan_out(profile: &Profile, mode: EngineMode, seed_base: u64) {
         let n = graph.num_vertices() as u64;
         let sources: Vec<u64> = (0..k).map(|_| rng.gen_range(0..n)).collect();
 
-        let s = session(workers, mode);
-        let mut fleet = Fleet::new(&s, &graph, fragments, &sources);
+        let s = session(workers, mode, 1);
+        let mut fleet = Fleet::new(workers, mode, &graph, fragments, &sources);
         for round in 0..profile.rounds {
             let current = fleet.servers[0].fragmentation().source().clone();
             let delta = mixed_delta(&mut rng, &current, 5, 3);
@@ -265,8 +271,8 @@ fn fuzz_mid_stream_eviction(profile: &Profile, mode: EngineMode, seed_base: u64)
         let n = graph.num_vertices() as u64;
         let sources: Vec<u64> = (0..k).map(|_| rng.gen_range(0..n)).collect();
 
-        let s = session(2, mode);
-        let mut fleet = Fleet::new(&s, &graph, fragments, &sources);
+        let s = session(2, mode, 1);
+        let mut fleet = Fleet::new(2, mode, &graph, fragments, &sources);
         let mut cold: Option<usize> = None;
         for round in 0..profile.rounds + 2 {
             // Flip one query's residency before this round's delta.
@@ -320,10 +326,9 @@ fn fuzz_mid_stream_eviction(profile: &Profile, mode: EngineMode, seed_base: u64)
     }
 }
 
-/// Pipelining fuzz: the same stream absorbed delta-by-delta, as one
-/// `apply_batch`, and as one group-committed `apply_batch`, must land on
-/// the same answers (and the same raw-delta accounting).
-fn fuzz_batch_pipelining(profile: &Profile, mode: EngineMode, seed_base: u64) {
+/// Batch fuzz: the same stream absorbed delta-by-delta and as one
+/// `apply_batch` must land on the same answers and the same version.
+fn fuzz_batch(profile: &Profile, mode: EngineMode, seed_base: u64) {
     for case in 0..profile.cases {
         let mut rng = StdRng::seed_from_u64(seed_base + case);
         let graph = arb_graph(&mut rng, profile.max_n, profile.max_m);
@@ -333,21 +338,17 @@ fn fuzz_batch_pipelining(profile: &Profile, mode: EngineMode, seed_base: u64) {
         let sources: Vec<u64> = (0..k).map(|_| rng.gen_range(0..n)).collect();
         let frag = HashEdgeCut::new(fragments).partition(&graph).unwrap();
 
-        let s = session(2, mode);
+        let s = session(2, mode, 2);
         let register = |server: &mut GrapeServer| -> Vec<QueryHandle<Sssp>> {
             sources
                 .iter()
                 .map(|&src| server.register(Sssp, SsspQuery::new(src)).unwrap())
                 .collect()
         };
-        let mut sequential = GrapeServer::new(s.clone(), frag.clone()).threads(2);
-        let mut batched = GrapeServer::new(s.clone(), frag.clone()).threads(2);
-        let mut grouped = GrapeServer::new(s.clone(), frag)
-            .threads(2)
-            .group_commit(24);
+        let mut sequential = GrapeServer::new(s.clone(), frag.clone());
+        let mut batched = GrapeServer::new(s.clone(), frag);
         let seq_handles = register(&mut sequential);
         let batch_handles = register(&mut batched);
-        let group_handles = register(&mut grouped);
 
         // Build the stream against the sequential server's evolving graph.
         let mut deltas = Vec::new();
@@ -364,17 +365,14 @@ fn fuzz_batch_pipelining(profile: &Profile, mode: EngineMode, seed_base: u64) {
             continue;
         }
 
-        for (name, server) in [("batch", &mut batched), ("grouped", &mut grouped)] {
-            let report = server.apply_batch(&deltas);
-            assert!(
-                report.rejected.is_none(),
-                "{name} rejected a replayed delta (case {case} {mode:?})"
-            );
-            assert_eq!(report.deltas_committed(), deltas.len(), "{name} {case}");
-            assert_eq!(server.deltas_applied(), deltas.len(), "{name} {case}");
-        }
-        assert_eq!(sequential.version(), batched.version(), "case {case}");
-        assert!(grouped.version() <= batched.version(), "case {case}");
+        let report = batched.apply_batch(&deltas);
+        assert!(
+            report.rejected.is_none(),
+            "batch rejected a replayed delta (case {case} {mode:?})"
+        );
+        assert_eq!(report.reports.len(), deltas.len(), "case {case}");
+        assert_eq!(sequential.version(), deltas.len(), "case {case}");
+        assert_eq!(batched.version(), deltas.len(), "case {case}");
 
         for (qi, &src) in sources.iter().enumerate() {
             let recompute = s
@@ -382,13 +380,11 @@ fn fuzz_batch_pipelining(profile: &Profile, mode: EngineMode, seed_base: u64) {
                 .unwrap();
             let seq = sequential.output(&seq_handles[qi]).unwrap();
             let bat = batched.output(&batch_handles[qi]).unwrap();
-            let grp = grouped.output(&group_handles[qi]).unwrap();
             for v in sequential.fragmentation().source().vertices() {
                 let want = recompute.output.distance(v).map(|d| d.to_bits());
                 let tag = format!("batch case {case} q{qi} vertex {v} {mode:?}");
                 assert_eq!(seq.distance(v).map(|d| d.to_bits()), want, "seq {tag}");
                 assert_eq!(bat.distance(v).map(|d| d.to_bits()), want, "bat {tag}");
-                assert_eq!(grp.distance(v).map(|d| d.to_bits()), want, "grp {tag}");
             }
         }
     }
@@ -415,7 +411,7 @@ fn mid_stream_eviction_fuzz_is_width_independent_in_both_modes() {
 #[test]
 fn batch_pipelining_fuzz_matches_sequential_server_in_both_modes() {
     for mode in MODES {
-        fuzz_batch_pipelining(&TIER1, mode, 0xC0_0300);
+        fuzz_batch(&TIER1, mode, 0xC0_0300);
     }
 }
 
@@ -430,16 +426,20 @@ fn poisoned_and_behind_queries_are_width_independent() {
         let frag = RangeEdgeCut::new(3).partition(&graph).unwrap();
         // A tight superstep limit makes the injected divergence fail fast
         // (MinForward still converges on the range-cut ring well within it).
-        let s = GrapeSession::builder()
-            .workers(2)
-            .mode(mode)
-            .max_supersteps(4)
-            .build()
-            .unwrap();
+        let session_at = |width: usize| {
+            GrapeSession::builder()
+                .workers(2)
+                .mode(mode)
+                .max_supersteps(4)
+                .refresh_threads(width)
+                .build()
+                .unwrap()
+        };
+        let s = session_at(1);
 
         let mut fleets = Vec::new();
         for &w in &[1usize, 4] {
-            let mut server = GrapeServer::new(s.clone(), frag.clone()).threads(w);
+            let mut server = GrapeServer::new(session_at(w), frag.clone());
             let flaky_prog = TrippablePrepare::new();
             let flaky = server.register(flaky_prog.clone(), ()).unwrap();
             let healthy = server.register(MinForward, ()).unwrap();
@@ -528,8 +528,8 @@ fn long_fuzz_mid_stream_eviction() {
 
 #[test]
 #[ignore = "nightly long-fuzz profile"]
-fn long_fuzz_batch_pipelining() {
+fn long_fuzz_batch() {
     for mode in MODES {
-        fuzz_batch_pipelining(&NIGHTLY, mode, 0xC1_0300);
+        fuzz_batch(&NIGHTLY, mode, 0xC1_0300);
     }
 }

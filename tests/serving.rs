@@ -128,7 +128,7 @@ fn k_queries_share_one_delta_application() {
                 p.update(delta).unwrap();
             }
         }
-        assert_eq!(server.deltas_applied(), deltas.len());
+        assert_eq!(server.version(), deltas.len());
         assert_eq!(server.retained_versions(), 1);
 
         // Shared storage: every handle's fragmentation is the server's,

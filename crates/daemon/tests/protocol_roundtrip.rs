@@ -502,3 +502,239 @@ fn answers_serialize_in_canonical_sorted_order() {
         "{\"reply\":\"answer\",\"query\":0,\"answer\":{\"kind\":\"sssp\",\"distances\":[[0,0.0],[1,2.0]]}}"
     );
 }
+
+/// Serializes `value`, asserts the exact JSON text, and decodes that text
+/// back to `value`: one row of the golden table below.
+fn golden<T>(value: T, json: &str)
+where
+    T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let sent = serde_json::to_string(&value).expect("serialize");
+    assert_eq!(sent, json, "wire bytes changed for {value:?}");
+    let back: T = serde_json::from_str(json).expect("deserialize");
+    assert_eq!(back, value, "golden text did not decode back: {json}");
+}
+
+#[test]
+fn golden_wire_bytes() {
+    // Requests: every op, `metrics` with and without the samples flag.
+    golden(RequestBody::Status, r#"{"op":"status"}"#);
+    golden(
+        RequestBody::Metrics { samples: false },
+        r#"{"op":"metrics","samples":false}"#,
+    );
+    golden(
+        RequestBody::Metrics { samples: true },
+        r#"{"op":"metrics","samples":true}"#,
+    );
+    golden(
+        RequestBody::Register {
+            spec: QuerySpec::Sssp { source: 3 },
+        },
+        r#"{"op":"register","spec":{"query":"sssp","source":3}}"#,
+    );
+    golden(
+        RequestBody::Apply {
+            delta: sample_delta(),
+        },
+        r#"{"op":"apply","delta":{"added_vertices":[[9,3]],"added_edges":[{"src":0,"dst":9,"weight":2.5,"label":0}],"removed_edges":[[1,2]],"removed_vertices":[4]}}"#,
+    );
+    golden(
+        RequestBody::ApplyBatch {
+            deltas: vec![sample_delta(), GraphDelta::new()],
+        },
+        r#"{"op":"apply_batch","deltas":[{"added_vertices":[[9,3]],"added_edges":[{"src":0,"dst":9,"weight":2.5,"label":0}],"removed_edges":[[1,2]],"removed_vertices":[4]},{"added_vertices":[],"added_edges":[],"removed_edges":[],"removed_vertices":[]}]}"#,
+    );
+    golden(
+        RequestBody::Output { query: 0 },
+        r#"{"op":"output","query":0}"#,
+    );
+    golden(
+        RequestBody::TryOutput { query: 1 },
+        r#"{"op":"try_output","query":1}"#,
+    );
+    golden(
+        RequestBody::Evict { query: 2 },
+        r#"{"op":"evict","query":2}"#,
+    );
+    golden(
+        RequestBody::Rehydrate { query: 3 },
+        r#"{"op":"rehydrate","query":3}"#,
+    );
+    golden(
+        RequestBody::Compact { query: 4 },
+        r#"{"op":"compact","query":4}"#,
+    );
+    golden(
+        RequestBody::Subscribe { query: 5 },
+        r#"{"op":"subscribe","query":5}"#,
+    );
+    golden(
+        RequestBody::Unsubscribe { subscription: 6 },
+        r#"{"op":"unsubscribe","subscription":6}"#,
+    );
+    golden(RequestBody::Shutdown, r#"{"op":"shutdown"}"#);
+    golden(
+        Request {
+            id: 42,
+            body: RequestBody::Output { query: 7 },
+        },
+        r#"{"id":42,"op":"output","query":7}"#,
+    );
+
+    // Responses: every reply, `applied` with and without a rejection.
+    golden(
+        ResponseBody::Registered {
+            query: 2,
+            spec: QuerySpec::Cc,
+        },
+        r#"{"reply":"registered","query":2,"spec":{"query":"cc"}}"#,
+    );
+    golden(
+        ResponseBody::Applied {
+            reports: vec![sample_summary()],
+            rejected: None,
+        },
+        r#"{"reply":"applied","reports":[{"version":3,"rebuilt":[0,2],"reused":6,"refreshed":[0,1],"failed":[2],"peval_calls":1,"caught_up":[1],"deferred":[3],"poisoned":[4]}],"rejected":null}"#,
+    );
+    golden(
+        ResponseBody::Applied {
+            reports: vec![],
+            rejected: Some(RejectedDelta {
+                index: 1,
+                reason: "cannot add vertex 9".to_string(),
+            }),
+        },
+        r#"{"reply":"applied","reports":[],"rejected":{"index":1,"reason":"cannot add vertex 9"}}"#,
+    );
+    golden(
+        ResponseBody::Answer {
+            query: 0,
+            answer: QueryAnswer::Cc {
+                components: vec![(0, 0), (1, 0)],
+            },
+        },
+        r#"{"reply":"answer","query":0,"answer":{"kind":"cc","components":[[0,0],[1,0]]}}"#,
+    );
+    golden(
+        ResponseBody::Evicted {
+            query: 3,
+            spill: "/tmp/spill/q3".to_string(),
+        },
+        r#"{"reply":"evicted","query":3,"spill":"/tmp/spill/q3"}"#,
+    );
+    golden(
+        ResponseBody::Rehydrated {
+            query: 3,
+            replayed: 4,
+            peval_calls: 0,
+        },
+        r#"{"reply":"rehydrated","query":3,"replayed":4,"peval_calls":0}"#,
+    );
+    golden(
+        ResponseBody::Compacted {
+            query: 3,
+            folded: true,
+        },
+        r#"{"reply":"compacted","query":3,"folded":true}"#,
+    );
+    golden(
+        ResponseBody::Subscribed {
+            query: 1,
+            subscription: 3,
+        },
+        r#"{"reply":"subscribed","query":1,"subscription":3}"#,
+    );
+    golden(
+        ResponseBody::Unsubscribed { subscription: 3 },
+        r#"{"reply":"unsubscribed","subscription":3}"#,
+    );
+    golden(
+        ResponseBody::Status(StatusInfo {
+            version: 5,
+            retained_versions: 6,
+            num_queries: 1,
+            num_evicted: 1,
+            resident_partial_bytes: 0,
+            spill_dir: "/tmp/grape-spill".to_string(),
+            compactions: 2,
+            queries: vec![QueryRow {
+                spec: QuerySpec::Sssp { source: 0 },
+                status: sample_status(),
+            }],
+        }),
+        r#"{"reply":"status","status":{"version":5,"retained_versions":6,"num_queries":1,"num_evicted":1,"resident_partial_bytes":0,"spill_dir":"/tmp/grape-spill","compactions":2,"queries":[{"spec":{"query":"sssp","source":0},"status":{"query":1,"version":5,"evicted":true,"poisoned":false,"updates_applied":5,"incremental_updates":4,"bounded_updates":1,"retracted_updates":2,"partial_bytes":0,"watchers":0,"spill_chain":2,"spill_bytes":4096,"compactions":1}}]}}"#,
+    );
+    golden(
+        ResponseBody::Metrics(MetricsInfo {
+            uptime_ms: 12345,
+            version: 5,
+            latency: LatencySummary {
+                samples: 2,
+                mean_ms: 1.25,
+                p50_ms: 1.0,
+                p99_ms: 1.5,
+                max_ms: 1.5,
+            },
+            latency_samples: 2,
+            samples: Some(vec![1.0, 1.5]),
+            resident_partial_bytes: 1024,
+            compactions: 7,
+            event_encodes: 18,
+            event_frames: 72,
+            event_bytes: 4096,
+            pipe_bytes: 512,
+            queries: vec![],
+        }),
+        r#"{"reply":"metrics","metrics":{"uptime_ms":12345,"version":5,"latency":{"samples":2,"mean_ms":1.25,"p50_ms":1.0,"p99_ms":1.5,"max_ms":1.5},"latency_samples":2,"samples":[1.0,1.5],"resident_partial_bytes":1024,"compactions":7,"event_encodes":18,"event_frames":72,"event_bytes":4096,"pipe_bytes":512,"queries":[]}}"#,
+    );
+    golden(ResponseBody::ShuttingDown, r#"{"reply":"shutting_down"}"#);
+    golden(
+        ResponseBody::Error {
+            kind: ErrorKind::UnknownHandle,
+            message: "unknown query 9".to_string(),
+        },
+        r#"{"reply":"error","kind":"UnknownHandle","message":"unknown query 9"}"#,
+    );
+    golden(
+        Response {
+            id: 7,
+            body: ResponseBody::ShuttingDown,
+        },
+        r#"{"id":7,"reply":"shutting_down"}"#,
+    );
+
+    // Answers and specs on their own.
+    golden(
+        QueryAnswer::Sssp {
+            distances: vec![(0, 0.0), (1, 2.5)],
+        },
+        r#"{"kind":"sssp","distances":[[0,0.0],[1,2.5]]}"#,
+    );
+    golden(
+        QueryAnswer::Cc {
+            components: vec![(0, 0), (2, 0)],
+        },
+        r#"{"kind":"cc","components":[[0,0],[2,0]]}"#,
+    );
+    golden(
+        QuerySpec::Sssp { source: 3 },
+        r#"{"query":"sssp","source":3}"#,
+    );
+    golden(QuerySpec::Cc, r#"{"query":"cc"}"#);
+
+    // One event frame per output event.
+    golden(
+        sample_event_delta(),
+        r#"{"subscription":2,"query":1,"version":6,"event":"delta","changed":[[3,1.5]],"removed":[9]}"#,
+    );
+    golden(
+        EventFrame {
+            subscription: 0,
+            query: 1,
+            version: 9,
+            event: OutputEvent::Poisoned,
+        },
+        r#"{"subscription":0,"query":1,"version":9,"event":"poisoned"}"#,
+    );
+}

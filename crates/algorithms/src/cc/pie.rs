@@ -36,28 +36,15 @@ use grape_graph::types::VertexId;
 use grape_partition::delta::{DeltaApplication, FragmentDelta};
 use grape_partition::fragment::{Fragment, Fragmentation, LocalId};
 use grape_partition::fragmentation_graph::BorderScope;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::cc::sequential::UnionFind;
 use crate::util::diff_min_rows;
 
-/// CC takes no parameters; the query type exists for API uniformity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// CC takes no parameters; the query type exists for API uniformity.  As a
+/// unit struct it crosses worker pipes as `null`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CcQuery;
-
-// Hand-written (the derive shim does not cover unit structs): a CC query
-// carries no data, so it crosses worker pipes as an empty map.
-impl Serialize for CcQuery {
-    fn to_value(&self) -> Value {
-        Value::Map(Vec::new())
-    }
-}
-
-impl Deserialize for CcQuery {
-    fn from_value(_v: &Value) -> Result<Self, serde::Error> {
-        Ok(CcQuery)
-    }
-}
 
 /// The assembled CC answer: a component id (the smallest vertex id of the
 /// component) for every vertex.

@@ -358,8 +358,11 @@ pub fn value_cmp(a: &Value, b: &Value) -> Ordering {
     }
 }
 
-/// One pushed event on a subscription.
-#[derive(Debug, Clone, PartialEq)]
+/// One pushed event on a subscription.  On the wire it is internally
+/// tagged: `{"event":"delta","changed":…,"removed":…}` or
+/// `{"event":"poisoned"}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum OutputEvent {
     /// The answer changed by exactly this delta (possibly empty: the
     /// commit left this answer untouched).
@@ -370,14 +373,17 @@ pub enum OutputEvent {
 }
 
 /// One subscribed query's event for one commit (or one rehydration) —
-/// what [`crate::serve::ServeReport::events`] carries, id-sorted.
-#[derive(Debug, Clone, PartialEq)]
+/// what [`crate::serve::ServeReport::events`] carries, id-sorted.  It
+/// serializes as `{"query":Q,"version":V,"event":…}`: every subscriber's
+/// event frame is this map with its subscription id in front.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueryDelta {
     /// The query's handle id.
     pub query: usize,
     /// The server version this event brings the subscriber up to.
     pub version: usize,
     /// What happened.
+    #[serde(flatten)]
     pub event: OutputEvent,
 }
 

@@ -10,16 +10,16 @@
 //! crate deliberately only knows the *shape* of the request, keeping the
 //! core → algorithms dependency direction intact).
 //!
-//! The serde impls are written by hand because the derive shim only
-//! handles named-field structs and fieldless enums: a spec serializes as a
-//! tagged map — `{"query":"sssp","source":3}`, `{"query":"cc"}` — which is
-//! also exactly what the daemon's JSON protocol puts on the wire.
+//! A spec serializes as a map internally tagged under `query` —
+//! `{"query":"sssp","source":3}`, `{"query":"cc"}` — which is also exactly
+//! what the daemon's JSON protocol puts on the wire.
 
 use grape_graph::types::VertexId;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// A query family a serving process can register by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "query", rename_all = "snake_case")]
 pub enum QuerySpec {
     /// Single-source shortest path from `source`.
     Sssp {
@@ -50,40 +50,6 @@ impl std::fmt::Display for QuerySpec {
     }
 }
 
-impl Serialize for QuerySpec {
-    fn to_value(&self) -> Value {
-        match self {
-            QuerySpec::Sssp { source } => Value::Map(vec![
-                ("query".to_string(), Value::Str("sssp".to_string())),
-                ("source".to_string(), source.to_value()),
-            ]),
-            QuerySpec::Cc => Value::Map(vec![("query".to_string(), Value::Str("cc".to_string()))]),
-        }
-    }
-}
-
-impl Deserialize for QuerySpec {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let tag = value
-            .get_field("query")
-            .ok_or_else(|| Error::missing_field("query"))?
-            .as_str()
-            .ok_or_else(|| Error::custom("`query` must be a string"))?;
-        match tag {
-            "sssp" => {
-                let source = value
-                    .get_field("source")
-                    .ok_or_else(|| Error::missing_field("source"))?;
-                Ok(QuerySpec::Sssp {
-                    source: VertexId::from_value(source)?,
-                })
-            }
-            "cc" => Ok(QuerySpec::Cc),
-            other => Err(Error::custom(format!("unknown query spec `{other}`"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,11 +73,23 @@ mod tests {
     #[test]
     fn unknown_or_malformed_specs_are_rejected() {
         let bad: Result<QuerySpec, _> = serde_json::from_str(r#"{"query":"bfs"}"#);
-        assert!(bad.unwrap_err().to_string().contains("unknown query spec"));
+        assert!(bad
+            .unwrap_err()
+            .to_string()
+            .contains("unknown variant `bfs`"));
         let missing: Result<QuerySpec, _> = serde_json::from_str(r#"{"query":"sssp"}"#);
         assert!(missing.unwrap_err().to_string().contains("source"));
         let untagged: Result<QuerySpec, _> = serde_json::from_str(r#"{"source":3}"#);
         assert!(untagged.unwrap_err().to_string().contains("query"));
+    }
+
+    #[test]
+    fn kind_equals_the_derived_wire_tag() {
+        for spec in [QuerySpec::Sssp { source: 7 }, QuerySpec::Cc] {
+            let value = spec.to_value();
+            let tag = value.get_field("query").and_then(|v| v.as_str());
+            assert_eq!(Some(spec.kind()), tag, "{spec:?}");
+        }
     }
 
     #[test]

@@ -34,7 +34,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Error, Serialize, Value};
 
 /// The message-preamble hooks a transport borrows from a PIE program for the
 /// duration of one run: `aggregateMsg` plus the wire-size estimators.
@@ -73,9 +72,7 @@ impl<K, V> std::fmt::Debug for MessageOps<'_, K, V> {
 /// each fragment, and only seed/border messages plus the assembled
 /// partials cross the stdin/stdout pipes.  Message routing stays in the
 /// parent, on the mode's in-process substrate: [`BarrierTransport`] under
-/// `Sync` (so it checkpoints), [`ChannelTransport`] under `Async`.  The
-/// serde impls are written by hand because the derive shim only handles
-/// fieldless enums.
+/// `Sync` (so it checkpoints), [`ChannelTransport`] under `Async`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportSpec {
     /// Per-sender staging published at the superstep barrier
@@ -130,43 +127,6 @@ impl TransportSpec {
             TransportSpec::Barrier => true,
             TransportSpec::Channel => false,
             TransportSpec::Process { .. } => true,
-        }
-    }
-}
-
-impl Serialize for TransportSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            TransportSpec::Barrier => Value::Str("Barrier".to_string()),
-            TransportSpec::Channel => Value::Str("Channel".to_string()),
-            TransportSpec::Process { workers } => Value::Map(vec![(
-                "Process".to_string(),
-                Value::Map(vec![("workers".to_string(), workers.to_value())]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for TransportSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "Barrier" => Ok(TransportSpec::Barrier),
-                "Channel" => Ok(TransportSpec::Channel),
-                other => Err(Error::custom(format!("unknown transport spec `{other}`"))),
-            },
-            Value::Map(_) => {
-                let body = v
-                    .get_field("Process")
-                    .ok_or_else(|| Error::custom("expected a `Process` transport spec map"))?;
-                let workers = body
-                    .get_field("workers")
-                    .ok_or_else(|| Error::missing_field("workers"))?;
-                Ok(TransportSpec::Process {
-                    workers: usize::from_value(workers)?,
-                })
-            }
-            _ => Err(Error::custom("expected transport spec string or map")),
         }
     }
 }
@@ -833,19 +793,5 @@ mod tests {
         assert!(!TransportSpec::Barrier.streaming_capable());
         assert!(TransportSpec::Channel.streaming_capable());
         assert!(TransportSpec::Process { workers: 2 }.streaming_capable());
-    }
-
-    #[test]
-    fn spec_serde_round_trips() {
-        for spec in [
-            TransportSpec::Barrier,
-            TransportSpec::Channel,
-            TransportSpec::Process { workers: 3 },
-        ] {
-            let back = TransportSpec::from_value(&spec.to_value()).unwrap();
-            assert_eq!(back, spec);
-        }
-        assert!(TransportSpec::from_value(&Value::Str("Tcp".to_string())).is_err());
-        assert!(TransportSpec::from_value(&Value::UInt(3)).is_err());
     }
 }

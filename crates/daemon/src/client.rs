@@ -103,7 +103,8 @@ pub struct GrapeClient {
     events: VecDeque<EventFrame>,
 }
 
-/// The wire name of a request's op — what `MidCall` reports.
+/// The wire name of a request's op — what `MidCall` reports; equal to the
+/// derived `op` tag (pinned by a test).
 fn op_name(body: &RequestBody) -> &'static str {
     match body {
         RequestBody::Status => "status",
@@ -184,7 +185,7 @@ impl GrapeClient {
     /// `status`.
     pub fn status(&mut self) -> Result<StatusInfo, ClientError> {
         match self.call_ok(RequestBody::Status)? {
-            ResponseBody::Status(info) => Ok(info),
+            ResponseBody::Status { status } => Ok(status),
             other => Err(unexpected("status", &other)),
         }
     }
@@ -202,7 +203,7 @@ impl GrapeClient {
 
     fn metrics_opt(&mut self, samples: bool) -> Result<MetricsInfo, ClientError> {
         match self.call_ok(RequestBody::Metrics { samples })? {
-            ResponseBody::Metrics(info) => Ok(info),
+            ResponseBody::Metrics { metrics } => Ok(metrics),
             other => Err(unexpected("metrics", &other)),
         }
     }
@@ -321,4 +322,37 @@ impl GrapeClient {
 
 fn unexpected(wanted: &str, got: &ResponseBody) -> ClientError {
     ClientError::Protocol(format!("expected a `{wanted}` reply, got {got:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Serialize;
+
+    #[test]
+    fn op_names_equal_the_derived_wire_tags() {
+        for body in [
+            RequestBody::Status,
+            RequestBody::Metrics { samples: true },
+            RequestBody::Register {
+                spec: QuerySpec::Cc,
+            },
+            RequestBody::Apply {
+                delta: GraphDelta::new(),
+            },
+            RequestBody::ApplyBatch { deltas: vec![] },
+            RequestBody::Output { query: 0 },
+            RequestBody::TryOutput { query: 0 },
+            RequestBody::Evict { query: 0 },
+            RequestBody::Rehydrate { query: 0 },
+            RequestBody::Compact { query: 0 },
+            RequestBody::Subscribe { query: 0 },
+            RequestBody::Unsubscribe { subscription: 0 },
+            RequestBody::Shutdown,
+        ] {
+            let value = body.to_value();
+            let tag = value.get_field("op").and_then(|v| v.as_str());
+            assert_eq!(Some(op_name(&body)), tag, "{body:?}");
+        }
+    }
 }

@@ -98,8 +98,8 @@ fn render_text(body: &ResponseBody) -> String {
         ResponseBody::Unsubscribed { subscription } => {
             format!("unsubscribed {subscription}")
         }
-        ResponseBody::Status(info) => render_status(info),
-        ResponseBody::Metrics(info) => render_metrics(info),
+        ResponseBody::Status { status } => render_status(status),
+        ResponseBody::Metrics { metrics } => render_metrics(metrics),
         ResponseBody::ShuttingDown => "daemon shutting down".to_string(),
         ResponseBody::Error { kind, message } => format!("error ({kind:?}): {message}"),
     }
@@ -298,33 +298,35 @@ mod tests {
         use crate::protocol::{QueryRow, StatusInfo};
         use grape_core::serve::QueryStatus;
 
-        let body = ResponseBody::Status(StatusInfo {
-            version: 9,
-            retained_versions: 1,
-            num_queries: 1,
-            num_evicted: 0,
-            resident_partial_bytes: 64,
-            spill_dir: String::new(),
-            compactions: 0,
-            queries: vec![QueryRow {
-                spec: QuerySpec::Sssp { source: 0 },
-                status: QueryStatus {
-                    query: 0,
-                    version: 9,
-                    evicted: false,
-                    poisoned: false,
-                    updates_applied: 9,
-                    incremental_updates: 4,
-                    bounded_updates: 2,
-                    retracted_updates: 3,
-                    partial_bytes: 64,
-                    watchers: 0,
-                    spill_chain: 0,
-                    spill_bytes: 0,
-                    compactions: 0,
-                },
-            }],
-        });
+        let body = ResponseBody::Status {
+            status: StatusInfo {
+                version: 9,
+                retained_versions: 1,
+                num_queries: 1,
+                num_evicted: 0,
+                resident_partial_bytes: 64,
+                spill_dir: String::new(),
+                compactions: 0,
+                queries: vec![QueryRow {
+                    spec: QuerySpec::Sssp { source: 0 },
+                    status: QueryStatus {
+                        query: 0,
+                        version: 9,
+                        evicted: false,
+                        poisoned: false,
+                        updates_applied: 9,
+                        incremental_updates: 4,
+                        bounded_updates: 2,
+                        retracted_updates: 3,
+                        partial_bytes: 64,
+                        watchers: 0,
+                        spill_chain: 0,
+                        spill_bytes: 0,
+                        compactions: 0,
+                    },
+                }],
+            },
+        };
         let text = render(&body, Format::Text);
         assert!(text.contains("inc/ret/bnd"), "{text}");
         assert!(text.contains("  4/  3/2 "), "{text}");

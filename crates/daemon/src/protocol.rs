@@ -23,10 +23,12 @@
 //!
 //! Every [`Request`] carries a client-chosen `id`; the matching
 //! [`Response`] echoes it, so a client can pipeline requests over one
-//! connection.  Bodies are tagged maps — `{"id":1,"op":"status"}` in,
-//! `{"id":1,"reply":"status",...}` out.  The tagged enums are serialized
-//! by hand (the derive shim only handles fieldless enums); the flat
-//! payload structs derive.
+//! connection.  Bodies are internally tagged maps — `{"id":1,"op":"status"}`
+//! in, `{"id":1,"reply":"status",...}` out — and every message derives its
+//! serde impls with real serde's attributes (`tag`, `rename_all`,
+//! `flatten`), so the layout is what real serde would write.  Only
+//! [`ServerFrame`] is written by hand: it dispatches on whether the
+//! `event` key is present, which keeps the inner decode error.
 
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -35,7 +37,7 @@ use grape_algorithms::cc::CcResult;
 use grape_algorithms::sssp::SsspResult;
 use grape_core::frame::{self, FrameError};
 use grape_core::metrics::LatencySummary;
-use grape_core::output_delta::{OutputEvent, QueryDelta, WireOutputDelta};
+use grape_core::output_delta::{OutputEvent, QueryDelta};
 use grape_core::serve::{QueryStatus, ServeError, ServeReport};
 use grape_core::spec::QuerySpec;
 use grape_core::EngineError;
@@ -130,6 +132,19 @@ pub fn send<W: Write, T: Serialize>(w: &mut W, value: &T) -> Result<(), WireErro
     w.flush().map_err(WireError::Io)
 }
 
+/// Decodes one request payload.  On failure, also returns the id to
+/// answer with: the payload's own `id` when it reads as a `u64` (so a
+/// pipelining client learns which request was bad), else `0`.
+pub fn decode_request(payload: &str) -> Result<Request, (u64, String)> {
+    let value: Value = serde_json::from_str(payload).map_err(|e| (0, e.to_string()))?;
+    Request::from_value(&value).map_err(|e| {
+        let id = value
+            .get_field("id")
+            .and_then(|id| u64::from_value(id).ok());
+        (id.unwrap_or(0), e.to_string())
+    })
+}
+
 /// Reads one frame and deserializes it.  `Ok(None)` on clean EOF.
 pub fn recv<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, WireError> {
     let Some(payload) = read_frame(r)? else {
@@ -145,7 +160,8 @@ pub fn recv<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, WireErro
 // ---------------------------------------------------------------------------
 
 /// What a client can ask the daemon to do.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "op", rename_all = "snake_case")]
 pub enum RequestBody {
     /// Server + per-query state.
     Status,
@@ -154,7 +170,9 @@ pub enum RequestBody {
         /// Include the raw per-commit latency samples.  Off by default:
         /// the summary is a few scalars, the sample vector grows with the
         /// commit window and was serialized on every poll before this
-        /// flag existed.
+        /// flag existed.  Optional on the wire so pre-flag clients keep
+        /// working.
+        #[serde(default)]
         samples: bool,
     },
     /// Register a standing query by spec; replies with its handle id.
@@ -216,147 +234,13 @@ pub enum RequestBody {
 }
 
 /// One framed request: a client-chosen id plus the operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Echoed verbatim in the response.
     pub id: u64,
     /// The operation.
+    #[serde(flatten)]
     pub body: RequestBody,
-}
-
-fn tagged(entries: Vec<(String, Value)>, key: &str, tag: &str) -> Value {
-    let mut map = vec![(key.to_string(), Value::Str(tag.to_string()))];
-    map.extend(entries);
-    Value::Map(map)
-}
-
-impl Serialize for RequestBody {
-    fn to_value(&self) -> Value {
-        let op = |tag: &str, extra: Vec<(String, Value)>| tagged(extra, "op", tag);
-        match self {
-            RequestBody::Status => op("status", vec![]),
-            RequestBody::Metrics { samples } => {
-                op("metrics", vec![("samples".to_string(), samples.to_value())])
-            }
-            RequestBody::Register { spec } => {
-                op("register", vec![("spec".to_string(), spec.to_value())])
-            }
-            RequestBody::Apply { delta } => {
-                op("apply", vec![("delta".to_string(), delta.to_value())])
-            }
-            RequestBody::ApplyBatch { deltas } => op(
-                "apply_batch",
-                vec![("deltas".to_string(), deltas.to_value())],
-            ),
-            RequestBody::Output { query } => {
-                op("output", vec![("query".to_string(), query.to_value())])
-            }
-            RequestBody::TryOutput { query } => {
-                op("try_output", vec![("query".to_string(), query.to_value())])
-            }
-            RequestBody::Evict { query } => {
-                op("evict", vec![("query".to_string(), query.to_value())])
-            }
-            RequestBody::Rehydrate { query } => {
-                op("rehydrate", vec![("query".to_string(), query.to_value())])
-            }
-            RequestBody::Compact { query } => {
-                op("compact", vec![("query".to_string(), query.to_value())])
-            }
-            RequestBody::Subscribe { query } => {
-                op("subscribe", vec![("query".to_string(), query.to_value())])
-            }
-            RequestBody::Unsubscribe { subscription } => op(
-                "unsubscribe",
-                vec![("subscription".to_string(), subscription.to_value())],
-            ),
-            RequestBody::Shutdown => op("shutdown", vec![]),
-        }
-    }
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![("id".to_string(), self.id.to_value())];
-        if let Value::Map(body) = self.body.to_value() {
-            entries.extend(body);
-        }
-        Value::Map(entries)
-    }
-}
-
-fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
-    T::from_value(
-        value
-            .get_field(name)
-            .ok_or_else(|| Error::missing_field(name))?,
-    )
-}
-
-fn tag<'v>(value: &'v Value, key: &str) -> Result<&'v str, Error> {
-    value
-        .get_field(key)
-        .ok_or_else(|| Error::missing_field(key))?
-        .as_str()
-        .ok_or_else(|| Error::custom(format!("`{key}` must be a string")))
-}
-
-impl Deserialize for RequestBody {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let body = match tag(value, "op")? {
-            "status" => RequestBody::Status,
-            // `samples` is optional on the wire so pre-flag clients keep
-            // working (absent == the cheap summary-only reply).
-            "metrics" => RequestBody::Metrics {
-                samples: match value.get_field("samples") {
-                    Some(v) => bool::from_value(v)?,
-                    None => false,
-                },
-            },
-            "register" => RequestBody::Register {
-                spec: field(value, "spec")?,
-            },
-            "apply" => RequestBody::Apply {
-                delta: field(value, "delta")?,
-            },
-            "apply_batch" => RequestBody::ApplyBatch {
-                deltas: field(value, "deltas")?,
-            },
-            "output" => RequestBody::Output {
-                query: field(value, "query")?,
-            },
-            "try_output" => RequestBody::TryOutput {
-                query: field(value, "query")?,
-            },
-            "evict" => RequestBody::Evict {
-                query: field(value, "query")?,
-            },
-            "rehydrate" => RequestBody::Rehydrate {
-                query: field(value, "query")?,
-            },
-            "compact" => RequestBody::Compact {
-                query: field(value, "query")?,
-            },
-            "subscribe" => RequestBody::Subscribe {
-                query: field(value, "query")?,
-            },
-            "unsubscribe" => RequestBody::Unsubscribe {
-                subscription: field(value, "subscription")?,
-            },
-            "shutdown" => RequestBody::Shutdown,
-            other => return Err(Error::custom(format!("unknown op `{other}`"))),
-        };
-        Ok(body)
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(Request {
-            id: field(value, "id")?,
-            body: RequestBody::from_value(value)?,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +417,8 @@ pub struct MetricsInfo {
 
 /// A query's assembled answer in canonical wire form: rows sorted by
 /// vertex id, so equal answers are byte-equal frames.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum QueryAnswer {
     /// Shortest distances (vertex, distance), sorted by vertex;
     /// unreachable vertices are absent.
@@ -586,39 +471,9 @@ impl From<&CcResult> for QueryAnswer {
     }
 }
 
-impl Serialize for QueryAnswer {
-    fn to_value(&self) -> Value {
-        match self {
-            QueryAnswer::Sssp { distances } => tagged(
-                vec![("distances".to_string(), distances.to_value())],
-                "kind",
-                "sssp",
-            ),
-            QueryAnswer::Cc { components } => tagged(
-                vec![("components".to_string(), components.to_value())],
-                "kind",
-                "cc",
-            ),
-        }
-    }
-}
-
-impl Deserialize for QueryAnswer {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match tag(value, "kind")? {
-            "sssp" => Ok(QueryAnswer::Sssp {
-                distances: field(value, "distances")?,
-            }),
-            "cc" => Ok(QueryAnswer::Cc {
-                components: field(value, "components")?,
-            }),
-            other => Err(Error::custom(format!("unknown answer kind `{other}`"))),
-        }
-    }
-}
-
 /// What the daemon replies with.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "reply", rename_all = "snake_case")]
 pub enum ResponseBody {
     /// A query was registered under `query`.
     Registered {
@@ -680,9 +535,15 @@ pub enum ResponseBody {
         subscription: usize,
     },
     /// The `status` reply.
-    Status(StatusInfo),
+    Status {
+        /// The server and per-query state.
+        status: StatusInfo,
+    },
     /// The `metrics` reply.
-    Metrics(MetricsInfo),
+    Metrics {
+        /// Uptime, latency and per-query counters.
+        metrics: MetricsInfo,
+    },
     /// The daemon acknowledged `shutdown` and is going down.
     ShuttingDown,
     /// The request failed (the daemon keeps serving).
@@ -695,162 +556,13 @@ pub enum ResponseBody {
 }
 
 /// One framed response: the echoed request id plus the body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Response {
     /// The id of the request this answers.
     pub id: u64,
     /// The reply.
+    #[serde(flatten)]
     pub body: ResponseBody,
-}
-
-impl Serialize for ResponseBody {
-    fn to_value(&self) -> Value {
-        let reply = |tag: &str, extra: Vec<(String, Value)>| tagged(extra, "reply", tag);
-        match self {
-            ResponseBody::Registered { query, spec } => reply(
-                "registered",
-                vec![
-                    ("query".to_string(), query.to_value()),
-                    ("spec".to_string(), spec.to_value()),
-                ],
-            ),
-            ResponseBody::Applied { reports, rejected } => reply(
-                "applied",
-                vec![
-                    ("reports".to_string(), reports.to_value()),
-                    ("rejected".to_string(), rejected.to_value()),
-                ],
-            ),
-            ResponseBody::Answer { query, answer } => reply(
-                "answer",
-                vec![
-                    ("query".to_string(), query.to_value()),
-                    ("answer".to_string(), answer.to_value()),
-                ],
-            ),
-            ResponseBody::Evicted { query, spill } => reply(
-                "evicted",
-                vec![
-                    ("query".to_string(), query.to_value()),
-                    ("spill".to_string(), spill.to_value()),
-                ],
-            ),
-            ResponseBody::Rehydrated {
-                query,
-                replayed,
-                peval_calls,
-            } => reply(
-                "rehydrated",
-                vec![
-                    ("query".to_string(), query.to_value()),
-                    ("replayed".to_string(), replayed.to_value()),
-                    ("peval_calls".to_string(), peval_calls.to_value()),
-                ],
-            ),
-            ResponseBody::Compacted { query, folded } => reply(
-                "compacted",
-                vec![
-                    ("query".to_string(), query.to_value()),
-                    ("folded".to_string(), folded.to_value()),
-                ],
-            ),
-            ResponseBody::Subscribed {
-                query,
-                subscription,
-            } => reply(
-                "subscribed",
-                vec![
-                    ("query".to_string(), query.to_value()),
-                    ("subscription".to_string(), subscription.to_value()),
-                ],
-            ),
-            ResponseBody::Unsubscribed { subscription } => reply(
-                "unsubscribed",
-                vec![("subscription".to_string(), subscription.to_value())],
-            ),
-            ResponseBody::Status(info) => {
-                reply("status", vec![("status".to_string(), info.to_value())])
-            }
-            ResponseBody::Metrics(info) => {
-                reply("metrics", vec![("metrics".to_string(), info.to_value())])
-            }
-            ResponseBody::ShuttingDown => reply("shutting_down", vec![]),
-            ResponseBody::Error { kind, message } => reply(
-                "error",
-                vec![
-                    ("kind".to_string(), kind.to_value()),
-                    ("message".to_string(), message.to_value()),
-                ],
-            ),
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![("id".to_string(), self.id.to_value())];
-        if let Value::Map(body) = self.body.to_value() {
-            entries.extend(body);
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for ResponseBody {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let body = match tag(value, "reply")? {
-            "registered" => ResponseBody::Registered {
-                query: field(value, "query")?,
-                spec: field(value, "spec")?,
-            },
-            "applied" => ResponseBody::Applied {
-                reports: field(value, "reports")?,
-                rejected: field(value, "rejected")?,
-            },
-            "answer" => ResponseBody::Answer {
-                query: field(value, "query")?,
-                answer: field(value, "answer")?,
-            },
-            "evicted" => ResponseBody::Evicted {
-                query: field(value, "query")?,
-                spill: field(value, "spill")?,
-            },
-            "rehydrated" => ResponseBody::Rehydrated {
-                query: field(value, "query")?,
-                replayed: field(value, "replayed")?,
-                peval_calls: field(value, "peval_calls")?,
-            },
-            "compacted" => ResponseBody::Compacted {
-                query: field(value, "query")?,
-                folded: field(value, "folded")?,
-            },
-            "subscribed" => ResponseBody::Subscribed {
-                query: field(value, "query")?,
-                subscription: field(value, "subscription")?,
-            },
-            "unsubscribed" => ResponseBody::Unsubscribed {
-                subscription: field(value, "subscription")?,
-            },
-            "status" => ResponseBody::Status(field(value, "status")?),
-            "metrics" => ResponseBody::Metrics(field(value, "metrics")?),
-            "shutting_down" => ResponseBody::ShuttingDown,
-            "error" => ResponseBody::Error {
-                kind: field(value, "kind")?,
-                message: field(value, "message")?,
-            },
-            other => return Err(Error::custom(format!("unknown reply `{other}`"))),
-        };
-        Ok(body)
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(Response {
-            id: field(value, "id")?,
-            body: ResponseBody::from_value(value)?,
-        })
-    }
 }
 
 /// Maps a [`ServeError`] onto the wire taxonomy.
@@ -875,7 +587,7 @@ pub fn serve_error_body(e: &ServeError) -> ResponseBody {
 /// Event frames share the connection with replies; clients tell them apart
 /// because an event frame carries an `event` tag and never an `id`/`reply`
 /// pair. Within one subscription, frames arrive in `version` order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventFrame {
     /// The subscription this event belongs to (wire id from `subscribed`).
     pub subscription: usize,
@@ -884,35 +596,8 @@ pub struct EventFrame {
     /// The server-side version the event advances the answer to.
     pub version: usize,
     /// The payload: an answer delta, or the terminal poison notice.
+    #[serde(flatten)]
     pub event: OutputEvent,
-}
-
-/// Every entry of an event frame's map after the leading `subscription` —
-/// the part all subscribers of one query share for one commit.
-fn event_tail_entries(query: usize, version: usize, event: &OutputEvent) -> Vec<(String, Value)> {
-    let mut entries = vec![
-        ("query".to_string(), query.to_value()),
-        ("version".to_string(), version.to_value()),
-    ];
-    match event {
-        OutputEvent::Delta(delta) => {
-            entries.push(("event".to_string(), Value::Str("delta".to_string())));
-            entries.push(("changed".to_string(), delta.changed.to_value()));
-            entries.push(("removed".to_string(), delta.removed.to_value()));
-        }
-        OutputEvent::Poisoned => {
-            entries.push(("event".to_string(), Value::Str("poisoned".to_string())));
-        }
-    }
-    entries
-}
-
-impl Serialize for EventFrame {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![("subscription".to_string(), self.subscription.to_value())];
-        entries.extend(event_tail_entries(self.query, self.version, &self.event));
-        Value::Map(entries)
-    }
 }
 
 /// The opening of every event frame's payload, up to the subscription id.
@@ -924,8 +609,7 @@ const EVENT_HEAD: &str = "{\"subscription\":";
 /// [`put_event_frame`] splices the per-subscriber head in front; the result
 /// is byte-identical to [`send`]ing the [`ServerFrame::Event`].
 pub fn encode_event_tail(delta: &QueryDelta) -> Arc<str> {
-    let tail = Value::Map(event_tail_entries(delta.query, delta.version, &delta.event));
-    let json = serde_json::to_string(&tail).expect("a Value tree always serializes");
+    let json = serde_json::to_string(delta).expect("a Value tree always serializes");
     // Drop the map's own `{`: the head opens the frame's map instead.
     Arc::from(&json[1..])
 }
@@ -946,25 +630,6 @@ pub fn put_event_frame<W: Write>(
 ) -> std::io::Result<()> {
     let id = subscription.to_string();
     put_frame(w, &[EVENT_HEAD, &id, ",", tail])
-}
-
-impl Deserialize for EventFrame {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let event = match tag(value, "event")? {
-            "delta" => OutputEvent::Delta(WireOutputDelta {
-                changed: field(value, "changed")?,
-                removed: field(value, "removed")?,
-            }),
-            "poisoned" => OutputEvent::Poisoned,
-            other => return Err(Error::custom(format!("unknown event `{other}`"))),
-        };
-        Ok(EventFrame {
-            subscription: field(value, "subscription")?,
-            query: field(value, "query")?,
-            version: field(value, "version")?,
-            event,
-        })
-    }
 }
 
 /// Anything the daemon writes on a connection: a reply or a pushed event.

@@ -46,8 +46,8 @@ use grape_partition::strategy::PartitionStrategy;
 
 use crate::mock::{self, MockConfig};
 use crate::protocol::{
-    self, ApplySummary, ErrorKind, MetricsInfo, QueryAnswer, QueryRow, RejectedDelta, Request,
-    RequestBody, Response, ResponseBody, StatusInfo,
+    self, ApplySummary, ErrorKind, MetricsInfo, QueryAnswer, QueryRow, RejectedDelta, RequestBody,
+    Response, ResponseBody, StatusInfo,
 };
 
 /// The graph a daemon starts from (deltas evolve it afterwards).
@@ -425,36 +425,40 @@ impl Engine {
         events: Option<&Sender<Outbound>>,
     ) -> Result<ResponseBody, Failure> {
         Ok(match body {
-            RequestBody::Status => ResponseBody::Status(StatusInfo {
-                version: self.server.version(),
-                retained_versions: self.server.retained_versions(),
-                num_queries: self.server.num_queries(),
-                num_evicted: self.server.num_evicted(),
-                resident_partial_bytes: self.server.resident_partial_bytes(),
-                spill_dir: self.server.spill_dir().display().to_string(),
-                compactions: self.server.compactions(),
-                queries: self.rows(),
-            }),
-            RequestBody::Metrics { samples } => ResponseBody::Metrics(MetricsInfo {
-                uptime_ms: self.started.elapsed().as_millis() as u64,
-                version: self.server.version(),
-                latency: self.server.latency_summary(),
-                latency_samples: self.server.latency_samples(),
-                // The raw vector is opt-in: the summary above is O(1) on
-                // the wire, the samples are O(window).
-                samples: if samples {
-                    Some(self.server.latency_samples_ms())
-                } else {
-                    None
+            RequestBody::Status => ResponseBody::Status {
+                status: StatusInfo {
+                    version: self.server.version(),
+                    retained_versions: self.server.retained_versions(),
+                    num_queries: self.server.num_queries(),
+                    num_evicted: self.server.num_evicted(),
+                    resident_partial_bytes: self.server.resident_partial_bytes(),
+                    spill_dir: self.server.spill_dir().display().to_string(),
+                    compactions: self.server.compactions(),
+                    queries: self.rows(),
                 },
-                resident_partial_bytes: self.server.resident_partial_bytes(),
-                compactions: self.server.compactions(),
-                event_encodes: self.event_encodes,
-                event_frames: self.event_frames,
-                event_bytes: self.event_bytes,
-                pipe_bytes: self.server.pipe_bytes(),
-                queries: self.rows(),
-            }),
+            },
+            RequestBody::Metrics { samples } => ResponseBody::Metrics {
+                metrics: MetricsInfo {
+                    uptime_ms: self.started.elapsed().as_millis() as u64,
+                    version: self.server.version(),
+                    latency: self.server.latency_summary(),
+                    latency_samples: self.server.latency_samples(),
+                    // The raw vector is opt-in: the summary above is O(1) on
+                    // the wire, the samples are O(window).
+                    samples: if samples {
+                        Some(self.server.latency_samples_ms())
+                    } else {
+                        None
+                    },
+                    resident_partial_bytes: self.server.resident_partial_bytes(),
+                    compactions: self.server.compactions(),
+                    event_encodes: self.event_encodes,
+                    event_frames: self.event_frames,
+                    event_bytes: self.event_bytes,
+                    pipe_bytes: self.server.pipe_bytes(),
+                    queries: self.rows(),
+                },
+            },
             RequestBody::Register { spec } => {
                 let query = self.register(spec).map_err(serve_err)?;
                 ResponseBody::Registered { query, spec }
@@ -788,22 +792,9 @@ fn serve_connection(stream: TcpStream, tx: Sender<Command>) {
         let _ = write_frames(stream, frame_rx);
     });
     loop {
-        let request: Request = match protocol::recv(&mut reader) {
-            Ok(Some(request)) => request,
+        let request = match protocol::read_frame(&mut reader) {
+            Ok(Some(payload)) => protocol::decode_request(&payload),
             Ok(None) => break,
-            Err(protocol::WireError::Json(m)) => {
-                let reply = Outbound::Reply(Response {
-                    id: 0,
-                    body: ResponseBody::Error {
-                        kind: ErrorKind::BadRequest,
-                        message: m,
-                    },
-                });
-                if frame_tx.send(reply).is_err() {
-                    break;
-                }
-                continue;
-            }
             Err(e) => {
                 let reply = Outbound::Reply(Response {
                     id: 0,
@@ -814,6 +805,22 @@ fn serve_connection(stream: TcpStream, tx: Sender<Command>) {
                 });
                 let _ = frame_tx.send(reply);
                 break;
+            }
+        };
+        let request = match request {
+            Ok(request) => request,
+            Err((id, message)) => {
+                let reply = Outbound::Reply(Response {
+                    id,
+                    body: ResponseBody::Error {
+                        kind: ErrorKind::BadRequest,
+                        message,
+                    },
+                });
+                if frame_tx.send(reply).is_err() {
+                    break;
+                }
+                continue;
             }
         };
         let id = request.id;

@@ -676,6 +676,9 @@ fn protocol_errors_are_replies_not_disconnects() {
         let mut writer = BufWriter::new(stream);
         protocol::write_frame(&mut writer, "{\"id\":5,\"op\":\"frobnicate\"}").expect("write");
         let reply: Response = protocol::recv(&mut reader).expect("recv").expect("reply");
+        // The bad request's own id comes back, so a pipelining client can
+        // tell which of its requests failed.
+        assert_eq!(reply.id, 5);
         assert!(matches!(
             reply.body,
             ResponseBody::Error {
@@ -693,7 +696,7 @@ fn protocol_errors_are_replies_not_disconnects() {
         .expect("send status");
         let reply: Response = protocol::recv(&mut reader).expect("recv").expect("reply");
         assert_eq!(reply.id, 6);
-        assert!(matches!(reply.body, ResponseBody::Status(_)));
+        assert!(matches!(reply.body, ResponseBody::Status { .. }));
     }
 
     client.shutdown().expect("shutdown");

@@ -126,7 +126,7 @@ fn pre_tiering_status_frames_still_parse() {
             \"updates_applied\":1,\"incremental_updates\":1,\
             \"bounded_updates\":0,\"partial_bytes\":10,\"watchers\":0}}]}}";
     let back: Response = serde_json::from_str(json).expect("deserialize");
-    let ResponseBody::Status(info) = back.body else {
+    let ResponseBody::Status { status: info } = back.body else {
         panic!("expected a status reply");
     };
     assert_eq!(info.spill_dir, "");
@@ -145,7 +145,7 @@ fn pre_tiering_status_frames_still_parse() {
         \"latency_samples\":1,\"samples\":null,\
         \"resident_partial_bytes\":10,\"queries\":[]}}";
     let back: Response = serde_json::from_str(json).expect("deserialize");
-    let ResponseBody::Metrics(info) = back.body else {
+    let ResponseBody::Metrics { metrics: info } = back.body else {
         panic!("expected a metrics reply");
     };
     assert_eq!(info.compactions, 0);
@@ -202,69 +202,75 @@ fn every_response_variant_round_trips() {
         query: 0,
         folded: false,
     });
-    roundtrip_response(ResponseBody::Status(StatusInfo {
-        version: 5,
-        retained_versions: 6,
-        num_queries: 2,
-        num_evicted: 1,
-        resident_partial_bytes: 1024,
-        spill_dir: "/tmp/grape-spill".to_string(),
-        compactions: 2,
-        queries: vec![
-            QueryRow {
-                spec: QuerySpec::Cc,
-                status: sample_status(),
-            },
-            QueryRow {
-                spec: QuerySpec::Sssp { source: 0 },
-                status: QueryStatus {
-                    evicted: false,
-                    partial_bytes: 1024,
-                    ..sample_status()
+    roundtrip_response(ResponseBody::Status {
+        status: StatusInfo {
+            version: 5,
+            retained_versions: 6,
+            num_queries: 2,
+            num_evicted: 1,
+            resident_partial_bytes: 1024,
+            spill_dir: "/tmp/grape-spill".to_string(),
+            compactions: 2,
+            queries: vec![
+                QueryRow {
+                    spec: QuerySpec::Cc,
+                    status: sample_status(),
                 },
+                QueryRow {
+                    spec: QuerySpec::Sssp { source: 0 },
+                    status: QueryStatus {
+                        evicted: false,
+                        partial_bytes: 1024,
+                        ..sample_status()
+                    },
+                },
+            ],
+        },
+    });
+    roundtrip_response(ResponseBody::Metrics {
+        metrics: MetricsInfo {
+            uptime_ms: 12345,
+            version: 5,
+            latency: LatencySummary {
+                samples: 9,
+                mean_ms: 1.25,
+                p50_ms: 1.0,
+                p99_ms: 3.5,
+                max_ms: 3.5,
             },
-        ],
-    }));
-    roundtrip_response(ResponseBody::Metrics(MetricsInfo {
-        uptime_ms: 12345,
-        version: 5,
-        latency: LatencySummary {
-            samples: 9,
-            mean_ms: 1.25,
-            p50_ms: 1.0,
-            p99_ms: 3.5,
-            max_ms: 3.5,
+            latency_samples: 9,
+            samples: None,
+            resident_partial_bytes: 1024,
+            compactions: 0,
+            event_encodes: 0,
+            event_frames: 0,
+            event_bytes: 0,
+            pipe_bytes: 0,
+            queries: vec![],
         },
-        latency_samples: 9,
-        samples: None,
-        resident_partial_bytes: 1024,
-        compactions: 0,
-        event_encodes: 0,
-        event_frames: 0,
-        event_bytes: 0,
-        pipe_bytes: 0,
-        queries: vec![],
-    }));
-    roundtrip_response(ResponseBody::Metrics(MetricsInfo {
-        uptime_ms: 12345,
-        version: 5,
-        latency: LatencySummary {
-            samples: 3,
-            mean_ms: 1.25,
-            p50_ms: 1.0,
-            p99_ms: 3.5,
-            max_ms: 3.5,
+    });
+    roundtrip_response(ResponseBody::Metrics {
+        metrics: MetricsInfo {
+            uptime_ms: 12345,
+            version: 5,
+            latency: LatencySummary {
+                samples: 3,
+                mean_ms: 1.25,
+                p50_ms: 1.0,
+                p99_ms: 3.5,
+                max_ms: 3.5,
+            },
+            latency_samples: 3,
+            samples: Some(vec![0.5, 1.0, 3.5]),
+            resident_partial_bytes: 1024,
+            compactions: 7,
+            event_encodes: 18,
+            event_frames: 72,
+            event_bytes: 446_098,
+            pipe_bytes: 440_512,
+            queries: vec![],
         },
-        latency_samples: 3,
-        samples: Some(vec![0.5, 1.0, 3.5]),
-        resident_partial_bytes: 1024,
-        compactions: 7,
-        event_encodes: 18,
-        event_frames: 72,
-        event_bytes: 446_098,
-        pipe_bytes: 440_512,
-        queries: vec![],
-    }));
+    });
     roundtrip_response(ResponseBody::Subscribed {
         query: 1,
         subscription: 3,
@@ -485,6 +491,18 @@ fn unknown_tags_and_missing_fields_are_json_errors() {
 }
 
 #[test]
+fn answer_kinds_equal_the_derived_wire_tags() {
+    for answer in [
+        QueryAnswer::Sssp { distances: vec![] },
+        QueryAnswer::Cc { components: vec![] },
+    ] {
+        let value = answer.to_value();
+        let tag = value.get_field("kind").and_then(|v| v.as_str());
+        assert_eq!(Some(answer.kind()), tag, "{answer:?}");
+    }
+}
+
+#[test]
 fn answers_serialize_in_canonical_sorted_order() {
     // from_sssp / from_cc sort by vertex id, so two servers producing the
     // same answer produce byte-identical frames — the property the e2e
@@ -650,42 +668,46 @@ fn golden_wire_bytes() {
         r#"{"reply":"unsubscribed","subscription":3}"#,
     );
     golden(
-        ResponseBody::Status(StatusInfo {
-            version: 5,
-            retained_versions: 6,
-            num_queries: 1,
-            num_evicted: 1,
-            resident_partial_bytes: 0,
-            spill_dir: "/tmp/grape-spill".to_string(),
-            compactions: 2,
-            queries: vec![QueryRow {
-                spec: QuerySpec::Sssp { source: 0 },
-                status: sample_status(),
-            }],
-        }),
+        ResponseBody::Status {
+            status: StatusInfo {
+                version: 5,
+                retained_versions: 6,
+                num_queries: 1,
+                num_evicted: 1,
+                resident_partial_bytes: 0,
+                spill_dir: "/tmp/grape-spill".to_string(),
+                compactions: 2,
+                queries: vec![QueryRow {
+                    spec: QuerySpec::Sssp { source: 0 },
+                    status: sample_status(),
+                }],
+            },
+        },
         r#"{"reply":"status","status":{"version":5,"retained_versions":6,"num_queries":1,"num_evicted":1,"resident_partial_bytes":0,"spill_dir":"/tmp/grape-spill","compactions":2,"queries":[{"spec":{"query":"sssp","source":0},"status":{"query":1,"version":5,"evicted":true,"poisoned":false,"updates_applied":5,"incremental_updates":4,"bounded_updates":1,"retracted_updates":2,"partial_bytes":0,"watchers":0,"spill_chain":2,"spill_bytes":4096,"compactions":1}}]}}"#,
     );
     golden(
-        ResponseBody::Metrics(MetricsInfo {
-            uptime_ms: 12345,
-            version: 5,
-            latency: LatencySummary {
-                samples: 2,
-                mean_ms: 1.25,
-                p50_ms: 1.0,
-                p99_ms: 1.5,
-                max_ms: 1.5,
+        ResponseBody::Metrics {
+            metrics: MetricsInfo {
+                uptime_ms: 12345,
+                version: 5,
+                latency: LatencySummary {
+                    samples: 2,
+                    mean_ms: 1.25,
+                    p50_ms: 1.0,
+                    p99_ms: 1.5,
+                    max_ms: 1.5,
+                },
+                latency_samples: 2,
+                samples: Some(vec![1.0, 1.5]),
+                resident_partial_bytes: 1024,
+                compactions: 7,
+                event_encodes: 18,
+                event_frames: 72,
+                event_bytes: 4096,
+                pipe_bytes: 512,
+                queries: vec![],
             },
-            latency_samples: 2,
-            samples: Some(vec![1.0, 1.5]),
-            resident_partial_bytes: 1024,
-            compactions: 7,
-            event_encodes: 18,
-            event_frames: 72,
-            event_bytes: 4096,
-            pipe_bytes: 512,
-            queries: vec![],
-        }),
+        },
         r#"{"reply":"metrics","metrics":{"uptime_ms":12345,"version":5,"latency":{"samples":2,"mean_ms":1.25,"p50_ms":1.0,"p99_ms":1.5,"max_ms":1.5},"latency_samples":2,"samples":[1.0,1.5],"resident_partial_bytes":1024,"compactions":7,"event_encodes":18,"event_frames":72,"event_bytes":4096,"pipe_bytes":512,"queries":[]}}"#,
     );
     golden(ResponseBody::ShuttingDown, r#"{"reply":"shutting_down"}"#);

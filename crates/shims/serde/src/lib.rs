@@ -7,15 +7,18 @@
 //! * [`Serialize`] converts a value into a [`Value`] tree,
 //! * [`Deserialize`] reconstructs a value from a [`Value`] tree,
 //! * `#[derive(Serialize, Deserialize)]` (re-exported from the companion
-//!   `serde_derive` shim) supports structs with named fields and fieldless
-//!   enums, plus the `#[serde(skip)]` and `#[serde(default)]` attributes,
+//!   `serde_derive` shim) supports structs with named fields, unit structs
+//!   and enums with unit, newtype and struct variants, plus the field
+//!   attributes `skip`, `default` and `flatten` and the container
+//!   attributes `tag` and `rename_all = "snake_case"` (see that crate's
+//!   docs for the layouts, which are real serde's),
 //! * the companion `serde_json` shim renders [`Value`] trees to JSON text and
 //!   parses them back.
 //!
 //! The derive and the JSON grammar are compatible with what real
 //! serde/serde_json produce for the types in this workspace (maps of named
-//! fields, enums as strings, sequences as arrays), so swapping the shims for
-//! the real crates later is a manifest-only change.
+//! fields, tagged enums, sequences as arrays), so swapping the shims for the
+//! real crates later is a manifest-only change.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -75,6 +78,22 @@ impl Error {
     /// A struct field was absent from the input map.
     pub fn missing_field(field: &str) -> Self {
         Error(format!("missing field `{field}`"))
+    }
+
+    /// An enum tag named no variant; worded as real serde words it.
+    pub fn unknown_variant(variant: &str, expected: &'static [&'static str]) -> Self {
+        let quoted: Vec<String> = expected.iter().map(|v| format!("`{v}`")).collect();
+        let expected = match quoted.as_slice() {
+            [] => {
+                return Error(format!(
+                    "unknown variant `{variant}`, there are no variants"
+                ))
+            }
+            [one] => one.clone(),
+            [a, b] => format!("{a} or {b}"),
+            all => format!("one of {}", all.join(", ")),
+        };
+        Error(format!("unknown variant `{variant}`, expected {expected}"))
     }
 }
 
@@ -412,6 +431,62 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+}
+
+/// Helpers the `serde_derive` shim's generated code calls; not public API.
+#[doc(hidden)]
+pub mod __private {
+    use super::{Deserialize, Error, Value};
+
+    static NULL: Value = Value::Null;
+
+    /// Appends a `#[serde(flatten)]` field's map entries (a unit adds none).
+    pub fn flatten(entries: &mut Vec<(String, Value)>, value: Value) {
+        match value {
+            Value::Map(inner) => entries.extend(inner),
+            Value::Null => {}
+            other => panic!("can only flatten maps and units, not {other:?}"),
+        }
+    }
+
+    /// An internally tagged variant: `tag: name` first, then the entries
+    /// of its `content` map.
+    pub fn tagged(tag: &str, name: &str, content: Value) -> Value {
+        let mut entries = vec![(tag.to_string(), Value::Str(name.to_string()))];
+        flatten(&mut entries, content);
+        Value::Map(entries)
+    }
+
+    /// Deserializes the required field `key` of the map `v`.
+    pub fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, Error> {
+        T::from_value(v.get_field(key).ok_or_else(|| Error::missing_field(key))?)
+    }
+
+    /// Deserializes the `#[serde(default)]` field `key` of the map `v`.
+    pub fn field_or_default<T: Deserialize + Default>(v: &Value, key: &str) -> Result<T, Error> {
+        v.get_field(key)
+            .map_or_else(|| Ok(T::default()), T::from_value)
+    }
+
+    /// An internally tagged enum's variant name: the string under `key`.
+    pub fn tag<'v>(v: &'v Value, key: &str) -> Result<&'v str, Error> {
+        v.get_field(key)
+            .ok_or_else(|| Error::missing_field(key))?
+            .as_str()
+            .ok_or_else(|| Error::custom(format!("invalid type: `{key}` must be a string")))
+    }
+
+    /// An externally tagged enum's variant name and content: `"V"` (a unit
+    /// variant, content `null`) or the one-entry map `{"V": content}`.
+    pub fn external(v: &Value) -> Result<(&str, &Value), Error> {
+        match v {
+            Value::Str(name) => Ok((name, &NULL)),
+            Value::Map(entries) if entries.len() == 1 => Ok((&entries[0].0, &entries[0].1)),
+            _ => Err(Error::custom(
+                "invalid type: expected a variant name or a one-entry map",
+            )),
+        }
     }
 }
 

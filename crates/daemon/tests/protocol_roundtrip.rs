@@ -491,6 +491,23 @@ fn unknown_tags_and_missing_fields_are_json_errors() {
 }
 
 #[test]
+fn an_undecodable_request_reports_its_own_id_when_it_has_one() {
+    let id_of = |payload: &str| protocol::decode_request(payload).unwrap_err().0;
+    assert_eq!(id_of(r#"{"id":5,"op":"frobnicate"}"#), 5);
+    assert_eq!(id_of(r#"{"id":5,"op":"output"}"#), 5);
+    assert_eq!(id_of(r#"{"id":"five","op":"status"}"#), 0);
+    assert_eq!(id_of(r#"{"op":"status"}"#), 0);
+    assert_eq!(id_of("{not json"), 0);
+    assert_eq!(
+        protocol::decode_request(r#"{"id":6,"op":"status"}"#).unwrap(),
+        Request {
+            id: 6,
+            body: RequestBody::Status,
+        }
+    );
+}
+
+#[test]
 fn answer_kinds_equal_the_derived_wire_tags() {
     for answer in [
         QueryAnswer::Sssp { distances: vec![] },

@@ -84,11 +84,6 @@ impl Error {
     pub fn unknown_variant(variant: &str, expected: &'static [&'static str]) -> Self {
         let quoted: Vec<String> = expected.iter().map(|v| format!("`{v}`")).collect();
         let expected = match quoted.as_slice() {
-            [] => {
-                return Error(format!(
-                    "unknown variant `{variant}`, there are no variants"
-                ))
-            }
             [one] => one.clone(),
             [a, b] => format!("{a} or {b}"),
             all => format!("one of {}", all.join(", ")),

@@ -2,14 +2,12 @@
 //! the user picks the number of workers, plus knobs for the execution mode,
 //! fault tolerance and termination safety net.
 //!
-//! Configurations are usually assembled through
-//! [`crate::session::GrapeSession::builder`]; the struct itself stays public
-//! so configurations can be stored, serialized and replayed.
-
-use serde::{Deserialize, Serialize};
+//! Configurations are set through [`crate::session::GrapeSession::builder`],
+//! one setter per field; a session exposes its configuration read-only
+//! through [`crate::session::GrapeSession::config`].
 
 /// Synchronisation mode of the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
     /// BSP-style synchronous supersteps (the model analysed in the paper):
     /// a global barrier between supersteps, messages published at the
@@ -44,7 +42,7 @@ impl EngineMode {
 /// fragment `fragment` loses its state and must be recovered from the last
 /// checkpoint by the arbitrator.  Only meaningful in [`EngineMode::Sync`]
 /// (checkpoints are superstep-aligned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedFailure {
     /// Superstep (1-based IncEval rounds; PEval is superstep 0).
     pub superstep: usize,
@@ -53,10 +51,10 @@ pub struct InjectedFailure {
 }
 
 /// Configuration of a GRAPE run (see [`crate::session::GrapeSession`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Number of physical workers (threads).  Fragments (virtual workers) are
-    /// mapped onto physical workers by the load balancer.
+    /// mapped onto physical workers by [`crate::load_balance::assign`].
     pub num_workers: usize,
     /// Execution mode.
     pub mode: EngineMode,
@@ -73,10 +71,7 @@ pub struct EngineConfig {
     /// Number of threads a [`crate::serve::GrapeServer`] uses to fan
     /// refreshes out over its resident queries (the per-query engines still
     /// use `num_workers` threads each).  Set it with
-    /// [`crate::session::GrapeSessionBuilder::refresh_threads`].  `0` (the
-    /// serde default for configs recorded before this knob existed) is
-    /// treated as `1`.
-    #[serde(default)]
+    /// [`crate::session::GrapeSessionBuilder::refresh_threads`].
     pub refresh_threads: usize,
 }
 
@@ -93,30 +88,6 @@ impl EngineConfig {
             injected_failures: Vec::new(),
             refresh_threads: 1,
         }
-    }
-
-    /// Forces BSP-style synchronous supersteps (overrides the env default).
-    pub fn synchronous(mut self) -> Self {
-        self.mode = EngineMode::Sync;
-        self
-    }
-
-    /// Switches to the asynchronous (barrier-free) extension.
-    pub fn asynchronous(mut self) -> Self {
-        self.mode = EngineMode::Async;
-        self
-    }
-
-    /// Sets the superstep safety limit.
-    pub fn with_max_supersteps(mut self, max: usize) -> Self {
-        self.max_supersteps = max.max(1);
-        self
-    }
-
-    /// Enables checkpointing every `n` supersteps.
-    pub fn with_checkpoint_every(mut self, n: usize) -> Self {
-        self.checkpoint_every = Some(n.max(1));
-        self
     }
 
     /// Adds an injected failure.
@@ -147,14 +118,8 @@ mod tests {
 
     #[test]
     fn builder_methods_set_fields() {
-        let cfg = EngineConfig::with_workers(2)
-            .asynchronous()
-            .with_max_supersteps(50)
-            .with_checkpoint_every(5)
-            .with_injected_failure(3, 1);
-        assert_eq!(cfg.mode, EngineMode::Async);
-        assert_eq!(cfg.max_supersteps, 50);
-        assert_eq!(cfg.checkpoint_every, Some(5));
+        let cfg = EngineConfig::with_workers(2).with_injected_failure(3, 1);
+        assert_eq!(cfg.num_workers, 2);
         assert_eq!(
             cfg.injected_failures,
             vec![InjectedFailure {
@@ -162,12 +127,6 @@ mod tests {
                 fragment: 1
             }]
         );
-    }
-
-    #[test]
-    fn synchronous_overrides_async() {
-        let cfg = EngineConfig::with_workers(2).asynchronous().synchronous();
-        assert_eq!(cfg.mode, EngineMode::Sync);
     }
 
     #[test]

@@ -41,12 +41,12 @@
 //!   non-monotone refresh (PEval re-roots only the stale fragments).
 //!
 //! A full run is thus the refresh whose frontier is every fragment.
-//! `run_parts` picks the worker host (threads in this process, or
-//! `grape-worker` subprocesses under [`TransportSpec::Process`]), and
-//! `schedule` picks the transport and the loop.
+//! `run_parts` picks the worker host from the session's [`TransportSpec`]
+//! (threads in this process, or `grape-worker` subprocesses), and
+//! `schedule` picks the transport and the loop from the mode alone.
 //!
 //! Physical workers are OS threads; fragments are virtual workers mapped
-//! onto physical workers by the [`crate::load_balance::LoadBalancer`].
+//! onto physical workers by [`crate::load_balance::assign`].
 //! Entry points: [`crate::session::GrapeSession::run`] (one-shot) and
 //! [`crate::session::GrapeSession::prepare`] →
 //! [`crate::prepared::PreparedQuery`] (prepare → answer → update).
@@ -63,6 +63,7 @@ use grape_partition::fragmentation_graph::{BorderScope, FragmentationGraph};
 
 use crate::config::{EngineConfig, EngineMode};
 use crate::host::{InProcessHost, ProcessHost, WorkerHost};
+use crate::load_balance;
 use crate::metrics::{EngineMetrics, SuperstepMetrics};
 use crate::pie::{KeyVertex, PieProgram, SeedBatch};
 use crate::session::GrapeSession;
@@ -82,7 +83,7 @@ pub enum EngineError {
         max_supersteps: usize,
     },
     /// The session/engine configuration is contradictory (e.g. the
-    /// barrier-free mode with a barrier transport).
+    /// barrier-free mode with superstep-aligned checkpoints).
     InvalidConfig(String),
     /// A graph delta could not be applied to the prepared fragmentation
     /// (missing edge/vertex, vertex-cut partition, …).
@@ -213,40 +214,21 @@ fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
     }
 }
 
-/// Validates a (mode, transport, fault-tolerance) policy combination.
+/// Validates a (mode, fault-tolerance) policy combination: checkpoints and
+/// injected failures are superstep-aligned, so the barrier-free mode has
+/// neither.
 ///
 /// Called by [`crate::session::GrapeSessionBuilder::build`], the only way to
 /// make a session; the engine runs only sessions, so every run has passed it.
-pub(crate) fn validate_policies(
-    config: &EngineConfig,
-    spec: TransportSpec,
-) -> Result<(), EngineError> {
-    if config.mode == EngineMode::Async {
-        if !spec.streaming_capable() {
-            return Err(EngineError::InvalidConfig(
-                "EngineMode::Async needs a streaming transport; \
-                 use TransportSpec::Channel or TransportSpec::Process"
-                    .to_string(),
-            ));
-        }
-        if config.checkpoint_every.is_some() || !config.injected_failures.is_empty() {
-            return Err(EngineError::InvalidConfig(
-                "checkpointing and failure injection are superstep-aligned; \
-                 use EngineMode::Sync"
-                    .to_string(),
-            ));
-        }
-    }
-    // Checkpoints need a snapshot-capable transport; a streaming transport
-    // would silently degrade recovery to restart-from-scratch.  Each spec
-    // declares its own capability — no `if spec ==` chain to grow.
-    if config.checkpoint_every.is_some() && !spec.supports_checkpoints() {
-        return Err(EngineError::InvalidConfig(format!(
-            "checkpointing needs a snapshot-capable transport and \
-             TransportSpec::{} cannot snapshot; use TransportSpec::Barrier \
-             or TransportSpec::Process",
-            spec.name()
-        )));
+pub(crate) fn validate_policies(config: &EngineConfig) -> Result<(), EngineError> {
+    if config.mode == EngineMode::Async
+        && (config.checkpoint_every.is_some() || !config.injected_failures.is_empty())
+    {
+        return Err(EngineError::InvalidConfig(
+            "checkpointing and failure injection are superstep-aligned; \
+             use EngineMode::Sync"
+                .to_string(),
+        ));
     }
     Ok(())
 }
@@ -320,7 +302,6 @@ pub(crate) fn run_parts<P: PieProgram>(
         repeval,
     } = start;
     let config = session.config();
-    let spec = session.transport();
     let m = fragmentation.num_fragments();
     if m == 0 {
         return Err(EngineError::NoFragments);
@@ -368,7 +349,7 @@ pub(crate) fn run_parts<P: PieProgram>(
         program: program.name().to_string(),
         workers: config.num_workers,
         fragments: m,
-        transport: spec.name().to_string(),
+        transport: session.transport().name(config.mode).to_string(),
         incremental: retained.is_some(),
         ..Default::default()
     };
@@ -394,7 +375,7 @@ pub(crate) fn run_parts<P: PieProgram>(
     };
 
     // Map virtual workers (fragments) onto physical workers.
-    let assignment = session.balancer().assign(fragmentation, config.num_workers);
+    let assignment = load_balance::assign(fragmentation, config.num_workers);
     let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
     let key_size = |k: &P::Key| program.key_size(k);
     let value_size = |v: &P::Value| program.value_size(v);
@@ -413,19 +394,19 @@ pub(crate) fn run_parts<P: PieProgram>(
     };
 
     // The host: where the evaluations run.
-    let partials = match spec {
+    let partials = match session.transport() {
         TransportSpec::Process { workers } => {
             let host =
                 ProcessHost::spawn(program, query, &fragments, retained.as_deref(), workers)?;
             let pipe = host.pipe_counter();
-            let collected = schedule(&ctx, spec, &host, ops, seeds, &mut metrics)
-                .and_then(|()| host.into_partials());
+            let collected =
+                schedule(&ctx, &host, ops, seeds, &mut metrics).and_then(|()| host.into_partials());
             metrics.pipe_bytes = pipe.load(Ordering::Relaxed);
             collected?
         }
-        TransportSpec::Barrier | TransportSpec::Channel => {
+        TransportSpec::InProcess => {
             let host = InProcessHost::new(program, query, &fragments, &aggregate, retained);
-            schedule(&ctx, spec, &host, ops, seeds, &mut metrics)?;
+            schedule(&ctx, &host, ops, seeds, &mut metrics)?;
             host.into_partials()?
         }
     };
@@ -433,32 +414,25 @@ pub(crate) fn run_parts<P: PieProgram>(
     Ok((partials, metrics))
 }
 
-/// Picks the transport and the loop: the superstep loop over a
-/// [`BarrierTransport`] under [`EngineMode::Sync`] (over a
-/// [`ChannelTransport`] when the session asks for `Channel`), the streaming
-/// loop over a [`ChannelTransport`] under [`EngineMode::Async`].  The seeds
-/// are published before the loop starts.
+/// Picks the transport and the loop from the mode: the superstep loop over
+/// a [`BarrierTransport`] under [`EngineMode::Sync`], the streaming loop
+/// over a [`ChannelTransport`] under [`EngineMode::Async`].  The seeds are
+/// published before the loop starts.
 fn schedule<P: PieProgram, H: WorkerHost<P>>(
     ctx: &RunCtx<'_>,
-    spec: TransportSpec,
     host: &H,
     ops: MessageOps<'_, P::Key, P::Value>,
     seeds: Vec<SeedBatch<P>>,
     metrics: &mut EngineMetrics,
 ) -> Result<(), EngineError> {
     let m = ctx.num_fragments;
-    match (ctx.config.mode, spec) {
-        (EngineMode::Sync, TransportSpec::Channel) => {
-            let transport = ChannelTransport::new(m, ops);
-            seed(ctx, &transport, seeds, metrics);
-            superstep_loop(ctx, host, &transport, metrics)
-        }
-        (EngineMode::Sync, _) => {
+    match ctx.config.mode {
+        EngineMode::Sync => {
             let transport = BarrierTransport::new(m, ops);
             seed(ctx, &transport, seeds, metrics);
             superstep_loop(ctx, host, &transport, metrics)
         }
-        (EngineMode::Async, _) => {
+        EngineMode::Async => {
             let transport = ChannelTransport::new(m, ops);
             seed(ctx, &transport, seeds, metrics);
             streaming_loop(ctx, host, &transport, metrics)
@@ -499,10 +473,10 @@ fn seed<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
 /// roots in superstep 0 (their slots are overwritten before anything reads
 /// them).  At the fixpoint the caller collects the partials with
 /// [`WorkerHost::into_partials`].
-fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
+fn superstep_loop<P: PieProgram, H: WorkerHost<P>>(
     ctx: &RunCtx<'_>,
     host: &H,
-    transport: &T,
+    transport: &BarrierTransport<'_, P::Key, P::Value>,
     metrics: &mut EngineMetrics,
 ) -> Result<(), EngineError> {
     let m = ctx.num_fragments;
@@ -626,13 +600,15 @@ fn superstep_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value
         });
         metrics.eval_time += step_start.elapsed();
 
-        // Checkpoint (only transports that can snapshot participate).
+        // Checkpoint: the partials plus the published mailboxes.
         if let Some(every) = ctx.config.checkpoint_every {
             if (superstep + 1).is_multiple_of(every) {
-                if let Some(snap) = transport.snapshot() {
-                    checkpoint = Some((superstep + 1, host.checkpoint_partials()?, snap));
-                    metrics.checkpoints += 1;
-                }
+                checkpoint = Some((
+                    superstep + 1,
+                    host.checkpoint_partials()?,
+                    transport.snapshot(),
+                ));
+                metrics.checkpoints += 1;
             }
         }
 
@@ -666,10 +642,10 @@ struct EvalRecord {
 /// whole computation is quiescent — no superstep barrier, no coordinator
 /// round-trips.  Messages produced by any fragment are visible to their
 /// destinations immediately.
-fn streaming_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
+fn streaming_loop<P: PieProgram, H: WorkerHost<P>>(
     ctx: &RunCtx<'_>,
     host: &H,
-    transport: &T,
+    transport: &ChannelTransport<'_, P::Key, P::Value>,
     metrics: &mut EngineMetrics,
 ) -> Result<(), EngineError> {
     let peval_count = AtomicUsize::new(0);
@@ -1096,34 +1072,6 @@ mod tests {
             .run(&frag, &MinPropagation, &())
             .unwrap();
         assert_eq!(one.output, four.output);
-    }
-
-    #[test]
-    fn channel_transport_under_sync_mode_agrees_with_barrier() {
-        let g = ring_graph(18);
-        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
-        let barrier = GrapeSession::builder()
-            .workers(3)
-            .mode(EngineMode::Sync)
-            .transport(TransportSpec::Barrier)
-            .build()
-            .unwrap()
-            .run(&frag, &MinPropagation, &())
-            .unwrap();
-        let channel = GrapeSession::builder()
-            .workers(3)
-            .mode(EngineMode::Sync)
-            .transport(TransportSpec::Channel)
-            .build()
-            .unwrap()
-            .run(&frag, &MinPropagation, &())
-            .unwrap();
-        assert_eq!(barrier.output, channel.output);
-        // Exact message counts may differ: a streaming transport can deliver
-        // within the sweep, letting a later-scheduled fragment consume two
-        // rounds of mail in one drain.  Both still ship something real.
-        assert!(barrier.metrics.total_messages > 0);
-        assert!(channel.metrics.total_messages > 0);
     }
 
     #[test]

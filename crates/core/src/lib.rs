@@ -25,7 +25,8 @@
 //! * [`pie`] — the [`pie::PieProgram`] trait (the programming model) and the
 //!   [`pie::IncrementalPie`] extension for queries under updates,
 //! * [`session`] — the user entry point: [`session::GrapeSession`] and its
-//!   fluent builder (workers, mode, transport, balancer),
+//!   fluent builder (workers, mode, limits, fault tolerance, refresh width,
+//!   and where evaluations run),
 //! * [`prepared`] — prepared queries over evolving graphs:
 //!   [`prepared::PreparedQuery`] retains the per-fragment partials so
 //!   `Q(G ⊕ ΔG)` is answered by IncEval alone,
@@ -41,8 +42,9 @@
 //!   specifications for serving processes (`graped`),
 //! * [`engine`] — the two runtimes (BSP superstep loop and the barrier-free
 //!   streaming loop) behind a session,
-//! * [`transport`] — the pluggable message substrate ([`transport::Transport`],
-//!   with barrier and mpsc-style channel implementations),
+//! * [`transport`] — the message substrate ([`transport::Transport`], with
+//!   barrier and mpsc-style channel implementations; the mode picks one) and
+//!   [`transport::TransportSpec`], where evaluations run,
 //! * [`worker_proto`] — the binary pipe protocol of subprocess workers
 //!   (`TransportSpec::Process`), framed by [`frame`], the length-delimited
 //!   framing the daemon's TCP protocol shares,
@@ -50,7 +52,7 @@
 //!   tolerance, superstep limits),
 //! * [`metrics`] — response-time / superstep / communication accounting,
 //! * [`load_balance`] — mapping of fragments (virtual workers) onto physical
-//!   workers,
+//!   workers ([`load_balance::assign`]),
 //! * [`simulate`] — MapReduce and BSP simulation layers (Theorem 2).
 
 pub mod config;

@@ -20,70 +20,59 @@ pub struct FragmentCost {
     pub communicate: f64,
 }
 
+/// Relative weight of communication cost vs computation cost in
+/// [`FragmentCost::total`].
+pub const COMM_WEIGHT: f64 = 4.0;
+
 impl FragmentCost {
-    /// Combined cost with the given communication weight.
-    pub fn total(&self, comm_weight: f64) -> f64 {
-        self.compute + comm_weight * self.communicate
+    /// Combined cost: `compute + COMM_WEIGHT · communicate`.
+    pub fn total(&self) -> f64 {
+        self.compute + COMM_WEIGHT * self.communicate
     }
 }
 
-/// The load balancer configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct LoadBalancer {
-    /// Relative weight of communication cost vs computation cost.
-    pub comm_weight: f64,
+/// Estimates per-fragment costs for a fragmentation.
+pub fn estimate(frag: &Fragmentation) -> Vec<FragmentCost> {
+    frag.fragments()
+        .iter()
+        .map(|f| FragmentCost {
+            fragment: f.id(),
+            compute: f.num_inner() as f64 + f.num_local_edges() as f64,
+            communicate: (f.in_border_locals().len() + f.out_border_locals().len()) as f64,
+        })
+        .collect()
 }
 
-impl Default for LoadBalancer {
-    fn default() -> Self {
-        LoadBalancer { comm_weight: 4.0 }
-    }
-}
-
-impl LoadBalancer {
-    /// Estimates per-fragment costs for a fragmentation.
-    pub fn estimate(&self, frag: &Fragmentation) -> Vec<FragmentCost> {
-        frag.fragments()
+/// Assigns fragments to `num_workers` physical workers.  Returns, for each
+/// worker, the list of fragment ids it executes.
+///
+/// Fragments are considered in decreasing total cost and always handed to
+/// the currently least-loaded worker (LPT greedy).
+pub fn assign(frag: &Fragmentation, num_workers: usize) -> Vec<Vec<usize>> {
+    let num_workers = num_workers.max(1);
+    let mut costs = estimate(frag);
+    costs.sort_by(|a, b| {
+        b.total()
+            .partial_cmp(&a.total())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut assignment = vec![Vec::new(); num_workers];
+    let mut loads = vec![0.0f64; num_workers];
+    for cost in costs {
+        let target = loads
             .iter()
-            .map(|f| FragmentCost {
-                fragment: f.id(),
-                compute: f.num_inner() as f64 + f.num_local_edges() as f64,
-                communicate: (f.in_border_locals().len() + f.out_border_locals().len()) as f64,
-            })
-            .collect()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        assignment[target].push(cost.fragment);
+        loads[target] += cost.total();
     }
-
-    /// Assigns fragments to `num_workers` physical workers.  Returns, for
-    /// each worker, the list of fragment ids it executes.
-    ///
-    /// Fragments are considered in decreasing total cost and always handed to
-    /// the currently least-loaded worker (LPT greedy).
-    pub fn assign(&self, frag: &Fragmentation, num_workers: usize) -> Vec<Vec<usize>> {
-        let num_workers = num_workers.max(1);
-        let mut costs = self.estimate(frag);
-        costs.sort_by(|a, b| {
-            b.total(self.comm_weight)
-                .partial_cmp(&a.total(self.comm_weight))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut assignment = vec![Vec::new(); num_workers];
-        let mut loads = vec![0.0f64; num_workers];
-        for cost in costs {
-            let target = loads
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            assignment[target].push(cost.fragment);
-            loads[target] += cost.total(self.comm_weight);
-        }
-        // Keep fragment order within a worker deterministic.
-        for list in &mut assignment {
-            list.sort_unstable();
-        }
-        assignment
+    // Keep fragment order within a worker deterministic.
+    for list in &mut assignment {
+        list.sort_unstable();
     }
+    assignment
 }
 
 #[cfg(test)]
@@ -101,7 +90,7 @@ mod tests {
     #[test]
     fn every_fragment_assigned_exactly_once() {
         let frag = fragmentation(8);
-        let assignment = LoadBalancer::default().assign(&frag, 3);
+        let assignment = assign(&frag, 3);
         let mut seen = [false; 8];
         for worker in &assignment {
             for &f in worker {
@@ -115,7 +104,7 @@ mod tests {
     #[test]
     fn more_workers_than_fragments_leaves_some_idle() {
         let frag = fragmentation(2);
-        let assignment = LoadBalancer::default().assign(&frag, 4);
+        let assignment = assign(&frag, 4);
         assert_eq!(assignment.len(), 4);
         let used = assignment.iter().filter(|w| !w.is_empty()).count();
         assert_eq!(used, 2);
@@ -124,13 +113,12 @@ mod tests {
     #[test]
     fn loads_are_roughly_balanced() {
         let frag = fragmentation(16);
-        let balancer = LoadBalancer::default();
-        let costs = balancer.estimate(&frag);
-        let assignment = balancer.assign(&frag, 4);
+        let costs = estimate(&frag);
+        let assignment = assign(&frag, 4);
         let load_of = |worker: &Vec<usize>| -> f64 {
             worker
                 .iter()
-                .map(|&f| costs.iter().find(|c| c.fragment == f).unwrap().total(4.0))
+                .map(|&f| costs.iter().find(|c| c.fragment == f).unwrap().total())
                 .sum()
         };
         let loads: Vec<f64> = assignment.iter().map(load_of).collect();
@@ -142,7 +130,7 @@ mod tests {
     #[test]
     fn estimate_reports_all_fragments() {
         let frag = fragmentation(4);
-        let costs = LoadBalancer::default().estimate(&frag);
+        let costs = estimate(&frag);
         assert_eq!(costs.len(), 4);
         assert!(costs.iter().all(|c| c.compute > 0.0));
     }
@@ -150,7 +138,7 @@ mod tests {
     #[test]
     fn zero_workers_clamped_to_one() {
         let frag = fragmentation(3);
-        let assignment = LoadBalancer::default().assign(&frag, 0);
+        let assignment = assign(&frag, 0);
         assert_eq!(assignment.len(), 1);
         assert_eq!(assignment[0].len(), 3);
     }

@@ -30,9 +30,10 @@ pub struct SuperstepMetrics {
 pub struct EngineMetrics {
     /// Name of the PIE / vertex / block program that ran.
     pub program: String,
-    /// Name of the transport that moved the messages (see
-    /// [`crate::transport::TransportSpec`]); empty for engines that predate
-    /// the transport layer (the baselines).
+    /// Name of the substrate that ran the query
+    /// ([`crate::transport::TransportSpec::name`]: `"barrier"`, `"channel"`
+    /// or `"process"`); empty for engines that predate the transport layer
+    /// (the baselines).
     #[serde(default)]
     pub transport: String,
     /// Number of physical workers used.
@@ -76,7 +77,7 @@ pub struct EngineMetrics {
     /// Bytes that crossed worker-subprocess pipes (requests + replies,
     /// JSON frames included): fragments and partials shipped at the
     /// handshake, per-evaluation message traffic, and collected partials.
-    /// Always **0** for in-process transports.
+    /// Always **0** for [`crate::transport::TransportSpec::InProcess`] runs.
     #[serde(default)]
     pub pipe_bytes: usize,
     /// Time spent in PEval/IncEval across all supersteps.  Under the

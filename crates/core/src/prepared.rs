@@ -309,14 +309,18 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         // A delta that changed no fragment's structure (an empty `ΔG`) is a
         // no-op for every program: the retained partials already *are* the
         // fixpoint.  Short-circuit before the engine — no workers, no
-        // transport, no balancer spin-up just to report zero supersteps.
+        // transport, no fragment assignment just to report zero supersteps.
         if applied.affected.is_empty() {
             self.fragmentation = applied.fragmentation.clone();
             let metrics = EngineMetrics {
                 program: self.program.name().to_string(),
                 workers: self.session.config().num_workers,
                 fragments: m,
-                transport: self.session.transport().name().to_string(),
+                transport: self
+                    .session
+                    .transport()
+                    .name(self.session.config().mode)
+                    .to_string(),
                 incremental: true,
                 ..Default::default()
             };

@@ -1,36 +1,38 @@
 //! Sessions: the user-facing entry point of the engine.
 //!
-//! A [`GrapeSession`] bundles the three run policies — configuration
-//! (workers, mode, limits, fault tolerance), load balancing, and the message
-//! transport — behind one fluent builder:
+//! A [`GrapeSession`] bundles the run policies — workers, mode, limits,
+//! fault tolerance, refresh width and where evaluations run — behind one
+//! fluent builder with exactly one setter per policy:
 //!
 //! ```
 //! use grape_core::config::EngineMode;
 //! use grape_core::session::GrapeSession;
-//! use grape_core::transport::TransportSpec;
 //!
 //! let session = GrapeSession::builder()
 //!     .workers(8)
 //!     .mode(EngineMode::Async)
-//!     .transport(TransportSpec::Channel)
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(session.config().num_workers, 8);
 //! ```
+//!
+//! The message substrate follows the mode (a barrier under
+//! [`EngineMode::Sync`], streaming mailboxes under [`EngineMode::Async`]);
+//! [`GrapeSessionBuilder::transport`] only chooses where the evaluations
+//! run ([`TransportSpec`]).
 //!
 //! The session is cheap to clone, stateless between runs, and reusable:
 //! `session.run(&fragmentation, &program, &query)` executes one query and
 //! returns the same [`RunResult`] shape as always, while
 //! `session.prepare(fragmentation, program, query)` returns a
 //! [`crate::prepared::PreparedQuery`] that retains the per-fragment partials
-//! for answering under graph updates.  Contradictory policies
-//! (the barrier-free [`EngineMode::Async`] with a [`TransportSpec::Barrier`]
-//! transport, or with superstep-aligned checkpointing) are rejected at
-//! [`GrapeSessionBuilder::build`] time rather than at run time.
+//! for answering under graph updates.  Contradictory policies (the
+//! barrier-free [`EngineMode::Async`] with superstep-aligned checkpointing
+//! or failure injection) are rejected at [`GrapeSessionBuilder::build`]
+//! time rather than at run time.
 
 use crate::config::{EngineConfig, EngineMode};
 use crate::engine::{execute, EngineError, RunResult};
-use crate::load_balance::LoadBalancer;
 use crate::pie::PieProgram;
 use crate::transport::TransportSpec;
 
@@ -43,7 +45,6 @@ use grape_partition::fragment::Fragmentation;
 #[derive(Debug, Clone)]
 pub struct GrapeSession {
     config: EngineConfig,
-    balancer: LoadBalancer,
     transport: TransportSpec,
 }
 
@@ -83,12 +84,7 @@ impl GrapeSession {
         &self.config
     }
 
-    /// The load balancer mapping fragments onto physical workers.
-    pub fn balancer(&self) -> &LoadBalancer {
-        &self.balancer
-    }
-
-    /// The transport policy.
+    /// Where the evaluations run.
     pub fn transport(&self) -> TransportSpec {
         self.transport
     }
@@ -106,8 +102,7 @@ impl Default for GrapeSession {
 #[derive(Debug, Clone, Default)]
 pub struct GrapeSessionBuilder {
     config: EngineConfig,
-    balancer: LoadBalancer,
-    transport: Option<TransportSpec>,
+    transport: TransportSpec,
 }
 
 impl GrapeSessionBuilder {
@@ -152,37 +147,19 @@ impl GrapeSessionBuilder {
         self
     }
 
-    /// Replaces the whole configuration (useful for replaying a serialized
-    /// [`EngineConfig`]); later builder calls still apply on top.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Overrides the load balancer.
-    pub fn balancer(mut self, balancer: LoadBalancer) -> Self {
-        self.balancer = balancer;
-        self
-    }
-
-    /// Overrides the transport (default: the mode's natural substrate,
-    /// [`TransportSpec::default_for`]).
+    /// Where the evaluations run (default: [`TransportSpec::InProcess`]).
     pub fn transport(mut self, transport: TransportSpec) -> Self {
-        self.transport = Some(transport);
+        self.transport = transport;
         self
     }
 
     /// Validates the combined policies and produces the session.  The
     /// engine runs only sessions, so every run has passed this check.
     pub fn build(self) -> Result<GrapeSession, EngineError> {
-        let transport = self
-            .transport
-            .unwrap_or_else(|| TransportSpec::default_for(self.config.mode));
-        crate::engine::validate_policies(&self.config, transport)?;
+        crate::engine::validate_policies(&self.config)?;
         Ok(GrapeSession {
             config: self.config,
-            balancer: self.balancer,
-            transport,
+            transport: self.transport,
         })
     }
 }
@@ -247,8 +224,7 @@ mod tests {
             .mode(EngineMode::Async)
             .max_supersteps(50)
             .refresh_threads(4)
-            .transport(TransportSpec::Channel)
-            .balancer(LoadBalancer { comm_weight: 2.0 })
+            .transport(TransportSpec::Process { workers: 3 })
             .build()
             .unwrap();
         assert_eq!(session.config().num_workers, 8);
@@ -257,8 +233,7 @@ mod tests {
         assert_eq!(session.config().refresh_threads, 4);
         let clamped = GrapeSession::builder().refresh_threads(0).build().unwrap();
         assert_eq!(clamped.config().refresh_threads, 1, "clamps to one");
-        assert_eq!(session.transport(), TransportSpec::Channel);
-        assert!((session.balancer().comm_weight - 2.0).abs() < 1e-12);
+        assert_eq!(session.transport(), TransportSpec::Process { workers: 3 });
     }
 
     #[test]
@@ -267,22 +242,12 @@ mod tests {
             .mode(EngineMode::Sync)
             .build()
             .unwrap();
-        assert_eq!(sync.transport(), TransportSpec::Barrier);
+        assert_eq!(sync.transport(), TransportSpec::InProcess);
         let async_ = GrapeSession::builder()
             .mode(EngineMode::Async)
             .build()
             .unwrap();
-        assert_eq!(async_.transport(), TransportSpec::Channel);
-    }
-
-    #[test]
-    fn async_mode_rejects_barrier_transport() {
-        let err = GrapeSession::builder()
-            .mode(EngineMode::Async)
-            .transport(TransportSpec::Barrier)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig(_)));
+        assert_eq!(async_.transport(), TransportSpec::InProcess);
     }
 
     #[test]
@@ -302,19 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_mode_rejects_checkpointing_on_a_streaming_transport() {
-        // ChannelTransport cannot snapshot, so accepting this combination
-        // would silently degrade recovery to restart-from-scratch.
-        let err = GrapeSession::builder()
-            .mode(EngineMode::Sync)
-            .transport(TransportSpec::Channel)
-            .checkpoint_every(1)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidConfig(_)));
-    }
-
-    #[test]
     fn workers_clamped_to_one() {
         assert_eq!(GrapeSession::with_workers(0).config().num_workers, 1);
     }
@@ -327,17 +279,5 @@ mod tests {
         let second = session.run(&frag, &CountVertices, &()).unwrap();
         assert_eq!(first.output, 4);
         assert_eq!(second.output, 4);
-    }
-
-    #[test]
-    fn config_seed_then_override() {
-        let cfg = EngineConfig::with_workers(3).with_max_supersteps(7);
-        let session = GrapeSession::builder()
-            .config(cfg)
-            .workers(5)
-            .build()
-            .unwrap();
-        assert_eq!(session.config().num_workers, 5);
-        assert_eq!(session.config().max_supersteps, 7);
     }
 }

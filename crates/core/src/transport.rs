@@ -2,30 +2,32 @@
 //! fragments (virtual workers).
 //!
 //! The paper's engine is parallelization-agnostic — PIE programs plug into
-//! *any* message-passing substrate.  This module makes that explicit: the
-//! engine's superstep loop and the asynchronous task runtime are both written
-//! against the [`Transport`] trait, and the choice of substrate is a policy
-//! ([`TransportSpec`]) picked by the [`crate::session::GrapeSession`]
-//! builder.  Today workers are threads; a transport backed by processes or
-//! TCP sockets slots in behind the same trait without touching the engine.
+//! *any* message-passing substrate.  Both of the engine's runtimes are
+//! written against the [`Transport`] trait, which is delivery only; the
+//! substrate follows the [`crate::config::EngineMode`]:
 //!
-//! Two implementations ship:
-//!
-//! * [`BarrierTransport`] — BSP semantics.  `send_batch` stages updates in a
+//! * [`BarrierTransport`] — BSP semantics, the substrate of
+//!   [`EngineMode::Sync`].  `send_batch` stages updates in a
 //!   **per-sender** buffer (each sender locks only its own staging area, so
 //!   evaluation threads never contend); [`Transport::flush`] — called once
 //!   per superstep by the coordinator — aggregates conflicting assignments
 //!   across senders with `aggregateMsg`, drops values identical to what the
 //!   destination already received (the *delivered* cache of Section 3.2(3)),
-//!   and publishes the rest to the per-fragment mailboxes.
-//! * [`ChannelTransport`] — mpsc-style streaming.  `send_batch` delivers
-//!   straight into the destination mailbox (aggregating and deduplicating
-//!   on the fly); there is no barrier and `flush` is a no-op.  This is the
-//!   substrate of the barrier-free [`crate::config::EngineMode::Async`]
-//!   runtime.
+//!   and publishes the rest to the per-fragment mailboxes.  Its mailboxes
+//!   snapshot, restore and reset for the superstep-aligned checkpoints of
+//!   Section 6.
+//! * [`ChannelTransport`] — mpsc-style streaming, the substrate of the
+//!   barrier-free [`EngineMode::Async`] runtime.
+//!   `send_batch` delivers straight into the destination mailbox
+//!   (aggregating and deduplicating on the fly); there is no barrier and
+//!   `flush` is a no-op.
 //!
-//! Both account every shipped update into [`TransportStats`] using the
-//! program's `key_size`/`value_size`, which is what
+//! Where the evaluations run is a separate choice, [`TransportSpec`]: in
+//! this process, or sharded across `grape-worker` subprocesses.  Message
+//! routing stays in the parent either way.
+//!
+//! Both transports account every shipped update into [`TransportStats`]
+//! using the program's `key_size`/`value_size`, which is what
 //! [`crate::metrics::EngineMetrics`] reports for the paper's communication
 //! figures.
 
@@ -34,6 +36,8 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
+
+use crate::config::EngineMode;
 
 /// The message-preamble hooks a transport borrows from a PIE program for the
 /// duration of one run: `aggregateMsg` plus the wire-size estimators.
@@ -59,29 +63,18 @@ impl<K, V> std::fmt::Debug for MessageOps<'_, K, V> {
     }
 }
 
-/// Which transport implementation a session uses.  `Barrier` pairs with
-/// [`crate::config::EngineMode::Sync`], `Channel` with
-/// [`crate::config::EngineMode::Async`].  `Channel` also works under
-/// `Sync`, with two caveats: per-superstep message/byte attribution shifts
-/// one superstep late (the streaming transport charges at drain, not at
-/// the barrier — run totals are unaffected), and checkpointing is
-/// unavailable (no snapshot support, rejected at session build).
-///
-/// `Process` shards the fragments across `workers` OS subprocesses
-/// (`grape-worker`): PEval/IncEval execute inside the process that owns
-/// each fragment, and only seed/border messages plus the assembled
-/// partials cross the stdin/stdout pipes.  Message routing stays in the
-/// parent, on the mode's in-process substrate: [`BarrierTransport`] under
-/// `Sync` (so it checkpoints), [`ChannelTransport`] under `Async`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a session's evaluations run.  Message routing stays in the
+/// parent under both, on the mode's transport: [`BarrierTransport`] under
+/// [`EngineMode::Sync`], [`ChannelTransport`] under [`EngineMode::Async`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportSpec {
-    /// Per-sender staging published at the superstep barrier
-    /// ([`BarrierTransport`]).
-    Barrier,
-    /// Streaming mailboxes with no barrier ([`ChannelTransport`]).
-    Channel,
-    /// Fragments sharded across `workers` OS subprocesses; parent-side
-    /// mailboxes, evaluation over pipes.
+    /// Evaluations run on the engine's worker threads in this process.
+    #[default]
+    InProcess,
+    /// Fragments sharded across `workers` OS subprocesses
+    /// (`grape-worker`): PEval/IncEval execute inside the process that owns
+    /// each fragment, and only seed/border messages plus the partials cross
+    /// the stdin/stdout pipes.
     Process {
         /// Number of `grape-worker` subprocesses (clamped to
         /// `1..=num_fragments` at run time).
@@ -90,43 +83,15 @@ pub enum TransportSpec {
 }
 
 impl TransportSpec {
-    /// Display name, recorded in [`crate::metrics::EngineMetrics`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            TransportSpec::Barrier => "barrier",
-            TransportSpec::Channel => "channel",
-            TransportSpec::Process { .. } => "process",
-        }
-    }
-
-    /// The default substrate for an execution mode.
-    pub fn default_for(mode: crate::config::EngineMode) -> Self {
-        match mode {
-            crate::config::EngineMode::Sync => TransportSpec::Barrier,
-            crate::config::EngineMode::Async => TransportSpec::Channel,
-        }
-    }
-
-    /// Whether this substrate can serve the barrier-free
-    /// [`crate::config::EngineMode::Async`] runtime (sends visible without
-    /// a flush).  `Process` qualifies: its parent-side mailboxes stream
-    /// under `Async`.
-    pub fn streaming_capable(&self) -> bool {
-        !matches!(self, TransportSpec::Barrier)
-    }
-
-    /// Whether a transport built from this spec can snapshot its mailboxes
-    /// for superstep-aligned checkpoints.  This is the capability the
-    /// session/engine validation queries instead of growing a
-    /// `if spec == …` chain per variant: each spec (including future TCP
-    /// node transports) declares its own answer.  `Process` checkpoints:
-    /// its parent-side mailboxes snapshot like `Barrier`'s, and the worker
-    /// subprocesses surrender their partials over the pipe.
-    pub fn supports_checkpoints(&self) -> bool {
-        match self {
-            TransportSpec::Barrier => true,
-            TransportSpec::Channel => false,
-            TransportSpec::Process { .. } => true,
+    /// The substrate name recorded in
+    /// [`crate::metrics::EngineMetrics::transport`]: `"process"` on
+    /// subprocess workers, else the mode's transport — `"barrier"` under
+    /// [`EngineMode::Sync`], `"channel"` under [`EngineMode::Async`].
+    pub fn name(self, mode: EngineMode) -> &'static str {
+        match (self, mode) {
+            (TransportSpec::Process { .. }, _) => "process",
+            (TransportSpec::InProcess, EngineMode::Sync) => "barrier",
+            (TransportSpec::InProcess, EngineMode::Async) => "channel",
         }
     }
 }
@@ -166,8 +131,9 @@ impl<K, V> Drained<K, V> {
     }
 }
 
-/// Frozen mailbox state (pending queues + delivered caches), captured for
-/// the fault-tolerance checkpoints of the synchronous runtime.
+/// Frozen [`BarrierTransport`] mailbox state (pending queues + delivered
+/// caches), captured for the fault-tolerance checkpoints of the synchronous
+/// runtime.
 #[derive(Debug, Clone)]
 pub struct TransportSnapshot<K, V> {
     mailboxes: Vec<BarrierMailbox<K, V>>,
@@ -208,19 +174,9 @@ pub trait Transport<K, V>: Send + Sync {
     fn pending_mailboxes(&self) -> usize;
 
     /// Cumulative accounting since construction (monotone, survives
-    /// [`Transport::reset`] — re-shipped messages after a failure recovery
-    /// are real communication).
+    /// [`BarrierTransport::reset`] — re-shipped messages after a failure
+    /// recovery are real communication).
     fn stats(&self) -> TransportStats;
-
-    /// Captures mailbox state for checkpointing, or `None` when the
-    /// transport cannot checkpoint (streaming transports).
-    fn snapshot(&self) -> Option<TransportSnapshot<K, V>>;
-
-    /// Restores a snapshot taken on the same transport shape.
-    fn restore(&self, snapshot: &TransportSnapshot<K, V>);
-
-    /// Clears all mailboxes and delivered caches (restart recovery).
-    fn reset(&self);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,14 +323,20 @@ where
             bytes: self.bytes.load(Ordering::SeqCst),
         }
     }
+}
 
-    fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
-        Some(TransportSnapshot {
+impl<K: Clone, V: Clone> BarrierTransport<'_, K, V> {
+    /// Captures the published mailbox state for a checkpoint.  Sends staged
+    /// but not yet flushed are not part of it.
+    pub fn snapshot(&self) -> TransportSnapshot<K, V> {
+        TransportSnapshot {
             mailboxes: self.mailboxes.iter().map(|m| m.lock().clone()).collect(),
-        })
+        }
     }
 
-    fn restore(&self, snapshot: &TransportSnapshot<K, V>) {
+    /// Restores a snapshot taken on the same transport shape and discards
+    /// staged sends.
+    pub fn restore(&self, snapshot: &TransportSnapshot<K, V>) {
         assert_eq!(
             snapshot.mailboxes.len(),
             self.mailboxes.len(),
@@ -388,7 +350,8 @@ where
         }
     }
 
-    fn reset(&self) {
+    /// Clears all mailboxes and delivered caches (restart recovery).
+    pub fn reset(&self) {
         for mailbox in &self.mailboxes {
             let mut m = mailbox.lock();
             m.queue.clear();
@@ -525,23 +488,6 @@ where
             bytes: self.bytes.load(Ordering::SeqCst),
         }
     }
-
-    fn snapshot(&self) -> Option<TransportSnapshot<K, V>> {
-        None // streaming mailboxes are not checkpointable
-    }
-
-    fn restore(&self, _snapshot: &TransportSnapshot<K, V>) {
-        unreachable!("ChannelTransport::snapshot returns None; nothing can be restored");
-    }
-
-    fn reset(&self) {
-        for mailbox in &self.mailboxes {
-            let mut m = mailbox.lock();
-            m.pending.clear();
-            m.delivered.clear();
-        }
-        self.nonempty.store(0, Ordering::SeqCst);
-    }
 }
 
 #[cfg(test)]
@@ -564,6 +510,7 @@ mod tests {
     /// The conformance suite of the `Transport` contract, run against both
     /// implementations: delivery, cross-sender aggregation, delivered-cache
     /// dedup, byte accounting, step tagging and pending bookkeeping.
+    /// Restart recovery (`reset`) is Barrier-only and has its own test.
     ///
     /// Accounting *timing* differs between the two (barrier charges at
     /// flush, channel at drain), so the suite always observes stats after a
@@ -638,21 +585,7 @@ mod tests {
         let d = t.drain(0);
         assert!(d.updates.is_empty() && d.messages == 0, "{name}");
 
-        // (7) Reset clears pending mail and the delivered caches (a value
-        // delivered before the reset ships again), but accounting is
-        // cumulative.
-        t.send_batch(0, 1, 5, vec![(9, 9)]);
-        t.flush();
-        t.reset();
-        assert_eq!(t.pending_mailboxes(), 0, "{name}: reset leaves mail");
-        let before = t.stats();
-        t.send_batch(0, 1, 0, vec![(5, 10)]); // delivered pre-reset
-        t.flush();
-        let d = t.drain(1);
-        assert_eq!(d.updates, vec![(5, 10)], "{name}: reset must forget dedup");
-        assert_eq!(t.stats().messages, before.messages + 1, "{name}");
-
-        // (8) Empty flush: publishing with nothing staged is free, returns
+        // (7) Empty flush: publishing with nothing staged is free, returns
         // zero stats, and never disturbs pending mail.
         let before = t.stats();
         assert_eq!(t.flush(), TransportStats::default(), "{name}");
@@ -700,7 +633,7 @@ mod tests {
         let t = BarrierTransport::new(2, ops);
         t.send_batch(0, 1, 2, vec![(5, 50)]);
         t.flush();
-        let snap = t.snapshot().expect("barrier transports checkpoint");
+        let snap = t.snapshot();
 
         // Mutate past the snapshot: drain, deliver something else.
         assert_eq!(t.drain(1).updates, vec![(5, 50)]);
@@ -737,7 +670,7 @@ mod tests {
 
         // Mid-superstep: a new send is staged but NOT yet flushed.
         t.send_batch(0, 1, 1, vec![(4, 40)]);
-        let snap = t.snapshot().expect("barrier transports checkpoint");
+        let snap = t.snapshot();
 
         // The in-flight superstep completes normally…
         t.flush();
@@ -760,38 +693,39 @@ mod tests {
         assert_eq!(t.drain(1).updates, vec![(4, 40)]);
     }
 
+    /// Reset clears pending mail, staged sends and the delivered caches (a
+    /// value delivered before the reset ships again), but accounting is
+    /// cumulative: re-shipped messages after a restart are real
+    /// communication.
     #[test]
-    fn channel_snapshot_is_unsupported() {
-        let ops = MIN_OPS;
-        let t: ChannelTransport<u64, u64> = ChannelTransport::new(2, ops);
-        assert!(t.snapshot().is_none());
+    fn barrier_reset_forgets_mail_and_dedup_but_keeps_stats() {
+        let t = BarrierTransport::new(3, MIN_OPS);
+        t.send_batch(0, 1, 0, vec![(5, 10)]);
+        t.flush();
+        assert_eq!(t.drain(1).updates, vec![(5, 10)]);
+        t.send_batch(0, 1, 5, vec![(9, 9)]);
+        t.flush();
+        t.send_batch(0, 2, 5, vec![(8, 8)]); // staged, never flushed
+        t.reset();
+        assert_eq!(t.pending_mailboxes(), 0, "reset leaves mail");
+        assert_eq!(t.flush(), TransportStats::default(), "reset leaves staging");
+        let before = t.stats();
+        t.send_batch(0, 1, 0, vec![(5, 10)]); // delivered pre-reset
+        t.flush();
+        let d = t.drain(1);
+        assert_eq!(d.updates, vec![(5, 10)], "reset must forget dedup");
+        assert_eq!(t.stats().messages, before.messages + 1);
     }
 
+    /// The default spec runs in-process, and the substrate it names follows
+    /// the mode.
     #[test]
     fn spec_defaults_follow_mode() {
-        use crate::config::EngineMode;
-        assert_eq!(
-            TransportSpec::default_for(EngineMode::Sync),
-            TransportSpec::Barrier
-        );
-        assert_eq!(
-            TransportSpec::default_for(EngineMode::Async),
-            TransportSpec::Channel
-        );
-        assert_eq!(TransportSpec::Barrier.name(), "barrier");
-        assert_eq!(TransportSpec::Channel.name(), "channel");
-        assert_eq!(TransportSpec::Process { workers: 2 }.name(), "process");
-    }
-
-    /// Each spec declares its own checkpoint capability — the engine
-    /// validation queries this instead of matching on variants.
-    #[test]
-    fn spec_checkpoint_capability() {
-        assert!(TransportSpec::Barrier.supports_checkpoints());
-        assert!(!TransportSpec::Channel.supports_checkpoints());
-        assert!(TransportSpec::Process { workers: 2 }.supports_checkpoints());
-        assert!(!TransportSpec::Barrier.streaming_capable());
-        assert!(TransportSpec::Channel.streaming_capable());
-        assert!(TransportSpec::Process { workers: 2 }.streaming_capable());
+        assert_eq!(TransportSpec::default(), TransportSpec::InProcess);
+        assert_eq!(TransportSpec::InProcess.name(EngineMode::Sync), "barrier");
+        assert_eq!(TransportSpec::InProcess.name(EngineMode::Async), "channel");
+        for mode in [EngineMode::Sync, EngineMode::Async] {
+            assert_eq!(TransportSpec::Process { workers: 2 }.name(mode), "process");
+        }
     }
 }

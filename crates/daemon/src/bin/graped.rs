@@ -22,9 +22,9 @@ OPTIONS:
   --refresh-threads N     concurrent query refreshes per delta (default 2)
   --fragments N           partition fragment count (default 4)
   --mode sync|async       engine mode (default: GRAPE_ENGINE_MODE or sync)
-  --transport NAME        barrier | channel | process (default: the mode's
-                          in-process substrate; process shards fragments
-                          across --workers grape-worker subprocesses)
+  --transport process     shard fragments across --workers grape-worker
+                          subprocesses (default: evaluate in the daemon; the
+                          message transport follows --mode)
   --graph SPEC            start graph: grid:WxH[@seed] | path:N (default grid:24x24@7)
   --spill-dir PATH        directory for eviction spill files (default: temp dir)
   --mock                  register a synthetic workload + feed generated deltas
@@ -37,7 +37,7 @@ fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
     let mut config = DaemonConfig::default();
     let mut mock = MockConfig::default();
     let mut want_mock = false;
-    let mut transport: Option<String> = None;
+    let mut process = false;
     let mut i = 0;
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
         args.get(i + 1)
@@ -76,7 +76,12 @@ fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
                 i += 2;
             }
             "--transport" => {
-                transport = Some(value(args, i, "--transport")?);
+                process = match value(args, i, "--transport")?.as_str() {
+                    "process" => true,
+                    "barrier" => return Err(retired("barrier", "sync")),
+                    "channel" => return Err(retired("channel", "async")),
+                    other => return Err(format!("unknown transport {other:?} (expected process)")),
+                };
                 i += 2;
             }
             "--graph" => {
@@ -115,20 +120,20 @@ fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
     }
     // Resolved after the loop so `--transport process` sizes its worker
     // pool from the final --workers value regardless of flag order.
-    config.transport = match transport.as_deref() {
-        None => None,
-        Some("barrier") => Some(TransportSpec::Barrier),
-        Some("channel") => Some(TransportSpec::Channel),
-        Some("process") => Some(TransportSpec::Process {
+    if process {
+        config.transport = TransportSpec::Process {
             workers: config.workers,
-        }),
-        Some(other) => {
-            return Err(format!(
-                "unknown transport {other:?} (expected barrier|channel|process)"
-            ))
-        }
-    };
+        };
+    }
     Ok(config)
+}
+
+/// The parse error for a transport name that the mode now implies.
+fn retired(name: &str, mode: &str) -> String {
+    format!(
+        "--transport {name} is gone: the message transport follows the mode; \
+         use --mode {mode}"
+    )
 }
 
 fn main() {
@@ -167,18 +172,19 @@ mod tests {
     #[test]
     fn transport_flag_resolves_against_the_final_worker_count() {
         let config = parse(&[]).unwrap();
-        assert_eq!(config.transport, None, "default: the mode's own substrate");
-        let config = parse(&["--transport", "barrier"]).unwrap();
-        assert_eq!(config.transport, Some(TransportSpec::Barrier));
-        let config = parse(&["--transport", "channel"]).unwrap();
-        assert_eq!(config.transport, Some(TransportSpec::Channel));
+        assert_eq!(config.transport, TransportSpec::InProcess);
+        // The transports the mode implies are rejected at parse time, with
+        // the flag that replaced them, whatever the mode.
+        for (name, mode) in [("barrier", "sync"), ("channel", "async")] {
+            for given in ["sync", "async"] {
+                let err = parse(&["--mode", given, "--transport", name]).unwrap_err();
+                assert!(err.contains(&format!("--mode {mode}")), "got: {err}");
+            }
+        }
         // Flag order must not matter: the process pool is sized from the
         // final --workers value even when --transport comes first.
         let config = parse(&["--transport", "process", "--workers", "3"]).unwrap();
-        assert_eq!(
-            config.transport,
-            Some(TransportSpec::Process { workers: 3 })
-        );
+        assert_eq!(config.transport, TransportSpec::Process { workers: 3 });
         let err = parse(&["--transport", "carrier-pigeon"]).unwrap_err();
         assert!(err.contains("unknown transport"), "got: {err}");
     }

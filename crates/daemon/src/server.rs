@@ -136,10 +136,10 @@ pub struct DaemonConfig {
     pub fragments: usize,
     /// Engine mode (defaults to `GRAPE_ENGINE_MODE`).
     pub mode: EngineMode,
-    /// Message transport; `None` picks the mode's natural in-process
-    /// substrate.  `TransportSpec::Process` shards the fragments across
-    /// `grape-worker` subprocesses.
-    pub transport: Option<TransportSpec>,
+    /// Where the evaluations run: in the daemon (the default) or, under
+    /// `TransportSpec::Process`, on `grape-worker` subprocesses.  The
+    /// message transport follows `mode`.
+    pub transport: TransportSpec,
     /// The start graph.
     pub graph: GraphSource,
     /// Explicit spill directory for evicted queries (temp dir otherwise).
@@ -157,7 +157,7 @@ impl Default for DaemonConfig {
             refresh_threads: 2,
             fragments: 4,
             mode: EngineMode::default_from_env(),
-            transport: None,
+            transport: TransportSpec::InProcess,
             graph: GraphSource::Grid {
                 width: 24,
                 height: 24,
@@ -618,14 +618,11 @@ impl GrapedHandle {
         let fragmentation = MetisLike::new(config.fragments)
             .partition(&graph)
             .map_err(|e| DaemonError::Partition(e.to_string()))?;
-        let mut builder = GrapeSession::builder()
+        let session = GrapeSession::builder()
             .workers(config.workers)
             .mode(config.mode)
-            .refresh_threads(config.refresh_threads);
-        if let Some(transport) = config.transport {
-            builder = builder.transport(transport);
-        }
-        let session = builder
+            .refresh_threads(config.refresh_threads)
+            .transport(config.transport)
             .build()
             .map_err(|e| DaemonError::Partition(e.to_string()))?;
         let server = match &config.spill_dir {

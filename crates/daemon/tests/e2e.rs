@@ -752,7 +752,7 @@ fn process_transport_daemon_serves_and_reaps_its_workers() {
     let mode = EngineMode::default_from_env();
     let deltas: Vec<GraphDelta> = (0..3).map(|i| mock_delta(11, BASE_VERTICES, i)).collect();
 
-    let run = |transport: Option<grape_core::TransportSpec>| -> ((String, String), u64) {
+    let run = |transport: grape_core::TransportSpec| -> ((String, String), u64) {
         let mut config = daemon_config(mode);
         config.transport = transport;
         let handle = GrapedHandle::spawn(config).expect("spawn daemon");
@@ -772,8 +772,8 @@ fn process_transport_daemon_serves_and_reaps_its_workers() {
         ((sssp, cc), pipe_bytes)
     };
 
-    let (baseline, in_process_pipe) = run(None);
-    let (sharded, sharded_pipe) = run(Some(grape_core::TransportSpec::Process { workers: 2 }));
+    let (baseline, in_process_pipe) = run(grape_core::TransportSpec::InProcess);
+    let (sharded, sharded_pipe) = run(grape_core::TransportSpec::Process { workers: 2 });
     assert_eq!(
         sharded, baseline,
         "({mode:?}) subprocess-sharded daemon answers diverge from in-process"

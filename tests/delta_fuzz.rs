@@ -72,21 +72,17 @@ const NIGHTLY: Profile = Profile {
 };
 
 fn session(workers: usize, mode: EngineMode) -> GrapeSession {
-    session_over(workers, mode, None)
+    session_over(workers, mode, TransportSpec::InProcess)
 }
 
-/// Same, with an explicit transport (`None` keeps the mode's default
-/// in-process substrate) — the axis the Process-transport fuzz rides.
-fn session_over(
-    workers: usize,
-    mode: EngineMode,
-    transport: Option<TransportSpec>,
-) -> GrapeSession {
-    let mut b = GrapeSession::builder().workers(workers).mode(mode);
-    if let Some(spec) = transport {
-        b = b.transport(spec);
-    }
-    b.build().unwrap()
+/// Same, with an explicit host — the axis the Process-transport fuzz rides.
+fn session_over(workers: usize, mode: EngineMode, transport: TransportSpec) -> GrapeSession {
+    GrapeSession::builder()
+        .workers(workers)
+        .mode(mode)
+        .transport(transport)
+        .build()
+        .unwrap()
 }
 
 /// A random directed weighted labeled graph (same generator family as
@@ -183,12 +179,7 @@ fn check_report(report: &grape::core::prepared::UpdateReport, m: usize, tag: &st
     }
 }
 
-fn fuzz_sssp(
-    profile: &Profile,
-    mode: EngineMode,
-    transport: Option<TransportSpec>,
-    seed_base: u64,
-) {
+fn fuzz_sssp(profile: &Profile, mode: EngineMode, transport: TransportSpec, seed_base: u64) {
     for case in 0..profile.cases {
         let mut rng = StdRng::seed_from_u64(seed_base + case);
         let graph = arb_graph(&mut rng, profile.max_n, profile.max_m, 0);
@@ -226,7 +217,7 @@ fn fuzz_sssp(
     }
 }
 
-fn fuzz_cc(profile: &Profile, mode: EngineMode, transport: Option<TransportSpec>, seed_base: u64) {
+fn fuzz_cc(profile: &Profile, mode: EngineMode, transport: TransportSpec, seed_base: u64) {
     for case in 0..profile.cases {
         let mut rng = StdRng::seed_from_u64(seed_base + case);
         let graph = arb_graph(&mut rng, profile.max_n, profile.max_m, 0).to_undirected();
@@ -258,7 +249,7 @@ fn fuzz_cc(profile: &Profile, mode: EngineMode, transport: Option<TransportSpec>
     }
 }
 
-fn fuzz_sim(profile: &Profile, mode: EngineMode, transport: Option<TransportSpec>, seed_base: u64) {
+fn fuzz_sim(profile: &Profile, mode: EngineMode, transport: TransportSpec, seed_base: u64) {
     for case in 0..profile.cases {
         let mut rng = StdRng::seed_from_u64(seed_base + case);
         let graph = arb_graph(&mut rng, profile.max_n, profile.max_m, 4);
@@ -291,12 +282,7 @@ fn fuzz_sim(profile: &Profile, mode: EngineMode, transport: Option<TransportSpec
     }
 }
 
-fn fuzz_subiso(
-    profile: &Profile,
-    mode: EngineMode,
-    transport: Option<TransportSpec>,
-    seed_base: u64,
-) {
+fn fuzz_subiso(profile: &Profile, mode: EngineMode, transport: TransportSpec, seed_base: u64) {
     // SubIso is NP-hard: keep the graphs a notch smaller than the profile.
     let max_n = profile.max_n.min(80);
     let max_m = profile.max_m.min(260);
@@ -353,7 +339,7 @@ fn arb_rating_blocks(rng: &mut StdRng, blocks: usize) -> (Graph, Vec<(u64, u64)>
     (b.build(), ranges)
 }
 
-fn fuzz_cf(profile: &Profile, mode: EngineMode, transport: Option<TransportSpec>, seed_base: u64) {
+fn fuzz_cf(profile: &Profile, mode: EngineMode, transport: TransportSpec, seed_base: u64) {
     // CF's SGD is trajectory-dependent: the engine is deterministic under
     // Sync for any worker count, and under Async only for a single worker
     // (one drain order); the fuzz compares exact factor maps, so it pins
@@ -410,35 +396,35 @@ fn fuzz_cf(profile: &Profile, mode: EngineMode, transport: Option<TransportSpec>
 #[test]
 fn sssp_mixed_delta_fuzz_matches_recompute_in_both_modes() {
     for mode in MODES {
-        fuzz_sssp(&TIER1, mode, None, 0xF0_0100);
+        fuzz_sssp(&TIER1, mode, TransportSpec::InProcess, 0xF0_0100);
     }
 }
 
 #[test]
 fn cc_mixed_delta_fuzz_matches_recompute_in_both_modes() {
     for mode in MODES {
-        fuzz_cc(&TIER1, mode, None, 0xF0_0200);
+        fuzz_cc(&TIER1, mode, TransportSpec::InProcess, 0xF0_0200);
     }
 }
 
 #[test]
 fn sim_mixed_delta_fuzz_matches_recompute_in_both_modes() {
     for mode in MODES {
-        fuzz_sim(&TIER1, mode, None, 0xF0_0300);
+        fuzz_sim(&TIER1, mode, TransportSpec::InProcess, 0xF0_0300);
     }
 }
 
 #[test]
 fn subiso_mixed_delta_fuzz_matches_recompute_in_both_modes() {
     for mode in MODES {
-        fuzz_subiso(&TIER1, mode, None, 0xF0_0400);
+        fuzz_subiso(&TIER1, mode, TransportSpec::InProcess, 0xF0_0400);
     }
 }
 
 #[test]
 fn cf_rating_delta_fuzz_matches_recompute_in_both_modes() {
     for mode in MODES {
-        fuzz_cf(&TIER1, mode, None, 0xF0_0500);
+        fuzz_cf(&TIER1, mode, TransportSpec::InProcess, 0xF0_0500);
     }
 }
 
@@ -554,7 +540,7 @@ fn localized_nonmonotone_damage_keeps_peval_below_fragment_count() {
 /// graph is stationary.  SSSP retracts each removal and CC keeps its labels
 /// (nothing splits a grid): zero PEval every round, and both answers equal
 /// a from-scratch recompute bit for bit.
-fn churn_stream(mode: EngineMode, transport: Option<TransportSpec>, rounds: usize, seed: u64) {
+fn churn_stream(mode: EngineMode, transport: TransportSpec, rounds: usize, seed: u64) {
     let g = road_grid(8, 8, seed);
     let strategies: [Box<dyn PartitionStrategy>; 2] =
         [Box::new(HashEdgeCut::new(4)), Box::new(MetisLike::new(4))];
@@ -612,7 +598,7 @@ fn churn_stream(mode: EngineMode, transport: Option<TransportSpec>, rounds: usiz
 fn churn_stream_retracts_without_peval_in_both_modes() {
     for mode in MODES {
         for seed in [1, 2] {
-            churn_stream(mode, None, 24, seed);
+            churn_stream(mode, TransportSpec::InProcess, 24, seed);
         }
     }
 }
@@ -632,7 +618,7 @@ const PROCESS_TIER1: Profile = Profile {
     max_m: 100,
 };
 
-const PROCESS_SPEC: Option<TransportSpec> = Some(TransportSpec::Process { workers: 2 });
+const PROCESS_SPEC: TransportSpec = TransportSpec::Process { workers: 2 };
 
 /// `true` when the grape-worker binary is discoverable; a workspace
 /// `cargo test` always builds it, but a bare `cargo test --test delta_fuzz`
@@ -687,7 +673,7 @@ fn long_fuzz_process_transport_all_families() {
 #[ignore = "nightly long-fuzz profile"]
 fn long_fuzz_sssp() {
     for mode in MODES {
-        fuzz_sssp(&NIGHTLY, mode, None, 0xF1_0100);
+        fuzz_sssp(&NIGHTLY, mode, TransportSpec::InProcess, 0xF1_0100);
     }
 }
 
@@ -695,7 +681,7 @@ fn long_fuzz_sssp() {
 #[ignore = "nightly long-fuzz profile"]
 fn long_fuzz_cc() {
     for mode in MODES {
-        fuzz_cc(&NIGHTLY, mode, None, 0xF1_0200);
+        fuzz_cc(&NIGHTLY, mode, TransportSpec::InProcess, 0xF1_0200);
     }
 }
 
@@ -703,7 +689,7 @@ fn long_fuzz_cc() {
 #[ignore = "nightly long-fuzz profile"]
 fn long_fuzz_sim() {
     for mode in MODES {
-        fuzz_sim(&NIGHTLY, mode, None, 0xF1_0300);
+        fuzz_sim(&NIGHTLY, mode, TransportSpec::InProcess, 0xF1_0300);
     }
 }
 
@@ -711,7 +697,7 @@ fn long_fuzz_sim() {
 #[ignore = "nightly long-fuzz profile"]
 fn long_fuzz_subiso() {
     for mode in MODES {
-        fuzz_subiso(&NIGHTLY, mode, None, 0xF1_0400);
+        fuzz_subiso(&NIGHTLY, mode, TransportSpec::InProcess, 0xF1_0400);
     }
 }
 
@@ -719,6 +705,6 @@ fn long_fuzz_subiso() {
 #[ignore = "nightly long-fuzz profile"]
 fn long_fuzz_cf() {
     for mode in MODES {
-        fuzz_cf(&NIGHTLY, mode, None, 0xF1_0500);
+        fuzz_cf(&NIGHTLY, mode, TransportSpec::InProcess, 0xF1_0500);
     }
 }

@@ -16,7 +16,7 @@ fn prelude_exposes_the_advertised_surface() {
     let _session_builder: GrapeSessionBuilder = GrapeSession::builder();
     let _config: EngineConfig = EngineConfig::with_workers(1);
     let _mode: EngineMode = EngineMode::Sync;
-    let _transport: TransportSpec = TransportSpec::Barrier;
+    let _transport: TransportSpec = TransportSpec::InProcess;
 
     // The five query classes of the paper (Section 5).
     fn is_pie_program<P: PieProgram>(_p: &P) {}

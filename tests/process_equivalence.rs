@@ -1,9 +1,10 @@
-//! Location transparency of the Process transport: the answer to a query
-//! must be **byte-identical** whether fragments are evaluated in-process
-//! (`TransportSpec::Barrier` / `TransportSpec::Channel`) or sharded across
-//! `grape-worker` subprocesses (`TransportSpec::Process`), in both engine
-//! modes — for all five PIE families and including the prepare → update
-//! incremental path.
+//! Location transparency of the Process host: the answer to a query must be
+//! **byte-identical** whether fragments are evaluated in-process
+//! (`TransportSpec::InProcess`) or sharded across `grape-worker`
+//! subprocesses (`TransportSpec::Process`), in both engine modes — for all
+//! five PIE families, including the prepare → update incremental path and
+//! checkpoint/restart recovery from injected failures.  The message
+//! transport follows the mode under both hosts.
 //!
 //! Byte equality goes through [`DeltaOutput::canonical`] (the key-sorted
 //! bijective row form every family implements) serialized with the same
@@ -25,26 +26,18 @@ use grape::core::transport::TransportSpec;
 use grape::core::worker_proto::locate_worker_binary;
 use grape::graph::builder::GraphBuilder;
 use grape::graph::delta::GraphDelta;
+use grape::graph::generators::road_grid;
 use grape::graph::graph::{Directedness, Graph};
 use grape::graph::pattern::Pattern;
 use grape::graph::types::Edge;
 use grape::partition::edge_cut::HashEdgeCut;
 use grape::partition::strategy::PartitionStrategy;
 
-/// Every transport legal under `mode` (Async rejects the barrier).
-fn specs(mode: EngineMode) -> Vec<TransportSpec> {
-    match mode {
-        EngineMode::Sync => vec![
-            TransportSpec::Barrier,
-            TransportSpec::Channel,
-            TransportSpec::Process { workers: 2 },
-        ],
-        EngineMode::Async => vec![
-            TransportSpec::Channel,
-            TransportSpec::Process { workers: 2 },
-        ],
-    }
-}
+/// Both hosts, compared in either mode.
+const SPECS: [TransportSpec; 2] = [
+    TransportSpec::InProcess,
+    TransportSpec::Process { workers: 2 },
+];
 
 fn session(workers: usize, mode: EngineMode, spec: TransportSpec) -> GrapeSession {
     GrapeSession::builder()
@@ -75,8 +68,8 @@ fn canon<P: DeltaOutput>(program: &P, query: &P::Query, output: &P::Output) -> S
     serde_json::to_string(&program.canonical(query, output)).unwrap()
 }
 
-/// Runs `query` under every transport legal in `mode` and asserts the
-/// canonical answers are byte-equal.
+/// Runs `query` on both hosts in `mode` and asserts the canonical answers
+/// are byte-equal.
 fn assert_batch_equivalent<P, F>(
     make: F,
     query: &P::Query,
@@ -88,19 +81,17 @@ fn assert_batch_equivalent<P, F>(
     P: DeltaOutput,
     F: Fn() -> P,
 {
-    let mut baseline: Option<(String, String)> = None;
-    for spec in specs(mode) {
+    let mut baseline: Option<(TransportSpec, String)> = None;
+    for spec in SPECS {
         let frag = HashEdgeCut::new(fragments).partition(graph).unwrap();
         let program = make();
         let run = session(2, mode, spec).run(&frag, &program, query).unwrap();
         let bytes = canon(&program, query, &run.output);
         match &baseline {
-            None => baseline = Some((spec.name().to_string(), bytes)),
-            Some((base_name, base_bytes)) => assert_eq!(
-                &bytes,
-                base_bytes,
-                "{tag} ({mode:?}): transport {} diverges from {base_name}",
-                spec.name()
+            None => baseline = Some((spec, bytes)),
+            Some((base_spec, base_bytes)) => assert_eq!(
+                &bytes, base_bytes,
+                "{tag} ({mode:?}): {spec:?} diverges from {base_spec:?}"
             ),
         }
     }
@@ -229,12 +220,7 @@ fn cf_answers_are_byte_equal_across_transports() {
     }
     // CF's SGD trajectory is deterministic under Sync for any worker count
     // and under Async only for a single engine worker (one drain order) —
-    // the same pinning the delta fuzz uses.  Unlike the fixpoint families,
-    // the trajectory is *not* transport-invariant: barrier and channel
-    // bucket border messages into supersteps differently, which reorders
-    // the SGD updates.  The location-transparency contract is therefore
-    // pinned against the substrate the Process transport actually wraps:
-    // barrier under Sync, channel under Async.
+    // the same pinning the delta fuzz uses.
     let mut rng = StdRng::seed_from_u64(0x9C_0500);
     let mut b = GraphBuilder::directed();
     for _ in 0..40 {
@@ -249,24 +235,22 @@ fn cf_answers_are_byte_equal_across_transports() {
         ..Default::default()
     };
     for mode in MODES {
-        let (workers, in_process) = match mode {
-            EngineMode::Sync => (2, TransportSpec::Barrier),
-            EngineMode::Async => (1, TransportSpec::Channel),
+        let workers = match mode {
+            EngineMode::Sync => 2,
+            EngineMode::Async => 1,
         };
-        let mut baseline: Option<(String, String)> = None;
-        for spec in [in_process, TransportSpec::Process { workers }] {
+        let mut baseline: Option<(TransportSpec, String)> = None;
+        for spec in [TransportSpec::InProcess, TransportSpec::Process { workers }] {
             let frag = HashEdgeCut::new(3).partition(&graph).unwrap();
             let run = session(workers, mode, spec)
                 .run(&frag, &Cf, &query)
                 .unwrap();
             let bytes = canon(&Cf, &query, &run.output);
             match &baseline {
-                None => baseline = Some((spec.name().to_string(), bytes)),
-                Some((base_name, base_bytes)) => assert_eq!(
-                    &bytes,
-                    base_bytes,
-                    "cf ({mode:?}): transport {} diverges from {base_name}",
-                    spec.name()
+                None => baseline = Some((spec, bytes)),
+                Some((base_spec, base_bytes)) => assert_eq!(
+                    &bytes, base_bytes,
+                    "cf ({mode:?}): {spec:?} diverges from {base_spec:?}"
                 ),
             }
         }
@@ -275,7 +259,7 @@ fn cf_answers_are_byte_equal_across_transports() {
 
 /// The prepare → update path: retained partials ship to the workers at the
 /// refresh handshake, seed messages cross the pipe, and the refreshed
-/// answer must still be byte-equal to the in-process transports.
+/// answer must still be byte-equal to the in-process host.
 #[test]
 fn incremental_refresh_is_byte_equal_across_transports() {
     if !worker_available() {
@@ -304,8 +288,8 @@ fn incremental_refresh_is_byte_equal_across_transports() {
             }
 
             let query = SsspQuery::new(source);
-            let mut baseline: Option<(String, Vec<String>)> = None;
-            for spec in specs(mode) {
+            let mut baseline: Option<(TransportSpec, Vec<String>)> = None;
+            for spec in SPECS {
                 let frag = HashEdgeCut::new(4).partition(&graph).unwrap();
                 let s = session(2, mode, spec);
                 let mut prepared = s.prepare(frag, Sssp, query).unwrap();
@@ -315,13 +299,11 @@ fn incremental_refresh_is_byte_equal_across_transports() {
                     states.push(canon(&Sssp, &query, &prepared.output()));
                 }
                 match &baseline {
-                    None => baseline = Some((spec.name().to_string(), states)),
-                    Some((base_name, base_states)) => assert_eq!(
-                        &states,
-                        base_states,
-                        "sssp refresh case {case} ({mode:?}): transport {} \
-                         diverges from {base_name}",
-                        spec.name()
+                    None => baseline = Some((spec, states)),
+                    Some((base_spec, base_states)) => assert_eq!(
+                        &states, base_states,
+                        "sssp refresh case {case} ({mode:?}): {spec:?} \
+                         diverges from {base_spec:?}"
                     ),
                 }
             }
@@ -341,7 +323,7 @@ fn pipe_bytes_are_accounted_only_for_the_process_transport() {
     let frag = HashEdgeCut::new(4).partition(&graph).unwrap();
     let query = SsspQuery::new(0);
 
-    let in_process = session(2, EngineMode::Sync, TransportSpec::Barrier)
+    let in_process = session(2, EngineMode::Sync, TransportSpec::InProcess)
         .run(&frag, &Sssp, &query)
         .unwrap();
     assert_eq!(in_process.metrics.pipe_bytes, 0);
@@ -363,4 +345,70 @@ fn pipe_bytes_are_accounted_only_for_the_process_transport() {
         "pipe traffic grew to {} bytes",
         subprocess.metrics.pipe_bytes
     );
+}
+
+/// Checkpoint and restart recovery on subprocess workers: a checkpoint
+/// pulls every partial back over the pipes, a rollback pushes them out
+/// again (`set_partials`), and a restart without a checkpoint clears them
+/// (`clear`).  Every injected failure must recover to the failure-free
+/// answer byte for byte on both hosts, with equal checkpoint, superstep and
+/// message counts.  Checkpointing every 2 supersteps makes the failure at
+/// superstep 3 roll back to partials older than the live ones; every 1
+/// restores the state just taken.  Failure injection is superstep-aligned,
+/// so Sync only.
+#[test]
+fn injected_failure_recovery_is_byte_equal_across_hosts() {
+    if !worker_available() {
+        return;
+    }
+    let graph = road_grid(12, 12, 7);
+    let frag = HashEdgeCut::new(4).partition(&graph).unwrap();
+    let query = SsspQuery::new(0);
+    let clean = session(2, EngineMode::Sync, TransportSpec::InProcess)
+        .run(&frag, &Sssp, &query)
+        .unwrap();
+    let expected = canon(&Sssp, &query, &clean.output);
+    for checkpoint_every in [Some(1), Some(2), None] {
+        for (superstep, fragment) in [(1, 0), (2, 1), (3, 2)] {
+            let mut baseline: Option<(TransportSpec, [usize; 3])> = None;
+            for spec in SPECS {
+                let mut builder = GrapeSession::builder()
+                    .workers(2)
+                    .mode(EngineMode::Sync)
+                    .transport(spec)
+                    .inject_failure(superstep, fragment);
+                if let Some(every) = checkpoint_every {
+                    builder = builder.checkpoint_every(every);
+                }
+                let run = builder.build().unwrap().run(&frag, &Sssp, &query).unwrap();
+                let tag = format!(
+                    "failure at ({superstep}, {fragment}), checkpoint {checkpoint_every:?}, \
+                     {spec:?}"
+                );
+                assert_eq!(run.metrics.recovered_failures, 1, "{tag}");
+                assert_eq!(
+                    run.metrics.checkpoints > 0,
+                    checkpoint_every.is_some(),
+                    "{tag}"
+                );
+                assert_eq!(
+                    canon(&Sssp, &query, &run.output),
+                    expected,
+                    "{tag}: recovered answer differs from the failure-free run"
+                );
+                let counts = [
+                    run.metrics.checkpoints,
+                    run.metrics.supersteps,
+                    run.metrics.total_messages,
+                ];
+                match &baseline {
+                    None => baseline = Some((spec, counts)),
+                    Some((base_spec, base_counts)) => assert_eq!(
+                        &counts, base_counts,
+                        "{tag}: [checkpoints, supersteps, messages] diverge from {base_spec:?}"
+                    ),
+                }
+            }
+        }
+    }
 }

@@ -640,37 +640,69 @@ pub struct QuotientTables {
 }
 
 impl QuotientTables {
-    /// Derives all four tables from a fragmentation's `G_P` (one pass over
-    /// the border vertices per table).
+    /// Derives all four tables from a fragmentation's `G_P` in one pass over
+    /// the border vertices.  Each border vertex `v` is held by its owner,
+    /// its outer-copy holders and its in-border holders; every holder `i`
+    /// gains the destinations `G_P`'s
+    /// [`route`](crate::fragmentation_graph::FragmentationGraph::route)
+    /// would give an update to `v` from `i`, read straight off those lists
+    /// into dense `m × m` relations.
     pub fn derive(frag: &Fragmentation) -> QuotientTables {
         let gp = frag.gp();
         let m = frag.num_fragments();
-        let mut tables = QuotientTables {
-            successors_out: vec![BTreeSet::new(); m],
-            successors_in: vec![BTreeSet::new(); m],
-            successors_both: vec![BTreeSet::new(); m],
-            adjacency: vec![BTreeSet::new(); m],
-        };
+        let shared = gp.shared_vertex_routing();
+        // Row-major `m × m` relations; `Both` routes to every other holder,
+        // which is exactly the structural adjacency.
+        let mut out = vec![false; m * m];
+        let mut inn = vec![false; m * m];
+        let mut both = vec![false; m * m];
         for v in gp.border_vertices() {
-            let holders: Vec<usize> = holders_of(frag, v).collect();
-            for &i in &holders {
-                for dest in gp.route(v, i, BorderScope::Out) {
-                    tables.successors_out[i].insert(dest);
+            let owner = gp.owner(v) as u32;
+            let outer = gp.outer_holders(v);
+            let in_border = gp.in_holders(v);
+            let holders = || std::iter::once(&owner).chain(outer).chain(in_border);
+            // `Out` falls back to the owner when no fragment holds `v` in
+            // `F.I`; under vertex-cut routing both scopes act as `Both`.
+            let out_dests = if in_border.is_empty() {
+                std::slice::from_ref(&owner)
+            } else {
+                in_border
+            };
+            for &i in holders() {
+                let row = i as usize * m;
+                for &j in holders() {
+                    both[row + j as usize] = true;
                 }
-                for dest in gp.route(v, i, BorderScope::In) {
-                    tables.successors_in[i].insert(dest);
-                }
-                for dest in gp.route(v, i, BorderScope::Both) {
-                    tables.successors_both[i].insert(dest);
-                }
-                for &j in &holders {
-                    if i != j {
-                        tables.adjacency[i].insert(j);
+                if !shared {
+                    for &j in out_dests {
+                        out[row + j as usize] = true;
+                    }
+                    for &j in outer {
+                        inn[row + j as usize] = true;
                     }
                 }
             }
         }
-        tables
+        if shared {
+            out.clone_from(&both);
+            inn.clone_from(&both);
+        }
+        // A fragment is never its own destination.
+        let table = |rel: &[bool]| -> Vec<BTreeSet<usize>> {
+            (0..m)
+                .map(|i| {
+                    let row = &rel[i * m..(i + 1) * m];
+                    (0..m).filter(|&j| j != i && row[j]).collect()
+                })
+                .collect()
+        };
+        let successors_both = table(&both);
+        QuotientTables {
+            successors_out: table(&out),
+            successors_in: table(&inn),
+            adjacency: successors_both.clone(),
+            successors_both,
+        }
     }
 
     /// The successor table of one scope.
@@ -709,17 +741,6 @@ impl Fragmentation {
     pub fn quotient_adjacency(&self) -> Vec<BTreeSet<usize>> {
         self.quotient_tables().adjacency.clone()
     }
-}
-
-/// Every fragment holding a copy of border vertex `v` (owner, outer-copy
-/// holders and in-border holders), deduplicated.
-fn holders_of(frag: &Fragmentation, v: VertexId) -> impl Iterator<Item = usize> {
-    let gp = frag.gp();
-    let mut holders: BTreeSet<usize> = BTreeSet::new();
-    holders.insert(gp.owner(v));
-    holders.extend(gp.outer_holders(v).iter().map(|&i| i as usize));
-    holders.extend(gp.in_holders(v).iter().map(|&i| i as usize));
-    holders.into_iter()
 }
 
 /// Unions two successor tables (old and new quotient graphs): stale state
@@ -837,6 +858,7 @@ pub fn damage_frontier(
 mod tests {
     use super::*;
     use crate::edge_cut::{HashEdgeCut, RangeEdgeCut};
+    use crate::fragmentation_graph::FragmentationGraph;
     use crate::metis_like::MetisLike;
     use crate::strategy::PartitionStrategy;
     use crate::vertex_cut::GreedyVertexCut;
@@ -1384,6 +1406,104 @@ mod tests {
             }
         }
         delta
+    }
+
+    /// The quotient tables as they were derived: every holder of every
+    /// border vertex asks `G_P::route` for its destinations.
+    fn reference_tables(frag: &Fragmentation) -> QuotientTables {
+        let gp = frag.gp();
+        let m = frag.num_fragments();
+        let mut tables = QuotientTables {
+            successors_out: vec![BTreeSet::new(); m],
+            successors_in: vec![BTreeSet::new(); m],
+            successors_both: vec![BTreeSet::new(); m],
+            adjacency: vec![BTreeSet::new(); m],
+        };
+        for v in gp.border_vertices() {
+            let mut holders: BTreeSet<usize> = BTreeSet::new();
+            holders.insert(gp.owner(v));
+            holders.extend(gp.outer_holders(v).iter().map(|&i| i as usize));
+            holders.extend(gp.in_holders(v).iter().map(|&i| i as usize));
+            for &i in &holders {
+                for dest in gp.route(v, i, BorderScope::Out) {
+                    tables.successors_out[i].insert(dest);
+                }
+                for dest in gp.route(v, i, BorderScope::In) {
+                    tables.successors_in[i].insert(dest);
+                }
+                for dest in gp.route(v, i, BorderScope::Both) {
+                    tables.successors_both[i].insert(dest);
+                }
+                for &j in &holders {
+                    if i != j {
+                        tables.adjacency[i].insert(j);
+                    }
+                }
+            }
+        }
+        tables
+    }
+
+    /// The dense derivation equals the `route()` one on edge cuts, on
+    /// vertex cuts (shared-vertex routing) and along seeded delta chains.
+    #[test]
+    fn quotient_tables_match_the_route_reference() {
+        let check = |frag: &Fragmentation, at: &str| {
+            assert_eq!(QuotientTables::derive(frag), reference_tables(frag), "{at}");
+        };
+        let kg = grape_graph::generators::labeled_kg(400, 1600, 20, 16, 7);
+        for m in [1, 4, 7] {
+            let ec = MetisLike::new(m).partition(&kg).unwrap();
+            check(&ec, "kg metis");
+            // A `G_P` with every `F.I` empty: `Out` falls back to the owner.
+            let owner = (0..kg.num_vertices() as VertexId)
+                .map(|v| ec.gp().owner(v) as u32)
+                .collect();
+            let outer: Vec<Vec<VertexId>> = ec
+                .fragments()
+                .iter()
+                .map(|f| f.out_border_globals())
+                .collect();
+            let gp = FragmentationGraph::new(owner, &outer, &vec![Vec::new(); m]);
+            let no_in = Fragmentation::from_parts(
+                ec.fragments().to_vec(),
+                gp,
+                true,
+                "no F.I".to_string(),
+                None,
+            );
+            check(&no_in, "kg metis without F.I");
+            let vc = GreedyVertexCut::new(m).partition(&kg).unwrap();
+            assert!(vc.gp().shared_vertex_routing());
+            check(&vc, "kg vertex cut");
+        }
+        for seed in 0..6u64 {
+            for directedness in [Directedness::Directed, Directedness::Undirected] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g0 = random_graph(&mut rng, directedness);
+                let vc = GreedyVertexCut::new(3).partition(&g0).unwrap();
+                check(&vc, &format!("seed {seed} {directedness:?} vertex cut"));
+                let strategies: [Box<dyn PartitionStrategy>; 3] = [
+                    Box::new(HashEdgeCut::new(4)),
+                    Box::new(RangeEdgeCut::new(3)),
+                    Box::new(MetisLike::new(4)),
+                ];
+                for strategy in strategies {
+                    let mut g = g0.clone();
+                    let mut frag = strategy.partition(&g).unwrap();
+                    for step in 0..12 {
+                        let at = format!(
+                            "seed {seed} {directedness:?} {} step {step}",
+                            strategy.name()
+                        );
+                        check(&frag, &at);
+                        let delta = random_delta(&mut rng, &g);
+                        frag = frag.apply_delta(&delta).unwrap().fragmentation;
+                        g = g.apply_delta(&delta).unwrap();
+                    }
+                }
+            }
+        }
     }
 
     /// Patch ≡ rebuild over seeded chains of mixed deltas, for Hash, Range

@@ -368,8 +368,21 @@ impl Fragmentation {
 
     /// Builds an *expanded* copy of fragment `i` that additionally contains
     /// every vertex and edge within `hops` hops (following either direction)
-    /// of the fragment's inner border `F_i.I`, as required by the SubIso PIE
-    /// program (candidate set `C_i` with `d = d_Q`, Section 5.1).
+    /// of the fragment's border `F_i.I ∪ F_i.O`, as required by the SubIso
+    /// PIE program (candidate set `C_i` with `d = d_Q`, Section 5.1).
+    ///
+    /// Invariant: every vertex within `hops` hops of an inner vertex is
+    /// present.  On a path from an inner vertex, the edge after its last
+    /// inner vertex is a cross edge with an endpoint in `F_i.I` or `F_i.O`,
+    /// and the rest of the path avoids inner vertices, so the search from
+    /// that border vertex reaches the path's end.  That is what makes
+    /// SubIso's rule — report exactly the matches anchored at an inner
+    /// vertex — exact for patterns of diameter at most `hops`.
+    ///
+    /// The expanded fragment lists the inner vertices first (in the base's
+    /// order), then every other present vertex in ascending global id; its
+    /// edges are the source graph's edges between present vertices, in that
+    /// vertex order.  Both border lists keep the base's vertices.
     ///
     /// Returns the expanded fragment together with the number of vertices and
     /// edges that had to be *shipped* from other fragments (used by the
@@ -377,77 +390,87 @@ impl Fragmentation {
     pub fn expand_fragment(&self, i: usize, hops: usize) -> (Fragment, usize, usize) {
         let base = &self.fragments[i];
         let g = self.source().as_ref();
-        // Start from all vertices already present locally.
-        let mut keep: HashMap<VertexId, bool> = HashMap::new(); // vertex -> is_inner
+        let n = g.num_vertices();
+        // Start from all vertices already present locally; `extra` collects
+        // the non-inner ones (outer copies, then everything shipped).
+        let mut present = vec![false; n];
+        let mut extra: Vec<VertexId> = Vec::new();
         for l in base.all_locals() {
-            keep.insert(base.global_of(l), base.is_inner(l));
+            let v = base.global_of(l);
+            present[v as usize] = true;
+            if !base.is_inner(l) {
+                extra.push(v);
+            }
         }
-        // BFS outward from the inner border, up to `hops` hops, both directions.
+        let num_outer = extra.len();
+        // BFS outward from both border sets, up to `hops` hops, both directions.
         let mut frontier: Vec<VertexId> = base.in_border_globals();
-        // Also expand around outer copies so the matched neighborhoods are complete.
         frontier.extend(base.out_border_globals());
         for _ in 0..hops {
             let mut next = Vec::new();
             for &v in &frontier {
-                for n in g.out_neighbors(v).iter().chain(g.in_neighbors(v).iter()) {
-                    if let std::collections::hash_map::Entry::Vacant(e) = keep.entry(n.target) {
-                        e.insert(false);
-                        next.push(n.target);
+                for nb in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
+                    let seen = &mut present[nb.target as usize];
+                    if !*seen {
+                        *seen = true;
+                        next.push(nb.target);
                     }
                 }
             }
+            extra.extend_from_slice(&next);
             frontier = next;
         }
-        // Assemble the vertex list: inner vertices first (same order as base).
-        let mut globals: Vec<VertexId> = base.inner_locals().map(|l| base.global_of(l)).collect();
-        let mut extra: Vec<VertexId> = keep
-            .iter()
-            .filter(|(_, is_inner)| !**is_inner)
-            .map(|(v, _)| *v)
-            .collect();
+        let shipped_vertices = extra.len() - num_outer;
+        // Inner vertices first (same order as base), then the rest by id.
         extra.sort_unstable();
-        let shipped_vertices = keep.len() - base.num_local();
+        let num_inner = base.num_inner();
+        let mut globals: Vec<VertexId> = Vec::with_capacity(num_inner + extra.len());
+        globals.extend(base.inner_locals().map(|l| base.global_of(l)));
         globals.extend(extra);
+        let mut local_of = vec![LocalId::MAX; n];
+        for (l, &v) in globals.iter().enumerate() {
+            local_of[v as usize] = l as LocalId;
+        }
 
-        let to_local: HashMap<VertexId, LocalId> = globals
-            .iter()
-            .enumerate()
-            .map(|(l, &v)| (v, l as LocalId))
-            .collect();
-
-        // Local edges: every source-graph edge with both endpoints kept, in
-        // `globals` order so the expansion is the same on every run.
+        // Local edges: every source-graph edge with both endpoints present,
+        // in `globals` order so the expansion is the same on every run.
         let mut edges = Vec::new();
         let mut shipped_edges = 0usize;
         for (src_local, &v) in globals.iter().enumerate() {
-            let src_is_inner = src_local < base.num_inner();
-            for n in g.out_neighbors(v) {
-                if let Some(&dst_local) = to_local.get(&n.target) {
+            let before = edges.len();
+            for nb in g.out_neighbors(v) {
+                let dst_local = local_of[nb.target as usize];
+                if dst_local != LocalId::MAX {
                     edges.push(Edge::new(
                         src_local as VertexId,
                         dst_local as VertexId,
-                        n.weight,
-                        n.label,
+                        nb.weight,
+                        nb.label,
                     ));
-                    if !src_is_inner {
-                        shipped_edges += 1;
-                    }
                 }
+            }
+            if src_local >= num_inner {
+                shipped_edges += edges.len() - before;
             }
         }
         let labels: Vec<Label> = globals.iter().map(|&v| g.vertex_label(v)).collect();
         let local = Graph::from_parts(Directedness::Directed, globals.len(), edges, labels);
 
-        let num_inner = base.num_inner();
-        let expanded = Fragment {
-            id: i,
+        // The outer copies moved to their place in id order: remap `F_i.O`.
+        let mut out_border: Vec<LocalId> = base
+            .out_border
+            .iter()
+            .map(|&l| local_of[base.global_of(l) as usize])
+            .collect();
+        out_border.sort_unstable();
+        let expanded = Fragment::from_raw_parts(
+            i,
             local,
             globals,
-            to_local,
             num_inner,
-            in_border: base.in_border.clone(),
-            out_border: base.out_border.clone(),
-        };
+            base.in_border.clone(),
+            out_border,
+        );
         (expanded, shipped_vertices, shipped_edges)
     }
 }
@@ -883,5 +906,244 @@ mod tests {
         // Cross edge 1-2 gives F0 an outer copy of 2 and F1 an outer copy of 1.
         assert_eq!(f0.out_border_globals(), vec![2]);
         assert_eq!(frag.fragment(1).out_border_globals(), vec![1]);
+    }
+}
+
+/// Pins [`Fragmentation::expand_fragment`] against the hash-map
+/// implementation it replaced.
+#[cfg(test)]
+mod expansion {
+    use super::*;
+    use crate::edge_cut::HashEdgeCut;
+    use crate::metis_like::MetisLike;
+    use crate::strategy::PartitionStrategy;
+    use crate::vertex_cut::GreedyVertexCut;
+    use grape_graph::generators::{erdos_renyi, labeled_kg};
+    use grape_graph::GraphDelta;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The expansion as it was computed with a `keep` map (vertex → is
+    /// inner) and a global → local map, with `F_i.O` remapped to the
+    /// expanded local ids.
+    fn reference_expand(frag: &Fragmentation, i: usize, hops: usize) -> (Fragment, usize, usize) {
+        let base = frag.fragment(i);
+        let g = frag.source().as_ref();
+        let mut keep: HashMap<VertexId, bool> = HashMap::new();
+        for l in base.all_locals() {
+            keep.insert(base.global_of(l), base.is_inner(l));
+        }
+        let mut frontier: Vec<VertexId> = base.in_border_globals();
+        frontier.extend(base.out_border_globals());
+        for _ in 0..hops {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                for n in g.out_neighbors(v).iter().chain(g.in_neighbors(v).iter()) {
+                    if let std::collections::hash_map::Entry::Vacant(e) = keep.entry(n.target) {
+                        e.insert(false);
+                        next.push(n.target);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        let mut globals: Vec<VertexId> = base.inner_locals().map(|l| base.global_of(l)).collect();
+        let mut extra: Vec<VertexId> = keep
+            .iter()
+            .filter(|(_, is_inner)| !**is_inner)
+            .map(|(v, _)| *v)
+            .collect();
+        extra.sort_unstable();
+        let shipped_vertices = keep.len() - base.num_local();
+        globals.extend(extra);
+        let to_local: HashMap<VertexId, LocalId> = globals
+            .iter()
+            .enumerate()
+            .map(|(l, &v)| (v, l as LocalId))
+            .collect();
+        let mut edges = Vec::new();
+        let mut shipped_edges = 0usize;
+        for (src_local, &v) in globals.iter().enumerate() {
+            let src_is_inner = src_local < base.num_inner();
+            for n in g.out_neighbors(v) {
+                if let Some(&dst_local) = to_local.get(&n.target) {
+                    edges.push(Edge::new(
+                        src_local as VertexId,
+                        dst_local as VertexId,
+                        n.weight,
+                        n.label,
+                    ));
+                    if !src_is_inner {
+                        shipped_edges += 1;
+                    }
+                }
+            }
+        }
+        let labels: Vec<Label> = globals.iter().map(|&v| g.vertex_label(v)).collect();
+        let local = Graph::from_parts(Directedness::Directed, globals.len(), edges, labels);
+        let mut out_border: Vec<LocalId> = base
+            .out_border_globals()
+            .iter()
+            .map(|v| to_local[v])
+            .collect();
+        out_border.sort_unstable();
+        let expanded = Fragment {
+            id: i,
+            local,
+            globals,
+            to_local,
+            num_inner: base.num_inner(),
+            in_border: base.in_border.clone(),
+            out_border,
+        };
+        (expanded, shipped_vertices, shipped_edges)
+    }
+
+    fn seeded_graphs() -> Vec<Graph> {
+        vec![
+            erdos_renyi(60, 240, 4, Directedness::Directed, 0x5EED_0011),
+            erdos_renyi(50, 150, 3, Directedness::Undirected, 0x5EED_0012),
+            labeled_kg(400, 1600, 20, 16, 7),
+        ]
+    }
+
+    /// A valid delta over `g`: a few inserts (one to a new vertex), a few
+    /// removals of present edges and now and then a detached vertex.
+    fn random_delta(rng: &mut StdRng, g: &Graph) -> GraphDelta {
+        let n = g.num_vertices() as VertexId;
+        let edges = g.edges();
+        let mut delta = GraphDelta::new().add_weighted_edge(rng.gen_range(0..n), n, 1.5);
+        for _ in 0..6 {
+            let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            delta = delta.add_weighted_edge(src, dst, rng.gen_range(1..4) as f64);
+        }
+        for _ in 0..4 {
+            let e = edges[rng.gen_range(0..edges.len())];
+            delta = delta.remove_edge(e.src, e.dst);
+        }
+        if rng.gen_range(0..2) == 0 {
+            delta = delta.remove_vertex(rng.gen_range(0..n));
+        }
+        delta
+    }
+
+    /// Every version to expand: edge cuts at partition time and along a
+    /// seeded delta chain (whose `source()` is derived, with another edge
+    /// order), plus a vertex cut at partition time.
+    fn versions(g: &Graph, seed: u64) -> Vec<(String, Fragmentation)> {
+        let mut out = Vec::new();
+        let edge_cuts: [Box<dyn PartitionStrategy>; 2] =
+            [Box::new(HashEdgeCut::new(4)), Box::new(MetisLike::new(4))];
+        for strategy in edge_cuts {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut graph = g.clone();
+            let mut frag = strategy.partition(&graph).unwrap();
+            out.push((format!("{} v0", strategy.name()), frag.clone()));
+            for step in 1..=3 {
+                let delta = random_delta(&mut rng, &graph);
+                graph = graph.apply_delta(&delta).unwrap();
+                frag = frag.apply_delta(&delta).unwrap().fragmentation;
+                out.push((format!("{} v{step}", strategy.name()), frag.clone()));
+            }
+        }
+        let vc = GreedyVertexCut::new(3).partition(g).unwrap();
+        out.push(("vertex-cut".to_string(), vc));
+        out
+    }
+
+    #[test]
+    fn expansion_matches_the_hash_map_reference() {
+        for (seed, g) in seeded_graphs().iter().enumerate() {
+            for (name, frag) in versions(g, seed as u64) {
+                for hops in 0..=3 {
+                    for i in 0..frag.num_fragments() {
+                        let at = format!("graph {seed} {name} hops {hops} fragment {i}");
+                        let (a, av, ae) = frag.expand_fragment(i, hops);
+                        let (b, bv, be) = reference_expand(&frag, i, hops);
+                        assert_eq!(a.globals, b.globals, "{at}: globals");
+                        assert_eq!(
+                            a.local_graph().vertex_labels(),
+                            b.local_graph().vertex_labels(),
+                            "{at}: labels"
+                        );
+                        assert_eq!(a.num_inner, b.num_inner, "{at}: num_inner");
+                        assert_eq!(a.in_border, b.in_border, "{at}: F.I");
+                        assert_eq!(a.out_border, b.out_border, "{at}: F.O");
+                        for l in a.all_locals() {
+                            assert_eq!(a.out_edges(l), b.out_edges(l), "{at}: out-edges of {l}");
+                            assert_eq!(a.in_edges(l), b.in_edges(l), "{at}: in-edges of {l}");
+                        }
+                        assert_eq!((av, ae), (bv, be), "{at}: shipped counts");
+                        assert!(a.check_invariants(), "{at}: invariants");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Outer copies move to id order in the expansion; both border lists
+    /// must still name the base's vertices.
+    #[test]
+    fn expanded_borders_keep_their_vertices() {
+        let g = labeled_kg(400, 1600, 20, 16, 7);
+        let frag = MetisLike::new(4).partition(&g).unwrap();
+        for hops in 0..=2 {
+            for i in 0..frag.num_fragments() {
+                let base = frag.fragment(i);
+                let (expanded, ..) = frag.expand_fragment(i, hops);
+                let mut outer = base.out_border_globals();
+                outer.sort_unstable();
+                assert!(!outer.is_empty(), "fragment {i} has outer copies");
+                assert_eq!(
+                    expanded.out_border_globals(),
+                    outer,
+                    "hops {hops} fragment {i}"
+                );
+                assert_eq!(
+                    expanded.in_border_globals(),
+                    base.in_border_globals(),
+                    "hops {hops} fragment {i}"
+                );
+            }
+        }
+    }
+
+    /// The invariant SubIso's inner-anchor rule rests on: every vertex
+    /// within `hops` (undirected) hops of an inner vertex is present.
+    #[test]
+    fn expansion_holds_every_vertex_near_an_inner_vertex() {
+        for (seed, g) in seeded_graphs().iter().enumerate() {
+            for (name, frag) in versions(g, seed as u64) {
+                let source = frag.source();
+                for hops in 0..=2 {
+                    for i in 0..frag.num_fragments() {
+                        let (expanded, ..) = frag.expand_fragment(i, hops);
+                        let base = frag.fragment(i);
+                        let mut frontier: Vec<VertexId> =
+                            base.inner_locals().map(|l| base.global_of(l)).collect();
+                        let mut seen: std::collections::HashSet<VertexId> =
+                            frontier.iter().copied().collect();
+                        for _ in 0..hops {
+                            let mut next = Vec::new();
+                            for &v in &frontier {
+                                let around = source.out_neighbors(v).iter();
+                                for nb in around.chain(source.in_neighbors(v)) {
+                                    if seen.insert(nb.target) {
+                                        next.push(nb.target);
+                                    }
+                                }
+                            }
+                            frontier = next;
+                        }
+                        for v in seen {
+                            assert!(
+                                expanded.local_of(v).is_some(),
+                                "graph {seed} {name} hops {hops} fragment {i}: {v} missing"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,18 +13,27 @@
 //!    updates can be made (the fixpoint), and
 //! 4. calls `Assemble` on the partial results.
 //!
-//! Two runtimes share that skeleton:
+//! One scheduler loop runs that skeleton.  Every physical worker sweeps its
+//! fragments on its own thread — PEval on the masked ones in round 0, then
+//! drain → IncEval → route on every fragment with pending mail — and after
+//! each sweep asks a **gate** what comes next.  The mode picks the gate, and
+//! the gate decides only when mail becomes visible and when the run ends:
 //!
-//! * **Superstep loop** ([`EngineMode::Sync`]) — BSP: all active fragments
-//!   evaluate, then the transport flushes at a global barrier.  This is the
-//!   model analysed in the paper, including superstep-aligned checkpointing
-//!   and failure recovery.
-//! * **Streaming loop** ([`EngineMode::Async`]) — no global barrier:
-//!   fragments are independent tasks on their owning worker, draining their
-//!   mailboxes to quiescence.  The superstep metric then reports the depth
-//!   of an equivalent BSP schedule of the same deliveries — because fresher
+//! * **Barrier** ([`EngineMode::Sync`]) — BSP: the workers meet at a barrier
+//!   after every round, and the leader thread flushes the transport,
+//!   records the round and handles superstep-aligned checkpoints and failure
+//!   recovery before publishing the next round.  This is the model analysed
+//!   in the paper.
+//! * **Quiescence** ([`EngineMode::Async`]) — no barrier: mail is visible at
+//!   once and the workers drain their mailboxes until the whole computation
+//!   is quiescent.  The superstep metric then reports the depth of an
+//!   equivalent BSP schedule of the same deliveries — because fresher
 //!   values arrive without waiting for a barrier, this is no larger (and on
 //!   high-diameter workloads smaller) than the synchronous superstep count.
+//!
+//! A panic inside an evaluation aborts the run in both modes and is
+//! re-raised on the caller's thread once every worker has stopped; neither
+//! gate waits for a worker that is gone.
 //!
 //! Every run enters through one function, `run_parts`, and starts from a
 //! `RunStart`: the retained partials, the seed messages, and the fragments
@@ -43,7 +52,7 @@
 //! A full run is thus the refresh whose frontier is every fragment.
 //! `run_parts` picks the worker host from the session's [`TransportSpec`]
 //! (threads in this process, or `grape-worker` subprocesses), and
-//! `schedule` picks the transport and the loop from the mode alone.
+//! `schedule` picks the transport and the gate from the mode alone.
 //!
 //! Physical workers are OS threads; fragments are virtual workers mapped
 //! onto physical workers by [`crate::load_balance::assign`].
@@ -51,9 +60,10 @@
 //! [`crate::session::GrapeSession::prepare`] →
 //! [`crate::prepared::PreparedQuery`] (prepare → answer → update).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -68,7 +78,7 @@ use crate::metrics::{EngineMetrics, SuperstepMetrics};
 use crate::pie::{KeyVertex, PieProgram, SeedBatch};
 use crate::session::GrapeSession;
 use crate::transport::{
-    BarrierTransport, ChannelTransport, MessageOps, Transport, TransportSnapshot, TransportSpec,
+    BarrierTransport, ChannelTransport, MessageOps, Transport, TransportSpec, TransportStats,
 };
 
 /// Errors produced by an engine run.
@@ -133,11 +143,11 @@ pub struct RunResult<O> {
     pub metrics: EngineMetrics,
 }
 
-/// Borrowed per-run state shared by both runtimes.
+/// Borrowed per-run state of the scheduler loop.
 ///
 /// Deliberately free of fragments, query and program: those live behind the
-/// [`WorkerHost`] so the runtimes stay location-transparent — the same loop
-/// drives in-process and subprocess workers.
+/// [`WorkerHost`] so the loop stays location-transparent — it drives
+/// in-process and subprocess workers alike.
 struct RunCtx<'r> {
     config: &'r EngineConfig,
     num_fragments: usize,
@@ -150,35 +160,45 @@ struct RunCtx<'r> {
     peval: &'r [bool],
 }
 
-/// The first host failure of a run (e.g. a dead worker subprocess).
-/// Recording it raises the abort flag every worker thread checks before its
-/// next evaluation, so the run returns the error instead of serving a
-/// partial answer or spinning on counters a dead peer can no longer move.
+/// The first failure of a run: a host error (e.g. a dead worker
+/// subprocess), a divergence, or a panic inside an evaluation.  Recording
+/// one raises the abort flag every worker checks before its next
+/// evaluation, so the run returns the error — or re-raises the panic on the
+/// caller's thread — instead of serving a partial answer or spinning on
+/// counters a dead peer can no longer move.
+#[derive(Default)]
 struct FirstError {
-    error: Mutex<Option<EngineError>>,
+    /// `Ok(error)`, or `Err(payload)` of a panic.
+    first: Mutex<Option<std::thread::Result<EngineError>>>,
     abort: AtomicBool,
 }
 
 impl FirstError {
-    fn new() -> Self {
-        FirstError {
-            error: Mutex::new(None),
-            abort: AtomicBool::new(false),
-        }
-    }
-
-    /// Keeps `e` unless an earlier failure was recorded, and raises the flag.
-    fn record(&self, e: EngineError) {
-        self.error.lock().get_or_insert(e);
+    /// Runs one step of the run, catching a panic.  An error or a panic is
+    /// kept unless an earlier failure was, raises the flag and yields `None`.
+    fn guard<T>(&self, step: impl FnOnce() -> Result<T, EngineError>) -> Option<T> {
+        let failed = match catch_unwind(AssertUnwindSafe(step)) {
+            Ok(Ok(value)) => return Some(value),
+            Ok(Err(e)) => Ok(e),
+            Err(payload) => Err(payload),
+        };
+        self.first.lock().get_or_insert(failed);
         self.abort.store(true, Ordering::SeqCst);
+        None
     }
 
     fn aborted(&self) -> bool {
         self.abort.load(Ordering::SeqCst)
     }
 
+    /// The run's outcome, once every worker has stopped: a recorded panic is
+    /// re-raised here, an error returned.
     fn into_result(self) -> Result<(), EngineError> {
-        self.error.into_inner().map_or(Ok(()), Err)
+        match self.first.into_inner() {
+            None => Ok(()),
+            Some(Ok(e)) => Err(e),
+            Some(Err(payload)) => resume_unwind(payload),
+        }
     }
 }
 
@@ -194,9 +214,6 @@ fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
     updates: Vec<(K, V)>,
     restrict_to: Option<&[bool]>,
 ) {
-    if updates.is_empty() {
-        return;
-    }
     let mut per_dest: HashMap<usize, Vec<(K, V)>> = HashMap::new();
     for (key, value) in updates {
         for dest in ctx.gp.route(key.vertex(), from, ctx.scope) {
@@ -414,10 +431,10 @@ pub(crate) fn run_parts<P: PieProgram>(
     Ok((partials, metrics))
 }
 
-/// Picks the transport and the loop from the mode: the superstep loop over
-/// a [`BarrierTransport`] under [`EngineMode::Sync`], the streaming loop
-/// over a [`ChannelTransport`] under [`EngineMode::Async`].  The seeds are
-/// published before the loop starts.
+/// Builds the mode's transport and gate, publishes the seeds and runs the
+/// one loop: a barrier over a [`BarrierTransport`] under
+/// [`EngineMode::Sync`], quiescence over a [`ChannelTransport`] under
+/// [`EngineMode::Async`].
 fn schedule<P: PieProgram, H: WorkerHost<P>>(
     ctx: &RunCtx<'_>,
     host: &H,
@@ -426,467 +443,369 @@ fn schedule<P: PieProgram, H: WorkerHost<P>>(
     metrics: &mut EngineMetrics,
 ) -> Result<(), EngineError> {
     let m = ctx.num_fragments;
-    match ctx.config.mode {
+    let records = match ctx.config.mode {
         EngineMode::Sync => {
             let transport = BarrierTransport::new(m, ops);
-            seed(ctx, &transport, seeds, metrics);
-            superstep_loop(ctx, host, &transport, metrics)
+            seed::<P>(ctx, &transport, ops, seeds, metrics);
+            let gate = Gate::Barrier {
+                barrier: Barrier::new(ctx.assignment.len()),
+                active: AtomicUsize::new(0),
+                next: AtomicUsize::new(0),
+                lead: Mutex::new(Box::new(coordinator(ctx, host, &transport, metrics))),
+            };
+            run_loop(ctx, host, &transport, &gate)?
         }
         EngineMode::Async => {
             let transport = ChannelTransport::new(m, ops);
-            seed(ctx, &transport, seeds, metrics);
-            streaming_loop(ctx, host, &transport, metrics)
+            let seeded = seed::<P>(ctx, &transport, ops, seeds, metrics);
+            let gate = Gate::Quiescence {
+                busy: AtomicIsize::new(ctx.assignment.len() as isize),
+                activity: AtomicUsize::new(0),
+            };
+            let records = run_loop(ctx, host, &transport, &gate)?;
+            bucket(&records, seeded, metrics);
+            records
         }
-    }
+    };
+    let pevals = records.iter().filter(|r| r.consumed.is_none()).count();
+    metrics.peval_calls += pevals;
+    metrics.inceval_calls += records.len() - pevals;
+    Ok(())
 }
 
 /// Routes the seed messages at logical step 0 and publishes them before the
-/// loop starts, so the first round sees them like any other mail; the
-/// published volume is accounted as `seed_messages` (separate from the
-/// per-superstep flow, included in the run totals).  Fragments that PEval
-/// re-roots start with no memory of their neighbours' values while everyone
-/// else already holds them, so when the mask selects any fragment the seeds
-/// reach those fragments only.
-fn seed<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
+/// loop starts, so the first round sees them like any other mail.
+/// Fragments that PEval re-roots start with no memory of their neighbours'
+/// values while everyone else already holds them, so when the mask selects
+/// any fragment the seeds reach those fragments only.
+///
+/// The seeds pass through a barrier of their own first: it aggregates them
+/// with `aggregateMsg` and charges them exactly as a Sync flush publishes
+/// them, whatever the run's transport.  They are `seed_messages`, part of
+/// the run totals and of no superstep.
+fn seed<P: PieProgram>(
     ctx: &RunCtx<'_>,
-    transport: &T,
-    seeds: Vec<(usize, Vec<(K, V)>)>,
+    transport: &impl Transport<P::Key, P::Value>,
+    ops: MessageOps<'_, P::Key, P::Value>,
+    seeds: Vec<SeedBatch<P>>,
     metrics: &mut EngineMetrics,
-) {
+) -> TransportStats {
     let restrict_to = ctx.peval.contains(&true).then_some(ctx.peval);
+    let staged = BarrierTransport::new(ctx.num_fragments, ops);
     for (from, updates) in seeds {
-        route_and_send(ctx, transport, from, 0, updates, restrict_to);
+        route_and_send(ctx, &staged, from, 0, updates, restrict_to);
+    }
+    let seeded = staged.flush();
+    for dest in 0..ctx.num_fragments {
+        transport.send_batch(dest, dest, 0, staged.drain(dest).updates);
     }
     transport.flush();
-    let s = transport.stats();
-    metrics.seed_messages = s.messages;
-    metrics.total_messages += s.messages;
-    metrics.total_bytes += s.bytes;
+    metrics.seed_messages = seeded.messages;
+    metrics.total_messages += seeded.messages;
+    metrics.total_bytes += seeded.bytes;
+    seeded
 }
 
-/// The BSP runtime: supersteps separated by a global barrier at which the
-/// transport publishes messages.  Supports checkpointing and the arbitrator
-/// recovery protocol of Section 6.
-///
-/// The host arrives with empty partials for a full run and pre-populated
-/// ones for an incremental refresh; `ctx.peval` selects the fragments PEval
-/// roots in superstep 0 (their slots are overwritten before anything reads
-/// them).  At the fixpoint the caller collects the partials with
-/// [`WorkerHost::into_partials`].
-fn superstep_loop<P: PieProgram, H: WorkerHost<P>>(
-    ctx: &RunCtx<'_>,
-    host: &H,
-    transport: &BarrierTransport<'_, P::Key, P::Value>,
-    metrics: &mut EngineMetrics,
-) -> Result<(), EngineError> {
-    let m = ctx.num_fragments;
-    let peval_count = AtomicUsize::new(0);
-    let inceval_count = AtomicUsize::new(0);
-    // Checkpoint = (next superstep, partials, mailboxes + delivered caches).
-    #[allow(clippy::type_complexity)]
-    let mut checkpoint: Option<(
-        usize,
-        Vec<Option<P::Partial>>,
-        TransportSnapshot<P::Key, P::Value>,
-    )> = None;
-    let mut handled_failures = vec![false; ctx.config.injected_failures.len()];
-    let mut superstep = 0usize;
+/// One evaluation of a run.
+struct EvalRecord {
+    fragment: usize,
+    /// The logical step its sends carry: the superstep under the barrier,
+    /// the round of an equivalent BSP schedule under quiescence; 0 for PEval.
+    step: usize,
+    /// Messages and bytes it consumed; `None` for PEval.
+    consumed: Option<(usize, usize)>,
+    duration: Duration,
+}
 
-    loop {
-        if superstep >= ctx.config.max_supersteps {
-            return Err(EngineError::DidNotConverge {
-                max_supersteps: ctx.config.max_supersteps,
-            });
+/// When mail becomes visible and when the run ends — the only things the
+/// two modes do differently.  Every worker runs the same loop ([`run_loop`])
+/// and asks its gate after each sweep over its fragments which round to
+/// sweep next.
+enum Gate<'g> {
+    /// BSP ([`EngineMode::Sync`]), the model analysed in the paper: sends
+    /// are published only at a barrier the workers meet after every round.
+    /// The thread the barrier elects leader runs the coordinator's work
+    /// ([`coordinator`]) before the next round is published; a worker whose
+    /// evaluation failed still meets every barrier, so none waits for it.
+    Barrier {
+        barrier: Barrier,
+        /// Fragments evaluated in the current round, over all workers.
+        active: AtomicUsize,
+        /// The round the leader published last; `usize::MAX` stops the run.
+        next: AtomicUsize,
+        lead: Mutex<Coordinator<'g>>,
+    },
+    /// AP ([`EngineMode::Async`]): no barrier.  A send is visible at once,
+    /// every worker keeps draining its fragments, and the run ends at
+    /// quiescence — every first sweep done (so every PEval routed), no
+    /// mailbox pending, no evaluation in flight.  Those cannot be read in
+    /// one instant, so the exit is seqlock-style: `activity` is bumped
+    /// immediately *before* every `busy` transition, and an exit is valid
+    /// only if it did not move across the whole observation — then `busy`
+    /// was constant 0 throughout, no send was in flight, and the observed
+    /// zeros overlapped.
+    Quiescence {
+        /// Workers still in their first sweep plus evaluations in flight.
+        busy: AtomicIsize,
+        activity: AtomicUsize,
+    },
+}
+
+/// The BSP coordinator: takes a finished round's active-fragment count and
+/// whether the run was aborted, and returns the next superstep, or `None`
+/// when the run is over.
+type Coordinator<'g> =
+    Box<dyn FnMut(usize, bool) -> Result<Option<usize>, EngineError> + Send + 'g>;
+
+impl Gate<'_> {
+    /// Counts an evaluation in (`+1`, before its drain) or out (`-1`, after
+    /// its sends) for quiescence.
+    fn mark(&self, delta: isize) {
+        if let Gate::Quiescence { busy, activity } = self {
+            activity.fetch_add(1, Ordering::SeqCst);
+            busy.fetch_add(delta, Ordering::SeqCst);
         }
+    }
 
-        // Failure injection + arbitrator recovery.
-        let mut failed = false;
-        for (idx, failure) in ctx.config.injected_failures.iter().enumerate() {
-            if !handled_failures[idx] && failure.superstep == superstep && failure.fragment < m {
-                handled_failures[idx] = true;
-                failed = true;
-                metrics.recovered_failures += 1;
+    /// Ends a worker's sweep of `round`, which evaluated `evaluated`
+    /// fragments: the round to sweep next, or `usize::MAX` to stop.
+    fn next(
+        &self,
+        round: usize,
+        evaluated: usize,
+        idle: &mut u32,
+        failure: &FirstError,
+        pending: impl FnOnce() -> usize,
+    ) -> usize {
+        match self {
+            Gate::Barrier {
+                barrier,
+                active,
+                next,
+                lead,
+            } => {
+                active.fetch_add(evaluated, Ordering::SeqCst);
+                if barrier.wait().is_leader() {
+                    let active = active.swap(0, Ordering::SeqCst);
+                    let round = failure.guard(|| (lead.lock())(active, failure.aborted()));
+                    next.store(round.flatten().unwrap_or(usize::MAX), Ordering::SeqCst);
+                }
+                barrier.wait();
+                next.load(Ordering::SeqCst)
+            }
+            Gate::Quiescence { busy, activity } => {
+                if round == 0 {
+                    self.mark(-1); // this worker's PEvals are routed
+                }
+                if failure.aborted() {
+                    return usize::MAX;
+                }
+                if evaluated > 0 {
+                    *idle = 0;
+                    return 1;
+                }
+                let observed = activity.load(Ordering::SeqCst);
+                if pending() == 0
+                    && busy.load(Ordering::SeqCst) == 0
+                    && activity.load(Ordering::SeqCst) == observed
+                {
+                    return usize::MAX;
+                }
+                *idle += 1;
+                if *idle > 64 {
+                    std::thread::sleep(Duration::from_micros(50));
+                } else {
+                    std::thread::yield_now();
+                }
+                1
             }
         }
-        if failed {
+    }
+}
+
+/// The one scheduler loop.  Each physical worker runs on its own thread, in
+/// one scope for the whole run, and sweeps its fragments round after round
+/// until its gate stops it: in round 0 it PEvals the mask-selected ones
+/// (all of them in a full run, the damage frontier in a bounded refresh,
+/// none in an IncEval-only refresh); every fragment with pending mail is
+/// drained, IncEvaled and its sends routed.  A host error, a divergence or
+/// a panic anywhere aborts the run, and a panic is re-raised here once
+/// every worker has stopped.
+fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
+    ctx: &RunCtx<'_>,
+    host: &H,
+    transport: &T,
+    gate: &Gate<'_>,
+) -> Result<Vec<EvalRecord>, EngineError> {
+    let failure = FirstError::default();
+    let records = Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for mine in ctx.assignment {
+            let (failure, records) = (&failure, &records);
+            s.spawn(move || {
+                let mut done: Vec<EvalRecord> = Vec::new();
+                // Each fragment's evaluation count (only this worker
+                // evaluates it).
+                let mut evals = vec![0; ctx.num_fragments];
+                let (mut round, mut idle) = (0, 0);
+                while round != usize::MAX {
+                    let before = done.len();
+                    // The lock-free global count skips the per-mailbox
+                    // checks when nothing is pending anywhere.
+                    let pending = transport.pending_mailboxes() > 0;
+                    for &fi in mine {
+                        let rooting = round == 0 && ctx.peval[fi];
+                        if failure.aborted() {
+                            break;
+                        }
+                        if !(rooting || pending && transport.has_pending(fi)) {
+                            continue;
+                        }
+                        gate.mark(1);
+                        let evaluated = failure.guard(|| {
+                            let started = Instant::now();
+                            let drained = (!rooting).then(|| transport.drain(fi));
+                            if drained.as_ref().is_some_and(|d| d.updates.is_empty()) {
+                                return Ok(None);
+                            }
+                            let own = evals[fi];
+                            evals[fi] += 1;
+                            let step = match (&drained, gate) {
+                                (None, _) => 0,
+                                (Some(_), Gate::Barrier { .. }) => round,
+                                (Some(d), Gate::Quiescence { .. }) => own.min(d.max_step + 1),
+                            };
+                            // Guard divergence on the logical step: it ratchets up
+                            // without bound only for a program that breaks the
+                            // monotonic condition.
+                            let max_supersteps = ctx.config.max_supersteps;
+                            if step >= max_supersteps {
+                                return Err(EngineError::DidNotConverge { max_supersteps });
+                            }
+                            let updates = match &drained {
+                                None => host.peval(fi)?,
+                                Some(d) => host.inc_eval(fi, &d.updates)?,
+                            };
+                            route_and_send(ctx, transport, fi, step, updates, None);
+                            let consumed = drained.map(|d| (d.messages, d.bytes));
+                            let duration = started.elapsed();
+                            Ok(Some(EvalRecord {
+                                fragment: fi,
+                                step,
+                                consumed,
+                                duration,
+                            }))
+                        });
+                        gate.mark(-1);
+                        match evaluated {
+                            Some(record) => done.extend(record),
+                            None => break,
+                        }
+                    }
+                    let evaluated = done.len() - before;
+                    round = gate.next(round, evaluated, &mut idle, failure, || {
+                        transport.pending_mailboxes()
+                    });
+                }
+                records.lock().extend(done);
+            });
+        }
+    });
+    failure.into_result()?;
+    Ok(records.into_inner())
+}
+
+/// The coordinator of the BSP gate, run by the barrier's leader between
+/// rounds: it flushes the transport, records the round (its `duration` is
+/// the wall time between two gates), takes checkpoints, and applies the
+/// failures injected at the next superstep — the arbitrator recovery of
+/// Section 6 rolls the computation back to the last checkpoint, or
+/// restarts it.  A replayed round replaces the one rolled back, so
+/// `per_superstep` keeps one entry per superstep while the totals keep
+/// every message re-shipped.
+fn coordinator<'g, P: PieProgram, H: WorkerHost<P>>(
+    ctx: &'g RunCtx<'g>,
+    host: &'g H,
+    transport: &'g BarrierTransport<'g, P::Key, P::Value>,
+    metrics: &'g mut EngineMetrics,
+) -> impl FnMut(usize, bool) -> Result<Option<usize>, EngineError> + Send + 'g {
+    let mut checkpoint = None;
+    let mut failures = ctx.config.injected_failures.clone();
+    let (mut superstep, mut started) = (0, Instant::now());
+    move |active, aborted| {
+        if active == 0 || aborted {
+            return Ok(None); // an abort, or a refresh with nothing to do
+        }
+        let flushed = transport.flush();
+        let duration = started.elapsed();
+        metrics.per_superstep.truncate(superstep);
+        metrics.push_superstep(SuperstepMetrics {
+            superstep,
+            active_fragments: active,
+            messages: flushed.messages,
+            bytes: flushed.bytes,
+            duration,
+        });
+        metrics.eval_time += duration;
+        superstep += 1;
+        if (ctx.config.checkpoint_every).is_some_and(|every| superstep.is_multiple_of(every)) {
+            checkpoint = Some((superstep, host.checkpoint_partials()?, transport.snapshot()));
+            metrics.checkpoints += 1;
+        }
+        if transport.pending_mailboxes() == 0 {
+            return Ok(None); // the fixpoint: no pending messages anywhere
+        }
+        let unfired = failures.len();
+        failures.retain(|f| f.superstep > superstep || f.fragment >= ctx.num_fragments);
+        metrics.recovered_failures += unfired - failures.len();
+        if failures.len() < unfired {
             match &checkpoint {
-                Some((step, saved_partials, saved_transport)) => {
+                Some((step, partials, mailboxes)) => {
                     superstep = *step;
-                    host.restore_partials(saved_partials)?;
-                    transport.restore(saved_transport);
+                    host.restore_partials(partials)?;
+                    transport.restore(mailboxes);
                 }
                 None => {
-                    // No checkpoint yet: restart the whole computation.
                     superstep = 0;
                     host.clear_partials()?;
                     transport.reset();
                 }
             }
         }
-
-        let step_start = Instant::now();
-        // The rooting step: superstep 0 runs PEval on the fragments the
-        // mask selects (all of them in a full run, the damage frontier in a
-        // bounded refresh, none in an IncEval-only refresh).
-        let rooting = superstep == 0;
-
-        // Decide which fragments are active this superstep.
-        let active: Vec<bool> = (0..m)
-            .map(|i| (rooting && ctx.peval[i]) || transport.has_pending(i))
-            .collect();
-        let active_count = active.iter().filter(|&&a| a).count();
-        if active_count == 0 {
-            break;
-        }
-
-        // Local evaluation (PEval in the rooting step, IncEval otherwise),
-        // spread over the physical workers.  A host failure (e.g. a dead
-        // worker subprocess) aborts the whole superstep: every thread bails
-        // at its next fragment, the first error wins, and the run returns
-        // it instead of flushing — no partial answer is ever served.
-        let stats_before = transport.stats();
-        let active_ref = &active;
-        let peval_count_ref = &peval_count;
-        let inceval_count_ref = &inceval_count;
-        let failure = FirstError::new();
-        let failure_ref = &failure;
-        std::thread::scope(|s| {
-            for worker_fragments in ctx.assignment {
-                s.spawn(move || {
-                    for &fi in worker_fragments {
-                        if failure_ref.aborted() {
-                            return;
-                        }
-                        if !active_ref[fi] {
-                            continue;
-                        }
-                        let evaluated = if rooting && ctx.peval[fi] {
-                            host.peval(fi).inspect(|_| {
-                                peval_count_ref.fetch_add(1, Ordering::Relaxed);
-                            })
-                        } else {
-                            let drained = transport.drain(fi);
-                            if drained.updates.is_empty() {
-                                continue;
-                            }
-                            host.inc_eval(fi, &drained.updates).inspect(|_| {
-                                inceval_count_ref.fetch_add(1, Ordering::Relaxed);
-                            })
-                        };
-                        match evaluated {
-                            Ok(updates) => {
-                                route_and_send(ctx, transport, fi, superstep, updates, None)
-                            }
-                            Err(e) => {
-                                failure_ref.record(e);
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        failure.into_result()?;
-
-        // Barrier: the transport publishes this superstep's messages.
-        transport.flush();
-        let stats_after = transport.stats();
-        metrics.push_superstep(SuperstepMetrics {
-            superstep,
-            active_fragments: active_count,
-            messages: stats_after.messages - stats_before.messages,
-            bytes: stats_after.bytes - stats_before.bytes,
-            duration: step_start.elapsed(),
-        });
-        metrics.eval_time += step_start.elapsed();
-
-        // Checkpoint: the partials plus the published mailboxes.
-        if let Some(every) = ctx.config.checkpoint_every {
-            if (superstep + 1).is_multiple_of(every) {
-                checkpoint = Some((
-                    superstep + 1,
-                    host.checkpoint_partials()?,
-                    transport.snapshot(),
-                ));
-                metrics.checkpoints += 1;
-            }
-        }
-
-        superstep += 1;
-        if transport.pending_mailboxes() == 0 {
-            break; // fixpoint: no pending messages anywhere
-        }
+        started = Instant::now();
+        Ok(Some(superstep))
     }
-
-    metrics.peval_calls += peval_count.into_inner();
-    metrics.inceval_calls += inceval_count.into_inner();
-    Ok(())
 }
 
-/// One evaluation in the streaming runtime, for the per-superstep metric
-/// buckets.
-struct EvalRecord {
-    /// The fragment that was evaluated.
-    fragment: usize,
-    /// The evaluation's assigned logical round: 0 for PEval; for IncEval,
-    /// the superstep an equivalent BSP schedule would have run it in (see
-    /// the round assignment in [`streaming_loop`]).
-    step: usize,
-    consumed_messages: usize,
-    consumed_bytes: usize,
-    duration: Duration,
-}
-
-/// The barrier-free runtime ([`EngineMode::Async`]): every physical worker
-/// owns its assigned fragments and keeps draining their mailboxes until the
-/// whole computation is quiescent — no superstep barrier, no coordinator
-/// round-trips.  Messages produced by any fragment are visible to their
-/// destinations immediately.
-fn streaming_loop<P: PieProgram, H: WorkerHost<P>>(
-    ctx: &RunCtx<'_>,
-    host: &H,
-    transport: &ChannelTransport<'_, P::Key, P::Value>,
-    metrics: &mut EngineMetrics,
-) -> Result<(), EngineError> {
-    let peval_count = AtomicUsize::new(0);
-    let inceval_count = AtomicUsize::new(0);
-    // Quiescence: the run is over when every PEval finished, no mailbox has
-    // pending mail, and no worker is mid-evaluation (a worker is "busy"
-    // from before it drains until after it ships its results, so mail can
-    // never be in flight while all three conditions hold *at one instant*).
-    // The three counters cannot be read in one instant, so exits are
-    // seqlock-style: `activity` is bumped immediately *before* every busy
-    // transition, and an exit is valid only if it did not move across the
-    // whole observation — then no busy transition completed inside the
-    // window, `busy` was constant 0 throughout, no send was in flight, and
-    // the observed zeros really did overlap.
-    // Only the mask-selected fragments have a PEval to wait for (all of
-    // them in a full run, the damage frontier in a bounded refresh, none in
-    // an IncEval-only refresh).
-    let unstarted = AtomicUsize::new(ctx.peval.iter().filter(|&&p| p).count());
-    let busy = AtomicUsize::new(0);
-    let activity = AtomicUsize::new(0);
-    let diverged = AtomicBool::new(false);
-    // A host failure (a dead worker subprocess) aborts the run; every
-    // worker's drain loop checks the flag.
-    let failure = FirstError::new();
-    let records: Mutex<Vec<EvalRecord>> = Mutex::new(Vec::new());
-
-    {
-        let failure_ref = &failure;
-        let unstarted_ref = &unstarted;
-        let busy_ref = &busy;
-        let activity_ref = &activity;
-        let diverged_ref = &diverged;
-        let records_ref = &records;
-        let peval_count_ref = &peval_count;
-        let inceval_count_ref = &inceval_count;
-        std::thread::scope(|s| {
-            for worker_fragments in ctx.assignment {
-                s.spawn(move || {
-                    let mut local: Vec<EvalRecord> = Vec::new();
-                    // Per-fragment evaluation counters (this worker is the
-                    // only one evaluating its fragments, so plain local
-                    // counters suffice).  Each evaluation is also assigned a
-                    // *logical round* — the superstep an equivalent BSP
-                    // schedule would have run it in.  Two things bound that
-                    // round from above: the fragment's own evaluation index
-                    // (BSP evaluates a fragment at most once per round) and
-                    // one past the newest information consumed (a message's
-                    // sender round, carried as the transport step tag; BSP
-                    // delivers a round-`r` message in round `r + 1`).  The
-                    // assigned round is the min of the two, which keeps the
-                    // metric stable against both piecemeal message arrival
-                    // (which inflates evaluation counts) and chains of
-                    // interim values (which inflate message depth).
-                    let mut evals: HashMap<usize, usize> = HashMap::new();
-                    // Ends a busy transition.  `activity` is always bumped
-                    // BEFORE the busy transition it announces: an observer
-                    // whose activity re-read is unchanged can then be sure
-                    // no transition completed inside its window.
-                    let done = || {
-                        activity_ref.fetch_add(1, Ordering::SeqCst);
-                        busy_ref.fetch_sub(1, Ordering::SeqCst);
-                    };
-                    // PEval for the mask-selected fragments this worker owns
-                    // (all of its fragments in a full run, the damaged ones
-                    // in a bounded refresh, none in an IncEval-only refresh
-                    // — which starts straight from the retained partials and
-                    // the pre-seeded mailboxes).  No global barrier
-                    // afterwards: mail addressed to a fragment whose PEval
-                    // has not run yet simply waits in its mailbox.  On an
-                    // abort the drain loop below exits before its first
-                    // sweep.
-                    for &fi in worker_fragments {
-                        if !ctx.peval[fi] {
-                            continue;
-                        }
-                        if failure_ref.aborted() {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let updates = match host.peval(fi) {
-                            Ok(updates) => updates,
-                            Err(e) => {
-                                failure_ref.record(e);
-                                break;
-                            }
-                        };
-                        route_and_send(ctx, transport, fi, 0, updates, None);
-                        unstarted_ref.fetch_sub(1, Ordering::SeqCst);
-                        peval_count_ref.fetch_add(1, Ordering::Relaxed);
-                        evals.insert(fi, 0);
-                        local.push(EvalRecord {
-                            fragment: fi,
-                            step: 0,
-                            consumed_messages: 0,
-                            consumed_bytes: 0,
-                            duration: t0.elapsed(),
-                        });
-                    }
-                    // Drain to quiescence.
-                    let mut idle_rounds = 0u32;
-                    loop {
-                        if diverged_ref.load(Ordering::SeqCst) || failure_ref.aborted() {
-                            break;
-                        }
-                        let mut progressed = false;
-                        // Fast path for idle spins: the lock-free global
-                        // pending count skips the per-mailbox locking when
-                        // there is nothing anywhere.
-                        let anything_pending = transport.pending_mailboxes() > 0;
-                        for &fi in worker_fragments {
-                            if !anything_pending || !transport.has_pending(fi) {
-                                continue;
-                            }
-                            activity_ref.fetch_add(1, Ordering::SeqCst);
-                            busy_ref.fetch_add(1, Ordering::SeqCst);
-                            let drained = transport.drain(fi);
-                            if drained.updates.is_empty() {
-                                done();
-                                continue;
-                            }
-                            // A fragment's first evaluation runs in round 1
-                            // after its PEval (round 0) and in round 0 when
-                            // it had none (seeds carry step 0); every later
-                            // one is one round past the previous.
-                            let own = evals.get(&fi).map_or(0, |e| e + 1);
-                            let step = own.min(drained.max_step + 1);
-                            // Guard divergence on the *logical* round, not
-                            // the raw evaluation count: piecemeal arrival
-                            // legitimately inflates evaluation counts above
-                            // the BSP superstep count, while the logical
-                            // round still ratchets up without bound for a
-                            // genuinely non-monotonic program (each message
-                            // carries its sender's assigned round).
-                            if step >= ctx.config.max_supersteps {
-                                diverged_ref.store(true, Ordering::SeqCst);
-                                done();
-                                break;
-                            }
-                            evals.insert(fi, own);
-                            let t0 = Instant::now();
-                            let updates = match host.inc_eval(fi, &drained.updates) {
-                                Ok(updates) => updates,
-                                Err(e) => {
-                                    failure_ref.record(e);
-                                    done();
-                                    break;
-                                }
-                            };
-                            route_and_send(ctx, transport, fi, step, updates, None);
-                            done();
-                            inceval_count_ref.fetch_add(1, Ordering::Relaxed);
-                            local.push(EvalRecord {
-                                fragment: fi,
-                                step,
-                                consumed_messages: drained.messages,
-                                consumed_bytes: drained.bytes,
-                                duration: t0.elapsed(),
-                            });
-                            progressed = true;
-                        }
-                        if progressed {
-                            idle_rounds = 0;
-                            continue;
-                        }
-                        // Seqlock-style exit: with `activity` unchanged
-                        // across the whole observation, `busy` was constant
-                        // (and read 0, so constant 0) — no evaluation was in
-                        // flight, so no send could race the mailbox read and
-                        // the observed zeros genuinely overlapped.
-                        let observed_activity = activity_ref.load(Ordering::SeqCst);
-                        if unstarted_ref.load(Ordering::SeqCst) == 0
-                            && transport.pending_mailboxes() == 0
-                            && busy_ref.load(Ordering::SeqCst) == 0
-                            && activity_ref.load(Ordering::SeqCst) == observed_activity
-                        {
-                            break;
-                        }
-                        idle_rounds += 1;
-                        if idle_rounds > 64 {
-                            std::thread::sleep(Duration::from_micros(50));
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    records_ref.lock().extend(local);
-                });
-            }
-        });
-    }
-
-    failure.into_result()?;
-    if diverged.load(Ordering::SeqCst) {
-        return Err(EngineError::DidNotConverge {
-            max_supersteps: ctx.config.max_supersteps,
-        });
-    }
-
-    // Bucket evaluations into logical supersteps by their assigned round:
-    // the reported superstep count is the depth of an equivalent BSP
-    // schedule of the same deliveries.  Messages consumed by an evaluation
-    // in round `s` are attributed to the end of round `s - 1`, matching the
-    // synchronous accounting; round-0 consumption only exists on a refresh,
-    // where it is the injected seeds (accounted separately as
-    // `seed_messages` by `seed`).
-    let records = records.into_inner();
-    if records.is_empty() {
-        // Incremental refresh with nothing to do: zero supersteps.
-        metrics.peval_calls += peval_count.into_inner();
-        metrics.inceval_calls += inceval_count.into_inner();
-        return Ok(());
-    }
-    let depth = records.iter().map(|r| r.step).max().unwrap_or(0);
-    let mut steps: Vec<SuperstepMetrics> = (0..=depth)
-        .map(|s| SuperstepMetrics {
-            superstep: s,
-            ..Default::default()
-        })
-        .collect();
-    // A fragment evaluated twice in one logical round (piecemeal arrival)
-    // is still one active fragment of that round — count distinct
-    // fragments, keeping `active_fragments ≤ m` as under BSP.
-    let mut active_per_step: Vec<std::collections::HashSet<usize>> =
-        vec![std::collections::HashSet::new(); depth + 1];
-    for r in &records {
-        active_per_step[r.step].insert(r.fragment);
+/// Buckets the evaluations of a run under quiescence into logical
+/// supersteps by their step, so the superstep count is the depth of an
+/// equivalent BSP schedule of the same deliveries.  Mail consumed in round
+/// `s` counts as routed at the end of round `s - 1` (of round 0 when `s` is
+/// 0), as under BSP — except the seeds, which [`seed`] charged: every
+/// seeded mailbox is first drained in round 0 or 1, so they come out of
+/// round 0's bucket.  A fragment evaluated twice in one round (piecemeal
+/// arrival) is one active fragment of it, keeping `active_fragments ≤ m`.
+fn bucket(records: &[EvalRecord], seeded: TransportStats, metrics: &mut EngineMetrics) {
+    let depth = records.iter().map(|r| r.step + 1).max().unwrap_or(0);
+    let mut steps = vec![SuperstepMetrics::default(); depth];
+    let mut active = vec![HashSet::new(); depth];
+    for r in records {
+        active[r.step].insert(r.fragment);
         steps[r.step].duration += r.duration;
         metrics.eval_time += r.duration;
-        if r.step > 0 {
-            steps[r.step - 1].messages += r.consumed_messages;
-            steps[r.step - 1].bytes += r.consumed_bytes;
-        }
+        let (messages, bytes) = r.consumed.unwrap_or_default();
+        steps[r.step.saturating_sub(1)].messages += messages;
+        steps[r.step.saturating_sub(1)].bytes += bytes;
     }
-    for (s, active) in active_per_step.iter().enumerate() {
-        steps[s].active_fragments = active.len();
+    if let Some(first) = steps.first_mut() {
+        first.messages = first.messages.saturating_sub(seeded.messages);
+        first.bytes = first.bytes.saturating_sub(seeded.bytes);
     }
-    for s in steps {
+    for (superstep, (mut s, active)) in steps.into_iter().zip(active).enumerate() {
+        s.superstep = superstep;
+        s.active_fragments = active.len();
         metrics.push_superstep(s);
     }
-    metrics.peval_calls += peval_count.into_inner();
-    metrics.inceval_calls += inceval_count.into_inner();
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1089,6 +1008,14 @@ mod tests {
         assert_eq!(result.metrics.recovered_failures, 1);
         assert!(result.metrics.checkpoints >= 1);
         assert!(result.output.values().all(|&v| v == 0));
+        assert_one_entry_per_superstep(&result.metrics);
+    }
+
+    /// After a recovery the replayed rounds replace the rolled-back ones:
+    /// one `per_superstep` entry per superstep index.
+    fn assert_one_entry_per_superstep(metrics: &EngineMetrics) {
+        let steps: Vec<usize> = metrics.per_superstep.iter().map(|s| s.superstep).collect();
+        assert_eq!(steps, (0..metrics.supersteps).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1104,6 +1031,90 @@ mod tests {
         let result = session.run(&frag, &MinPropagation, &()).unwrap();
         assert_eq!(result.metrics.recovered_failures, 1);
         assert!(result.output.values().all(|&v| v == 0));
+        assert_one_entry_per_superstep(&result.metrics);
+    }
+
+    /// `MinPropagation`, except that evaluating fragment 0 panics — in PEval
+    /// or in IncEval.
+    struct PanicsOnFragmentZero {
+        in_peval: bool,
+    }
+
+    impl PieProgram for PanicsOnFragmentZero {
+        type Query = ();
+        type Partial = MinPartial;
+        type Key = VertexId;
+        type Value = u64;
+        type Output = HashMap<VertexId, u64>;
+
+        fn peval(&self, q: &(), frag: &Fragment, ctx: &mut Messages<VertexId, u64>) -> MinPartial {
+            assert!(!(self.in_peval && frag.id() == 0), "PEval of fragment 0");
+            MinPropagation.peval(q, frag, ctx)
+        }
+
+        fn inc_eval(
+            &self,
+            q: &(),
+            frag: &Fragment,
+            partial: &mut MinPartial,
+            messages: &[(VertexId, u64)],
+            ctx: &mut Messages<VertexId, u64>,
+        ) {
+            assert!(frag.id() != 0, "IncEval of fragment 0");
+            MinPropagation.inc_eval(q, frag, partial, messages, ctx)
+        }
+
+        fn assemble(&self, q: &(), partials: Vec<MinPartial>) -> HashMap<VertexId, u64> {
+            MinPropagation.assemble(q, partials)
+        }
+
+        fn aggregate(&self, key: &VertexId, a: u64, b: u64) -> u64 {
+            MinPropagation.aggregate(key, a, b)
+        }
+    }
+
+    /// A panic inside an evaluation reaches the caller of `run` as a panic,
+    /// in both modes and at every width, instead of hanging the run: the
+    /// other workers neither wait at a barrier nor spin on quiescence for a
+    /// worker that is gone.
+    #[test]
+    fn a_panicking_evaluation_reaches_the_caller_in_both_modes() {
+        for mode in [EngineMode::Sync, EngineMode::Async] {
+            for workers in [1, 2] {
+                for in_peval in [true, false] {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    std::thread::spawn(move || {
+                        let frag = RangeEdgeCut::new(4).partition(&ring_graph(32)).unwrap();
+                        let session = GrapeSession::builder()
+                            .workers(workers)
+                            .mode(mode)
+                            .build()
+                            .unwrap();
+                        let program = PanicsOnFragmentZero { in_peval };
+                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            session.run(&frag, &program, &())
+                        }));
+                        let message =
+                            outcome
+                                .err()
+                                .map(|payload| match payload.downcast::<&str>() {
+                                    Ok(message) => message.to_string(),
+                                    Err(payload) => *payload.downcast::<String>().unwrap(),
+                                });
+                        let _ = tx.send(message);
+                    });
+                    let case = format!("{mode:?}, {workers} workers, in_peval {in_peval}");
+                    let message = rx
+                        .recv_timeout(Duration::from_secs(10))
+                        .unwrap_or_else(|_| panic!("{case}: the run hung"));
+                    let want = if in_peval { "PEval" } else { "IncEval" };
+                    assert!(
+                        message.is_some_and(|m| m.contains(want)),
+                        "{case}: the panic did not reach the caller"
+                    );
+                }
+            }
+        }
     }
 
     /// A program without a process codec cannot cross worker pipes: the

@@ -1,7 +1,7 @@
 //! Location-transparent worker hosts.
 //!
-//! The engine's runtimes ([`crate::engine`]) never touch fragment storage or
-//! partial results directly: they schedule *evaluations* against a
+//! The engine's scheduler loop ([`crate::engine`]) never touches fragment
+//! storage or partial results directly: it schedules *evaluations* against a
 //! [`WorkerHost`], which owns the fragments and the retained partials and
 //! runs PEval/IncEval wherever they live —
 //!

@@ -40,8 +40,8 @@
 //!   instead of making watchers re-poll whole answers,
 //! * [`spec`] — [`spec::QuerySpec`]: serializable, wire-nameable query
 //!   specifications for serving processes (`graped`),
-//! * [`engine`] — the two runtimes (BSP superstep loop and the barrier-free
-//!   streaming loop) behind a session,
+//! * [`engine`] — the one scheduler loop behind a session, gated by a
+//!   barrier (BSP) or by quiescence (barrier-free),
 //! * [`transport`] — the message substrate ([`transport::Transport`], with
 //!   barrier and mpsc-style channel implementations; the mode picks one) and
 //!   [`transport::TransportSpec`], where evaluations run,

@@ -64,9 +64,10 @@ pub struct EngineMetrics {
     #[serde(default)]
     pub inceval_calls: usize,
     /// Messages synthesized from `ΔG` by the per-fragment rebase step and
-    /// injected into the mailboxes to start an incremental refresh.  Counted
-    /// separately from the per-superstep message flow (they are part of
-    /// [`EngineMetrics::total_messages`]).
+    /// injected into the mailboxes to start an incremental refresh, after
+    /// `aggregateMsg` (one per destination and key), in either engine mode.
+    /// Counted separately from the per-superstep message flow (they are part
+    /// of [`EngineMetrics::total_messages`]).
     #[serde(default)]
     pub seed_messages: usize,
     /// Whether this run was an incremental refresh (IncEval-only, or a

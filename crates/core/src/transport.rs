@@ -2,18 +2,18 @@
 //! fragments (virtual workers).
 //!
 //! The paper's engine is parallelization-agnostic — PIE programs plug into
-//! *any* message-passing substrate.  Both of the engine's runtimes are
-//! written against the [`Transport`] trait, which is delivery only; the
-//! substrate follows the [`crate::config::EngineMode`]:
+//! *any* message-passing substrate.  The engine's scheduler loop is written
+//! against the [`Transport`] trait, which is delivery only; the substrate
+//! follows the [`crate::config::EngineMode`]:
 //!
 //! * [`BarrierTransport`] — BSP semantics, the substrate of
 //!   [`EngineMode::Sync`].  `send_batch` stages updates in a
 //!   **per-sender** buffer (each sender locks only its own staging area, so
 //!   evaluation threads never contend); [`Transport::flush`] — called once
-//!   per superstep by the coordinator — aggregates conflicting assignments
-//!   across senders with `aggregateMsg`, drops values identical to what the
-//!   destination already received (the *delivered* cache of Section 3.2(3)),
-//!   and publishes the rest to the per-fragment mailboxes.  Its mailboxes
+//!   per superstep by the barrier's leader — aggregates conflicting
+//!   assignments across senders with `aggregateMsg`, drops values identical
+//!   to what the destination already received (the *delivered* cache of
+//!   Section 3.2(3)), and publishes the rest to the per-fragment mailboxes.  Its mailboxes
 //!   snapshot, restore and reset for the superstep-aligned checkpoints of
 //!   Section 6.
 //! * [`ChannelTransport`] — mpsc-style streaming, the substrate of the

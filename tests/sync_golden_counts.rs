@@ -5,6 +5,10 @@
 //! messages, bytes)` entry, the run totals, `seed_messages` and the
 //! PEval/IncEval call counts must equal the literal goldens below.  A change
 //! to the scheduler that moves any of them fails here by name.
+//!
+//! The last test holds the seed accounting to one rule in both modes:
+//! `total_messages == seed_messages + Σ per_superstep[i].messages`, with the
+//! same `seed_messages` under [`EngineMode::Sync`] and [`EngineMode::Async`].
 
 use grape::algorithms::cc::{Cc, CcQuery};
 use grape::algorithms::sim::{Sim, SimQuery};
@@ -212,15 +216,17 @@ const GOLDEN: &[(&str, &str)] = &[
 ];
 
 /// Failure recovery on the SSSP full run: a restart (no checkpoint yet) and
-/// a rollback to the last checkpoint.
+/// a rollback to the last checkpoint.  One entry per superstep index — the
+/// replayed round replaces the rolled-back one — while the totals keep the
+/// re-shipped messages (20 and 15 against the failure-free 14).
 const GOLDEN_RECOVERY: &[(&str, &str)] = &[
     (
         "sssp restart",
-        "supersteps 4 msgs 20 bytes 320 seed 0 peval 8 inceval 4 recovered 1 checkpoints 0 steps [(0, 4, 6, 96), (0, 4, 6, 96), (1, 1, 7, 112), (2, 2, 1, 16), (3, 1, 0, 0)]",
+        "supersteps 4 msgs 20 bytes 320 seed 0 peval 8 inceval 4 recovered 1 checkpoints 0 steps [(0, 4, 6, 96), (1, 1, 7, 112), (2, 2, 1, 16), (3, 1, 0, 0)]",
     ),
     (
         "sssp rollback",
-        "supersteps 4 msgs 15 bytes 240 seed 0 peval 4 inceval 6 recovered 1 checkpoints 2 steps [(0, 4, 6, 96), (1, 1, 7, 112), (2, 2, 1, 16), (2, 2, 1, 16), (3, 1, 0, 0)]",
+        "supersteps 4 msgs 15 bytes 240 seed 0 peval 4 inceval 6 recovered 1 checkpoints 2 steps [(0, 4, 6, 96), (1, 1, 7, 112), (2, 2, 1, 16), (3, 1, 0, 0)]",
     ),
 ];
 
@@ -260,4 +266,25 @@ fn sync_recovery_counts_match_the_goldens() {
             assert_eq!(metrics.recovered_failures, 1, "{name}");
         }
     }
+}
+
+#[test]
+fn seed_messages_count_alike_in_both_modes() {
+    let sync = all_cases(&session(2, EngineMode::Sync));
+    let async_ = all_cases(&session(2, EngineMode::Async));
+    for ((name, s), (_, a)) in sync.iter().zip(&async_) {
+        for (mode, m) in [("sync", s), ("async", a)] {
+            let flow: usize = m.per_superstep.iter().map(|s| s.messages).sum();
+            assert_eq!(
+                m.total_messages,
+                m.seed_messages + flow,
+                "{name} ({mode}): total = seeds + per-superstep flow"
+            );
+        }
+        assert_eq!(s.seed_messages, a.seed_messages, "{name}: seeds per mode");
+    }
+    assert!(
+        sync.iter().any(|(_, m)| m.seed_messages > 0),
+        "no case seeds anything"
+    );
 }

@@ -624,7 +624,8 @@ impl Gate<'_> {
 }
 
 /// The one scheduler loop.  Each physical worker runs on its own thread, in
-/// one scope for the whole run, and sweeps its fragments round after round
+/// one scope for the whole run — worker 0 on the calling thread, which
+/// would otherwise only wait — and sweeps its fragments round after round
 /// until its gate stops it: in round 0 it PEvals the mask-selected ones
 /// (all of them in a full run, the damage frontier in a bounded refresh,
 /// none in an IncEval-only refresh); every fragment with pending mail is
@@ -637,79 +638,86 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
     transport: &T,
     gate: &Gate<'_>,
 ) -> Result<Vec<EvalRecord>, EngineError> {
+    // A refresh with nothing to do — no PEval, no seed in any mailbox —
+    // ends here, before any thread starts: zero supersteps.
+    if !ctx.peval.contains(&true) && transport.pending_mailboxes() == 0 {
+        return Ok(Vec::new());
+    }
     let failure = FirstError::default();
     let records = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for mine in ctx.assignment {
-            let (failure, records) = (&failure, &records);
-            s.spawn(move || {
-                let mut done: Vec<EvalRecord> = Vec::new();
-                // Each fragment's evaluation count (only this worker
-                // evaluates it).
-                let mut evals = vec![0; ctx.num_fragments];
-                let (mut round, mut idle) = (0, 0);
-                while round != usize::MAX {
-                    let before = done.len();
-                    // The lock-free global count skips the per-mailbox
-                    // checks when nothing is pending anywhere.
-                    let pending = transport.pending_mailboxes() > 0;
-                    for &fi in mine {
-                        let rooting = round == 0 && ctx.peval[fi];
-                        if failure.aborted() {
-                            break;
-                        }
-                        if !(rooting || pending && transport.has_pending(fi)) {
-                            continue;
-                        }
-                        gate.mark(1);
-                        let evaluated = failure.guard(|| {
-                            let started = Instant::now();
-                            let drained = (!rooting).then(|| transport.drain(fi));
-                            if drained.as_ref().is_some_and(|d| d.updates.is_empty()) {
-                                return Ok(None);
-                            }
-                            let own = evals[fi];
-                            evals[fi] += 1;
-                            let step = match (&drained, gate) {
-                                (None, _) => 0,
-                                (Some(_), Gate::Barrier { .. }) => round,
-                                (Some(d), Gate::Quiescence { .. }) => own.min(d.max_step + 1),
-                            };
-                            // Guard divergence on the logical step: it ratchets up
-                            // without bound only for a program that breaks the
-                            // monotonic condition.
-                            let max_supersteps = ctx.config.max_supersteps;
-                            if step >= max_supersteps {
-                                return Err(EngineError::DidNotConverge { max_supersteps });
-                            }
-                            let updates = match &drained {
-                                None => host.peval(fi)?,
-                                Some(d) => host.inc_eval(fi, &d.updates)?,
-                            };
-                            route_and_send(ctx, transport, fi, step, updates, None);
-                            let consumed = drained.map(|d| (d.messages, d.bytes));
-                            let duration = started.elapsed();
-                            Ok(Some(EvalRecord {
-                                fragment: fi,
-                                step,
-                                consumed,
-                                duration,
-                            }))
-                        });
-                        gate.mark(-1);
-                        match evaluated {
-                            Some(record) => done.extend(record),
-                            None => break,
-                        }
-                    }
-                    let evaluated = done.len() - before;
-                    round = gate.next(round, evaluated, &mut idle, failure, || {
-                        transport.pending_mailboxes()
-                    });
+    let work = |mine: &[usize]| {
+        let mut done: Vec<EvalRecord> = Vec::new();
+        // Each fragment's evaluation count (only this worker
+        // evaluates it).
+        let mut evals = vec![0; ctx.num_fragments];
+        let (mut round, mut idle) = (0, 0);
+        while round != usize::MAX {
+            let before = done.len();
+            // The lock-free global count skips the per-mailbox
+            // checks when nothing is pending anywhere.
+            let pending = transport.pending_mailboxes() > 0;
+            for &fi in mine {
+                let rooting = round == 0 && ctx.peval[fi];
+                if failure.aborted() {
+                    break;
                 }
-                records.lock().extend(done);
+                if !(rooting || pending && transport.has_pending(fi)) {
+                    continue;
+                }
+                gate.mark(1);
+                let evaluated = failure.guard(|| {
+                    let started = Instant::now();
+                    let drained = (!rooting).then(|| transport.drain(fi));
+                    if drained.as_ref().is_some_and(|d| d.updates.is_empty()) {
+                        return Ok(None);
+                    }
+                    let own = evals[fi];
+                    evals[fi] += 1;
+                    let step = match (&drained, gate) {
+                        (None, _) => 0,
+                        (Some(_), Gate::Barrier { .. }) => round,
+                        (Some(d), Gate::Quiescence { .. }) => own.min(d.max_step + 1),
+                    };
+                    // Guard divergence on the logical step: it ratchets up
+                    // without bound only for a program that breaks the
+                    // monotonic condition.
+                    let max_supersteps = ctx.config.max_supersteps;
+                    if step >= max_supersteps {
+                        return Err(EngineError::DidNotConverge { max_supersteps });
+                    }
+                    let updates = match &drained {
+                        None => host.peval(fi)?,
+                        Some(d) => host.inc_eval(fi, &d.updates)?,
+                    };
+                    route_and_send(ctx, transport, fi, step, updates, None);
+                    let consumed = drained.map(|d| (d.messages, d.bytes));
+                    let duration = started.elapsed();
+                    Ok(Some(EvalRecord {
+                        fragment: fi,
+                        step,
+                        consumed,
+                        duration,
+                    }))
+                });
+                gate.mark(-1);
+                match evaluated {
+                    Some(record) => done.extend(record),
+                    None => break,
+                }
+            }
+            let evaluated = done.len() - before;
+            round = gate.next(round, evaluated, &mut idle, &failure, || {
+                transport.pending_mailboxes()
             });
         }
+        records.lock().extend(done);
+    };
+    let work = &work;
+    std::thread::scope(|s| {
+        for mine in &ctx.assignment[1..] {
+            s.spawn(move || work(mine));
+        }
+        work(&ctx.assignment[0]);
     });
     failure.into_result()?;
     Ok(records.into_inner())
@@ -733,8 +741,8 @@ fn coordinator<'g, P: PieProgram, H: WorkerHost<P>>(
     let mut failures = ctx.config.injected_failures.clone();
     let (mut superstep, mut started) = (0, Instant::now());
     move |active, aborted| {
-        if active == 0 || aborted {
-            return Ok(None); // an abort, or a refresh with nothing to do
+        if aborted {
+            return Ok(None);
         }
         let flushed = transport.flush();
         let duration = started.elapsed();

@@ -214,6 +214,9 @@ fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
     updates: Vec<(K, V)>,
     restrict_to: Option<&[bool]>,
 ) {
+    if updates.is_empty() {
+        return;
+    }
     let mut per_dest: HashMap<usize, Vec<(K, V)>> = HashMap::new();
     for (key, value) in updates {
         for dest in ctx.gp.route(key.vertex(), from, ctx.scope) {
@@ -647,8 +650,7 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
     let records = Mutex::new(Vec::new());
     let work = |mine: &[usize]| {
         let mut done: Vec<EvalRecord> = Vec::new();
-        // Each fragment's evaluation count (only this worker
-        // evaluates it).
+        // Each fragment's evaluation count (only this worker evaluates it).
         let mut evals = vec![0; ctx.num_fragments];
         let (mut round, mut idle) = (0, 0);
         while round != usize::MAX {
@@ -665,7 +667,7 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
                     continue;
                 }
                 gate.mark(1);
-                let evaluated = failure.guard(|| {
+                let outcome = failure.guard(|| {
                     let started = Instant::now();
                     let drained = (!rooting).then(|| transport.drain(fi));
                     if drained.as_ref().is_some_and(|d| d.updates.is_empty()) {
@@ -673,6 +675,14 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
                     }
                     let own = evals[fi];
                     evals[fi] += 1;
+                    // Under quiescence, the superstep an equivalent BSP
+                    // schedule would have run this evaluation in.  The
+                    // fragment's own evaluation index bounds it (BSP
+                    // evaluates a fragment at most once per round), and so
+                    // does one past the newest mail consumed (BSP delivers a
+                    // round-`r` message in round `r + 1`); the min keeps the
+                    // metric stable against both piecemeal arrival and
+                    // chains of interim values.
                     let step = match (&drained, gate) {
                         (None, _) => 0,
                         (Some(_), Gate::Barrier { .. }) => round,
@@ -700,7 +710,7 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
                     }))
                 });
                 gate.mark(-1);
-                match evaluated {
+                match outcome {
                     Some(record) => done.extend(record),
                     None => break,
                 }

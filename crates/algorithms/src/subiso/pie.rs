@@ -1,12 +1,21 @@
 //! The SubIso PIE program (Section 5.1).
 //!
 //! Message preamble: the candidate set `C_i` is the `d_Q`-neighborhood of the
-//! border, where `d_Q` is the pattern diameter; the status variables are the
-//! (immutable) ids of the shipped nodes and edges, so no partial order is
-//! needed and no further messages flow after the neighborhood exchange.
+//! border restricted to the pattern's labels, where `d_Q` is the pattern
+//! diameter: every vertex reached from a pattern-labelled border vertex by at
+//! most `d_Q` hops through pattern-labelled vertices, with the edges among
+//! them.  Every vertex of a match carries a pattern label and a match of a
+//! connected pattern is connected through its own vertices, so a vertex or
+//! edge outside `C_i` can never be part of a match anchored at an inner
+//! vertex.  (Disconnected patterns are refused with
+//! [`grape_core::engine::EngineError::InvalidConfig`]: no neighbourhood makes
+//! their matches local.)  The status variables are the (immutable) ids of the
+//! shipped nodes and edges, so no partial order is needed and no further
+//! messages flow after the neighborhood exchange.
 //!
-//! * The engine performs the neighborhood exchange (fragment expansion) and
-//!   charges it to the communication account.
+//! * The engine performs the neighborhood exchange
+//!   ([`PieProgram::expansion`], fragment expansion) and charges it to the
+//!   communication account.
 //! * PEval then runs VF2 on the expanded fragment, keeping only matches whose
 //!   anchor (the vertex matched to query node 0) is an *inner* vertex — every
 //!   match is therefore reported by exactly one fragment (locality of
@@ -33,7 +42,7 @@ use grape_graph::delta::GraphDelta;
 use grape_graph::pattern::Pattern;
 use grape_graph::types::VertexId;
 use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Expansion, Fragment};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize};
 
@@ -115,8 +124,29 @@ impl PieProgram for SubIso {
         BorderScope::Out
     }
 
-    fn expansion_hops(&self, query: &SubIsoQuery) -> usize {
-        query.pattern.diameter()
+    /// The `d_Q`-hop neighbourhood of the border through pattern-labelled
+    /// vertices; none for a single-node pattern, whose matches are single
+    /// inner vertices.  A disconnected pattern is refused: its components
+    /// can match arbitrarily far apart, so no neighbourhood makes a match
+    /// local.
+    fn expansion(&self, query: &SubIsoQuery) -> Result<Option<Expansion>, String> {
+        let pattern = &query.pattern;
+        if !pattern.is_connected() {
+            return Err(format!(
+                "subiso pattern with labels {:?} and edges {:?} is not connected; \
+                 its matches are not local to any fragment's neighbourhood",
+                pattern.labels(),
+                pattern.edges()
+            ));
+        }
+        let hops = pattern.diameter();
+        let mut labels = pattern.labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        Ok((hops > 0).then_some(Expansion {
+            hops,
+            labels: Some(labels),
+        }))
     }
 
     fn peval(
@@ -361,6 +391,147 @@ mod tests {
             sorted(prepared.output().matches().to_vec()),
             sorted(recompute.output.matches().to_vec())
         );
+    }
+
+    /// The probe behind [`Pattern::is_connected`]: two unconnected pattern
+    /// nodes match any label-1/label-2 pair, however far apart, so the
+    /// engine returned 15 of the oracle's 25 matches.  It must refuse.
+    #[test]
+    fn disconnected_pattern_is_refused_not_answered_partially() {
+        use grape_core::engine::EngineError;
+        use grape_graph::builder::GraphBuilder;
+        use grape_partition::edge_cut::RangeEdgeCut;
+
+        let mut b = GraphBuilder::directed();
+        for v in 0..9u64 {
+            b.push_edge(grape_graph::types::Edge::unweighted(v, v + 1));
+        }
+        for v in 0..10u64 {
+            b.push_vertex_label(v, 1 + (v % 2) as u32);
+        }
+        let g = b.build();
+        let pattern = Pattern::new(vec![1, 2], vec![]);
+        assert_eq!(subgraph_isomorphism(&g, &pattern, usize::MAX).len(), 25);
+        let frag = RangeEdgeCut::new(2).partition(&g).unwrap();
+        let session = GrapeSession::with_workers(2);
+        let query = SubIsoQuery::new(pattern);
+        let run = session.run(&frag, &SubIso, &query).err();
+        let prepare = session.prepare(frag, SubIso, query).err();
+        for (entry, err) in [("run", run), ("prepare", prepare)] {
+            match err {
+                Some(EngineError::InvalidConfig(reason)) => assert!(
+                    reason.contains("labels [1, 2] and edges [] is not connected"),
+                    "{entry}: {reason}"
+                ),
+                other => panic!("{entry} must refuse the pattern, got {other:?}"),
+            }
+        }
+    }
+
+    /// SubIso as it ran before its exchange was restricted to pattern
+    /// labels: the label-oblivious `d_Q`-hop exchange, everything else
+    /// SubIso's own.
+    struct FullExchange;
+
+    impl PieProgram for FullExchange {
+        type Query = SubIsoQuery;
+        type Partial = SubIsoPartial;
+        type Key = VertexId;
+        type Value = bool;
+        type Output = SubIsoResult;
+
+        fn expansion(&self, query: &SubIsoQuery) -> Result<Option<Expansion>, String> {
+            let hops = query.pattern.diameter();
+            Ok((hops > 0).then_some(Expansion { hops, labels: None }))
+        }
+
+        fn peval(
+            &self,
+            query: &SubIsoQuery,
+            frag: &Fragment,
+            ctx: &mut Messages<VertexId, bool>,
+        ) -> SubIsoPartial {
+            SubIso.peval(query, frag, ctx)
+        }
+
+        fn inc_eval(
+            &self,
+            query: &SubIsoQuery,
+            frag: &Fragment,
+            partial: &mut SubIsoPartial,
+            messages: &[(VertexId, bool)],
+            ctx: &mut Messages<VertexId, bool>,
+        ) {
+            SubIso.inc_eval(query, frag, partial, messages, ctx);
+        }
+
+        fn assemble(&self, query: &SubIsoQuery, partials: Vec<SubIsoPartial>) -> SubIsoResult {
+            SubIso.assemble(query, partials)
+        }
+
+        fn aggregate(&self, key: &VertexId, a: bool, b: bool) -> bool {
+            SubIso.aggregate(key, a, b)
+        }
+    }
+
+    /// The label-restricted exchange drops only what no match can use: on
+    /// every seeded graph and version of the expansion pins, in both modes,
+    /// each fragment's capped partial is the same match *sequence* as over
+    /// the full exchange (so VF2 meets the surviving candidates in the same
+    /// order), and the uncapped answer equals the VF2 oracle.
+    #[test]
+    fn restricted_exchange_keeps_every_capped_partial() {
+        use grape_core::config::EngineMode;
+        use grape_partition::test_support::{seeded_graphs, versions};
+
+        const CAP: usize = 2;
+        for (seed, g) in seeded_graphs().iter().enumerate() {
+            // Labels 1 and 2 occur in every seeded graph, and every graph
+            // has more labels, so the restriction has vertices to drop.
+            let patterns = [
+                Pattern::new(vec![1, 2, 1], vec![(0, 1), (2, 1)]),
+                Pattern::random(3, 3, &[1, 2], 40 + seed as u64),
+            ];
+            for (name, frag) in versions(g, seed as u64) {
+                for pattern in &patterns {
+                    // VF2 repeats a match once per parallel edge it uses;
+                    // `assemble` dedups.
+                    let mut oracle =
+                        sorted(subgraph_isomorphism(frag.source(), pattern, usize::MAX));
+                    oracle.dedup();
+                    for mode in [EngineMode::Sync, EngineMode::Async] {
+                        let at = format!("graph {seed} {name} {pattern:?} {mode:?}");
+                        let session = GrapeSession::builder()
+                            .workers(2)
+                            .mode(mode)
+                            .build()
+                            .unwrap();
+                        let query = SubIsoQuery::new(pattern.clone());
+                        let run = session.run(&frag, &SubIso, &query).unwrap();
+                        assert_eq!(run.output.matches(), oracle.as_slice(), "{at}: oracle");
+
+                        let capped = query.with_max_matches(CAP);
+                        let restricted = session.prepare(frag.clone(), SubIso, capped.clone());
+                        let full = session.prepare(frag.clone(), FullExchange, capped);
+                        let (restricted, full) = (restricted.unwrap(), full.unwrap());
+                        let sequences = |partials: &[SubIsoPartial]| -> Vec<Vec<Match>> {
+                            partials.iter().map(|p| p.matches.clone()).collect()
+                        };
+                        let ours = sequences(restricted.partials());
+                        assert_eq!(ours, sequences(full.partials()), "{at}: partials");
+                        assert!(
+                            oracle.len() <= CAP || ours.iter().any(|m| m.len() == CAP),
+                            "{at}: the cap never binds"
+                        );
+                        assert!(
+                            restricted.prepare_metrics().expansion_bytes
+                                <= full.prepare_metrics().expansion_bytes,
+                            "{at}: the restriction ships more"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

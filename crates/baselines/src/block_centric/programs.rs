@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use grape_core::metrics::{EngineMetrics, SuperstepMetrics};
 use grape_graph::pattern::Pattern;
 use grape_graph::types::VertexId;
-use grape_partition::fragment::{Fragment, Fragmentation};
+use grape_partition::fragment::{Expansion, Fragment, Fragmentation};
 
 use grape_algorithms::cf::sequential::{initial_factors, sgd_step, CfModel};
 use grape_algorithms::cf::CfQuery;
@@ -436,11 +436,13 @@ impl BlockProgram for BlockCf {
 // SubIso (standalone runner)
 // ---------------------------------------------------------------------------
 
-/// Blogel-style subgraph isomorphism: every block receives the
-/// `d_Q`-neighborhood of its border (same exchange as GRAPE, counted as
-/// communication) but enumerates every match containing *any* of its inner
-/// vertices, leaving duplicate elimination to the coordinator — the extra
-/// enumeration and shipping is what makes it slower than the GRAPE program.
+/// Blogel-style subgraph isomorphism: every block receives the full
+/// `d_Q`-neighborhood of its border — the label-oblivious exchange
+/// (`labels: None`), where GRAPE ships only pattern-labelled vertices —
+/// counted as communication, and enumerates every match containing *any*
+/// of its inner vertices, leaving duplicate elimination to the coordinator.
+/// The extra enumeration and shipping is what makes it slower than the
+/// GRAPE program.
 pub fn run_block_subiso(
     fragmentation: &Fragmentation,
     pattern: &Pattern,
@@ -455,10 +457,13 @@ pub fn run_block_subiso(
         fragments: m,
         ..Default::default()
     };
-    let hops = pattern.diameter();
+    let exchange = Expansion {
+        hops: pattern.diameter(),
+        labels: None,
+    };
     let mut expanded = Vec::with_capacity(m);
     for i in 0..m {
-        let (frag, shipped_v, shipped_e) = fragmentation.expand_fragment(i, hops);
+        let (frag, shipped_v, shipped_e) = fragmentation.expand_fragment(i, &exchange);
         metrics.add_expansion(shipped_v * 24 + shipped_e * 24);
         expanded.push(frag);
     }

@@ -355,10 +355,12 @@ pub(crate) fn run_parts<P: PieProgram>(
         retained.is_some() || !peval.contains(&false),
         "a run without retained partials must PEval every fragment"
     );
-    let hops = program.expansion_hops(query);
-    if hops > 0 && repeval.is_empty() && !seeds.is_empty() {
+    let exchange = program
+        .expansion(query)
+        .map_err(EngineError::InvalidConfig)?;
+    if exchange.is_some() && repeval.is_empty() && !seeds.is_empty() {
         return Err(EngineError::InvalidConfig(
-            "d-hop expansion programs cannot refresh from seed messages alone; \
+            "programs that declare an exchange cannot refresh from seed messages alone; \
              use the bounded refresh (damage frontier) or re-prepare"
                 .to_string(),
         ));
@@ -374,24 +376,25 @@ pub(crate) fn run_parts<P: PieProgram>(
         ..Default::default()
     };
 
-    // Optional d-hop fragment expansion (SubIso), for the fragments PEval
+    // The declared neighbourhood exchange (SubIso: the `d_Q`-hop,
+    // pattern-labelled neighbourhood of the border), for the fragments PEval
     // roots only: a bounded refresh ships `|damaged|` neighbourhoods instead
     // of all `m`.  The shipped vertices/edges are counted as communication,
     // mirroring the paper's "message M_i … including all nodes and edges in
     // C_i.x̄ from other fragments".
-    let fragments: Vec<Arc<Fragment>> = if hops > 0 {
-        (0..m)
+    let fragments: Vec<Arc<Fragment>> = match &exchange {
+        Some(exchange) => (0..m)
             .map(|i| {
                 if !peval[i] {
                     return fragmentation.fragments()[i].clone();
                 }
-                let (f, shipped_vertices, shipped_edges) = fragmentation.expand_fragment(i, hops);
+                let (f, shipped_vertices, shipped_edges) =
+                    fragmentation.expand_fragment(i, exchange);
                 metrics.add_expansion(shipped_vertices * 24 + shipped_edges * 24);
                 Arc::new(f)
             })
-            .collect()
-    } else {
-        fragmentation.fragments().to_vec()
+            .collect(),
+        None => fragmentation.fragments().to_vec(),
     };
 
     // Map virtual workers (fragments) onto physical workers.

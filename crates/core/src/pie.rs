@@ -18,7 +18,7 @@ use std::hash::Hash;
 use grape_graph::delta::GraphDelta;
 use grape_graph::types::VertexId;
 use grape_partition::delta::{DeltaApplication, FragmentDelta};
-use grape_partition::fragment::{Fragment, Fragmentation};
+use grape_partition::fragment::{Expansion, Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -183,12 +183,16 @@ pub trait PieProgram: Send + Sync {
         BorderScope::Out
     }
 
-    /// `d`-hop fragment expansion requested before PEval runs (the SubIso PIE
-    /// program returns the pattern diameter `d_Q` here; everything else keeps
-    /// the default `0`).
-    fn expansion_hops(&self, query: &Self::Query) -> usize {
+    /// The neighbourhood exchange this query needs before PEval runs: the
+    /// engine evaluates over [`Fragmentation::expand_fragment`]'s expansion
+    /// instead of the base fragment and charges what it ships to
+    /// communication.  `Ok(None)`, the default, declares no exchange; SubIso
+    /// declares its pattern's diameter `d_Q` and labels.  `Err` names why no
+    /// exchange can make this query's answer local; the engine reports it
+    /// as [`crate::engine::EngineError::InvalidConfig`].
+    fn expansion(&self, query: &Self::Query) -> Result<Option<Expansion>, String> {
         let _ = query;
-        0
+        Ok(None)
     }
 
     /// Partial evaluation: compute `Q(F_i)` on the local fragment and declare

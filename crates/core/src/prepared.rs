@@ -327,12 +327,13 @@ impl<P: IncrementalPie> PreparedQuery<P> {
             return Ok(self.commit(RefreshKind::Monotone, rebuilt, Vec::new(), 0, metrics));
         }
 
-        // The monotone path needs the program's blessing.  d-hop expansion
-        // programs evaluate over expanded fragments the handle does not
-        // retain, so their rebase path is unavailable — they go through the
-        // bounded refresh, which re-expands exactly the damaged fragments.
-        let monotone =
-            self.program.delta_is_monotone(delta) && self.program.expansion_hops(&self.query) == 0;
+        // The monotone path needs the program's blessing.  Programs that
+        // declare an exchange evaluate over expanded fragments the handle
+        // does not retain, so their rebase path is unavailable — they go
+        // through the bounded refresh, which re-expands exactly the damaged
+        // fragments.
+        let monotone = self.program.delta_is_monotone(delta)
+            && matches!(self.program.expansion(&self.query), Ok(None));
 
         // From here until a refresh commits, the handle holds rebased,
         // retracted or taken partials: an engine error must not let

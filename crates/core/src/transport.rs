@@ -26,10 +26,12 @@
 //! this process, or sharded across `grape-worker` subprocesses.  Message
 //! routing stays in the parent either way.
 //!
-//! Both transports account every shipped update into [`TransportStats`]
-//! using the program's `key_size`/`value_size`, which is what
-//! [`crate::metrics::EngineMetrics`] reports for the paper's communication
-//! figures.
+//! Both transports charge every shipped update once, sized with the
+//! program's `key_size`/`value_size`: the barrier transport in the
+//! [`TransportStats`] its `flush` returns, the streaming one in the
+//! [`Drained`] counts of the `drain` that delivers it.  The engine sums
+//! these into [`crate::metrics::EngineMetrics`], which is what the paper's
+//! communication figures report.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -96,7 +98,7 @@ impl TransportSpec {
     }
 }
 
-/// Cumulative message/byte accounting of a transport.
+/// Message/byte accounting of one [`Transport::flush`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Updates actually enqueued (after aggregation and dedup).
@@ -114,9 +116,10 @@ pub struct Drained<K, V> {
     /// the superstep that routed them under the barrier transport, or the
     /// sender's evaluation round under the streaming transport.
     pub max_step: usize,
-    /// Messages charged to [`TransportStats`] for this drain.
+    /// Messages in `updates` (charged here by the streaming transport, at
+    /// `flush` by the barrier one).
     pub messages: usize,
-    /// Bytes charged for this drain.
+    /// Bytes of those messages.
     pub bytes: usize,
 }
 
@@ -172,11 +175,6 @@ pub trait Transport<K, V>: Send + Sync {
 
     /// Number of mailboxes with published messages waiting.
     fn pending_mailboxes(&self) -> usize;
-
-    /// Cumulative accounting since construction (monotone, survives
-    /// [`BarrierTransport::reset`] — re-shipped messages after a failure
-    /// recovery are real communication).
-    fn stats(&self) -> TransportStats;
 }
 
 // ---------------------------------------------------------------------------
@@ -215,8 +213,6 @@ pub struct BarrierTransport<'p, K, V> {
     /// Per-sender staged batches: `(dest, step, updates)`.
     staging: Vec<Mutex<Vec<StagedBatch<K, V>>>>,
     mailboxes: Vec<Mutex<BarrierMailbox<K, V>>>,
-    messages: AtomicUsize,
-    bytes: AtomicUsize,
 }
 
 impl<'p, K, V> BarrierTransport<'p, K, V> {
@@ -228,8 +224,6 @@ impl<'p, K, V> BarrierTransport<'p, K, V> {
             mailboxes: (0..num_fragments)
                 .map(|_| Mutex::new(BarrierMailbox::new()))
                 .collect(),
-            messages: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
         }
     }
 }
@@ -283,9 +277,6 @@ where
                 mailbox.queue.push((k, v));
             }
         }
-        self.messages
-            .fetch_add(published.messages, Ordering::SeqCst);
-        self.bytes.fetch_add(published.bytes, Ordering::SeqCst);
         published
     }
 
@@ -315,13 +306,6 @@ where
             .iter()
             .filter(|m| !m.lock().queue.is_empty())
             .count()
-    }
-
-    fn stats(&self) -> TransportStats {
-        TransportStats {
-            messages: self.messages.load(Ordering::SeqCst),
-            bytes: self.bytes.load(Ordering::SeqCst),
-        }
     }
 }
 
@@ -394,8 +378,6 @@ pub struct ChannelTransport<'p, K, V> {
     /// Number of mailboxes with pending mail — the quiescence signal the
     /// asynchronous runtime polls without taking any lock.
     nonempty: AtomicUsize,
-    messages: AtomicUsize,
-    bytes: AtomicUsize,
 }
 
 impl<'p, K, V> ChannelTransport<'p, K, V> {
@@ -407,8 +389,6 @@ impl<'p, K, V> ChannelTransport<'p, K, V> {
                 .map(|_| Mutex::new(ChannelMailbox::new()))
                 .collect(),
             nonempty: AtomicUsize::new(0),
-            messages: AtomicUsize::new(0),
-            bytes: AtomicUsize::new(0),
         }
     }
 }
@@ -469,8 +449,6 @@ where
             mailbox.delivered.insert(k.clone(), v.clone());
             drained.updates.push((k, v));
         }
-        self.messages.fetch_add(drained.messages, Ordering::SeqCst);
-        self.bytes.fetch_add(drained.bytes, Ordering::SeqCst);
         drained
     }
 
@@ -480,13 +458,6 @@ where
 
     fn pending_mailboxes(&self) -> usize {
         self.nonempty.load(Ordering::SeqCst)
-    }
-
-    fn stats(&self) -> TransportStats {
-        TransportStats {
-            messages: self.messages.load(Ordering::SeqCst),
-            bytes: self.bytes.load(Ordering::SeqCst),
-        }
     }
 }
 
@@ -507,26 +478,87 @@ mod tests {
         value_size: &eight,
     };
 
+    /// When a transport charges what it ships.
+    #[derive(Clone, Copy)]
+    enum Charge {
+        /// In the stats `flush` returns (the barrier transport); its drains
+        /// then report exactly what was flushed.
+        AtFlush,
+        /// In the `drain` results (the streaming transport); `flush`
+        /// charges nothing.
+        AtDrain,
+    }
+
+    /// Drives a transport and sums what it charges: `flush`'s returns and
+    /// the drain results, the only accounting the contract exposes.
+    struct Ledger<'t, T> {
+        t: &'t T,
+        charge: Charge,
+        flushed: TransportStats,
+        drained: TransportStats,
+    }
+
+    impl<'t, T: Transport<u64, u64>> Ledger<'t, T> {
+        fn new(t: &'t T, charge: Charge) -> Self {
+            Ledger {
+                t,
+                charge,
+                flushed: TransportStats::default(),
+                drained: TransportStats::default(),
+            }
+        }
+
+        fn flush(&mut self) -> TransportStats {
+            let f = self.t.flush();
+            self.flushed.messages += f.messages;
+            self.flushed.bytes += f.bytes;
+            f
+        }
+
+        fn drain(&mut self, fragment: usize) -> Drained<u64, u64> {
+            let d = self.t.drain(fragment);
+            self.drained.messages += d.messages;
+            self.drained.bytes += d.bytes;
+            d
+        }
+
+        /// Everything charged so far; only read after every published
+        /// message was drained.
+        fn charged(&self) -> TransportStats {
+            match self.charge {
+                Charge::AtFlush => {
+                    assert_eq!(self.flushed, self.drained, "drains report the flushes");
+                    self.flushed
+                }
+                Charge::AtDrain => {
+                    assert_eq!(self.flushed, TransportStats::default(), "flush charges");
+                    self.drained
+                }
+            }
+        }
+    }
+
     /// The conformance suite of the `Transport` contract, run against both
     /// implementations: delivery, cross-sender aggregation, delivered-cache
     /// dedup, byte accounting, step tagging and pending bookkeeping.
     /// Restart recovery (`reset`) is Barrier-only and has its own test.
     ///
     /// Accounting *timing* differs between the two (barrier charges at
-    /// flush, channel at drain), so the suite always observes stats after a
-    /// full send → flush → drain cycle, where both must agree.
-    fn conformance<T: Transport<u64, u64>>(name: &str, t: &T) {
+    /// flush, channel at drain), so the suite always observes the charged
+    /// sum after a full send → flush → drain cycle, where both must agree.
+    fn conformance<T: Transport<u64, u64>>(name: &str, t: &T, charge: Charge) {
+        let mut l = Ledger::new(t, charge);
         // (1) Delivery: one update from fragment 0 to fragment 1.
         t.send_batch(0, 1, 0, vec![(5, 40)]);
-        t.flush();
+        l.flush();
         assert!(t.has_pending(1), "{name}: update not delivered");
         assert!(!t.has_pending(0), "{name}: wrong mailbox");
         assert_eq!(t.pending_mailboxes(), 1, "{name}");
-        let d = t.drain(1);
+        let d = l.drain(1);
         assert_eq!(d.updates, vec![(5, 40)], "{name}");
         assert_eq!((d.messages, d.bytes), (1, 16), "{name}");
         assert_eq!(
-            t.stats(),
+            l.charged(),
             TransportStats {
                 messages: 1,
                 bytes: 16
@@ -539,29 +571,29 @@ mod tests {
         // aggregated (min) value is delivered as ONE message.
         t.send_batch(0, 1, 1, vec![(5, 30)]);
         t.send_batch(2, 1, 1, vec![(5, 20)]);
-        t.flush();
-        let d = t.drain(1);
+        l.flush();
+        let d = l.drain(1);
         assert_eq!(d.updates, vec![(5, 20)], "{name}: aggregateMsg = min");
         assert_eq!(d.messages, 1, "{name}: conflicts are one message");
-        assert_eq!(t.stats().messages, 2, "{name}");
+        assert_eq!(l.charged().messages, 2, "{name}");
 
         // (3) Delivered-cache dedup: resending the delivered value ships
         // nothing and charges nothing.
         t.send_batch(0, 1, 2, vec![(5, 20)]);
-        t.flush();
+        l.flush();
         assert!(!t.has_pending(1), "{name}: unchanged value reshipped");
-        let d = t.drain(1);
+        let d = l.drain(1);
         assert!(d.updates.is_empty(), "{name}");
-        assert_eq!(t.stats().messages, 2, "{name}: dedup must not charge");
+        assert_eq!(l.charged().messages, 2, "{name}: dedup must not charge");
 
         // (4) A *changed* value for the same key ships again.
         t.send_batch(0, 1, 3, vec![(5, 10)]);
-        t.flush();
-        let d = t.drain(1);
+        l.flush();
+        let d = l.drain(1);
         assert_eq!(d.updates, vec![(5, 10)], "{name}");
         assert_eq!(d.max_step, 3, "{name}: step tag must survive delivery");
         assert_eq!(
-            t.stats(),
+            l.charged(),
             TransportStats {
                 messages: 3,
                 bytes: 48
@@ -573,29 +605,29 @@ mod tests {
         // distinct keys keeps them distinct.
         t.send_batch(1, 0, 4, vec![(7, 1), (8, 2)]);
         t.send_batch(1, 2, 4, vec![(7, 1)]);
-        t.flush();
+        l.flush();
         assert_eq!(t.pending_mailboxes(), 2, "{name}");
-        let mut d0 = t.drain(0).updates;
+        let mut d0 = l.drain(0).updates;
         d0.sort_unstable();
         assert_eq!(d0, vec![(7, 1), (8, 2)], "{name}");
-        assert_eq!(t.drain(2).updates, vec![(7, 1)], "{name}");
+        assert_eq!(l.drain(2).updates, vec![(7, 1)], "{name}");
         assert_eq!(t.pending_mailboxes(), 0, "{name}");
 
         // (6) Draining an empty mailbox is free and empty.
-        let d = t.drain(0);
+        let d = l.drain(0);
         assert!(d.updates.is_empty() && d.messages == 0, "{name}");
 
         // (7) Empty flush: publishing with nothing staged is free, returns
         // zero stats, and never disturbs pending mail.
-        let before = t.stats();
-        assert_eq!(t.flush(), TransportStats::default(), "{name}");
-        assert_eq!(t.stats(), before, "{name}: empty flush must not charge");
+        let before = l.charged();
+        assert_eq!(l.flush(), TransportStats::default(), "{name}");
+        assert_eq!(l.charged(), before, "{name}: empty flush must not charge");
         t.send_batch(0, 1, 5, vec![(21, 21)]);
-        t.flush();
+        l.flush();
         assert!(t.has_pending(1), "{name}");
-        t.flush(); // a second, empty flush between barrier and drain
+        l.flush(); // a second, empty flush between barrier and drain
         assert_eq!(
-            t.drain(1).updates,
+            l.drain(1).updates,
             vec![(21, 21)],
             "{name}: empty flush dropped or duplicated pending mail"
         );
@@ -604,13 +636,13 @@ mod tests {
     #[test]
     fn barrier_transport_conforms() {
         let ops = MIN_OPS;
-        conformance("barrier", &BarrierTransport::new(3, ops));
+        conformance("barrier", &BarrierTransport::new(3, ops), Charge::AtFlush);
     }
 
     #[test]
     fn channel_transport_conforms() {
         let ops = MIN_OPS;
-        conformance("channel", &ChannelTransport::new(3, ops));
+        conformance("channel", &ChannelTransport::new(3, ops), Charge::AtDrain);
     }
 
     #[test]
@@ -694,8 +726,8 @@ mod tests {
     }
 
     /// Reset clears pending mail, staged sends and the delivered caches (a
-    /// value delivered before the reset ships again), but accounting is
-    /// cumulative: re-shipped messages after a restart are real
+    /// value delivered before the reset ships again), and the re-shipped
+    /// value is charged again: re-shipped messages after a restart are real
     /// communication.
     #[test]
     fn barrier_reset_forgets_mail_and_dedup_but_keeps_stats() {
@@ -709,12 +741,17 @@ mod tests {
         t.reset();
         assert_eq!(t.pending_mailboxes(), 0, "reset leaves mail");
         assert_eq!(t.flush(), TransportStats::default(), "reset leaves staging");
-        let before = t.stats();
         t.send_batch(0, 1, 0, vec![(5, 10)]); // delivered pre-reset
-        t.flush();
+        let charged = t.flush();
         let d = t.drain(1);
         assert_eq!(d.updates, vec![(5, 10)], "reset must forget dedup");
-        assert_eq!(t.stats().messages, before.messages + 1);
+        assert_eq!(
+            charged,
+            TransportStats {
+                messages: 1,
+                bytes: 16
+            }
+        );
     }
 
     /// The default spec runs in-process, and the substrate it names follows

@@ -82,10 +82,38 @@ impl Pattern {
         &self.r#in[u as usize]
     }
 
+    /// Whether every query node reaches every other one, ignoring edge
+    /// directions.  The empty pattern counts as connected.
+    pub fn is_connected(&self) -> bool {
+        let k = self.num_nodes();
+        if k == 0 {
+            return true;
+        }
+        let mut adj = vec![Vec::new(); k];
+        for &(u, v) in &self.edges {
+            adj[u as usize].push(v as usize);
+            adj[v as usize].push(u as usize);
+        }
+        let mut seen = vec![false; k];
+        seen[0] = true;
+        let mut stack = vec![0usize];
+        while let Some(u) = stack.pop() {
+            for &v in &adj[u] {
+                if !seen[v] {
+                    seen[v] = true;
+                    stack.push(v);
+                }
+            }
+        }
+        seen.into_iter().all(|s| s)
+    }
+
     /// Diameter `d_Q` of the pattern: the maximum over all connected node
     /// pairs of the length of the shortest (undirected) path between them.
     /// Used by the SubIso PIE program to bound the neighborhood
-    /// `N_{d_Q}(v)` shipped to each fragment (Section 5.1).
+    /// `N_{d_Q}(v)` shipped to each fragment (Section 5.1).  Node pairs in
+    /// different components are ignored, so the bound holds only for a
+    /// pattern that [`Pattern::is_connected`].
     pub fn diameter(&self) -> usize {
         let k = self.num_nodes();
         if k == 0 {
@@ -185,6 +213,17 @@ mod tests {
     }
 
     #[test]
+    fn connectivity_ignores_edge_direction() {
+        assert!(triangle().is_connected());
+        assert!(Pattern::single(5).is_connected());
+        assert!(Pattern::new(vec![1, 2, 3], vec![(1, 0), (1, 2)]).is_connected());
+        assert!(!Pattern::new(vec![1, 2], vec![]).is_connected());
+        let two_pairs = Pattern::new(vec![1, 2, 1, 2], vec![(0, 1), (2, 3)]);
+        assert!(!two_pairs.is_connected());
+        assert_eq!(two_pairs.diameter(), 1, "only connected pairs count");
+    }
+
+    #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_edge_panics() {
         Pattern::new(vec![0, 1], vec![(0, 2)]);
@@ -196,7 +235,7 @@ mod tests {
         assert_eq!(p.num_nodes(), 8);
         assert!(p.num_edges() >= 7, "needs at least a spanning tree");
         assert!(p.num_edges() <= 15);
-        // connected: diameter is finite and every node reached
+        assert!(p.is_connected());
         assert!(p.diameter() >= 1);
     }
 

@@ -8,7 +8,7 @@
 //! graph ([`Fragmentation::source`]) is a per-version view, kept as given at
 //! partition time and otherwise derived from the fragments on first use —
 //! by oracles, tests, and the `d`-hop neighborhood expansion SubIso needs
-//! (Section 5.1).
+//! (Section 5.1, declared as an [`Expansion`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -214,6 +214,25 @@ impl Fragment {
     }
 }
 
+/// A neighbourhood exchange: what [`Fragmentation::expand_fragment`] ships
+/// to a fragment before PEval runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Expansion {
+    /// How far the exchange grows from the border, in undirected hops.
+    pub hops: usize,
+    /// The vertex labels the exchange may ship and keep edges between;
+    /// `None` admits every vertex (the label-oblivious `d`-hop exchange).
+    pub labels: Option<Vec<Label>>,
+}
+
+impl Expansion {
+    /// Whether a vertex with `label` is labelled under this exchange.
+    #[inline]
+    pub fn admits(&self, label: Label) -> bool {
+        self.labels.as_ref().is_none_or(|ls| ls.contains(&label))
+    }
+}
+
 /// A complete fragmentation: all fragments and the fragmentation graph
 /// `G_P`.
 ///
@@ -366,31 +385,43 @@ impl Fragmentation {
         self.gp.border_vertices().count()
     }
 
-    /// Builds an *expanded* copy of fragment `i` that additionally contains
-    /// every vertex and edge within `hops` hops (following either direction)
-    /// of the fragment's border `F_i.I ∪ F_i.O`, as required by the SubIso
-    /// PIE program (candidate set `C_i` with `d = d_Q`, Section 5.1).
+    /// Builds an *expanded* copy of fragment `i` for the neighbourhood
+    /// exchange `exchange` declares (the SubIso PIE program's candidate set
+    /// `C_i` with `d = d_Q`, Section 5.1).
     ///
-    /// Invariant: every vertex within `hops` hops of an inner vertex is
-    /// present.  On a path from an inner vertex, the edge after its last
-    /// inner vertex is a cross edge with an endpoint in `F_i.I` or `F_i.O`,
-    /// and the rest of the path avoids inner vertices, so the search from
-    /// that border vertex reaches the path's end.  That is what makes
-    /// SubIso's rule — report exactly the matches anchored at an inner
-    /// vertex — exact for patterns of diameter at most `hops`.
+    /// A vertex is *labelled* when [`Expansion::admits`] its label (every
+    /// vertex, for a label-oblivious exchange).  The expanded fragment keeps
+    /// every vertex of the base fragment and adds every vertex reached by a
+    /// walk of up to `exchange.hops` hops (following either direction) that
+    /// starts at a labelled vertex of the border `F_i.I ∪ F_i.O` and steps
+    /// only onto labelled vertices.
+    ///
+    /// Invariant: every vertex reachable from a labelled inner vertex
+    /// within `hops` hops through labelled vertices is present.  On such a
+    /// path, the edge after its last inner vertex is a cross edge with a
+    /// labelled endpoint in `F_i.I` or `F_i.O`, and the rest of the path
+    /// avoids inner vertices, so the walk from that border vertex reaches
+    /// the path's end.  A match of a connected pattern whose labels are all
+    /// admitted is connected through its own labelled vertices and lies
+    /// within `d_Q` hops of each of them.  That is what makes SubIso's
+    /// rule — report exactly the matches anchored at an inner vertex —
+    /// exact for connected patterns of diameter at most `hops`.
     ///
     /// The expanded fragment lists the inner vertices first (in the base's
     /// order), then every other present vertex in ascending global id; its
-    /// edges are the source graph's edges between present vertices, in that
-    /// vertex order.  Both border lists keep the base's vertices.
+    /// edges are the source graph's edges between present labelled
+    /// vertices, in that vertex order.  Both border lists keep the base's
+    /// vertices.
     ///
     /// Returns the expanded fragment together with the number of vertices and
     /// edges that had to be *shipped* from other fragments (used by the
-    /// engine to account for communication).
-    pub fn expand_fragment(&self, i: usize, hops: usize) -> (Fragment, usize, usize) {
+    /// engine to account for communication): the vertices the walk added,
+    /// and the edges whose source is not inner.
+    pub fn expand_fragment(&self, i: usize, exchange: &Expansion) -> (Fragment, usize, usize) {
         let base = &self.fragments[i];
         let g = self.source().as_ref();
         let n = g.num_vertices();
+        let labelled = |v: VertexId| exchange.admits(g.vertex_label(v));
         // Start from all vertices already present locally; `extra` collects
         // the non-inner ones (outer copies, then everything shipped).
         let mut present = vec![false; n];
@@ -403,15 +434,17 @@ impl Fragmentation {
             }
         }
         let num_outer = extra.len();
-        // BFS outward from both border sets, up to `hops` hops, both directions.
+        // BFS outward from the labelled vertices of both border sets, up to
+        // `hops` hops, both directions, through labelled vertices only.
         let mut frontier: Vec<VertexId> = base.in_border_globals();
         frontier.extend(base.out_border_globals());
-        for _ in 0..hops {
+        frontier.retain(|&v| labelled(v));
+        for _ in 0..exchange.hops {
             let mut next = Vec::new();
             for &v in &frontier {
                 for nb in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
                     let seen = &mut present[nb.target as usize];
-                    if !*seen {
+                    if !*seen && labelled(nb.target) {
                         *seen = true;
                         next.push(nb.target);
                     }
@@ -427,20 +460,29 @@ impl Fragmentation {
         let mut globals: Vec<VertexId> = Vec::with_capacity(num_inner + extra.len());
         globals.extend(base.inner_locals().map(|l| base.global_of(l)));
         globals.extend(extra);
+        let labels: Vec<Label> = globals.iter().map(|&v| g.vertex_label(v)).collect();
+        // `local_of` maps every present vertex (the borders need them all);
+        // `keep` marks the labelled ones, the only edge endpoints.
         let mut local_of = vec![LocalId::MAX; n];
+        let mut keep = vec![false; globals.len()];
         for (l, &v) in globals.iter().enumerate() {
             local_of[v as usize] = l as LocalId;
+            keep[l] = exchange.admits(labels[l]);
         }
 
-        // Local edges: every source-graph edge with both endpoints present,
-        // in `globals` order so the expansion is the same on every run.
+        // Local edges: every source-graph edge between present labelled
+        // vertices, in `globals` order so the expansion is the same on
+        // every run.
         let mut edges = Vec::new();
         let mut shipped_edges = 0usize;
         for (src_local, &v) in globals.iter().enumerate() {
+            if !keep[src_local] {
+                continue;
+            }
             let before = edges.len();
             for nb in g.out_neighbors(v) {
                 let dst_local = local_of[nb.target as usize];
-                if dst_local != LocalId::MAX {
+                if dst_local != LocalId::MAX && keep[dst_local as usize] {
                     edges.push(Edge::new(
                         src_local as VertexId,
                         dst_local as VertexId,
@@ -453,7 +495,6 @@ impl Fragmentation {
                 shipped_edges += edges.len() - before;
             }
         }
-        let labels: Vec<Label> = globals.iter().map(|&v| g.vertex_label(v)).collect();
         let local = Graph::from_parts(Directedness::Directed, globals.len(), edges, labels);
 
         // The outer copies moved to their place in id order: remap `F_i.O`.
@@ -819,21 +860,26 @@ mod tests {
         assert!(frag.fragments().iter().all(|f| f.check_invariants()));
     }
 
+    /// The label-oblivious exchange of `hops` hops.
+    fn oblivious(hops: usize) -> Expansion {
+        Expansion { hops, labels: None }
+    }
+
     #[test]
     fn expand_fragment_pulls_in_neighborhood() {
         let g = chain_graph();
         let assignment = vec![0, 0, 1, 1, 2, 2];
         let frag = build_edge_cut(&g, &assignment, 3, "test");
-        // Fragment 1 owns {2, 3}; expanding by 2 hops should pull in 0,1,4,5.
-        let (expanded, shipped_v, shipped_e) = frag.expand_fragment(1, 2);
+        // Fragment 1 owns {2, 3} and holds an outer copy of 4; the walk
+        // starts at 2 (F.I) and 4 (F.O): hop 1 reaches 1 and 5, hop 2
+        // reaches 0.
+        let (expanded, shipped_v, shipped_e) = frag.expand_fragment(1, &oblivious(2));
         assert_eq!(expanded.num_inner(), 2);
-        assert!(
-            expanded.num_local() >= 5,
-            "expanded to {} vertices",
-            expanded.num_local()
-        );
-        assert!(shipped_v >= 2);
-        assert!(shipped_e >= 1);
+        assert_eq!(expanded.globals, vec![2, 3, 0, 1, 4, 5]);
+        // Shipped: vertices 0, 1, 5 and the edges 0→1, 1→2, 4→5 (sources
+        // that are not inner); 2→3 and 3→4 were local already.
+        assert_eq!((shipped_v, shipped_e), (3, 3));
+        assert_eq!(expanded.num_local_edges(), 5);
         assert!(expanded.check_invariants());
         // Inner vertices keep their identity.
         assert_eq!(expanded.global_of(0), 2);
@@ -841,11 +887,46 @@ mod tests {
     }
 
     #[test]
+    fn an_unlabelled_vertex_blocks_the_walk() {
+        // The chain with every vertex labelled 1 except vertex 1.
+        let mut b = GraphBuilder::directed();
+        for v in 0..5u64 {
+            b.push_edge(Edge::weighted(v, v + 1, 1.0));
+        }
+        for v in 0..6u64 {
+            b.push_vertex_label(v, if v == 1 { 2 } else { 1 });
+        }
+        let g = Arc::new(b.build());
+        let frag = build_edge_cut(&g, &[0, 0, 1, 1, 2, 2], 3, "test");
+        let exchange = Expansion {
+            hops: 2,
+            labels: Some(vec![1]),
+        };
+        // Vertex 0 is two hops from the inner vertex 2, but only through the
+        // unlabelled 1: the walk from 2 stops, the walk from 4 ships 5.
+        let (expanded, shipped_v, shipped_e) = frag.expand_fragment(1, &exchange);
+        assert_eq!(expanded.globals, vec![2, 3, 4, 5]);
+        assert_eq!((shipped_v, shipped_e), (1, 1), "vertex 5, edge 4→5");
+        assert_eq!(expanded.num_local_edges(), 3);
+        assert!(expanded.check_invariants());
+        // An unlabelled outer copy stays (both borders keep their vertices)
+        // but carries no edge and starts no walk.
+        let frag = build_edge_cut(&g, &[0, 1, 1, 1, 1, 1], 2, "test");
+        let (expanded, shipped_v, shipped_e) = frag.expand_fragment(0, &exchange);
+        assert_eq!(expanded.globals, vec![0, 1]);
+        assert_eq!(expanded.out_border_globals(), vec![1]);
+        assert_eq!(
+            (shipped_v, shipped_e, expanded.num_local_edges()),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
     fn expand_zero_hops_is_identity_sized() {
         let g = chain_graph();
         let assignment = vec![0, 0, 0, 1, 1, 1];
         let frag = build_edge_cut(&g, &assignment, 2, "test");
-        let (expanded, shipped_v, _) = frag.expand_fragment(0, 0);
+        let (expanded, shipped_v, _) = frag.expand_fragment(0, &oblivious(0));
         assert_eq!(expanded.num_local(), frag.fragment(0).num_local());
         assert_eq!(shipped_v, 0);
     }
@@ -863,8 +944,8 @@ mod tests {
         let assignment: Vec<u32> = (0..40).map(|v| (v / 10) as u32).collect();
         let frag = build_edge_cut(&g, &assignment, 4, "test");
         for i in 0..frag.num_fragments() {
-            let (a, ..) = frag.expand_fragment(i, 2);
-            let (b, ..) = frag.expand_fragment(i, 2);
+            let (a, ..) = frag.expand_fragment(i, &oblivious(2));
+            let (b, ..) = frag.expand_fragment(i, &oblivious(2));
             assert!(a.same_structure(&b), "fragment {i}");
             assert_eq!(a.in_edges(0), b.in_edges(0), "fragment {i}");
         }
@@ -910,35 +991,51 @@ mod tests {
 }
 
 /// Pins [`Fragmentation::expand_fragment`] against the hash-map
-/// implementation it replaced.
+/// implementation it replaced, run on the label-induced subgraph.
 #[cfg(test)]
 mod expansion {
     use super::*;
-    use crate::edge_cut::HashEdgeCut;
     use crate::metis_like::MetisLike;
     use crate::strategy::PartitionStrategy;
-    use crate::vertex_cut::GreedyVertexCut;
-    use grape_graph::generators::{erdos_renyi, labeled_kg};
-    use grape_graph::GraphDelta;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use crate::test_support::{seeded_graphs, versions};
+    use grape_graph::generators::labeled_kg;
+
+    /// Each hop count with the label-oblivious exchange and two label
+    /// sets: one admits half the alphabet of the uniform graphs, the other
+    /// a single label (and, on the knowledge graph, its commonest types).
+    fn exchanges(hops: usize) -> [Expansion; 3] {
+        [None, Some(vec![1, 3]), Some(vec![2])].map(|labels| Expansion { hops, labels })
+    }
 
     /// The expansion as it was computed with a `keep` map (vertex → is
     /// inner) and a global → local map, with `F_i.O` remapped to the
-    /// expanded local ids.
-    fn reference_expand(frag: &Fragmentation, i: usize, hops: usize) -> (Fragment, usize, usize) {
+    /// expanded local ids — over the subgraph induced by the labelled
+    /// vertices: the walk starts at labelled border vertices, sees only
+    /// labelled neighbours, and only labelled vertices carry edges.  The
+    /// base's own vertices stay, labelled or not.
+    fn reference_expand(
+        frag: &Fragmentation,
+        i: usize,
+        exchange: &Expansion,
+    ) -> (Fragment, usize, usize) {
         let base = frag.fragment(i);
         let g = frag.source().as_ref();
+        let labelled = |v: VertexId| exchange.admits(g.vertex_label(v));
+        let induced = |v: VertexId| {
+            let around = g.out_neighbors(v).iter().chain(g.in_neighbors(v).iter());
+            around.filter(move |n| labelled(v) && labelled(n.target))
+        };
         let mut keep: HashMap<VertexId, bool> = HashMap::new();
         for l in base.all_locals() {
             keep.insert(base.global_of(l), base.is_inner(l));
         }
         let mut frontier: Vec<VertexId> = base.in_border_globals();
         frontier.extend(base.out_border_globals());
-        for _ in 0..hops {
+        frontier.retain(|&v| labelled(v));
+        for _ in 0..exchange.hops {
             let mut next = Vec::new();
             for &v in &frontier {
-                for n in g.out_neighbors(v).iter().chain(g.in_neighbors(v).iter()) {
+                for n in induced(v) {
                     if let std::collections::hash_map::Entry::Vacant(e) = keep.entry(n.target) {
                         e.insert(false);
                         next.push(n.target);
@@ -965,7 +1062,11 @@ mod expansion {
         let mut shipped_edges = 0usize;
         for (src_local, &v) in globals.iter().enumerate() {
             let src_is_inner = src_local < base.num_inner();
-            for n in g.out_neighbors(v) {
+            for n in g
+                .out_neighbors(v)
+                .iter()
+                .filter(|n| labelled(v) && labelled(n.target))
+            {
                 if let Some(&dst_local) = to_local.get(&n.target) {
                     edges.push(Edge::new(
                         src_local as VertexId,
@@ -999,82 +1100,36 @@ mod expansion {
         (expanded, shipped_vertices, shipped_edges)
     }
 
-    fn seeded_graphs() -> Vec<Graph> {
-        vec![
-            erdos_renyi(60, 240, 4, Directedness::Directed, 0x5EED_0011),
-            erdos_renyi(50, 150, 3, Directedness::Undirected, 0x5EED_0012),
-            labeled_kg(400, 1600, 20, 16, 7),
-        ]
-    }
-
-    /// A valid delta over `g`: a few inserts (one to a new vertex), a few
-    /// removals of present edges and now and then a detached vertex.
-    fn random_delta(rng: &mut StdRng, g: &Graph) -> GraphDelta {
-        let n = g.num_vertices() as VertexId;
-        let edges = g.edges();
-        let mut delta = GraphDelta::new().add_weighted_edge(rng.gen_range(0..n), n, 1.5);
-        for _ in 0..6 {
-            let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            delta = delta.add_weighted_edge(src, dst, rng.gen_range(1..4) as f64);
-        }
-        for _ in 0..4 {
-            let e = edges[rng.gen_range(0..edges.len())];
-            delta = delta.remove_edge(e.src, e.dst);
-        }
-        if rng.gen_range(0..2) == 0 {
-            delta = delta.remove_vertex(rng.gen_range(0..n));
-        }
-        delta
-    }
-
-    /// Every version to expand: edge cuts at partition time and along a
-    /// seeded delta chain (whose `source()` is derived, with another edge
-    /// order), plus a vertex cut at partition time.
-    fn versions(g: &Graph, seed: u64) -> Vec<(String, Fragmentation)> {
-        let mut out = Vec::new();
-        let edge_cuts: [Box<dyn PartitionStrategy>; 2] =
-            [Box::new(HashEdgeCut::new(4)), Box::new(MetisLike::new(4))];
-        for strategy in edge_cuts {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut graph = g.clone();
-            let mut frag = strategy.partition(&graph).unwrap();
-            out.push((format!("{} v0", strategy.name()), frag.clone()));
-            for step in 1..=3 {
-                let delta = random_delta(&mut rng, &graph);
-                graph = graph.apply_delta(&delta).unwrap();
-                frag = frag.apply_delta(&delta).unwrap().fragmentation;
-                out.push((format!("{} v{step}", strategy.name()), frag.clone()));
-            }
-        }
-        let vc = GreedyVertexCut::new(3).partition(g).unwrap();
-        out.push(("vertex-cut".to_string(), vc));
-        out
-    }
-
     #[test]
     fn expansion_matches_the_hash_map_reference() {
         for (seed, g) in seeded_graphs().iter().enumerate() {
             for (name, frag) in versions(g, seed as u64) {
                 for hops in 0..=3 {
-                    for i in 0..frag.num_fragments() {
-                        let at = format!("graph {seed} {name} hops {hops} fragment {i}");
-                        let (a, av, ae) = frag.expand_fragment(i, hops);
-                        let (b, bv, be) = reference_expand(&frag, i, hops);
-                        assert_eq!(a.globals, b.globals, "{at}: globals");
-                        assert_eq!(
-                            a.local_graph().vertex_labels(),
-                            b.local_graph().vertex_labels(),
-                            "{at}: labels"
-                        );
-                        assert_eq!(a.num_inner, b.num_inner, "{at}: num_inner");
-                        assert_eq!(a.in_border, b.in_border, "{at}: F.I");
-                        assert_eq!(a.out_border, b.out_border, "{at}: F.O");
-                        for l in a.all_locals() {
-                            assert_eq!(a.out_edges(l), b.out_edges(l), "{at}: out-edges of {l}");
-                            assert_eq!(a.in_edges(l), b.in_edges(l), "{at}: in-edges of {l}");
+                    for exchange in exchanges(hops) {
+                        for i in 0..frag.num_fragments() {
+                            let at = format!("graph {seed} {name} {exchange:?} fragment {i}");
+                            let (a, av, ae) = frag.expand_fragment(i, &exchange);
+                            let (b, bv, be) = reference_expand(&frag, i, &exchange);
+                            assert_eq!(a.globals, b.globals, "{at}: globals");
+                            assert_eq!(
+                                a.local_graph().vertex_labels(),
+                                b.local_graph().vertex_labels(),
+                                "{at}: labels"
+                            );
+                            assert_eq!(a.num_inner, b.num_inner, "{at}: num_inner");
+                            assert_eq!(a.in_border, b.in_border, "{at}: F.I");
+                            assert_eq!(a.out_border, b.out_border, "{at}: F.O");
+                            for l in a.all_locals() {
+                                assert_eq!(
+                                    a.out_edges(l),
+                                    b.out_edges(l),
+                                    "{at}: out-edges of {l}"
+                                );
+                                assert_eq!(a.in_edges(l), b.in_edges(l), "{at}: in-edges of {l}");
+                            }
+                            assert_eq!((av, ae), (bv, be), "{at}: shipped counts");
+                            assert!(a.check_invariants(), "{at}: invariants");
                         }
-                        assert_eq!((av, ae), (bv, be), "{at}: shipped counts");
-                        assert!(a.check_invariants(), "{at}: invariants");
                     }
                 }
             }
@@ -1082,64 +1137,73 @@ mod expansion {
     }
 
     /// Outer copies move to id order in the expansion; both border lists
-    /// must still name the base's vertices.
+    /// must still name the base's vertices, labelled or not.
     #[test]
     fn expanded_borders_keep_their_vertices() {
         let g = labeled_kg(400, 1600, 20, 16, 7);
         let frag = MetisLike::new(4).partition(&g).unwrap();
         for hops in 0..=2 {
-            for i in 0..frag.num_fragments() {
-                let base = frag.fragment(i);
-                let (expanded, ..) = frag.expand_fragment(i, hops);
-                let mut outer = base.out_border_globals();
-                outer.sort_unstable();
-                assert!(!outer.is_empty(), "fragment {i} has outer copies");
-                assert_eq!(
-                    expanded.out_border_globals(),
-                    outer,
-                    "hops {hops} fragment {i}"
-                );
-                assert_eq!(
-                    expanded.in_border_globals(),
-                    base.in_border_globals(),
-                    "hops {hops} fragment {i}"
-                );
+            for exchange in exchanges(hops) {
+                for i in 0..frag.num_fragments() {
+                    let base = frag.fragment(i);
+                    let (expanded, ..) = frag.expand_fragment(i, &exchange);
+                    let mut outer = base.out_border_globals();
+                    outer.sort_unstable();
+                    assert!(!outer.is_empty(), "fragment {i} has outer copies");
+                    assert_eq!(
+                        expanded.out_border_globals(),
+                        outer,
+                        "{exchange:?} fragment {i}"
+                    );
+                    assert_eq!(
+                        expanded.in_border_globals(),
+                        base.in_border_globals(),
+                        "{exchange:?} fragment {i}"
+                    );
+                }
             }
         }
     }
 
     /// The invariant SubIso's inner-anchor rule rests on: every vertex
-    /// within `hops` (undirected) hops of an inner vertex is present.
+    /// reachable from a labelled inner vertex within `hops` (undirected)
+    /// hops through labelled vertices is present.
     #[test]
     fn expansion_holds_every_vertex_near_an_inner_vertex() {
         for (seed, g) in seeded_graphs().iter().enumerate() {
             for (name, frag) in versions(g, seed as u64) {
                 let source = frag.source();
                 for hops in 0..=2 {
-                    for i in 0..frag.num_fragments() {
-                        let (expanded, ..) = frag.expand_fragment(i, hops);
-                        let base = frag.fragment(i);
-                        let mut frontier: Vec<VertexId> =
-                            base.inner_locals().map(|l| base.global_of(l)).collect();
-                        let mut seen: std::collections::HashSet<VertexId> =
-                            frontier.iter().copied().collect();
-                        for _ in 0..hops {
-                            let mut next = Vec::new();
-                            for &v in &frontier {
-                                let around = source.out_neighbors(v).iter();
-                                for nb in around.chain(source.in_neighbors(v)) {
-                                    if seen.insert(nb.target) {
-                                        next.push(nb.target);
+                    for exchange in exchanges(hops) {
+                        let labelled = |v: VertexId| exchange.admits(source.vertex_label(v));
+                        for i in 0..frag.num_fragments() {
+                            let (expanded, ..) = frag.expand_fragment(i, &exchange);
+                            let base = frag.fragment(i);
+                            let mut frontier: Vec<VertexId> = base
+                                .inner_locals()
+                                .map(|l| base.global_of(l))
+                                .filter(|&v| labelled(v))
+                                .collect();
+                            let mut seen: std::collections::HashSet<VertexId> =
+                                frontier.iter().copied().collect();
+                            for _ in 0..hops {
+                                let mut next = Vec::new();
+                                for &v in &frontier {
+                                    let around = source.out_neighbors(v).iter();
+                                    for nb in around.chain(source.in_neighbors(v)) {
+                                        if labelled(nb.target) && seen.insert(nb.target) {
+                                            next.push(nb.target);
+                                        }
                                     }
                                 }
+                                frontier = next;
                             }
-                            frontier = next;
-                        }
-                        for v in seen {
-                            assert!(
-                                expanded.local_of(v).is_some(),
-                                "graph {seed} {name} hops {hops} fragment {i}: {v} missing"
-                            );
+                            for v in seen {
+                                assert!(
+                                    expanded.local_of(v).is_some(),
+                                    "graph {seed} {name} {exchange:?} fragment {i}: {v} missing"
+                                );
+                            }
                         }
                     }
                 }

@@ -37,10 +37,12 @@ pub mod shard;
 pub mod snapshot;
 pub mod strategy;
 pub mod streaming;
+#[doc(hidden)]
+pub mod test_support;
 pub mod vertex_cut;
 
 pub use delta::{DeltaApplication, FragmentDelta};
-pub use fragment::{Fragment, Fragmentation};
+pub use fragment::{Expansion, Fragment, Fragmentation};
 pub use fragmentation_graph::{BorderScope, FragmentationGraph};
 pub use snapshot::{LoadedSpill, QuerySpillStore, SnapshotError, SpillStoreStats};
 pub use strategy::{PartitionError, PartitionStrategy};

@@ -768,6 +768,7 @@ fn apply_increment_file(
 mod tests {
     use super::*;
     use crate::edge_cut::{HashEdgeCut, RangeEdgeCut};
+    use crate::fragment::Expansion;
     use crate::metis_like::MetisLike;
     use crate::strategy::PartitionStrategy;
     use grape_graph::builder::GraphBuilder;
@@ -1177,7 +1178,10 @@ mod tests {
         let frag = HashEdgeCut::new(3).partition(&g).unwrap();
         for hops in [1, 2] {
             let expanded: Vec<Fragment> = (0..frag.num_fragments())
-                .map(|i| frag.expand_fragment(i, hops).0)
+                .map(|i| {
+                    let exchange = Expansion { hops, labels: None };
+                    frag.expand_fragment(i, &exchange).0
+                })
                 .collect();
             assert_records_round_trip(&expanded.iter().collect::<Vec<_>>());
         }

@@ -157,6 +157,12 @@ impl PieProgram for SimNi {
         crate::sim::pie::Sim::new().assemble(query, sim_partials)
     }
 
+    /// A key ships as its pattern node and vertex id, not as the padded
+    /// tuple.
+    fn key_size(&self, _key: &(u32, VertexId)) -> usize {
+        std::mem::size_of::<u32>() + std::mem::size_of::<VertexId>()
+    }
+
     fn aggregate(&self, _key: &(u32, VertexId), a: bool, b: bool) -> bool {
         a && b
     }

@@ -359,6 +359,12 @@ impl PieProgram for Sim {
         SimResult { matches }
     }
 
+    /// A key ships as its pattern node and vertex id, not as the padded
+    /// tuple.
+    fn key_size(&self, _key: &(u32, VertexId)) -> usize {
+        std::mem::size_of::<u32>() + std::mem::size_of::<VertexId>()
+    }
+
     fn aggregate(&self, _key: &(u32, VertexId), a: bool, b: bool) -> bool {
         // false ≺ true: once any worker falsifies a variable, it stays false.
         a && b

@@ -11,6 +11,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use grape_core::engine::EngineError;
 use grape_core::metrics::{EngineMetrics, SuperstepMetrics};
 use grape_graph::pattern::Pattern;
 use grape_graph::types::VertexId;
@@ -442,13 +443,23 @@ impl BlockProgram for BlockCf {
 /// counted as communication, and enumerates every match containing *any*
 /// of its inner vertices, leaving duplicate elimination to the coordinator.
 /// The extra enumeration and shipping is what makes it slower than the
-/// GRAPE program.
+/// GRAPE program.  A disconnected pattern is refused with
+/// [`EngineError::InvalidConfig`], as GRAPE's SubIso refuses it: its
+/// components can match arbitrarily far apart, beyond any `d_Q`
+/// neighbourhood.
 pub fn run_block_subiso(
     fragmentation: &Fragmentation,
     pattern: &Pattern,
     max_matches_per_block: usize,
     workers: usize,
-) -> (Vec<Vec<VertexId>>, EngineMetrics) {
+) -> Result<(Vec<Vec<VertexId>>, EngineMetrics), EngineError> {
+    if !pattern.is_connected() {
+        return Err(EngineError::InvalidConfig(format!(
+            "block-centric subiso pattern with labels {:?} and edges {:?} is not connected",
+            pattern.labels(),
+            pattern.edges()
+        )));
+    }
     let start = Instant::now();
     let m = fragmentation.num_fragments();
     let mut metrics = EngineMetrics {
@@ -514,7 +525,7 @@ pub fn run_block_subiso(
     all.dedup();
     metrics.supersteps = 2;
     metrics.total_time = start.elapsed();
-    (all, metrics)
+    Ok((all, metrics))
 }
 
 #[cfg(test)]
@@ -589,11 +600,42 @@ mod tests {
         let alphabet: Vec<u32> = (1..=3).collect();
         let pattern = Pattern::random(3, 3, &alphabet, 13);
         let frag = HashEdgeCut::new(4).partition(&g).unwrap();
-        let (matches, metrics) = run_block_subiso(&frag, &pattern, usize::MAX, 2);
+        let (matches, metrics) = run_block_subiso(&frag, &pattern, usize::MAX, 2).unwrap();
         let mut expected = subgraph_isomorphism(&g, &pattern, usize::MAX);
         expected.sort_unstable();
         assert_eq!(matches, expected);
         assert!(metrics.expansion_bytes > 0);
+    }
+
+    /// Two unconnected pattern nodes match any label-1/label-2 pair however
+    /// far apart, so trusting `Pattern::diameter` returned 15 of the
+    /// oracle's 25 matches on this path.  The runner must refuse.
+    #[test]
+    fn block_subiso_refuses_a_disconnected_pattern() {
+        use grape_graph::builder::GraphBuilder;
+        use grape_graph::types::Edge;
+        use grape_partition::edge_cut::RangeEdgeCut;
+
+        let mut b = GraphBuilder::directed();
+        for v in 0..9u64 {
+            b.push_edge(Edge::unweighted(v, v + 1));
+        }
+        for v in 0..10u64 {
+            b.push_vertex_label(v, 1 + (v % 2) as u32);
+        }
+        let g = b.build();
+        let pattern = Pattern::new(vec![1, 2], vec![]);
+        assert_eq!(subgraph_isomorphism(&g, &pattern, usize::MAX).len(), 25);
+        let frag = RangeEdgeCut::new(2).partition(&g).unwrap();
+        match run_block_subiso(&frag, &pattern, usize::MAX, 2) {
+            Err(EngineError::InvalidConfig(reason)) => {
+                assert!(
+                    reason.contains("labels [1, 2] and edges [] is not connected"),
+                    "{reason}"
+                )
+            }
+            other => panic!("the pattern must be refused, got {other:?}"),
+        }
     }
 
     #[test]

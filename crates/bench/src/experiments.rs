@@ -1,12 +1,12 @@
-//! Per-table / per-figure experiment drivers (the experiment index of
-//! DESIGN.md §4).  Each function returns the rows of the corresponding paper
-//! artifact; the `experiments` binary prints them, the Criterion benches time
-//! the underlying runners.
+//! Per-table / per-figure experiment drivers.  Each function returns the
+//! rows of the corresponding paper artifact; the `experiments` binary prints
+//! them and `tests/paper_shapes.rs` asserts each figure's count-shaped claim
+//! on them.
 
 use crate::runner::{
     run_cc, run_cf, run_incremental_cc, run_incremental_cf, run_incremental_sim,
-    run_incremental_sssp, run_incremental_subiso, run_refresh_comparison_sssp, run_serving,
-    run_sim, run_sim_ni, run_sim_optimized, run_sssp, run_subiso, RunRow, System,
+    run_incremental_sssp, run_incremental_subiso, run_refresh_comparison_sssp, run_sim, run_sim_ni,
+    run_sim_optimized, run_sssp, run_subiso, RunRow, System,
 };
 use crate::workloads::{self, Scale};
 
@@ -209,33 +209,6 @@ pub fn refresh_comparison(scale: Scale) -> Vec<RunRow> {
     run_refresh_comparison_sssp(&g, &insert_delta, &delete_delta, 0, n, "regional-traffic")
 }
 
-/// The prepared-query **serving** experiment (the ROADMAP's
-/// "server loop multiplexing many `PreparedQuery` handles over one delta
-/// stream"): `K` standing SSSP queries with distinct sources over the
-/// traffic network absorb a stream of road-segment insertion batches, once
-/// through a `GrapeServer` (one `apply_delta` per `ΔG`, shared
-/// `Arc<Fragment>` storage) and once as `K` independent prepared handles
-/// (`K` `apply_delta` calls per `ΔG`).  The `seconds` column is the mean
-/// per-delta latency of each regime; the refresh work (messages, PEval
-/// calls) is identical by construction, so the gap is pure partition-layer
-/// amortization.
-pub fn serving(scale: Scale) -> Vec<RunRow> {
-    let n = *worker_counts(scale).last().unwrap();
-    let g = workloads::traffic(scale);
-    let k = match scale {
-        Scale::Small => 4,
-        Scale::Medium => 8,
-        Scale::Large => 16,
-    };
-    let v = g.num_vertices() as u64;
-    let sources: Vec<u64> = (0..k).map(|i| (i as u64 * 17) % v).collect();
-    let batch = workloads::delta_batch_size(scale).min(32);
-    let deltas: Vec<grape_graph::delta::GraphDelta> = (0..6)
-        .map(|i| workloads::insertion_delta(&g, batch, 0xE0 + i))
-        .collect();
-    run_serving(&g, &sources, &deltas, n, "traffic")
-}
-
 /// Figure 8 is the communication view of the Figure 6 runs; the same rows are
 /// reused (every row already carries `comm_mb`).
 pub fn fig8_comm(scale: Scale) -> Vec<RunRow> {
@@ -275,13 +248,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table1_has_one_row_per_system() {
-        let rows = table1(Scale::Small);
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().any(|r| r.system == "GRAPE"));
-    }
-
-    #[test]
     fn fig7_incremental_compares_two_variants() {
         let rows = fig7_incremental(Scale::Small);
         assert!(rows.iter().any(|r| r.system == "GRAPE_NI"));
@@ -317,27 +283,6 @@ mod tests {
             .iter()
             .any(|r| r.system == "GRAPE (bounded)" || r.system == "GRAPE (full)"));
         assert!(subiso.iter().any(|r| r.system == "GRAPE (recompute)"));
-    }
-
-    #[test]
-    fn serving_prices_the_server_against_independent_handles() {
-        let rows = serving(Scale::Small);
-        assert_eq!(rows.len(), 2);
-        let server = rows
-            .iter()
-            .find(|r| r.system.starts_with("GRAPE (server"))
-            .expect("server row");
-        let independent = rows
-            .iter()
-            .find(|r| r.system.starts_with("GRAPE (independent"))
-            .expect("independent row");
-        // The stream is insertion-only, so every refresh on both sides is
-        // monotone: zero PEval calls anywhere.
-        assert_eq!(server.peval_calls, 0);
-        assert_eq!(independent.peval_calls, 0);
-        // (Exact message counts can differ between the legs under the
-        // barrier-free runtime's scheduling, so only the PEval-free shape
-        // is pinned here; answer equality is asserted inside run_serving.)
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! * [`runner`] — functions that run one query class on one workload under
 //!   GRAPE, the vertex-centric baseline and the block-centric baseline, and
 //!   report time / communication / supersteps,
-//! * [`experiments`] — the per-table/figure drivers shared by the
-//!   `experiments` binary and the Criterion benches.
+//! * [`experiments`] — the per-table/figure drivers behind the `experiments`
+//!   binary and `tests/paper_shapes.rs`.
 //!
 //! `cargo run -p grape-bench --release --bin experiments -- all` prints every
-//! table and figure as text; `cargo bench` runs the Criterion benches (one
-//! file per table/figure) at small scale.
+//! table and figure as text; `cargo test -p grape-bench --test paper_shapes`
+//! asserts each figure's count-shaped claim at small scale.
 
 pub mod experiments;
 pub mod runner;

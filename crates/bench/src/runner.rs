@@ -263,7 +263,9 @@ pub fn run_subiso(
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
-            run_block_subiso(&frag, pattern, MAX_MATCHES, workers).1
+            run_block_subiso(&frag, pattern, MAX_MATCHES, workers)
+                .expect("block-centric subiso")
+                .1
         }
     };
     RunRow::from_metrics("subiso", workload, system, workers, &metrics)
@@ -579,137 +581,6 @@ pub fn run_refresh_comparison_sssp(
     ]
 }
 
-/// The serving experiment: `K` standing SSSP queries multiplexed by one
-/// [`grape_core::serve::GrapeServer`] over a stream of insertion deltas,
-/// priced against `K` independent [`grape_core::prepared::PreparedQuery`]
-/// handles absorbing the same stream.  The server applies each `ΔG` to the
-/// fragmentation **once** and fans the shared
-/// [`grape_partition::delta::DeltaApplication`] out to every query; the
-/// independent handles re-run `apply_delta` `K` times per delta.
-///
-/// Row semantics: `seconds` is the **mean per-delta latency** of the whole
-/// apply step (partition maintenance + every query's refresh);
-/// `messages` / `comm_mb` / `supersteps` / `peval_calls` are totals across
-/// the stream and all queries (identical refresh work on both sides — the
-/// amortization shows up purely in `seconds`).  The two sides' answers are
-/// asserted identical before the rows are emitted.
-pub fn run_serving(
-    graph: &Graph,
-    sources: &[VertexId],
-    deltas: &[grape_graph::delta::GraphDelta],
-    workers: usize,
-    workload: &str,
-) -> Vec<RunRow> {
-    use grape_core::serve::GrapeServer;
-    use std::time::Instant;
-
-    let session = grape_session(workers);
-    let k = sources.len();
-
-    #[derive(Default)]
-    struct Tally {
-        messages: usize,
-        bytes: usize,
-        supersteps: usize,
-        peval_calls: usize,
-    }
-    impl Tally {
-        fn add(&mut self, m: &EngineMetrics) {
-            self.messages += m.total_messages;
-            self.bytes += m.total_bytes;
-            self.supersteps += m.supersteps;
-            self.peval_calls += m.peval_calls;
-        }
-        fn row(&self, system: &str, workload: &str, workers: usize, seconds: f64) -> RunRow {
-            RunRow {
-                query: "sssp".to_string(),
-                workload: workload.to_string(),
-                system: system.to_string(),
-                workers,
-                seconds,
-                comm_mb: self.bytes as f64 / (1024.0 * 1024.0),
-                supersteps: self.supersteps,
-                messages: self.messages,
-                peval_calls: self.peval_calls,
-            }
-        }
-    }
-
-    // One server, K handles, one apply_delta per delta.
-    let mut server = GrapeServer::new(session.clone(), partition(graph, workers));
-    let handles: Vec<_> = sources
-        .iter()
-        .map(|&src| {
-            server
-                .register(Sssp, SsspQuery::new(src))
-                .expect("register serving query")
-        })
-        .collect();
-    let mut server_tally = Tally::default();
-    let server_start = Instant::now();
-    for delta in deltas {
-        let report = server.apply(delta).expect("server apply");
-        for refresh in report.refreshed {
-            server_tally.add(&refresh.result.expect("server refresh").metrics);
-        }
-    }
-    let server_per_delta = server_start.elapsed().as_secs_f64() / deltas.len().max(1) as f64;
-    assert_eq!(server.version(), deltas.len());
-
-    // K independent handles: K apply_delta calls per delta.
-    let mut independent: Vec<_> = sources
-        .iter()
-        .map(|&src| {
-            session
-                .prepare(partition(graph, workers), Sssp, SsspQuery::new(src))
-                .expect("prepare independent handle")
-        })
-        .collect();
-    let mut independent_tally = Tally::default();
-    let independent_start = Instant::now();
-    for delta in deltas {
-        for prepared in independent.iter_mut() {
-            let report = prepared.update(delta).expect("independent update");
-            independent_tally.add(&report.metrics);
-        }
-    }
-    let independent_per_delta =
-        independent_start.elapsed().as_secs_f64() / deltas.len().max(1) as f64;
-
-    // The amortization must not change a single answer.
-    for (handle, prepared) in handles.iter().zip(&independent) {
-        let served = server.output(handle).expect("server output");
-        let alone = prepared.output();
-        assert_eq!(
-            served.distances().len(),
-            alone.distances().len(),
-            "serving changed an answer"
-        );
-        for (v, d) in served.distances() {
-            let other = alone.distances()[v];
-            assert!(
-                (d - other).abs() < 1e-9,
-                "serving changed dist({v}): {d} vs {other}"
-            );
-        }
-    }
-
-    vec![
-        server_tally.row(
-            &format!("GRAPE (server, K={k})"),
-            workload,
-            workers,
-            server_per_delta,
-        ),
-        independent_tally.row(
-            &format!("GRAPE (independent, K={k})"),
-            workload,
-            workers,
-            independent_per_delta,
-        ),
-    ]
-}
-
 /// A [`RunRow`] tagged with the experiment (table/figure) and scale it came
 /// from — the machine-readable record emitted by `experiments --format
 /// json|csv`, one per (algorithm, system, scale) run, so figures can be
@@ -720,24 +591,9 @@ pub struct ExportRow {
     pub experiment: String,
     /// Workload scale (`small`, `medium`, `large`).
     pub scale: String,
-    /// Query class (sssp, cc, sim, subiso, cf).
-    pub query: String,
-    /// Workload name.
-    pub workload: String,
-    /// System measured.
-    pub system: String,
-    /// Number of workers `n`.
-    pub workers: usize,
-    /// Response time in seconds.
-    pub seconds: f64,
-    /// Communication volume in megabytes.
-    pub comm_mb: f64,
-    /// Supersteps executed.
-    pub supersteps: usize,
-    /// Messages shipped.
-    pub messages: usize,
-    /// `PEval` invocations (see [`RunRow::peval_calls`]).
-    pub peval_calls: usize,
+    /// The measured row, its fields inlined after the two tags.
+    #[serde(flatten)]
+    pub row: RunRow,
 }
 
 impl ExportRow {
@@ -746,15 +602,7 @@ impl ExportRow {
         ExportRow {
             experiment: experiment.to_string(),
             scale: scale.to_string(),
-            query: row.query.clone(),
-            workload: row.workload.clone(),
-            system: row.system.clone(),
-            workers: row.workers,
-            seconds: row.seconds,
-            comm_mb: row.comm_mb,
-            supersteps: row.supersteps,
-            messages: row.messages,
-            peval_calls: row.peval_calls,
+            row: row.clone(),
         }
     }
 }

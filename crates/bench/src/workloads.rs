@@ -9,11 +9,11 @@ use grape_graph::pattern::Pattern;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Workload scale: `Small` keeps Criterion benches and CI fast; `Medium` is
+/// Workload scale: `Small` keeps tier-1's shape checks fast; `Medium` is
 /// what the `experiments` binary uses to regenerate the paper's tables and
 /// figures; `Large` is the CI-excluded nightly profile that checks the
-/// paper's trends at millions of edges (see
-/// `crates/bench/tests/nightly_large.rs`).
+/// paper's shapes at millions of edges (the `#[ignore]`d tests of
+/// `crates/bench/tests/paper_shapes.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// A few thousand vertices — seconds for the whole suite.

@@ -203,11 +203,11 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
     (
         "sim full",
-        "supersteps 2 msgs 12 bytes 204 seed 0 peval 4 inceval 2 recovered 0 checkpoints 0 steps [(0, 4, 12, 204), (1, 2, 0, 0)]",
+        "supersteps 2 msgs 12 bytes 156 seed 0 peval 4 inceval 2 recovered 0 checkpoints 0 steps [(0, 4, 12, 156), (1, 2, 0, 0)]",
     ),
     (
         "sim monotone",
-        "supersteps 2 msgs 2 bytes 34 seed 1 peval 0 inceval 2 recovered 0 checkpoints 0 steps [(0, 1, 1, 17), (1, 1, 0, 0)]",
+        "supersteps 2 msgs 2 bytes 26 seed 1 peval 0 inceval 2 recovered 0 checkpoints 0 steps [(0, 1, 1, 13), (1, 1, 0, 0)]",
     ),
     (
         "sim bounded",

@@ -494,11 +494,7 @@ mod tests {
             ];
             for (name, frag) in versions(g, seed as u64) {
                 for pattern in &patterns {
-                    // VF2 repeats a match once per parallel edge it uses;
-                    // `assemble` dedups.
-                    let mut oracle =
-                        sorted(subgraph_isomorphism(frag.source(), pattern, usize::MAX));
-                    oracle.dedup();
+                    let oracle = sorted(subgraph_isomorphism(frag.source(), pattern, usize::MAX));
                     for mode in [EngineMode::Sync, EngineMode::Async] {
                         let at = format!("graph {seed} {name} {pattern:?} {mode:?}");
                         let session = GrapeSession::builder()
@@ -532,6 +528,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A parallel edge never repeats a match.  The seeded undirected graph
+    /// has parallel edges; on it VF2 enumerates exactly a brute-force
+    /// oracle's matches, each once, and the prepared partials hold each of
+    /// them once.
+    #[test]
+    fn parallel_edges_never_repeat_a_match() {
+        use grape_partition::test_support::seeded_graphs;
+
+        let g = &seeded_graphs()[1];
+        let n = g.num_vertices() as VertexId;
+        let has_edge = |a: VertexId, b: VertexId| g.out_neighbors(a).iter().any(|e| e.target == b);
+        let patterns = [
+            Pattern::new(vec![1, 2, 1], vec![(0, 1), (2, 1)]),
+            Pattern::random(3, 3, &[1, 2], 41),
+        ];
+        let mut oracles = Vec::new();
+        for pattern in &patterns {
+            // Every injective triple, in lexicographic order.
+            let mut oracle: Vec<Match> = Vec::new();
+            for m in
+                (0..n).flat_map(|a| (0..n).flat_map(move |b| (0..n).map(move |c| vec![a, b, c])))
+            {
+                let injective = m[0] != m[1] && m[1] != m[2] && m[0] != m[2];
+                if injective
+                    && (0..3).all(|u| g.vertex_label(m[u]) == pattern.label(u as u32))
+                    && pattern
+                        .edges()
+                        .iter()
+                        .all(|&(u, w)| has_edge(m[u as usize], m[w as usize]))
+                {
+                    oracle.push(m);
+                }
+            }
+            let vf2 = sorted(subgraph_isomorphism(g, pattern, usize::MAX));
+            assert_eq!(vf2, oracle, "{pattern:?}: VF2");
+
+            let frag = HashEdgeCut::new(4).partition(g).unwrap();
+            let query = SubIsoQuery::new(pattern.clone());
+            let prepared = GrapeSession::with_workers(2)
+                .prepare(frag, SubIso, query)
+                .unwrap();
+            let held: Vec<Match> = prepared
+                .partials()
+                .iter()
+                .flat_map(|p| p.matches.clone())
+                .collect();
+            assert_eq!(sorted(held), oracle, "{pattern:?}: partials");
+            oracles.push(oracle);
+        }
+        assert!(
+            oracles.iter().any(|o| o.contains(&vec![4, 48, 28])),
+            "the match VF2 once repeated per parallel edge is found"
+        );
     }
 
     #[test]

@@ -154,6 +154,9 @@ fn extend<F: Fn(VertexId) -> bool>(
 
 /// Candidate vertices for the query node at `order[depth]`: neighbours of an
 /// already-mapped pattern neighbour when one exists, otherwise every vertex.
+/// Each candidate comes once, in first-occurrence order, however many
+/// parallel edges lead to it — otherwise a match would be enumerated once
+/// per parallel edge.
 fn candidate_vertices(
     graph: &Graph,
     pattern: &Pattern,
@@ -166,17 +169,25 @@ fn candidate_vertices(
     for &w in pattern.parents(u) {
         let m = mapping[w as usize];
         if m != VertexId::MAX {
-            return graph.out_neighbors(m).iter().map(|n| n.target).collect();
+            return distinct(graph.out_neighbors(m).iter().map(|n| n.target));
         }
     }
     // A mapped child w with edge (u, w): candidates are in-neighbours of φ(w).
     for &w in pattern.children(u) {
         let m = mapping[w as usize];
         if m != VertexId::MAX {
-            return graph.in_neighbors(m).iter().map(|n| n.target).collect();
+            return distinct(graph.in_neighbors(m).iter().map(|n| n.target));
         }
     }
     graph.vertices().collect()
+}
+
+/// `targets` without repeats, in first-occurrence order.  Neighbour lists
+/// are grouped by a counting sort, not sorted by target, so repeats need
+/// not be adjacent.
+fn distinct(targets: impl Iterator<Item = VertexId>) -> Vec<VertexId> {
+    let mut seen = HashSet::new();
+    targets.filter(|&v| seen.insert(v)).collect()
 }
 
 /// Checks that mapping `u → v` preserves every query edge between `u` and the

@@ -50,8 +50,8 @@ use crate::session::GrapeSession;
 /// Created by [`GrapeSession::prepare`].
 ///
 /// Fields are crate-visible so the serving layer
-/// ([`crate::serve::GrapeServer`]) can spill a handle's state to disk on
-/// eviction and rebuild it on rehydration without re-running PEval.
+/// ([`crate::serve::GrapeServer`]) can spill a handle's partials to disk on
+/// eviction and reload them on rehydration without re-running PEval.
 #[derive(Debug)]
 pub struct PreparedQuery<P: PieProgram> {
     pub(crate) session: GrapeSession,
@@ -59,16 +59,25 @@ pub struct PreparedQuery<P: PieProgram> {
     pub(crate) query: P::Query,
     pub(crate) fragmentation: Fragmentation,
     pub(crate) partials: Vec<P::Partial>,
+    pub(crate) counters: QueryCounters,
+    /// Set while a refresh has consumed or half-rebased the retained
+    /// partials and cleared only when the refresh commits: a handle left
+    /// with this flag holds state that corresponds to no graph version.
+    pub(crate) poisoned: bool,
+}
+
+/// What a prepared query has done so far: the metrics of its preparation
+/// and of its latest engine work, and how many deltas it absorbed on each
+/// refresh path.  One value, so the serving layer can restore the counters
+/// a spill corresponds to with one assignment.
+#[derive(Debug, Clone)]
+pub(crate) struct QueryCounters {
     pub(crate) prepare_metrics: EngineMetrics,
     pub(crate) last_metrics: EngineMetrics,
     pub(crate) updates_applied: usize,
     pub(crate) incremental_updates: usize,
     pub(crate) bounded_updates: usize,
     pub(crate) retracted_updates: usize,
-    /// Set while a refresh has consumed or half-rebased the retained
-    /// partials and cleared only when the refresh commits: a handle left
-    /// with this flag holds state that corresponds to no graph version.
-    pub(crate) poisoned: bool,
 }
 
 /// Which refresh path one [`PreparedQuery::update`] took — the decision
@@ -144,12 +153,14 @@ impl GrapeSession {
             query,
             fragmentation,
             partials,
-            prepare_metrics: metrics.clone(),
-            last_metrics: metrics,
-            updates_applied: 0,
-            incremental_updates: 0,
-            bounded_updates: 0,
-            retracted_updates: 0,
+            counters: QueryCounters {
+                prepare_metrics: metrics.clone(),
+                last_metrics: metrics,
+                updates_applied: 0,
+                incremental_updates: 0,
+                bounded_updates: 0,
+                retracted_updates: 0,
+            },
             poisoned: false,
         })
     }
@@ -211,35 +222,35 @@ impl<P: PieProgram> PreparedQuery<P> {
 
     /// Metrics of the initial preparation run.
     pub fn prepare_metrics(&self) -> &EngineMetrics {
-        &self.prepare_metrics
+        &self.counters.prepare_metrics
     }
 
     /// Metrics of the most recent engine work (the preparation, or the last
     /// update's refresh / fallback re-preparation).
     pub fn last_metrics(&self) -> &EngineMetrics {
-        &self.last_metrics
+        &self.counters.last_metrics
     }
 
     /// Number of deltas applied so far (incremental or fallback).
     pub fn updates_applied(&self) -> usize {
-        self.updates_applied
+        self.counters.updates_applied
     }
 
     /// Number of deltas absorbed by the monotone IncEval-only path.
     pub fn incremental_updates(&self) -> usize {
-        self.incremental_updates
+        self.counters.incremental_updates
     }
 
     /// Number of non-monotone deltas absorbed by the bounded refresh
     /// (PEval on the damage frontier only, not everywhere).
     pub fn bounded_updates(&self) -> usize {
-        self.bounded_updates
+        self.counters.bounded_updates
     }
 
     /// Number of non-monotone deltas absorbed by the program's retraction
     /// (IncEval only, no PEval).
     pub fn retracted_updates(&self) -> usize {
-        self.retracted_updates
+        self.counters.retracted_updates
     }
 }
 
@@ -469,14 +480,15 @@ impl<P: IncrementalPie> PreparedQuery<P> {
         retracted: usize,
         metrics: EngineMetrics,
     ) -> UpdateReport {
-        self.updates_applied += 1;
+        let counters = &mut self.counters;
+        counters.updates_applied += 1;
         match kind {
-            RefreshKind::Monotone => self.incremental_updates += 1,
-            RefreshKind::Retracted => self.retracted_updates += 1,
-            RefreshKind::Bounded => self.bounded_updates += 1,
+            RefreshKind::Monotone => counters.incremental_updates += 1,
+            RefreshKind::Retracted => counters.retracted_updates += 1,
+            RefreshKind::Bounded => counters.bounded_updates += 1,
             RefreshKind::Full => {}
         }
-        self.last_metrics = metrics.clone();
+        counters.last_metrics = metrics.clone();
         UpdateReport {
             incremental: matches!(kind, RefreshKind::Monotone | RefreshKind::Retracted),
             kind,
@@ -559,12 +571,7 @@ impl<P: PieProgram + Clone> Clone for PreparedQuery<P> {
             query: self.query.clone(),
             fragmentation: self.fragmentation.clone(),
             partials: self.partials.clone(),
-            prepare_metrics: self.prepare_metrics.clone(),
-            last_metrics: self.last_metrics.clone(),
-            updates_applied: self.updates_applied,
-            incremental_updates: self.incremental_updates,
-            bounded_updates: self.bounded_updates,
-            retracted_updates: self.retracted_updates,
+            counters: self.counters.clone(),
             poisoned: self.poisoned,
         }
     }

@@ -47,14 +47,16 @@
 //! so retaining a version costs one rebuilt-fragment delta, not a copy of
 //! the graph); once every query has caught up the history is pruned.
 //!
-//! Refresh failures keep every query's version honest.  A failed
-//! monotone/retracted/bounded refresh poisons the query (its partials were consumed),
-//! and the server quarantines it.  A failed **full** re-preparation leaves
-//! the handle consistent at its pre-delta fragmentation, so the server
-//! keeps the query on its old version and replays the retained steps into
-//! it — exactly like an evicted query — before its next refresh or
-//! `output()`; it is never handed a [`DeltaApplication`] derived from a
-//! fragmentation it does not hold.
+//! Each registered query is in exactly one lifecycle state — resident,
+//! behind, evicted or poisoned — and the server decides every operation on
+//! it by that state alone.  A failed monotone/retracted/bounded refresh
+//! poisons the query (its partials were consumed), and the server
+//! quarantines it.  A failed **full** re-preparation leaves the handle
+//! consistent at its pre-delta fragmentation, so the query falls behind at
+//! its old version and the server replays the retained steps into it —
+//! exactly like an evicted query — before its next refresh or `output()`;
+//! it is never handed a [`DeltaApplication`] derived from a fragmentation
+//! it does not hold.
 //!
 //! **Concurrency.**  Within one [`GrapeServer::apply`] the per-query
 //! refreshes fan out over a scoped worker pool as wide as the session's
@@ -88,10 +90,9 @@ use grape_partition::snapshot::{QuerySpillStore, SnapshotError, SpillStoreStats}
 use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::EngineError;
-use crate::metrics::{EngineMetrics, LatencySummary};
+use crate::metrics::LatencySummary;
 use crate::output_delta::{apply_sorted, DeltaOutput, OutputEvent, QueryDelta, WireOutputDelta};
-use crate::pie::IncrementalPie;
-use crate::prepared::{PreparedQuery, UpdateReport};
+use crate::prepared::{PreparedQuery, QueryCounters, UpdateReport};
 use crate::session::GrapeSession;
 
 /// Process-unique server tokens: stamped into every [`QueryHandle`] so a
@@ -120,6 +121,14 @@ pub enum ServeError {
     /// The subscription does not belong to this server, or was already
     /// cancelled.
     UnknownSubscription(usize),
+    /// [`GrapeServer::try_output`] will not answer without work: the query
+    /// is evicted (`behind` is `None`) or behind the timeline's head after
+    /// a failed full re-preparation (`behind` holds its version and the
+    /// head's).  [`GrapeServer::output`] rehydrates or replays instead.
+    NotResident {
+        query: usize,
+        behind: Option<(usize, usize)>,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -135,6 +144,17 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownSubscription(id) => {
                 write!(f, "subscription {id} is not active on this server")
             }
+            ServeError::NotResident {
+                query,
+                behind: None,
+            } => write!(f, "query {query} is evicted; use output or rehydrate"),
+            ServeError::NotResident {
+                query,
+                behind: Some((version, head)),
+            } => write!(
+                f,
+                "query {query} is behind (version {version} of {head}); use output or rehydrate"
+            ),
         }
     }
 }
@@ -372,89 +392,89 @@ struct ServeStep {
     applied: Arc<DeltaApplication>,
 }
 
-/// Object-safe view of one registered query, erasing the program type.
+/// Where one registered query is in its lifecycle.  Every operation on a
+/// slot is decided by this value alone.  The transitions are
+/// [`Slot::step`] (a refresh succeeds, falls behind or poisons), the spill
+/// in [`GrapeServer::evict`], and the reload in [`GrapeServer::rehydrate`]
+/// together with its fallback when the replay fails.
+/// `docs/ARCHITECTURE.md` §1b tabulates every public operation in every
+/// state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotState {
+    /// Live partials at the timeline's head: every commit either refreshes
+    /// the slot or moves it out of this state.
+    Resident,
+    /// Live partials at an older version: a full re-preparation failed and
+    /// left the handle consistent there.  The retained steps are replayed
+    /// into it before its next refresh, answer or subscription.
+    Behind(usize),
+    /// Partials in the slot's spill store, spilled at this version.  The
+    /// handle keeps its program, query and counters; commits defer it.
+    Evicted(usize),
+    /// A failed refresh consumed the partials.  The slot never refreshes or
+    /// replays again and never pins history; its watchers got the terminal
+    /// event when it entered this state.
+    Poisoned,
+}
+
+impl SlotState {
+    /// The timeline version the slot still needs for replay, if any.
+    fn pinned(self) -> Option<usize> {
+        match self {
+            SlotState::Behind(version) | SlotState::Evicted(version) => Some(version),
+            SlotState::Resident | SlotState::Poisoned => None,
+        }
+    }
+}
+
+/// Object-safe view of one registered query's handle and watch rows,
+/// erasing the program type.  The handle is always there; its partials are
+/// released while the slot is evicted.
 trait ServedQuery: Send {
     fn refresh(
         &mut self,
         applied: &DeltaApplication,
         delta: &GraphDelta,
     ) -> Result<UpdateReport, EngineError>;
-    /// Spills the entry's partials into its store (base on the first call,
-    /// changed-partial increments afterwards) and demotes it to cold.
-    /// Returns the path of the file the store wrote.
-    fn evict(&mut self, store: &mut QuerySpillStore) -> Result<PathBuf, ServeError>;
-    /// Reloads the entry: partials from its spill store (base ⊕
-    /// increments), fragmentation from `at`, the timeline version it was
-    /// spilled at.  The store is **not** cleared afterwards — it stays the
-    /// entry's on-disk recovery point, and the next evict appends to it.
-    fn rehydrate(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError>;
-    /// Drops the resident in-memory state (possibly poisoned or
-    /// half-replayed) and points the entry back at its spill store — the
-    /// inverse of a reload whose replay failed.  The folded on-disk state
-    /// becomes the entry's state again (with `book` as its counters), so
-    /// the entry is evicted and retryable.
-    fn demote(&mut self, book: QueryBookkeeping);
-    /// The entry's current counters/metrics — from the live handle when
-    /// resident, from the cold state when evicted.
-    fn bookkeeping(&self) -> QueryBookkeeping;
-    /// Serialized size of the resident partials (`0` when evicted).
-    fn partial_bytes(&self) -> usize;
-    fn is_evicted(&self) -> bool;
+    /// Whether the handle's partials correspond to no graph version (a
+    /// refresh consumed them and failed).
     fn is_poisoned(&self) -> bool;
+    /// Writes the partials into `store` (a base on the first call,
+    /// changed-partial increments afterwards) and releases them.  Returns
+    /// the path of the file the store wrote.
+    fn spill(&mut self, store: &mut QuerySpillStore) -> Result<PathBuf, ServeError>;
+    /// Loads the partials from `store` (base ⊕ increments) onto `at`, the
+    /// timeline version they were spilled at.  The store stays the entry's
+    /// on-disk recovery point, and the next spill appends to it.
+    fn reload(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError>;
+    /// Releases the partials again and restores `counters`: the inverse of
+    /// a reload whose replay failed.
+    fn unload(&mut self, counters: QueryCounters);
+    fn counters(&self) -> &QueryCounters;
+    /// Serialized size of the live partials (`0` once released).
+    fn partial_bytes(&self) -> usize;
     /// Installs the watch baseline: the canonical rows of the current
     /// answer, against which every later [`ServedQuery::watch_emit`] diffs.
-    /// No-op when a watch is already active.  Must be called on a resident,
-    /// healthy entry.
+    /// No-op when a watch is already active.
     fn watch_begin(&mut self) -> Result<(), EngineError>;
-    /// Drops the watch baseline (when the last subscriber leaves).
-    fn watch_end(&mut self);
-    fn watch_active(&self) -> bool;
+    /// Drops the watch baseline; returns whether one was active.
+    fn watch_end(&mut self) -> bool;
     /// Diffs the current answer against the last-emitted rows, advances
     /// them, and returns the wire delta.  Because the rows only move here,
     /// calling this **once** after a multi-step replay yields the key-wise
     /// fold (the compacted delta) of the stream a per-commit watcher would
-    /// have seen.  `None` when no watch is active, the entry is not
-    /// resident, or it is poisoned — the rows then stay at the last emitted
-    /// state, so a watcher never sees a partial delta.
+    /// have seen.  `None` when no watch is active.
     fn watch_emit(&mut self) -> Option<WireOutputDelta>;
     fn as_any(&self) -> &dyn Any;
 }
 
-/// The counters and metrics of a query that must survive an evict →
-/// rehydrate round trip.  Captured *before* a post-reload replay so that a
-/// failed replay can fall back to the values the on-disk snapshot actually
-/// corresponds to — the successfully replayed prefix is rolled back with
-/// the state, not double-counted by the retry.
-#[derive(Clone)]
-struct QueryBookkeeping {
-    prepare_metrics: EngineMetrics,
-    last_metrics: EngineMetrics,
-    updates_applied: usize,
-    incremental_updates: usize,
-    bounded_updates: usize,
-    retracted_updates: usize,
-}
-
-/// The program, query and bookkeeping of an evicted entry — everything that
-/// stays in memory while its partials live in the slot's
-/// [`QuerySpillStore`] (the fragmentation stays in the server's timeline).
-struct ColdState<P: IncrementalPie> {
-    session: GrapeSession,
-    program: P,
-    query: P::Query,
-    book: QueryBookkeeping,
-}
-
-/// A registered query: resident (a live [`PreparedQuery`]) or evicted (a
-/// [`ColdState`] pointing at its spill file).  Exactly one of the two is
-/// `Some`.  `watch` is orthogonal to residency: the last canonical rows
-/// emitted to subscribers survive evict → rehydrate round trips (that is
-/// what makes the post-rehydration emission the *compacted* delta of
-/// everything missed while cold), and a failed replay leaves them at the
-/// pre-evict baseline, so the retry re-diffs from the same point.
+/// A registered query: its prepared handle plus the canonical rows last
+/// emitted to its subscribers.  The rows survive evict → rehydrate round
+/// trips (that is what makes the post-rehydration emission the *compacted*
+/// delta of everything missed while cold), and a failed replay leaves them
+/// at the pre-evict baseline, so the retry re-diffs from the same point.
 struct ServedEntry<P: DeltaOutput> {
-    prepared: Option<PreparedQuery<P>>,
-    cold: Option<ColdState<P>>,
+    prepared: PreparedQuery<P>,
     watch: Option<Vec<(P::OutKey, P::OutVal)>>,
 }
 
@@ -468,36 +488,24 @@ where
         applied: &DeltaApplication,
         delta: &GraphDelta,
     ) -> Result<UpdateReport, EngineError> {
-        self.prepared
-            .as_mut()
-            .expect("refresh is only called on resident entries")
-            .refresh_from(applied, delta)
+        self.prepared.refresh_from(applied, delta)
     }
 
-    fn evict(&mut self, store: &mut QuerySpillStore) -> Result<PathBuf, ServeError> {
-        // Write the spill while the entry is still intact, so a failed
-        // write leaves the query resident and consistent.
-        let path = {
-            let p = self
-                .prepared
-                .as_ref()
-                .expect("evict is only called on resident entries");
-            if p.is_poisoned() {
-                return Err(ServeError::Engine(EngineError::PoisonedHandle));
-            }
-            let partials: Vec<Value> = p.partials.iter().map(Serialize::to_value).collect();
-            store.spill(&p.fragmentation, &partials)?
-        };
-        let book = self.bookkeeping();
-        self.demote(book);
+    fn is_poisoned(&self) -> bool {
+        self.prepared.is_poisoned()
+    }
+
+    fn spill(&mut self, store: &mut QuerySpillStore) -> Result<PathBuf, ServeError> {
+        // Write before releasing, so a failed write leaves the partials
+        // live and consistent.
+        let p = &mut self.prepared;
+        let partials: Vec<Value> = p.partials.iter().map(Serialize::to_value).collect();
+        let path = store.spill(&p.fragmentation, &partials)?;
+        p.partials = Vec::new();
         Ok(path)
     }
 
-    fn rehydrate(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError> {
-        assert!(
-            self.cold.is_some(),
-            "rehydrate is only called on evicted entries"
-        );
+    fn reload(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError> {
         let loaded = store.load()?;
         if loaded.partials.len() != at.num_fragments() {
             return Err(ServeError::Snapshot(SnapshotError::Malformed(format!(
@@ -512,104 +520,48 @@ where
             .map(P::Partial::from_value)
             .collect::<Result<_, _>>()
             .map_err(|e| ServeError::Snapshot(SnapshotError::Malformed(e.to_string())))?;
-        let cold = self.cold.take().expect("checked above");
-        self.prepared = Some(PreparedQuery {
-            session: cold.session,
-            program: cold.program,
-            query: cold.query,
-            // The version the query was spilled at: its fragments, G_P and
-            // quotient-table cell are shared with the timeline, not copied.
-            fragmentation: at.clone(),
-            partials,
-            prepare_metrics: cold.book.prepare_metrics,
-            last_metrics: cold.book.last_metrics,
-            updates_applied: cold.book.updates_applied,
-            incremental_updates: cold.book.incremental_updates,
-            bounded_updates: cold.book.bounded_updates,
-            retracted_updates: cold.book.retracted_updates,
-            poisoned: false,
-        });
+        let p = &mut self.prepared;
+        // The version the query was spilled at: its fragments, G_P and
+        // quotient-table cell are shared with the timeline, not copied.
+        p.fragmentation = at.clone();
+        p.partials = partials;
+        p.poisoned = false;
         Ok(())
     }
 
-    fn demote(&mut self, book: QueryBookkeeping) {
-        let prepared = self
-            .prepared
-            .take()
-            .expect("demote is only called on resident entries");
-        self.cold = Some(ColdState {
-            session: prepared.session,
-            program: prepared.program,
-            query: prepared.query,
-            book,
-        });
+    fn unload(&mut self, counters: QueryCounters) {
+        self.prepared.partials = Vec::new();
+        self.prepared.counters = counters;
     }
 
-    fn bookkeeping(&self) -> QueryBookkeeping {
-        if let Some(p) = &self.prepared {
-            QueryBookkeeping {
-                prepare_metrics: p.prepare_metrics.clone(),
-                last_metrics: p.last_metrics.clone(),
-                updates_applied: p.updates_applied,
-                incremental_updates: p.incremental_updates,
-                bounded_updates: p.bounded_updates,
-                retracted_updates: p.retracted_updates,
-            }
-        } else {
-            self.cold
-                .as_ref()
-                .expect("an entry is always resident or cold")
-                .book
-                .clone()
-        }
+    fn counters(&self) -> &QueryCounters {
+        &self.prepared.counters
     }
 
     fn partial_bytes(&self) -> usize {
-        match &self.prepared {
-            Some(p) => {
-                let mut counter = ByteCounter::default();
-                for partial in &p.partials {
-                    if write_value_tree(&mut counter, &partial.to_value()).is_err() {
-                        return 0;
-                    }
-                }
-                counter.bytes
+        let mut counter = ByteCounter::default();
+        for partial in &self.prepared.partials {
+            if write_value_tree(&mut counter, &partial.to_value()).is_err() {
+                return 0;
             }
-            None => 0,
         }
-    }
-
-    fn is_evicted(&self) -> bool {
-        self.cold.is_some()
-    }
-
-    fn is_poisoned(&self) -> bool {
-        self.prepared.as_ref().is_some_and(|p| p.is_poisoned())
+        counter.bytes
     }
 
     fn watch_begin(&mut self) -> Result<(), EngineError> {
-        if self.watch.is_some() {
-            return Ok(());
+        if self.watch.is_none() {
+            self.watch = Some(self.prepared.canonical_rows()?);
         }
-        let p = self
-            .prepared
-            .as_ref()
-            .expect("watch_begin is only called on resident entries");
-        self.watch = Some(p.canonical_rows()?);
         Ok(())
     }
 
-    fn watch_end(&mut self) {
-        self.watch = None;
-    }
-
-    fn watch_active(&self) -> bool {
-        self.watch.is_some()
+    fn watch_end(&mut self) -> bool {
+        self.watch.take().is_some()
     }
 
     fn watch_emit(&mut self) -> Option<WireOutputDelta> {
         let rows = self.watch.as_mut()?;
-        let delta = self.prepared.as_ref()?.output_delta_since(rows).ok()?;
+        let delta = self.prepared.output_delta_since(rows).ok()?;
         let wire = delta.to_wire();
         apply_sorted(rows, &delta);
         Some(wire)
@@ -620,17 +572,53 @@ where
     }
 }
 
-/// One registered query plus the timeline version its state corresponds to.
+/// One registered query: its handle, its lifecycle state and its spill
+/// store.
 struct Slot {
     entry: Box<dyn ServedQuery>,
-    version: usize,
+    state: SlotState,
     /// The query's on-disk partial log — created on the first
     /// eviction and kept for the slot's lifetime (it outlives rehydration
     /// as the recovery point the next evict appends to).
     store: Option<QuerySpillStore>,
-    /// Whether a watched query's terminal [`OutputEvent::Poisoned`] has
-    /// already been pushed — the event is emitted exactly once.
-    poison_notified: bool,
+}
+
+impl Slot {
+    /// Refreshes a live slot whose handle is at version `from` across one
+    /// timeline step; `head` is the newest version once the step is taken.
+    /// Success advances the slot (resident once it reaches `head`).  A
+    /// failed full re-preparation leaves the handle consistent, so the slot
+    /// stays behind at `from`.  Any other failure consumed the partials and
+    /// poisons it.
+    fn step(
+        &mut self,
+        applied: &DeltaApplication,
+        delta: &GraphDelta,
+        from: usize,
+        head: usize,
+    ) -> Result<UpdateReport, EngineError> {
+        let result = self.entry.refresh(applied, delta);
+        self.state = match &result {
+            Ok(_) if from + 1 == head => SlotState::Resident,
+            Ok(_) => SlotState::Behind(from + 1),
+            Err(_) if self.entry.is_poisoned() => SlotState::Poisoned,
+            Err(_) => SlotState::Behind(from),
+        };
+        result
+    }
+
+    /// What a watched slot owes its subscribers after a step or a replay:
+    /// the answer delta since the last emission while resident, and the
+    /// terminal [`OutputEvent::Poisoned`] on entering quarantine — once,
+    /// because it drops the watch rows.  Nothing while behind or evicted,
+    /// so a watcher never sees a partial delta.
+    fn emit(&mut self) -> Option<OutputEvent> {
+        match self.state {
+            SlotState::Resident => self.entry.watch_emit().map(OutputEvent::Delta),
+            SlotState::Poisoned => self.entry.watch_end().then_some(OutputEvent::Poisoned),
+            SlotState::Behind(_) | SlotState::Evicted(_) => None,
+        }
+    }
 }
 
 /// An active answer-delta subscription on a [`GrapeServer`] query (see
@@ -652,11 +640,11 @@ impl SubscriptionId {
 }
 
 /// One slot's share of a commit's fan-out: its id, its refresh outcome, and
-/// the answer delta it emitted (watched, resident, refreshed successfully).
+/// the event it owes its watchers ([`Slot::emit`]).
 type RefreshOutcome = (
     usize,
     Result<UpdateReport, EngineError>,
-    Option<WireOutputDelta>,
+    Option<OutputEvent>,
 );
 
 /// A server multiplexing many prepared queries over one evolving graph.
@@ -753,7 +741,7 @@ impl GrapeServer {
     }
 
     /// Bytes moved over `grape-worker` pipes since the server started: the
-    /// sum of [`EngineMetrics::pipe_bytes`] over every registration and
+    /// sum of [`crate::metrics::EngineMetrics::pipe_bytes`] over every registration and
     /// every successful refresh (commits, catch-ups, rehydration replays).
     /// Always `0` unless the session runs `TransportSpec::Process`.
     pub fn pipe_bytes(&self) -> u64 {
@@ -792,7 +780,10 @@ impl GrapeServer {
 
     /// Number of currently evicted queries.
     pub fn num_evicted(&self) -> usize {
-        self.slots.iter().filter(|s| s.entry.is_evicted()).count()
+        self.slots
+            .iter()
+            .filter(|s| matches!(s.state, SlotState::Evicted(_)))
+            .count()
     }
 
     /// Records one per-commit latency sample, windowed: when the buffer
@@ -840,7 +831,7 @@ impl GrapeServer {
     /// [`QueryStatus::partial_bytes`]).
     pub fn query_status(&self, id: usize) -> Option<QueryStatus> {
         let slot = self.slots.get(id)?;
-        let book = slot.entry.bookkeeping();
+        let counters = slot.entry.counters();
         let spill: SpillStoreStats = slot
             .store
             .as_ref()
@@ -848,13 +839,13 @@ impl GrapeServer {
             .unwrap_or_default();
         Some(QueryStatus {
             query: id,
-            version: slot.version,
-            evicted: slot.entry.is_evicted(),
-            poisoned: slot.entry.is_poisoned(),
-            updates_applied: book.updates_applied,
-            incremental_updates: book.incremental_updates,
-            bounded_updates: book.bounded_updates,
-            retracted_updates: book.retracted_updates,
+            version: slot.state.pinned().unwrap_or_else(|| self.version()),
+            evicted: matches!(slot.state, SlotState::Evicted(_)),
+            poisoned: slot.state == SlotState::Poisoned,
+            updates_applied: counters.updates_applied,
+            incremental_updates: counters.incremental_updates,
+            bounded_updates: counters.bounded_updates,
+            retracted_updates: counters.retracted_updates,
             partial_bytes: slot.entry.partial_bytes(),
             watchers: self.watcher_count(id),
             spill_chain: spill.chain_len,
@@ -888,13 +879,11 @@ impl GrapeServer {
         let id = self.slots.len();
         self.slots.push(Slot {
             entry: Box::new(ServedEntry {
-                prepared: Some(prepared),
-                cold: None,
+                prepared,
                 watch: None,
             }),
-            version: self.version(),
+            state: SlotState::Resident,
             store: None,
-            poison_notified: false,
         });
         Ok(QueryHandle {
             server: self.token,
@@ -919,7 +908,7 @@ impl GrapeServer {
         self.check_handle::<P>(handle)?;
         self.rehydrate(handle)?;
         let slot = &mut self.slots[handle.id];
-        if slot.entry.is_poisoned() {
+        if slot.state == SlotState::Poisoned {
             return Err(ServeError::Engine(EngineError::PoisonedHandle));
         }
         slot.entry.watch_begin().map_err(ServeError::Engine)?;
@@ -945,7 +934,6 @@ impl GrapeServer {
             .ok_or(ServeError::UnknownSubscription(sub.id))?;
         if self.watcher_count(query) == 0 {
             self.slots[query].entry.watch_end();
-            self.slots[query].poison_notified = false;
         }
         Ok(())
     }
@@ -1015,7 +1003,7 @@ impl GrapeServer {
     /// to the session's `refresh_threads` scoped workers), merges the
     /// outcomes into an id-sorted [`ServeReport`], and advances the
     /// timeline.  Everything except the refreshes and the watched slots'
-    /// answer diffs — catch-up replay, version bookkeeping,
+    /// answer diffs — catch-up replay, state transitions,
     /// retention/pruning — runs on the calling thread.  `started` marks
     /// when [`GrapeServer::apply`] began working on this delta (before
     /// `apply_delta`); the elapsed time is recorded as one latency sample.
@@ -1034,47 +1022,40 @@ impl GrapeServer {
         let mut caught_up = Vec::new();
         let mut deferred = Vec::new();
         let mut poisoned = Vec::new();
-        // Sequential pre-pass: classify every slot, catching up the ones
-        // left behind by an earlier failed full re-preparation (replay
-        // needs the whole server — timeline indices and slot versions — so
-        // it cannot ride the fan-out).
+        let mut events: Vec<QueryDelta> = Vec::new();
+        // Sequential pre-pass: classify every slot by its state, catching
+        // up the behind ones (replay needs the whole server — the timeline
+        // and its steps — so it cannot ride the fan-out).
         let mut ready = Vec::new();
         for id in 0..self.slots.len() {
-            if self.slots[id].entry.is_evicted() {
-                deferred.push(id);
-                continue;
-            }
-            if self.slots[id].entry.is_poisoned() {
-                // A poisoned query can never refresh again; advance its
-                // version so it does not pin the timeline history.
-                self.slots[id].version = new_version;
-                poisoned.push(id);
-                continue;
-            }
-            // A resident query can be *behind* after a failed full
-            // re-preparation (the one refresh error that leaves the handle
-            // consistent at an older version).  `refresh_from` requires the
-            // query's fragmentation to be the one `applied` was derived
-            // from, so replay the retained steps first.
-            if self.slots[id].version < current {
-                match self.replay_resident(id, current) {
-                    Ok(_) => caught_up.push(id),
+            match self.slots[id].state {
+                SlotState::Resident => ready.push(id),
+                SlotState::Evicted(_) => deferred.push(id),
+                SlotState::Poisoned => poisoned.push(id),
+                // `refresh_from` requires the query's fragmentation to be
+                // the one `applied` was derived from, so replay first.
+                SlotState::Behind(_) => match self.replay(id) {
+                    Ok(_) => {
+                        caught_up.push(id);
+                        ready.push(id);
+                    }
                     Err(e) => {
-                        // Still behind (its version tracks the replayed
-                        // prefix) or freshly poisoned — either way this
-                        // delta cannot be applied to it yet.
-                        if self.slots[id].entry.is_poisoned() {
-                            self.slots[id].version = new_version;
+                        // Still behind, or freshly poisoned — either way
+                        // this delta cannot be applied to it yet.
+                        if let Some(event) = self.slots[id].emit() {
+                            events.push(QueryDelta {
+                                query: id,
+                                version: new_version,
+                                event,
+                            });
                         }
                         refreshed.push(QueryRefresh {
                             query: id,
                             result: Err(e),
                         });
-                        continue;
                     }
-                }
+                },
             }
-            ready.push(id);
         }
 
         // Concurrent fan-out: each ready slot refreshes against the shared
@@ -1087,48 +1068,27 @@ impl GrapeServer {
             self.session.config().refresh_threads,
             &applied,
             delta,
+            current,
         );
-        let mut events: Vec<QueryDelta> = Vec::new();
-        for (id, result, emitted) in results {
+        for (id, result, event) in results {
             if let Ok(report) = &result {
                 self.pipe_bytes += report.metrics.pipe_bytes as u64;
             }
-            if result.is_ok() || self.slots[id].entry.is_poisoned() {
-                // Success, or quarantined forever: the query never replays
-                // this step.
-                self.slots[id].version = new_version;
-            }
-            // Otherwise the failed full re-preparation left the handle
-            // consistent at `current`; keep its true version so the step
-            // retained below replays into it later.
-            if let Some(wire) = emitted {
+            if let Some(event) = event {
                 events.push(QueryDelta {
                     query: id,
                     version: new_version,
-                    event: OutputEvent::Delta(wire),
+                    event,
                 });
             }
             refreshed.push(QueryRefresh { query: id, result });
         }
         // Deterministic report regardless of fan-out completion order.
         refreshed.sort_by_key(|q| q.query);
-        // Terminal events for watched queries quarantined by now —
-        // whether they were poisoned this commit or found poisoned in the
-        // pre-pass — exactly once each.
-        for (id, slot) in self.slots.iter_mut().enumerate() {
-            if slot.entry.watch_active() && slot.entry.is_poisoned() && !slot.poison_notified {
-                slot.poison_notified = true;
-                events.push(QueryDelta {
-                    query: id,
-                    version: new_version,
-                    event: OutputEvent::Poisoned,
-                });
-            }
-        }
         events.sort_by_key(|e| e.query);
         self.pending_events.extend(events.iter().cloned());
 
-        if self.slots.iter().all(|s| s.version == new_version) {
+        if self.slots.iter().all(|s| s.state.pinned().is_none()) {
             // Hot path — everyone is resident and caught up, so no query
             // can ever need this step for replay: advance the timeline in
             // place without retaining (or cloning) the delta.
@@ -1161,50 +1121,41 @@ impl GrapeServer {
     }
 
     /// Refreshes the ready slots, fanning out over up to `threads` scoped
-    /// workers pulling from one shared queue.  The worker that refreshed a
-    /// slot also emits its answer delta ([`ServedQuery::watch_emit`]) — one
-    /// per watched query per commit, and only after a successful refresh,
-    /// so a failed one never advances the watch rows; a catch-up replay the
+    /// workers pulling from one shared queue.  Every ready slot is resident
+    /// at `current`.  The worker that refreshed a slot also collects the
+    /// event it owes its watchers ([`Slot::emit`]): one answer delta per
+    /// watched query per commit, only after a successful refresh, so a
+    /// failed one never advances the watch rows; a catch-up replay the
     /// commit's pre-pass performed folds into the same emission.  Returns
-    /// `(id, outcome, answer delta)` triples sorted by id.  An associated
-    /// function over the slot slice (not `&mut self`) so the commit loop
-    /// above can keep borrowing the rest of the server.
+    /// `(id, outcome, event)` triples sorted by id.  An associated function
+    /// over the slot slice (not `&mut self`) so the commit loop above can
+    /// keep borrowing the rest of the server.
     fn refresh_ready(
         slots: &mut [Slot],
         ready: &[usize],
         threads: usize,
         applied: &DeltaApplication,
         delta: &GraphDelta,
+        current: usize,
     ) -> Vec<RefreshOutcome> {
-        fn refresh_one(
-            id: usize,
-            entry: &mut dyn ServedQuery,
-            applied: &DeltaApplication,
-            delta: &GraphDelta,
-        ) -> RefreshOutcome {
-            let result = entry.refresh(applied, delta);
-            let emitted = if result.is_ok() {
-                entry.watch_emit()
-            } else {
-                None
-            };
-            (id, result, emitted)
-        }
+        let refresh_one = |id: usize, slot: &mut Slot| -> RefreshOutcome {
+            let result = slot.step(applied, delta, current, current + 1);
+            (id, result, slot.emit())
+        };
         let width = threads.max(1).min(ready.len());
         if width <= 1 {
             return ready
                 .iter()
-                .map(|&id| refresh_one(id, slots[id].entry.as_mut(), applied, delta))
+                .map(|&id| refresh_one(id, &mut slots[id]))
                 .collect();
         }
         // `ready` is ascending by construction, so membership is a binary
         // search away and the job list keeps slot order (workers may still
         // finish out of order; the sort below restores it).
-        let jobs: Vec<(usize, &mut Box<dyn ServedQuery>)> = slots
+        let jobs: Vec<(usize, &mut Slot)> = slots
             .iter_mut()
             .enumerate()
             .filter(|(id, _)| ready.binary_search(id).is_ok())
-            .map(|(id, slot)| (id, &mut slot.entry))
             .collect();
         let queue = std::sync::Mutex::new(jobs.into_iter());
         let results = std::sync::Mutex::new(Vec::with_capacity(ready.len()));
@@ -1212,8 +1163,8 @@ impl GrapeServer {
             for _ in 0..width {
                 scope.spawn(|| loop {
                     let job = queue.lock().expect("refresh queue lock").next();
-                    let Some((id, entry)) = job else { break };
-                    let outcome = refresh_one(id, entry.as_mut(), applied, delta);
+                    let Some((id, slot)) = job else { break };
+                    let outcome = refresh_one(id, slot);
                     results.lock().expect("refresh results lock").push(outcome);
                 });
             }
@@ -1223,15 +1174,52 @@ impl GrapeServer {
         out
     }
 
-    /// Spills slot `id` into its store, folding the increment chain once
-    /// its bytes outweigh the base's.  Returns the path written (the fresh
-    /// base when a compaction ran).
-    fn spill_slot(&mut self, id: usize) -> Result<PathBuf, ServeError> {
-        if self.slots[id].store.is_none() {
-            self.slots[id].store = Some(QuerySpillStore::create(&self.spill_dir, id)?);
+    /// Replays the retained steps into slot `id` while it is behind: until
+    /// it reaches the head (resident), a step fails (still behind), or a
+    /// step poisons it.  A slot in any other state has nothing to replay.
+    /// Returns one report per replayed step.
+    fn replay(&mut self, id: usize) -> Result<Vec<UpdateReport>, EngineError> {
+        let head = self.version();
+        let mut replayed = Vec::new();
+        while let SlotState::Behind(from) = self.slots[id].state {
+            // The timeline already holds every post-delta application, so
+            // no step runs apply_delta again — and the retained `Arc`
+            // means replaying copies none of the per-fragment restrictions.
+            let step = &self.steps[from - self.base];
+            let report = self.slots[id].step(&step.applied, &step.delta, from, head)?;
+            self.pipe_bytes += report.metrics.pipe_bytes as u64;
+            replayed.push(report);
         }
-        let mut store = self.slots[id].store.take().expect("created above");
-        let result = self.slots[id].entry.evict(&mut store).and_then(|path| {
+        Ok(replayed)
+    }
+
+    /// Spills a cold query's partials into its store and frees them: a base
+    /// on the first eviction, an increment (the changed partials only)
+    /// afterwards; the increment chain is folded once its bytes outweigh
+    /// the base's.  The server retains the timeline version the query was
+    /// last refreshed at — the fragmentation the partials belong to — so a
+    /// later rehydration replays only the deltas that arrived in between.
+    /// Returns the path of the file written (the fresh base when this
+    /// eviction triggered a compaction).
+    pub fn evict<P>(&mut self, handle: &QueryHandle<P>) -> Result<PathBuf, ServeError>
+    where
+        P: DeltaOutput + 'static,
+        P::Partial: Serialize + Deserialize,
+    {
+        self.check_handle::<P>(handle)?;
+        let id = handle.id;
+        // The version the spilled partials belong to.
+        let at = match self.slots[id].state {
+            SlotState::Resident => self.version(),
+            SlotState::Behind(version) => version,
+            SlotState::Evicted(_) => return Err(ServeError::AlreadyEvicted(id)),
+            SlotState::Poisoned => return Err(ServeError::Engine(EngineError::PoisonedHandle)),
+        };
+        let mut store = match self.slots[id].store.take() {
+            Some(store) => store,
+            None => QuerySpillStore::create(&self.spill_dir, id)?,
+        };
+        let spilled = self.slots[id].entry.spill(&mut store).and_then(|path| {
             let stats = store.stats();
             if stats.increment_bytes > stats.base_bytes && store.compact()? {
                 self.compactions += 1;
@@ -1240,73 +1228,11 @@ impl GrapeServer {
                 Ok(path)
             }
         });
-        self.slots[id].store = Some(store);
-        result
-    }
-
-    /// Folds slot `id`'s increment chain into a fresh base, if it has one.
-    fn compact_slot(&mut self, id: usize) -> Result<bool, ServeError> {
-        let Some(store) = self.slots[id].store.as_mut() else {
-            return Ok(false);
-        };
-        let folded = store.compact()?;
-        if folded {
-            self.compactions += 1;
-        }
-        Ok(folded)
-    }
-
-    /// Replays the retained steps from a **resident** query's version up to
-    /// `upto`, advancing its version per successful step.  On an error the
-    /// version keeps tracking the successfully replayed prefix (unless the
-    /// failure poisoned the entry, which the caller handles).
-    fn replay_resident(
-        &mut self,
-        id: usize,
-        upto: usize,
-    ) -> Result<Vec<UpdateReport>, EngineError> {
-        let mut replayed = Vec::new();
-        while self.slots[id].version < upto {
-            if self.slots[id].entry.is_poisoned() {
-                // A poisoned entry can never replay — and since poison
-                // never pins history its version may even have fallen
-                // below `base`, so surface the poison before touching the
-                // step indices.
-                return Err(EngineError::PoisonedHandle);
-            }
-            // The timeline already holds every post-delta application, so
-            // no step runs apply_delta again — and the retained `Arc`
-            // means replaying costs a refcount bump, not a copy of the
-            // per-fragment restrictions.
-            let i = self.slots[id].version - self.base;
-            let applied = self.steps[i].applied.clone();
-            let report = self.slots[id]
-                .entry
-                .refresh(&applied, &self.steps[i].delta)?;
-            self.slots[id].version += 1;
-            self.pipe_bytes += report.metrics.pipe_bytes as u64;
-            replayed.push(report);
-        }
-        Ok(replayed)
-    }
-
-    /// Spills a cold query's partials into its store and frees its
-    /// in-memory state: a base on the first eviction, an increment (the
-    /// changed partials only) afterwards.  The server retains the timeline
-    /// version the query was last refreshed at — the fragmentation the
-    /// partials belong to — so a later rehydration replays only the deltas
-    /// that arrived in between.  Returns the path of the file written (the
-    /// fresh base when this eviction triggered a compaction).
-    pub fn evict<P>(&mut self, handle: &QueryHandle<P>) -> Result<PathBuf, ServeError>
-    where
-        P: DeltaOutput + 'static,
-        P::Partial: Serialize + Deserialize,
-    {
-        self.check_handle::<P>(handle)?;
-        if self.slots[handle.id].entry.is_evicted() {
-            return Err(ServeError::AlreadyEvicted(handle.id));
-        }
-        self.spill_slot(handle.id)
+        let slot = &mut self.slots[id];
+        slot.store = Some(store);
+        let path = spilled?;
+        slot.state = SlotState::Evicted(at);
+        Ok(path)
     }
 
     /// Folds the query's spill-store increment chain into a fresh base,
@@ -1319,7 +1245,14 @@ impl GrapeServer {
         P::Partial: Serialize + Deserialize,
     {
         self.check_handle::<P>(handle)?;
-        self.compact_slot(handle.id)
+        let Some(store) = self.slots[handle.id].store.as_mut() else {
+            return Ok(false);
+        };
+        let folded = store.compact()?;
+        if folded {
+            self.compactions += 1;
+        }
+        Ok(folded)
     }
 
     /// Reloads an evicted query — its partials from the spill store, its
@@ -1330,8 +1263,8 @@ impl GrapeServer {
     /// evicted at its spill version, retryable — instead of being left
     /// resident with half-replayed state.
     ///
-    /// On a **resident** query this replays any steps the query is still
-    /// behind on (after a failed full re-preparation) and is otherwise a
+    /// On a **behind** query this replays the steps it missed (after a
+    /// failed full re-preparation); on a resident or poisoned one it is a
     /// no-op returning an empty report.
     pub fn rehydrate<P>(&mut self, handle: &QueryHandle<P>) -> Result<RehydrationReport, ServeError>
     where
@@ -1340,138 +1273,125 @@ impl GrapeServer {
     {
         self.check_handle::<P>(handle)?;
         let id = handle.id;
-        let current = self.version();
-        if !self.slots[id].entry.is_evicted() {
-            // Resident — but possibly behind: catch it up so output()
-            // never serves a stale version.
-            let replayed = match self.replay_resident(id, current) {
-                Ok(replayed) => replayed,
-                Err(e) => {
-                    if self.slots[id].entry.is_poisoned() {
-                        // Freshly poisoned mid-replay: it can never catch
-                        // up, so don't let it pin history (mirrors apply()).
-                        self.slots[id].version = current;
-                        self.emit_poisoned(id);
-                    }
-                    return Err(ServeError::Engine(e));
-                }
-            };
-            let events = if replayed.is_empty() {
-                Vec::new()
-            } else {
-                self.prune();
-                self.emit_compacted(id)
-            };
-            return Ok(RehydrationReport {
-                query: id,
-                replayed,
-                events,
-            });
-        }
-        let at = self.slots[id].version;
-        // Captured while still cold: the counters the snapshot corresponds
-        // to, in case a failed replay has to fall back to it.
-        let book = self.slots[id].entry.bookkeeping();
-        let store = self.slots[id]
-            .store
-            .take()
-            .expect("evicted entries always have a spill store");
-        let reloaded = {
-            let frozen = &self.timeline[at - self.base];
-            self.slots[id].entry.rehydrate(frozen, &store)
+        let spilled = match self.slots[id].state {
+            SlotState::Evicted(at) => Some((at, self.reload(id, at)?)),
+            SlotState::Resident | SlotState::Behind(_) | SlotState::Poisoned => None,
         };
-        self.slots[id].store = Some(store);
-        reloaded?;
-        match self.replay_resident(id, current) {
-            Ok(replayed) => {
-                // The spill store stays on disk as the query's recovery
-                // point; the next eviction appends an increment to it
-                // instead of rewriting the world.
-                self.prune();
-                let events = if replayed.is_empty() {
-                    Vec::new()
-                } else {
-                    self.emit_compacted(id)
-                };
-                Ok(RehydrationReport {
-                    query: id,
-                    replayed,
-                    events,
-                })
-            }
+        let replayed = match self.replay(id) {
+            Ok(replayed) => replayed,
             Err(e) => {
-                // The in-memory state is half-replayed or poisoned; the
-                // on-disk store is the valid recovery point, so fall back
-                // to it — counters included, so a retry that replays the
-                // whole pending stream never double-counts the prefix that
-                // succeeded this time.  The watch rows were never advanced,
-                // so subscribers saw no partial delta and the retry
-                // re-diffs from the pre-evict baseline.
-                self.slots[id].entry.demote(book);
-                self.slots[id].version = at;
-                Err(ServeError::Engine(e))
+                let version = self.version();
+                let slot = &mut self.slots[id];
+                if let Some((at, counters)) = spilled {
+                    // The in-memory state is half-replayed or poisoned; the
+                    // on-disk store is the valid recovery point, so fall
+                    // back to it — counters included, so a retry that
+                    // replays the whole pending stream never double-counts
+                    // the prefix that succeeded this time.  The watch rows
+                    // were never advanced, so subscribers saw no partial
+                    // delta and the retry re-diffs from the pre-evict
+                    // baseline.
+                    slot.entry.unload(counters);
+                    slot.state = SlotState::Evicted(at);
+                } else {
+                    // Still behind, or freshly poisoned: then it no longer
+                    // pins the history it failed to replay.
+                    if let Some(event) = slot.emit() {
+                        self.pending_events.push(QueryDelta {
+                            query: id,
+                            version,
+                            event,
+                        });
+                    }
+                    self.prune();
+                }
+                return Err(ServeError::Engine(e));
             }
+        };
+        if spilled.is_some() || !replayed.is_empty() {
+            self.prune();
         }
-    }
-
-    /// The single compacted answer delta after a successful multi-step
-    /// replay: the watch rows last advanced at the previous emission, so
-    /// one [`ServedQuery::watch_emit`] covers the whole replayed stream,
-    /// key-wise folded.  Buffered for [`GrapeServer::drain_events`] and
-    /// returned for the caller's report.
-    fn emit_compacted(&mut self, id: usize) -> Vec<QueryDelta> {
-        let version = self.version();
+        // One compacted answer delta for the whole replayed stream: the
+        // watch rows last advanced at the previous emission.
         let mut events = Vec::new();
-        if let Some(wire) = self.slots[id].entry.watch_emit() {
-            events.push(QueryDelta {
-                query: id,
-                version,
-                event: OutputEvent::Delta(wire),
-            });
+        if !replayed.is_empty() {
+            if let Some(event) = self.slots[id].emit() {
+                events.push(QueryDelta {
+                    query: id,
+                    version: self.version(),
+                    event,
+                });
+            }
+            self.pending_events.extend(events.iter().cloned());
         }
-        self.pending_events.extend(events.iter().cloned());
-        events
+        Ok(RehydrationReport {
+            query: id,
+            replayed,
+            events,
+        })
     }
 
-    /// The terminal [`OutputEvent::Poisoned`] for a watched query — pushed
-    /// exactly once, and never accompanied by a partial delta (the watch
-    /// rows only move on success).
-    fn emit_poisoned(&mut self, id: usize) {
-        let version = self.version();
+    /// Loads evicted slot `id`'s partials onto the timeline version `at`
+    /// they were spilled at, leaving the slot resident when `at` is the
+    /// head and behind otherwise.  Returns the counters the spill
+    /// corresponds to, for a failed replay to fall back to.
+    fn reload(&mut self, id: usize, at: usize) -> Result<QueryCounters, ServeError> {
+        let head = self.version();
         let slot = &mut self.slots[id];
-        if slot.entry.watch_active() && slot.entry.is_poisoned() && !slot.poison_notified {
-            slot.poison_notified = true;
-            self.pending_events.push(QueryDelta {
-                query: id,
-                version,
-                event: OutputEvent::Poisoned,
-            });
-        }
+        let Some(store) = &slot.store else {
+            return Err(SnapshotError::Malformed(format!("query {id} has no spill store")).into());
+        };
+        slot.entry.reload(&self.timeline[at - self.base], store)?;
+        slot.state = if at == head {
+            SlotState::Resident
+        } else {
+            SlotState::Behind(at)
+        };
+        Ok(slot.entry.counters().clone())
     }
 
     /// Assembles the query's current answer, lazily rehydrating it first if
-    /// it was evicted.
+    /// it was evicted (or replaying the steps it is behind on).
     pub fn output<P>(&mut self, handle: &QueryHandle<P>) -> Result<P::Output, ServeError>
     where
         P: DeltaOutput + 'static,
         P::Partial: Serialize + Deserialize,
     {
         self.rehydrate(handle)?;
-        let entry = self.entry_ref::<P>(handle)?;
-        entry
-            .prepared
-            .as_ref()
-            .expect("rehydrate left the entry resident")
-            .try_output()
-            .map_err(ServeError::Engine)
+        self.try_output(handle)
     }
 
-    /// Borrow of the resident [`PreparedQuery`] behind a handle —
-    /// `Ok(None)` while the query is evicted, [`ServeError::UnknownHandle`]
-    /// when the handle was not issued by this server (or its query type
-    /// does not match), so misuse surfaces instead of aliasing the evicted
-    /// case.  Useful for metrics and tests (e.g. pinning that all handles
-    /// share one fragment storage).
+    /// The query's current answer when it can be given with no rehydration
+    /// and no replay: [`ServeError::NotResident`] while the query is
+    /// evicted or behind, [`EngineError::PoisonedHandle`] once it is
+    /// poisoned.  [`GrapeServer::output`] does the work instead.
+    pub fn try_output<P>(&self, handle: &QueryHandle<P>) -> Result<P::Output, ServeError>
+    where
+        P: DeltaOutput + 'static,
+        P::Partial: Serialize + Deserialize,
+    {
+        let entry = self.entry_ref::<P>(handle)?;
+        let query = handle.id;
+        match self.slots[query].state {
+            SlotState::Resident => entry.prepared.try_output().map_err(ServeError::Engine),
+            SlotState::Behind(version) => Err(ServeError::NotResident {
+                query,
+                behind: Some((version, self.version())),
+            }),
+            SlotState::Evicted(_) => Err(ServeError::NotResident {
+                query,
+                behind: None,
+            }),
+            SlotState::Poisoned => Err(ServeError::Engine(EngineError::PoisonedHandle)),
+        }
+    }
+
+    /// Borrow of the [`PreparedQuery`] behind a handle — `Ok(None)` while
+    /// the query is evicted, [`ServeError::UnknownHandle`] when the handle
+    /// was not issued by this server (or its query type does not match),
+    /// so misuse surfaces instead of aliasing the evicted case.  Useful for
+    /// metrics and tests (e.g. pinning that all handles share one fragment
+    /// storage).
     pub fn prepared<P>(
         &self,
         handle: &QueryHandle<P>,
@@ -1480,7 +1400,13 @@ impl GrapeServer {
         P: DeltaOutput + 'static,
         P::Partial: Serialize + Deserialize,
     {
-        Ok(self.entry_ref::<P>(handle)?.prepared.as_ref())
+        let entry = self.entry_ref::<P>(handle)?;
+        Ok(match self.slots[handle.id].state {
+            SlotState::Evicted(_) => None,
+            SlotState::Resident | SlotState::Behind(_) | SlotState::Poisoned => {
+                Some(&entry.prepared)
+            }
+        })
     }
 
     /// Whether the query behind `handle` is currently evicted.
@@ -1490,7 +1416,7 @@ impl GrapeServer {
         P::Partial: Serialize + Deserialize,
     {
         self.check_handle::<P>(handle)?;
-        Ok(self.slots[handle.id].entry.is_evicted())
+        Ok(matches!(self.slots[handle.id].state, SlotState::Evicted(_)))
     }
 
     fn check_handle<P>(&self, handle: &QueryHandle<P>) -> Result<(), ServeError>
@@ -1498,17 +1424,7 @@ impl GrapeServer {
         P: DeltaOutput + 'static,
         P::Partial: Serialize + Deserialize,
     {
-        if handle.server != self.token {
-            return Err(ServeError::UnknownHandle(handle.id));
-        }
-        let slot = self
-            .slots
-            .get(handle.id)
-            .ok_or(ServeError::UnknownHandle(handle.id))?;
-        if !slot.entry.as_any().is::<ServedEntry<P>>() {
-            return Err(ServeError::UnknownHandle(handle.id));
-        }
-        Ok(())
+        self.entry_ref::<P>(handle).map(|_| ())
     }
 
     fn entry_ref<P>(&self, handle: &QueryHandle<P>) -> Result<&ServedEntry<P>, ServeError>
@@ -1516,7 +1432,9 @@ impl GrapeServer {
         P: DeltaOutput + 'static,
         P::Partial: Serialize + Deserialize,
     {
-        self.check_handle::<P>(handle)?;
+        if handle.server != self.token {
+            return Err(ServeError::UnknownHandle(handle.id));
+        }
         self.slots
             .get(handle.id)
             .and_then(|s| s.entry.as_any().downcast_ref::<ServedEntry<P>>())
@@ -1524,15 +1442,12 @@ impl GrapeServer {
     }
 
     /// Drops timeline versions no query can need anymore: everything older
-    /// than the oldest version still needed for replay — by an evicted
-    /// query, or by a resident one left behind by a failed full
-    /// re-preparation.  Poisoned queries never replay and are ignored.
+    /// than the oldest version a behind or evicted slot still pins.
     fn prune(&mut self) {
         let needed = self
             .slots
             .iter()
-            .filter(|s| !s.entry.is_poisoned())
-            .map(|s| s.version)
+            .filter_map(|s| s.state.pinned())
             .min()
             .unwrap_or_else(|| self.version());
         if needed > self.base {
@@ -1869,7 +1784,212 @@ mod tests {
             other.prepared(&h),
             Err(ServeError::UnknownHandle(_))
         ));
+        assert!(matches!(
+            other.try_output(&h),
+            Err(ServeError::UnknownHandle(_))
+        ));
         assert!(other.output(&other_handles[0]).is_ok());
+    }
+
+    /// A slot's lifecycle state as its status row reports it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Seen {
+        Resident,
+        Behind,
+        Evicted,
+        Poisoned,
+    }
+
+    fn seen(server: &GrapeServer, id: usize) -> Seen {
+        let status = server.query_status(id).unwrap();
+        match (status.evicted, status.poisoned) {
+            (true, _) => Seen::Evicted,
+            (_, true) => Seen::Poisoned,
+            _ if status.version == server.version() => Seen::Resident,
+            _ => Seen::Behind,
+        }
+    }
+
+    const OPS: [&str; 8] = [
+        "apply",
+        "evict",
+        "rehydrate",
+        "output",
+        "try_output",
+        "subscribe",
+        "compact",
+        "query_status",
+    ];
+
+    /// Runs `op` on the query and names its outcome: how the commit's report
+    /// lists the query for `apply`, the error for a refused call.
+    fn run_op<P>(server: &mut GrapeServer, h: QueryHandle<P>, op: &str) -> &'static str
+    where
+        P: DeltaOutput + 'static,
+        P::Partial: Serialize + Deserialize,
+    {
+        let result = match op {
+            "apply" => {
+                let r = server.apply(&GraphDelta::new().add_edge(1, 3)).unwrap();
+                let refreshed = r.refreshed.iter().find(|q| q.query == h.id());
+                return if r.caught_up.contains(&h.id()) {
+                    "caught-up"
+                } else if r.deferred.contains(&h.id()) {
+                    "deferred"
+                } else if r.poisoned.contains(&h.id()) {
+                    "skipped"
+                } else if refreshed.is_some_and(|q| q.result.is_ok()) {
+                    "refreshed"
+                } else {
+                    "failed"
+                };
+            }
+            "evict" => server.evict(&h).map(drop),
+            "rehydrate" => server.rehydrate(&h).map(drop),
+            "output" => server.output(&h).map(drop),
+            "try_output" => server.try_output(&h).map(drop),
+            "subscribe" => server.subscribe(&h).map(drop),
+            "compact" => server.compact(&h).map(drop),
+            "query_status" => server
+                .query_status(h.id())
+                .map(drop)
+                .ok_or(ServeError::UnknownHandle(h.id())),
+            _ => unreachable!("unknown op {op}"),
+        };
+        match result {
+            Ok(()) => "ok",
+            Err(ServeError::AlreadyEvicted(_)) => "already-evicted",
+            Err(ServeError::NotResident { .. }) => "not-resident",
+            Err(ServeError::Engine(EngineError::PoisonedHandle)) => "poisoned",
+            Err(e) => panic!("{op}: unexpected {e}"),
+        }
+    }
+
+    /// A fresh server holding one query in `state`, one commit past
+    /// registration: resident (healthy), behind (its full re-preparation
+    /// failed, then the program healed), evicted before the commit, or
+    /// poisoned by it.
+    fn lifecycle_fixture(
+        state: Seen,
+    ) -> (
+        GrapeServer,
+        Result<QueryHandle<TrippablePrepare>, QueryHandle<DivergingOnUpdate>>,
+    ) {
+        let frag = RangeEdgeCut::new(3)
+            .partition(&crate::test_support::ring_graph(12))
+            .unwrap();
+        let s = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Sync)
+            .max_supersteps(4)
+            .build()
+            .unwrap();
+        let mut server = GrapeServer::new(s, frag);
+        let delta = GraphDelta::new().add_edge(0, 2);
+        // `Err` carries the poisoned fixture's `DivergingOnUpdate` handle.
+        let handle = if state == Seen::Poisoned {
+            let h = server.register(DivergingOnUpdate, ()).unwrap();
+            server.apply(&delta).unwrap();
+            Err(h)
+        } else {
+            let program = TrippablePrepare::new();
+            let h = server.register(program.clone(), ()).unwrap();
+            match state {
+                Seen::Behind => program.trip(),
+                Seen::Evicted => drop(server.evict(&h).unwrap()),
+                _ => {}
+            }
+            server.apply(&delta).unwrap();
+            program.heal();
+            Ok(h)
+        };
+        (server, handle)
+    }
+
+    /// Every public operation in every lifecycle state: what it answers,
+    /// and the state it leaves the query in (read off its status row).
+    /// The same table is in `docs/ARCHITECTURE.md` §1b.
+    #[test]
+    fn every_op_in_every_lifecycle_state() {
+        use Seen::*;
+        let table: [(Seen, [(&str, Seen); 8]); 4] = [
+            (
+                Resident,
+                [
+                    ("refreshed", Resident),
+                    ("ok", Evicted),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                ],
+            ),
+            (
+                Behind,
+                [
+                    ("caught-up", Resident),
+                    ("ok", Evicted),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                    ("not-resident", Behind),
+                    ("ok", Resident),
+                    ("ok", Behind),
+                    ("ok", Behind),
+                ],
+            ),
+            (
+                Evicted,
+                [
+                    ("deferred", Evicted),
+                    ("already-evicted", Evicted),
+                    ("ok", Resident),
+                    ("ok", Resident),
+                    ("not-resident", Evicted),
+                    ("ok", Resident),
+                    ("ok", Evicted),
+                    ("ok", Evicted),
+                ],
+            ),
+            (
+                Poisoned,
+                [
+                    ("skipped", Poisoned),
+                    ("poisoned", Poisoned),
+                    ("ok", Poisoned),
+                    ("poisoned", Poisoned),
+                    ("poisoned", Poisoned),
+                    ("poisoned", Poisoned),
+                    ("ok", Poisoned),
+                    ("ok", Poisoned),
+                ],
+            ),
+        ];
+        for (state, row) in table {
+            for (op, (outcome, after)) in OPS.iter().zip(row) {
+                let (mut server, handle) = lifecycle_fixture(state);
+                let id = handle.map_or_else(|h| h.id(), |h| h.id());
+                assert_eq!(seen(&server, id), state, "fixture");
+                let got = match handle {
+                    Ok(h) => run_op(&mut server, h, op),
+                    Err(h) => run_op(&mut server, h, op),
+                };
+                assert_eq!(
+                    (got, seen(&server, id)),
+                    (outcome, after),
+                    "{state:?} × {op}"
+                );
+                // The timeline keeps exactly the versions the query's own
+                // version still needs: none past the head unless it pins.
+                let version = server.query_status(id).unwrap().version;
+                assert_eq!(
+                    server.retained_versions(),
+                    server.version() - version + 1,
+                    "{state:?} × {op}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2100,9 +2220,13 @@ mod tests {
             server.output(&flaky).unwrap_err(),
             ServeError::Engine(EngineError::DidNotConverge { .. })
         ));
+        assert_eq!(
+            server.retained_versions(),
+            1,
+            "poisoning drops the history the dead query pinned"
+        );
 
-        // Another query's round trip prunes the history the dead query no
-        // longer needs...
+        // Another query's round trip keeps it that way...
         server.evict(&healthy).unwrap();
         server.rehydrate(&healthy).unwrap();
         assert_eq!(server.retained_versions(), 1, "poison does not pin");

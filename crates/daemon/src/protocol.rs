@@ -572,7 +572,7 @@ pub fn serve_error_body(e: &ServeError) -> ResponseBody {
         ServeError::Engine(_) => ErrorKind::Engine,
         ServeError::Delta(_) => ErrorKind::RejectedDelta,
         ServeError::UnknownHandle(_) => ErrorKind::UnknownHandle,
-        ServeError::AlreadyEvicted(_) => ErrorKind::NotResident,
+        ServeError::AlreadyEvicted(_) | ServeError::NotResident { .. } => ErrorKind::NotResident,
         ServeError::UnknownSubscription(_) => ErrorKind::UnknownSubscription,
         ServeError::Snapshot(_) => ErrorKind::Snapshot,
     };

@@ -334,44 +334,6 @@ impl Engine {
         })
     }
 
-    /// The answer of a resident, caught-up, healthy query, without the
-    /// lazy rehydration or catch-up replay that `output` performs.  Reads
-    /// only this query's status row.
-    fn try_output(&self, query: usize, any: AnyHandle) -> Result<QueryAnswer, Failure> {
-        let status = self
-            .server
-            .query_status(query)
-            .expect("every wire entry has a server slot");
-        if status.evicted {
-            return Err(Self::err(
-                ErrorKind::NotResident,
-                format!("query {query} is evicted; use output or rehydrate"),
-            ));
-        }
-        if status.poisoned {
-            return Err(Self::err(
-                ErrorKind::Poisoned,
-                format!("query {query} was poisoned by an earlier failed refresh"),
-            ));
-        }
-        if status.version < self.server.version() {
-            return Err(Self::err(
-                ErrorKind::NotResident,
-                format!(
-                    "query {query} is behind (version {} of {}); use output or rehydrate",
-                    status.version,
-                    self.server.version()
-                ),
-            ));
-        }
-        with_handle!(any, h => self
-            .server
-            .prepared(&h)
-            .and_then(|p| p.expect("resident").try_output().map_err(ServeError::Engine))
-            .map(|r| QueryAnswer::from(&r)))
-        .map_err(serve_err)
-    }
-
     /// Fans every answer delta buffered by the `GrapeServer` out to the
     /// matching wire subscriptions: the payload is serialized once per
     /// delta, and each subscriber of the query gets the shared bytes plus
@@ -489,7 +451,11 @@ impl Engine {
                 ResponseBody::Answer { query, answer }
             }
             RequestBody::TryOutput { query } => {
-                let answer = self.try_output(query, self.handle_of(query)?)?;
+                let answer = with_handle!(self.handle_of(query)?, h => self
+                    .server
+                    .try_output(&h)
+                    .map(|r| QueryAnswer::from(&r)))
+                .map_err(serve_err)?;
                 ResponseBody::Answer { query, answer }
             }
             RequestBody::Evict { query } => {

@@ -8,9 +8,10 @@
 
 use std::io::Cursor;
 
+use grape_core::engine::EngineError;
 use grape_core::metrics::LatencySummary;
 use grape_core::output_delta::{OutputEvent, QueryDelta, WireOutputDelta};
-use grape_core::serve::QueryStatus;
+use grape_core::serve::{QueryStatus, ServeError};
 use grape_core::spec::QuerySpec;
 use grape_daemon::protocol::{
     self, ApplySummary, ErrorKind, EventFrame, MetricsInfo, QueryAnswer, QueryRow, RejectedDelta,
@@ -281,21 +282,34 @@ fn every_response_variant_round_trips() {
 
 #[test]
 fn every_error_kind_round_trips_as_an_error_frame() {
-    for kind in [
-        ErrorKind::BadRequest,
-        ErrorKind::UnknownHandle,
-        ErrorKind::UnknownSubscription,
-        ErrorKind::Poisoned,
-        ErrorKind::RejectedDelta,
-        ErrorKind::NotResident,
-        ErrorKind::Snapshot,
-        ErrorKind::Engine,
-        ErrorKind::ShuttingDown,
+    // Each kind, and the serve-layer refusals that must map onto it.
+    let refused = |behind| ServeError::NotResident { query: 1, behind };
+    for (kind, from) in [
+        (ErrorKind::BadRequest, None),
+        (ErrorKind::UnknownHandle, None),
+        (ErrorKind::UnknownSubscription, None),
+        (
+            ErrorKind::Poisoned,
+            Some(ServeError::Engine(EngineError::PoisonedHandle)),
+        ),
+        (ErrorKind::RejectedDelta, None),
+        (ErrorKind::NotResident, Some(ServeError::AlreadyEvicted(1))),
+        (ErrorKind::NotResident, Some(refused(None))),
+        (ErrorKind::NotResident, Some(refused(Some((2, 5))))),
+        (ErrorKind::Snapshot, None),
+        (ErrorKind::Engine, None),
+        (ErrorKind::ShuttingDown, None),
     ] {
         roundtrip_response(ResponseBody::Error {
             kind,
             message: format!("synthetic {kind:?}"),
         });
+        if let Some(e) = from {
+            let ResponseBody::Error { kind: mapped, .. } = protocol::serve_error_body(&e) else {
+                panic!("{e} maps to a non-error body");
+            };
+            assert_eq!(mapped, kind, "{e}");
+        }
     }
 }
 

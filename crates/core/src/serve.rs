@@ -409,7 +409,9 @@ enum SlotState {
     /// into it before its next refresh, answer or subscription.
     Behind(usize),
     /// Partials in the slot's spill store, spilled at this version.  The
-    /// handle keeps its program, query and counters; commits defer it.
+    /// handle keeps its program, query, counters and fragmentation — whose
+    /// fragments and `G_P` are the pinned version's own — and commits
+    /// defer it.
     Evicted(usize),
     /// A failed refresh consumed the partials.  The slot never refreshes or
     /// replays again and never pins history; its watchers got the terminal
@@ -447,8 +449,9 @@ trait ServedQuery: Send {
     /// timeline version they were spilled at.  The store stays the entry's
     /// on-disk recovery point, and the next spill appends to it.
     fn reload(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError>;
-    /// Releases the partials again and restores `counters`: the inverse of
-    /// a reload whose replay failed.
+    /// Releases the partials again, restores `counters` and clears the
+    /// poison flag the failed step may have set: the inverse of a reload
+    /// whose replay failed.
     fn unload(&mut self, counters: QueryCounters);
     fn counters(&self) -> &QueryCounters;
     /// Serialized size of the live partials (`0` once released).
@@ -525,13 +528,14 @@ where
         // quotient-table cell are shared with the timeline, not copied.
         p.fragmentation = at.clone();
         p.partials = partials;
-        p.poisoned = false;
         Ok(())
     }
 
     fn unload(&mut self, counters: QueryCounters) {
-        self.prepared.partials = Vec::new();
-        self.prepared.counters = counters;
+        let p = &mut self.prepared;
+        p.partials = Vec::new();
+        p.counters = counters;
+        p.poisoned = false;
     }
 
     fn counters(&self) -> &QueryCounters {
@@ -1220,6 +1224,10 @@ impl GrapeServer {
             None => QuerySpillStore::create(&self.spill_dir, id)?,
         };
         let spilled = self.slots[id].entry.spill(&mut store).and_then(|path| {
+            // The partials are on disk and released: the slot is evicted
+            // even if the fold below fails, and the unfolded chain stays
+            // its recovery point.
+            self.slots[id].state = SlotState::Evicted(at);
             let stats = store.stats();
             if stats.increment_bytes > stats.base_bytes && store.compact()? {
                 self.compactions += 1;
@@ -1228,11 +1236,8 @@ impl GrapeServer {
                 Ok(path)
             }
         });
-        let slot = &mut self.slots[id];
-        slot.store = Some(store);
-        let path = spilled?;
-        slot.state = SlotState::Evicted(at);
-        Ok(path)
+        self.slots[id].store = Some(store);
+        spilled
     }
 
     /// Folds the query's spill-store increment chain into a fresh base,
@@ -1338,9 +1343,7 @@ impl GrapeServer {
     fn reload(&mut self, id: usize, at: usize) -> Result<QueryCounters, ServeError> {
         let head = self.version();
         let slot = &mut self.slots[id];
-        let Some(store) = &slot.store else {
-            return Err(SnapshotError::Malformed(format!("query {id} has no spill store")).into());
-        };
+        let store = slot.store.as_ref().expect("evicted slots keep a store");
         slot.entry.reload(&self.timeline[at - self.base], store)?;
         slot.state = if at == head {
             SlotState::Resident
@@ -1659,14 +1662,21 @@ mod tests {
             server.apply(&GraphDelta::new().add_edge(0, 5)).unwrap();
 
             // Up to date: the rehydrated entry holds the spilled version.
+            // While evicted it holds no copy of G_P either: its handle's
+            // fragmentation is the pinned version's.
             let spilled = server.fragmentation().clone();
             server.evict(&h).unwrap();
+            let cold = server.entry_ref::<MinForward>(&h).unwrap();
+            assert!(
+                std::ptr::eq(cold.prepared.fragmentation().gp(), spilled.gp()),
+                "an evicted query shares G_P with the timeline ({mode:?})"
+            );
             server.rehydrate(&h).unwrap();
             let frag = server.prepared(&h).unwrap().unwrap().fragmentation();
             for i in 0..spilled.num_fragments() {
                 assert!(frag.shares_fragment_storage(&spilled, i), "{mode:?} {i}");
             }
-            assert_eq!(frag.gp(), spilled.gp(), "{mode:?}");
+            assert!(std::ptr::eq(frag.gp(), spilled.gp()), "{mode:?}");
             assert!(
                 Arc::ptr_eq(&frag.quotient_tables(), &spilled.quotient_tables()),
                 "one quotient-table cell per version ({mode:?})"
@@ -1688,7 +1698,10 @@ mod tests {
                     assert!(frag.shares_fragment_storage(&spilled, i), "{mode:?} {i}");
                 }
             }
-            assert_eq!(frag.gp(), server.fragmentation().gp(), "{mode:?}");
+            assert!(
+                std::ptr::eq(frag.gp(), server.fragmentation().gp()),
+                "{mode:?}"
+            );
         }
     }
 
@@ -1724,6 +1737,46 @@ mod tests {
         }
         assert_eq!(server.query_statuses()[cold.id()].spill_chain, 0);
         assert!(!server.compact(&cold).unwrap());
+        assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
+    }
+
+    /// A compaction that fails after the spill succeeded still leaves the
+    /// query evicted — its partials are already released — and the
+    /// unfolded chain rehydrates it to the right answer.
+    #[test]
+    fn failed_compaction_after_a_spill_leaves_the_query_evicted() {
+        let (mut server, handles) = server_with(2, EngineMode::Sync);
+        let (kept, cold) = (handles[0], handles[1]);
+        server.evict(&cold).unwrap();
+        // A directory where the compaction stages its new base makes every
+        // fold fail; increments stage elsewhere and still succeed.
+        let base = server.slots[cold.id()].store.as_ref().unwrap().base_path();
+        let blocker = grape_graph::io::tmp_sibling(&base);
+        std::fs::create_dir(&blocker).unwrap();
+        let mut failed = false;
+        for round in 0..12u64 {
+            server.rehydrate(&cold).unwrap();
+            server
+                .apply(&GraphDelta::new().add_edge(12 + round, round))
+                .unwrap();
+            if server.evict(&cold).is_err() {
+                failed = true;
+                break;
+            }
+        }
+        assert!(failed, "the byte rule never tried to fold the chain");
+        assert!(server.is_evicted(&cold).unwrap());
+        let status = server.query_status(cold.id()).unwrap();
+        assert!(status.evicted && !status.poisoned);
+        assert_eq!(status.partial_bytes, 0);
+        assert!(status.spill_chain > 0, "the chain was not folded");
+        assert!(matches!(
+            server.try_output(&cold),
+            Err(ServeError::NotResident { behind: None, .. })
+        ));
+        server.apply(&GraphDelta::new().add_edge(0, 7)).unwrap();
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(server.rehydrate(&cold).unwrap().replayed.len(), 1);
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
     }
 

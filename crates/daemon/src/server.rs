@@ -35,6 +35,7 @@ use std::time::Instant;
 use grape_algorithms::cc::{Cc, CcQuery};
 use grape_algorithms::sssp::{Sssp, SsspQuery};
 use grape_core::config::EngineMode;
+use grape_core::engine::EngineError;
 use grape_core::serve::{GrapeServer, QueryHandle, ServeError, SubscriptionId};
 use grape_core::session::GrapeSession;
 use grape_core::spec::QuerySpec;
@@ -455,7 +456,14 @@ impl Engine {
                     .server
                     .try_output(&h)
                     .map(|r| QueryAnswer::from(&r)))
-                .map_err(serve_err)?;
+                .map_err(|e| match e {
+                    // A poisoned query's `try_output` reply names the query.
+                    ServeError::Engine(EngineError::PoisonedHandle) => Self::err(
+                        ErrorKind::Poisoned,
+                        format!("query {query} was poisoned by an earlier failed refresh"),
+                    ),
+                    e => serve_err(e),
+                })?;
                 ResponseBody::Answer { query, answer }
             }
             RequestBody::Evict { query } => {

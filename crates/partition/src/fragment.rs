@@ -236,10 +236,11 @@ impl Expansion {
 /// A complete fragmentation: all fragments and the fragmentation graph
 /// `G_P`.
 ///
-/// Fragments are **refcounted** (`Arc<Fragment>`): cloning a fragmentation —
-/// which is how every `PreparedQuery` handle gets its own copy — shares the
-/// fragment storage instead of duplicating it, so a server can keep
-/// thousands of prepared queries over one evolving graph cheaply.  Delta
+/// Fragments and `G_P` are **refcounted** (`Arc`): cloning a fragmentation —
+/// which is how every `PreparedQuery` handle gets its own copy — shares
+/// their storage instead of duplicating it, so a server can keep thousands
+/// of prepared queries (resident or evicted) over one evolving graph
+/// cheaply.  Delta
 /// application replaces only the patched fragments' `Arc`s; untouched
 /// fragments stay shared across all handles.
 ///
@@ -250,7 +251,8 @@ impl Expansion {
 #[derive(Debug, Clone)]
 pub struct Fragmentation {
     fragments: Vec<Arc<Fragment>>,
-    gp: FragmentationGraph,
+    /// Never mutated: a delta builds a new `G_P` for the new version.
+    gp: Arc<FragmentationGraph>,
     directed: bool,
     strategy_name: String,
     /// The global graph of this version, shared across clones like
@@ -276,7 +278,7 @@ impl Fragmentation {
     ) -> Fragmentation {
         Fragmentation {
             fragments,
-            gp,
+            gp: Arc::new(gp),
             directed,
             strategy_name,
             source: Arc::new(source.map_or_else(OnceLock::new, OnceLock::from)),

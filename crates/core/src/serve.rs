@@ -22,24 +22,20 @@
 //!   path of [`crate::prepared`] with the partition work factored out);
 //!   the rebuilt fragment set is shared by all of them via the existing
 //!   `Arc<Fragment>` refcounting;
-//! * [`GrapeServer::evict`] spills a cold query's **partials** into its
-//!   [`QuerySpillStore`] ([`grape_partition::snapshot`]) and frees them:
-//!   the first eviction writes a **base** (one record per partial); later
-//!   evictions append **increments** holding only the partials that
-//!   changed since the previous spill.  Fragments, `G_P` and the quotient
-//!   tables are never written: they are shared structure, and the evicted
-//!   query pins its timeline version, which holds them.  The next
-//!   [`GrapeServer::output`] (or an explicit [`GrapeServer::rehydrate`])
-//!   takes the fragmentation from that version (an `Arc` clone, no I/O),
-//!   folds base ⊕ increments into the partials — **without
-//!   re-partitioning and without a single PEval call** — and replays the
-//!   deltas that arrived while the query was cold.  When the increments
-//!   outweigh the base on disk (or on an explicit [`GrapeServer::compact`])
-//!   the chain is folded into a fresh base atomically, so a reload never
-//!   reads more than twice the base's bytes.  Every store write stages
-//!   through a temp file, fsync and rename, so a crash mid-spill leaves
-//!   the previous on-disk state fully readable.  Spill files are process
-//!   scratch: nothing reads them after the server is gone.
+//! * [`GrapeServer::evict`] writes a cold query's **partials** into its
+//!   spill file ([`QuerySpillStore`], [`grape_partition::snapshot`]) and
+//!   frees them.  Every eviction writes all the partials, one record each,
+//!   and replaces the file the previous eviction wrote.  Fragments, `G_P`
+//!   and the quotient tables are never written: they are shared structure,
+//!   and the evicted query pins its timeline version, which holds them.
+//!   The next [`GrapeServer::output`] (or an explicit
+//!   [`GrapeServer::rehydrate`]) takes the fragmentation from that version
+//!   (an `Arc` clone, no I/O), reads the partials back from the file —
+//!   **without re-partitioning and without a single PEval call** — and
+//!   replays the deltas that arrived while the query was cold.  The file
+//!   is written plainly, without fsync or a staging rename: it is read
+//!   only while its query is evicted, a query is evicted only once the
+//!   whole file is written, and nothing reads it after the server is gone.
 //!
 //! The timeline keeps one fragmentation per version only while an evicted
 //! query — or a resident one left *behind* by a failed refresh — still
@@ -86,7 +82,7 @@ use grape_graph::delta::GraphDelta;
 use grape_graph::io::{write_value_tree, IoError};
 use grape_partition::delta::DeltaApplication;
 use grape_partition::fragment::Fragmentation;
-use grape_partition::snapshot::{QuerySpillStore, SnapshotError, SpillStoreStats};
+use grape_partition::snapshot::{QuerySpillStore, SnapshotError};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::engine::EngineError;
@@ -370,17 +366,10 @@ pub struct QueryStatus {
     pub partial_bytes: usize,
     /// Active subscriptions on this query ([`GrapeServer::subscribe`]).
     pub watchers: usize,
-    /// Increments currently chained on the query's spill base (`0` when the
-    /// query has never spilled, or right after a compaction).
-    #[serde(default)]
-    pub spill_chain: usize,
-    /// Total on-disk footprint of the query's spill store (base +
-    /// increments), in bytes.
+    /// Size of the query's spill file in bytes (`0` when the query has
+    /// never spilled).
     #[serde(default)]
     pub spill_bytes: u64,
-    /// Completed compactions of the query's spill store.
-    #[serde(default)]
-    pub compactions: u64,
 }
 
 /// One step of the timeline: the delta and the `Arc`-shared
@@ -441,13 +430,12 @@ trait ServedQuery: Send {
     /// Whether the handle's partials correspond to no graph version (a
     /// refresh consumed them and failed).
     fn is_poisoned(&self) -> bool;
-    /// Writes the partials into `store` (a base on the first call,
-    /// changed-partial increments afterwards) and releases them.  Returns
-    /// the path of the file the store wrote.
+    /// Writes the partials as `store`'s spill file and releases them.
+    /// Returns the file's path.
     fn spill(&mut self, store: &mut QuerySpillStore) -> Result<PathBuf, ServeError>;
-    /// Loads the partials from `store` (base ⊕ increments) onto `at`, the
-    /// timeline version they were spilled at.  The store stays the entry's
-    /// on-disk recovery point, and the next spill appends to it.
+    /// Loads the partials from `store`'s spill file onto `at`, the timeline
+    /// version they were spilled at.  The file stays the entry's recovery
+    /// point until the next spill replaces it.
     fn reload(&mut self, at: &Fragmentation, store: &QuerySpillStore) -> Result<(), ServeError>;
     /// Releases the partials again, restores `counters` and clears the
     /// poison flag the failed step may have set: the inverse of a reload
@@ -581,9 +569,9 @@ where
 struct Slot {
     entry: Box<dyn ServedQuery>,
     state: SlotState,
-    /// The query's on-disk partial log — created on the first
-    /// eviction and kept for the slot's lifetime (it outlives rehydration
-    /// as the recovery point the next evict appends to).
+    /// The query's spill file — created on the first eviction and kept
+    /// for the slot's lifetime (a failed replay falls back to it, and the
+    /// next evict replaces it).
     store: Option<QuerySpillStore>,
 }
 
@@ -671,8 +659,6 @@ pub struct GrapeServer {
     /// This server's process-unique token, stamped into every issued
     /// [`QueryHandle`].
     token: usize,
-    /// Completed spill-store compactions across all queries.
-    compactions: u64,
     /// Worker-pipe bytes moved by every registration and successful
     /// refresh (see [`GrapeServer::pipe_bytes`]).
     pipe_bytes: u64,
@@ -725,7 +711,6 @@ impl GrapeServer {
             spill_dir,
             owns_spill_dir: false,
             token: SERVER_SEQ.fetch_add(1, Ordering::Relaxed),
-            compactions: 0,
             pipe_bytes: 0,
             latencies: Vec::new(),
             subs: Vec::new(),
@@ -736,12 +721,6 @@ impl GrapeServer {
     /// The directory evicted queries spill into.
     pub fn spill_dir(&self) -> &Path {
         &self.spill_dir
-    }
-
-    /// Completed spill-store compactions across all queries — byte-rule
-    /// folds at evict time plus explicit [`GrapeServer::compact`] calls.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
     }
 
     /// Bytes moved over `grape-worker` pipes since the server started: the
@@ -836,11 +815,6 @@ impl GrapeServer {
     pub fn query_status(&self, id: usize) -> Option<QueryStatus> {
         let slot = self.slots.get(id)?;
         let counters = slot.entry.counters();
-        let spill: SpillStoreStats = slot
-            .store
-            .as_ref()
-            .map(QuerySpillStore::stats)
-            .unwrap_or_default();
         Some(QueryStatus {
             query: id,
             version: slot.state.pinned().unwrap_or_else(|| self.version()),
@@ -852,9 +826,7 @@ impl GrapeServer {
             retracted_updates: counters.retracted_updates,
             partial_bytes: slot.entry.partial_bytes(),
             watchers: self.watcher_count(id),
-            spill_chain: spill.chain_len,
-            spill_bytes: spill.base_bytes + spill.increment_bytes,
-            compactions: spill.compactions,
+            spill_bytes: slot.store.as_ref().map_or(0, QuerySpillStore::bytes),
         })
     }
 
@@ -1197,14 +1169,12 @@ impl GrapeServer {
         Ok(replayed)
     }
 
-    /// Spills a cold query's partials into its store and frees them: a base
-    /// on the first eviction, an increment (the changed partials only)
-    /// afterwards; the increment chain is folded once its bytes outweigh
-    /// the base's.  The server retains the timeline version the query was
-    /// last refreshed at — the fragmentation the partials belong to — so a
-    /// later rehydration replays only the deltas that arrived in between.
-    /// Returns the path of the file written (the fresh base when this
-    /// eviction triggered a compaction).
+    /// Writes a cold query's partials as its spill file, replacing the
+    /// previous one, and frees them.  The server retains the timeline
+    /// version the query was last refreshed at — the fragmentation the
+    /// partials belong to — so a later rehydration replays only the deltas
+    /// that arrived in between.  A failed write leaves the query as it was,
+    /// partials included.  Returns the path of the file written.
     pub fn evict<P>(&mut self, handle: &QueryHandle<P>) -> Result<PathBuf, ServeError>
     where
         P: DeltaOutput + 'static,
@@ -1219,45 +1189,15 @@ impl GrapeServer {
             SlotState::Evicted(_) => return Err(ServeError::AlreadyEvicted(id)),
             SlotState::Poisoned => return Err(ServeError::Engine(EngineError::PoisonedHandle)),
         };
-        let mut store = match self.slots[id].store.take() {
-            Some(store) => store,
-            None => QuerySpillStore::create(&self.spill_dir, id)?,
-        };
-        let spilled = self.slots[id].entry.spill(&mut store).and_then(|path| {
-            // The partials are on disk and released: the slot is evicted
-            // even if the fold below fails, and the unfolded chain stays
-            // its recovery point.
-            self.slots[id].state = SlotState::Evicted(at);
-            let stats = store.stats();
-            if stats.increment_bytes > stats.base_bytes && store.compact()? {
-                self.compactions += 1;
-                Ok(store.base_path())
-            } else {
-                Ok(path)
-            }
-        });
-        self.slots[id].store = Some(store);
-        spilled
-    }
-
-    /// Folds the query's spill-store increment chain into a fresh base,
-    /// atomically.  Works whether the query is resident or
-    /// evicted (the store outlives rehydration); returns `false` when the
-    /// query has never spilled or its chain is already empty.
-    pub fn compact<P>(&mut self, handle: &QueryHandle<P>) -> Result<bool, ServeError>
-    where
-        P: DeltaOutput + 'static,
-        P::Partial: Serialize + Deserialize,
-    {
-        self.check_handle::<P>(handle)?;
-        let Some(store) = self.slots[handle.id].store.as_mut() else {
-            return Ok(false);
-        };
-        let folded = store.compact()?;
-        if folded {
-            self.compactions += 1;
+        let slot = &mut self.slots[id];
+        if slot.store.is_none() {
+            slot.store = Some(QuerySpillStore::create(&self.spill_dir, id)?);
         }
-        Ok(folded)
+        let store = slot.store.as_mut().expect("created above");
+        // A failed write leaves the partials live, so the state stands.
+        let path = slot.entry.spill(store)?;
+        slot.state = SlotState::Evicted(at);
+        Ok(path)
     }
 
     /// Reloads an evicted query — its partials from the spill store, its
@@ -1580,7 +1520,7 @@ mod tests {
             "only the resident query's partials count"
         );
 
-        // Rehydration folds the partials back onto the timeline's
+        // Rehydration reads the partials back onto the timeline's
         // fragmentation: no PEval, no re-partitioning, answers identical to
         // the handle that never left memory.
         let report = server.rehydrate(&cold).unwrap();
@@ -1588,27 +1528,25 @@ mod tests {
         assert_eq!(report.peval_calls(), 0);
         assert!(
             spill.exists(),
-            "the store persists as the recovery point the next evict appends to"
+            "the file stays as the recovery point until the next evict"
         );
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
 
-        // The second eviction appends an increment of the changed partials
-        // instead of rewriting the base.
+        // Evicting again with no step since the last spill rewrites the
+        // same file, and it reads back to the same answer.
+        assert_eq!(server.evict(&cold).unwrap(), spill);
+        let report = server.rehydrate(&cold).unwrap();
+        assert_eq!((report.replayed.len(), report.peval_calls()), (0, 0));
+        assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
+
+        // After a step, the next eviction replaces the file whole: its size
+        // is the status row's, and no other file appears.
         server.apply(&GraphDelta::new().add_edge(0, 3)).unwrap();
-        let second = server.evict(&cold).unwrap();
-        assert!(
-            second.to_string_lossy().ends_with(".inc-0"),
-            "expected an increment, wrote {second:?}"
-        );
+        assert_eq!(server.evict(&cold).unwrap(), spill);
         let status = &server.query_statuses()[cold.id()];
-        assert_eq!(status.spill_chain, 1);
-        assert!(status.spill_bytes > 0);
-        let base_len = std::fs::metadata(&spill).unwrap().len();
-        let inc_len = std::fs::metadata(&second).unwrap().len();
-        assert!(
-            inc_len < base_len,
-            "increment ({inc_len} bytes) should undercut the base ({base_len} bytes)"
-        );
+        assert_eq!(status.spill_bytes, std::fs::metadata(&spill).unwrap().len());
+        let files = std::fs::read_dir(spill.parent().unwrap()).unwrap().count();
+        assert_eq!(files, 1, "one spill file for the one evicted query");
         server.rehydrate(&cold).unwrap();
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
     }
@@ -1705,77 +1643,37 @@ mod tests {
         }
     }
 
+    /// A spill write that fails leaves the query resident with its
+    /// partials, answering like a query that was never evicted; once the
+    /// obstacle is gone the next evict and rehydrate succeed.
     #[test]
-    fn compaction_bounds_the_chain_and_explicit_compact_folds_it() {
+    fn failed_spill_write_leaves_the_query_live() {
         let (mut server, handles) = server_with(2, EngineMode::Sync);
         let (kept, cold) = (handles[0], handles[1]);
-
-        for round in 0..6u64 {
-            server.evict(&cold).unwrap();
-            server
-                .apply(&GraphDelta::new().add_edge(12 + round, round))
-                .unwrap();
-            server.rehydrate(&cold).unwrap();
-            let stats = server.slots[cold.id()].store.as_ref().unwrap().stats();
-            assert!(
-                stats.increment_bytes <= stats.base_bytes,
-                "round {round}: the byte rule folds increments that outweigh the base \
-                 ({} > {} bytes)",
-                stats.increment_bytes,
-                stats.base_bytes
-            );
-        }
-        assert!(server.compactions() >= 1, "byte-rule folds happened");
-        assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
-
-        // An explicit compact folds whatever chain remains and is
-        // idempotent once the chain is empty.
-        server.evict(&cold).unwrap();
+        let spill = server.evict(&cold).unwrap();
         server.rehydrate(&cold).unwrap();
-        if server.query_statuses()[cold.id()].spill_chain > 0 {
-            assert!(server.compact(&cold).unwrap());
-        }
-        assert_eq!(server.query_statuses()[cold.id()].spill_chain, 0);
-        assert!(!server.compact(&cold).unwrap());
-        assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
-    }
-
-    /// A compaction that fails after the spill succeeded still leaves the
-    /// query evicted — its partials are already released — and the
-    /// unfolded chain rehydrates it to the right answer.
-    #[test]
-    fn failed_compaction_after_a_spill_leaves_the_query_evicted() {
-        let (mut server, handles) = server_with(2, EngineMode::Sync);
-        let (kept, cold) = (handles[0], handles[1]);
-        server.evict(&cold).unwrap();
-        // A directory where the compaction stages its new base makes every
-        // fold fail; increments stage elsewhere and still succeed.
-        let base = server.slots[cold.id()].store.as_ref().unwrap().base_path();
-        let blocker = grape_graph::io::tmp_sibling(&base);
-        std::fs::create_dir(&blocker).unwrap();
-        let mut failed = false;
-        for round in 0..12u64 {
-            server.rehydrate(&cold).unwrap();
-            server
-                .apply(&GraphDelta::new().add_edge(12 + round, round))
-                .unwrap();
-            if server.evict(&cold).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        assert!(failed, "the byte rule never tried to fold the chain");
-        assert!(server.is_evicted(&cold).unwrap());
-        let status = server.query_status(cold.id()).unwrap();
-        assert!(status.evicted && !status.poisoned);
-        assert_eq!(status.partial_bytes, 0);
-        assert!(status.spill_chain > 0, "the chain was not folded");
-        assert!(matches!(
-            server.try_output(&cold),
-            Err(ServeError::NotResident { behind: None, .. })
-        ));
+        // A directory at the spill file's path fails the next write.
+        std::fs::remove_file(&spill).unwrap();
+        std::fs::create_dir(&spill).unwrap();
         server.apply(&GraphDelta::new().add_edge(0, 7)).unwrap();
-        std::fs::remove_dir(&blocker).unwrap();
+        let resident = server.query_status(cold.id()).unwrap().partial_bytes;
+        assert!(server.evict(&cold).is_err(), "the write cannot succeed");
+        let status = server.query_status(cold.id()).unwrap();
+        assert!(!status.evicted && !status.poisoned);
+        assert_eq!(status.partial_bytes, resident, "the partials stay live");
+        assert_eq!(
+            server.try_output(&cold).unwrap(),
+            server.output(&kept).unwrap()
+        );
+        server.apply(&GraphDelta::new().add_edge(12, 4)).unwrap();
+        assert_eq!(
+            server.try_output(&cold).unwrap(),
+            server.output(&kept).unwrap()
+        );
+
+        std::fs::remove_dir(&spill).unwrap();
+        assert_eq!(server.evict(&cold).unwrap(), spill);
+        server.apply(&GraphDelta::new().add_edge(3, 9)).unwrap();
         assert_eq!(server.rehydrate(&cold).unwrap().replayed.len(), 1);
         assert_eq!(server.output(&cold).unwrap(), server.output(&kept).unwrap());
     }
@@ -1863,14 +1761,13 @@ mod tests {
         }
     }
 
-    const OPS: [&str; 8] = [
+    const OPS: [&str; 7] = [
         "apply",
         "evict",
         "rehydrate",
         "output",
         "try_output",
         "subscribe",
-        "compact",
         "query_status",
     ];
 
@@ -1902,7 +1799,6 @@ mod tests {
             "output" => server.output(&h).map(drop),
             "try_output" => server.try_output(&h).map(drop),
             "subscribe" => server.subscribe(&h).map(drop),
-            "compact" => server.compact(&h).map(drop),
             "query_status" => server
                 .query_status(h.id())
                 .map(drop)
@@ -1965,13 +1861,12 @@ mod tests {
     #[test]
     fn every_op_in_every_lifecycle_state() {
         use Seen::*;
-        let table: [(Seen, [(&str, Seen); 8]); 4] = [
+        let table: [(Seen, [(&str, Seen); 7]); 4] = [
             (
                 Resident,
                 [
                     ("refreshed", Resident),
                     ("ok", Evicted),
-                    ("ok", Resident),
                     ("ok", Resident),
                     ("ok", Resident),
                     ("ok", Resident),
@@ -1989,7 +1884,6 @@ mod tests {
                     ("not-resident", Behind),
                     ("ok", Resident),
                     ("ok", Behind),
-                    ("ok", Behind),
                 ],
             ),
             (
@@ -2002,7 +1896,6 @@ mod tests {
                     ("not-resident", Evicted),
                     ("ok", Resident),
                     ("ok", Evicted),
-                    ("ok", Evicted),
                 ],
             ),
             (
@@ -2014,7 +1907,6 @@ mod tests {
                     ("poisoned", Poisoned),
                     ("poisoned", Poisoned),
                     ("poisoned", Poisoned),
-                    ("ok", Poisoned),
                     ("ok", Poisoned),
                 ],
             ),

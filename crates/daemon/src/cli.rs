@@ -50,8 +50,6 @@ pub enum Action {
     Evict(usize),
     /// `rehydrate <id>` — reload and catch up a query.
     Rehydrate(usize),
-    /// `compact <id>` — fold a query's spill chain into a fresh base.
-    Compact(usize),
     /// `shutdown` — stop the daemon.
     Shutdown,
 }
@@ -95,7 +93,6 @@ COMMANDS:
   try-output <id>              assemble only if resident and caught up
   evict <id>                   spill a query to disk
   rehydrate <id>               reload an evicted query and catch it up
-  compact <id>                 fold a query's spill chain into a fresh base
   shutdown                     stop the daemon";
 
 fn parse_number(args: &[String], i: usize, flag: &str) -> Result<(usize, usize), String> {
@@ -243,11 +240,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, String> {
             i += 1;
             Action::Rehydrate(id)
         }
-        "compact" => {
-            let id = parse_handle(args, i, "compact")?;
-            i += 1;
-            Action::Compact(id)
-        }
         "shutdown" => Action::Shutdown,
         other => return Err(format!("unknown command {other:?}\n\n{USAGE}")),
     };
@@ -368,9 +360,6 @@ pub fn execute(options: &CliOptions) -> Result<String, String> {
         Action::Rehydrate(id) => {
             call_rendered(&mut client, RequestBody::Rehydrate { query: *id }, format)
         }
-        Action::Compact(id) => {
-            call_rendered(&mut client, RequestBody::Compact { query: *id }, format)
-        }
         Action::Shutdown => call_rendered(&mut client, RequestBody::Shutdown, format),
     }
 }
@@ -408,10 +397,6 @@ mod tests {
             Action::Register(QuerySpec::Cc)
         );
         assert_eq!(parse(&argv("evict 2")).unwrap().action, Action::Evict(2));
-        assert_eq!(
-            parse(&argv("compact 4")).unwrap().action,
-            Action::Compact(4)
-        );
         assert_eq!(
             parse(&argv("try-output 1")).unwrap().action,
             Action::TryOutput(1)
@@ -461,7 +446,8 @@ mod tests {
         assert!(parse(&argv("sssp")).is_err(), "unknown command");
         assert!(parse(&argv("query sssp")).is_err(), "missing --source");
         assert!(parse(&argv("evict two")).is_err(), "non-numeric id");
-        assert!(parse(&argv("compact")).is_err(), "missing query id");
+        assert!(parse(&argv("rehydrate")).is_err(), "missing query id");
+        assert!(parse(&argv("compact 4")).is_err(), "no such command");
         assert!(parse(&argv("status extra")).is_err(), "trailing garbage");
         assert!(parse(&argv("--format yaml status")).is_err(), "bad format");
         assert!(parse(&[]).is_err(), "no command");

@@ -116,7 +116,6 @@ fn op_name(body: &RequestBody) -> &'static str {
         RequestBody::TryOutput { .. } => "try_output",
         RequestBody::Evict { .. } => "evict",
         RequestBody::Rehydrate { .. } => "rehydrate",
-        RequestBody::Compact { .. } => "compact",
         RequestBody::Subscribe { .. } => "subscribe",
         RequestBody::Unsubscribe { .. } => "unsubscribe",
         RequestBody::Shutdown => "shutdown",
@@ -269,15 +268,6 @@ impl GrapeClient {
         }
     }
 
-    /// Folds a query's spill chain into a fresh base; returns whether
-    /// anything was actually folded.
-    pub fn compact(&mut self, query: usize) -> Result<bool, ClientError> {
-        match self.call_ok(RequestBody::Compact { query })? {
-            ResponseBody::Compacted { folded, .. } => Ok(folded),
-            other => Err(unexpected("compacted", &other)),
-        }
-    }
-
     /// Subscribes to a query's answer-delta stream; returns the wire
     /// subscription id echoed in every pushed event.
     pub fn subscribe(&mut self, query: usize) -> Result<usize, ClientError> {
@@ -345,7 +335,6 @@ mod tests {
             RequestBody::TryOutput { query: 0 },
             RequestBody::Evict { query: 0 },
             RequestBody::Rehydrate { query: 0 },
-            RequestBody::Compact { query: 0 },
             RequestBody::Subscribe { query: 0 },
             RequestBody::Unsubscribe { subscription: 0 },
             RequestBody::Shutdown,

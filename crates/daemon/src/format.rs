@@ -84,13 +84,6 @@ fn render_text(body: &ResponseBody) -> String {
         } => format!(
             "rehydrated query {query}: replayed {replayed} delta(s), {peval_calls} PEval call(s)"
         ),
-        ResponseBody::Compacted { query, folded } => {
-            if *folded {
-                format!("compacted query {query}: spill chain folded into a fresh base")
-            } else {
-                format!("compacted query {query}: nothing to fold (no increments)")
-            }
-        }
         ResponseBody::Subscribed {
             query,
             subscription,
@@ -154,12 +147,7 @@ fn render_rows(out: &mut String, queries: &[QueryRow]) {
         let spill = if s.spill_bytes == 0 {
             "-".to_string()
         } else {
-            // base + chain_len increments on disk, their total size, and
-            // how many times the chain was folded.
-            format!(
-                "base+{} {}B fold:{}",
-                s.spill_chain, s.spill_bytes, s.compactions
-            )
+            format!("{}B", s.spill_bytes)
         };
         out.push_str(&format!(
             "  {:<3} {:<17} {:<8} {:<9} {:<8} {:>3}/{:>3}/{:<4} {:<9} {}\n",
@@ -188,13 +176,12 @@ fn render_status(info: &StatusInfo) -> String {
         info.resident_partial_bytes
     );
     out.push_str(&format!(
-        "spill dir {} | {} compaction(s)\n",
+        "spill dir {}\n",
         if info.spill_dir.is_empty() {
             "(unknown)"
         } else {
             info.spill_dir.as_str()
-        },
-        info.compactions
+        }
     ));
     render_rows(&mut out, &info.queries);
     out.pop();
@@ -204,11 +191,10 @@ fn render_status(info: &StatusInfo) -> String {
 fn render_metrics(info: &MetricsInfo) -> String {
     let l = &info.latency;
     let mut out = format!(
-        "uptime {:.1}s | version {} | {} resident partial byte(s) | {} compaction(s)\n",
+        "uptime {:.1}s | version {} | {} resident partial byte(s)\n",
         info.uptime_ms as f64 / 1e3,
         info.version,
-        info.resident_partial_bytes,
-        info.compactions
+        info.resident_partial_bytes
     );
     out.push_str(&format!(
         "per-delta latency over last {} commit(s): mean {:.3}ms  p50 {:.3}ms  p99 {:.3}ms  max {:.3}ms\n",
@@ -306,7 +292,6 @@ mod tests {
                 num_evicted: 0,
                 resident_partial_bytes: 64,
                 spill_dir: String::new(),
-                compactions: 0,
                 queries: vec![QueryRow {
                     spec: QuerySpec::Sssp { source: 0 },
                     status: QueryStatus {
@@ -320,9 +305,7 @@ mod tests {
                         retracted_updates: 3,
                         partial_bytes: 64,
                         watchers: 0,
-                        spill_chain: 0,
                         spill_bytes: 0,
-                        compactions: 0,
                     },
                 }],
             },

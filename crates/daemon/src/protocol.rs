@@ -213,11 +213,6 @@ pub enum RequestBody {
         /// The handle id.
         query: usize,
     },
-    /// Fold a query's spill-store increment chain into a fresh base.
-    Compact {
-        /// The handle id.
-        query: usize,
-    },
     /// Watch a query: the daemon pushes an [`EventFrame`] over **this**
     /// connection for every answer delta the query produces.
     Subscribe {
@@ -363,10 +358,6 @@ pub struct StatusInfo {
     /// wire from older daemons).
     #[serde(default)]
     pub spill_dir: String,
-    /// Spill-chain compactions performed since start (absent on the wire
-    /// from older daemons).
-    #[serde(default)]
-    pub compactions: u64,
     /// Per-query rows, sorted by id.
     pub queries: Vec<QueryRow>,
 }
@@ -388,10 +379,6 @@ pub struct MetricsInfo {
     pub samples: Option<Vec<f64>>,
     /// Serialized size of all resident partials.
     pub resident_partial_bytes: usize,
-    /// Spill-chain compactions performed since start (absent on the wire
-    /// from older daemons).
-    #[serde(default)]
-    pub compactions: u64,
     /// Event payloads serialized since start: one per (watched query,
     /// commit or rehydration), however many subscriptions share it (absent
     /// on the wire from older daemons, like the two counters below).
@@ -512,14 +499,6 @@ pub enum ResponseBody {
         replayed: usize,
         /// PEval invocations of the replay (0 on the monotone path).
         peval_calls: usize,
-    },
-    /// A query's spill chain was compacted (or was already a lone base).
-    Compacted {
-        /// The handle id.
-        query: usize,
-        /// Whether a chain was actually folded (`false` when there were no
-        /// increments to fold).
-        folded: bool,
     },
     /// A subscription was opened; [`EventFrame`]s with this id follow on
     /// the same connection.

@@ -396,7 +396,6 @@ impl Engine {
                     num_evicted: self.server.num_evicted(),
                     resident_partial_bytes: self.server.resident_partial_bytes(),
                     spill_dir: self.server.spill_dir().display().to_string(),
-                    compactions: self.server.compactions(),
                     queries: self.rows(),
                 },
             },
@@ -414,7 +413,6 @@ impl Engine {
                         None
                     },
                     resident_partial_bytes: self.server.resident_partial_bytes(),
-                    compactions: self.server.compactions(),
                     event_encodes: self.event_encodes,
                     event_frames: self.event_frames,
                     event_bytes: self.event_bytes,
@@ -482,11 +480,6 @@ impl Engine {
                     replayed: report.replayed.len(),
                     peval_calls: report.peval_calls(),
                 }
-            }
-            RequestBody::Compact { query } => {
-                let folded = with_handle!(self.handle_of(query)?, h => self.server.compact(&h))
-                    .map_err(serve_err)?;
-                ResponseBody::Compacted { query, folded }
             }
             RequestBody::Subscribe { query } => {
                 let Some(events) = events else {

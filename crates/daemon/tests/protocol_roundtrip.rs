@@ -55,9 +55,7 @@ fn sample_status() -> QueryStatus {
         retracted_updates: 2,
         partial_bytes: 0,
         watchers: 0,
-        spill_chain: 2,
         spill_bytes: 4096,
-        compactions: 1,
     }
 }
 
@@ -96,7 +94,6 @@ fn every_request_variant_round_trips() {
     roundtrip_request(RequestBody::TryOutput { query: 1 });
     roundtrip_request(RequestBody::Evict { query: 2 });
     roundtrip_request(RequestBody::Rehydrate { query: 3 });
-    roundtrip_request(RequestBody::Compact { query: 3 });
     roundtrip_request(RequestBody::Subscribe { query: 4 });
     roundtrip_request(RequestBody::Unsubscribe { subscription: 2 });
     roundtrip_request(RequestBody::Shutdown);
@@ -115,10 +112,10 @@ fn metrics_without_the_flag_still_parses_as_a_request() {
 
 #[test]
 fn pre_tiering_status_frames_still_parse() {
-    // A status reply from a daemon built before the tiered spill store
-    // carries neither the spill fields on the query rows nor the
-    // spill_dir/compactions on the summary line, nor the retraction count
-    // added later; they all default.
+    // A status reply from a daemon built before the spill store carries
+    // neither the spill size on the query rows nor the spill_dir on the
+    // summary line, nor the retraction count added later; they all
+    // default.
     let json = "{\"id\":7,\"reply\":\"status\",\"status\":{\
         \"version\":1,\"retained_versions\":1,\
         \"num_queries\":1,\"num_evicted\":0,\"resident_partial_bytes\":10,\
@@ -131,14 +128,11 @@ fn pre_tiering_status_frames_still_parse() {
         panic!("expected a status reply");
     };
     assert_eq!(info.spill_dir, "");
-    assert_eq!(info.compactions, 0);
-    assert_eq!(info.queries[0].status.spill_chain, 0);
     assert_eq!(info.queries[0].status.spill_bytes, 0);
-    assert_eq!(info.queries[0].status.compactions, 0);
     assert_eq!(info.queries[0].status.retracted_updates, 0);
 
-    // Likewise a metrics reply from a daemon that predates the spill
-    // compaction count, the watch-event counters and the pipe-byte count.
+    // Likewise a metrics reply from a daemon that predates the watch-event
+    // counters and the pipe-byte count.
     let json = "{\"id\":8,\"reply\":\"metrics\",\"metrics\":{\
         \"uptime_ms\":5,\"version\":1,\
         \"latency\":{\"samples\":1,\"mean_ms\":1.0,\"p50_ms\":1.0,\
@@ -149,7 +143,6 @@ fn pre_tiering_status_frames_still_parse() {
     let ResponseBody::Metrics { metrics: info } = back.body else {
         panic!("expected a metrics reply");
     };
-    assert_eq!(info.compactions, 0);
     assert_eq!(
         (info.event_encodes, info.event_frames, info.event_bytes),
         (0, 0, 0)
@@ -195,14 +188,6 @@ fn every_response_variant_round_trips() {
         replayed: 4,
         peval_calls: 0,
     });
-    roundtrip_response(ResponseBody::Compacted {
-        query: 3,
-        folded: true,
-    });
-    roundtrip_response(ResponseBody::Compacted {
-        query: 0,
-        folded: false,
-    });
     roundtrip_response(ResponseBody::Status {
         status: StatusInfo {
             version: 5,
@@ -211,7 +196,6 @@ fn every_response_variant_round_trips() {
             num_evicted: 1,
             resident_partial_bytes: 1024,
             spill_dir: "/tmp/grape-spill".to_string(),
-            compactions: 2,
             queries: vec![
                 QueryRow {
                     spec: QuerySpec::Cc,
@@ -242,7 +226,6 @@ fn every_response_variant_round_trips() {
             latency_samples: 9,
             samples: None,
             resident_partial_bytes: 1024,
-            compactions: 0,
             event_encodes: 0,
             event_frames: 0,
             event_bytes: 0,
@@ -264,7 +247,6 @@ fn every_response_variant_round_trips() {
             latency_samples: 3,
             samples: Some(vec![0.5, 1.0, 3.5]),
             resident_partial_bytes: 1024,
-            compactions: 7,
             event_encodes: 18,
             event_frames: 72,
             event_bytes: 446_098,
@@ -611,10 +593,6 @@ fn golden_wire_bytes() {
         r#"{"op":"rehydrate","query":3}"#,
     );
     golden(
-        RequestBody::Compact { query: 4 },
-        r#"{"op":"compact","query":4}"#,
-    );
-    golden(
         RequestBody::Subscribe { query: 5 },
         r#"{"op":"subscribe","query":5}"#,
     );
@@ -681,13 +659,6 @@ fn golden_wire_bytes() {
         r#"{"reply":"rehydrated","query":3,"replayed":4,"peval_calls":0}"#,
     );
     golden(
-        ResponseBody::Compacted {
-            query: 3,
-            folded: true,
-        },
-        r#"{"reply":"compacted","query":3,"folded":true}"#,
-    );
-    golden(
         ResponseBody::Subscribed {
             query: 1,
             subscription: 3,
@@ -707,14 +678,13 @@ fn golden_wire_bytes() {
                 num_evicted: 1,
                 resident_partial_bytes: 0,
                 spill_dir: "/tmp/grape-spill".to_string(),
-                compactions: 2,
                 queries: vec![QueryRow {
                     spec: QuerySpec::Sssp { source: 0 },
                     status: sample_status(),
                 }],
             },
         },
-        r#"{"reply":"status","status":{"version":5,"retained_versions":6,"num_queries":1,"num_evicted":1,"resident_partial_bytes":0,"spill_dir":"/tmp/grape-spill","compactions":2,"queries":[{"spec":{"query":"sssp","source":0},"status":{"query":1,"version":5,"evicted":true,"poisoned":false,"updates_applied":5,"incremental_updates":4,"bounded_updates":1,"retracted_updates":2,"partial_bytes":0,"watchers":0,"spill_chain":2,"spill_bytes":4096,"compactions":1}}]}}"#,
+        r#"{"reply":"status","status":{"version":5,"retained_versions":6,"num_queries":1,"num_evicted":1,"resident_partial_bytes":0,"spill_dir":"/tmp/grape-spill","queries":[{"spec":{"query":"sssp","source":0},"status":{"query":1,"version":5,"evicted":true,"poisoned":false,"updates_applied":5,"incremental_updates":4,"bounded_updates":1,"retracted_updates":2,"partial_bytes":0,"watchers":0,"spill_bytes":4096}}]}}"#,
     );
     golden(
         ResponseBody::Metrics {
@@ -731,7 +701,6 @@ fn golden_wire_bytes() {
                 latency_samples: 2,
                 samples: Some(vec![1.0, 1.5]),
                 resident_partial_bytes: 1024,
-                compactions: 7,
                 event_encodes: 18,
                 event_frames: 72,
                 event_bytes: 4096,
@@ -739,7 +708,7 @@ fn golden_wire_bytes() {
                 queries: vec![],
             },
         },
-        r#"{"reply":"metrics","metrics":{"uptime_ms":12345,"version":5,"latency":{"samples":2,"mean_ms":1.25,"p50_ms":1.0,"p99_ms":1.5,"max_ms":1.5},"latency_samples":2,"samples":[1.0,1.5],"resident_partial_bytes":1024,"compactions":7,"event_encodes":18,"event_frames":72,"event_bytes":4096,"pipe_bytes":512,"queries":[]}}"#,
+        r#"{"reply":"metrics","metrics":{"uptime_ms":12345,"version":5,"latency":{"samples":2,"mean_ms":1.25,"p50_ms":1.0,"p99_ms":1.5,"max_ms":1.5},"latency_samples":2,"samples":[1.0,1.5],"resident_partial_bytes":1024,"event_encodes":18,"event_frames":72,"event_bytes":4096,"pipe_bytes":512,"queries":[]}}"#,
     );
     golden(ResponseBody::ShuttingDown, r#"{"reply":"shutting_down"}"#);
     golden(

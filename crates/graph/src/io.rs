@@ -331,62 +331,6 @@ pub fn read_binary_snapshot_file<P: AsRef<Path>>(path: P) -> Result<Graph, IoErr
     read_binary_snapshot(file)
 }
 
-// ---------------------------------------------------------------------------
-// Crash-safe file replacement
-// ---------------------------------------------------------------------------
-
-/// The sibling temp path a crash-safe write stages into: `<path>.tmp`.
-///
-/// Public so that store readers can recognise (and clean) the leftovers of a
-/// write that crashed between staging and rename — a `.tmp` file is never
-/// valid data.
-pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Writes a file **atomically**: the content is staged into
-/// [`tmp_sibling`]`(path)`, flushed and fsynced, then renamed over `path`.
-/// A crash at any point leaves either the old file intact or an orphaned
-/// `.tmp` that readers ignore — never a half-written file under the final
-/// name.  The parent directory is fsynced best-effort after the rename so
-/// the new directory entry is durable too.
-///
-/// On error the staged temp file is removed.
-pub fn atomic_write_file<E, F>(path: &Path, write: F) -> Result<(), E>
-where
-    E: From<io::Error>,
-    F: FnOnce(&mut BufWriter<std::fs::File>) -> Result<(), E>,
-{
-    let tmp = tmp_sibling(path);
-    let staged: Result<(), E> = (|| {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        write(&mut w)?;
-        w.flush()?;
-        w.get_ref().sync_all()?;
-        Ok(())
-    })();
-    if let Err(e) = staged {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(E::from(e));
-    }
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,39 +455,6 @@ mod tests {
             IoError::Snapshot(reason) => assert!(reason.contains("trailing"), "{reason}"),
             other => panic!("expected snapshot error, got {other}"),
         }
-    }
-
-    #[test]
-    fn atomic_write_lands_whole_or_not_at_all() {
-        let path = std::env::temp_dir().join("grape_io_test_atomic.bin");
-        let _ = std::fs::remove_file(&path);
-        atomic_write_file::<IoError, _>(&path, |w| {
-            w.write_all(b"first")?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        assert!(
-            !tmp_sibling(&path).exists(),
-            "temp staged file renamed away"
-        );
-
-        // A failing writer leaves the previous content untouched and no temp.
-        let err = atomic_write_file::<IoError, _>(&path, |w| {
-            w.write_all(b"half-")?;
-            Err(IoError::Snapshot("boom".to_string()))
-        })
-        .unwrap_err();
-        assert!(matches!(err, IoError::Snapshot(_)));
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        assert!(!tmp_sibling(&path).exists(), "failed stage cleaned up");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tmp_sibling_appends_suffix_in_place() {
-        let p = Path::new("/a/b/query-3.base");
-        assert_eq!(tmp_sibling(p), Path::new("/a/b/query-3.base.tmp"));
     }
 
     /// A string length prefix larger than the input must come back as an

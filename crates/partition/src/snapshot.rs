@@ -6,34 +6,27 @@
 //!   on decode.  The reader is strict: every record is validated with
 //!   [`Fragment::check_invariants`], and malformed or truncated input
 //!   surfaces as [`SnapshotError`] instead of a half-built fragment.
-//! * [`QuerySpillStore`] is the **partial log** of one evicted query.  In
+//! * [`QuerySpillStore`] is the **spill file** of one evicted query.  In
 //!   the paper's terms the state that belongs to a query is its partial
 //!   results `Q(F_i)`; the fragments `F_i` and `G_P` are shared structure,
 //!   which the serving layer keeps in its fragmentation timeline (an
-//!   evicted query pins the version it was spilled at).  So the store
-//!   writes partials and nothing else.  The first spill writes a **base**
-//!   (one value-tree record per partial); every later spill appends an
-//!   **increment** holding only the partials whose record changed since
-//!   the previous spill.  [`QuerySpillStore::load`] folds base ⊕ increments
-//!   back, and [`QuerySpillStore::compact`] rewrites the fold as a new base
-//!   (a new *generation*).  Every file is staged with
-//!   `grape_graph::io::atomic_write_file` (tmp + fsync + rename, then a
-//!   parent-directory fsync), so a crash mid-spill leaves the previous
-//!   on-disk state fully readable.
+//!   evicted query pins the version it was spilled at).  So the file holds
+//!   partials and nothing else: each eviction writes all of them as one
+//!   file, replacing the previous one, and [`QuerySpillStore::load`] reads
+//!   that file back, strictly.
 //!
 //! Spill files are process scratch: [`QuerySpillStore::create`] wipes
 //! whatever an earlier incarnation of the query id left behind, and no
-//! store is read across processes.
+//! process reads a file another one wrote.  So they are written plainly,
+//! without fsync or a staging rename.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufWriter, Cursor, Read, Write};
 use std::path::{Path, PathBuf};
 
 use grape_graph::graph::{Directedness, Graph};
-use grape_graph::io::{
-    atomic_write_file, ensure_fully_consumed, read_value_tree, write_value_tree, IoError,
-};
+use grape_graph::io::{ensure_fully_consumed, read_value_tree, write_value_tree, IoError};
 use grape_graph::types::{Edge, Label, VertexId};
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 
 use crate::fragment::{Fragment, Fragmentation, LocalId};
 
@@ -277,37 +270,179 @@ pub fn read_fragment_records(bytes: &[u8]) -> Result<Vec<Fragment>, SnapshotErro
 }
 
 // ---------------------------------------------------------------------------
-// The per-query partial log
+// The per-query spill file
 // ---------------------------------------------------------------------------
 
 /// Magic prefix of every query spill file; the byte after it is the format
-/// version and the byte after that the record kind.
+/// version.
 const SPILL_MAGIC: &[u8; 4] = b"GRQS";
-/// Version 3: partials only.  Versions 1 and 2 also carried fragments,
-/// `G_P` and quotient tables; they are rejected as unsupported.
-const SPILL_VERSION: u8 = 3;
-/// Record kind byte of a base.
-const RECORD_BASE: u8 = b'B';
-/// Record kind byte of an increment.
-const RECORD_INCREMENT: u8 = b'I';
+/// Version 4: one file of partials per eviction.  Versions 1 and 2 also
+/// carried fragments, `G_P` and quotient tables, and version 3 was a base
+/// with an increment chain; all are rejected as unsupported.
+const SPILL_VERSION: u8 = 4;
 
-/// FNV-1a, the change detector of the increment encoder: a partial whose
-/// serialized record hashes identically to the previous spill is
-/// byte-identical (the codec is deterministic) and is not rewritten.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The partials read back from one spill file.
+#[derive(Debug)]
+pub struct LoadedSpill {
+    /// One partial-result value tree per fragment, in fragment-id order.
+    pub partials: Vec<Value>,
 }
 
-/// Reads the 6-byte preamble (magic, version, record kind), splitting "not
-/// a spill file" from "a spill file of an unsupported version" (the latter
-/// names the found and supported versions).
-fn read_preamble<R: Read>(r: &mut R, kind: u8) -> Result<(), SnapshotError> {
-    let mut preamble = [0u8; 6];
+/// Point-in-time counters of one query's spill store.  Both fields are the
+/// spill file's size.  Kept only for the benchmark harness's replay, until
+/// ROADMAP item 11b.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpillStoreStats {
+    /// Size of the spill file.
+    pub base_bytes: u64,
+    /// Size of the spill file (the last spill wrote all of it).
+    pub last_spill_bytes: u64,
+}
+
+/// The spill file of **one** evicted query, `query-{id}.spill`:
+///
+/// ```text
+/// "GRQS" | u8 version (4) | u64 count | count × partial value tree
+/// ```
+///
+/// Every spill replaces the file plainly: unlink, create, one buffered
+/// write, flush.  There is no fsync, no staging file and no rename, because
+/// nothing needs them.  The serving layer reads the file only while its
+/// query is evicted, marks a query evicted only after the whole file is
+/// written and flushed, and writes it again only once the query is
+/// reloaded, so no reader can meet a torn file; after a crash nothing reads
+/// it at all.  The reader is strict: bad magic, an unsupported version, a
+/// count larger than the bytes left, a truncated tree or a trailing byte is
+/// a [`SnapshotError`].
+#[derive(Debug)]
+pub struct QuerySpillStore {
+    path: PathBuf,
+    /// Size of the file the last spill wrote (`0` before the first spill,
+    /// or after a failed one).
+    bytes: u64,
+}
+
+impl QuerySpillStore {
+    /// Creates the store for `query_id` in `dir`, removing every
+    /// `query-{id}.*` file that an earlier incarnation of the id, or an
+    /// older format, left behind.
+    pub fn create(dir: &Path, query_id: usize) -> Result<QuerySpillStore, SnapshotError> {
+        std::fs::create_dir_all(dir)?;
+        let prefix = format!("query-{query_id}.");
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            if entry.file_name().to_string_lossy().starts_with(&prefix) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+        Ok(QuerySpillStore {
+            path: spill_path(dir, query_id),
+            bytes: 0,
+        })
+    }
+
+    /// The store over the spill file a live server wrote for `query_id`,
+    /// or `None` when there is none; [`QuerySpillStore::load`] decodes it.
+    /// Kept only for the benchmark harness's replay, until ROADMAP item 11b.
+    pub fn recover(dir: &Path, query_id: usize) -> Result<Option<QuerySpillStore>, SnapshotError> {
+        let path = spill_path(dir, query_id);
+        match std::fs::metadata(&path) {
+            Ok(meta) => Ok(Some(QuerySpillStore {
+                path,
+                bytes: meta.len(),
+            })),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// The path of the spill file.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Size of the spill file in bytes (`0` before the first spill).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Whether a spill file has been written.  Kept only for the benchmark
+    /// harness's replay, until ROADMAP item 11b.
+    pub fn has_base(&self) -> bool {
+        self.bytes > 0
+    }
+
+    /// Always `0`: there is no increment chain.  Kept only for the
+    /// benchmark harness's replay, until ROADMAP item 11b.
+    pub fn chain_len(&self) -> usize {
+        0
+    }
+
+    /// Always `Ok(false)`: there is nothing to fold.  Kept only for the
+    /// benchmark harness's replay, until ROADMAP item 11b.
+    pub fn compact(&mut self) -> Result<bool, SnapshotError> {
+        Ok(false)
+    }
+
+    /// The file's size, as [`SpillStoreStats`].  Kept only for the
+    /// benchmark harness's replay, until ROADMAP item 11b.
+    pub fn stats(&self) -> SpillStoreStats {
+        SpillStoreStats {
+            base_bytes: self.bytes,
+            last_spill_bytes: self.bytes,
+        }
+    }
+
+    /// Writes the query's partials, one per fragment of `frag` (the
+    /// fragmentation itself is not written, only its fragment count is
+    /// checked), as the spill file, replacing the previous one.  Returns
+    /// the file's path.
+    pub fn spill(
+        &mut self,
+        frag: &Fragmentation,
+        partials: &[Value],
+    ) -> Result<PathBuf, SnapshotError> {
+        let m = frag.num_fragments();
+        if partials.len() != m {
+            return Err(SnapshotError::Malformed(format!(
+                "{} partials for {m} fragments",
+                partials.len()
+            )));
+        }
+        // Unlink, then create: a fresh file is cheaper than truncating the
+        // old one in place.  A missing file is fine; anything else in the
+        // way fails the create.
+        let _ = std::fs::remove_file(&self.path);
+        self.bytes = 0;
+        let mut w = BufWriter::new(std::fs::File::create(&self.path)?);
+        w.write_all(SPILL_MAGIC)?;
+        w.write_all(&[SPILL_VERSION])?;
+        w.write_all(&(m as u64).to_le_bytes())?;
+        for partial in partials {
+            write_value_tree(&mut w, partial)?;
+        }
+        w.flush()?;
+        self.bytes = w.get_ref().metadata()?.len();
+        Ok(self.path.clone())
+    }
+
+    /// Reads the spill file back.
+    pub fn load(&self) -> Result<LoadedSpill, SnapshotError> {
+        read_spill_file(&self.path)
+    }
+}
+
+fn spill_path(dir: &Path, query_id: usize) -> PathBuf {
+    dir.join(format!("query-{query_id}.spill"))
+}
+
+/// Reads one spill file, splitting "not a spill file" from "a spill file of
+/// an unsupported version" (the latter names the found and supported
+/// versions).
+fn read_spill_file(path: &Path) -> Result<LoadedSpill, SnapshotError> {
+    let bytes = std::fs::read(path)?;
+    let mut r = Cursor::new(bytes.as_slice());
+    let mut preamble = [0u8; 5];
     r.read_exact(&mut preamble)?;
     if &preamble[..4] != SPILL_MAGIC {
         return Err(SnapshotError::Malformed(
@@ -322,446 +457,21 @@ fn read_preamble<R: Read>(r: &mut R, kind: u8) -> Result<(), SnapshotError> {
             preamble[4]
         )));
     }
-    if preamble[5] != kind {
+    let mut count = [0u8; 8];
+    r.read_exact(&mut count)?;
+    let n = u64::from_le_bytes(count);
+    // Every value tree is at least one byte long.
+    let left = bytes.len() as u64 - r.position();
+    if n > left {
         return Err(SnapshotError::Malformed(format!(
-            "expected a {:?} record, found kind {:?}",
-            kind as char, preamble[5] as char
+            "partial count {n} exceeds the {left} bytes left in the spill file"
         )));
     }
-    Ok(())
-}
-
-fn header_u64(header: &Value, name: &str) -> Result<u64, SnapshotError> {
-    match header.get_field(name) {
-        Some(Value::UInt(n)) => Ok(*n),
-        _ => Err(SnapshotError::Malformed(format!(
-            "header field `{name}` is missing or not an unsigned integer"
-        ))),
-    }
-}
-
-fn read_count<R: Read>(r: &mut R) -> Result<usize, SnapshotError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf) as usize)
-}
-
-/// The folded on-disk state of one query: base ⊕ all increments.
-#[derive(Debug)]
-pub struct LoadedSpill {
-    /// One partial-result value tree per fragment, in fragment-id order.
-    pub partials: Vec<Value>,
-    /// Compaction generation of the base this state was folded from.
-    pub generation: u64,
-}
-
-/// Point-in-time counters of one query's spill store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SpillStoreStats {
-    /// Number of increments currently chained on the base.
-    pub chain_len: usize,
-    /// On-disk size of the current base.
-    pub base_bytes: u64,
-    /// Combined on-disk size of the chained increments.
-    pub increment_bytes: u64,
-    /// Bytes written by the most recent spill (base or increment).
-    pub last_spill_bytes: u64,
-    /// Completed compactions (chain folds) over the store's lifetime.
-    pub compactions: u64,
-}
-
-/// The crash-safe partial log of **one** evicted query.
-///
-/// File set inside the spill directory, all staged via tmp + fsync + rename:
-///
-/// | file                    | content                                                   |
-/// |-------------------------|-----------------------------------------------------------|
-/// | `query-{id}.base`       | preamble, header `{generation, query}`, `u64` count, one value tree per partial |
-/// | `query-{id}.inc-{seq}`  | preamble, header `{generation, seq, query}`, `u64` count, `(u64 index, value tree)` per changed partial |
-/// | `*.tmp`                 | staging leftovers of a crashed write — never read, cleaned up |
-///
-/// The preamble is `GRQS`, the format version and the record kind byte.
-/// Increments carry the base's *generation*; compaction writes a new base
-/// with generation + 1, so increments orphaned by a crash mid-compaction
-/// are recognisably stale and ignored.  Every increment is parsed and
-/// validated completely before it is folded.
-#[derive(Debug)]
-pub struct QuerySpillStore {
-    dir: PathBuf,
-    query_id: usize,
-    generation: u64,
-    chain_len: usize,
-    has_base: bool,
-    /// FNV-1a over each partial's serialized value tree as of the last spill.
-    partial_hashes: Vec<u64>,
-    base_bytes: u64,
-    increment_bytes: u64,
-    last_spill_bytes: u64,
-    compactions: u64,
-}
-
-impl QuerySpillStore {
-    fn empty(dir: &Path, query_id: usize) -> QuerySpillStore {
-        QuerySpillStore {
-            dir: dir.to_path_buf(),
-            query_id,
-            generation: 0,
-            chain_len: 0,
-            has_base: false,
-            partial_hashes: Vec::new(),
-            base_bytes: 0,
-            increment_bytes: 0,
-            last_spill_bytes: 0,
-            compactions: 0,
-        }
-    }
-
-    /// Creates a fresh store for `query_id`, removing any stale files a
-    /// previous incarnation of the id left behind (including orphaned
-    /// `.tmp` staging files).
-    pub fn create(dir: &Path, query_id: usize) -> Result<QuerySpillStore, SnapshotError> {
-        std::fs::create_dir_all(dir)?;
-        let store = Self::empty(dir, query_id);
-        store.remove_query_files()?;
-        Ok(store)
-    }
-
-    /// Re-reads a store from disk: reads the base, accepts the longest valid
-    /// increment chain of the base's generation, and deletes everything
-    /// else — stale-generation increments from a crashed compaction,
-    /// increments past a corrupt link, and orphaned `.tmp` files.  Returns
-    /// `None` when no base exists.  The serving layer never calls this —
-    /// its stores do not outlive the process; it exists so a harness can
-    /// re-read a live store that a server wrote.
-    pub fn recover(dir: &Path, query_id: usize) -> Result<Option<QuerySpillStore>, SnapshotError> {
-        let mut store = Self::empty(dir, query_id);
-        store.clean_temps();
-        if !store.base_path().exists() {
-            store.remove_query_files()?;
-            return Ok(None);
-        }
-        store.has_base = true;
-        let mut folded = read_base_file(&store.base_path())?;
-        store.generation = folded.generation;
-        let mut chain = 0usize;
-        loop {
-            let path = store.increment_path(chain);
-            if !path.exists()
-                || apply_increment_file(&path, &mut folded, store.generation, chain as u64).is_err()
-            {
-                break;
-            }
-            chain += 1;
-        }
-        store.chain_len = chain;
-        // Increments past the accepted chain are stale or corrupt.
-        for (seq, path) in store.increment_files()? {
-            if seq >= chain {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        store.partial_hashes = serialize_partial_records(&folded.partials)?
-            .iter()
-            .map(|b| fnv1a(b))
-            .collect();
-        store.base_bytes = std::fs::metadata(store.base_path())?.len();
-        for seq in 0..chain {
-            store.increment_bytes += std::fs::metadata(store.increment_path(seq))?.len();
-        }
-        Ok(Some(store))
-    }
-
-    /// The path of the current base.
-    pub fn base_path(&self) -> PathBuf {
-        self.dir.join(format!("query-{}.base", self.query_id))
-    }
-
-    /// The path of increment `seq` of the current chain.
-    pub fn increment_path(&self, seq: usize) -> PathBuf {
-        self.dir.join(format!("query-{}.inc-{seq}", self.query_id))
-    }
-
-    /// Number of increments chained on the current base.
-    pub fn chain_len(&self) -> usize {
-        self.chain_len
-    }
-
-    /// Whether a base has been written.
-    pub fn has_base(&self) -> bool {
-        self.has_base
-    }
-
-    /// Point-in-time store counters.
-    pub fn stats(&self) -> SpillStoreStats {
-        SpillStoreStats {
-            chain_len: self.chain_len,
-            base_bytes: self.base_bytes,
-            increment_bytes: self.increment_bytes,
-            last_spill_bytes: self.last_spill_bytes,
-            compactions: self.compactions,
-        }
-    }
-
-    /// Spills the query's partials, one per fragment of `frag` (the
-    /// fragmentation itself is not written — only its fragment count is
-    /// checked).  The first call writes a base; later calls append an
-    /// increment holding only the partials that changed since the previous
-    /// spill.  Returns the path of the file written.
-    pub fn spill(
-        &mut self,
-        frag: &Fragmentation,
-        partials: &[Value],
-    ) -> Result<PathBuf, SnapshotError> {
-        let m = frag.num_fragments();
-        if partials.len() != m {
-            return Err(SnapshotError::Malformed(format!(
-                "{} partials for {m} fragments",
-                partials.len()
-            )));
-        }
-        let records = serialize_partial_records(partials)?;
-        let hashes: Vec<u64> = records.iter().map(|b| fnv1a(b)).collect();
-        let path = if !self.has_base {
-            self.write_base(&records)?
-        } else {
-            if self.partial_hashes.len() != m {
-                return Err(SnapshotError::Malformed(format!(
-                    "fragment count changed across spills ({} -> {m})",
-                    self.partial_hashes.len()
-                )));
-            }
-            let changed: Vec<usize> = (0..m)
-                .filter(|&i| hashes[i] != self.partial_hashes[i])
-                .collect();
-            self.write_increment(&changed, &records)?
-        };
-        self.partial_hashes = hashes;
-        Ok(path)
-    }
-
-    /// Folds base ⊕ increments back into one state.
-    pub fn load(&self) -> Result<LoadedSpill, SnapshotError> {
-        if !self.has_base {
-            return Err(SnapshotError::Malformed(
-                "spill store has no base".to_string(),
-            ));
-        }
-        let mut folded = read_base_file(&self.base_path())?;
-        if folded.generation != self.generation {
-            return Err(SnapshotError::Malformed(format!(
-                "base generation {} does not match the store's {}",
-                folded.generation, self.generation
-            )));
-        }
-        for seq in 0..self.chain_len {
-            apply_increment_file(
-                &self.increment_path(seq),
-                &mut folded,
-                self.generation,
-                seq as u64,
-            )?;
-        }
-        Ok(folded)
-    }
-
-    /// Folds the increment chain into a new base of the next generation,
-    /// atomically: the new base is staged and renamed first; only then are
-    /// the old increments deleted.  A crash in between leaves
-    /// stale-generation increments that no later load accepts.  Returns
-    /// `false` when there is nothing to fold.
-    pub fn compact(&mut self) -> Result<bool, SnapshotError> {
-        if self.chain_len == 0 {
-            return Ok(false);
-        }
-        let folded = self.load()?;
-        self.write_base(&serialize_partial_records(&folded.partials)?)?;
-        self.compactions += 1;
-        Ok(true)
-    }
-
-    /// Writes a base (generation + 1), then retires the previous
-    /// generation's increments.
-    fn write_base(&mut self, records: &[Vec<u8>]) -> Result<PathBuf, SnapshotError> {
-        let path = self.base_path();
-        let generation = self.generation + 1;
-        let header = Value::Map(vec![
-            ("generation".to_string(), Value::UInt(generation)),
-            ("query".to_string(), Value::UInt(self.query_id as u64)),
-        ]);
-        atomic_write_file::<SnapshotError, _>(&path, |w| {
-            w.write_all(SPILL_MAGIC)?;
-            w.write_all(&[SPILL_VERSION, RECORD_BASE])?;
-            write_value_tree(w, &header)?;
-            w.write_all(&(records.len() as u64).to_le_bytes())?;
-            for record in records {
-                w.write_all(record)?;
-            }
-            Ok(())
-        })?;
-        for seq in 0..self.chain_len {
-            let _ = std::fs::remove_file(self.increment_path(seq));
-        }
-        self.generation = generation;
-        self.chain_len = 0;
-        self.has_base = true;
-        self.base_bytes = std::fs::metadata(&path)?.len();
-        self.increment_bytes = 0;
-        self.last_spill_bytes = self.base_bytes;
-        Ok(path)
-    }
-
-    fn write_increment(
-        &mut self,
-        changed: &[usize],
-        records: &[Vec<u8>],
-    ) -> Result<PathBuf, SnapshotError> {
-        let seq = self.chain_len;
-        let path = self.increment_path(seq);
-        let header = Value::Map(vec![
-            ("generation".to_string(), Value::UInt(self.generation)),
-            ("seq".to_string(), Value::UInt(seq as u64)),
-            ("query".to_string(), Value::UInt(self.query_id as u64)),
-        ]);
-        atomic_write_file::<SnapshotError, _>(&path, |w| {
-            w.write_all(SPILL_MAGIC)?;
-            w.write_all(&[SPILL_VERSION, RECORD_INCREMENT])?;
-            write_value_tree(w, &header)?;
-            w.write_all(&(changed.len() as u64).to_le_bytes())?;
-            for &i in changed {
-                w.write_all(&(i as u64).to_le_bytes())?;
-                w.write_all(&records[i])?;
-            }
-            Ok(())
-        })?;
-        self.chain_len += 1;
-        let bytes = std::fs::metadata(&path)?.len();
-        self.increment_bytes += bytes;
-        self.last_spill_bytes = bytes;
-        Ok(path)
-    }
-
-    /// All `query-{id}.inc-{seq}` files on disk, with their parsed seq.
-    fn increment_files(&self) -> Result<Vec<(usize, PathBuf)>, SnapshotError> {
-        let prefix = format!("query-{}.inc-", self.query_id);
-        let mut found = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(seq) = name.strip_prefix(&prefix) {
-                if let Ok(seq) = seq.parse::<usize>() {
-                    found.push((seq, entry.path()));
-                }
-            }
-        }
-        Ok(found)
-    }
-
-    /// Removes orphaned `.tmp` staging files of this query (a crashed write
-    /// never reaches the final name, so temps are always garbage).
-    fn clean_temps(&self) {
-        let prefix = format!("query-{}.", self.query_id);
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with(&prefix) && name.ends_with(".tmp") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-
-    /// Removes every `query-{id}.*` file (bases, increments, temps, and any
-    /// file an older format left under the query's name).
-    fn remove_query_files(&self) -> Result<(), SnapshotError> {
-        let prefix = format!("query-{}.", self.query_id);
-        if !self.dir.exists() {
-            return Ok(());
-        }
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with(&prefix) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-        Ok(())
-    }
-}
-
-fn serialize_partial_records(partials: &[Value]) -> Result<Vec<Vec<u8>>, SnapshotError> {
-    partials
-        .iter()
-        .map(|partial| {
-            let mut buf = Vec::new();
-            write_value_tree(&mut buf, partial)?;
-            Ok(buf)
-        })
-        .collect()
-}
-
-/// Reads one base file.
-fn read_base_file(path: &Path) -> Result<LoadedSpill, SnapshotError> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    read_preamble(&mut r, RECORD_BASE)?;
-    let generation = header_u64(&read_value_tree(&mut r)?, "generation")?;
-    let n = read_count(&mut r)?;
-    let mut partials = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        partials.push(read_value_tree(&mut r)?);
-    }
+    let partials = (0..n)
+        .map(|_| read_value_tree(&mut r))
+        .collect::<Result<Vec<_>, _>>()?;
     ensure_fully_consumed(&mut r)?;
-    Ok(LoadedSpill {
-        partials,
-        generation,
-    })
-}
-
-/// Reads increment `expect_seq` and folds it into `folded`.  The file is
-/// parsed and validated **completely before** any mutation, so a corrupt
-/// increment never leaves `folded` half-patched.
-fn apply_increment_file(
-    path: &Path,
-    folded: &mut LoadedSpill,
-    expect_generation: u64,
-    expect_seq: u64,
-) -> Result<(), SnapshotError> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    read_preamble(&mut r, RECORD_INCREMENT)?;
-    let header = read_value_tree(&mut r)?;
-    let generation = header_u64(&header, "generation")?;
-    let seq = header_u64(&header, "seq")?;
-    if generation != expect_generation {
-        return Err(SnapshotError::Malformed(format!(
-            "increment generation {generation} does not match base generation \
-             {expect_generation} (stale leftover of a compacted chain)"
-        )));
-    }
-    if seq != expect_seq {
-        return Err(SnapshotError::Malformed(format!(
-            "increment declares seq {seq}, expected {expect_seq}"
-        )));
-    }
-    let n = read_count(&mut r)?;
-    let mut patched = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let index = read_count(&mut r)?;
-        if index >= folded.partials.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "increment patches partial {index}, base has {}",
-                folded.partials.len()
-            )));
-        }
-        patched.push((index, read_value_tree(&mut r)?));
-    }
-    ensure_fully_consumed(&mut r)?;
-    for (index, partial) in patched {
-        folded.partials[index] = partial;
-    }
-    Ok(())
+    Ok(LoadedSpill { partials })
 }
 
 #[cfg(test)]
@@ -774,7 +484,6 @@ mod tests {
     use grape_graph::builder::GraphBuilder;
     use grape_graph::delta::GraphDelta;
     use grape_graph::generators::erdos_renyi;
-    use std::io::Cursor;
 
     fn chain_fragmentation() -> Fragmentation {
         let mut b = GraphBuilder::directed();
@@ -804,199 +513,77 @@ mod tests {
             .collect()
     }
 
-    /// `partials_of(frag, 0)` with only partial `i` retagged.
-    fn one_changed(frag: &Fragmentation, i: usize, tag: u64) -> Vec<Value> {
-        let mut partials = partials_of(frag, 0);
-        partials[i] = partials_of(frag, tag).swap_remove(i);
-        partials
-    }
-
-    /// Length of the value tree starting at `bytes[offset..]`.
-    fn tree_len(bytes: &[u8], offset: usize) -> usize {
-        let mut cursor = Cursor::new(&bytes[offset..]);
-        read_value_tree(&mut cursor).unwrap();
-        cursor.position() as usize
-    }
-
     fn record_len(partial: &Value) -> usize {
         let mut buf = Vec::new();
         write_value_tree(&mut buf, partial).unwrap();
         buf.len()
     }
 
-    #[test]
-    fn tiered_chain_folds_back_to_the_latest_state() {
-        let dir = store_dir("fold");
-        let mut store = QuerySpillStore::create(&dir, 7).unwrap();
-        let f0 = chain_fragmentation();
-        let base = store.spill(&f0, &partials_of(&f0, 0)).unwrap();
-        assert!(base.to_string_lossy().ends_with("query-7.base"), "{base:?}");
-        assert_eq!(store.chain_len(), 0);
-
-        let f1 = f0
-            .apply_delta(&GraphDelta::new().add_edge(8, 9))
-            .unwrap()
-            .fragmentation;
-        let inc = store.spill(&f1, &partials_of(&f1, 1)).unwrap();
-        assert!(inc.to_string_lossy().ends_with("query-7.inc-0"), "{inc:?}");
-        assert_eq!(store.chain_len(), 1);
-
-        let folded = store.load().unwrap();
-        assert_eq!(folded.partials, partials_of(&f1, 1));
-        assert_eq!(folded.generation, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The format pin: a base is the preamble, the header tree, the count
-    /// and the partial records — and nothing else, so no fragment, `G_P`,
-    /// quotient or owner byte is ever written.  An increment is the same
-    /// with an index before each changed record.
+    /// The format pin: a spill file is the magic, the version byte, the
+    /// count and the partial records, and nothing else, so no fragment,
+    /// `G_P`, quotient or owner byte is ever written.  A second spill
+    /// replaces the file whole.
     #[test]
     fn spill_files_hold_only_the_header_and_partial_records() {
         let dir = store_dir("sizes");
         let mut store = QuerySpillStore::create(&dir, 5).unwrap();
         let frag = chain_fragmentation();
-        let partials = partials_of(&frag, 0);
-        let base = store.spill(&frag, &partials).unwrap();
-        let bytes = std::fs::read(&base).unwrap();
-        let records: usize = partials.iter().map(record_len).sum();
-        assert_eq!(bytes.len(), 6 + tree_len(&bytes, 6) + 8 + records);
-        assert_eq!(store.stats().base_bytes, bytes.len() as u64);
-
-        let changed = one_changed(&frag, 1, 3);
-        let inc = store.spill(&frag, &changed).unwrap();
-        let bytes = std::fs::read(&inc).unwrap();
-        assert_eq!(
-            bytes.len(),
-            6 + tree_len(&bytes, 6) + 8 + 8 + record_len(&changed[1])
-        );
-        assert_eq!(store.stats().last_spill_bytes, bytes.len() as u64);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn increments_stay_small_and_compaction_folds_the_chain() {
-        let dir = store_dir("compact");
-        let mut store = QuerySpillStore::create(&dir, 2).unwrap();
-        let frag = chain_fragmentation();
-        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
-        let base_bytes = store.stats().base_bytes;
-        for tag in 1..=2 {
-            store.spill(&frag, &one_changed(&frag, 0, tag)).unwrap();
-            assert!(
-                store.stats().last_spill_bytes < base_bytes / 2,
-                "increment ({} bytes) should be far smaller than the base ({base_bytes} bytes)",
-                store.stats().last_spill_bytes
-            );
+        for tag in [0, 3] {
+            let partials = partials_of(&frag, tag);
+            let path = store.spill(&frag, &partials).unwrap();
+            assert!(path.ends_with("query-5.spill"), "{path:?}");
+            let bytes = std::fs::read(&path).unwrap();
+            let records: usize = partials.iter().map(record_len).sum();
+            assert_eq!(bytes.len(), 5 + 8 + records);
+            assert_eq!(store.bytes(), bytes.len() as u64);
+            assert_eq!(store.stats().last_spill_bytes, bytes.len() as u64);
+            assert_eq!(store.load().unwrap().partials, partials);
         }
-        assert_eq!(store.chain_len(), 2);
-
-        assert!(store.compact().unwrap());
-        assert_eq!(store.chain_len(), 0);
-        assert_eq!(store.stats().compactions, 1);
-        assert_eq!(store.stats().increment_bytes, 0);
-        assert!(!store.increment_path(0).exists());
-        assert!(!store.increment_path(1).exists());
-        let folded = store.load().unwrap();
-        assert_eq!(folded.partials, one_changed(&frag, 0, 2));
-        assert_eq!(folded.generation, 2);
-
-        // Nothing left to fold.
-        assert!(!store.compact().unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recover_resumes_the_chain_and_cleans_debris() {
-        let dir = store_dir("recover");
-        let mut store = QuerySpillStore::create(&dir, 7).unwrap();
-        let frag = chain_fragmentation();
-        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
-        store.spill(&frag, &partials_of(&frag, 1)).unwrap();
-        store.spill(&frag, &partials_of(&frag, 2)).unwrap();
-
-        // Simulated crash debris: a staging orphan, a truncated second
-        // increment, and an out-of-chain increment file.
-        let orphan = dir.join("query-7.base.tmp");
-        std::fs::write(&orphan, b"half-written").unwrap();
-        let inc1 = store.increment_path(1);
-        let bytes = std::fs::read(&inc1).unwrap();
-        std::fs::write(&inc1, &bytes[..bytes.len() / 2]).unwrap();
-        std::fs::copy(store.increment_path(0), dir.join("query-7.inc-5")).unwrap();
-
-        let recovered = QuerySpillStore::recover(&dir, 7).unwrap().unwrap();
-        assert_eq!(recovered.chain_len(), 1);
-        assert!(!orphan.exists());
-        assert!(!inc1.exists());
-        assert!(!dir.join("query-7.inc-5").exists());
-        assert_eq!(recovered.load().unwrap().partials, partials_of(&frag, 1));
-
-        // The recovered store keeps appending where the accepted chain ends.
-        let mut recovered = recovered;
-        let path = recovered.spill(&frag, &partials_of(&frag, 3)).unwrap();
-        assert!(path.to_string_lossy().ends_with("query-7.inc-1"));
-        assert_eq!(recovered.load().unwrap().partials, partials_of(&frag, 3));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_generation_increments_are_dropped_on_recover() {
-        let dir = store_dir("stale_gen");
-        let mut store = QuerySpillStore::create(&dir, 4).unwrap();
-        let frag = chain_fragmentation();
-        store.spill(&frag, &partials_of(&frag, 0)).unwrap();
-        store.spill(&frag, &partials_of(&frag, 1)).unwrap();
-        let old_inc = std::fs::read(store.increment_path(0)).unwrap();
-        assert!(store.compact().unwrap());
-
-        // A crash between the base rename and the increment deletion would
-        // leave the previous generation's increments behind.
-        std::fs::write(store.increment_path(0), &old_inc).unwrap();
-        let recovered = QuerySpillStore::recover(&dir, 4).unwrap().unwrap();
-        assert_eq!(recovered.chain_len(), 0);
-        assert!(!recovered.increment_path(0).exists());
-        assert_eq!(recovered.load().unwrap().partials, partials_of(&frag, 1));
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "one file per query, whatever the spill count");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Versions 1 and 2 (which carried fragments, `G_P` and quotient
-    /// tables) are named as unsupported, as is any future version; a
-    /// foreign file is "not a spill file".
+    /// tables) and 3 (a base with an increment chain) are named as
+    /// unsupported, as is any future version; a foreign file is "not a
+    /// spill file".
     #[test]
     fn bad_magic_and_unsupported_version_are_distinct_errors() {
         let dir = store_dir("versions");
         std::fs::create_dir_all(&dir).unwrap();
         let not_a_spill = dir.join("junk");
         std::fs::write(&not_a_spill, b"GRXXjunk").unwrap();
-        let err = read_base_file(&not_a_spill).unwrap_err();
+        let err = read_spill_file(&not_a_spill).unwrap_err();
         assert!(
             err.to_string().contains("not a grape query spill file"),
             "{err}"
         );
 
-        for version in [1u8, 2, 9] {
+        for version in [1u8, 2, 3, 9] {
             let path = dir.join(format!("v{version}"));
             let mut bytes = b"GRQS".to_vec();
-            bytes.extend_from_slice(&[version, RECORD_BASE]);
+            bytes.push(version);
             bytes.extend_from_slice(b"rest");
             std::fs::write(&path, bytes).unwrap();
-            let msg = read_base_file(&path).unwrap_err().to_string();
+            let msg = read_spill_file(&path).unwrap_err().to_string();
             assert!(
                 msg.contains(&format!("unsupported query spill format version {version}")),
                 "{msg}"
             );
             assert!(
-                msg.contains('3'),
+                msg.contains("reads version 4"),
                 "should name the supported version: {msg}"
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The v1 wholesale file (`query-{id}.spill`) is no longer read: a
-    /// leftover one is cleared by `recover` (no base, so `None`) and by
-    /// `create`, and the next spill writes a current base.  A v1 record
-    /// found under a base name is an unsupported version, not misread.
+    /// Files of older formats are cleared by `create`, not read: the v1
+    /// wholesale file (which had the current file's name) and the v3
+    /// base, increments and staging leftovers.  `recover` finds no store
+    /// among v3 leftovers, and a v1 record under the current name is an
+    /// unsupported version, not misread.
     #[test]
     fn legacy_v1_spill_is_cleared_not_read() {
         let dir = store_dir("legacy");
@@ -1005,20 +592,31 @@ mod tests {
         let mut v1 = b"GRQS\x01".to_vec();
         v1.extend_from_slice(&(frag.num_fragments() as u64).to_le_bytes());
         let legacy = dir.join("query-3.spill");
-
-        std::fs::write(&legacy, &v1).unwrap();
+        let v3_leftovers = [
+            "query-3.base",
+            "query-3.inc-0",
+            "query-3.inc-1",
+            "query-3.base.tmp",
+        ]
+        .map(|name| dir.join(name));
+        for path in &v3_leftovers {
+            std::fs::write(path, b"GRQS\x03B").unwrap();
+        }
         assert!(QuerySpillStore::recover(&dir, 3).unwrap().is_none());
-        assert!(!legacy.exists(), "recover clears the v1 file");
 
         std::fs::write(&legacy, &v1).unwrap();
         let mut store = QuerySpillStore::create(&dir, 3).unwrap();
         assert!(!legacy.exists(), "create clears the v1 file");
+        for path in &v3_leftovers {
+            assert!(!path.exists(), "create clears {path:?}");
+        }
         let path = store.spill(&frag, &partials_of(&frag, 1)).unwrap();
-        assert!(path.to_string_lossy().ends_with("query-3.base"));
+        assert_eq!(path, legacy);
         assert_eq!(store.load().unwrap().partials, partials_of(&frag, 1));
 
-        std::fs::write(store.base_path(), &v1).unwrap();
-        let err = QuerySpillStore::recover(&dir, 3).unwrap_err().to_string();
+        std::fs::write(&legacy, &v1).unwrap();
+        let recovered = QuerySpillStore::recover(&dir, 3).unwrap().unwrap();
+        let err = recovered.load().unwrap_err().to_string();
         assert!(
             err.contains("unsupported query spill format version 1"),
             "{err}"
@@ -1031,22 +629,25 @@ mod tests {
         let dir = store_dir("magic");
         let mut store = QuerySpillStore::create(&dir, 0).unwrap();
         let frag = chain_fragmentation();
-        let base = store.spill(&frag, &partials_of(&frag, 0)).unwrap();
-        let bytes = std::fs::read(&base).unwrap();
+        let path = store.spill(&frag, &partials_of(&frag, 0)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         let mut wrong = bytes.clone();
         wrong[0] = b'X';
-        std::fs::write(&base, &wrong).unwrap();
+        std::fs::write(&path, &wrong).unwrap();
         let err = store.load().unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
-        std::fs::write(&base, &bytes[..bytes.len() - 2]).unwrap();
-        assert!(store.load().is_err(), "a truncated base must not load");
-        std::fs::write(&base, &bytes).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 2]).unwrap();
+        assert!(
+            store.load().is_err(),
+            "a truncated spill file must not load"
+        );
+        std::fs::write(&path, &bytes).unwrap();
         assert_eq!(store.load().unwrap().partials, partials_of(&frag, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A store holds exactly one partial per fragment, and that count is
-    /// fixed for the store's lifetime.
+    /// A spill holds exactly one partial per fragment: a mismatched count
+    /// is rejected before anything is written, and the previous file stays.
     #[test]
     fn spills_reject_mismatched_partial_counts() {
         let dir = store_dir("counts");
@@ -1057,12 +658,13 @@ mod tests {
         let err = store.spill(&frag, &short).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
         assert!(!store.has_base(), "a rejected spill writes nothing");
+        assert!(!store.path().exists(), "a rejected spill writes nothing");
 
         store.spill(&frag, &partials_of(&frag, 0)).unwrap();
         let wider = RangeEdgeCut::new(4).partition(frag.source()).unwrap();
-        let err = store.spill(&wider, &partials_of(&wider, 1)).unwrap_err();
-        assert!(err.to_string().contains("fragment count changed"), "{err}");
-        assert_eq!(store.chain_len(), 0);
+        let err = store.spill(&wider, &partials_of(&frag, 1)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "{err}");
+        assert_eq!(store.load().unwrap().partials, partials_of(&frag, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,6 +12,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use grape_core::engine::{EngineError, RunResult};
 use grape_core::metrics::{EngineMetrics, SuperstepMetrics};
 use grape_graph::types::VertexId;
 use grape_partition::fragment::{Fragment, Fragmentation};
@@ -218,6 +219,17 @@ impl BlockCentricEngine {
         metrics.total_time = start.elapsed();
         (output, metrics)
     }
+}
+
+/// Runs a block program over a fragmentation on `workers` workers.
+pub fn run_block<P: BlockProgram>(
+    fragmentation: &Fragmentation,
+    program: &P,
+    query: &P::Query,
+    workers: usize,
+) -> Result<RunResult<P::Output>, EngineError> {
+    let (output, metrics) = BlockCentricEngine::new(workers).run(fragmentation, program, query);
+    Ok(RunResult { output, metrics })
 }
 
 #[cfg(test)]

@@ -5,5 +5,5 @@
 pub mod engine;
 pub mod programs;
 
-pub use engine::{BlockCentricEngine, BlockContext, BlockProgram, BlockRouting};
+pub use engine::{run_block, BlockCentricEngine, BlockContext, BlockProgram, BlockRouting};
 pub use programs::{run_block_sssp, run_block_subiso, BlockCc, BlockCf, BlockSim, BlockSssp};

@@ -1,9 +1,9 @@
-//! Block-centric (Blogel-style) baseline: a B-compute engine over the same
-//! fragments GRAPE uses, plus block programs for SSSP, CC, Sim and CF and the
-//! standalone SubIso runner.
+//! Block-centric (Blogel-style) baseline: block programs for SSSP, CC, Sim
+//! and CF, run on GRAPE's engine through [`BlockAsPie`], plus the standalone
+//! SubIso runner.
 
-pub mod engine;
+pub mod adapter;
 pub mod programs;
 
-pub use engine::{run_block, BlockCentricEngine, BlockContext, BlockProgram, BlockRouting};
-pub use programs::{run_block_sssp, run_block_subiso, BlockCc, BlockCf, BlockSim, BlockSssp};
+pub use adapter::{run_block, Block, BlockAsPie, BlockContext, BlockProgram, BlockRouting};
+pub use programs::{run_block_subiso, BlockCc, BlockCf, BlockSim, BlockSssp};

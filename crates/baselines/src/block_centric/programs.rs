@@ -24,7 +24,7 @@ use grape_algorithms::sim::SimQuery;
 use grape_algorithms::sssp::SsspQuery;
 use grape_algorithms::subiso::vf2::subgraph_isomorphism_filtered;
 
-use super::engine::{BlockContext, BlockProgram, BlockRouting};
+use super::adapter::{BlockContext, BlockProgram, BlockRouting};
 
 /// Sends `value` for border vertex `l`, once per incident local cross edge
 /// (block messages travel per edge, as in Blogel's V/B-compute model).
@@ -68,7 +68,6 @@ impl BlockProgram for BlockSssp {
         _query: &SsspQuery,
         frag: &Fragment,
         state: &mut Self::BlockState,
-        _superstep: usize,
         messages: &[(VertexId, f64)],
         ctx: &mut BlockContext<f64>,
     ) {
@@ -129,15 +128,6 @@ impl BlockProgram for BlockSssp {
     }
 }
 
-/// Runs Blogel-style SSSP and returns the global distance map plus metrics.
-pub fn run_block_sssp(
-    fragmentation: &Fragmentation,
-    query: &SsspQuery,
-    workers: usize,
-) -> (HashMap<VertexId, f64>, EngineMetrics) {
-    super::engine::BlockCentricEngine::new(workers).run(fragmentation, &BlockSssp, query)
-}
-
 // ---------------------------------------------------------------------------
 // CC
 // ---------------------------------------------------------------------------
@@ -167,7 +157,6 @@ impl BlockProgram for BlockCc {
         _q: &(),
         frag: &Fragment,
         state: &mut Self::BlockState,
-        _superstep: usize,
         messages: &[(VertexId, VertexId)],
         ctx: &mut BlockContext<VertexId>,
     ) {
@@ -266,7 +255,6 @@ impl BlockProgram for BlockSim {
         query: &SimQuery,
         frag: &Fragment,
         state: &mut BlockSimState,
-        _superstep: usize,
         messages: &[(VertexId, (u32, bool))],
         ctx: &mut BlockContext<(u32, bool)>,
     ) {
@@ -380,7 +368,6 @@ impl BlockProgram for BlockCf {
         query: &CfQuery,
         frag: &Fragment,
         state: &mut BlockCfState,
-        _superstep: usize,
         messages: &[(VertexId, Vec<f64>)],
         ctx: &mut BlockContext<Vec<f64>>,
     ) {
@@ -531,7 +518,7 @@ pub fn run_block_subiso(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_centric::engine::BlockCentricEngine;
+    use crate::block_centric::adapter::run_block;
     use grape_algorithms::cc::sequential::connected_components;
     use grape_algorithms::sim::sequential::graph_simulation;
     use grape_algorithms::sssp::sequential::dijkstra;
@@ -545,7 +532,9 @@ mod tests {
     fn block_sssp_matches_dijkstra() {
         let g = road_grid(10, 10, 1);
         let frag = MetisLike::new(4).partition(&g).unwrap();
-        let (dist, metrics) = run_block_sssp(&frag, &SsspQuery::new(0), 4);
+        let (dist, metrics) = run_block(&frag, &BlockSssp, &SsspQuery::new(0), 4)
+            .map(|r| (r.output, r.metrics))
+            .unwrap();
         let expected = dijkstra(&g, 0);
         for v in g.vertices() {
             let got = dist.get(&v).copied().unwrap_or(f64::INFINITY);
@@ -558,7 +547,7 @@ mod tests {
     fn block_cc_matches_union_find() {
         let g = power_law(200, 450, 0, 3).to_undirected();
         let frag = HashEdgeCut::new(4).partition(&g).unwrap();
-        let (labels, _) = BlockCentricEngine::new(2).run(&frag, &BlockCc, &());
+        let labels = run_block(&frag, &BlockCc, &(), 2).unwrap().output;
         let expected = connected_components(&g);
         for v in g.vertices() {
             assert_eq!(labels[&v], expected[v as usize], "vertex {v}");
@@ -571,8 +560,9 @@ mod tests {
         let alphabet: Vec<u32> = (1..=4).collect();
         let pattern = Pattern::random(3, 4, &alphabet, 31);
         let frag = HashEdgeCut::new(4).partition(&g).unwrap();
-        let (matches, _) =
-            BlockCentricEngine::new(2).run(&frag, &BlockSim, &SimQuery::new(pattern.clone()));
+        let matches = run_block(&frag, &BlockSim, &SimQuery::new(pattern.clone()), 2)
+            .unwrap()
+            .output;
         let expected = graph_simulation(&g, &pattern);
         assert_eq!(matches, expected);
     }
@@ -586,7 +576,7 @@ mod tests {
             num_factors: 4,
             ..Default::default()
         };
-        let (model, _) = BlockCentricEngine::new(2).run(&frag, &BlockCf, &query);
+        let model = run_block(&frag, &BlockCf, &query, 2).unwrap().output;
         assert!(
             model.rmse(&data.graph) < 1.2,
             "rmse {}",
@@ -644,7 +634,9 @@ mod tests {
 
         let g = road_grid(12, 12, 9);
         let frag = MetisLike::new(4).partition(&g).unwrap();
-        let (block_dist, block_metrics) = run_block_sssp(&frag, &SsspQuery::new(0), 4);
+        let (block_dist, block_metrics) = run_block(&frag, &BlockSssp, &SsspQuery::new(0), 4)
+            .map(|r| (r.output, r.metrics))
+            .unwrap();
         let grape = GrapeSession::with_workers(4)
             .run(&frag, &grape_algorithms::sssp::Sssp, &SsspQuery::new(0))
             .unwrap();

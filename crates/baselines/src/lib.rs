@@ -1,21 +1,28 @@
 //! # grape-baselines
 //!
-//! The comparison systems of the paper's evaluation (Section 7), rebuilt on
-//! the same graph/partition substrate so that response time, supersteps and
-//! communication volume are directly comparable with the GRAPE engine:
+//! The comparison systems of the paper's evaluation (Section 7) and the
+//! models of its Simulation Theorem, rebuilt on the same graph/partition
+//! substrate so that response time, supersteps and communication volume are
+//! directly comparable with the GRAPE engine:
 //!
 //! * [`vertex_centric`] — a synchronous Pregel/Giraph-style engine
 //!   ("think like a vertex"), also standing in for synchronous GraphLab,
 //!   with vertex programs for SSSP, CC, Sim, SubIso and CF,
-//! * [`block_centric`] — a Blogel-style B-compute engine that runs batch
-//!   computations per block and exchanges per-edge messages between blocks,
-//!   with block programs for the same query classes.
+//! * [`block_centric`] — Blogel-style B-compute programs that run batch
+//!   computations per block and exchange per-edge messages between blocks,
+//!   for the same query classes, run on GRAPE's engine,
+//! * [`simulate`] — BSP and MapReduce programs run on GRAPE's engine
+//!   (Theorem 2),
+//! * [`model`] — what the last two share: one engine message per model
+//!   message, on a Sync session.
 //!
-//! Both engines report [`grape_core::metrics::EngineMetrics`], which is what
+//! All of them report [`grape_core::metrics::EngineMetrics`], which is what
 //! the benchmark harness prints for Table 1 and Figures 6, 8 and 9.
 
 pub mod block_centric;
+pub mod model;
+pub mod simulate;
 pub mod vertex_centric;
 
-pub use block_centric::{BlockCentricEngine, BlockProgram};
+pub use block_centric::{BlockAsPie, BlockProgram};
 pub use vertex_centric::{VertexCentricEngine, VertexProgram};

@@ -219,17 +219,28 @@ fn print_loc() {
         println!("{loc:>6}  {name} (crates/{file})");
     }
     println!("\n== Crate totals (same rule, every .rs file under src/) ==");
-    let mut core_daemon_bench = 0;
-    for krate in ["core", "daemon", "bench", "partition", "algorithms"] {
+    let (mut core_daemon_bench, mut core_baselines) = (0, 0);
+    for krate in [
+        "core",
+        "daemon",
+        "bench",
+        "partition",
+        "algorithms",
+        "baselines",
+    ] {
         let mut files = Vec::new();
         rs_files(&Path::new(CRATES).join(krate).join("src"), &mut files);
         let loc: usize = files.iter().map(|f| file_loc(f)).sum();
         if matches!(krate, "core" | "daemon" | "bench") {
             core_daemon_bench += loc;
         }
+        if matches!(krate, "core" | "baselines") {
+            core_baselines += loc;
+        }
         println!("{loc:>6}  crates/{krate}");
     }
     println!("{core_daemon_bench:>6}  core + daemon + bench");
+    println!("{core_baselines:>6}  core + baselines");
 }
 
 fn file_loc(path: &Path) -> usize {

@@ -21,7 +21,7 @@ use grape_algorithms::sssp::{Sssp, SsspQuery};
 use grape_algorithms::subiso::{SubIso, SubIsoQuery};
 
 use grape_baselines::block_centric::{
-    run_block_subiso, BlockCc, BlockCentricEngine, BlockCf, BlockSim,
+    run_block, run_block_subiso, BlockCc, BlockCf, BlockSim, BlockSssp,
 };
 use grape_baselines::vertex_centric::{
     VertexCc, VertexCentricEngine, VertexCf, VertexSim, VertexSssp, VertexSubIso, VertexSubIsoQuery,
@@ -140,7 +140,9 @@ pub fn run_sssp(
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
-            grape_baselines::block_centric::run_block_sssp(&frag, &query, workers).1
+            run_block(&frag, &BlockSssp, &query, workers)
+                .expect("block-centric sssp")
+                .metrics
         }
     };
     RunRow::from_metrics("sssp", workload, system, workers, &metrics)
@@ -163,7 +165,9 @@ pub fn run_cc(system: System, graph: &Graph, workers: usize, workload: &str) -> 
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
-            BlockCentricEngine::new(workers).run(&frag, &BlockCc, &()).1
+            run_block(&frag, &BlockCc, &(), workers)
+                .expect("block-centric cc")
+                .metrics
         }
     };
     RunRow::from_metrics("cc", workload, system, workers, &metrics)
@@ -192,9 +196,9 @@ pub fn run_sim(
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
-            BlockCentricEngine::new(workers)
-                .run(&frag, &BlockSim, &SimQuery::new(pattern.clone()))
-                .1
+            run_block(&frag, &BlockSim, &SimQuery::new(pattern.clone()), workers)
+                .expect("block-centric sim")
+                .metrics
         }
     };
     RunRow::from_metrics("sim", workload, system, workers, &metrics)
@@ -299,9 +303,9 @@ pub fn run_cf(
         }
         System::BlockCentric => {
             let frag = partition(&data.graph, workers);
-            BlockCentricEngine::new(workers)
-                .run(&frag, &BlockCf, &query)
-                .1
+            run_block(&frag, &BlockCf, &query, workers)
+                .expect("block-centric cf")
+                .metrics
         }
     };
     RunRow::from_metrics("cf", workload, system, workers, &metrics)

@@ -13,6 +13,11 @@
 //!    updates can be made (the fixpoint), and
 //! 4. calls `Assemble` on the partial results.
 //!
+//! Under the barrier an evaluation may also ask to be run again next round
+//! without mail ([`crate::pie::Messages::run_again`]), which is how the
+//! simulated models of Theorem 2 keep a worker busy that has nothing
+//! incoming.
+//!
 //! One scheduler loop runs that skeleton.  Every physical worker sweeps its
 //! fragments on its own thread — PEval on the masked ones in round 0, then
 //! drain → IncEval → route on every fragment with pending mail — and after
@@ -158,6 +163,16 @@ struct RunCtx<'r> {
     /// full run, the *damage frontier* for a bounded refresh, none for an
     /// IncEval-only refresh.
     peval: &'r [bool],
+    /// Fragments whose last evaluation asked to run again next round
+    /// ([`crate::pie::Messages::run_again`]).  The barrier's fixpoint waits
+    /// for them as it waits for pending mail.
+    again: Vec<AtomicBool>,
+}
+
+impl RunCtx<'_> {
+    fn any_again(&self) -> bool {
+        self.again.iter().any(|a| a.load(Ordering::Relaxed))
+    }
 }
 
 /// The first failure of a run: a host error (e.g. a dead worker
@@ -414,6 +429,7 @@ pub(crate) fn run_parts<P: PieProgram>(
         gp: fragmentation.gp(),
         scope: program.scope(),
         peval: &peval,
+        again: (0..m).map(|_| AtomicBool::new(false)).collect(),
     };
 
     // The host: where the evaluations run.
@@ -663,17 +679,20 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
             let pending = transport.pending_mailboxes() > 0;
             for &fi in mine {
                 let rooting = round == 0 && ctx.peval[fi];
+                // Written by this worker and read by the barrier's leader
+                // only, each side of a barrier.
+                let again = ctx.again[fi].load(Ordering::Relaxed);
                 if failure.aborted() {
                     break;
                 }
-                if !(rooting || pending && transport.has_pending(fi)) {
+                if !(rooting || again || pending && transport.has_pending(fi)) {
                     continue;
                 }
                 gate.mark(1);
                 let outcome = failure.guard(|| {
                     let started = Instant::now();
                     let drained = (!rooting).then(|| transport.drain(fi));
-                    if drained.as_ref().is_some_and(|d| d.updates.is_empty()) {
+                    if !again && drained.as_ref().is_some_and(|d| d.updates.is_empty()) {
                         return Ok(None);
                     }
                     let own = evals[fi];
@@ -698,10 +717,18 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
                     if step >= max_supersteps {
                         return Err(EngineError::DidNotConverge { max_supersteps });
                     }
-                    let updates = match &drained {
+                    let (updates, asked) = match &drained {
                         None => host.peval(fi)?,
                         Some(d) => host.inc_eval(fi, &d.updates)?,
                     };
+                    if asked && matches!(gate, Gate::Quiescence { .. }) {
+                        return Err(EngineError::InvalidConfig(
+                            "an evaluation asked to run again next round; rounds exist \
+                             under the barrier only, use EngineMode::Sync"
+                                .to_string(),
+                        ));
+                    }
+                    ctx.again[fi].store(asked, Ordering::Relaxed);
                     route_and_send(ctx, transport, fi, step, updates, None);
                     let consumed = drained.map(|d| (d.messages, d.bytes));
                     let duration = started.elapsed();
@@ -770,26 +797,42 @@ fn coordinator<'g, P: PieProgram, H: WorkerHost<P>>(
         metrics.eval_time += duration;
         superstep += 1;
         if (ctx.config.checkpoint_every).is_some_and(|every| superstep.is_multiple_of(every)) {
-            checkpoint = Some((superstep, host.checkpoint_partials()?, transport.snapshot()));
+            let again: Vec<bool> = ctx
+                .again
+                .iter()
+                .map(|a| a.load(Ordering::Relaxed))
+                .collect();
+            checkpoint = Some((
+                superstep,
+                host.checkpoint_partials()?,
+                transport.snapshot(),
+                again,
+            ));
             metrics.checkpoints += 1;
         }
-        if transport.pending_mailboxes() == 0 {
-            return Ok(None); // the fixpoint: no pending messages anywhere
+        if transport.pending_mailboxes() == 0 && !ctx.any_again() {
+            return Ok(None); // the fixpoint: no pending messages or reruns
         }
         let unfired = failures.len();
         failures.retain(|f| f.superstep > superstep || f.fragment >= ctx.num_fragments);
         metrics.recovered_failures += unfired - failures.len();
         if failures.len() < unfired {
             match &checkpoint {
-                Some((step, partials, mailboxes)) => {
+                Some((step, partials, mailboxes, again)) => {
                     superstep = *step;
                     host.restore_partials(partials)?;
                     transport.restore(mailboxes);
+                    for (flag, &saved) in ctx.again.iter().zip(again) {
+                        flag.store(saved, Ordering::Relaxed);
+                    }
                 }
                 None => {
                     superstep = 0;
                     host.clear_partials()?;
                     transport.reset();
+                    ctx.again
+                        .iter()
+                        .for_each(|a| a.store(false, Ordering::Relaxed));
                 }
             }
         }
@@ -1161,6 +1204,103 @@ mod tests {
                 other => panic!("unexpected error: {other}"),
             }
         }
+    }
+
+    /// Every fragment evaluates itself `k` more times with no mail: an
+    /// evaluation that asks to run again.
+    struct Countdown;
+
+    impl PieProgram for Countdown {
+        type Query = u32;
+        type Partial = u32;
+        type Key = VertexId;
+        type Value = u64;
+        type Output = Vec<u32>;
+
+        fn peval(&self, k: &u32, _frag: &Fragment, ctx: &mut Messages<VertexId, u64>) -> u32 {
+            if *k > 0 {
+                ctx.run_again();
+            }
+            0
+        }
+
+        fn inc_eval(
+            &self,
+            k: &u32,
+            _frag: &Fragment,
+            runs: &mut u32,
+            messages: &[(VertexId, u64)],
+            ctx: &mut Messages<VertexId, u64>,
+        ) {
+            assert!(messages.is_empty(), "Countdown sends nothing");
+            *runs += 1;
+            if *runs < *k {
+                ctx.run_again();
+            }
+        }
+
+        fn assemble(&self, _k: &u32, partials: Vec<u32>) -> Vec<u32> {
+            partials
+        }
+
+        fn aggregate(&self, _key: &VertexId, a: u64, _b: u64) -> u64 {
+            a
+        }
+    }
+
+    /// Under the barrier a rerun is a round with no mail: it charges no
+    /// message, counts as an IncEval call and holds off the fixpoint; a
+    /// rollback restores which fragments were due to run again.
+    #[test]
+    fn an_evaluation_that_asks_runs_again_next_superstep_under_the_barrier() {
+        let frag = RangeEdgeCut::new(3).partition(&ring_graph(12)).unwrap();
+        let plain = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Sync)
+            .build()
+            .unwrap();
+        let recovering = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Sync)
+            .checkpoint_every(1)
+            .inject_failure(2, 1)
+            .build()
+            .unwrap();
+        for session in [plain, recovering] {
+            let result = session.run(&frag, &Countdown, &4).unwrap();
+            assert_eq!(result.output, vec![4, 4, 4]);
+            assert_eq!(result.metrics.supersteps, 5);
+            assert_eq!(result.metrics.total_messages, 0);
+            assert_eq!(result.metrics.peval_calls, 3);
+            assert_one_entry_per_superstep(&result.metrics);
+        }
+        let capped = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Sync)
+            .max_supersteps(3)
+            .build()
+            .unwrap();
+        let err = capped.run(&frag, &Countdown, &4).unwrap_err();
+        assert_eq!(err, EngineError::DidNotConverge { max_supersteps: 3 });
+    }
+
+    /// Without a barrier there is no next round to run in, so the request
+    /// fails the run with a configuration error instead of being dropped.
+    #[test]
+    fn asking_to_run_again_is_refused_without_a_barrier() {
+        let frag = RangeEdgeCut::new(3).partition(&ring_graph(12)).unwrap();
+        let session = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Async)
+            .build()
+            .unwrap();
+        match session.run(&frag, &Countdown, &4) {
+            Err(EngineError::InvalidConfig(reason)) => {
+                assert!(reason.contains("EngineMode::Sync"), "{reason}")
+            }
+            other => panic!("a rerun must be refused under Async, got {other:?}"),
+        }
+        assert_eq!(session.run(&frag, &Countdown, &0).unwrap().output, [0; 3]);
     }
 
     #[test]

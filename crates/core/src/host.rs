@@ -36,10 +36,16 @@ use crate::worker_proto::{
 };
 
 /// What one PEval/IncEval evaluation hands back to the engine: the
-/// coalesced update-parameter messages it produced, or the error that
+/// coalesced update-parameter messages it produced and whether it asked to
+/// run again next round ([`Messages::run_again`]), or the error that
 /// stopped it.
-pub(crate) type EvalResult<P> =
-    Result<Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>, EngineError>;
+pub(crate) type EvalResult<P> = Result<
+    (
+        Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>,
+        bool,
+    ),
+    EngineError,
+>;
 
 /// Where one run's evaluations execute.  The engine addresses fragments by
 /// index and never sees where they live.
@@ -113,7 +119,7 @@ impl<P: PieProgram> WorkerHost<P> for InProcessHost<'_, P> {
             .program
             .peval(self.query, &self.fragments[fi], &mut msgs);
         *self.partials[fi].lock() = Some(partial);
-        Ok(msgs.take())
+        Ok((msgs.take(), msgs.runs_again()))
     }
 
     fn inc_eval(&self, fi: usize, updates: &[(P::Key, P::Value)]) -> EvalResult<P> {
@@ -124,7 +130,7 @@ impl<P: PieProgram> WorkerHost<P> for InProcessHost<'_, P> {
             .expect("IncEval before PEval: missing partial result");
         self.program
             .inc_eval(self.query, &self.fragments[fi], partial, updates, &mut msgs);
-        Ok(msgs.take())
+        Ok((msgs.take(), msgs.runs_again()))
     }
 
     fn checkpoint_partials(&self) -> Result<Vec<Option<P::Partial>>, EngineError> {
@@ -318,7 +324,7 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
                 ))
             }
         }
-        Ok(out)
+        Ok((out, reply.get_field("again") == Some(&Value::Bool(true))))
     }
 }
 

@@ -52,8 +52,10 @@
 //!   tolerance, superstep limits),
 //! * [`metrics`] — response-time / superstep / communication accounting,
 //! * [`load_balance`] — mapping of fragments (virtual workers) onto physical
-//!   workers ([`load_balance::assign`]),
-//! * [`simulate`] — MapReduce and BSP simulation layers (Theorem 2).
+//!   workers ([`load_balance::assign`]).
+//!
+//! The BSP and MapReduce simulations of Theorem 2 are PIE programs like any
+//! other; they live with the baselines, in `grape_baselines::simulate`.
 
 pub mod config;
 pub mod engine;
@@ -66,7 +68,6 @@ pub mod pie;
 pub mod prepared;
 pub mod serve;
 pub mod session;
-pub mod simulate;
 pub mod spec;
 #[doc(hidden)]
 pub mod test_support;

@@ -60,11 +60,15 @@ impl KeyVertex for (u32, VertexId) {
 /// **coalesced at insert time** with the program's `aggregateMsg` function —
 /// a program that declares `dist(s, v)` twice in one evaluation buffers only
 /// the winning value, and the buffer never grows beyond one entry per key.
+///
+/// It also carries the one request an evaluation can make of the scheduler
+/// besides sending: [`Messages::run_again`].
 pub struct Messages<'a, K, V> {
     updates: Vec<(K, V)>,
     /// Key → position in `updates`; only maintained when `agg` is set.
     index: HashMap<K, usize>,
     agg: Option<AggregateFn<'a, K, V>>,
+    again: bool,
 }
 
 impl<K, V> std::fmt::Debug for Messages<'_, K, V> {
@@ -72,6 +76,7 @@ impl<K, V> std::fmt::Debug for Messages<'_, K, V> {
         f.debug_struct("Messages")
             .field("updates", &self.updates.len())
             .field("coalescing", &self.agg.is_some())
+            .field("again", &self.again)
             .finish()
     }
 }
@@ -83,6 +88,7 @@ impl<'a, K, V> Messages<'a, K, V> {
             updates: Vec::new(),
             index: HashMap::new(),
             agg: None,
+            again: false,
         }
     }
 
@@ -94,6 +100,7 @@ impl<'a, K, V> Messages<'a, K, V> {
             updates: Vec::new(),
             index: HashMap::new(),
             agg: Some(agg),
+            again: false,
         }
     }
 
@@ -132,6 +139,23 @@ impl<'a, K, V> Messages<'a, K, V> {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.updates.is_empty()
+    }
+
+    /// Asks the engine to evaluate this fragment again in the next
+    /// superstep, with an empty message list if no mail arrives for it.  A
+    /// simulated model uses it for work that needs no mail: a MapReduce
+    /// reducer whose pairs never left its own worker, or the remap step of a
+    /// later round.  It is no message: nothing is routed or charged, and the
+    /// fixpoint waits for it as it waits for pending mail.  Rounds exist
+    /// under the barrier only, so under [`crate::config::EngineMode::Async`]
+    /// the run fails with [`crate::engine::EngineError::InvalidConfig`].
+    pub fn run_again(&mut self) {
+        self.again = true;
+    }
+
+    /// Whether this evaluation asked to run again ([`Messages::run_again`]).
+    pub fn runs_again(&self) -> bool {
+        self.again
     }
 
     /// Drains the buffered updates (used by the engine).

@@ -26,8 +26,8 @@
 //! | op             | request fields                    | reply fields      |
 //! |----------------|-----------------------------------|-------------------|
 //! | `init`         | `program`, `query`, `fragments`, optional `partials` (+ fragment block) | — |
-//! | `peval`        | `fragment`                        | `messages`        |
-//! | `inceval`      | `fragment`, `updates`             | `messages`        |
+//! | `peval`        | `fragment`                        | `messages`, optional `again` |
+//! | `inceval`      | `fragment`, `updates`             | `messages`, optional `again` |
 //! | `get_partials` | —                                 | `partials`        |
 //! | `set_partials` | `partials`                        | —                 |
 //! | `clear`        | —                                 | —                 |
@@ -38,7 +38,8 @@
 //! with `null` for a slot that has not been evaluated yet;
 //! `messages`/`updates` entries are whatever the program's
 //! [`crate::pie::ProcessCodec`] produces (two-element `[key, value]`
-//! sequences for [`crate::pie::SerdeProcessCodec`]).
+//! sequences for [`crate::pie::SerdeProcessCodec`]); `again` is `true`, and
+//! present only, when the evaluation called [`crate::pie::Messages::run_again`].
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -334,10 +335,11 @@ pub fn serve_program<P: PieProgram>(
                         .iter()
                         .map(|(k, v)| codec.encode_message(k, v))
                         .collect();
-                    Ok(reply_ok(vec![(
-                        "messages".to_string(),
-                        Value::Seq(encoded),
-                    )]))
+                    let mut fields = vec![("messages".to_string(), Value::Seq(encoded))];
+                    if msgs.runs_again() {
+                        fields.push(("again".to_string(), Value::Bool(true)));
+                    }
+                    Ok(reply_ok(fields))
                 })()
                 .unwrap_or_else(|e| reply_err(&e))
             }

@@ -9,8 +9,9 @@
 //! * [`core`] — the GRAPE engine: the PIE programming model, coordinator,
 //!   workers, messages and metrics,
 //! * [`algorithms`] — ready-made PIE programs (SSSP, CC, Sim, SubIso, CF),
-//! * [`baselines`] — vertex-centric (Pregel/Giraph-style) and block-centric
-//!   (Blogel-style) engines used as comparison systems.
+//! * [`baselines`] — the comparison systems (a vertex-centric
+//!   Pregel/Giraph-style engine and block-centric Blogel-style programs on
+//!   GRAPE's engine) and the BSP/MapReduce simulations of Theorem 2.
 //!
 //! ## Quickstart
 //!

@@ -7,7 +7,7 @@ use grape::algorithms::cf::{Cf, CfQuery};
 use grape::algorithms::sim::{Sim, SimQuery};
 use grape::algorithms::sssp::{dijkstra, Sssp, SsspQuery};
 use grape::algorithms::subiso::{subgraph_isomorphism, SubIso, SubIsoQuery};
-use grape::baselines::block_centric::{BlockCentricEngine, BlockSim};
+use grape::baselines::block_centric::{run_block, BlockSim};
 use grape::baselines::vertex_centric::{VertexCentricEngine, VertexSssp};
 use grape::core::config::EngineMode;
 use grape::core::session::GrapeSession;
@@ -108,8 +108,9 @@ fn grape_baselines_and_sequential_agree_on_subiso_and_sim() {
         .run(&frag, &Sim::new(), &SimQuery::new(pattern.clone()))
         .unwrap()
         .output;
-    let (block_sim, _) =
-        BlockCentricEngine::new(2).run(&frag, &BlockSim, &SimQuery::new(pattern.clone()));
+    let block_sim = run_block(&frag, &BlockSim, &SimQuery::new(pattern.clone()), 2)
+        .unwrap()
+        .output;
     assert_eq!(grape_sim.relation(), block_sim.as_slice());
 }
 

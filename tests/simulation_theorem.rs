@@ -1,11 +1,12 @@
 //! Tests for the Simulation Theorem (Theorem 2): BSP and MapReduce programs
-//! run on GRAPE's simulation layers with the same round/superstep structure
-//! and produce their usual answers; a CREW-PRAM-style computation composes
-//! out of MapReduce rounds.
+//! run on GRAPE's engine, as PIE programs, with the same round/superstep
+//! structure and produce their usual answers; a CREW-PRAM-style computation
+//! composes out of MapReduce rounds.  Every cost is read from the engine's
+//! own `EngineMetrics`.
 
 use std::collections::HashMap;
 
-use grape::core::simulate::{run_bsp, run_mapreduce, BspOutbox, BspProgram, MapReduceJob};
+use grape::baselines::simulate::{BspAsPie, BspOutbox, BspProgram, MapReduceAsPie, MapReduceJob};
 
 /// MapReduce: inverted index over a small document collection.
 struct InvertedIndex;
@@ -35,9 +36,10 @@ fn mapreduce_inverted_index_is_correct_and_two_supersteps_per_round() {
         (1, "sequential algorithms stay sequential".to_string()),
         (2, "grape is a parallel engine".to_string()),
     ];
-    let (pairs, metrics) = run_mapreduce(&InvertedIndex, &docs, 3);
+    let result = MapReduceAsPie::new(InvertedIndex, docs, 3).run().unwrap();
+    let (output, metrics) = (result.output, result.metrics);
     let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-    for (word, doc) in pairs {
+    for (word, doc) in output.pairs {
         index.entry(word).or_default().push(doc);
     }
     for docs in index.values_mut() {
@@ -46,9 +48,11 @@ fn mapreduce_inverted_index_is_correct_and_two_supersteps_per_round() {
     assert_eq!(index["grape"], vec![0, 2]);
     assert_eq!(index["sequential"], vec![0, 1]);
     assert_eq!(index["engine"], vec![2]);
-    // Theorem 2(2): each map-shuffle-reduce round costs two supersteps.
-    assert_eq!(metrics.rounds, 1);
+    // Theorem 2(2): each map-shuffle-reduce round costs two supersteps, and
+    // the engine ships exactly the pairs shuffled across workers.
+    assert_eq!(output.rounds, 1);
     assert_eq!(metrics.supersteps, 2);
+    assert_eq!(metrics.total_messages, output.shuffled_pairs);
 }
 
 #[test]
@@ -56,14 +60,16 @@ fn mapreduce_output_is_independent_of_worker_count() {
     let docs: Vec<(usize, String)> = (0..12)
         .map(|i| (i, format!("w{} shared w{}", i % 4, i % 3)))
         .collect();
-    let normalize = |pairs: Vec<(String, usize)>| {
-        let mut v = pairs;
-        v.sort();
-        v
+    let run = |workers: usize| {
+        let mut pairs = MapReduceAsPie::new(InvertedIndex, docs.clone(), workers)
+            .run()
+            .unwrap()
+            .output
+            .pairs;
+        pairs.sort();
+        pairs
     };
-    let (a, _) = run_mapreduce(&InvertedIndex, &docs, 1);
-    let (b, _) = run_mapreduce(&InvertedIndex, &docs, 5);
-    assert_eq!(normalize(a), normalize(b));
+    assert_eq!(run(1), run(5));
 }
 
 /// BSP: parallel prefix-sum style accumulation — worker `w` holds value `w+1`
@@ -99,7 +105,8 @@ impl BspProgram for DoublingSum {
 
 #[test]
 fn bsp_recursive_doubling_reaches_the_global_sum() {
-    let (states, metrics) = run_bsp(&DoublingSum, 4, 10);
+    let result = BspAsPie::new(DoublingSum, 4).run(10).unwrap();
+    let (states, metrics) = (result.output, result.metrics);
     // 1 + 2 + 3 + 4 = 10 at every worker after log2(4) = 2 doubling rounds.
     assert!(
         states.iter().all(|(sum, _)| *sum == 10),
@@ -107,7 +114,7 @@ fn bsp_recursive_doubling_reaches_the_global_sum() {
     );
     // Supersteps: 2 doubling rounds plus the quiescent delivery step.
     assert_eq!(metrics.supersteps, 3);
-    assert_eq!(metrics.messages, 8);
+    assert_eq!(metrics.total_messages, 8);
 }
 
 /// PRAM-style composition: simulating one CREW PRAM step (every cell reads a
@@ -143,14 +150,18 @@ impl MapReduceJob for PramShiftAdd {
 #[test]
 fn pram_step_composition_runs_in_o_rounds() {
     let cells: Vec<(usize, u64)> = (0..8).map(|i| (i, 1)).collect();
-    let (pairs, metrics) = run_mapreduce(&PramShiftAdd { rounds: 3 }, &cells, 4);
-    let values: HashMap<usize, u64> = pairs.into_iter().collect();
+    let result = MapReduceAsPie::new(PramShiftAdd { rounds: 3 }, cells, 4)
+        .run()
+        .unwrap();
+    let (output, metrics) = (result.output, result.metrics);
+    let values: HashMap<usize, u64> = output.pairs.into_iter().collect();
     // After r shift-add rounds, cell i holds C(r, k) contributions summed —
     // in particular cell 0 still holds 1 and the values are monotone in i up
     // to the binomial profile; the structural claim we verify is the cost:
     // 3 rounds → 2 supersteps for round 1 plus 2 per later round.
     assert_eq!(values[&0], 1);
     assert!(values[&3] >= values[&0]);
-    assert_eq!(metrics.rounds, 3);
+    assert_eq!(output.rounds, 3);
     assert_eq!(metrics.supersteps, 2 + 2 * 2);
+    assert_eq!(metrics.total_messages, output.shuffled_pairs);
 }

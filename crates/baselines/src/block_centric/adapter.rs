@@ -2,36 +2,49 @@
 //! *batch* local computation per superstep and exchanges messages
 //! addressed to vertices of other blocks.  [`BlockAsPie`] runs a
 //! [`BlockProgram`] on GRAPE's engine, so the baseline and GRAPE share one
-//! runtime and differ only in their programs.
+//! runtime and differ only in their programs.  The BSP and MapReduce
+//! simulations of Theorem 2 ([`crate::simulate`]) are block programs too.
 //!
 //! The crucial difference to GRAPE is that there is no incremental
 //! evaluation: each superstep re-runs the block's batch logic over the whole
 //! fragment and typically re-ships every border value it computed, not only
 //! the changed ones — which is where the paper's factor-of-a-few gaps in both
-//! time and communication come from.  Block messages are model messages
-//! ([`crate::model`]): none is merged or dropped, each is charged its
-//! [`BlockProgram::message_size`] plus a vertex id, and a block's inbox
-//! arrives ordered by sender, then send order.
+//! time and communication come from.
+//!
+//! A block message is not an update parameter: two messages to one vertex
+//! must both arrive, and an unchanged value must ship again.  So every
+//! message gets a key of its own, [`ModelKey`], unique per sender fragment,
+//! sender evaluation and send.  `Messages` coalescing, the mailbox's
+//! `aggregateMsg` and the delivered cache then never merge or drop one, and
+//! the engine charges each once: its [`BlockProgram::message_size`] plus a
+//! vertex id.  A block's inbox is sorted by that key, which is the order the
+//! senders produced it in.
 
-use grape_core::config::EngineConfig;
+use grape_core::config::{EngineConfig, EngineMode};
 use grape_core::engine::{EngineError, RunResult};
-use grape_core::pie::{Messages, PieProgram};
+use grape_core::pie::{KeyVertex, Messages, PieProgram};
+use grape_core::session::GrapeSession;
 use grape_graph::types::VertexId;
 use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
-
-use crate::model::{in_send_order, model_session, ModelKey, Outbox, MODEL_KEY_SIZE};
 
 /// Message outbox of a block.
 #[derive(Debug)]
 pub struct BlockContext<M> {
     messages: Vec<(VertexId, M)>,
+    again: bool,
 }
 
 impl<M> BlockContext<M> {
     /// Sends `message` to (the block owning) vertex `to`.
     pub fn send(&mut self, to: VertexId, message: M) {
         self.messages.push((to, message));
+    }
+
+    /// Asks to compute again next superstep, with an empty inbox if no mail
+    /// arrives ([`Messages::run_again`]).
+    pub fn run_again(&mut self) {
+        self.again = true;
     }
 }
 
@@ -70,8 +83,8 @@ pub trait BlockProgram: Send + Sync {
 
     /// One superstep of one block: consume the inbox, recompute, emit
     /// messages.  Every block runs the first superstep with an empty inbox,
-    /// and afterwards whenever mail arrives; the run terminates when no
-    /// block emits a message.
+    /// and afterwards whenever mail arrives or it asked to run again; the
+    /// run terminates when no block does either.
     fn compute(
         &self,
         query: &Self::Query,
@@ -90,11 +103,31 @@ pub trait BlockProgram: Send + Sync {
     }
 }
 
+/// The key of one block message.  Its order is the delivery order of an
+/// inbox: by sender, then by the sender's evaluation, then by send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ModelKey {
+    /// The sending fragment.
+    pub sender: u32,
+    /// The sender's evaluation index: 0 for PEval, `i` for its `i`-th
+    /// IncEval.
+    pub eval: u32,
+    /// The message's position among that evaluation's sends.
+    pub seq: u32,
+    /// The vertex the message is addressed to; `G_P` routes it from there.
+    pub target: VertexId,
+}
+
+impl KeyVertex for ModelKey {
+    fn vertex(&self) -> VertexId {
+        self.target
+    }
+}
+
 /// A [`BlockProgram`] as a PIE program: PEval is `init` plus the first
 /// `compute`, IncEval every later `compute`.
 pub struct BlockAsPie<'p, B> {
     program: &'p B,
-    name: String,
 }
 
 /// The partial result of one block: its state and how often it ran.
@@ -105,12 +138,9 @@ pub struct Block<S> {
 }
 
 impl<'p, B: BlockProgram> BlockAsPie<'p, B> {
-    /// Adapts `program`; metrics name it `block-centric-<name>`.
+    /// Adapts `program`.
     pub fn new(program: &'p B) -> Self {
-        BlockAsPie {
-            name: format!("block-centric-{}", program.name()),
-            program,
-        }
+        BlockAsPie { program }
     }
 
     fn compute(
@@ -121,15 +151,25 @@ impl<'p, B: BlockProgram> BlockAsPie<'p, B> {
         inbox: &[(VertexId, B::Message)],
         ctx: &mut Messages<ModelKey, B::Message>,
     ) {
-        let mut sent = BlockContext {
+        let mut out = BlockContext {
             messages: Vec::new(),
+            again: false,
         };
         self.program
-            .compute(query, frag, &mut block.state, inbox, &mut sent);
-        let mut out = Outbox::new(ctx, frag.id(), block.evals);
+            .compute(query, frag, &mut block.state, inbox, &mut out);
+        let (sender, eval) = (frag.id() as u32, block.evals);
         block.evals += 1;
-        for (to, message) in sent.messages {
-            out.send(to, message);
+        for (seq, (target, message)) in (0..).zip(out.messages) {
+            let key = ModelKey {
+                sender,
+                eval,
+                seq,
+                target,
+            };
+            ctx.send(key, message);
+        }
+        if out.again {
+            ctx.run_again();
         }
     }
 }
@@ -142,7 +182,7 @@ impl<B: BlockProgram> PieProgram for BlockAsPie<'_, B> {
     type Output = B::Output;
 
     fn name(&self) -> &str {
-        &self.name
+        self.program.name()
     }
 
     fn scope(&self) -> BorderScope {
@@ -175,10 +215,9 @@ impl<B: BlockProgram> PieProgram for BlockAsPie<'_, B> {
         messages: &[(ModelKey, B::Message)],
         ctx: &mut Messages<ModelKey, B::Message>,
     ) {
-        let inbox: Vec<(VertexId, B::Message)> = in_send_order(messages)
-            .into_iter()
-            .map(|(key, message)| (key.target, message))
-            .collect();
+        let mut inbox = messages.to_vec();
+        inbox.sort_unstable_by_key(|(key, _)| *key);
+        let inbox: Vec<_> = inbox.into_iter().map(|(k, m)| (k.target, m)).collect();
         self.compute(query, frag, block, &inbox, ctx);
     }
 
@@ -192,13 +231,26 @@ impl<B: BlockProgram> PieProgram for BlockAsPie<'_, B> {
         b
     }
 
+    /// The target vertex id: sender, evaluation and send index are the
+    /// message's place in the stream, not payload.
     fn key_size(&self, _key: &ModelKey) -> usize {
-        MODEL_KEY_SIZE
+        std::mem::size_of::<VertexId>()
     }
 
     fn value_size(&self, message: &B::Message) -> usize {
         self.program.message_size(message)
     }
+}
+
+/// A session of `workers` threads pinned to [`EngineMode::Sync`]: block
+/// programs are BSP, so their supersteps are the barrier's rounds.
+pub fn model_session(workers: usize, max_supersteps: usize) -> GrapeSession {
+    GrapeSession::builder()
+        .workers(workers)
+        .mode(EngineMode::Sync)
+        .max_supersteps(max_supersteps)
+        .build()
+        .expect("a Sync session without fault injection is valid")
 }
 
 /// Runs a block program over a fragmentation on a Sync session of

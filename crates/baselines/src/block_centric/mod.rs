@@ -5,5 +5,7 @@
 pub mod adapter;
 pub mod programs;
 
-pub use adapter::{run_block, Block, BlockAsPie, BlockContext, BlockProgram, BlockRouting};
+pub use adapter::{
+    model_session, run_block, Block, BlockAsPie, BlockContext, BlockProgram, BlockRouting, ModelKey,
+};
 pub use programs::{run_block_subiso, BlockCc, BlockCf, BlockSim, BlockSssp};

@@ -52,7 +52,7 @@ impl BlockProgram for BlockSssp {
     type Output = HashMap<VertexId, f64>;
 
     fn name(&self) -> &str {
-        "sssp"
+        "block-centric-sssp"
     }
 
     fn init(&self, query: &SsspQuery, frag: &Fragment) -> Self::BlockState {
@@ -143,7 +143,7 @@ impl BlockProgram for BlockCc {
     type Output = HashMap<VertexId, VertexId>;
 
     fn name(&self) -> &str {
-        "cc"
+        "block-centric-cc"
     }
 
     fn init(&self, _q: &(), frag: &Fragment) -> Self::BlockState {
@@ -233,7 +233,7 @@ impl BlockProgram for BlockSim {
     type Output = Vec<Vec<VertexId>>;
 
     fn name(&self) -> &str {
-        "sim"
+        "block-centric-sim"
     }
 
     fn routing(&self) -> BlockRouting {
@@ -345,7 +345,7 @@ impl BlockProgram for BlockCf {
     type Output = CfModel;
 
     fn name(&self) -> &str {
-        "cf"
+        "block-centric-cf"
     }
 
     fn routing(&self) -> BlockRouting {

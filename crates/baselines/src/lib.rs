@@ -11,16 +11,13 @@
 //! * [`block_centric`] — Blogel-style B-compute programs that run batch
 //!   computations per block and exchange per-edge messages between blocks,
 //!   for the same query classes, run on GRAPE's engine,
-//! * [`simulate`] — BSP and MapReduce programs run on GRAPE's engine
-//!   (Theorem 2),
-//! * [`model`] — what the last two share: one engine message per model
-//!   message, on a Sync session.
+//! * [`simulate`] — BSP programs and MapReduce jobs run on GRAPE's engine
+//!   as block programs (Theorem 2).
 //!
 //! All of them report [`grape_core::metrics::EngineMetrics`], which is what
 //! the benchmark harness prints for Table 1 and Figures 6, 8 and 9.
 
 pub mod block_centric;
-pub mod model;
 pub mod simulate;
 pub mod vertex_centric;
 

@@ -4,11 +4,13 @@
 //! The paper proves that BSP, MapReduce and (CREW) PRAM programs can be
 //! simulated on GRAPE with no extra asymptotic cost: BSP workers map to GRAPE
 //! workers one-to-one, and each MapReduce round becomes two supersteps driven
-//! by key-value messages (Section 3.5 / 4.2).  The two adapters here are that
-//! compilation: [`BspAsPie`] and [`MapReduceAsPie`] are PIE programs, run by
-//! [`GrapeSession`] over one fragment per simulated worker, and the costs
-//! the tests check ("same number of rounds/supersteps, message volume equal
-//! to the shuffled data") are the engine's own
+//! by key-value messages (Section 3.5 / 4.2).  [`Bsp`] is that compilation:
+//! a BSP program is a block program over one fragment per worker, run as a
+//! PIE program ([`BlockAsPie`]) by a Sync [`grape_core::session::GrapeSession`],
+//! so a BSP superstep is an engine superstep and a BSP message an engine
+//! message.  [`MapReduce`] compiles a job into a BSP program.  The costs the
+//! tests check ("same number of rounds/supersteps, message volume equal to
+//! the shuffled data") are the engine's own
 //! [`grape_core::metrics::EngineMetrics`].
 //!
 //! PRAM follows from MapReduce (a CREW PRAM step is simulated by one
@@ -20,29 +22,13 @@ use std::hash::{Hash, Hasher};
 
 use grape_core::config::EngineConfig;
 use grape_core::engine::{EngineError, RunResult};
-use grape_core::pie::{Messages, PieProgram};
 use grape_graph::builder::GraphBuilder;
-use grape_graph::types::Edge;
+use grape_graph::types::{Edge, VertexId};
 use grape_partition::edge_cut::RangeEdgeCut;
-use grape_partition::fragment::{Fragment, Fragmentation};
+use grape_partition::fragment::Fragment;
 use grape_partition::strategy::PartitionStrategy;
 
-use crate::model::{in_send_order, model_session, ModelKey, Outbox, MODEL_KEY_SIZE};
-
-/// One fragment per simulated worker over the complete digraph `K_n`:
-/// worker `w` owns vertex `w`, and a message to worker `t` is an update to
-/// vertex `t`, which `G_P` routes to fragment `t`.
-fn one_fragment_per_worker(n: usize) -> Fragmentation {
-    let mut b = GraphBuilder::directed().ensure_vertices(n);
-    for from in 0..n as u64 {
-        for to in (0..n as u64).filter(|&to| to != from) {
-            b.push_edge(Edge::unweighted(from, to));
-        }
-    }
-    RangeEdgeCut::new(n)
-        .partition(&b.build())
-        .expect("K_n splits into one fragment per vertex")
-}
+use crate::block_centric::{model_session, BlockAsPie, BlockContext, BlockProgram};
 
 // ---------------------------------------------------------------------------
 // BSP
@@ -86,29 +72,28 @@ pub trait BspProgram: Send + Sync {
     );
 }
 
-/// Theorem 2(1): a BSP program as a PIE program, one GRAPE worker per BSP
-/// worker with an identical superstep structure.  PEval is the first
-/// superstep, IncEval every later one, and a BSP message is one engine
-/// message.  A message a worker sends itself never leaves it: it is kept
-/// with the worker's state, delivered next superstep in its place among the
-/// senders, and not charged.
-pub struct BspAsPie<B> {
+/// Theorem 2(1): a BSP program on `n` workers as a block program over the
+/// complete digraph `K_n`, one GRAPE worker per BSP worker.  Worker `w`
+/// owns vertex `w`, and a message to worker `t` is addressed to vertex `t`,
+/// which `G_P` routes to fragment `t`.  A message a worker sends itself
+/// never leaves it: it is kept with the worker's state, delivered first
+/// next superstep ([`BlockContext::run_again`]), and not charged.
+pub struct Bsp<B> {
     program: B,
     workers: usize,
 }
 
-/// The partial result of one BSP worker.
+/// The state of one BSP worker.
 #[derive(Clone)]
 pub struct BspWorker<S, M> {
     state: S,
-    evals: u32,
-    to_self: Vec<(ModelKey, M)>,
+    to_self: Vec<M>,
 }
 
-impl<B: BspProgram> BspAsPie<B> {
+impl<B: BspProgram> Bsp<B> {
     /// `program` on `workers` BSP workers (at least one).
     pub fn new(program: B, workers: usize) -> Self {
-        BspAsPie {
+        Bsp {
             program,
             workers: workers.max(1),
         }
@@ -119,93 +104,66 @@ impl<B: BspProgram> BspAsPie<B> {
     /// [`EngineError::DidNotConverge`].  The output is each worker's final
     /// state, in worker order.
     pub fn run(&self, max_supersteps: usize) -> Result<RunResult<Vec<B::State>>, EngineError> {
-        model_session(self.workers, max_supersteps).run(
-            &one_fragment_per_worker(self.workers),
-            self,
-            &(),
-        )
-    }
-
-    fn superstep(
-        &self,
-        worker: &mut BspWorker<B::State, B::Message>,
-        w: usize,
-        inbox: Vec<B::Message>,
-        ctx: &mut Messages<ModelKey, B::Message>,
-    ) {
-        let mut outbox = BspOutbox {
-            messages: Vec::new(),
-        };
-        self.program
-            .superstep(w, &mut worker.state, inbox, &mut outbox);
-        let mut out = Outbox::new(ctx, w, worker.evals);
-        worker.evals += 1;
-        for (to, message) in outbox.messages {
-            let to = to % self.workers;
-            if to == w {
-                worker.to_self.push((out.key(to as u64), message));
-            } else {
-                out.send(to as u64, message);
+        let n = self.workers as VertexId;
+        let mut k_n = GraphBuilder::directed().ensure_vertices(self.workers);
+        for (from, to) in (0..n).flat_map(|from| (0..n).map(move |to| (from, to))) {
+            if from != to {
+                k_n.push_edge(Edge::unweighted(from, to));
             }
         }
-        if !worker.to_self.is_empty() {
-            out.run_again();
-        }
+        let fragments = RangeEdgeCut::new(self.workers)
+            .partition(&k_n.build())
+            .expect("K_n splits into one fragment per vertex");
+        model_session(self.workers, max_supersteps).run(&fragments, &BlockAsPie::new(self), &())
     }
 }
 
-impl<B: BspProgram> PieProgram for BspAsPie<B> {
+impl<B: BspProgram> BlockProgram for Bsp<B> {
     type Query = ();
-    type Partial = BspWorker<B::State, B::Message>;
-    type Key = ModelKey;
-    type Value = B::Message;
+    type BlockState = BspWorker<B::State, B::Message>;
+    type Message = B::Message;
     type Output = Vec<B::State>;
 
     fn name(&self) -> &str {
         "bsp"
     }
 
-    fn peval(
-        &self,
-        _: &(),
-        frag: &Fragment,
-        ctx: &mut Messages<ModelKey, B::Message>,
-    ) -> Self::Partial {
-        let w = frag.id();
-        let mut worker = BspWorker {
-            state: self.program.init(w, self.workers),
-            evals: 0,
+    fn init(&self, _: &(), frag: &Fragment) -> Self::BlockState {
+        BspWorker {
+            state: self.program.init(frag.id(), self.workers),
             to_self: Vec::new(),
-        };
-        self.superstep(&mut worker, w, Vec::new(), ctx);
-        worker
+        }
     }
 
-    fn inc_eval(
+    fn compute(
         &self,
         _: &(),
         frag: &Fragment,
-        worker: &mut Self::Partial,
-        messages: &[(ModelKey, B::Message)],
-        ctx: &mut Messages<ModelKey, B::Message>,
+        worker: &mut Self::BlockState,
+        messages: &[(VertexId, B::Message)],
+        ctx: &mut BlockContext<B::Message>,
     ) {
-        let mut mail = std::mem::take(&mut worker.to_self);
-        mail.extend_from_slice(messages);
-        let inbox = in_send_order(&mail).into_iter().map(|(_, m)| m).collect();
-        self.superstep(worker, frag.id(), inbox, ctx);
+        let w = frag.id();
+        let mut inbox = std::mem::take(&mut worker.to_self);
+        inbox.extend(messages.iter().map(|(_, m)| m.clone()));
+        let mut outbox = BspOutbox {
+            messages: Vec::new(),
+        };
+        self.program
+            .superstep(w, &mut worker.state, inbox, &mut outbox);
+        for (to, message) in outbox.messages {
+            match to % self.workers {
+                to if to == w => worker.to_self.push(message),
+                to => ctx.send(to as VertexId, message),
+            }
+        }
+        if !worker.to_self.is_empty() {
+            ctx.run_again();
+        }
     }
 
-    fn assemble(&self, _: &(), workers: Vec<Self::Partial>) -> Vec<B::State> {
+    fn output(&self, _: &(), workers: Vec<Self::BlockState>) -> Vec<B::State> {
         workers.into_iter().map(|w| w.state).collect()
-    }
-
-    /// Every message has a key of its own, so no two ever meet.
-    fn aggregate(&self, _key: &ModelKey, _a: B::Message, b: B::Message) -> B::Message {
-        b
-    }
-
-    fn key_size(&self, _key: &ModelKey) -> usize {
-        MODEL_KEY_SIZE
     }
 }
 
@@ -240,31 +198,30 @@ pub trait MapReduceJob: Send + Sync {
     fn reduce(&self, key: &Self::Key, values: Vec<Self::Value>) -> Vec<(Self::Key, Self::Value)>;
 }
 
-/// Theorem 2(2): a MapReduce job as a PIE program.  PEval maps the worker's
-/// share of the inputs (input `i` goes to worker `i mod n`) and shuffles;
-/// the next superstep reduces; each later round remaps in a superstep of
-/// its own and reduces in the next, so `r` rounds take `2r` supersteps.  A
-/// shuffled pair is one engine message; a pair whose reducer is its own
-/// mapper stays put and is not charged.  A worker with nothing incoming
-/// still takes its reduce or remap step ([`Messages::run_again`]).
-pub struct MapReduceAsPie<J: MapReduceJob> {
-    job: J,
-    inputs: Vec<J::Input>,
-    workers: usize,
+/// Theorem 2(2): a MapReduce job as a BSP program.  The first superstep
+/// maps the worker's share of the inputs (input `i` goes to worker
+/// `i mod n`) and shuffles; the next one reduces; each later round remaps
+/// in a superstep of its own and reduces in the next, so `r` rounds take
+/// `2r` supersteps.  A shuffled pair is one engine message; a pair whose
+/// reducer is its own mapper stays put and is not charged.  A worker with
+/// nothing incoming still takes its reduce or remap step: it reminds itself
+/// with a `None` message, which never leaves it either.
+pub struct MapReduce<J: MapReduceJob> {
+    bsp: Bsp<Job<J>>,
 }
 
-/// The output type of job `J`.
-pub type JobOutput<J> = MapReduceOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>;
+struct Job<J: MapReduceJob> {
+    job: J,
+    inputs: Vec<J::Input>,
+}
 
-/// The partial result of one MapReduce worker.
+/// The state of one MapReduce worker.
 #[derive(Clone)]
 pub struct MapReduceWorker<K, V> {
-    evals: u32,
-    /// Map output this worker reduces itself, keyed like a message.
-    kept: Vec<(ModelKey, (K, V))>,
+    workers: usize,
+    steps: usize,
     /// Reduce output of the last round.
     reduced: Vec<(K, V)>,
-    /// Rounds reduced so far.
     rounds: usize,
     /// Pairs this worker shuffled to another worker.
     shuffled: usize,
@@ -282,111 +239,78 @@ pub struct MapReduceOutput<K, V> {
     pub shuffled_pairs: usize,
 }
 
-impl<J: MapReduceJob> MapReduceAsPie<J> {
+/// The output type of job `J`.
+pub type JobOutput<J> = MapReduceOutput<<J as MapReduceJob>::Key, <J as MapReduceJob>::Value>;
+
+impl<J: MapReduceJob> MapReduce<J> {
     /// `job` over `inputs` on `workers` workers (at least one).
     pub fn new(job: J, inputs: Vec<J::Input>, workers: usize) -> Self {
-        MapReduceAsPie {
-            job,
-            inputs,
-            workers: workers.max(1),
+        MapReduce {
+            bsp: Bsp::new(Job { job, inputs }, workers),
         }
     }
 
     /// Runs the job on a Sync session with one thread per worker.
     pub fn run(&self) -> Result<RunResult<JobOutput<J>>, EngineError> {
-        model_session(self.workers, EngineConfig::default().max_supersteps).run(
-            &one_fragment_per_worker(self.workers),
-            self,
-            &(),
-        )
-    }
-
-    /// The shuffle: each pair goes to the worker its key hashes to.
-    fn shuffle(
-        &self,
-        worker: &mut MapReduceWorker<J::Key, J::Value>,
-        w: usize,
-        pairs: Vec<(J::Key, J::Value)>,
-        ctx: &mut Messages<ModelKey, (J::Key, J::Value)>,
-    ) {
-        let mut out = Outbox::new(ctx, w, worker.evals);
-        worker.evals += 1;
-        for (k, v) in pairs {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            k.hash(&mut hasher);
-            let dest = (hasher.finish() % self.workers as u64) as usize;
-            if dest == w {
-                worker.kept.push((out.key(dest as u64), (k, v)));
-            } else {
-                worker.shuffled += 1;
-                out.send(dest as u64, (k, v));
-            }
-        }
-        out.run_again();
+        let RunResult { output, metrics } = self.bsp.run(EngineConfig::default().max_supersteps)?;
+        let output = MapReduceOutput {
+            rounds: output.iter().map(|w| w.rounds).max().unwrap_or(0),
+            shuffled_pairs: output.iter().map(|w| w.shuffled).sum(),
+            pairs: output.into_iter().flat_map(|w| w.reduced).collect(),
+        };
+        Ok(RunResult { output, metrics })
     }
 }
 
-impl<J: MapReduceJob> PieProgram for MapReduceAsPie<J> {
-    type Query = ();
-    type Partial = MapReduceWorker<J::Key, J::Value>;
-    type Key = ModelKey;
-    type Value = (J::Key, J::Value);
-    type Output = MapReduceOutput<J::Key, J::Value>;
+impl<J: MapReduceJob> BspProgram for Job<J> {
+    type State = MapReduceWorker<J::Key, J::Value>;
+    type Message = Option<(J::Key, J::Value)>;
 
-    fn name(&self) -> &str {
-        "mapreduce"
-    }
-
-    fn peval(
-        &self,
-        _: &(),
-        frag: &Fragment,
-        ctx: &mut Messages<ModelKey, (J::Key, J::Value)>,
-    ) -> Self::Partial {
-        let w = frag.id();
-        let mut worker = MapReduceWorker {
-            evals: 0,
-            kept: Vec::new(),
+    fn init(&self, _worker: usize, workers: usize) -> Self::State {
+        MapReduceWorker {
+            workers,
+            steps: 0,
             reduced: Vec::new(),
             rounds: 0,
             shuffled: 0,
-        };
-        let mapped = (w..self.inputs.len())
-            .step_by(self.workers)
-            .flat_map(|i| self.job.map(&self.inputs[i]))
-            .collect();
-        self.shuffle(&mut worker, w, mapped, ctx);
-        worker
+        }
     }
 
-    /// Odd evaluations reduce what the last shuffle brought (a worker's own
-    /// pairs included); even ones remap the last reduce output and shuffle,
-    /// as PEval maps and shuffles.
-    fn inc_eval(
+    fn superstep(
         &self,
-        _: &(),
-        frag: &Fragment,
-        worker: &mut Self::Partial,
-        messages: &[(ModelKey, (J::Key, J::Value))],
-        ctx: &mut Messages<ModelKey, (J::Key, J::Value)>,
+        w: usize,
+        worker: &mut Self::State,
+        inbox: Vec<Self::Message>,
+        outbox: &mut BspOutbox<Self::Message>,
     ) {
-        let w = frag.id();
-        if worker.evals.is_multiple_of(2) {
-            let reduced = std::mem::take(&mut worker.reduced);
-            let remapped = reduced
-                .iter()
-                .flat_map(|(k, v)| self.job.remap(k, v))
-                .collect();
-            self.shuffle(worker, w, remapped, ctx);
+        worker.steps += 1;
+        if worker.steps % 2 == 1 {
+            // Map (the first step) or remap, then shuffle each pair to the
+            // worker its key hashes to.
+            let pairs: Vec<_> = match worker.steps {
+                1 => (w..self.inputs.len())
+                    .step_by(worker.workers)
+                    .flat_map(|i| self.job.map(&self.inputs[i]))
+                    .collect(),
+                _ => std::mem::take(&mut worker.reduced)
+                    .iter()
+                    .flat_map(|(k, v)| self.job.remap(k, v))
+                    .collect(),
+            };
+            for (k, v) in pairs {
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                k.hash(&mut hasher);
+                let dest = (hasher.finish() % worker.workers as u64) as usize;
+                worker.shuffled += usize::from(dest != w);
+                outbox.send(dest, Some((k, v)));
+            }
+            outbox.send(w, None);
             return;
         }
-        worker.evals += 1;
-        let mut mail = std::mem::take(&mut worker.kept);
-        mail.extend_from_slice(messages);
-        // Group values by key in delivery order: by sender, then send order.
+        // Reduce, with each key's values in arrival order.
         let mut index: HashMap<J::Key, usize> = HashMap::new();
         let mut groups: Vec<(J::Key, Vec<J::Value>)> = Vec::new();
-        for (_, (k, v)) in in_send_order(&mail) {
+        for (k, v) in inbox.into_iter().flatten() {
             match index.get(&k) {
                 Some(&g) => groups[g].1.push(v),
                 None => {
@@ -401,30 +325,8 @@ impl<J: MapReduceJob> PieProgram for MapReduceAsPie<J> {
             .collect();
         worker.rounds += 1;
         if worker.rounds < self.job.rounds() {
-            ctx.run_again();
+            outbox.send(w, None);
         }
-    }
-
-    fn assemble(&self, _: &(), workers: Vec<Self::Partial>) -> Self::Output {
-        MapReduceOutput {
-            rounds: workers.iter().map(|w| w.rounds).max().unwrap_or(0),
-            shuffled_pairs: workers.iter().map(|w| w.shuffled).sum(),
-            pairs: workers.into_iter().flat_map(|w| w.reduced).collect(),
-        }
-    }
-
-    /// Every message has a key of its own, so no two ever meet.
-    fn aggregate(
-        &self,
-        _key: &ModelKey,
-        _a: (J::Key, J::Value),
-        b: (J::Key, J::Value),
-    ) -> (J::Key, J::Value) {
-        b
-    }
-
-    fn key_size(&self, _key: &ModelKey) -> usize {
-        MODEL_KEY_SIZE
     }
 }
 
@@ -453,7 +355,7 @@ mod tests {
     }
 
     fn word_count(docs: &[String], workers: usize) -> RunResult<MapReduceOutput<String, u64>> {
-        MapReduceAsPie::new(WordCount, docs.to_vec(), workers)
+        MapReduce::new(WordCount, docs.to_vec(), workers)
             .run()
             .unwrap()
     }
@@ -530,7 +432,7 @@ mod tests {
     #[test]
     fn multi_round_jobs_use_two_supersteps_per_round_plus_remap() {
         let docs = vec!["a a b".to_string(), "a b c".to_string()];
-        let result = MapReduceAsPie::new(ParityOfCounts, docs, 2).run().unwrap();
+        let result = MapReduce::new(ParityOfCounts, docs, 2).run().unwrap();
         let counts: HashMap<String, u64> = result.output.pairs.into_iter().collect();
         // counts: a=3 (odd), b=2 (even), c=1 (odd) → odd: 2 words, even: 1 word.
         assert_eq!(counts["odd"], 2);
@@ -576,7 +478,7 @@ mod tests {
 
     #[test]
     fn bsp_token_ring_visits_every_worker() {
-        let result = BspAsPie::new(TokenRing { laps: 7 }, 4).run(100).unwrap();
+        let result = Bsp::new(TokenRing { laps: 7 }, 4).run(100).unwrap();
         // Token visits workers 1, 2, 3, 0, 1, 2, 3 (7 hops).
         assert_eq!(result.output.iter().sum::<u64>(), 8); // 7 receipts + worker 0 start
         assert_eq!(result.metrics.total_messages, 7);
@@ -588,9 +490,7 @@ mod tests {
 
     #[test]
     fn a_non_terminating_bsp_program_fails_at_the_session_superstep_cap() {
-        let err = BspAsPie::new(TokenRing { laps: 1000 }, 2)
-            .run(5)
-            .unwrap_err();
+        let err = Bsp::new(TokenRing { laps: 1000 }, 2).run(5).unwrap_err();
         assert_eq!(err, EngineError::DidNotConverge { max_supersteps: 5 });
     }
 
@@ -598,7 +498,7 @@ mod tests {
     /// crossing the wire: one worker passes the token to itself.
     #[test]
     fn a_bsp_worker_sending_itself_is_run_again_and_not_charged() {
-        let result = BspAsPie::new(TokenRing { laps: 3 }, 1).run(100).unwrap();
+        let result = Bsp::new(TokenRing { laps: 3 }, 1).run(100).unwrap();
         assert_eq!(result.output, vec![4]);
         assert_eq!(result.metrics.supersteps, 4);
         assert_eq!(result.metrics.total_messages, 0);

@@ -169,12 +169,6 @@ struct RunCtx<'r> {
     again: Vec<AtomicBool>,
 }
 
-impl RunCtx<'_> {
-    fn any_again(&self) -> bool {
-        self.again.iter().any(|a| a.load(Ordering::Relaxed))
-    }
-}
-
 /// The first failure of a run: a host error (e.g. a dead worker
 /// subprocess), a divergence, or a panic inside an evaluation.  Recording
 /// one raises the abort flag every worker checks before its next
@@ -679,8 +673,8 @@ fn run_loop<P: PieProgram, H: WorkerHost<P>, T: Transport<P::Key, P::Value>>(
             let pending = transport.pending_mailboxes() > 0;
             for &fi in mine {
                 let rooting = round == 0 && ctx.peval[fi];
-                // Written by this worker and read by the barrier's leader
-                // only, each side of a barrier.
+                // Only this worker and the barrier's leader touch the flag,
+                // on opposite sides of a barrier.
                 let again = ctx.again[fi].load(Ordering::Relaxed);
                 if failure.aborted() {
                     break;
@@ -810,7 +804,8 @@ fn coordinator<'g, P: PieProgram, H: WorkerHost<P>>(
             ));
             metrics.checkpoints += 1;
         }
-        if transport.pending_mailboxes() == 0 && !ctx.any_again() {
+        let again = ctx.again.iter().any(|a| a.load(Ordering::Relaxed));
+        if transport.pending_mailboxes() == 0 && !again {
             return Ok(None); // the fixpoint: no pending messages or reruns
         }
         let unfired = failures.len();

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use grape::baselines::simulate::{BspAsPie, BspOutbox, BspProgram, MapReduceAsPie, MapReduceJob};
+use grape::baselines::simulate::{Bsp, BspOutbox, BspProgram, MapReduce, MapReduceJob};
 
 /// MapReduce: inverted index over a small document collection.
 struct InvertedIndex;
@@ -36,7 +36,7 @@ fn mapreduce_inverted_index_is_correct_and_two_supersteps_per_round() {
         (1, "sequential algorithms stay sequential".to_string()),
         (2, "grape is a parallel engine".to_string()),
     ];
-    let result = MapReduceAsPie::new(InvertedIndex, docs, 3).run().unwrap();
+    let result = MapReduce::new(InvertedIndex, docs, 3).run().unwrap();
     let (output, metrics) = (result.output, result.metrics);
     let mut index: HashMap<String, Vec<usize>> = HashMap::new();
     for (word, doc) in output.pairs {
@@ -61,7 +61,7 @@ fn mapreduce_output_is_independent_of_worker_count() {
         .map(|i| (i, format!("w{} shared w{}", i % 4, i % 3)))
         .collect();
     let run = |workers: usize| {
-        let mut pairs = MapReduceAsPie::new(InvertedIndex, docs.clone(), workers)
+        let mut pairs = MapReduce::new(InvertedIndex, docs.clone(), workers)
             .run()
             .unwrap()
             .output
@@ -105,7 +105,7 @@ impl BspProgram for DoublingSum {
 
 #[test]
 fn bsp_recursive_doubling_reaches_the_global_sum() {
-    let result = BspAsPie::new(DoublingSum, 4).run(10).unwrap();
+    let result = Bsp::new(DoublingSum, 4).run(10).unwrap();
     let (states, metrics) = (result.output, result.metrics);
     // 1 + 2 + 3 + 4 = 10 at every worker after log2(4) = 2 doubling rounds.
     assert!(
@@ -150,7 +150,7 @@ impl MapReduceJob for PramShiftAdd {
 #[test]
 fn pram_step_composition_runs_in_o_rounds() {
     let cells: Vec<(usize, u64)> = (0..8).map(|i| (i, 1)).collect();
-    let result = MapReduceAsPie::new(PramShiftAdd { rounds: 3 }, cells, 4)
+    let result = MapReduce::new(PramShiftAdd { rounds: 3 }, cells, 4)
         .run()
         .unwrap();
     let (output, metrics) = (result.output, result.metrics);

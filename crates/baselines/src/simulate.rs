@@ -23,7 +23,7 @@ use std::hash::{Hash, Hasher};
 use grape_core::config::EngineConfig;
 use grape_core::engine::{EngineError, RunResult};
 use grape_graph::builder::GraphBuilder;
-use grape_graph::types::{Edge, VertexId};
+use grape_graph::types::VertexId;
 use grape_partition::edge_cut::RangeEdgeCut;
 use grape_partition::fragment::Fragment;
 use grape_partition::strategy::PartitionStrategy;
@@ -72,14 +72,14 @@ pub trait BspProgram: Send + Sync {
     );
 }
 
-/// Theorem 2(1): a BSP program on `n` workers as a block program over the
-/// complete digraph `K_n`, one GRAPE worker per BSP worker.  Worker `w`
-/// owns vertex `w`, and a message to worker `t` is addressed to vertex `t`,
-/// which `G_P` routes to fragment `t`.  A message a worker sends itself
-/// never leaves it: it is kept with the worker's state, delivered first
-/// next superstep ([`BlockContext::run_again`]), and not charged.
-pub struct Bsp<B> {
-    program: B,
+/// Theorem 2(1): a BSP program on `n` workers as a block program, one
+/// GRAPE worker per BSP worker.  Worker `w` is the one vertex of fragment
+/// `w`, and a message to worker `t` is addressed to vertex `t`, which `G_P`
+/// routes to its owner.  A message a worker sends itself never leaves it:
+/// it is kept with the worker's state, delivered first next superstep
+/// ([`BlockContext::run_again`]), and not charged.
+pub struct Bsp<'p, B> {
+    program: &'p B,
     workers: usize,
 }
 
@@ -90,9 +90,9 @@ pub struct BspWorker<S, M> {
     to_self: Vec<M>,
 }
 
-impl<B: BspProgram> Bsp<B> {
+impl<'p, B: BspProgram> Bsp<'p, B> {
     /// `program` on `workers` BSP workers (at least one).
-    pub fn new(program: B, workers: usize) -> Self {
+    pub fn new(program: &'p B, workers: usize) -> Self {
         Bsp {
             program,
             workers: workers.max(1),
@@ -104,21 +104,15 @@ impl<B: BspProgram> Bsp<B> {
     /// [`EngineError::DidNotConverge`].  The output is each worker's final
     /// state, in worker order.
     pub fn run(&self, max_supersteps: usize) -> Result<RunResult<Vec<B::State>>, EngineError> {
-        let n = self.workers as VertexId;
-        let mut k_n = GraphBuilder::directed().ensure_vertices(self.workers);
-        for (from, to) in (0..n).flat_map(|from| (0..n).map(move |to| (from, to))) {
-            if from != to {
-                k_n.push_edge(Edge::unweighted(from, to));
-            }
-        }
+        let workers = GraphBuilder::directed().ensure_vertices(self.workers);
         let fragments = RangeEdgeCut::new(self.workers)
-            .partition(&k_n.build())
-            .expect("K_n splits into one fragment per vertex");
+            .partition(&workers.build())
+            .expect("one fragment per vertex");
         model_session(self.workers, max_supersteps).run(&fragments, &BlockAsPie::new(self), &())
     }
 }
 
-impl<B: BspProgram> BlockProgram for Bsp<B> {
+impl<B: BspProgram> BlockProgram for Bsp<'_, B> {
     type Query = ();
     type BlockState = BspWorker<B::State, B::Message>;
     type Message = B::Message;
@@ -207,22 +201,17 @@ pub trait MapReduceJob: Send + Sync {
 /// nothing incoming still takes its reduce or remap step: it reminds itself
 /// with a `None` message, which never leaves it either.
 pub struct MapReduce<J: MapReduceJob> {
-    bsp: Bsp<Job<J>>,
-}
-
-struct Job<J: MapReduceJob> {
     job: J,
     inputs: Vec<J::Input>,
+    workers: usize,
 }
 
 /// The state of one MapReduce worker.
 #[derive(Clone)]
 pub struct MapReduceWorker<K, V> {
-    workers: usize,
     steps: usize,
-    /// Reduce output of the last round.
-    reduced: Vec<(K, V)>,
-    rounds: usize,
+    /// Map output before a shuffle, reduce output after one.
+    pairs: Vec<(K, V)>,
     /// Pairs this worker shuffled to another worker.
     shuffled: usize,
 }
@@ -246,32 +235,33 @@ impl<J: MapReduceJob> MapReduce<J> {
     /// `job` over `inputs` on `workers` workers (at least one).
     pub fn new(job: J, inputs: Vec<J::Input>, workers: usize) -> Self {
         MapReduce {
-            bsp: Bsp::new(Job { job, inputs }, workers),
+            job,
+            inputs,
+            workers: workers.max(1),
         }
     }
 
     /// Runs the job on a Sync session with one thread per worker.
     pub fn run(&self) -> Result<RunResult<JobOutput<J>>, EngineError> {
-        let RunResult { output, metrics } = self.bsp.run(EngineConfig::default().max_supersteps)?;
+        let cap = EngineConfig::default().max_supersteps;
+        let RunResult { output, metrics } = Bsp::new(self, self.workers).run(cap)?;
         let output = MapReduceOutput {
-            rounds: output.iter().map(|w| w.rounds).max().unwrap_or(0),
+            rounds: output.iter().map(|w| w.steps / 2).max().unwrap_or(0),
             shuffled_pairs: output.iter().map(|w| w.shuffled).sum(),
-            pairs: output.into_iter().flat_map(|w| w.reduced).collect(),
+            pairs: output.into_iter().flat_map(|w| w.pairs).collect(),
         };
         Ok(RunResult { output, metrics })
     }
 }
 
-impl<J: MapReduceJob> BspProgram for Job<J> {
+impl<J: MapReduceJob> BspProgram for MapReduce<J> {
     type State = MapReduceWorker<J::Key, J::Value>;
     type Message = Option<(J::Key, J::Value)>;
 
-    fn init(&self, _worker: usize, workers: usize) -> Self::State {
+    fn init(&self, _worker: usize, _workers: usize) -> Self::State {
         MapReduceWorker {
-            workers,
             steps: 0,
-            reduced: Vec::new(),
-            rounds: 0,
+            pairs: Vec::new(),
             shuffled: 0,
         }
     }
@@ -284,49 +274,40 @@ impl<J: MapReduceJob> BspProgram for Job<J> {
         outbox: &mut BspOutbox<Self::Message>,
     ) {
         worker.steps += 1;
-        if worker.steps % 2 == 1 {
-            // Map (the first step) or remap, then shuffle each pair to the
-            // worker its key hashes to.
-            let pairs: Vec<_> = match worker.steps {
-                1 => (w..self.inputs.len())
-                    .step_by(worker.workers)
-                    .flat_map(|i| self.job.map(&self.inputs[i]))
-                    .collect(),
-                _ => std::mem::take(&mut worker.reduced)
-                    .iter()
-                    .flat_map(|(k, v)| self.job.remap(k, v))
-                    .collect(),
-            };
-            for (k, v) in pairs {
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                k.hash(&mut hasher);
-                let dest = (hasher.finish() % worker.workers as u64) as usize;
-                worker.shuffled += usize::from(dest != w);
-                outbox.send(dest, Some((k, v)));
+        if worker.steps.is_multiple_of(2) {
+            let mut groups: HashMap<J::Key, Vec<J::Value>> = HashMap::new();
+            for (k, v) in inbox.into_iter().flatten() {
+                groups.entry(k).or_default().push(v);
             }
-            outbox.send(w, None);
+            worker.pairs = groups
+                .into_iter()
+                .flat_map(|(k, vs)| self.job.reduce(&k, vs))
+                .collect();
+            if worker.steps < 2 * self.job.rounds() {
+                outbox.send(w, None);
+            }
             return;
         }
-        // Reduce, with each key's values in arrival order.
-        let mut index: HashMap<J::Key, usize> = HashMap::new();
-        let mut groups: Vec<(J::Key, Vec<J::Value>)> = Vec::new();
-        for (k, v) in inbox.into_iter().flatten() {
-            match index.get(&k) {
-                Some(&g) => groups[g].1.push(v),
-                None => {
-                    index.insert(k.clone(), groups.len());
-                    groups.push((k, vec![v]));
-                }
-            }
+        // Map (the first step) or remap, then shuffle each pair to the worker
+        // its key hashes to.
+        let pairs: Vec<_> = match worker.steps {
+            1 => (w..self.inputs.len())
+                .step_by(self.workers)
+                .flat_map(|i| self.job.map(&self.inputs[i]))
+                .collect(),
+            _ => std::mem::take(&mut worker.pairs)
+                .iter()
+                .flat_map(|(k, v)| self.job.remap(k, v))
+                .collect(),
+        };
+        for (k, v) in pairs {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            k.hash(&mut hasher);
+            let dest = (hasher.finish() % self.workers as u64) as usize;
+            worker.shuffled += usize::from(dest != w);
+            outbox.send(dest, Some((k, v)));
         }
-        worker.reduced = groups
-            .into_iter()
-            .flat_map(|(k, vs)| self.job.reduce(&k, vs))
-            .collect();
-        worker.rounds += 1;
-        if worker.rounds < self.job.rounds() {
-            outbox.send(w, None);
-        }
+        outbox.send(w, None);
     }
 }
 
@@ -478,7 +459,7 @@ mod tests {
 
     #[test]
     fn bsp_token_ring_visits_every_worker() {
-        let result = Bsp::new(TokenRing { laps: 7 }, 4).run(100).unwrap();
+        let result = Bsp::new(&TokenRing { laps: 7 }, 4).run(100).unwrap();
         // Token visits workers 1, 2, 3, 0, 1, 2, 3 (7 hops).
         assert_eq!(result.output.iter().sum::<u64>(), 8); // 7 receipts + worker 0 start
         assert_eq!(result.metrics.total_messages, 7);
@@ -490,7 +471,7 @@ mod tests {
 
     #[test]
     fn a_non_terminating_bsp_program_fails_at_the_session_superstep_cap() {
-        let err = Bsp::new(TokenRing { laps: 1000 }, 2).run(5).unwrap_err();
+        let err = Bsp::new(&TokenRing { laps: 1000 }, 2).run(5).unwrap_err();
         assert_eq!(err, EngineError::DidNotConverge { max_supersteps: 5 });
     }
 
@@ -498,7 +479,7 @@ mod tests {
     /// crossing the wire: one worker passes the token to itself.
     #[test]
     fn a_bsp_worker_sending_itself_is_run_again_and_not_charged() {
-        let result = Bsp::new(TokenRing { laps: 3 }, 1).run(100).unwrap();
+        let result = Bsp::new(&TokenRing { laps: 3 }, 1).run(100).unwrap();
         assert_eq!(result.output, vec![4]);
         assert_eq!(result.metrics.supersteps, 4);
         assert_eq!(result.metrics.total_messages, 0);

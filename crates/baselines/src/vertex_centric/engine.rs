@@ -1,23 +1,35 @@
-//! A synchronous vertex-centric ("think like a vertex") engine in the style
+//! A synchronous vertex-centric ("think like a vertex") model in the style
 //! of Pregel / Giraph, also used to model synchronous GraphLab (the paper
-//! implements both synchronously and observes nearly identical behaviour).
+//! implements both synchronously and observes nearly identical behaviour),
+//! run on GRAPE's engine as a block program ([`crate::block_centric`]).
 //!
-//! Vertices are hash-partitioned across workers; each superstep runs
-//! `compute` on every *active* vertex (a vertex is active in superstep 0 or
-//! when it has incoming messages), and all messages are delivered at the next
-//! superstep.  Only messages crossing worker boundaries count towards the
-//! communication volume, mirroring how the paper measures data shipment.
+//! Vertices are hash-partitioned across workers, one fragment per worker;
+//! each superstep runs `compute` on every *active* vertex (a vertex is
+//! active in superstep 0 or when it has incoming messages), and all messages
+//! are delivered at the next superstep.  Only messages crossing worker
+//! boundaries are engine messages and count towards the communication
+//! volume, mirroring how the paper measures data shipment.  A worker's
+//! messages to its own vertices stay with it, and it runs again next
+//! superstep ([`BlockContext::run_again`]).
+//!
+//! Two things a vertex program reads are not engine state, so each message
+//! carries them: the superstep (a worker with no mail sits a superstep out
+//! and cannot count them; under the barrier a message sent in superstep `s`
+//! is read in `s + 1`), and the sending worker, which places a worker's own
+//! messages among the others in the order the combiner folds an inbox (by
+//! sending worker, then send order).  Neither is charged.
 
-use std::time::Instant;
+use std::collections::HashMap;
 
-use parking_lot::Mutex;
-
-use grape_core::metrics::{EngineMetrics, SuperstepMetrics};
+use grape_core::config::EngineConfig;
+use grape_core::engine::{EngineError, RunResult};
 use grape_graph::graph::Graph;
 use grape_graph::types::VertexId;
+use grape_partition::edge_cut::{mix64, HashEdgeCut};
+use grape_partition::fragment::Fragment;
+use grape_partition::strategy::PartitionStrategy;
 
-/// One lock-protected buffer of vertex-addressed messages per worker.
-type MessageQueues<M> = Vec<Mutex<Vec<(VertexId, M)>>>;
+use crate::block_centric::{model_session, BlockAsPie, BlockContext, BlockProgram};
 
 /// Message outbox handed to a vertex during `compute`.
 #[derive(Debug)]
@@ -36,13 +48,13 @@ impl<M> VertexContext<M> {
 /// programs — see Fig. 10 for the Giraph SSSP example).
 pub trait VertexProgram: Send + Sync {
     /// The query.
-    type Query: Clone + Send + Sync;
+    type Query: Clone + Send + Sync + 'static;
     /// The per-vertex state.
-    type VertexValue: Clone + Send + Sync;
+    type VertexValue: Clone + Send + Sync + 'static;
     /// The message type.
-    type Message: Clone + Send + Sync;
+    type Message: Clone + PartialEq + Send + Sync + 'static;
     /// The collected output.
-    type Output;
+    type Output: Send + 'static;
 
     /// Program name for metrics.
     fn name(&self) -> &str;
@@ -80,148 +92,162 @@ pub trait VertexProgram: Send + Sync {
     fn message_size(&self, _message: &Self::Message) -> usize {
         std::mem::size_of::<Self::Message>()
     }
+}
 
-    /// Safety limit on supersteps.
-    fn max_supersteps(&self) -> usize {
-        100_000
+/// A vertex message between workers, with the superstep and worker that
+/// sent it.
+#[derive(Debug, Clone, PartialEq)]
+struct Stamped<M> {
+    superstep: usize,
+    from: usize,
+    message: M,
+}
+
+/// The state of one worker: its vertices in id order, their values, the
+/// superstep it ran last and its messages to its own vertices.
+#[derive(Clone)]
+struct Worker<V, M> {
+    vertices: Vec<VertexId>,
+    values: Vec<V>,
+    superstep: Option<usize>,
+    local: Vec<(VertexId, M)>,
+}
+
+/// A vertex program over `graph` as a block program.
+struct Vertices<'g, P> {
+    program: &'g P,
+    graph: &'g Graph,
+    workers: usize,
+}
+
+impl<P: VertexProgram> BlockProgram for Vertices<'_, P> {
+    type Query = P::Query;
+    type BlockState = Worker<P::VertexValue, P::Message>;
+    type Message = Stamped<P::Message>;
+    type Output = P::Output;
+
+    fn name(&self) -> &str {
+        self.program.name()
     }
-}
 
-/// The vertex-centric engine.
-#[derive(Debug, Clone)]
-pub struct VertexCentricEngine {
-    /// Number of workers the vertices are hash-partitioned over.
-    pub num_workers: usize,
-}
-
-impl VertexCentricEngine {
-    /// Creates an engine with `num_workers` workers.
-    pub fn new(num_workers: usize) -> Self {
-        VertexCentricEngine {
-            num_workers: num_workers.max(1),
+    fn init(&self, query: &P::Query, frag: &Fragment) -> Self::BlockState {
+        let mut vertices: Vec<VertexId> = frag.inner_locals().map(|l| frag.global_of(l)).collect();
+        vertices.sort_unstable();
+        Worker {
+            values: vertices
+                .iter()
+                .map(|&v| self.program.init(query, self.graph, v))
+                .collect(),
+            vertices,
+            superstep: None,
+            local: Vec::new(),
         }
     }
 
-    fn worker_of(&self, v: VertexId) -> usize {
-        (grape_partition::edge_cut::mix64(v) % self.num_workers as u64) as usize
-    }
-
-    /// Runs a vertex program to quiescence and returns the output plus
-    /// metrics comparable to the GRAPE engine's.
-    pub fn run<P: VertexProgram>(
+    fn compute(
         &self,
-        graph: &Graph,
-        program: &P,
         query: &P::Query,
-    ) -> (P::Output, EngineMetrics) {
-        let start = Instant::now();
-        let n = graph.num_vertices();
-        let mut metrics = EngineMetrics {
-            program: format!("vertex-centric-{}", program.name()),
-            workers: self.num_workers,
-            fragments: self.num_workers,
-            ..Default::default()
+        frag: &Fragment,
+        worker: &mut Self::BlockState,
+        messages: &[(VertexId, Stamped<P::Message>)],
+        ctx: &mut BlockContext<Stamped<P::Message>>,
+    ) {
+        let w = frag.id();
+        let superstep = match (messages.first(), worker.superstep) {
+            (Some((_, m)), _) => m.superstep + 1,
+            (None, last) => last.map_or(0, |s| s + 1),
         };
-        let mut values: Vec<P::VertexValue> = (0..n as VertexId)
-            .map(|v| program.init(query, graph, v))
-            .collect();
-        // Inbox per vertex.
-        let mut inboxes: Vec<Vec<P::Message>> = (0..n).map(|_| Vec::new()).collect();
-        let mut superstep = 0usize;
-
-        loop {
-            let step_start = Instant::now();
-            let active: Vec<bool> = (0..n)
-                .map(|v| superstep == 0 || !inboxes[v].is_empty())
-                .collect();
-            let active_count = active.iter().filter(|&&a| a).count();
-            if active_count == 0 || superstep >= program.max_supersteps() {
-                break;
+        worker.superstep = Some(superstep);
+        let mine = messages.partition_point(|(_, m)| m.from < w);
+        let stamped = |(to, m): &(VertexId, Stamped<P::Message>)| (*to, m.message.clone());
+        let arrivals = (messages[..mine].iter().map(stamped))
+            .chain(std::mem::take(&mut worker.local))
+            .chain(messages[mine..].iter().map(stamped));
+        let mut inboxes: HashMap<VertexId, Vec<P::Message>> = HashMap::new();
+        for (to, message) in arrivals {
+            let inbox = inboxes.entry(to).or_default();
+            match inbox.last_mut() {
+                Some(last) => match self.program.combine(last, &message) {
+                    Some(merged) => *last = merged,
+                    None => inbox.push(message),
+                },
+                None => inbox.push(message),
             }
-            // Partition vertices by worker and run compute in parallel.
-            let outboxes: MessageQueues<P::Message> = (0..self.num_workers)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect();
-            let incoming: Vec<Vec<P::Message>> =
-                std::mem::replace(&mut inboxes, (0..n).map(|_| Vec::new()).collect());
-            let values_slots: Vec<Mutex<Option<P::VertexValue>>> =
-                values.into_iter().map(|v| Mutex::new(Some(v))).collect();
-            std::thread::scope(|s| {
-                for w in 0..self.num_workers {
-                    let active = &active;
-                    let incoming = &incoming;
-                    let values_slots = &values_slots;
-                    let outboxes = &outboxes;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for v in 0..n {
-                            if self.worker_of(v as VertexId) != w || !active[v] {
-                                continue;
-                            }
-                            let mut ctx = VertexContext {
-                                messages: Vec::new(),
-                            };
-                            let mut slot = values_slots[v].lock();
-                            let value = slot.as_mut().expect("value present");
-                            program.compute(
-                                query,
-                                graph,
-                                v as VertexId,
-                                value,
-                                superstep,
-                                &incoming[v],
-                                &mut ctx,
-                            );
-                            out.extend(ctx.messages);
-                        }
-                        outboxes[w].lock().extend(out);
-                    });
-                }
-            });
-            values = values_slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("value present"))
-                .collect();
-
-            // Route messages; combine per destination when a combiner exists.
-            let mut routed = 0usize;
-            let mut bytes = 0usize;
-            for (w, outbox) in outboxes.into_iter().enumerate() {
-                for (to, msg) in outbox.into_inner() {
-                    if (to as usize) >= n {
-                        continue;
-                    }
-                    let crosses_workers = self.worker_of(to) != w;
-                    // Try to combine with an existing message for `to`.
-                    let mut combined = false;
-                    if let Some(last) = inboxes[to as usize].last_mut() {
-                        if let Some(merged) = program.combine(last, &msg) {
-                            *last = merged;
-                            combined = true;
-                        }
-                    }
-                    if !combined {
-                        inboxes[to as usize].push(msg.clone());
-                    }
-                    if crosses_workers {
-                        routed += 1;
-                        bytes += program.message_size(&msg) + std::mem::size_of::<VertexId>();
-                    }
-                }
-            }
-            metrics.push_superstep(SuperstepMetrics {
-                superstep,
-                active_fragments: active_count,
-                messages: routed,
-                bytes,
-                duration: step_start.elapsed(),
-            });
-            superstep += 1;
         }
-        let output = program.output(query, graph, values);
-        metrics.total_time = start.elapsed();
-        (output, metrics)
+        for (&v, value) in worker.vertices.iter().zip(&mut worker.values) {
+            let inbox = inboxes.remove(&v);
+            if superstep > 0 && inbox.is_none() {
+                continue;
+            }
+            let mut sent = VertexContext {
+                messages: Vec::new(),
+            };
+            let inbox = inbox.unwrap_or_default();
+            let graph = self.graph;
+            self.program
+                .compute(query, graph, v, value, superstep, &inbox, &mut sent);
+            for (to, message) in sent.messages {
+                if to as usize >= graph.num_vertices() {
+                    continue;
+                }
+                if (mix64(to) % self.workers as u64) as usize == w {
+                    worker.local.push((to, message));
+                } else {
+                    let from = w;
+                    ctx.send(
+                        to,
+                        Stamped {
+                            superstep,
+                            from,
+                            message,
+                        },
+                    );
+                }
+            }
+        }
+        if !worker.local.is_empty() {
+            ctx.run_again();
+        }
     }
+
+    fn output(&self, query: &P::Query, workers: Vec<Self::BlockState>) -> P::Output {
+        let mut values: Vec<(VertexId, P::VertexValue)> = workers
+            .into_iter()
+            .flat_map(|w| w.vertices.into_iter().zip(w.values))
+            .collect();
+        values.sort_unstable_by_key(|(v, _)| *v);
+        let values = values.into_iter().map(|(_, value)| value).collect();
+        self.program.output(query, self.graph, values)
+    }
+
+    fn message_size(&self, stamped: &Stamped<P::Message>) -> usize {
+        self.program.message_size(&stamped.message)
+    }
+}
+
+/// Runs a vertex program to quiescence on `workers` workers, one fragment
+/// of a hash edge-cut each, on a Sync session with the engine's default
+/// superstep cap.
+pub fn run_vertex<P: VertexProgram>(
+    graph: &Graph,
+    program: &P,
+    query: &P::Query,
+    workers: usize,
+) -> Result<RunResult<P::Output>, EngineError> {
+    let workers = workers.max(1);
+    let fragments = HashEdgeCut::new(workers)
+        .partition(graph)
+        .map_err(|e| EngineError::InvalidConfig(e.to_string()))?;
+    let vertices = Vertices {
+        program,
+        graph,
+        workers,
+    };
+    model_session(workers, EngineConfig::default().max_supersteps).run(
+        &fragments,
+        &BlockAsPie::new(&vertices),
+        query,
+    )
 }
 
 #[cfg(test)]
@@ -282,8 +308,8 @@ mod tests {
             .add_edge(2, 3)
             .add_edge(3, 0)
             .build();
-        let engine = VertexCentricEngine::new(2);
-        let (values, metrics) = engine.run(&g, &MaxFlood, &());
+        let result = run_vertex(&g, &MaxFlood, &(), 2).unwrap();
+        let (values, metrics) = (result.output, result.metrics);
         assert!(values.iter().all(|&v| v == 3));
         assert!(metrics.supersteps >= 4, "needs about diameter supersteps");
         assert!(metrics.total_messages > 0);
@@ -296,8 +322,8 @@ mod tests {
             .add_edge(1, 2)
             .add_edge(2, 0)
             .build();
-        let (a, _) = VertexCentricEngine::new(1).run(&g, &MaxFlood, &());
-        let (b, _) = VertexCentricEngine::new(4).run(&g, &MaxFlood, &());
+        let a = run_vertex(&g, &MaxFlood, &(), 1).unwrap().output;
+        let b = run_vertex(&g, &MaxFlood, &(), 4).unwrap().output;
         assert_eq!(a, b);
     }
 }

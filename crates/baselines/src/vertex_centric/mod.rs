@@ -1,8 +1,9 @@
 //! Vertex-centric ("think like a vertex") baseline: a Pregel/Giraph-style
-//! synchronous engine plus vertex programs for SSSP, CC, Sim, SubIso and CF.
+//! synchronous model on GRAPE's engine plus vertex programs for SSSP, CC,
+//! Sim, SubIso and CF.
 
 pub mod engine;
 pub mod programs;
 
-pub use engine::{VertexCentricEngine, VertexContext, VertexProgram};
+pub use engine::{run_vertex, VertexContext, VertexProgram};
 pub use programs::{VertexCc, VertexCf, VertexSim, VertexSssp, VertexSubIso, VertexSubIsoQuery};

@@ -34,7 +34,7 @@ impl VertexProgram for VertexSssp {
     type Output = Vec<f64>;
 
     fn name(&self) -> &str {
-        "sssp"
+        "vertex-centric-sssp"
     }
 
     fn init(&self, query: &SsspQuery, _graph: &Graph, v: VertexId) -> f64 {
@@ -94,7 +94,7 @@ impl VertexProgram for VertexCc {
     type Output = Vec<VertexId>;
 
     fn name(&self) -> &str {
-        "cc"
+        "vertex-centric-cc"
     }
 
     fn init(&self, _q: &(), _graph: &Graph, v: VertexId) -> VertexId {
@@ -155,7 +155,7 @@ impl VertexProgram for VertexSim {
     type Output = Vec<Vec<VertexId>>;
 
     fn name(&self) -> &str {
-        "sim"
+        "vertex-centric-sim"
     }
 
     fn init(&self, pattern: &Pattern, graph: &Graph, v: VertexId) -> VertexSimValue {
@@ -301,7 +301,7 @@ impl VertexProgram for VertexSubIso {
     type Output = Vec<Vec<VertexId>>;
 
     fn name(&self) -> &str {
-        "subiso"
+        "vertex-centric-subiso"
     }
 
     fn init(&self, _q: &VertexSubIsoQuery, _graph: &Graph, _v: VertexId) -> VertexSubIsoValue {
@@ -373,10 +373,6 @@ impl VertexProgram for VertexSubIso {
     fn message_size(&self, message: &Vec<VertexId>) -> usize {
         message.len() * std::mem::size_of::<VertexId>()
     }
-
-    fn max_supersteps(&self) -> usize {
-        64
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +401,7 @@ impl VertexProgram for VertexCf {
     type Output = CfModel;
 
     fn name(&self) -> &str {
-        "cf"
+        "vertex-centric-cf"
     }
 
     fn init(&self, query: &CfQuery, _graph: &Graph, v: VertexId) -> VertexCfValue {
@@ -486,16 +482,12 @@ impl VertexProgram for VertexCf {
     fn message_size(&self, message: &(VertexId, Vec<f64>)) -> usize {
         std::mem::size_of::<VertexId>() + message.1.len() * std::mem::size_of::<f64>()
     }
-
-    fn max_supersteps(&self) -> usize {
-        10_000
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertex_centric::engine::VertexCentricEngine;
+    use crate::vertex_centric::engine::run_vertex;
     use grape_algorithms::cc::sequential::connected_components;
     use grape_algorithms::sim::sequential::graph_simulation;
     use grape_algorithms::sssp::sequential::dijkstra;
@@ -505,8 +497,8 @@ mod tests {
     #[test]
     fn vertex_sssp_matches_dijkstra() {
         let g = road_grid(8, 8, 1);
-        let engine = VertexCentricEngine::new(4);
-        let (dist, metrics) = engine.run(&g, &VertexSssp, &SsspQuery::new(0));
+        let result = run_vertex(&g, &VertexSssp, &SsspQuery::new(0), 4).unwrap();
+        let (dist, metrics) = (result.output, result.metrics);
         let expected = dijkstra(&g, 0);
         for v in 0..g.num_vertices() {
             assert!((dist[v] - expected[v]).abs() < 1e-9, "vertex {v}");
@@ -522,8 +514,7 @@ mod tests {
     #[test]
     fn vertex_cc_matches_union_find() {
         let g = power_law(200, 500, 0, 2).to_undirected();
-        let engine = VertexCentricEngine::new(4);
-        let (labels, _) = engine.run(&g, &VertexCc, &());
+        let labels = run_vertex(&g, &VertexCc, &(), 4).unwrap().output;
         let expected = connected_components(&g);
         assert_eq!(labels, expected);
     }
@@ -533,8 +524,7 @@ mod tests {
         let g = labeled_kg(150, 600, 4, 2, 3);
         let alphabet: Vec<u32> = (1..=4).collect();
         let pattern = Pattern::random(3, 4, &alphabet, 17);
-        let engine = VertexCentricEngine::new(4);
-        let (matches, _) = engine.run(&g, &VertexSim, &pattern);
+        let matches = run_vertex(&g, &VertexSim, &pattern, 4).unwrap().output;
         let expected = graph_simulation(&g, &pattern);
         assert_eq!(matches, expected);
     }
@@ -544,12 +534,11 @@ mod tests {
         let g = labeled_kg(80, 240, 3, 2, 5);
         let alphabet: Vec<u32> = (1..=3).collect();
         let pattern = Pattern::random(3, 3, &alphabet, 9);
-        let engine = VertexCentricEngine::new(2);
         let query = VertexSubIsoQuery {
             pattern: pattern.clone(),
             max_matches_per_vertex: 10_000,
         };
-        let (matches, _) = engine.run(&g, &VertexSubIso, &query);
+        let matches = run_vertex(&g, &VertexSubIso, &query, 2).unwrap().output;
         let mut expected = subgraph_isomorphism(&g, &pattern, usize::MAX);
         expected.sort_unstable();
         assert_eq!(matches, expected);
@@ -558,13 +547,13 @@ mod tests {
     #[test]
     fn vertex_cf_learns_ratings() {
         let data = bipartite_ratings(40, 20, 400, 4, 7);
-        let engine = VertexCentricEngine::new(4);
         let query = CfQuery {
             epochs: 6,
             num_factors: 4,
             ..Default::default()
         };
-        let (model, metrics) = engine.run(&data.graph, &VertexCf, &query);
+        let result = run_vertex(&data.graph, &VertexCf, &query, 4).unwrap();
+        let (model, metrics) = (result.output, result.metrics);
         assert!(
             model.rmse(&data.graph) < 1.2,
             "rmse {}",
@@ -580,8 +569,9 @@ mod tests {
         use grape_partition::strategy::PartitionStrategy;
 
         let g = road_grid(16, 16, 4);
-        let (_, vertex_metrics) =
-            VertexCentricEngine::new(4).run(&g, &VertexSssp, &SsspQuery::new(0));
+        let vertex_metrics = run_vertex(&g, &VertexSssp, &SsspQuery::new(0), 4)
+            .unwrap()
+            .metrics;
         let frag = MetisLike::new(4).partition(&g).unwrap();
         let grape = GrapeSession::with_workers(4)
             .run(&frag, &grape_algorithms::sssp::Sssp, &SsspQuery::new(0))

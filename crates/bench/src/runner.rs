@@ -24,7 +24,7 @@ use grape_baselines::block_centric::{
     run_block, run_block_subiso, BlockCc, BlockCf, BlockSim, BlockSssp,
 };
 use grape_baselines::vertex_centric::{
-    VertexCc, VertexCentricEngine, VertexCf, VertexSim, VertexSssp, VertexSubIso, VertexSubIsoQuery,
+    run_vertex, VertexCc, VertexCf, VertexSim, VertexSssp, VertexSubIso, VertexSubIsoQuery,
 };
 
 /// The systems compared in the evaluation.
@@ -134,9 +134,9 @@ pub fn run_sssp(
                 .metrics
         }
         System::VertexCentric => {
-            VertexCentricEngine::new(workers)
-                .run(graph, &VertexSssp, &query)
-                .1
+            run_vertex(graph, &VertexSssp, &query, workers)
+                .expect("vertex-centric run")
+                .metrics
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
@@ -159,9 +159,9 @@ pub fn run_cc(system: System, graph: &Graph, workers: usize, workload: &str) -> 
                 .metrics
         }
         System::VertexCentric => {
-            VertexCentricEngine::new(workers)
-                .run(graph, &VertexCc, &())
-                .1
+            run_vertex(graph, &VertexCc, &(), workers)
+                .expect("vertex-centric run")
+                .metrics
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
@@ -190,9 +190,9 @@ pub fn run_sim(
                 .metrics
         }
         System::VertexCentric => {
-            VertexCentricEngine::new(workers)
-                .run(graph, &VertexSim, pattern)
-                .1
+            run_vertex(graph, &VertexSim, pattern, workers)
+                .expect("vertex-centric run")
+                .metrics
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
@@ -261,9 +261,9 @@ pub fn run_subiso(
                 pattern: pattern.clone(),
                 max_matches_per_vertex: MAX_MATCHES,
             };
-            VertexCentricEngine::new(workers)
-                .run(graph, &VertexSubIso, &query)
-                .1
+            run_vertex(graph, &VertexSubIso, &query, workers)
+                .expect("vertex-centric run")
+                .metrics
         }
         System::BlockCentric => {
             let frag = partition(graph, workers);
@@ -297,9 +297,9 @@ pub fn run_cf(
                 .metrics
         }
         System::VertexCentric => {
-            VertexCentricEngine::new(workers)
-                .run(&data.graph, &VertexCf, &query)
-                .1
+            run_vertex(&data.graph, &VertexCf, &query, workers)
+                .expect("vertex-centric run")
+                .metrics
         }
         System::BlockCentric => {
             let frag = partition(&data.graph, workers);

@@ -821,13 +821,12 @@ fn coordinator<'g, P: PieProgram, H: WorkerHost<P>>(
                         flag.store(saved, Ordering::Relaxed);
                     }
                 }
+                // A restart re-roots every fragment, and each PEval
+                // overwrites its fragment's rerun flag.
                 None => {
                     superstep = 0;
                     host.clear_partials()?;
                     transport.reset();
-                    ctx.again
-                        .iter()
-                        .for_each(|a| a.store(false, Ordering::Relaxed));
                 }
             }
         }

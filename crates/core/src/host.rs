@@ -39,13 +39,10 @@ use crate::worker_proto::{
 /// coalesced update-parameter messages it produced and whether it asked to
 /// run again next round ([`Messages::run_again`]), or the error that
 /// stopped it.
-pub(crate) type EvalResult<P> = Result<
-    (
-        Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>,
-        bool,
-    ),
-    EngineError,
->;
+pub(crate) type EvalResult<P> = Result<(Updates<P>, bool), EngineError>;
+
+/// One evaluation's update-parameter messages.
+type Updates<P> = Vec<(<P as PieProgram>::Key, <P as PieProgram>::Value)>;
 
 /// Where one run's evaluations execute.  The engine addresses fragments by
 /// index and never sees where they live.

@@ -154,7 +154,7 @@ impl<'a, K, V> Messages<'a, K, V> {
     }
 
     /// Whether this evaluation asked to run again ([`Messages::run_again`]).
-    pub fn runs_again(&self) -> bool {
+    pub(crate) fn runs_again(&self) -> bool {
         self.again
     }
 

@@ -15,7 +15,7 @@
 //! cargo run --release --example road_network
 //! ```
 
-use grape::baselines::vertex_centric::{VertexCentricEngine, VertexSssp};
+use grape::baselines::vertex_centric::{run_vertex, VertexSssp};
 use grape::partition::quality;
 use grape::prelude::*;
 
@@ -53,8 +53,8 @@ fn main() {
         .expect("prepare grape sssp");
 
     // Vertex-centric (Giraph-style) SSSP on the same graph.
-    let (vertex_dist, vertex_metrics) =
-        VertexCentricEngine::new(4).run(&graph, &VertexSssp, &query);
+    let vertex = run_vertex(&graph, &VertexSssp, &query, 4).expect("vertex-centric sssp");
+    let (vertex_dist, vertex_metrics) = (vertex.output, vertex.metrics);
 
     // Agreement check.
     let far_corner = (graph.num_vertices() - 1) as u64;

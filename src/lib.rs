@@ -9,9 +9,9 @@
 //! * [`core`] — the GRAPE engine: the PIE programming model, coordinator,
 //!   workers, messages and metrics,
 //! * [`algorithms`] — ready-made PIE programs (SSSP, CC, Sim, SubIso, CF),
-//! * [`baselines`] — the comparison systems (a vertex-centric
-//!   Pregel/Giraph-style engine and block-centric Blogel-style programs on
-//!   GRAPE's engine) and the BSP/MapReduce simulations of Theorem 2.
+//! * [`baselines`] — the comparison systems (vertex-centric
+//!   Pregel/Giraph-style and block-centric Blogel-style programs) and the
+//!   BSP/MapReduce simulations of Theorem 2, all run on GRAPE's engine.
 //!
 //! ## Quickstart
 //!

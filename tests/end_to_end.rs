@@ -8,7 +8,7 @@ use grape::algorithms::sim::{Sim, SimQuery};
 use grape::algorithms::sssp::{dijkstra, Sssp, SsspQuery};
 use grape::algorithms::subiso::{subgraph_isomorphism, SubIso, SubIsoQuery};
 use grape::baselines::block_centric::{run_block, BlockSim};
-use grape::baselines::vertex_centric::{VertexCentricEngine, VertexSssp};
+use grape::baselines::vertex_centric::{run_vertex, VertexSssp};
 use grape::core::config::EngineMode;
 use grape::core::session::GrapeSession;
 use grape::graph::generators;
@@ -213,7 +213,7 @@ fn grape_beats_vertex_centric_on_road_network_metrics() {
     let grape = GrapeSession::with_workers(4)
         .run(&frag, &Sssp, &query)
         .unwrap();
-    let (_, vertex) = VertexCentricEngine::new(4).run(&graph, &VertexSssp, &query);
+    let vertex = run_vertex(&graph, &VertexSssp, &query, 4).unwrap().metrics;
     assert!(grape.metrics.supersteps * 2 < vertex.supersteps);
     assert!(grape.metrics.total_bytes * 2 < vertex.total_bytes);
 }

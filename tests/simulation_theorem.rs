@@ -105,7 +105,7 @@ impl BspProgram for DoublingSum {
 
 #[test]
 fn bsp_recursive_doubling_reaches_the_global_sum() {
-    let result = Bsp::new(DoublingSum, 4).run(10).unwrap();
+    let result = Bsp::new(&DoublingSum, 4).run(10).unwrap();
     let (states, metrics) = (result.output, result.metrics);
     // 1 + 2 + 3 + 4 = 10 at every worker after log2(4) = 2 doubling rounds.
     assert!(

@@ -193,15 +193,12 @@ impl<P: VertexProgram> BlockProgram for Vertices<'_, P> {
                 if (mix64(to) % self.workers as u64) as usize == w {
                     worker.local.push((to, message));
                 } else {
-                    let from = w;
-                    ctx.send(
-                        to,
-                        Stamped {
-                            superstep,
-                            from,
-                            message,
-                        },
-                    );
+                    let message = Stamped {
+                        superstep,
+                        from: w,
+                        message,
+                    };
+                    ctx.send(to, message);
                 }
             }
         }

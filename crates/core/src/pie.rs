@@ -142,10 +142,10 @@ impl<'a, K, V> Messages<'a, K, V> {
     }
 
     /// Asks the engine to evaluate this fragment again in the next
-    /// superstep, with an empty message list if no mail arrives for it.  A
-    /// simulated model uses it for work that needs no mail: a MapReduce
-    /// reducer whose pairs never left its own worker, or the remap step of a
-    /// later round.  It is no message: nothing is routed or charged, and the
+    /// superstep, with an empty message list if no mail arrives for it.  The
+    /// other computation models use it for work that needs no mail: a BSP or
+    /// vertex-centric worker's messages to itself, and a MapReduce worker's
+    /// reduce and remap steps.  It is no message: nothing is routed or charged, and the
     /// fixpoint waits for it as it waits for pending mail.  Rounds exist
     /// under the barrier only, so under [`crate::config::EngineMode::Async`]
     /// the run fails with [`crate::engine::EngineError::InvalidConfig`].

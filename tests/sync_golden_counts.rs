@@ -6,11 +6,18 @@
 //! PEval/IncEval call counts must equal the literal goldens below.  A change
 //! to the scheduler that moves any of them fails here by name.
 //!
+//! CF is pinned the same way plus a digest of every trained factor's bits:
+//! its `aggregateMsg` averages equal timestamps, which is not associative,
+//! so the model also pins the order the barrier folds senders in.  (Under
+//! [`EngineMode::Async`] CF's factors follow the interleaving, so the pin is
+//! Sync-only.)
+//!
 //! The last test holds the seed accounting to one rule in both modes:
 //! `total_messages == seed_messages + Σ per_superstep[i].messages`, with the
 //! same `seed_messages` under [`EngineMode::Sync`] and [`EngineMode::Async`].
 
 use grape::algorithms::cc::{Cc, CcQuery};
+use grape::algorithms::cf::{Cf, CfQuery};
 use grape::algorithms::sim::{Sim, SimQuery};
 use grape::algorithms::sssp::{Sssp, SsspQuery};
 use grape::core::config::EngineMode;
@@ -20,7 +27,7 @@ use grape::core::prepared::RefreshKind;
 use grape::core::session::GrapeSession;
 use grape::graph::builder::GraphBuilder;
 use grape::graph::delta::GraphDelta;
-use grape::graph::generators::road_grid;
+use grape::graph::generators::{bipartite_ratings, road_grid};
 use grape::graph::pattern::Pattern;
 use grape::graph::types::Edge;
 use grape::partition::edge_cut::RangeEdgeCut;
@@ -264,6 +271,77 @@ fn sync_recovery_counts_match_the_goldens() {
             let metrics = s.run(&frag, &Sssp, &SsspQuery::new(0)).unwrap().metrics;
             assert_eq!(counts(&metrics), *want, "{name}, {workers} workers");
             assert_eq!(metrics.recovered_failures, 1, "{name}");
+        }
+    }
+}
+
+/// A small rating graph (30 users rate 12 items) plus the self-rating
+/// `3 → 3`, whose user and item rows are one row, under a 4-way range cut.
+fn ratings() -> Fragmentation {
+    let mut b = GraphBuilder::directed();
+    for e in bipartite_ratings(30, 12, 200, 4, 17).graph.edges() {
+        b.push_edge(*e);
+    }
+    b.push_edge(Edge::weighted(3, 3, 4.0));
+    RangeEdgeCut::new(4).partition(&b.build()).unwrap()
+}
+
+/// FNV-1a over every factor's bits, vertex by vertex in id order.
+fn factor_digest(model: grape::algorithms::cf::CfResult) -> String {
+    let mut rows: Vec<_> = model.into_factors().into_iter().collect();
+    rows.sort_unstable_by_key(|&(v, _)| v);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = rows
+        .iter()
+        .flat_map(|(v, f)| std::iter::once(*v).chain(f.iter().map(|x| x.to_bits())));
+    for byte in words.flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("rows {} digest {h:016x}", rows.len())
+}
+
+/// CF's full run and a prepared rating insert that retrains: the counts
+/// line and the factor digest of each.
+const GOLDEN_CF: &[(&str, &str, &str)] = &[
+    (
+        "cf full",
+        "supersteps 6 msgs 225 bytes 10800 seed 0 peval 4 inceval 20 recovered 0 checkpoints 0 steps [(0, 4, 45, 2160), (1, 4, 45, 2160), (2, 4, 45, 2160), (3, 4, 45, 2160), (4, 4, 45, 2160), (5, 4, 0, 0)]",
+        "rows 42 digest f57fbeea8b8326c6",
+    ),
+    (
+        "cf retrain",
+        "supersteps 6 msgs 225 bytes 10800 seed 0 peval 4 inceval 20 recovered 0 checkpoints 0 steps [(0, 4, 45, 2160), (1, 4, 45, 2160), (2, 4, 45, 2160), (3, 4, 45, 2160), (4, 4, 45, 2160), (5, 4, 0, 0)]",
+        "rows 42 digest dcd8f7521e902ac5",
+    ),
+];
+
+#[test]
+fn sync_cf_counts_and_factors_match_the_goldens() {
+    let query = CfQuery {
+        epochs: 5,
+        num_factors: 4,
+        ..Default::default()
+    };
+    for workers in [1, 2, 4] {
+        let s = session(workers, EngineMode::Sync);
+        let full = s.run(&ratings(), &Cf, &query).unwrap();
+        let mut prepared = s.prepare(ratings(), Cf, query.clone()).unwrap();
+        let report = prepared
+            .update(&GraphDelta::new().add_weighted_edge(7, 35, 2.0))
+            .unwrap();
+        assert_ne!(report.metrics.peval_calls, 0, "the insert retrains");
+        let runs = [
+            (full.metrics, full.output),
+            (report.metrics, prepared.output()),
+        ];
+        for ((metrics, model), (name, want_counts, want_digest)) in runs.into_iter().zip(GOLDEN_CF)
+        {
+            assert_eq!(counts(&metrics), *want_counts, "{name}, {workers} workers");
+            assert_eq!(
+                factor_digest(model),
+                *want_digest,
+                "{name}, {workers} workers"
+            );
         }
     }
 }

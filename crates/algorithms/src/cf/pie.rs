@@ -98,24 +98,37 @@ pub struct CfPartial {
 pub struct Cf;
 
 impl Cf {
-    /// One local SGD epoch over the fragment's edges.
+    /// One local SGD epoch over the fragment's edges, updating the user and
+    /// item rows in place.  A self-rating `u → u` updates one row: it takes
+    /// the user's update, as if the item's were written first.
     fn local_epoch(frag: &Fragment, query: &CfQuery, partial: &mut CfPartial) {
+        let mut self_rated = Vec::new();
         for l in frag.inner_locals() {
+            let u = l as usize;
             for n in frag.out_edges(l) {
                 let t = n.target as usize;
-                let rating = n.weight;
-                // Split borrow: clone the smaller (user) vector, mutate in place.
-                let mut user = partial.factors[l as usize].clone();
-                let item = &mut partial.factors[t];
+                let (user, item) = match u.cmp(&t) {
+                    std::cmp::Ordering::Less => {
+                        let (head, tail) = partial.factors.split_at_mut(t);
+                        (&mut head[u], &mut tail[0])
+                    }
+                    std::cmp::Ordering::Greater => {
+                        let (head, tail) = partial.factors.split_at_mut(u);
+                        (&mut tail[0], &mut head[t])
+                    }
+                    std::cmp::Ordering::Equal => {
+                        self_rated.clone_from(&partial.factors[u]);
+                        (&mut partial.factors[u], &mut self_rated)
+                    }
+                };
                 sgd_step(
-                    &mut user,
+                    user,
                     item,
-                    rating,
+                    n.weight,
                     query.learning_rate,
                     query.regularization,
                 );
-                partial.factors[l as usize] = user;
-                partial.timestamps[l as usize] = partial.epoch;
+                partial.timestamps[u] = partial.epoch;
                 partial.timestamps[t] = partial.epoch;
             }
         }
@@ -197,7 +210,7 @@ impl PieProgram for Cf {
         for (v, update) in messages {
             if let Some(l) = frag.local_of(*v) {
                 if update.timestamp >= partial.timestamps[l as usize] {
-                    partial.factors[l as usize] = update.factors.clone();
+                    partial.factors[l as usize].clone_from(&update.factors);
                     partial.timestamps[l as usize] = update.timestamp;
                 }
             }

@@ -65,7 +65,7 @@
 //! [`crate::session::GrapeSession::prepare`] →
 //! [`crate::prepared::PreparedQuery`] (prepare → answer → update).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -215,6 +215,10 @@ impl FirstError {
 /// destination, tagged with the sender's logical step.  `Some(mask)` drops
 /// every destination whose mask entry is `false` (a bounded refresh delivers
 /// its seeds to the re-rooted fragments only).
+///
+/// Per message it allocates nothing but its batch slots: the route fills one
+/// reused buffer, batches are indexed by fragment, and the last destination
+/// takes the key and value by move.
 fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
     ctx: &RunCtx<'_>,
     transport: &T,
@@ -226,19 +230,21 @@ fn route_and_send<K: KeyVertex + Clone, V: Clone, T: Transport<K, V>>(
     if updates.is_empty() {
         return;
     }
-    let mut per_dest: HashMap<usize, Vec<(K, V)>> = HashMap::new();
+    let mut per_dest: Vec<Vec<(K, V)>> = (0..ctx.num_fragments).map(|_| Vec::new()).collect();
+    let mut dests = Vec::new();
     for (key, value) in updates {
-        for dest in ctx.gp.route(key.vertex(), from, ctx.scope) {
-            if restrict_to.is_some_and(|mask| !mask[dest]) {
-                continue;
+        ctx.gp.route(key.vertex(), from, ctx.scope, &mut dests);
+        if let Some(mask) = restrict_to {
+            dests.retain(|&dest| mask[dest]);
+        }
+        if let Some((&last, rest)) = dests.split_last() {
+            for &dest in rest {
+                per_dest[dest].push((key.clone(), value.clone()));
             }
-            per_dest
-                .entry(dest)
-                .or_default()
-                .push((key.clone(), value.clone()));
+            per_dest[last].push((key, value));
         }
     }
-    for (dest, batch) in per_dest {
+    for (dest, batch) in per_dest.into_iter().enumerate() {
         transport.send_batch(from, dest, step, batch);
     }
 }
@@ -986,6 +992,46 @@ mod tests {
             b.push_edge(grape_graph::types::Edge::unweighted(v, (v + 1) % n));
         }
         b.build()
+    }
+
+    /// `route_and_send` ships a key to every destination `G_P` names, the
+    /// last by move and the others as copies, all equal; a mask drops the
+    /// destinations it clears.
+    #[test]
+    fn route_and_send_delivers_equal_copies_to_every_destination() {
+        // Vertex 0 (inner border of fragment 0) has an outer copy in each
+        // of fragments 1, 2 and 3.
+        let outer = [vec![], vec![0], vec![0], vec![0]];
+        let inner_border = [vec![0], vec![], vec![], vec![]];
+        let gp = FragmentationGraph::new(vec![0, 1, 2, 3], &outer, &inner_border);
+        let config = EngineConfig::default();
+        let ctx = RunCtx {
+            config: &config,
+            num_fragments: 4,
+            assignment: &[],
+            gp: &gp,
+            scope: BorderScope::In,
+            peval: &[],
+            again: Vec::new(),
+        };
+        let ops: MessageOps<'_, VertexId, Vec<u64>> = MessageOps {
+            aggregate: &|_, a, _| a,
+            key_size: &|_| 8,
+            value_size: &|v| 8 * v.len(),
+        };
+        let t = BarrierTransport::new(4, ops);
+        route_and_send(&ctx, &t, 0, 0, vec![(0, vec![7, 8])], None);
+        assert_eq!(t.flush().messages, 3);
+        for dest in [1, 2, 3] {
+            assert_eq!(t.drain(dest).updates, vec![(0, vec![7, 8])], "{dest}");
+        }
+        let mask = [true, true, false, true];
+        route_and_send(&ctx, &t, 0, 1, vec![(0, vec![9])], Some(&mask));
+        assert_eq!(t.flush().messages, 2);
+        assert!(!t.has_pending(2), "masked out");
+        for dest in [1, 3] {
+            assert_eq!(t.drain(dest).updates, vec![(0, vec![9])], "{dest}");
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! conflicts, routing them via the fragmentation graph `G_P`, iterating
 //! IncEval to a fixpoint and finally calling Assemble.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use grape_graph::delta::GraphDelta;
+use grape_graph::hash::KeyedHashMap;
 use grape_graph::types::VertexId;
 use grape_partition::delta::{DeltaApplication, FragmentDelta};
 use grape_partition::fragment::{Expansion, Fragment, Fragmentation};
@@ -66,7 +66,7 @@ impl KeyVertex for (u32, VertexId) {
 pub struct Messages<'a, K, V> {
     updates: Vec<(K, V)>,
     /// Key → position in `updates`; only maintained when `agg` is set.
-    index: HashMap<K, usize>,
+    index: KeyedHashMap<K, usize>,
     agg: Option<AggregateFn<'a, K, V>>,
     again: bool,
 }
@@ -86,7 +86,7 @@ impl<'a, K, V> Messages<'a, K, V> {
     pub fn new() -> Self {
         Messages {
             updates: Vec::new(),
-            index: HashMap::new(),
+            index: KeyedHashMap::default(),
             agg: None,
             again: false,
         }
@@ -98,7 +98,7 @@ impl<'a, K, V> Messages<'a, K, V> {
     pub fn with_aggregator(agg: AggregateFn<'a, K, V>) -> Self {
         Messages {
             updates: Vec::new(),
-            index: HashMap::new(),
+            index: KeyedHashMap::default(),
             agg: Some(agg),
             again: false,
         }

@@ -13,9 +13,9 @@
 //!   per superstep by the barrier's leader — aggregates conflicting
 //!   assignments across senders with `aggregateMsg`, drops values identical
 //!   to what the destination already received (the *delivered* cache of
-//!   Section 3.2(3)), and publishes the rest to the per-fragment mailboxes.  Its mailboxes
-//!   snapshot, restore and reset for the superstep-aligned checkpoints of
-//!   Section 6.
+//!   Section 3.2(3)), and publishes the rest to the per-fragment
+//!   mailboxes.  Its mailboxes snapshot, restore and reset for the
+//!   superstep-aligned checkpoints of Section 6.
 //! * [`ChannelTransport`] — mpsc-style streaming, the substrate of the
 //!   barrier-free [`EngineMode::Async`] runtime.
 //!   `send_batch` delivers straight into the destination mailbox
@@ -32,11 +32,31 @@
 //! [`Drained`] counts of the `drain` that delivers it.  The engine sums
 //! these into [`crate::metrics::EngineMetrics`], which is what the paper's
 //! communication figures report.
+//!
+//! A message costs a few hash probes and no allocation of its own:
+//!
+//! * the engine routes each key into one reused buffer
+//!   ([`grape_partition::fragmentation_graph::FragmentationGraph::route`]),
+//!   stages it in a per-destination batch indexed by fragment, and moves
+//!   the key and value into the last destination's batch (the others get
+//!   copies);
+//! * `aggregateMsg` takes the staged value by move, so folding a conflict
+//!   clones nothing, and the barrier folds senders in index order (CF's
+//!   equal-timestamp average is not associative, so the order is part of
+//!   the answer);
+//! * the barrier's grouping maps are indexed by fragment, and one probe of
+//!   the delivered cache both tests and records a value.
+//!
+//! Every map here is keyed by message keys, which carry vertex ids a client
+//! chooses through its deltas, so they hash with
+//! [`grape_graph::hash::KeyedState`]: fast, but keyed per process, so keys
+//! cannot be crafted to collide.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use grape_graph::hash::KeyedHashMap;
 use parking_lot::Mutex;
 
 use crate::config::EngineMode;
@@ -146,6 +166,52 @@ pub struct TransportSnapshot<K, V> {
 /// updates)`.
 type StagedBatch<K, V> = (usize, usize, Vec<(K, V)>);
 
+/// A value awaiting delivery and the highest step among its senders.  The
+/// value is `None` only inside [`fold`], between taking it out and putting
+/// the aggregate back.
+type Staged<V> = (Option<V>, usize);
+
+/// Folds `v`, sent at `step`, into the value staged under the entry's key
+/// with `aggregateMsg`: the staged value moves into the call, so nothing is
+/// cloned.  The staged value is the left argument.
+fn fold<K, V>(
+    ops: MessageOps<'_, K, V>,
+    mut staged: OccupiedEntry<'_, K, Staged<V>>,
+    v: V,
+    step: usize,
+) {
+    let old = staged
+        .get_mut()
+        .0
+        .take()
+        .expect("a staged value outside fold");
+    let merged = (ops.aggregate)(staged.key(), old, v);
+    let slot = staged.get_mut();
+    *slot = (Some(merged), slot.1.max(step));
+}
+
+/// Records `v` as the value last delivered under `k`, in one probe of the
+/// delivered cache.  Returns the key to enqueue `v` under, or `None` when
+/// `v` is what was delivered last: an unchanged value ships nothing.
+fn deliver<K: Clone + Eq + Hash, V: Clone + PartialEq>(
+    delivered: &mut KeyedHashMap<K, V>,
+    k: K,
+    v: &V,
+) -> Option<K> {
+    match delivered.entry(k) {
+        Entry::Occupied(o) if o.get() == v => None,
+        Entry::Occupied(mut o) => {
+            o.insert(v.clone());
+            Some(o.key().clone())
+        }
+        Entry::Vacant(slot) => {
+            let k = slot.key().clone();
+            slot.insert(v.clone());
+            Some(k)
+        }
+    }
+}
+
 /// A message-passing substrate connecting `m` fragment mailboxes.
 ///
 /// Contract (checked by the conformance suite in this module's tests):
@@ -186,7 +252,7 @@ struct BarrierMailbox<K, V> {
     queue: Vec<(K, V)>,
     queue_step: usize,
     queue_bytes: usize,
-    delivered: HashMap<K, V>,
+    delivered: KeyedHashMap<K, V>,
 }
 
 impl<K, V> BarrierMailbox<K, V> {
@@ -195,7 +261,7 @@ impl<K, V> BarrierMailbox<K, V> {
             queue: Vec::new(),
             queue_step: 0,
             queue_bytes: 0,
-            delivered: HashMap::new(),
+            delivered: KeyedHashMap::default(),
         }
     }
 }
@@ -242,38 +308,41 @@ where
 
     fn flush(&self) -> TransportStats {
         // Aggregate conflicting assignments across all senders first (the
-        // coordinator's message grouping), then publish changed values.
-        let mut per_dest: HashMap<usize, HashMap<K, (V, usize)>> = HashMap::new();
+        // coordinator's message grouping), folding senders in index order,
+        // then publish changed values.  The grouping maps are indexed by
+        // destination fragment; a map allocates only once it gets mail.
+        let mut grouping: Vec<KeyedHashMap<K, Staged<V>>> = (0..self.mailboxes.len())
+            .map(|_| KeyedHashMap::default())
+            .collect();
         for sender in &self.staging {
             for (dest, step, updates) in sender.lock().drain(..) {
-                let slot = per_dest.entry(dest).or_default();
+                let group = &mut grouping[dest];
                 for (k, v) in updates {
-                    match slot.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut o) => {
-                            let (old_v, old_step) = o.get().clone();
-                            let merged = (self.ops.aggregate)(o.key(), old_v, v);
-                            o.insert((merged, old_step.max(step)));
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert((v, step));
+                    match group.entry(k) {
+                        Entry::Occupied(o) => fold(self.ops, o, v, step),
+                        Entry::Vacant(slot) => {
+                            slot.insert((Some(v), step));
                         }
                     }
                 }
             }
         }
         let mut published = TransportStats::default();
-        for (dest, updates) in per_dest {
+        for (dest, group) in grouping.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
             let mut mailbox = self.mailboxes[dest].lock();
-            for (k, (v, step)) in updates {
-                if mailbox.delivered.get(&k) == Some(&v) {
+            for (k, (v, step)) in group {
+                let v = v.expect("every staged value is folded back");
+                let Some(k) = deliver(&mut mailbox.delivered, k, &v) else {
                     continue; // unchanged since the last delivery
-                }
+                };
                 let size = (self.ops.key_size)(&k) + (self.ops.value_size)(&v);
                 published.messages += 1;
                 published.bytes += size;
                 mailbox.queue_bytes += size;
                 mailbox.queue_step = mailbox.queue_step.max(step);
-                mailbox.delivered.insert(k.clone(), v.clone());
                 mailbox.queue.push((k, v));
             }
         }
@@ -356,15 +425,15 @@ impl<K: Clone, V: Clone> BarrierTransport<'_, K, V> {
 #[derive(Debug)]
 struct ChannelMailbox<K, V> {
     /// Pending updates, coalesced by key: value + max sender step.
-    pending: HashMap<K, (V, usize)>,
-    delivered: HashMap<K, V>,
+    pending: KeyedHashMap<K, Staged<V>>,
+    delivered: KeyedHashMap<K, V>,
 }
 
 impl<K, V> ChannelMailbox<K, V> {
     fn new() -> Self {
         ChannelMailbox {
-            pending: HashMap::new(),
-            delivered: HashMap::new(),
+            pending: KeyedHashMap::default(),
+            delivered: KeyedHashMap::default(),
         }
     }
 }
@@ -407,16 +476,12 @@ where
         let was_empty = pending.is_empty();
         for (k, v) in updates {
             match pending.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let (old_v, old_step) = o.get().clone();
-                    let merged = (self.ops.aggregate)(o.key(), old_v, v);
-                    o.insert((merged, old_step.max(step)));
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Occupied(o) => fold(self.ops, o, v, step),
+                Entry::Vacant(slot) => {
                     // Exact repeat of the last delivered value: drop early,
                     // don't even wake the destination.
                     if delivered.get(slot.key()) != Some(&v) {
-                        slot.insert((v, step));
+                        slot.insert((Some(v), step));
                     }
                 }
             }
@@ -435,18 +500,18 @@ where
         if mailbox.pending.is_empty() {
             return Drained::empty();
         }
-        let pending = std::mem::take(&mut mailbox.pending);
         self.nonempty.fetch_sub(1, Ordering::SeqCst);
+        let mailbox = &mut *mailbox;
         let mut drained = Drained::empty();
-        for (k, (v, step)) in pending {
+        for (k, (v, step)) in mailbox.pending.drain() {
+            let v = v.expect("every pending value is folded back");
             // Aggregation may have converged back onto the delivered value.
-            if mailbox.delivered.get(&k) == Some(&v) {
+            let Some(k) = deliver(&mut mailbox.delivered, k, &v) else {
                 continue;
-            }
+            };
             drained.messages += 1;
             drained.bytes += (self.ops.key_size)(&k) + (self.ops.value_size)(&v);
             drained.max_step = drained.max_step.max(step);
-            mailbox.delivered.insert(k.clone(), v.clone());
             drained.updates.push((k, v));
         }
         drained
@@ -752,6 +817,70 @@ mod tests {
                 bytes: 16
             }
         );
+    }
+
+    /// `aggregateMsg` of the shape of CF's equal-timestamp average: the
+    /// mean of the staged value and the new one, which is not associative.
+    fn mean_agg(_k: &u64, a: f64, b: f64) -> f64 {
+        (a + b) / 2.0
+    }
+    /// Appends the new value's digit to the staged ones, so any other
+    /// order of the same folds reads differently.
+    fn digits_agg(_k: &u64, a: u64, b: u64) -> u64 {
+        a * 10 + b
+    }
+
+    /// The barrier folds conflicting sends in sender-index order, whatever
+    /// order the senders staged them in: three senders assign one key, and
+    /// the published value is `agg(agg(v0, v1), v2)`.
+    #[test]
+    fn barrier_folds_senders_in_index_order() {
+        let mean = BarrierTransport::new(
+            4,
+            MessageOps {
+                aggregate: &mean_agg,
+                key_size: &eight,
+                value_size: &|_: &f64| 8,
+            },
+        );
+        let digits = BarrierTransport::new(
+            4,
+            MessageOps {
+                aggregate: &digits_agg,
+                ..MIN_OPS
+            },
+        );
+        for sender in [2, 0, 1] {
+            mean.send_batch(sender, 3, 0, vec![(5, [0.0, 1.0, 4.0][sender])]);
+            digits.send_batch(sender, 3, 0, vec![(5, [1, 2, 3][sender])]);
+        }
+        assert_eq!(mean.flush().messages, 1);
+        assert_eq!(digits.flush().messages, 1);
+        assert_eq!(
+            mean.drain(3).updates,
+            vec![(5, ((0.0 + 1.0) / 2.0 + 4.0) / 2.0)]
+        );
+        assert_eq!(digits.drain(3).updates, vec![(5, 123)]);
+    }
+
+    /// One value sent to three destinations arrives, equal, at all three.
+    fn one_value_reaches_every_destination<T: Transport<u64, u64>>(name: &str, t: &T) {
+        for dest in [1, 2, 3] {
+            t.send_batch(0, dest, 0, vec![(9, 90), (4, 40)]);
+        }
+        t.flush();
+        assert_eq!(t.pending_mailboxes(), 3, "{name}");
+        for dest in [1, 2, 3] {
+            let mut got = t.drain(dest).updates;
+            got.sort_unstable();
+            assert_eq!(got, vec![(4, 40), (9, 90)], "{name}: destination {dest}");
+        }
+    }
+
+    #[test]
+    fn both_transports_deliver_one_value_to_every_destination() {
+        one_value_reaches_every_destination("barrier", &BarrierTransport::new(4, MIN_OPS));
+        one_value_reaches_every_destination("channel", &ChannelTransport::new(4, MIN_OPS));
     }
 
     /// The default spec runs in-process, and the substrate it names follows

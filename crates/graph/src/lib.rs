@@ -16,7 +16,8 @@
 //! * [`delta`] — batched graph updates ([`delta::GraphDelta`]) and
 //!   [`graph::Graph::apply_delta`], the `ΔG` of queries under updates,
 //! * [`io`] — plain-text edge-list readers/writers, binary graph snapshots
-//!   and serde support.
+//!   and serde support,
+//! * [`hash`] — the keyed fast hasher of the maps keyed by vertex ids.
 //!
 //! All vertex identifiers are dense `0..n` integers ([`types::VertexId`]);
 //! this is what lets fragments and the fragmentation graph index status
@@ -27,6 +28,7 @@ pub mod csr;
 pub mod delta;
 pub mod generators;
 pub mod graph;
+pub mod hash;
 pub mod io;
 pub mod pattern;
 pub mod types;

@@ -1419,20 +1419,20 @@ mod tests {
             successors_both: vec![BTreeSet::new(); m],
             adjacency: vec![BTreeSet::new(); m],
         };
+        let mut dests = Vec::new();
         for v in gp.border_vertices() {
             let mut holders: BTreeSet<usize> = BTreeSet::new();
             holders.insert(gp.owner(v));
             holders.extend(gp.outer_holders(v).iter().map(|&i| i as usize));
             holders.extend(gp.in_holders(v).iter().map(|&i| i as usize));
             for &i in &holders {
-                for dest in gp.route(v, i, BorderScope::Out) {
-                    tables.successors_out[i].insert(dest);
-                }
-                for dest in gp.route(v, i, BorderScope::In) {
-                    tables.successors_in[i].insert(dest);
-                }
-                for dest in gp.route(v, i, BorderScope::Both) {
-                    tables.successors_both[i].insert(dest);
+                for (scope, successors) in [
+                    (BorderScope::Out, &mut tables.successors_out),
+                    (BorderScope::In, &mut tables.successors_in),
+                    (BorderScope::Both, &mut tables.successors_both),
+                ] {
+                    gp.route(v, i, scope, &mut dests);
+                    successors[i].extend(&dests);
                 }
                 for &j in &holders {
                     if i != j {

@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 
 use grape_graph::csr::Neighbor;
 use grape_graph::graph::{Directedness, Graph};
+use grape_graph::hash::KeyedHashMap;
 use grape_graph::types::{Edge, Label, VertexId};
 
 use crate::delta::QuotientTables;
@@ -32,7 +33,7 @@ pub struct Fragment {
     /// Local id → global id.
     pub(crate) globals: Vec<VertexId>,
     /// Global id → local id.
-    pub(crate) to_local: HashMap<VertexId, LocalId>,
+    pub(crate) to_local: KeyedHashMap<VertexId, LocalId>,
     /// Local ids `0..num_inner` are inner vertices; the rest are outer copies.
     pub(crate) num_inner: usize,
     /// `F_i.I`: inner vertices (local ids) with an incoming cross edge.
@@ -184,7 +185,7 @@ impl Fragment {
         in_border: Vec<LocalId>,
         out_border: Vec<LocalId>,
     ) -> Fragment {
-        let to_local: HashMap<VertexId, LocalId> = globals
+        let to_local: KeyedHashMap<VertexId, LocalId> = globals
             .iter()
             .enumerate()
             .map(|(l, &v)| (v, l as LocalId))
@@ -531,7 +532,7 @@ pub(crate) fn build_edge_cut_fragment(
     inner_vs: &[VertexId],
 ) -> Fragment {
     let mut globals: Vec<VertexId> = inner_vs.to_vec();
-    let mut to_local: HashMap<VertexId, LocalId> = globals
+    let mut to_local: KeyedHashMap<VertexId, LocalId> = globals
         .iter()
         .enumerate()
         .map(|(l, &v)| (v, l as LocalId))
@@ -699,7 +700,7 @@ pub fn build_vertex_cut(
         let num_inner = masters.len();
         let mut globals = masters;
         globals.extend(replicas.iter().copied());
-        let to_local: HashMap<VertexId, LocalId> = globals
+        let to_local: KeyedHashMap<VertexId, LocalId> = globals
             .iter()
             .enumerate()
             .map(|(l, &v)| (v, l as LocalId))
@@ -1055,7 +1056,7 @@ mod expansion {
         extra.sort_unstable();
         let shipped_vertices = keep.len() - base.num_local();
         globals.extend(extra);
-        let to_local: HashMap<VertexId, LocalId> = globals
+        let to_local: KeyedHashMap<VertexId, LocalId> = globals
             .iter()
             .enumerate()
             .map(|(l, &v)| (v, l as LocalId))

@@ -6,8 +6,7 @@
 //! parameter, so that only the fragments that can actually use a value
 //! receive it.
 
-use std::collections::HashMap;
-
+use grape_graph::hash::KeyedHashMap;
 use grape_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
 
@@ -38,9 +37,9 @@ pub struct FragmentationGraph {
     owner: Vec<u32>,
     /// For each border vertex, the fragments that hold it as an outer copy
     /// (`v ∈ F_i.O`), sorted.
-    outer_holders: HashMap<VertexId, Vec<u32>>,
+    outer_holders: KeyedHashMap<VertexId, Vec<u32>>,
     /// For each border vertex, the fragments that hold it in `F_i.I`, sorted.
-    in_holders: HashMap<VertexId, Vec<u32>>,
+    in_holders: KeyedHashMap<VertexId, Vec<u32>>,
     /// Vertex-cut semantics: a shared (replicated) vertex's update parameters
     /// must reach *every* fragment holding a copy, whatever the scope
     /// (paper, Section 3.2(3b): "if P is vertex-cut, it identifies nodes
@@ -57,13 +56,13 @@ impl FragmentationGraph {
     pub fn new(owner: Vec<u32>, outer: &[Vec<VertexId>], inner_border: &[Vec<VertexId>]) -> Self {
         assert_eq!(outer.len(), inner_border.len(), "fragment count mismatch");
         let num_fragments = outer.len();
-        let mut outer_holders: HashMap<VertexId, Vec<u32>> = HashMap::new();
+        let mut outer_holders: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
         for (i, vs) in outer.iter().enumerate() {
             for &v in vs {
                 outer_holders.entry(v).or_default().push(i as u32);
             }
         }
-        let mut in_holders: HashMap<VertexId, Vec<u32>> = HashMap::new();
+        let mut in_holders: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
         for (i, vs) in inner_border.iter().enumerate() {
             for &v in vs {
                 in_holders.entry(v).or_default().push(i as u32);
@@ -181,13 +180,15 @@ impl FragmentationGraph {
         seen.into_iter()
     }
 
-    /// The destinations of an update to vertex `v` produced by fragment
-    /// `from`, under the given scope (paper, Section 3.2(3b): "deduces their
-    /// designations `P_j` by referencing `G_P`").
+    /// Fills `dests` (cleared first) with the destinations of an update to
+    /// vertex `v` produced by fragment `from`, under the given scope (paper,
+    /// Section 3.2(3b): "deduces their designations `P_j` by referencing
+    /// `G_P`"), in ascending order.  The caller owns the buffer, so routing
+    /// a message allocates nothing once it has grown.
     ///
     /// The producing fragment itself is never a destination.
-    pub fn route(&self, v: VertexId, from: usize, scope: BorderScope) -> Vec<usize> {
-        let mut dests: Vec<usize> = Vec::new();
+    pub fn route(&self, v: VertexId, from: usize, scope: BorderScope, dests: &mut Vec<usize>) {
+        dests.clear();
         let scope = if self.shared_vertex_routing {
             BorderScope::Both
         } else {
@@ -197,41 +198,36 @@ impl FragmentationGraph {
             BorderScope::Out => {
                 // Value computed for an outer copy → fragments where v is an
                 // inner border vertex.
-                for &j in self.in_holders(v) {
-                    dests.push(j as usize);
-                }
+                dests.extend(self.in_holders(v).iter().map(|&j| j as usize));
                 // If v has no incoming cross edges recorded (e.g. vertex-cut
                 // master without in-border entry), fall back to the owner.
                 if dests.is_empty() {
                     dests.push(self.owner(v));
                 }
             }
-            BorderScope::In => {
-                for &j in self.outer_holders(v) {
-                    dests.push(j as usize);
-                }
-            }
+            BorderScope::In => dests.extend(self.outer_holders(v).iter().map(|&j| j as usize)),
             BorderScope::Both => {
-                for &j in self.in_holders(v) {
-                    dests.push(j as usize);
-                }
-                for &j in self.outer_holders(v) {
-                    dests.push(j as usize);
-                }
-                let owner = self.owner(v);
-                dests.push(owner);
+                dests.extend(self.in_holders(v).iter().map(|&j| j as usize));
+                dests.extend(self.outer_holders(v).iter().map(|&j| j as usize));
+                dests.push(self.owner(v));
             }
         }
         dests.sort_unstable();
         dests.dedup();
         dests.retain(|&d| d != from);
-        dests
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`FragmentationGraph::route`] into a fresh buffer.
+    fn route(gp: &FragmentationGraph, v: VertexId, from: usize, scope: BorderScope) -> Vec<usize> {
+        let mut dests = vec![usize::MAX]; // stale content the call must clear
+        gp.route(v, from, scope, &mut dests);
+        dests
+    }
 
     /// Two fragments: F0 = {0,1}, F1 = {2,3}; cross edges 1→2 and 3→0.
     fn sample() -> FragmentationGraph {
@@ -262,24 +258,24 @@ mod tests {
     fn out_scope_routes_to_owner_side() {
         let gp = sample();
         // Fragment 0 computed a value for its outer copy 2 → goes to fragment 1.
-        assert_eq!(gp.route(2, 0, BorderScope::Out), vec![1]);
+        assert_eq!(route(&gp, 2, 0, BorderScope::Out), vec![1]);
         // Fragment 1 computed a value for its outer copy 0 → goes to fragment 0.
-        assert_eq!(gp.route(0, 1, BorderScope::Out), vec![0]);
+        assert_eq!(route(&gp, 0, 1, BorderScope::Out), vec![0]);
     }
 
     #[test]
     fn in_scope_routes_to_outer_copy_holders() {
         let gp = sample();
         // Fragment 1 updated inner border vertex 2 → fragment 0 holds 2 as outer copy.
-        assert_eq!(gp.route(2, 1, BorderScope::In), vec![0]);
+        assert_eq!(route(&gp, 2, 1, BorderScope::In), vec![0]);
     }
 
     #[test]
     fn both_scope_unions_and_excludes_sender() {
         let gp = sample();
-        let dests = gp.route(2, 0, BorderScope::Both);
+        let dests = route(&gp, 2, 0, BorderScope::Both);
         assert_eq!(dests, vec![1]);
-        let dests = gp.route(2, 1, BorderScope::Both);
+        let dests = route(&gp, 2, 1, BorderScope::Both);
         assert_eq!(dests, vec![0]);
     }
 
@@ -289,12 +285,12 @@ mod tests {
         let outer = vec![vec![1], vec![]];
         let inner_border = vec![vec![], vec![]];
         let gp = FragmentationGraph::new(owner, &outer, &inner_border);
-        assert_eq!(gp.route(1, 0, BorderScope::Out), vec![1]);
+        assert_eq!(route(&gp, 1, 0, BorderScope::Out), vec![1]);
     }
 
     #[test]
     fn non_border_vertex_routes_nowhere_under_in_scope() {
         let gp = sample();
-        assert!(gp.route(1, 0, BorderScope::In).is_empty());
+        assert!(route(&gp, 1, 0, BorderScope::In).is_empty());
     }
 }

@@ -95,8 +95,6 @@ pub struct CcPartial {
     /// Out-border members of each local component (the only vertices whose
     /// new cid must be shipped when the component is relabelled).
     border_members: Vec<Vec<u32>>,
-    /// Global id of each local vertex.
-    globals: Vec<VertexId>,
 }
 
 /// The CC PIE program.
@@ -149,8 +147,22 @@ impl Cc {
             component_of,
             component_cid,
             border_members,
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
         }
+    }
+
+    /// Every `(vertex, cid)` cell of the partials, owners and outer copies
+    /// alike, named through `frag`.
+    fn cells<'a>(
+        frag: &'a Fragmentation,
+        partials: &'a [CcPartial],
+    ) -> impl Iterator<Item = (VertexId, VertexId)> + Clone + 'a {
+        debug_assert_eq!(partials.len(), frag.num_fragments());
+        frag.fragments().iter().zip(partials).flat_map(|(f, p)| {
+            debug_assert_eq!(p.component_of.len(), f.num_local());
+            (0..)
+                .zip(&p.component_of)
+                .map(|(l, &c)| (f.global_of(l), p.component_cid[c]))
+        })
     }
 }
 
@@ -287,16 +299,18 @@ impl PieProgram for Cc {
         }
     }
 
-    fn assemble(&self, _query: &CcQuery, partials: Vec<CcPartial>) -> CcResult {
+    fn assemble(
+        &self,
+        _query: &CcQuery,
+        frag: &Fragmentation,
+        partials: Vec<CcPartial>,
+    ) -> CcResult {
         let mut labels: HashMap<VertexId, VertexId> = HashMap::new();
-        for partial in partials {
-            for (l, &v) in partial.globals.iter().enumerate() {
-                let cid = partial.component_cid[partial.component_of[l]];
-                labels
-                    .entry(v)
-                    .and_modify(|existing| *existing = (*existing).min(cid))
-                    .or_insert(cid);
-            }
+        for (v, cid) in Self::cells(frag, &partials) {
+            labels
+                .entry(v)
+                .and_modify(|existing| *existing = (*existing).min(cid))
+                .or_insert(cid);
         }
         CcResult { labels }
     }
@@ -326,15 +340,7 @@ impl IncrementalPie for Cc {
         partial: CcPartial,
         _delta: &FragmentDelta,
     ) -> (CcPartial, Vec<(VertexId, VertexId)>) {
-        debug_assert!(
-            partial.globals.len() == old_frag.num_local()
-                && partial
-                    .globals
-                    .iter()
-                    .enumerate()
-                    .all(|(l, &g)| old_frag.global_of(l as LocalId) == g),
-            "a partial is stored in its fragment's local order"
-        );
+        debug_assert_eq!(partial.component_of.len(), old_frag.num_local());
         // The partial is in `old_frag`'s local order: its index does the
         // lookup by global id.
         let old_cid_of = |g: VertexId| {
@@ -473,19 +479,13 @@ impl DeltaOutput for Cc {
     fn diff_output(
         &self,
         _query: &CcQuery,
+        frag: &Fragmentation,
         previous: &[(VertexId, VertexId)],
         partials: &[CcPartial],
     ) -> Option<OutputDelta<VertexId, VertexId>> {
-        let rows = partials.iter().flat_map(|partial| {
-            partial
-                .globals
-                .iter()
-                .zip(&partial.component_of)
-                .map(|(&v, &c)| (v, partial.component_cid[c]))
-        });
         // A cid is at most its vertex's own id, and an id of `MAX` is far
         // past the dense-table bound, so `MAX` never names a real label.
-        diff_min_rows(previous, VertexId::MAX, rows)
+        diff_min_rows(previous, VertexId::MAX, Self::cells(frag, partials))
     }
 }
 
@@ -797,10 +797,11 @@ mod tests {
     /// The path `diff_output` must agree with: assemble, canonicalize,
     /// `diff_sorted`.
     fn reference_diff(
+        frag: &Fragmentation,
         previous: &[(VertexId, VertexId)],
         partials: &[CcPartial],
     ) -> OutputDelta<VertexId, VertexId> {
-        let next = Cc.canonical(&CcQuery, &Cc.assemble(&CcQuery, partials.to_vec()));
+        let next = Cc.canonical(&CcQuery, &Cc.assemble(&CcQuery, frag, partials.to_vec()));
         grape_core::output_delta::diff_sorted(previous, &next)
     }
 
@@ -836,47 +837,82 @@ mod tests {
             ];
             for delta in &deltas {
                 prepared.update(delta).unwrap();
+                let (frag, partials) = (prepared.fragmentation(), prepared.partials());
                 let fast = Cc
-                    .diff_output(&CcQuery, &previous, prepared.partials())
+                    .diff_output(&CcQuery, frag, &previous, partials)
                     .expect("dense vertex ids take the fast path");
-                assert_eq!(fast, reference_diff(&previous, prepared.partials()));
+                assert_eq!(fast, reference_diff(frag, &previous, partials));
                 apply_sorted(&mut previous, &fast);
                 assert_eq!(previous, prepared.canonical_rows().unwrap());
             }
         }
     }
 
+    /// Hand-written components over a real fragmentation of 13 vertices:
+    /// fragment 1 owns 9 and 12 and holds an outer copy of 2; fragment 0
+    /// owns the rest and holds an outer copy of 9.  Every vertex is a cell
+    /// of some fragment, so the cases no real partial can produce — an id
+    /// inside the table that no row names, no rows at all, sparse ids —
+    /// are pinned on `util::diff_min_rows` itself.
     #[test]
-    fn diff_output_takes_the_owner_minimum_and_declines_sparse_ids() {
-        let partial =
-            |globals: Vec<VertexId>, component_of: Vec<usize>, cids: Vec<VertexId>| CcPartial {
-                border_members: vec![Vec::new(); cids.len()],
+    fn diff_output_takes_the_owner_minimum() {
+        use grape_graph::types::Edge;
+        use grape_partition::fragment::build_edge_cut;
+
+        let mut b = GraphBuilder::directed().ensure_vertices(13);
+        for (s, d) in [(1, 4), (4, 9), (9, 12), (12, 2)] {
+            b.push_edge(Edge::unweighted(s, d));
+        }
+        let assignment: Vec<u32> = (0..13).map(|v| u32::from([9, 12].contains(&v))).collect();
+        let frag = build_edge_cut(&std::sync::Arc::new(b.build()), &assignment, 2, "fixed");
+        // The listed components with their cids; every other local vertex
+        // is a component of its own, labelled with its own id.
+        let partial = |i: usize, groups: &[(&[VertexId], VertexId)]| {
+            let f = frag.fragment(i);
+            let mut component_of = vec![usize::MAX; f.num_local()];
+            let mut component_cid = Vec::new();
+            for &(members, cid) in groups {
+                for &v in members {
+                    let l = f.local_of(v).expect("the fragment holds v");
+                    component_of[l as usize] = component_cid.len();
+                }
+                component_cid.push(cid);
+            }
+            for l in f.all_locals() {
+                if component_of[l as usize] == usize::MAX {
+                    component_of[l as usize] = component_cid.len();
+                    component_cid.push(f.global_of(l));
+                }
+            }
+            CcPartial {
+                border_members: vec![Vec::new(); component_cid.len()],
                 component_of,
-                component_cid: cids,
-                globals,
-            };
+                component_cid,
+            }
+        };
+        assert!(!frag
+            .fragment(0)
+            .is_inner(frag.fragment(0).local_of(9).unwrap()));
+        assert!(!frag
+            .fragment(1)
+            .is_inner(frag.fragment(1).local_of(2).unwrap()));
         let partials = vec![
-            // Fragment 0: {1, 4} share a component; its outer copy of 9
-            // sits in a local component that has not heard of cid 2.
-            partial(vec![1, 4, 9], vec![0, 0, 1], vec![1, 9]),
-            // Fragment 1 owns 9 and 12, joined to 2 through another cut.
-            partial(vec![9, 12, 2], vec![0, 0, 0], vec![2]),
+            // {1, 4} share a component; the outer copy of 9 sits in a
+            // local component that has not heard of cid 2.
+            partial(0, &[(&[1, 4], 1), (&[9], 9)]),
+            // 9 and 12 are joined to 2 through the other cut.
+            partial(1, &[(&[9, 12, 2], 2)]),
         ];
-        // 4 moves component, 6 was detached out of every fragment, 20 lies
-        // past every id the partials name.
-        let previous = vec![(1, 1), (2, 2), (4, 4), (6, 6), (9, 9), (20, 20)];
-        let fast = Cc.diff_output(&CcQuery, &previous, &partials).unwrap();
+        // 4 moves component, 12 is new, 20 lies past every id the
+        // fragmentation names; every other vertex keeps its own label.
+        let mut previous: Vec<(VertexId, VertexId)> = (0..12).map(|v| (v, v)).collect();
+        previous.push((20, 20));
+        let fast = Cc
+            .diff_output(&CcQuery, &frag, &previous, &partials)
+            .unwrap();
         assert_eq!(fast.changed, vec![(4, 1), (9, 2), (12, 2)]);
-        assert_eq!(fast.removed, vec![6, 20]);
-        assert_eq!(fast, reference_diff(&previous, &partials));
-
-        let nothing = Cc.diff_output(&CcQuery, &previous, &[]).unwrap();
-        assert_eq!(nothing, reference_diff(&previous, &[]));
-
-        // A dense table over ids this sparse would dwarf the answer: the
-        // fast path declines and the engine assembles instead.
-        let sparse = vec![partial(vec![1 << 40], vec![0], vec![1 << 40])];
-        assert!(Cc.diff_output(&CcQuery, &previous, &sparse).is_none());
+        assert_eq!(fast.removed, vec![20]);
+        assert_eq!(fast, reference_diff(&frag, &previous, &partials));
     }
 
     #[test]

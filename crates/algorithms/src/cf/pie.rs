@@ -38,7 +38,7 @@ use grape_core::pie::{
 use grape_graph::delta::GraphDelta;
 use grape_graph::types::VertexId;
 use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize};
 
@@ -82,15 +82,14 @@ pub struct FactorUpdate {
     pub timestamp: u64,
 }
 
-/// Per-fragment partial result: the local factor vectors and the epoch count.
+/// Per-fragment partial result: the factor vector and timestamp of every
+/// local vertex, in the fragment's local order, and the epoch count.
 /// Serializable so a served CF query can spill to disk and rehydrate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CfPartial {
     factors: Vec<Vec<f64>>,
     timestamps: Vec<u64>,
     epoch: u64,
-    globals: Vec<VertexId>,
-    num_inner: usize,
 }
 
 /// The CF PIE program.
@@ -188,8 +187,6 @@ impl PieProgram for Cf {
                 .collect(),
             timestamps: vec![0; k],
             epoch: 1,
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
-            num_inner: frag.num_inner(),
         };
         Self::local_epoch(frag, query, &mut partial);
         if query.epochs > 1 {
@@ -223,16 +220,23 @@ impl PieProgram for Cf {
         Self::send_border(frag, partial, ctx);
     }
 
-    fn assemble(&self, _query: &CfQuery, partials: Vec<CfPartial>) -> CfResult {
+    fn assemble(
+        &self,
+        _query: &CfQuery,
+        frag: &Fragmentation,
+        partials: Vec<CfPartial>,
+    ) -> CfResult {
+        debug_assert_eq!(partials.len(), frag.num_fragments());
         let mut factors: HashMap<VertexId, Vec<f64>> = HashMap::new();
         let mut stamps: HashMap<VertexId, u64> = HashMap::new();
-        for partial in partials {
-            for (idx, &v) in partial.globals.iter().enumerate() {
-                let is_master = idx < partial.num_inner;
-                let stamp = partial.timestamps[idx] * 2 + u64::from(is_master);
+        for (f, partial) in frag.fragments().iter().zip(partials) {
+            debug_assert_eq!(partial.factors.len(), f.num_local());
+            for (l, row) in f.all_locals().zip(partial.factors) {
+                let v = f.global_of(l);
+                let stamp = partial.timestamps[l as usize] * 2 + u64::from(f.is_inner(l));
                 if stamps.get(&v).is_none_or(|&s| stamp > s) {
                     stamps.insert(v, stamp);
-                    factors.insert(v, partial.factors[idx].clone());
+                    factors.insert(v, row);
                 }
             }
         }

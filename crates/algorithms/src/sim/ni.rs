@@ -12,12 +12,15 @@ use std::collections::HashSet;
 
 use grape_core::pie::{Messages, PieProgram};
 use grape_graph::types::VertexId;
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
 
-use crate::sim::pie::{compute_cnt, init_sim, initial_violations, propagate, SimQuery, SimResult};
+use crate::sim::pie::{
+    assemble_relation, compute_cnt, init_sim, initial_violations, propagate, SimQuery, SimResult,
+};
 
-/// Per-fragment state of the non-incremental variant.
+/// Per-fragment state of the non-incremental variant, in the fragment's
+/// local order.
 #[derive(Debug, Clone)]
 pub struct SimNiPartial {
     /// Falsifications received so far, as (query node, local id) pairs.
@@ -26,10 +29,6 @@ pub struct SimNiPartial {
     sent: HashSet<(u32, u32)>,
     /// The latest locally computed relation.
     sim: Vec<Vec<bool>>,
-    /// Global id of each local vertex.
-    globals: Vec<VertexId>,
-    /// Number of inner vertices.
-    num_inner: usize,
 }
 
 /// The non-incremental graph-simulation program (`GRAPE_NI` in the paper).
@@ -105,8 +104,6 @@ impl PieProgram for SimNi {
             received_false,
             sent,
             sim,
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
-            num_inner: frag.num_inner(),
         }
     }
 
@@ -143,18 +140,16 @@ impl PieProgram for SimNi {
         }
     }
 
-    fn assemble(&self, query: &SimQuery, partials: Vec<SimNiPartial>) -> SimResult {
-        // Re-use Sim's assembly by converting the partial shape.
-        let sim_partials: Vec<crate::sim::pie::SimPartial> = partials
-            .into_iter()
-            .map(|p| crate::sim::pie::SimPartial {
-                cnt: Vec::new(),
-                sim: p.sim,
-                globals: p.globals,
-                num_inner: p.num_inner,
-            })
-            .collect();
-        crate::sim::pie::Sim::new().assemble(query, sim_partials)
+    fn assemble(
+        &self,
+        query: &SimQuery,
+        frag: &Fragmentation,
+        partials: Vec<SimNiPartial>,
+    ) -> SimResult {
+        let sims = partials.iter().map(|p| p.sim.as_slice());
+        SimResult {
+            matches: assemble_relation(frag, query.pattern.num_nodes(), sims),
+        }
     }
 
     /// A key ships as its pattern node and vertex id, not as the padded

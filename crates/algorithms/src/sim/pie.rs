@@ -27,7 +27,7 @@
 //! resurrected match are re-rooted, the rest keep their relation and
 //! reseed their in-border falsifications.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use grape_core::output_delta::DeltaOutput;
 use grape_core::pie::{
@@ -37,7 +37,7 @@ use grape_graph::delta::GraphDelta;
 use grape_graph::pattern::Pattern;
 use grape_graph::types::VertexId;
 use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Fragment, Fragmentation, LocalId};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,7 @@ impl SimQuery {
 /// The assembled simulation relation.
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {
-    matches: Vec<Vec<VertexId>>,
+    pub(crate) matches: Vec<Vec<VertexId>>,
 }
 
 impl SimResult {
@@ -83,18 +83,15 @@ impl SimResult {
     }
 }
 
-/// Per-fragment partial result: the local simulation state.  Serializable so
-/// a served Sim query can spill to disk and rehydrate.
+/// Per-fragment partial result: the local simulation state, in the
+/// fragment's local order.  Serializable so a served Sim query can spill to
+/// disk and rehydrate.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimPartial {
     /// `sim[u][l]`: does local vertex `l` currently simulate query node `u`?
-    pub(crate) sim: Vec<Vec<bool>>,
+    sim: Vec<Vec<bool>>,
     /// `cnt[u][l]`: number of local out-neighbours of `l` simulating `u`.
-    pub(crate) cnt: Vec<Vec<u32>>,
-    /// Global id of each local vertex.
-    pub(crate) globals: Vec<VertexId>,
-    /// Number of inner vertices.
-    pub(crate) num_inner: usize,
+    cnt: Vec<Vec<u32>>,
 }
 
 /// The graph-simulation PIE program.  [`Sim::new`] plugs in the plain
@@ -204,6 +201,35 @@ pub fn initial_violations(
     worklist
 }
 
+/// Assemble's relation over per-fragment match matrices (`sim[u][l]`, one
+/// per fragment of `frag`, each in its fragment's local order): the inner
+/// vertices that simulate each of the `q` query nodes, sorted by id, or no
+/// match at all when some query node has none.  Public because the
+/// block-centric baseline assembles its relation the same way.
+pub fn assemble_relation<'a>(
+    frag: &Fragmentation,
+    q: usize,
+    sims: impl ExactSizeIterator<Item = &'a [Vec<bool>]>,
+) -> Vec<Vec<VertexId>> {
+    debug_assert_eq!(sims.len(), frag.num_fragments());
+    let mut matches: Vec<Vec<VertexId>> = vec![Vec::new(); q];
+    for (f, sim) in frag.fragments().iter().zip(sims) {
+        for (matches_u, sim_u) in matches.iter_mut().zip(sim) {
+            debug_assert_eq!(sim_u.len(), f.num_local());
+            let inner = f.inner_locals().filter(|&l| sim_u[l as usize]);
+            matches_u.extend(inner.map(|l| f.global_of(l)));
+        }
+    }
+    for m in &mut matches {
+        m.sort_unstable();
+        m.dedup();
+    }
+    if matches.iter().any(|m| m.is_empty()) {
+        matches = vec![Vec::new(); q];
+    }
+    matches
+}
+
 /// Propagates removals until the local fixpoint.  Returns the removed pairs
 /// whose vertex lies on the inner border `F_i.I` (these are the update
 /// parameters that must be shipped).
@@ -287,12 +313,7 @@ impl PieProgram for Sim {
                 }
             }
         }
-        SimPartial {
-            sim,
-            cnt,
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
-            num_inner: frag.num_inner(),
-        }
+        SimPartial { sim, cnt }
     }
 
     fn inc_eval(
@@ -335,28 +356,16 @@ impl PieProgram for Sim {
         }
     }
 
-    fn assemble(&self, query: &SimQuery, partials: Vec<SimPartial>) -> SimResult {
-        let q = query.pattern.num_nodes();
-        let mut matches: Vec<Vec<VertexId>> = vec![Vec::new(); q];
-        let mut seen: Vec<HashMap<VertexId, bool>> = vec![HashMap::new(); q];
-        for partial in partials {
-            for (u, seen_u) in seen.iter_mut().enumerate().take(q) {
-                for l in 0..partial.num_inner {
-                    if partial.sim[u][l] {
-                        seen_u.entry(partial.globals[l]).or_insert(true);
-                    }
-                }
-            }
+    fn assemble(
+        &self,
+        query: &SimQuery,
+        frag: &Fragmentation,
+        partials: Vec<SimPartial>,
+    ) -> SimResult {
+        let sims = partials.iter().map(|p| p.sim.as_slice());
+        SimResult {
+            matches: assemble_relation(frag, query.pattern.num_nodes(), sims),
         }
-        for (u, map) in seen.into_iter().enumerate() {
-            let mut vs: Vec<VertexId> = map.into_keys().collect();
-            vs.sort_unstable();
-            matches[u] = vs;
-        }
-        if matches.iter().any(|m| m.is_empty()) {
-            matches = vec![Vec::new(); q];
-        }
-        SimResult { matches }
     }
 
     /// A key ships as its pattern node and vertex id, not as the padded
@@ -388,7 +397,7 @@ impl IncrementalPie for Sim {
     fn rebase(
         &self,
         query: &SimQuery,
-        _old_frag: &Fragment,
+        old_frag: &Fragment,
         new_frag: &Fragment,
         partial: SimPartial,
         _delta: &FragmentDelta,
@@ -396,17 +405,17 @@ impl IncrementalPie for Sim {
         let pattern = &query.pattern;
         let q = pattern.num_nodes();
         let k = new_frag.num_local();
-        let old_index: HashMap<VertexId, usize> = partial
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i))
+        // The partial is in `old_frag`'s local order: its index does the
+        // lookup by global id.
+        let old_locals: Vec<Option<LocalId>> = (0..k as u32)
+            .map(|l| old_frag.local_of(new_frag.global_of(l)))
             .collect();
         let mut sim: Vec<Vec<bool>> = (0..q)
             .map(|u| {
+                debug_assert_eq!(partial.sim[u].len(), old_frag.num_local());
                 (0..k as u32)
-                    .map(|l| match old_index.get(&new_frag.global_of(l)) {
-                        Some(&i) => partial.sim[u][i],
+                    .map(|l| match old_locals[l as usize] {
+                        Some(i) => partial.sim[u][i as usize],
                         // Unreachable for a deletion-only delta, but keep
                         // PEval's optimistic label-match initialization.
                         None => new_frag.label(l) == pattern.label(u as u32),
@@ -422,18 +431,7 @@ impl IncrementalPie for Sim {
             .into_iter()
             .map(|(u, l)| ((u, new_frag.global_of(l)), false))
             .collect();
-        (
-            SimPartial {
-                sim,
-                cnt,
-                globals: new_frag
-                    .all_locals()
-                    .map(|l| new_frag.global_of(l))
-                    .collect(),
-                num_inner: new_frag.num_inner(),
-            },
-            sends,
-        )
+        (SimPartial { sim, cnt }, sends)
     }
 
     /// The match-invalidation fixpoint is schedule-independent given fixed

@@ -7,8 +7,8 @@
 //!   distances received in `M_i`; it records the pre-relax value of each
 //!   border vertex it lowers and ships those, so its cost is a function of
 //!   `|M_i| + |AFF|`, not of `|F_i|`.
-//! * Assemble: union of the per-fragment distances, taking the minimum for
-//!   border vertices.
+//! * Assemble: union of the per-fragment distances, named through the
+//!   fragmentation, taking the minimum for border vertices.
 //!
 //! SSSP also implements [`IncrementalPie`]: *insert-only* deltas are
 //! monotone (a new edge can only shorten distances), so `Q(G ⊕ ΔG)` is
@@ -81,18 +81,17 @@ impl SsspResult {
 }
 
 /// Per-fragment partial result `Q(F_i)`: `dist(s, v)` for every local vertex,
-/// together with the local→global id mapping so Assemble can merge fragments.
+/// in the fragment's local order; Assemble names the vertices through the
+/// fragmentation.
 ///
 /// Serializable so a prepared SSSP query can be **evicted** by
-/// `grape_core::serve::GrapeServer` (partials spill to disk next to the
-/// per-fragment binary snapshots and reload without re-running PEval).
+/// `grape_core::serve::GrapeServer` (partials spill to disk and reload
+/// without re-running PEval).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SsspPartial {
-    /// Distance per local vertex id.
-    dist: Vec<f64>,
-    /// Global id of each local vertex.  Outer-copy distances are valid upper
+    /// Distance per local vertex id.  Outer-copy distances are valid upper
     /// bounds, so Assemble can merge everything with `min`.
-    globals: Vec<VertexId>,
+    dist: Vec<f64>,
 }
 
 /// The SSSP PIE program.
@@ -204,28 +203,32 @@ impl Sssp {
     /// at `∞`.  The partial is stored in `old_frag`'s local order, so
     /// `old_frag`'s own index does the lookup.
     fn remap(old_frag: &Fragment, new_frag: &Fragment, partial: &SsspPartial) -> SsspPartial {
-        debug_assert!(
-            partial.globals.len() == old_frag.num_local()
-                && partial
-                    .globals
-                    .iter()
-                    .enumerate()
-                    .all(|(l, &g)| old_frag.global_of(l as LocalId) == g),
-            "a partial is stored in its fragment's local order"
-        );
-        let globals: Vec<VertexId> = new_frag
+        debug_assert_eq!(partial.dist.len(), old_frag.num_local());
+        let dist = new_frag
             .all_locals()
-            .map(|l| new_frag.global_of(l))
-            .collect();
-        let dist = globals
-            .iter()
-            .map(|&g| {
+            .map(|l| {
                 old_frag
-                    .local_of(g)
+                    .local_of(new_frag.global_of(l))
                     .map_or(INF, |o| partial.dist[o as usize])
             })
             .collect();
-        SsspPartial { dist, globals }
+        SsspPartial { dist }
+    }
+
+    /// Every finite `(vertex, distance)` cell of the partials, owners and
+    /// outer copies alike, named through `frag`.
+    fn cells<'a>(
+        frag: &'a Fragmentation,
+        partials: &'a [SsspPartial],
+    ) -> impl Iterator<Item = (VertexId, f64)> + Clone + 'a {
+        debug_assert_eq!(partials.len(), frag.num_fragments());
+        frag.fragments().iter().zip(partials).flat_map(|(f, p)| {
+            debug_assert_eq!(p.dist.len(), f.num_local());
+            (0..)
+                .zip(&p.dist)
+                .map(|(l, &d)| (f.global_of(l), d))
+                .filter(|(_, d)| d.is_finite())
+        })
     }
 
     /// Queues both endpoints of every inserted local edge at their current
@@ -357,10 +360,7 @@ impl PieProgram for Sssp {
         }
         Self::relax(frag, &mut dist, heap, None);
         Self::send_border(frag, &dist, ctx);
-        SsspPartial {
-            dist,
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
-        }
+        SsspPartial { dist }
     }
 
     fn inc_eval(
@@ -385,22 +385,21 @@ impl PieProgram for Sssp {
         Self::send_changed(frag, &partial.dist, changes, ctx);
     }
 
-    fn assemble(&self, _query: &SsspQuery, partials: Vec<SsspPartial>) -> SsspResult {
+    fn assemble(
+        &self,
+        _query: &SsspQuery,
+        frag: &Fragmentation,
+        partials: Vec<SsspPartial>,
+    ) -> SsspResult {
         let mut distances: HashMap<VertexId, f64> = HashMap::new();
-        for partial in partials {
-            // Every locally computed distance is an upper bound on the true
-            // shortest distance, and the owning fragment holds the exact
-            // value at the fixpoint, so merging with `min` is correct.
-            for (idx, &v) in partial.globals.iter().enumerate() {
-                let d = partial.dist[idx];
-                if !d.is_finite() {
-                    continue;
-                }
-                distances
-                    .entry(v)
-                    .and_modify(|existing| *existing = existing.min(d))
-                    .or_insert(d);
-            }
+        // Every locally computed distance is an upper bound on the true
+        // shortest distance, and the owning fragment holds the exact value
+        // at the fixpoint, so merging with `min` is correct.
+        for (v, d) in Self::cells(frag, &partials) {
+            distances
+                .entry(v)
+                .and_modify(|existing| *existing = existing.min(d))
+                .or_insert(d);
         }
         SsspResult { distances }
     }
@@ -618,18 +617,11 @@ impl DeltaOutput for Sssp {
     fn diff_output(
         &self,
         _query: &SsspQuery,
+        frag: &Fragmentation,
         previous: &[(VertexId, f64)],
         partials: &[SsspPartial],
     ) -> Option<OutputDelta<VertexId, f64>> {
-        let rows = partials.iter().flat_map(|partial| {
-            partial
-                .globals
-                .iter()
-                .zip(&partial.dist)
-                .map(|(&v, &d)| (v, d))
-                .filter(|(_, d)| d.is_finite())
-        });
-        diff_min_rows(previous, INF, rows)
+        diff_min_rows(previous, INF, Self::cells(frag, partials))
     }
 }
 
@@ -957,11 +949,12 @@ mod tests {
     /// The path `diff_output` must agree with: assemble, canonicalize,
     /// `diff_sorted`.
     fn reference_diff(
+        frag: &Fragmentation,
         previous: &[(VertexId, f64)],
         partials: &[SsspPartial],
     ) -> OutputDelta<VertexId, f64> {
         let query = SsspQuery::new(0);
-        let next = Sssp.canonical(&query, &Sssp.assemble(&query, partials.to_vec()));
+        let next = Sssp.canonical(&query, &Sssp.assemble(&query, frag, partials.to_vec()));
         grape_core::output_delta::diff_sorted(previous, &next)
     }
 
@@ -1006,50 +999,75 @@ mod tests {
             ];
             for delta in &deltas {
                 prepared.update(delta).unwrap();
+                let (frag, partials) = (prepared.fragmentation(), prepared.partials());
                 let fast = Sssp
-                    .diff_output(&query, &previous, prepared.partials())
+                    .diff_output(&query, frag, &previous, partials)
                     .expect("dense vertex ids take the fast path");
-                assert_eq!(fast, reference_diff(&previous, prepared.partials()));
+                assert_eq!(fast, reference_diff(frag, &previous, partials));
                 apply_sorted(&mut previous, &fast);
                 assert_eq!(previous, prepared.canonical_rows().unwrap());
             }
         }
     }
 
+    /// Hand-written distances over a real fragmentation of 13 vertices:
+    /// fragment 0 owns 0, 1 and 4 and holds an outer copy of 9; fragment 1
+    /// owns the rest and holds an outer copy of 4.  The sparse-id decline
+    /// is pinned on `util::diff_min_rows` itself: no fragmentation of a
+    /// graph this size names such ids.
     #[test]
-    fn diff_output_takes_the_owner_minimum_and_declines_sparse_ids() {
+    fn diff_output_takes_the_owner_minimum() {
+        use grape_graph::builder::GraphBuilder;
+        use grape_graph::types::Edge;
+        use grape_partition::fragment::build_edge_cut;
+
+        let mut b = GraphBuilder::directed().ensure_vertices(13);
+        for (s, d) in [(0, 1), (1, 9), (9, 4), (9, 12)] {
+            b.push_edge(Edge::weighted(s, d, 1.0));
+        }
+        let assignment: Vec<u32> = (0..13)
+            .map(|v| u32::from(![0, 1, 4].contains(&v)))
+            .collect();
+        let frag = build_edge_cut(&std::sync::Arc::new(b.build()), &assignment, 2, "fixed");
+        let partial = |i: usize, cells: &[(VertexId, f64)]| {
+            let f = frag.fragment(i);
+            let mut dist = vec![INF; f.num_local()];
+            for &(v, d) in cells {
+                dist[f.local_of(v).expect("the fragment holds v") as usize] = d;
+            }
+            SsspPartial { dist }
+        };
+        assert!(!frag
+            .fragment(0)
+            .is_inner(frag.fragment(0).local_of(9).unwrap()));
+        assert!(!frag
+            .fragment(1)
+            .is_inner(frag.fragment(1).local_of(4).unwrap()));
         let query = SsspQuery::new(0);
         let partials = vec![
-            // Fragment 0 owns 0, 1, 4 and holds an outer copy of 9 whose
-            // locally derived distance is worse than the owner's.
-            SsspPartial {
-                dist: vec![0.0, 2.0, INF, 7.5],
-                globals: vec![0, 1, 4, 9],
-            },
-            // Fragment 1 owns 9 and 12; its outer copy of 4 is unreached
-            // too, so 4 drops out of the answer.
-            SsspPartial {
-                dist: vec![3.0, INF, 4.0],
-                globals: vec![9, 4, 12],
-            },
+            // The outer copy of 9 holds a locally derived distance worse
+            // than its owner's.
+            partial(0, &[(0, 0.0), (1, 2.0), (4, INF), (9, 7.5)]),
+            // The outer copy of 4 is unreached too, so 4 drops out of the
+            // answer.
+            partial(1, &[(9, 3.0), (4, INF), (12, 4.0)]),
         ];
-        // 20 lies past every id the partials name.
+        // 20 lies past every id the fragmentation names.
         let previous = vec![(0, 0.0), (1, 2.5), (4, 1.0), (20, 9.0)];
-        let fast = Sssp.diff_output(&query, &previous, &partials).unwrap();
+        let fast = Sssp
+            .diff_output(&query, &frag, &previous, &partials)
+            .unwrap();
         assert_eq!(fast.changed, vec![(1, 2.0), (9, 3.0), (12, 4.0)]);
         assert_eq!(fast.removed, vec![4, 20]);
-        assert_eq!(fast, reference_diff(&previous, &partials));
+        assert_eq!(fast, reference_diff(&frag, &previous, &partials));
 
-        let nothing = Sssp.diff_output(&query, &previous, &[]).unwrap();
-        assert_eq!(nothing, reference_diff(&previous, &[]));
-
-        // A dense table over ids this sparse would dwarf the answer: the
-        // fast path declines and the engine assembles instead.
-        let sparse = vec![SsspPartial {
-            dist: vec![1.0],
-            globals: vec![1 << 40],
-        }];
-        assert!(Sssp.diff_output(&query, &previous, &sparse).is_none());
+        // Nothing reached: every previous row is removed.
+        let unreached = vec![partial(0, &[]), partial(1, &[])];
+        let nothing = Sssp
+            .diff_output(&query, &frag, &previous, &unreached)
+            .unwrap();
+        assert!(nothing.changed.is_empty());
+        assert_eq!(nothing, reference_diff(&frag, &previous, &unreached));
     }
 
     #[test]

@@ -42,7 +42,7 @@ use grape_graph::delta::GraphDelta;
 use grape_graph::pattern::Pattern;
 use grape_graph::types::VertexId;
 use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::{Expansion, Fragment};
+use grape_partition::fragment::{Expansion, Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
 use serde::{Deserialize, Serialize};
 
@@ -93,9 +93,10 @@ impl SubIsoResult {
     }
 }
 
-/// Per-fragment partial result: the locally found matches (already in global
-/// vertex ids).  Serializable so a served SubIso query can spill to disk and
-/// rehydrate.
+/// Per-fragment partial result: the locally found matches, in global vertex
+/// ids — SubIso evaluates over expanded fragments, which are not retained,
+/// so its partial cannot lean on the fragmentation for ids.  Serializable so
+/// a served SubIso query can spill to disk and rehydrate.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SubIsoPartial {
     matches: Vec<Match>,
@@ -185,7 +186,12 @@ impl PieProgram for SubIso {
         // messages since the values of variables in C_i.x̄ remain unchanged").
     }
 
-    fn assemble(&self, _query: &SubIsoQuery, partials: Vec<SubIsoPartial>) -> SubIsoResult {
+    fn assemble(
+        &self,
+        _query: &SubIsoQuery,
+        _frag: &Fragmentation,
+        partials: Vec<SubIsoPartial>,
+    ) -> SubIsoResult {
         let mut matches: Vec<Match> = partials.into_iter().flat_map(|p| p.matches).collect();
         matches.sort_unstable();
         matches.dedup();
@@ -465,8 +471,13 @@ mod tests {
             SubIso.inc_eval(query, frag, partial, messages, ctx);
         }
 
-        fn assemble(&self, query: &SubIsoQuery, partials: Vec<SubIsoPartial>) -> SubIsoResult {
-            SubIso.assemble(query, partials)
+        fn assemble(
+            &self,
+            query: &SubIsoQuery,
+            frag: &Fragmentation,
+            partials: Vec<SubIsoPartial>,
+        ) -> SubIsoResult {
+            SubIso.assemble(query, frag, partials)
         }
 
         fn aggregate(&self, key: &VertexId, a: bool, b: bool) -> bool {

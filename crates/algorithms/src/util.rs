@@ -114,6 +114,36 @@ mod tests {
         assert_eq!(heap.pop().unwrap().vertex, 3);
     }
 
+    /// A previous key inside the table that no row names is removed, as is
+    /// one past its end; with no rows at all, every previous key is.
+    #[test]
+    fn diff_min_rows_removes_ids_no_row_names() {
+        let previous: Vec<(VertexId, VertexId)> = vec![(1, 1), (2, 2), (6, 6), (20, 20)];
+        let rows = [(1, 1), (2, 5), (9, 2), (2, 1)];
+        let delta = diff_min_rows(&previous, VertexId::MAX, rows.into_iter()).unwrap();
+        assert_eq!(delta.changed, vec![(2, 1), (9, 2)]);
+        assert_eq!(delta.removed, vec![6, 20]);
+
+        let nothing = diff_min_rows(&previous, VertexId::MAX, std::iter::empty()).unwrap();
+        assert!(nothing.changed.is_empty());
+        assert_eq!(nothing.removed, vec![1, 2, 6, 20]);
+    }
+
+    /// A dense table over ids this sparse would dwarf the answer: the fast
+    /// path declines, for distances and labels alike, and the engine
+    /// assembles instead.  The bound is `4 · |rows| + 1024`.
+    #[test]
+    fn diff_min_rows_declines_sparse_ids() {
+        let previous = [(0, 0.0), (1, 2.5), (4, 1.0), (20, 9.0)];
+        assert!(diff_min_rows(&previous, INF, [(1 << 40, 1.0)].into_iter()).is_none());
+        let labels: [(VertexId, VertexId); 1] = [(1, 1)];
+        let sparse = [(1 << 40, 1 << 40)];
+        assert!(diff_min_rows(&labels, VertexId::MAX, sparse.into_iter()).is_none());
+
+        assert!(diff_min_rows(&previous, INF, [(1027, 1.0)].into_iter()).is_some());
+        assert!(diff_min_rows(&previous, INF, [(1028, 1.0)].into_iter()).is_none());
+    }
+
     #[test]
     fn infinity_sorts_last() {
         let mut heap = BinaryHeap::new();

@@ -94,8 +94,16 @@ pub trait BlockProgram: Send + Sync {
         ctx: &mut BlockContext<Self::Message>,
     );
 
-    /// Collects the output from all block states.
-    fn output(&self, query: &Self::Query, states: Vec<Self::BlockState>) -> Self::Output;
+    /// Collects the output from all block states, one per fragment of
+    /// `frag`, in fragment order.  A state holds values in its fragment's
+    /// local order and names vertices through `frag`, as a PIE partial does
+    /// ([`PieProgram`]).
+    fn output(
+        &self,
+        query: &Self::Query,
+        frag: &Fragmentation,
+        states: Vec<Self::BlockState>,
+    ) -> Self::Output;
 
     /// Approximate wire size of a message.
     fn message_size(&self, _message: &Self::Message) -> usize {
@@ -221,9 +229,14 @@ impl<B: BlockProgram> PieProgram for BlockAsPie<'_, B> {
         self.compute(query, frag, block, &inbox, ctx);
     }
 
-    fn assemble(&self, query: &B::Query, blocks: Vec<Self::Partial>) -> B::Output {
+    fn assemble(
+        &self,
+        query: &B::Query,
+        frag: &Fragmentation,
+        blocks: Vec<Self::Partial>,
+    ) -> B::Output {
         self.program
-            .output(query, blocks.into_iter().map(|b| b.state).collect())
+            .output(query, frag, blocks.into_iter().map(|b| b.state).collect())
     }
 
     /// Every message has a key of its own, so no two ever meet.
@@ -340,7 +353,12 @@ mod tests {
             }
         }
 
-        fn output(&self, _q: &(), states: Vec<Self::BlockState>) -> Self::Output {
+        fn output(
+            &self,
+            _q: &(),
+            _frag: &Fragmentation,
+            states: Vec<Self::BlockState>,
+        ) -> Self::Output {
             let mut out = std::collections::HashMap::new();
             for s in states {
                 for (v, value) in s {
@@ -418,7 +436,7 @@ mod tests {
             }
         }
 
-        fn output(&self, _q: &(), _states: Vec<()>) {}
+        fn output(&self, _q: &(), _frag: &Fragmentation, _states: Vec<()>) {}
     }
 
     /// A block program that never terminates fails at the session's

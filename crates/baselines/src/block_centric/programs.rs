@@ -19,7 +19,9 @@ use grape_partition::fragment::{Expansion, Fragment, Fragmentation};
 
 use grape_algorithms::cf::sequential::{initial_factors, sgd_step, CfModel};
 use grape_algorithms::cf::CfQuery;
-use grape_algorithms::sim::pie::{compute_cnt, init_sim, initial_violations, propagate};
+use grape_algorithms::sim::pie::{
+    assemble_relation, compute_cnt, init_sim, initial_violations, propagate,
+};
 use grape_algorithms::sim::SimQuery;
 use grape_algorithms::sssp::SsspQuery;
 use grape_algorithms::subiso::vf2::subgraph_isomorphism_filtered;
@@ -36,6 +38,33 @@ fn send_per_cross_edge<M: Clone>(frag: &Fragment, l: u32, value: M, ctx: &mut Bl
     }
 }
 
+/// Every `(vertex, value)` cell of per-block value vectors, one per
+/// fragment of `frag` in its local order, named through `frag`.
+fn cells<'a, T: 'a>(
+    frag: &'a Fragmentation,
+    states: Vec<Vec<T>>,
+) -> impl Iterator<Item = (VertexId, T)> + 'a {
+    frag.fragments().iter().zip(states).flat_map(|(f, values)| {
+        debug_assert_eq!(values.len(), f.num_local());
+        (0..).zip(values).map(|(l, value)| (f.global_of(l), value))
+    })
+}
+
+/// The smallest value of each vertex's cells: owners and outer copies
+/// alike hold upper bounds, and the owner's is exact at the fixpoint.
+fn min_by_vertex<T: Copy + PartialOrd>(
+    cells: impl Iterator<Item = (VertexId, T)>,
+) -> HashMap<VertexId, T> {
+    let mut out = HashMap::new();
+    for (v, x) in cells {
+        let min = out.entry(v).or_insert(x);
+        if x < *min {
+            *min = x;
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // SSSP
 // ---------------------------------------------------------------------------
@@ -47,7 +76,7 @@ pub struct BlockSssp;
 
 impl BlockProgram for BlockSssp {
     type Query = SsspQuery;
-    type BlockState = (Vec<f64>, Vec<VertexId>);
+    type BlockState = Vec<f64>;
     type Message = f64;
     type Output = HashMap<VertexId, f64>;
 
@@ -60,18 +89,17 @@ impl BlockProgram for BlockSssp {
         if let Some(l) = frag.local_of(query.source) {
             dist[l as usize] = 0.0;
         }
-        (dist, frag.all_locals().map(|l| frag.global_of(l)).collect())
+        dist
     }
 
     fn compute(
         &self,
         _query: &SsspQuery,
         frag: &Fragment,
-        state: &mut Self::BlockState,
+        dist: &mut Self::BlockState,
         messages: &[(VertexId, f64)],
         ctx: &mut BlockContext<f64>,
     ) {
-        let (dist, _) = state;
         let before = dist.clone();
         for (v, d) in messages {
             if let Some(l) = frag.local_of(*v) {
@@ -113,18 +141,8 @@ impl BlockProgram for BlockSssp {
         }
     }
 
-    fn output(&self, _query: &SsspQuery, states: Vec<Self::BlockState>) -> Self::Output {
-        let mut out = HashMap::new();
-        for (dist, globals) in states {
-            for (d, v) in dist.into_iter().zip(globals) {
-                if d.is_finite() {
-                    out.entry(v)
-                        .and_modify(|e: &mut f64| *e = e.min(d))
-                        .or_insert(d);
-                }
-            }
-        }
-        out
+    fn output(&self, _: &SsspQuery, frag: &Fragmentation, states: Vec<Vec<f64>>) -> Self::Output {
+        min_by_vertex(cells(frag, states).filter(|(_, d)| d.is_finite()))
     }
 }
 
@@ -138,7 +156,7 @@ pub struct BlockCc;
 
 impl BlockProgram for BlockCc {
     type Query = ();
-    type BlockState = (Vec<VertexId>, Vec<VertexId>);
+    type BlockState = Vec<VertexId>;
     type Message = VertexId;
     type Output = HashMap<VertexId, VertexId>;
 
@@ -147,20 +165,17 @@ impl BlockProgram for BlockCc {
     }
 
     fn init(&self, _q: &(), frag: &Fragment) -> Self::BlockState {
-        let cids: Vec<VertexId> = frag.all_locals().map(|l| frag.global_of(l)).collect();
-        let globals = cids.clone();
-        (cids, globals)
+        frag.all_locals().map(|l| frag.global_of(l)).collect()
     }
 
     fn compute(
         &self,
         _q: &(),
         frag: &Fragment,
-        state: &mut Self::BlockState,
+        cids: &mut Self::BlockState,
         messages: &[(VertexId, VertexId)],
         ctx: &mut BlockContext<VertexId>,
     ) {
-        let (cids, _) = state;
         let before = cids.clone();
         for (v, cid) in messages {
             if let Some(l) = frag.local_of(*v) {
@@ -194,16 +209,8 @@ impl BlockProgram for BlockCc {
         }
     }
 
-    fn output(&self, _q: &(), states: Vec<Self::BlockState>) -> Self::Output {
-        let mut out = HashMap::new();
-        for (cids, globals) in states {
-            for (cid, v) in cids.into_iter().zip(globals) {
-                out.entry(v)
-                    .and_modify(|e: &mut VertexId| *e = (*e).min(cid))
-                    .or_insert(cid);
-            }
-        }
-        out
+    fn output(&self, _q: &(), frag: &Fragmentation, states: Vec<Self::BlockState>) -> Self::Output {
+        min_by_vertex(cells(frag, states))
     }
 }
 
@@ -222,8 +229,6 @@ pub struct BlockSimState {
     received_false: HashSet<(u32, u32)>,
     sent: HashSet<(u32, u32)>,
     sim: Vec<Vec<bool>>,
-    globals: Vec<VertexId>,
-    num_inner: usize,
 }
 
 impl BlockProgram for BlockSim {
@@ -245,8 +250,6 @@ impl BlockProgram for BlockSim {
             received_false: HashSet::new(),
             sent: HashSet::new(),
             sim: vec![vec![false; frag.num_local()]; query.pattern.num_nodes()],
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
-            num_inner: frag.num_inner(),
         }
     }
 
@@ -294,26 +297,14 @@ impl BlockProgram for BlockSim {
         }
     }
 
-    fn output(&self, query: &SimQuery, states: Vec<BlockSimState>) -> Vec<Vec<VertexId>> {
-        let q = query.pattern.num_nodes();
-        let mut matches: Vec<Vec<VertexId>> = vec![Vec::new(); q];
-        for state in states {
-            for (u, matches_u) in matches.iter_mut().enumerate().take(q) {
-                for l in 0..state.num_inner {
-                    if state.sim[u][l] {
-                        matches_u.push(state.globals[l]);
-                    }
-                }
-            }
-        }
-        for m in &mut matches {
-            m.sort_unstable();
-            m.dedup();
-        }
-        if matches.iter().any(|m| m.is_empty()) {
-            matches = vec![Vec::new(); q];
-        }
-        matches
+    fn output(
+        &self,
+        query: &SimQuery,
+        frag: &Fragmentation,
+        states: Vec<BlockSimState>,
+    ) -> Vec<Vec<VertexId>> {
+        let sims = states.iter().map(|s| s.sim.as_slice());
+        assemble_relation(frag, query.pattern.num_nodes(), sims)
     }
 
     fn message_size(&self, _message: &(u32, bool)) -> usize {
@@ -335,7 +326,6 @@ pub struct BlockCf;
 pub struct BlockCfState {
     factors: Vec<Vec<f64>>,
     epoch: usize,
-    globals: Vec<VertexId>,
 }
 
 impl BlockProgram for BlockCf {
@@ -359,7 +349,6 @@ impl BlockProgram for BlockCf {
                 .map(|l| initial_factors(frag.global_of(l), query.num_factors))
                 .collect(),
             epoch: 0,
-            globals: frag.all_locals().map(|l| frag.global_of(l)).collect(),
         }
     }
 
@@ -405,12 +394,10 @@ impl BlockProgram for BlockCf {
         }
     }
 
-    fn output(&self, _query: &CfQuery, states: Vec<BlockCfState>) -> CfModel {
+    fn output(&self, _query: &CfQuery, frag: &Fragmentation, states: Vec<BlockCfState>) -> CfModel {
         let mut factors = HashMap::new();
-        for state in states {
-            for (f, v) in state.factors.into_iter().zip(state.globals) {
-                factors.entry(v).or_insert(f);
-            }
+        for (v, f) in cells(frag, states.into_iter().map(|s| s.factors).collect()) {
+            factors.entry(v).or_insert(f);
         }
         CfModel::new(factors)
     }

@@ -25,7 +25,7 @@ use grape_core::engine::{EngineError, RunResult};
 use grape_graph::builder::GraphBuilder;
 use grape_graph::types::VertexId;
 use grape_partition::edge_cut::RangeEdgeCut;
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::strategy::PartitionStrategy;
 
 use crate::block_centric::{model_session, BlockAsPie, BlockContext, BlockProgram};
@@ -156,7 +156,7 @@ impl<B: BspProgram> BlockProgram for Bsp<'_, B> {
         }
     }
 
-    fn output(&self, _: &(), workers: Vec<Self::BlockState>) -> Vec<B::State> {
+    fn output(&self, _: &(), _: &Fragmentation, workers: Vec<Self::BlockState>) -> Vec<B::State> {
         workers.into_iter().map(|w| w.state).collect()
     }
 }

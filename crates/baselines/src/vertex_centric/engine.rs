@@ -26,7 +26,7 @@ use grape_core::engine::{EngineError, RunResult};
 use grape_graph::graph::Graph;
 use grape_graph::types::VertexId;
 use grape_partition::edge_cut::{mix64, HashEdgeCut};
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::strategy::PartitionStrategy;
 
 use crate::block_centric::{model_session, BlockAsPie, BlockContext, BlockProgram};
@@ -207,7 +207,12 @@ impl<P: VertexProgram> BlockProgram for Vertices<'_, P> {
         }
     }
 
-    fn output(&self, query: &P::Query, workers: Vec<Self::BlockState>) -> P::Output {
+    fn output(
+        &self,
+        query: &P::Query,
+        _frag: &Fragmentation,
+        workers: Vec<Self::BlockState>,
+    ) -> P::Output {
         let mut values: Vec<(VertexId, P::VertexValue)> = workers
             .into_iter()
             .flat_map(|w| w.vertices.into_iter().zip(w.values))

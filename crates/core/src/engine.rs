@@ -280,7 +280,7 @@ pub(crate) fn execute<P: PieProgram>(
     let total_start = Instant::now();
     let start = RunStart::full(fragmentation.num_fragments());
     let (partials, mut metrics) = run_parts(session, fragmentation, program, query, start)?;
-    let output = program.assemble(query, partials);
+    let output = program.assemble(query, fragmentation, partials);
     metrics.total_time = total_start.elapsed();
     Ok(RunResult { output, metrics })
 }
@@ -969,7 +969,12 @@ mod tests {
             }
         }
 
-        fn assemble(&self, _q: &(), partials: Vec<MinPartial>) -> HashMap<VertexId, u64> {
+        fn assemble(
+            &self,
+            _q: &(),
+            _frag: &Fragmentation,
+            partials: Vec<MinPartial>,
+        ) -> HashMap<VertexId, u64> {
             let mut out = HashMap::new();
             for p in partials {
                 for (v, value) in p {
@@ -1168,8 +1173,13 @@ mod tests {
             MinPropagation.inc_eval(q, frag, partial, messages, ctx)
         }
 
-        fn assemble(&self, q: &(), partials: Vec<MinPartial>) -> HashMap<VertexId, u64> {
-            MinPropagation.assemble(q, partials)
+        fn assemble(
+            &self,
+            q: &(),
+            frag: &Fragmentation,
+            partials: Vec<MinPartial>,
+        ) -> HashMap<VertexId, u64> {
+            MinPropagation.assemble(q, frag, partials)
         }
 
         fn aggregate(&self, key: &VertexId, a: u64, b: u64) -> u64 {
@@ -1279,7 +1289,7 @@ mod tests {
             }
         }
 
-        fn assemble(&self, _k: &u32, partials: Vec<u32>) -> Vec<u32> {
+        fn assemble(&self, _k: &u32, _frag: &Fragmentation, partials: Vec<u32>) -> Vec<u32> {
             partials
         }
 

@@ -31,6 +31,7 @@
 
 use std::cmp::Ordering;
 
+use grape_partition::fragment::Fragmentation;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::pie::IncrementalPie;
@@ -209,16 +210,17 @@ pub trait DeltaOutput: IncrementalPie {
     ) -> Vec<(Self::OutKey, Self::OutVal)>;
 
     /// Fast path: derive the delta against `previous` straight from the
-    /// refreshed partials, without assembling the output.  Return `None`
-    /// to decline — the engine then assembles and calls [`diff_sorted`],
-    /// so correctness never depends on this hook.
+    /// refreshed partials, computed on `frag`, without assembling the
+    /// output.  Return `None` to decline — the engine then assembles and
+    /// calls [`diff_sorted`], so correctness never depends on this hook.
     fn diff_output(
         &self,
         query: &Self::Query,
+        frag: &Fragmentation,
         previous: &[(Self::OutKey, Self::OutVal)],
         partials: &[Self::Partial],
     ) -> Option<OutputDelta<Self::OutKey, Self::OutVal>> {
-        let _ = (query, previous, partials);
+        let _ = (query, frag, previous, partials);
         None
     }
 }

@@ -182,6 +182,15 @@ impl<K, V> Default for Messages<'_, K, V> {
 /// * [`PieProgram::Key`] / [`PieProgram::Value`] — an update parameter
 ///   (status variable) and its value,
 /// * [`PieProgram::Output`] — the assembled answer `Q(G)`.
+///
+/// The fragmentation is the only local → global id map.  A partial holds
+/// values in its base fragment's local order (one entry per
+/// [`Fragment::num_local`] where it is per-vertex) and no vertex ids:
+/// [`PieProgram::assemble`] reads them from the [`Fragmentation`] the
+/// partials were computed on, through [`Fragment::global_of`] and
+/// [`Fragment::num_inner`].  A program that declares an [`Expansion`] is
+/// the exception: it evaluates over expanded fragments, which are not
+/// retained, so its partial keeps global ids (SubIso's matches).
 pub trait PieProgram: Send + Sync {
     /// The query type `Q`.
     type Query: Clone + Send + Sync + 'static;
@@ -241,7 +250,14 @@ pub trait PieProgram: Send + Sync {
     );
 
     /// Combines the partial results of all fragments into `Q(G)`.
-    fn assemble(&self, query: &Self::Query, partials: Vec<Self::Partial>) -> Self::Output;
+    /// `partials` holds one entry per fragment of `frag`, in fragment
+    /// order, each computed on that fragment.
+    fn assemble(
+        &self,
+        query: &Self::Query,
+        frag: &Fragmentation,
+        partials: Vec<Self::Partial>,
+    ) -> Self::Output;
 
     /// `aggregateMsg`: resolves conflicts when several workers assign values
     /// to the same update parameter in the same superstep (e.g. `min` for
@@ -451,8 +467,11 @@ pub trait IncrementalPie: PieProgram {
     /// its rebuilt incarnation and returns the changed update parameters.
     ///
     /// `old_frag` is the fragment the partial was computed on, `new_frag`
-    /// the rebuilt fragment (local ids may have shifted — remap by global
-    /// id), and `delta` the restriction of `ΔG` to this fragment.  The
+    /// the rebuilt fragment, and `delta` the restriction of `ΔG` to this
+    /// fragment.  Local ids may have shifted: the partial is in `old_frag`'s
+    /// local order, so `old_frag.local_of(new_frag.global_of(l))` finds the
+    /// retained entry of new local `l`, and the rebased partial is in
+    /// `new_frag`'s order.  The
     /// returned messages are routed through `G_P` exactly like the sends of
     /// a normal evaluation; only *changed* values should be returned, in
     /// keeping with GRAPE's changed-parameters-only discipline.

@@ -188,7 +188,9 @@ impl<P: PieProgram> PreparedQuery<P> {
         if self.poisoned {
             return Err(EngineError::PoisonedHandle);
         }
-        Ok(self.program.assemble(&self.query, self.partials.clone()))
+        Ok(self
+            .program
+            .assemble(&self.query, &self.fragmentation, self.partials.clone()))
     }
 
     /// Whether an earlier failed update left this handle without a
@@ -540,9 +542,9 @@ impl<P: DeltaOutput> PreparedQuery<P> {
         if self.poisoned {
             return Err(EngineError::PoisonedHandle);
         }
-        if let Some(delta) = self
-            .program
-            .diff_output(&self.query, previous, &self.partials)
+        if let Some(delta) =
+            self.program
+                .diff_output(&self.query, &self.fragmentation, previous, &self.partials)
         {
             return Ok(delta);
         }

@@ -199,7 +199,7 @@ mod tests {
         ) {
         }
 
-        fn assemble(&self, _q: &(), partials: Vec<usize>) -> usize {
+        fn assemble(&self, _q: &(), _frag: &Fragmentation, partials: Vec<usize>) -> usize {
             partials.into_iter().sum()
         }
 

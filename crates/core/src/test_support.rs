@@ -9,12 +9,14 @@
 #![allow(dead_code)]
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use grape_graph::builder::GraphBuilder;
 use grape_graph::delta::GraphDelta;
 use grape_graph::types::{Edge, VertexId};
 use grape_partition::delta::FragmentDelta;
-use grape_partition::fragment::Fragment;
+use grape_partition::fragment::{Fragment, Fragmentation};
 use grape_partition::fragmentation_graph::BorderScope;
 
 use crate::config::EngineMode;
@@ -104,7 +106,7 @@ impl PieProgram for MinForward {
         }
     }
 
-    fn assemble(&self, _q: &(), partials: Vec<MinPartial>) -> HashMap<VertexId, u64> {
+    fn assemble(&self, _q: &(), _: &Fragmentation, partials: Vec<MinPartial>) -> Self::Output {
         let mut out = HashMap::new();
         for p in partials {
             for (v, value) in p {
@@ -223,7 +225,7 @@ impl PieProgram for DivergingOnUpdate {
         }
     }
 
-    fn assemble(&self, _q: &(), partials: Vec<u64>) -> u64 {
+    fn assemble(&self, _q: &(), _frag: &Fragmentation, partials: Vec<u64>) -> u64 {
         partials.into_iter().sum()
     }
 
@@ -282,44 +284,33 @@ impl DeltaOutput for DivergingOnUpdate {
 /// *always* diverges (its rebase seeds the same escalation) — the one
 /// refresh error that **poisons** the handle.  That combination lets a
 /// test drive a query behind first and poison it mid-replay afterwards.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TrippablePrepare {
-    tripped: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    monotone_inserts: std::sync::Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl Default for TrippablePrepare {
-    fn default() -> Self {
-        Self::new()
-    }
+    tripped: Arc<AtomicBool>,
+    monotone_inserts: Arc<AtomicBool>,
 }
 
 impl TrippablePrepare {
+    /// Healthy, and with every delta non-monotone.
     pub fn new() -> Self {
-        TrippablePrepare {
-            tripped: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
-            monotone_inserts: std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
-        }
+        Self::default()
     }
 
     /// Makes every subsequent full (re-)preparation diverge.
     pub fn trip(&self) {
-        self.tripped
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.tripped.store(true, Ordering::SeqCst);
     }
 
     /// Lets subsequent preparations converge again.
     pub fn heal(&self) {
-        self.tripped
-            .store(false, std::sync::atomic::Ordering::SeqCst);
+        self.tripped.store(false, Ordering::SeqCst);
     }
 
     /// Declares insert-only deltas monotone from now on — and their rebase
     /// seeds the diverging escalation, so the monotone refresh errors after
     /// consuming the partials: the poisoning failure mode.
     pub fn allow_monotone_inserts(&self) {
-        self.monotone_inserts
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.monotone_inserts.store(true, Ordering::SeqCst);
     }
 }
 
@@ -343,7 +334,7 @@ impl PieProgram for TrippablePrepare {
             .all_locals()
             .map(|l| frag.out_edges(l).len() as u64)
             .sum();
-        if self.tripped.load(std::sync::atomic::Ordering::SeqCst) {
+        if self.tripped.load(Ordering::SeqCst) {
             for &l in frag.out_border_locals() {
                 ctx.send(frag.global_of(l), 1);
             }
@@ -370,7 +361,7 @@ impl PieProgram for TrippablePrepare {
         }
     }
 
-    fn assemble(&self, _q: &(), partials: Vec<u64>) -> u64 {
+    fn assemble(&self, _q: &(), _frag: &Fragmentation, partials: Vec<u64>) -> u64 {
         partials.into_iter().sum()
     }
 
@@ -381,9 +372,7 @@ impl PieProgram for TrippablePrepare {
 
 impl IncrementalPie for TrippablePrepare {
     fn delta_is_monotone(&self, delta: &GraphDelta) -> bool {
-        self.monotone_inserts
-            .load(std::sync::atomic::Ordering::SeqCst)
-            && !delta.has_removals()
+        self.monotone_inserts.load(Ordering::SeqCst) && !delta.has_removals()
     }
 
     fn rebase(

@@ -148,7 +148,7 @@ fn corrupted_string_lengths_are_clean_snapshot_errors() {
 /// A foreign file under the spill path is rejected, not half-read; so is a
 /// file of an earlier format (versions 1 and 2 also carried fragments,
 /// `G_P` and quotient tables, version 3 was a base with an increment
-/// chain) or of a future one.
+/// chain, version 4 partials carried vertex ids) or of a future one.
 #[test]
 fn bad_magic_and_unsupported_versions_are_clean_snapshot_errors() {
     for mode in [EngineMode::Sync, EngineMode::Async] {
@@ -160,7 +160,7 @@ fn bad_magic_and_unsupported_versions_are_clean_snapshot_errors() {
 
         fs::write(&spill, b"GRPX\x04 not a spill").expect("overwrite");
         expect_snapshot_error(&mut server, &h, &format!("{mode:?} bad magic"));
-        for version in [1u8, 2, 3, 9] {
+        for version in [1u8, 2, 3, 4, 9] {
             let mut other = bytes.clone();
             other[4] = version;
             fs::write(&spill, &other).expect("rewrite version byte");

@@ -10,8 +10,10 @@
 //!   the paper's terms the state that belongs to a query is its partial
 //!   results `Q(F_i)`; the fragments `F_i` and `G_P` are shared structure,
 //!   which the serving layer keeps in its fragmentation timeline (an
-//!   evicted query pins the version it was spilled at).  So the file holds
-//!   partials and nothing else: each eviction writes all of them as one
+//!   evicted query pins the version it was spilled at).  A partial holds
+//!   values in its fragment's local order and no vertex ids, so that pinned
+//!   version is also what names them.  The file holds partials and nothing
+//!   else: each eviction writes all of them as one
 //!   file, replacing the previous one, and [`QuerySpillStore::load`] reads
 //!   that file back, strictly.
 //!
@@ -276,10 +278,12 @@ pub fn read_fragment_records(bytes: &[u8]) -> Result<Vec<Fragment>, SnapshotErro
 /// Magic prefix of every query spill file; the byte after it is the format
 /// version.
 const SPILL_MAGIC: &[u8; 4] = b"GRQS";
-/// Version 4: one file of partials per eviction.  Versions 1 and 2 also
-/// carried fragments, `G_P` and quotient tables, and version 3 was a base
-/// with an increment chain; all are rejected as unsupported.
-const SPILL_VERSION: u8 = 4;
+/// Version 5: one file of partials per eviction, each partial holding values
+/// in its fragment's local order and no vertex ids.  Versions 1 and 2 also
+/// carried fragments, `G_P` and quotient tables, version 3 was a base with
+/// an increment chain, and version 4 partials carried their fragment's
+/// local → global id map; all are rejected as unsupported.
+const SPILL_VERSION: u8 = 5;
 
 /// The partials read back from one spill file.
 #[derive(Debug)]
@@ -302,7 +306,7 @@ pub struct SpillStoreStats {
 /// The spill file of **one** evicted query, `query-{id}.spill`:
 ///
 /// ```text
-/// "GRQS" | u8 version (4) | u64 count | count × partial value tree
+/// "GRQS" | u8 version (5) | u64 count | count × partial value tree
 /// ```
 ///
 /// Every spill replaces the file plainly: unlink, create, one buffered
@@ -545,9 +549,9 @@ mod tests {
     }
 
     /// Versions 1 and 2 (which carried fragments, `G_P` and quotient
-    /// tables) and 3 (a base with an increment chain) are named as
-    /// unsupported, as is any future version; a foreign file is "not a
-    /// spill file".
+    /// tables), 3 (a base with an increment chain) and 4 (partials that
+    /// carried vertex ids) are named as unsupported, as is any future
+    /// version; a foreign file is "not a spill file".
     #[test]
     fn bad_magic_and_unsupported_version_are_distinct_errors() {
         let dir = store_dir("versions");
@@ -560,7 +564,7 @@ mod tests {
             "{err}"
         );
 
-        for version in [1u8, 2, 3, 9] {
+        for version in [1u8, 2, 3, 4, 9] {
             let path = dir.join(format!("v{version}"));
             let mut bytes = b"GRQS".to_vec();
             bytes.push(version);
@@ -572,7 +576,7 @@ mod tests {
                 "{msg}"
             );
             assert!(
-                msg.contains("reads version 4"),
+                msg.contains("reads version 5"),
                 "should name the supported version: {msg}"
             );
         }

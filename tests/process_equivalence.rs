@@ -336,12 +336,13 @@ fn pipe_bytes_are_accounted_only_for_the_process_transport() {
         "a Process run must account its pipe traffic"
     );
     assert_eq!(subprocess.metrics.transport, "process");
-    // The binary worker wire moves 5 147 payload bytes for this seeded run
-    // (the JSON wire it replaced moved 7 901).  The count is deterministic
-    // under Sync, so the ceiling is exact: a wire that grows fails here
-    // before it shows up in a benchmark run.
+    // The binary worker wire moves 4 844 payload bytes for this seeded run:
+    // 5 147 → 4 844 when partials stopped carrying their fragment's vertex
+    // ids (the JSON wire the binary one replaced moved 7 901).  The count is
+    // deterministic under Sync, so the ceiling is exact: a wire that grows
+    // fails here before it shows up in a benchmark run.
     assert!(
-        subprocess.metrics.pipe_bytes <= 5_147,
+        subprocess.metrics.pipe_bytes <= 4_844,
         "pipe traffic grew to {} bytes",
         subprocess.metrics.pipe_bytes
     );

@@ -229,6 +229,24 @@ fn evict_rehydrate_matches_the_never_evicted_handle() {
     }
 }
 
+/// The partial layout pin: the serialized size of one SSSP and one CC
+/// query's resident partials over a fixed small graph, as literals.  A
+/// partial holds values in its fragment's local order and no vertex ids, so
+/// a partial that starts carrying its fragment's id map again (or any other
+/// per-vertex field) fails here, and with it the spill files and `Process`
+/// pipe traffic that carry the same value trees.
+#[test]
+fn partial_bytes_pin_the_id_free_partial_layout() {
+    for mode in MODES {
+        let g = seeded_graph(0x1A70, 24, 60);
+        let mut server = GrapeServer::new(session(mode), partition(&g));
+        let sssp = server.register(Sssp, SsspQuery::new(0)).unwrap();
+        let cc = server.register(Cc, CcQuery).unwrap();
+        let bytes = |id| server.query_status(id).unwrap().partial_bytes;
+        assert_eq!((bytes(sssp.id()), bytes(cc.id())), (615, 1_440), "{mode:?}");
+    }
+}
+
 /// The serving path never builds the global graph.  The server starts from
 /// a delta-produced version (which holds no graph, unlike a fresh
 /// partition), registers SSSP and CC, and serves a mixed insert and churn

@@ -201,17 +201,22 @@ impl Fragment {
         }
     }
 
-    /// Whether two fragments are structurally identical: same vertex mapping,
-    /// inner/outer split, border sets and local adjacency (vertex labels are
-    /// not compared).
+    /// Whether two fragments are structurally identical: same vertex mapping
+    /// both ways, inner/outer split, border sets and local adjacency — the
+    /// edge list and every local vertex's in-row, sources in order (vertex
+    /// labels are not compared).
     #[cfg(test)]
     pub(crate) fn same_structure(&self, other: &Fragment) -> bool {
         self.id == other.id
             && self.num_inner == other.num_inner
             && self.globals == other.globals
+            && self.to_local == other.to_local
             && self.in_border == other.in_border
             && self.out_border == other.out_border
             && self.local.edges() == other.local.edges()
+            && self
+                .all_locals()
+                .all(|l| self.in_edges(l) == other.in_edges(l))
     }
 }
 

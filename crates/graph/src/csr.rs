@@ -73,6 +73,15 @@ impl Csr {
         Csr { offsets, neighbors }
     }
 
+    /// A CSR index over finished rows (see [`Graph::from_csr_parts`]).
+    ///
+    /// [`Graph::from_csr_parts`]: crate::graph::Graph::from_csr_parts
+    pub(crate) fn from_rows(offsets: Vec<usize>, neighbors: Vec<Neighbor>) -> Self {
+        debug_assert_eq!(offsets.first().copied().unwrap_or(0), 0);
+        debug_assert_eq!(offsets.last().copied().unwrap_or(0), neighbors.len());
+        Csr { offsets, neighbors }
+    }
+
     /// Number of vertices indexed.
     pub fn num_vertices(&self) -> usize {
         self.offsets.len().saturating_sub(1)

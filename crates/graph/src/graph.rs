@@ -74,6 +74,36 @@ impl Graph {
         }
     }
 
+    /// Assembles a directed graph from finished CSR rows, with no sorting:
+    /// `out_offsets[v]..out_offsets[v + 1]` indexes `v`'s out-row in
+    /// `out_neighbors` (targets), and likewise the in-row of `v` in
+    /// `in_neighbors` (sources).  The caller guarantees the three views
+    /// agree and each offset vector has one entry per vertex plus one;
+    /// [`Graph::from_parts`] builds the same graph from the edge list alone
+    /// when each in-row lists its sources in edge-list order.
+    pub fn from_csr_parts(
+        edges: Vec<Edge>,
+        out_offsets: Vec<usize>,
+        out_neighbors: Vec<Neighbor>,
+        in_offsets: Vec<usize>,
+        in_neighbors: Vec<Neighbor>,
+        vertex_labels: Vec<Label>,
+    ) -> Self {
+        let num_vertices = vertex_labels.len();
+        debug_assert_eq!(out_offsets.len(), num_vertices + 1);
+        debug_assert_eq!(in_offsets.len(), num_vertices + 1);
+        debug_assert_eq!(out_neighbors.len(), edges.len());
+        debug_assert_eq!(in_neighbors.len(), edges.len());
+        Graph {
+            directedness: Directedness::Directed,
+            num_vertices,
+            edges,
+            out: Csr::from_rows(out_offsets, out_neighbors),
+            r#in: Csr::from_rows(in_offsets, in_neighbors),
+            vertex_labels,
+        }
+    }
+
     /// Whether the graph is directed.
     pub fn is_directed(&self) -> bool {
         self.directedness == Directedness::Directed
@@ -261,6 +291,87 @@ mod tests {
     #[test]
     fn invariants_hold() {
         assert!(diamond().check_invariants());
+    }
+
+    /// Flattens per-vertex rows into CSR offsets and entries.
+    fn flatten(rows: Vec<Vec<Neighbor>>) -> (Vec<usize>, Vec<Neighbor>) {
+        let mut offsets = vec![0];
+        let mut entries = Vec::new();
+        for row in rows {
+            entries.extend(row);
+            offsets.push(entries.len());
+        }
+        (offsets, entries)
+    }
+
+    /// The CSR-parts constructor builds what `from_parts` builds from the
+    /// edge list, over seeded lists with empty rows, self-loops and
+    /// parallel edges.
+    #[test]
+    fn csr_parts_constructor_matches_from_parts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(0..12usize);
+            let mut edges = Vec::new();
+            if n > 0 {
+                for _ in 0..rng.gen_range(0..3 * n) {
+                    let src = rng.gen_range(0..n) as VertexId;
+                    let dst = match rng.gen_range(0..5) {
+                        0 => src,
+                        _ => rng.gen_range(0..n) as VertexId,
+                    };
+                    let edge = Edge::new(src, dst, rng.gen_range(1..4) as f64, rng.gen_range(0..3));
+                    edges.push(edge);
+                    if rng.gen_range(0..4) == 0 {
+                        edges.push(edge);
+                    }
+                }
+            }
+            let labels: Vec<Label> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+            let mut out_rows = vec![Vec::new(); n];
+            let mut in_rows = vec![Vec::new(); n];
+            for e in &edges {
+                let to = |target| Neighbor {
+                    target,
+                    weight: e.weight,
+                    label: e.label,
+                };
+                out_rows[e.src as usize].push(to(e.dst));
+                in_rows[e.dst as usize].push(to(e.src));
+            }
+            let (out_offsets, out_entries) = flatten(out_rows);
+            let (in_offsets, in_entries) = flatten(in_rows);
+            let ours = Graph::from_csr_parts(
+                edges.clone(),
+                out_offsets,
+                out_entries,
+                in_offsets,
+                in_entries,
+                labels.clone(),
+            );
+            let theirs = Graph::from_parts(Directedness::Directed, n, edges, labels);
+            assert!(ours.check_invariants(), "seed {seed}");
+            assert_eq!(ours.num_vertices(), theirs.num_vertices(), "seed {seed}");
+            assert_eq!(ours.edges(), theirs.edges(), "seed {seed}");
+            assert_eq!(ours.vertex_labels(), theirs.vertex_labels(), "seed {seed}");
+            assert_eq!(ours.out, theirs.out, "seed {seed} out-CSR");
+            assert_eq!(ours.r#in, theirs.r#in, "seed {seed} in-CSR");
+            for v in theirs.vertices() {
+                assert_eq!(
+                    ours.out_neighbors(v),
+                    theirs.out_neighbors(v),
+                    "seed {seed} out {v}"
+                );
+                assert_eq!(
+                    ours.in_neighbors(v),
+                    theirs.in_neighbors(v),
+                    "seed {seed} in {v}"
+                );
+            }
+        }
     }
 
     #[test]

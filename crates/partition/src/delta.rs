@@ -23,10 +23,13 @@
 //! are rewritten (old edges in order minus the removed ones, then the added
 //! ones in delta order, exactly the adjacency a rebuilt global CSR would
 //! have), outer copies are rediscovered and local ids remapped through a
-//! dense table — and the result is byte-identical to a fresh
+//! dense table, the new CSR rows are spliced from the old ones (no edge list
+//! is re-sorted) — and the result is byte-identical to a fresh
 //! [`crate::fragment::build_edge_cut`] of the updated graph under the same
-//! assignment.
-//! `G_P` is cloned and updated from the patched fragments' outer-set diffs
+//! assignment.  A fragment whose in-border set alone flips shares its local
+//! graph with the old version.
+//! `G_P` is cloned (its holder lists are shared, so the clone allocates no
+//! list) and updated from the patched fragments' outer-set diffs
 //! only; a vertex whose outer-copy holders become empty or non-empty flips
 //! its owner's in-border set (`v ∈ F_i.I` iff some other fragment holds `v`
 //! as an outer copy).  A removed vertex's in-neighbours are found through
@@ -47,7 +50,7 @@ use std::sync::Arc;
 
 use grape_graph::csr::Neighbor;
 use grape_graph::delta::{DeltaError as GraphDeltaError, GraphDelta};
-use grape_graph::graph::{Directedness, Graph};
+use grape_graph::graph::Graph;
 use grape_graph::types::{Edge, Label, VertexId, NO_LABEL};
 
 use crate::fragment::{Fragment, Fragmentation, LocalId};
@@ -383,6 +386,14 @@ impl Fragmentation {
     /// finds them — first appearance over the inner vertices' adjacency —
     /// through a dense slot → local-id table, so the pass hashes only the
     /// delta's own vertices.
+    ///
+    /// The new CSR is spliced from the old one, never re-sorted: inner
+    /// vertices keep their local ids, so an untouched out-row is copied with
+    /// its targets mapped through the table and an untouched in-row is
+    /// copied as is; only the in-rows of the targets a rewritten row lost or
+    /// gained are re-merged.  The edge list is written with the out-rows.
+    /// That is `O(|F_i| + |ΔG|)` copying with no sort, and the result equals
+    /// [`Graph::from_parts`] over the updated edge list.
     fn patch(&self, i: usize, mut edit: Edit, index: &DeltaIndex, old_n: usize) -> Option<Patched> {
         let old = self.fragment(i);
         let n_old = old.num_local();
@@ -430,53 +441,126 @@ impl Fragmentation {
 
         edit.dirty.sort_unstable();
         edit.dirty.dedup();
-        let mut rewritten: Vec<(LocalId, Vec<Neighbor>)> = Vec::new();
+        // The rows ΔG rewrites, by local id (inner ids never move): the
+        // changed old rows, ascending, then the fresh vertices' rows.
+        let mut rows: Vec<(usize, Vec<Neighbor>)> = Vec::new();
         for &l in &edit.dirty {
             let adj = rewrite(old.global_of(l), old.out_edges(l));
             if adj != old.out_edges(l) {
-                rewritten.push((l, adj));
+                rows.push((l as usize, adj));
             }
         }
-        if rewritten.is_empty() && fresh == 0 {
+        if rows.is_empty() && fresh == 0 {
             return None;
         }
-        let fresh_adj: Vec<Vec<Neighbor>> = fresh_ids.iter().map(|&v| rewrite(v, &[])).collect();
+        let rewritten = rows.len();
+        for (k, &v) in fresh_ids.iter().enumerate() {
+            rows.push((old_inner + k, rewrite(v, &[])));
+        }
+        let gained: usize = rows.iter().map(|(_, adj)| adj.len()).sum();
+        let lost: usize = rows[..rewritten]
+            .iter()
+            .map(|&(u, _)| old.out_edges(u as LocalId).len())
+            .sum();
+        let num_edges = old.num_local_edges() + gained - lost;
 
         // Slot → new local id: inner vertices keep theirs, fresh ones follow
-        // them, outer copies get theirs in order of first appearance.
+        // them, outer copies get theirs in order of first appearance — found
+        // in the same pass that writes the out-rows and the edge list.
         let num_inner = old_inner + fresh;
-        let mut remap = vec![UNMAPPED; n_old + extra.len()];
+        let num_slots = n_old + extra.len();
+        let mut remap = vec![UNMAPPED; num_slots];
         let mut slots: Vec<usize> = (0..old_inner).chain(n_old..n_old + fresh).collect();
         for (l, &s) in slots.iter().enumerate() {
             remap[s] = l;
         }
-        let mut rewritten = rewritten.iter().peekable();
-        let adjacency: Vec<&[Neighbor]> = (0..num_inner)
-            .map(|u| {
-                if u >= old_inner {
-                    &fresh_adj[u - old_inner][..]
-                } else if let Some((_, adj)) = rewritten.next_if(|(l, _)| *l as usize == u) {
-                    &adj[..]
-                } else {
-                    old.out_edges(u as LocalId)
+        // Out-rows and the edge list in one pass over the rows, untouched
+        // ones from the old fragment, rewritten ones from `rows`.
+        let mut out_offsets = Vec::with_capacity(num_slots + 1);
+        let mut out_entries = Vec::with_capacity(num_edges);
+        let mut edges = Vec::with_capacity(num_edges);
+        out_offsets.push(0);
+        let mut changed = rows.iter().peekable();
+        for u in 0..num_inner {
+            let row = match changed.next_if(|(v, _)| *v == u) {
+                Some((_, adj)) => &adj[..],
+                None => old.out_edges(u as LocalId),
+            };
+            let start = out_entries.len();
+            out_entries.extend(row.iter().map(|nb| {
+                let s = nb.target as usize;
+                if remap[s] == UNMAPPED {
+                    remap[s] = slots.len();
+                    slots.push(s);
                 }
-            })
-            .collect();
-        for nb in adjacency.iter().flat_map(|adj| adj.iter()) {
-            let s = nb.target as usize;
-            if remap[s] == UNMAPPED {
-                remap[s] = slots.len();
-                slots.push(s);
+                Neighbor {
+                    target: remap[s] as VertexId,
+                    ..*nb
+                }
+            }));
+            let src = u as VertexId;
+            edges.extend(
+                out_entries[start..]
+                    .iter()
+                    .map(|nb| Edge::new(src, nb.target, nb.weight, nb.label)),
+            );
+            out_offsets.push(out_entries.len());
+        }
+        out_offsets.resize(slots.len() + 1, out_entries.len());
+
+        // In-rows.  Their sources are inner, so an untouched one is copied
+        // as is.  A target a rewritten row lost or gained is re-merged: its
+        // old row minus the rewritten sources, merged by source with the
+        // entries the rewritten rows now give it (grouped by a stable sort,
+        // so each source's entries keep out-row order).
+        let mut remerge = vec![false; num_slots];
+        let mut entering: Vec<(usize, Neighbor)> = Vec::new();
+        for (u, adj) in &rows {
+            for nb in adj {
+                remerge[nb.target as usize] = true;
+                let source = Neighbor {
+                    target: *u as VertexId,
+                    ..*nb
+                };
+                entering.push((nb.target as usize, source));
             }
+        }
+        for (u, _) in &rows[..rewritten] {
+            for nb in old.out_edges(*u as LocalId) {
+                remerge[nb.target as usize] = true;
+            }
+        }
+        entering.sort_by_key(|&(s, _)| s);
+        let is_rewritten = |source: VertexId| {
+            rows[..rewritten]
+                .binary_search_by_key(&(source as usize), |(u, _)| *u)
+                .is_ok()
+        };
+        let mut in_offsets = Vec::with_capacity(slots.len() + 1);
+        let mut in_entries = Vec::with_capacity(num_edges);
+        in_offsets.push(0);
+        for &s in &slots {
+            let old_row = match s < n_old {
+                true => old.in_edges(s as LocalId),
+                false => &[],
+            };
+            if remerge[s] {
+                let from = entering.partition_point(|&(t, _)| t < s);
+                let to = entering.partition_point(|&(t, _)| t <= s);
+                let mut new_sources = entering[from..to].iter().map(|&(_, nb)| nb).peekable();
+                for nb in old_row.iter().filter(|nb| !is_rewritten(nb.target)) {
+                    while let Some(e) = new_sources.next_if(|e| e.target < nb.target) {
+                        in_entries.push(e);
+                    }
+                    in_entries.push(*nb);
+                }
+                in_entries.extend(new_sources);
+            } else {
+                in_entries.extend_from_slice(old_row);
+            }
+            in_offsets.push(in_entries.len());
         }
 
-        let mut edges = Vec::with_capacity(adjacency.iter().map(|adj| adj.len()).sum());
-        for (u, adj) in adjacency.iter().enumerate() {
-            for nb in adj.iter() {
-                let t = remap[nb.target as usize] as VertexId;
-                edges.push(Edge::new(u as VertexId, t, nb.weight, nb.label));
-            }
-        }
         let globals: Vec<VertexId> = slots
             .iter()
             .map(|&s| match s.checked_sub(n_old) {
@@ -492,7 +576,14 @@ impl Fragmentation {
                 false => self.label_of_new(v, index, old_n),
             })
             .collect();
-        let local = Graph::from_parts(Directedness::Directed, globals.len(), edges, labels);
+        let local = Graph::from_csr_parts(
+            edges,
+            out_offsets,
+            out_entries,
+            in_offsets,
+            in_entries,
+            labels,
+        );
 
         let left: Vec<VertexId> = (old_inner..n_old)
             .filter(|&l| remap[l] == UNMAPPED)
@@ -513,7 +604,7 @@ impl Fragmentation {
         }
         let fragment = Fragment {
             id: i,
-            local,
+            local: Arc::new(local),
             to_local,
             num_inner,
             in_border: old.in_border.clone(),
@@ -863,6 +954,7 @@ mod tests {
     use crate::strategy::PartitionStrategy;
     use crate::vertex_cut::GreedyVertexCut;
     use grape_graph::builder::GraphBuilder;
+    use grape_graph::graph::Directedness;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

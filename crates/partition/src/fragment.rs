@@ -29,7 +29,9 @@ pub type LocalId = u32;
 pub struct Fragment {
     pub(crate) id: usize,
     /// Local adjacency: dense local ids `0..num_local`, directed edges.
-    pub(crate) local: Graph,
+    /// Shared, so a delta that only flips the fragment's `F_i.I` copies no
+    /// adjacency.
+    pub(crate) local: Arc<Graph>,
     /// Local id → global id.
     pub(crate) globals: Vec<VertexId>,
     /// Global id → local id.
@@ -192,7 +194,7 @@ impl Fragment {
             .collect();
         Fragment {
             id,
-            local,
+            local: Arc::new(local),
             globals,
             to_local,
             num_inner,
@@ -587,7 +589,7 @@ pub(crate) fn build_edge_cut_fragment(
 
     Fragment {
         id: i,
-        local,
+        local: Arc::new(local),
         globals,
         to_local,
         num_inner,
@@ -751,7 +753,7 @@ pub fn build_vertex_cut(
         in_border_sets.push(in_border_globals);
         fragments.push(Arc::new(Fragment {
             id: i,
-            local,
+            local: Arc::new(local),
             globals,
             to_local,
             num_inner,
@@ -1098,7 +1100,7 @@ mod expansion {
         out_border.sort_unstable();
         let expanded = Fragment {
             id: i,
-            local,
+            local: Arc::new(local),
             globals,
             to_local,
             num_inner: base.num_inner(),

@@ -6,6 +6,8 @@
 //! parameter, so that only the fragments that can actually use a value
 //! receive it.
 
+use std::sync::Arc;
+
 use grape_graph::hash::KeyedHashMap;
 use grape_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
@@ -29,6 +31,10 @@ pub enum BorderScope {
 }
 
 /// The fragmentation graph `G_P`.
+///
+/// Each holder list is a shared `Arc<[u32]>`, replaced whole when it
+/// changes: a delta clones `G_P` for the new version, and the clone then
+/// bumps one count per border vertex instead of allocating a list.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FragmentationGraph {
     num_fragments: usize,
@@ -37,9 +43,9 @@ pub struct FragmentationGraph {
     owner: Vec<u32>,
     /// For each border vertex, the fragments that hold it as an outer copy
     /// (`v ∈ F_i.O`), sorted.
-    outer_holders: KeyedHashMap<VertexId, Vec<u32>>,
+    outer_holders: KeyedHashMap<VertexId, Arc<[u32]>>,
     /// For each border vertex, the fragments that hold it in `F_i.I`, sorted.
-    in_holders: KeyedHashMap<VertexId, Vec<u32>>,
+    in_holders: KeyedHashMap<VertexId, Arc<[u32]>>,
     /// Vertex-cut semantics: a shared (replicated) vertex's update parameters
     /// must reach *every* fragment holding a copy, whatever the scope
     /// (paper, Section 3.2(3b): "if P is vertex-cut, it identifies nodes
@@ -56,31 +62,27 @@ impl FragmentationGraph {
     pub fn new(owner: Vec<u32>, outer: &[Vec<VertexId>], inner_border: &[Vec<VertexId>]) -> Self {
         assert_eq!(outer.len(), inner_border.len(), "fragment count mismatch");
         let num_fragments = outer.len();
-        let mut outer_holders: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
-        for (i, vs) in outer.iter().enumerate() {
-            for &v in vs {
-                outer_holders.entry(v).or_default().push(i as u32);
+        let holders = |sets: &[Vec<VertexId>]| {
+            let mut lists: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
+            for (i, vs) in sets.iter().enumerate() {
+                for &v in vs {
+                    lists.entry(v).or_default().push(i as u32);
+                }
             }
-        }
-        let mut in_holders: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
-        for (i, vs) in inner_border.iter().enumerate() {
-            for &v in vs {
-                in_holders.entry(v).or_default().push(i as u32);
-            }
-        }
-        for list in outer_holders.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
-        for list in in_holders.values_mut() {
-            list.sort_unstable();
-            list.dedup();
-        }
+            lists
+                .into_iter()
+                .map(|(v, mut list)| {
+                    list.sort_unstable();
+                    list.dedup();
+                    (v, Arc::from(list))
+                })
+                .collect()
+        };
         FragmentationGraph {
             num_fragments,
             owner,
-            outer_holders,
-            in_holders,
+            outer_holders: holders(outer),
+            in_holders: holders(inner_border),
             shared_vertex_routing: false,
         }
     }
@@ -99,22 +101,26 @@ impl FragmentationGraph {
 
     /// Records `v ∈ F_i.O`.
     pub(crate) fn add_outer_holder(&mut self, v: VertexId, i: u32) {
-        let list = self.outer_holders.entry(v).or_default();
+        let list = self.outer_holders(v);
         if let Err(at) = list.binary_search(&i) {
-            list.insert(at, i);
+            let mut grown = Vec::with_capacity(list.len() + 1);
+            grown.extend_from_slice(&list[..at]);
+            grown.push(i);
+            grown.extend_from_slice(&list[at..]);
+            self.outer_holders.insert(v, grown.into());
         }
     }
 
     /// Records `v ∉ F_i.O`; a vertex no fragment holds as an outer copy
     /// drops out of the index.
     pub(crate) fn remove_outer_holder(&mut self, v: VertexId, i: u32) {
-        if let Some(list) = self.outer_holders.get_mut(&v) {
-            if let Ok(at) = list.binary_search(&i) {
-                list.remove(at);
-            }
-            if list.is_empty() {
-                self.outer_holders.remove(&v);
-            }
+        let list = self.outer_holders(v);
+        if list.contains(&i) {
+            let rest: Vec<u32> = list.iter().copied().filter(|&j| j != i).collect();
+            match rest.is_empty() {
+                true => self.outer_holders.remove(&v),
+                false => self.outer_holders.insert(v, rest.into()),
+            };
         }
     }
 
@@ -123,7 +129,7 @@ impl FragmentationGraph {
     pub(crate) fn set_in_holder(&mut self, v: VertexId, holder: Option<u32>) {
         match holder {
             Some(i) => {
-                self.in_holders.insert(v, vec![i]);
+                self.in_holders.insert(v, Arc::from([i]));
             }
             None => {
                 self.in_holders.remove(&v);
@@ -154,12 +160,12 @@ impl FragmentationGraph {
     /// Fragments holding `v` as an outer copy (`v ∈ F_i.O`), empty slice when
     /// `v` is not a border vertex.
     pub fn outer_holders(&self, v: VertexId) -> &[u32] {
-        self.outer_holders.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.outer_holders.get(&v).map_or(&[], |list| list)
     }
 
     /// Fragments with `v ∈ F_i.I`.
     pub fn in_holders(&self, v: VertexId) -> &[u32] {
-        self.in_holders.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.in_holders.get(&v).map_or(&[], |list| list)
     }
 
     /// Whether `v` is a border vertex of the partition (in `F.O = F.I`).

@@ -202,8 +202,8 @@ pub enum RequestBody {
         /// The handle id.
         query: usize,
     },
-    /// Spill a query's partials into its on-disk store (a base on the
-    /// first eviction, an increment of the changed partials afterwards).
+    /// Spill a query's partials to disk: each eviction writes one plain
+    /// file of every partial, replacing the query's previous one.
     Evict {
         /// The handle id.
         query: usize,

@@ -693,6 +693,34 @@ fn protocol_errors_are_replies_not_disconnects() {
     handle.wait();
 }
 
+/// An `apply` past the id-growth bound gets a `RejectedDelta` reply that
+/// names the id, commits nothing, and the connection serves the next
+/// request.
+#[test]
+fn an_apply_past_the_id_bound_is_an_error_reply() {
+    use grape_graph::delta::ID_SLACK;
+    let handle = GrapedHandle::spawn(daemon_config(EngineMode::Sync)).expect("spawn daemon");
+    let mut client = GrapeClient::connect(handle.addr()).expect("connect");
+    client
+        .register(QuerySpec::Sssp { source: 0 })
+        .expect("register");
+    let past = BASE_VERTICES + ID_SLACK + 1;
+    match client.apply(GraphDelta::new().add_edge(0, past)) {
+        Err(ClientError::Remote { kind, message }) => {
+            assert_eq!(kind, ErrorKind::RejectedDelta);
+            assert!(message.contains(&past.to_string()), "{message}");
+        }
+        other => panic!("expected RejectedDelta, got {other:?}"),
+    }
+    assert_eq!(client.status().expect("status").version, 0);
+    client
+        .apply(GraphDelta::new().add_edge(0, past - 1))
+        .expect("the largest allowed id commits");
+    assert_eq!(client.status().expect("status").version, 1);
+    client.shutdown().expect("shutdown");
+    handle.wait();
+}
+
 /// Live `grape-worker` children of this process, via /proc (Linux CI;
 /// elsewhere the scan degrades to "none found").
 fn worker_children() -> Vec<u32> {

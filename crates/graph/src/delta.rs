@@ -19,6 +19,13 @@
 //! * **Vertex deletion** *detaches* the vertex: all incident edges are
 //!   removed, but the id remains valid (an isolated vertex).  Ids are never
 //!   reused.
+//! * **Bounded id growth.**  Naming an id `v ≥ n` creates every id in
+//!   `n..=v`, so a delta may name a new id only below `n + k + 64`
+//!   ([`ID_SLACK`]), where `k` is the number of distinct new ids it names
+//!   (vertex insertions and edge endpoints).  The vertex set then grows by
+//!   at most `k + 64` per delta, linear in what the delta spells out, and a
+//!   small gap stays allowed.  A delta past the bound is rejected whole with
+//!   [`DeltaError::IdBeyondBound`] before anything is applied.
 //!
 //! Deletions are flagged by [`GraphDelta::has_removals`] because they decide
 //! whether a PIE program can take the monotone IncEval-only update path (see
@@ -43,7 +50,19 @@ pub enum DeltaError {
     MissingVertex(VertexId),
     /// A vertex insertion re-used an id that already exists.
     VertexExists(VertexId),
+    /// A new id at or past the id-growth bound `n + k + 64` (see the
+    /// module docs).
+    IdBeyondBound {
+        /// The largest new id the delta names.
+        id: VertexId,
+        /// The first id the delta may not name.
+        bound: VertexId,
+    },
 }
+
+/// How far past `n + k` a delta naming `k` distinct new ids may reach: the
+/// gap of never-named ids one delta may create.
+pub const ID_SLACK: VertexId = 64;
 
 impl std::fmt::Display for DeltaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -57,6 +76,11 @@ impl std::fmt::Display for DeltaError {
             DeltaError::VertexExists(v) => {
                 write!(f, "cannot add vertex {v}: id already exists")
             }
+            DeltaError::IdBeyondBound { id, bound } => write!(
+                f,
+                "cannot add vertex {id}: new ids must stay below {bound} \
+                 (vertices + new ids named + {ID_SLACK})"
+            ),
         }
     }
 }
@@ -166,6 +190,30 @@ impl GraphDelta {
         !self.removed_edges.is_empty() || !self.removed_vertices.is_empty()
     }
 
+    /// Checks the id-growth rule against a graph of `num_vertices`
+    /// vertices: every new id the delta names lies below
+    /// `num_vertices + k + ID_SLACK`, `k` being the number of distinct new
+    /// ids.  The error names the largest new id.
+    pub fn check_id_growth(&self, num_vertices: usize) -> Result<(), DeltaError> {
+        let n = num_vertices as VertexId;
+        let mut new_ids: Vec<VertexId> = self
+            .added_vertices
+            .iter()
+            .map(|&(v, _)| v)
+            .chain(self.added_edges.iter().flat_map(|e| [e.src, e.dst]))
+            .filter(|&v| v >= n)
+            .collect();
+        new_ids.sort_unstable();
+        new_ids.dedup();
+        let bound = n
+            .saturating_add(new_ids.len() as VertexId)
+            .saturating_add(ID_SLACK);
+        match new_ids.last() {
+            Some(&id) if id >= bound => Err(DeltaError::IdBeyondBound { id, bound }),
+            _ => Ok(()),
+        }
+    }
+
     /// Total number of updates in the batch.
     pub fn len(&self) -> usize {
         self.added_vertices.len()
@@ -224,6 +272,7 @@ impl Graph {
                 return Err(DeltaError::VertexExists(v));
             }
         }
+        delta.check_id_growth(self.num_vertices())?;
 
         // New vertex count: ids stay dense and stable.
         let mut n = self.num_vertices();
@@ -338,6 +387,57 @@ mod tests {
                 .unwrap_err(),
             DeltaError::VertexExists(0)
         );
+    }
+
+    /// One new id may reach `n + 64`; two may reach `n + 65`.  One past
+    /// is rejected, naming the id and the bound, on either side of an edge
+    /// and for a vertex insertion.
+    #[test]
+    fn new_ids_stay_below_the_growth_bound() {
+        let g = diamond();
+        let n = g.num_vertices() as VertexId;
+        let updated = g
+            .apply_delta(&GraphDelta::new().add_edge(0, n + ID_SLACK))
+            .unwrap();
+        assert_eq!(updated.num_vertices() as VertexId, n + ID_SLACK + 1);
+        let past = n + ID_SLACK + 1;
+        let rejected = [
+            GraphDelta::new().add_edge(0, past),
+            GraphDelta::new().add_edge(past, 0),
+            GraphDelta::new().add_vertex(past, 1),
+        ];
+        for delta in rejected {
+            assert_eq!(
+                g.apply_delta(&delta).unwrap_err(),
+                DeltaError::IdBeyondBound {
+                    id: past,
+                    bound: past
+                }
+            );
+        }
+        let two = GraphDelta::new()
+            .add_vertex(n, 1)
+            .add_edge(0, n + ID_SLACK + 1);
+        assert_eq!(
+            g.apply_delta(&two).unwrap().num_vertices() as VertexId,
+            past + 1
+        );
+        let two_past = GraphDelta::new().add_vertex(n, 1).add_edge(0, past + 1);
+        assert_eq!(
+            g.apply_delta(&two_past).unwrap_err(),
+            DeltaError::IdBeyondBound {
+                id: past + 1,
+                bound: past + 1
+            }
+        );
+        // A repeated id counts once.
+        let repeated = GraphDelta::new().add_edge(0, n).add_edge(n, past);
+        assert!(g.apply_delta(&repeated).is_ok());
+        let repeated_past = GraphDelta::new()
+            .add_edge(0, n)
+            .add_edge(n, 0)
+            .add_edge(0, past + 1);
+        assert!(g.apply_delta(&repeated_past).is_err());
     }
 
     #[test]

@@ -340,7 +340,10 @@ impl Fragmentation {
     /// Checks `delta` against this version with [`Graph::apply_delta`]'s
     /// rules and precedence: removed vertices must exist, then removed edges
     /// must exist (either orientation on undirected graphs — looked up in
-    /// the source's owner fragment), then inserted vertices must be new.
+    /// the source's owner fragment), then inserted vertices must be new,
+    /// then new ids must keep to the growth bound
+    /// ([`GraphDelta::check_id_growth`]), so a delta cannot make this pass
+    /// create an unbounded run of vertices.
     fn validate(&self, delta: &GraphDelta) -> Result<(), GraphDeltaError> {
         let n = self.gp().num_vertices();
         for &v in delta.removed_vertices() {
@@ -366,7 +369,7 @@ impl Fragmentation {
                 return Err(GraphDeltaError::VertexExists(v));
             }
         }
-        Ok(())
+        delta.check_id_growth(n)
     }
 
     /// The local id of `v` in its owner fragment `i`.
@@ -1214,6 +1217,33 @@ mod tests {
             .apply_delta(&GraphDelta::new().add_edge(0, 2))
             .unwrap_err();
         assert!(matches!(err, DeltaError::UnsupportedPartition(_)));
+    }
+
+    /// The id-growth bound holds for fragmentations as for graphs: the
+    /// largest id it allows is patched in, one past fails with the graph's
+    /// error and leaves the fragmentation as it was.
+    #[test]
+    fn new_ids_stay_below_the_growth_bound() {
+        use grape_graph::delta::ID_SLACK;
+        let (g, frag) = chain();
+        let n = g.num_vertices() as VertexId;
+        let allowed = GraphDelta::new()
+            .add_vertex(n, 1)
+            .add_edge(2, n + ID_SLACK + 1);
+        let (applied, _) = checked(&g, &frag, &allowed);
+        assert_eq!(
+            applied.fragmentation.gp().num_vertices() as VertexId,
+            n + ID_SLACK + 2
+        );
+        let past = GraphDelta::new()
+            .add_vertex(n, 1)
+            .add_edge(2, n + ID_SLACK + 2);
+        let bound = n + ID_SLACK + 2;
+        let err = GraphDeltaError::IdBeyondBound { id: bound, bound };
+        assert_eq!(g.apply_delta(&past).unwrap_err(), err);
+        assert_eq!(frag.apply_delta(&past).unwrap_err(), DeltaError::Graph(err));
+        assert_eq!(frag.gp().num_vertices(), g.num_vertices());
+        assert_eq!(frag.source().num_vertices(), g.num_vertices());
     }
 
     #[test]

@@ -318,3 +318,44 @@ fn serving_never_builds_the_global_graph() {
         }
     }
 }
+
+/// A delta past the id-growth bound is rejected before anything is
+/// touched: the server's version, vertex count and answers stay as they
+/// were, and the next delta — the largest id the bound allows — commits.
+#[test]
+fn a_delta_past_the_id_bound_changes_nothing() {
+    use grape::core::serve::ServeError;
+    use grape::graph::delta::ID_SLACK;
+    for mode in MODES {
+        let g = seeded_graph(0x1D5, 40, 120);
+        let mut server = GrapeServer::new(session(mode), partition(&g));
+        let sssp = server.register(Sssp, SsspQuery::new(0)).unwrap();
+        let before = server.output(&sssp).unwrap().distances().clone();
+        let n = g.num_vertices() as VertexId;
+        let version = server.version();
+        let past = GraphDelta::new().add_edge(0, n + ID_SLACK + 1);
+        match server.apply(&past) {
+            Err(ServeError::Delta(reason)) => assert!(
+                reason.contains(&format!("{}", n + ID_SLACK + 1)),
+                "{mode:?}: the error names the id: {reason}"
+            ),
+            other => panic!("{mode:?}: expected a rejected delta, got {other:?}"),
+        }
+        assert_eq!(server.version(), version, "{mode:?}: version");
+        assert_eq!(
+            server.fragmentation().gp().num_vertices(),
+            g.num_vertices(),
+            "{mode:?}: vertex count"
+        );
+        assert_eq!(server.output(&sssp).unwrap().distances(), &before);
+
+        let allowed = GraphDelta::new().add_edge(0, n + ID_SLACK);
+        server.apply(&allowed).unwrap();
+        assert_eq!(server.version(), version + 1, "{mode:?}: next commit");
+        assert_eq!(
+            server.fragmentation().gp().num_vertices() as VertexId,
+            n + ID_SLACK + 1,
+            "{mode:?}: vertex count after the allowed delta"
+        );
+    }
+}

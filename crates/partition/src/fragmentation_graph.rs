@@ -6,8 +6,6 @@
 //! parameter, so that only the fragments that can actually use a value
 //! receive it.
 
-use std::sync::Arc;
-
 use grape_graph::hash::KeyedHashMap;
 use grape_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
@@ -31,10 +29,6 @@ pub enum BorderScope {
 }
 
 /// The fragmentation graph `G_P`.
-///
-/// Each holder list is a shared `Arc<[u32]>`, replaced whole when it
-/// changes: a delta clones `G_P` for the new version, and the clone then
-/// bumps one count per border vertex instead of allocating a list.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FragmentationGraph {
     num_fragments: usize,
@@ -43,14 +37,95 @@ pub struct FragmentationGraph {
     owner: Vec<u32>,
     /// For each border vertex, the fragments that hold it as an outer copy
     /// (`v ∈ F_i.O`), sorted.
-    outer_holders: KeyedHashMap<VertexId, Arc<[u32]>>,
+    outer_holders: HolderLists,
     /// For each border vertex, the fragments that hold it in `F_i.I`, sorted.
-    in_holders: KeyedHashMap<VertexId, Arc<[u32]>>,
+    in_holders: HolderLists,
     /// Vertex-cut semantics: a shared (replicated) vertex's update parameters
     /// must reach *every* fragment holding a copy, whatever the scope
     /// (paper, Section 3.2(3b): "if P is vertex-cut, it identifies nodes
     /// shared by F_i and F_j").
     shared_vertex_routing: bool,
+}
+
+/// Per-vertex sorted fragment lists packed into one buffer.  A delta clones
+/// `G_P` for its new version; packed, the clone copies two flat
+/// allocations (the index and the buffer) instead of allocating one list
+/// per border vertex.  A changed list is appended and its old entries go
+/// stale; the buffer is repacked once stale entries outnumber live ones.
+#[derive(Debug, Clone, Default)]
+struct HolderLists {
+    /// Per vertex, where its list lies in `ids`: `(start, len)`.
+    index: KeyedHashMap<VertexId, (u32, u32)>,
+    ids: Vec<u32>,
+    /// Total length of the lists `index` points at.
+    live: usize,
+}
+
+impl HolderLists {
+    /// Packs `v ∈ sets[i]` into per-vertex lists of `i`, sorted.
+    fn from_sets(sets: &[Vec<VertexId>]) -> HolderLists {
+        let mut lists: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
+        for (i, vs) in sets.iter().enumerate() {
+            for &v in vs {
+                lists.entry(v).or_default().push(i as u32);
+            }
+        }
+        let mut packed = HolderLists::default();
+        for (v, mut list) in lists {
+            list.sort_unstable();
+            list.dedup();
+            packed.set(v, &list);
+        }
+        packed
+    }
+
+    /// `v`'s list, empty when it has none.
+    fn get(&self, v: VertexId) -> &[u32] {
+        self.index.get(&v).map_or(&[], |&(start, len)| {
+            &self.ids[start as usize..(start + len) as usize]
+        })
+    }
+
+    fn contains(&self, v: VertexId) -> bool {
+        self.index.contains_key(&v)
+    }
+
+    fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.index.keys().copied()
+    }
+
+    /// Replaces `v`'s list; an empty one drops `v`.
+    fn set(&mut self, v: VertexId, list: &[u32]) {
+        if let Some((_, len)) = self.index.remove(&v) {
+            self.live -= len as usize;
+        }
+        if list.is_empty() {
+            return;
+        }
+        self.index
+            .insert(v, (self.ids.len() as u32, list.len() as u32));
+        self.ids.extend_from_slice(list);
+        self.live += list.len();
+        if self.ids.len() > 2 * self.live + 64 {
+            let mut ids = Vec::with_capacity(self.live);
+            for (start, len) in self.index.values_mut() {
+                let from = *start as usize;
+                *start = ids.len() as u32;
+                ids.extend_from_slice(&self.ids[from..from + *len as usize]);
+            }
+            self.ids = ids;
+        }
+    }
+}
+
+/// Equal lists, however they are packed.
+impl PartialEq for HolderLists {
+    fn eq(&self, other: &HolderLists) -> bool {
+        self.index.len() == other.index.len()
+            && self
+                .vertices()
+                .all(|v| other.contains(v) && self.get(v) == other.get(v))
+    }
 }
 
 impl FragmentationGraph {
@@ -61,28 +136,11 @@ impl FragmentationGraph {
     /// * `inner_border[i]` — global ids in `F_i.I`.
     pub fn new(owner: Vec<u32>, outer: &[Vec<VertexId>], inner_border: &[Vec<VertexId>]) -> Self {
         assert_eq!(outer.len(), inner_border.len(), "fragment count mismatch");
-        let num_fragments = outer.len();
-        let holders = |sets: &[Vec<VertexId>]| {
-            let mut lists: KeyedHashMap<VertexId, Vec<u32>> = KeyedHashMap::default();
-            for (i, vs) in sets.iter().enumerate() {
-                for &v in vs {
-                    lists.entry(v).or_default().push(i as u32);
-                }
-            }
-            lists
-                .into_iter()
-                .map(|(v, mut list)| {
-                    list.sort_unstable();
-                    list.dedup();
-                    (v, Arc::from(list))
-                })
-                .collect()
-        };
         FragmentationGraph {
-            num_fragments,
+            num_fragments: outer.len(),
             owner,
-            outer_holders: holders(outer),
-            in_holders: holders(inner_border),
+            outer_holders: HolderLists::from_sets(outer),
+            in_holders: HolderLists::from_sets(inner_border),
             shared_vertex_routing: false,
         }
     }
@@ -101,40 +159,29 @@ impl FragmentationGraph {
 
     /// Records `v ∈ F_i.O`.
     pub(crate) fn add_outer_holder(&mut self, v: VertexId, i: u32) {
-        let list = self.outer_holders(v);
+        let list = self.outer_holders.get(v);
         if let Err(at) = list.binary_search(&i) {
-            let mut grown = Vec::with_capacity(list.len() + 1);
-            grown.extend_from_slice(&list[..at]);
-            grown.push(i);
-            grown.extend_from_slice(&list[at..]);
-            self.outer_holders.insert(v, grown.into());
+            let mut grown = list.to_vec();
+            grown.insert(at, i);
+            self.outer_holders.set(v, &grown);
         }
     }
 
     /// Records `v ∉ F_i.O`; a vertex no fragment holds as an outer copy
     /// drops out of the index.
     pub(crate) fn remove_outer_holder(&mut self, v: VertexId, i: u32) {
-        let list = self.outer_holders(v);
-        if list.contains(&i) {
-            let rest: Vec<u32> = list.iter().copied().filter(|&j| j != i).collect();
-            match rest.is_empty() {
-                true => self.outer_holders.remove(&v),
-                false => self.outer_holders.insert(v, rest.into()),
-            };
+        let list = self.outer_holders.get(v);
+        if let Ok(at) = list.binary_search(&i) {
+            let mut rest = list.to_vec();
+            rest.remove(at);
+            self.outer_holders.set(v, &rest);
         }
     }
 
     /// Sets the fragment holding `v` in `F_i.I` (edge-cut: its owner), or
     /// none.
     pub(crate) fn set_in_holder(&mut self, v: VertexId, holder: Option<u32>) {
-        match holder {
-            Some(i) => {
-                self.in_holders.insert(v, Arc::from([i]));
-            }
-            None => {
-                self.in_holders.remove(&v);
-            }
-        }
+        self.in_holders.set(v, holder.as_slice());
     }
 
     /// Whether vertex-cut (shared vertex) routing semantics are in effect.
@@ -160,26 +207,25 @@ impl FragmentationGraph {
     /// Fragments holding `v` as an outer copy (`v ∈ F_i.O`), empty slice when
     /// `v` is not a border vertex.
     pub fn outer_holders(&self, v: VertexId) -> &[u32] {
-        self.outer_holders.get(&v).map_or(&[], |list| list)
+        self.outer_holders.get(v)
     }
 
     /// Fragments with `v ∈ F_i.I`.
     pub fn in_holders(&self, v: VertexId) -> &[u32] {
-        self.in_holders.get(&v).map_or(&[], |list| list)
+        self.in_holders.get(v)
     }
 
     /// Whether `v` is a border vertex of the partition (in `F.O = F.I`).
     pub fn is_border(&self, v: VertexId) -> bool {
-        self.outer_holders.contains_key(&v) || self.in_holders.contains_key(&v)
+        self.outer_holders.contains(v) || self.in_holders.contains(v)
     }
 
     /// All border vertices (in arbitrary order).
     pub fn border_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
         let mut seen: Vec<VertexId> = self
             .outer_holders
-            .keys()
-            .chain(self.in_holders.keys())
-            .copied()
+            .vertices()
+            .chain(self.in_holders.vertices())
             .collect();
         seen.sort_unstable();
         seen.dedup();
@@ -292,6 +338,44 @@ mod tests {
         let inner_border = vec![vec![], vec![]];
         let gp = FragmentationGraph::new(owner, &outer, &inner_border);
         assert_eq!(route(&gp, 1, 0, BorderScope::Out), vec![1]);
+    }
+
+    /// Packed holder lists read back what was written through many
+    /// replacements, repacks included, and compare equal to a fresh
+    /// packing of the same lists.
+    #[test]
+    fn holder_lists_read_back_through_repacking() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut gp = sample();
+        let mut model: BTreeMap<VertexId, BTreeSet<u32>> = BTreeMap::new();
+        model.entry(2).or_default().insert(0);
+        model.entry(0).or_default().insert(1);
+        for round in 0..500u32 {
+            let v = VertexId::from(round * 7 % 11);
+            let (add, drop) = (round % 5, round * 3 % 5);
+            gp.add_outer_holder(v, add);
+            model.entry(v).or_default().insert(add);
+            if round % 3 == 0 {
+                gp.remove_outer_holder(v, drop);
+                model.entry(v).or_default().remove(&drop);
+            }
+            for (&u, holders) in &model {
+                let want: Vec<u32> = holders.iter().copied().collect();
+                assert_eq!(gp.outer_holders(u), want, "round {round} vertex {u}");
+                assert_eq!(gp.is_border(u), !want.is_empty() || u == 2 || u == 0);
+            }
+        }
+        assert!(gp.outer_holders.ids.len() <= 2 * gp.outer_holders.live + 64);
+        let sets: Vec<Vec<VertexId>> = (0..5u32)
+            .map(|i| {
+                model
+                    .iter()
+                    .filter(|(_, hs)| hs.contains(&i))
+                    .map(|(&v, _)| v)
+                    .collect()
+            })
+            .collect();
+        assert_eq!(gp.outer_holders, HolderLists::from_sets(&sets));
     }
 
     #[test]

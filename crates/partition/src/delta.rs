@@ -28,8 +28,9 @@
 //! [`crate::fragment::build_edge_cut`] of the updated graph under the same
 //! assignment.  A fragment whose in-border set alone flips shares its local
 //! graph with the old version.
-//! `G_P` is cloned (its holder lists are shared, so the clone allocates no
-//! list) and updated from the patched fragments' outer-set diffs
+//! `G_P` is cloned (its holder lists are packed into one buffer per map, so
+//! the clone copies two flat allocations) and updated from the patched
+//! fragments' outer-set diffs
 //! only; a vertex whose outer-copy holders become empty or non-empty flips
 //! its owner's in-border set (`v ∈ F_i.I` iff some other fragment holds `v`
 //! as an outer copy).  A removed vertex's in-neighbours are found through
@@ -460,12 +461,9 @@ impl Fragmentation {
         for (k, &v) in fresh_ids.iter().enumerate() {
             rows.push((old_inner + k, rewrite(v, &[])));
         }
-        let gained: usize = rows.iter().map(|(_, adj)| adj.len()).sum();
-        let lost: usize = rows[..rewritten]
-            .iter()
-            .map(|&(u, _)| old.out_edges(u as LocalId).len())
-            .sum();
-        let num_edges = old.num_local_edges() + gained - lost;
+        // At most this many edges: the old ones and every rewritten row's.
+        let num_edges =
+            old.num_local_edges() + rows.iter().map(|(_, adj)| adj.len()).sum::<usize>();
 
         // Slot → new local id: inner vertices keep theirs, fresh ones follow
         // them, outer copies get theirs in order of first appearance — found

@@ -88,6 +88,8 @@ impl std::fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 /// A batch of graph updates `ΔG`: vertex/edge insertions and deletions.
+/// The new ids it names must stay below `n + k + 64`
+/// ([`GraphDelta::check_id_growth`], module docs).
 ///
 /// Built fluently:
 ///

@@ -18,6 +18,9 @@
 //! no run rows and is text-only: it is skipped — with a note on stderr —
 //! under the machine-readable formats, including within `all`.
 //!
+//! An unknown experiment, `--scale` or `--format` exits with status 2
+//! before anything runs.
+//!
 //! Absolute numbers are not expected to match the paper (24-node cluster vs
 //! threads on one machine, scaled-down synthetic datasets); the *shapes* —
 //! which system ships less and needs fewer supersteps — are asserted by
@@ -31,6 +34,25 @@ use grape_bench::workloads::Scale;
 
 /// The targets `all` runs, in order.
 const ALL: [&str; 6] = ["table1", "fig6", "fig7", "fig9", "incremental", "loc"];
+
+/// Every target the command line accepts.
+const TARGETS: [&str; 8] = [
+    "table1",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "incremental",
+    "loc",
+    "all",
+];
+
+/// Reports a bad command line on stderr and exits with status 2, before
+/// any experiment runs.
+fn usage_error(message: &str) -> ! {
+    eprintln!("experiments: {message}");
+    std::process::exit(2);
+}
 
 /// Output format of the run rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,19 +160,21 @@ fn main() {
             "--scale" => {
                 let value = iter.next().map(String::as_str).unwrap_or("small");
                 scale = Scale::parse(value).unwrap_or_else(|| {
-                    eprintln!("unknown scale {value:?}, using small");
-                    Scale::Small
+                    usage_error(&format!("unknown scale {value:?} (use small|medium|large)"))
                 });
             }
             "--format" => {
                 let value = iter.next().map(String::as_str).unwrap_or("text");
                 format = Format::parse(value).unwrap_or_else(|| {
-                    eprintln!("unknown format {value:?} (use text|json|csv), using text");
-                    Format::Text
+                    usage_error(&format!("unknown format {value:?} (use text|json|csv)"))
                 });
             }
             "all" => targets.extend(ALL),
-            other => targets.push(other),
+            other if TARGETS.contains(&other) => targets.push(other),
+            other => usage_error(&format!(
+                "unknown experiment {other:?} (use {})",
+                TARGETS.join("|")
+            )),
         }
     }
     if targets.is_empty() {
@@ -170,13 +194,7 @@ fn main() {
             }
             continue;
         }
-        let Some(sections) = sections_for(target, scale) else {
-            eprintln!(
-                "unknown experiment {target:?} \
-                 (use table1|fig6|fig7|fig8|fig9|incremental|loc|all)"
-            );
-            continue;
-        };
+        let sections = sections_for(target, scale).expect("TARGETS names only known sections");
         for (id, title, rows) in &sections {
             match format {
                 Format::Text => print!("{}", format_table(title, rows)),

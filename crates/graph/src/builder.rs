@@ -102,11 +102,6 @@ impl GraphBuilder {
         self.vertex_labels.push((v, label));
     }
 
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes the builder into an immutable [`Graph`].
     pub fn build(self) -> Graph {
         let directedness = self.directedness.unwrap_or(Directedness::Directed);

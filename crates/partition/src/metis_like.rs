@@ -22,41 +22,29 @@ use rand::SeedableRng;
 use crate::fragment::{build_edge_cut, Fragmentation};
 use crate::strategy::{validate, PartitionError, PartitionStrategy};
 
+/// Allowed imbalance: a part may hold up to `BALANCE_FACTOR × ideal` vertex
+/// weight (METIS default is 1.03; we are slightly more permissive because
+/// the graphs are small).
+const BALANCE_FACTOR: f64 = 1.1;
+
+/// Number of boundary refinement passes per level.
+const REFINEMENT_PASSES: usize = 4;
+
 /// Multilevel METIS-like edge-cut partitioner.
 #[derive(Debug, Clone)]
 pub struct MetisLike {
     num_fragments: usize,
-    /// Allowed imbalance: a part may hold up to `balance_factor × ideal`
-    /// vertex weight (METIS default is 1.03; we are slightly more permissive
-    /// because the graphs are small).
-    balance_factor: f64,
-    /// Number of boundary refinement passes per level.
-    refinement_passes: usize,
     /// RNG seed controlling matching/tie-breaking order.
     seed: u64,
 }
 
 impl MetisLike {
-    /// Creates a partitioner with default parameters.
+    /// Creates a partitioner with the default seed.
     pub fn new(num_fragments: usize) -> Self {
         MetisLike {
             num_fragments,
-            balance_factor: 1.1,
-            refinement_passes: 4,
             seed: 42,
         }
-    }
-
-    /// Overrides the balance factor (must be ≥ 1).
-    pub fn with_balance_factor(mut self, factor: f64) -> Self {
-        self.balance_factor = factor.max(1.0);
-        self
-    }
-
-    /// Overrides the number of refinement passes.
-    pub fn with_refinement_passes(mut self, passes: usize) -> Self {
-        self.refinement_passes = passes;
-        self
     }
 
     /// Overrides the RNG seed.
@@ -88,11 +76,6 @@ impl PartitionStrategy for MetisLike {
 
     fn partition_arc(&self, graph: &Arc<Graph>) -> Result<Fragmentation, PartitionError> {
         validate(graph, self.num_fragments)?;
-        if self.balance_factor < 1.0 {
-            return Err(PartitionError::InvalidConfig(
-                "balance factor must be >= 1".into(),
-            ));
-        }
         let assignment = self.compute_assignment(graph);
         Ok(build_edge_cut(
             graph,
@@ -148,15 +131,14 @@ impl MetisLike {
         let coarsest = levels.last().unwrap();
         let total_weight: usize = coarsest.vweight.iter().sum();
         let mut part = initial_partition(coarsest, self.num_fragments, &mut rng);
-        let max_part_weight = ((total_weight as f64 / self.num_fragments as f64)
-            * self.balance_factor)
-            .ceil() as usize;
+        let max_part_weight =
+            ((total_weight as f64 / self.num_fragments as f64) * BALANCE_FACTOR).ceil() as usize;
         refine(
             coarsest,
             &mut part,
             self.num_fragments,
             max_part_weight,
-            self.refinement_passes,
+            REFINEMENT_PASSES,
         );
 
         // Project back and refine at every level.
@@ -172,7 +154,7 @@ impl MetisLike {
                 &mut fine_part,
                 self.num_fragments,
                 max_part_weight,
-                self.refinement_passes,
+                REFINEMENT_PASSES,
             );
             part = fine_part;
         }

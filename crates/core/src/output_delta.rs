@@ -23,8 +23,8 @@
 //!   keys and values as serde [`Value`] trees, so subscriptions over
 //!   heterogeneous query types share one stream type.
 //!
-//! The invariant everything downstream leans on (pinned by
-//! `tests/output_delta_replay.rs`): folding a query's delta stream over
+//! The invariant everything downstream leans on (pinned by the replay
+//! relation of `tests/equivalence/`): folding a query's delta stream over
 //! its initial answer reproduces `output()` **byte-for-byte** in canonical
 //! JSON, across algorithms, engine modes, fan-out widths and
 //! evict/rehydrate interleavings.

@@ -281,7 +281,7 @@ impl<P: IncrementalPie> PreparedQuery<P> {
     ///    re-preparation (PEval everywhere).
     ///
     /// All four produce output identical to a from-scratch recompute on the
-    /// updated graph, pinned by `tests/delta_fuzz.rs`.
+    /// updated graph, pinned by `tests/equivalence/update_recompute.rs`.
     ///
     /// On an engine error during the monotone, retracted or bounded refresh
     /// the handle is **poisoned** — its partials were consumed or half-rebased, so

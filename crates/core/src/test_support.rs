@@ -3,8 +3,9 @@
 //! by hand, complete enough to exercise every refresh path.
 //!
 //! Compiled into the library (`#[doc(hidden)]`) rather than `#[cfg(test)]`
-//! so the workspace-level concurrency fuzz (`tests/serve_concurrency.rs`)
-//! can drive the same failure-injection programs.  Not a public API.
+//! so the workspace-level concurrency fuzz (the widths relation of
+//! `tests/equivalence/`) can drive the same failure-injection programs.
+//! Not a public API.
 
 #![allow(dead_code)]
 

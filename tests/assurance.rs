@@ -128,7 +128,7 @@ fn sim_matches_sequential() {
 /// the number of physical workers.  This is a BSP property — superstep and
 /// message counts are barrier-aligned — so the runs pin synchronous mode
 /// (the barrier-free runtime guarantees identical *output*, which
-/// `async_equivalence.rs` covers, but its metrics depend on scheduling).
+/// `equivalence/sync_async.rs` covers, but its metrics depend on scheduling).
 #[test]
 fn deterministic_across_worker_counts() {
     for case in 0..CASES {

@@ -25,14 +25,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use grape_partition::fragment::Fragment;
-use grape_partition::shard::shard_assignment;
-use serde::{Deserialize, Serialize, Value};
+use grape_partition::shard::{owner, shard_assignment};
+use serde::Serialize;
 
 use crate::engine::EngineError;
 use crate::pie::{AggregateFn, Messages, PieProgram, ProcessCodec};
 use crate::worker_proto::{
-    decode_value, encode_init, encode_value, locate_worker_binary, partial_entries, Pipe,
-    WORKER_BIN_ENV,
+    decode, encode_init, encode_value, locate_worker_binary, Handshake, Pipe, WorkerReply,
+    WorkerRequest, WORKER_BIN_ENV,
 };
 
 /// What one PEval/IncEval evaluation hands back to the engine: the
@@ -157,6 +157,11 @@ impl<P: PieProgram> WorkerHost<P> for InProcessHost<'_, P> {
     }
 }
 
+/// Accepts an acknowledgement ([`WorkerReply::expect`]).
+fn done(reply: WorkerReply) -> Option<()> {
+    (reply == WorkerReply::Done).then_some(())
+}
+
 /// One spawned `grape-worker` subprocess with its pipe endpoints and the
 /// encode/decode buffers reused across every request of the run.
 struct WorkerChild {
@@ -171,15 +176,18 @@ impl WorkerChild {
     /// `encode` appends, written to the pipe in one `write_all`.  Returns
     /// the reply plus the bytes that crossed the pipe (request + reply
     /// payloads).
-    fn request(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(Value, usize), String> {
+    fn request(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(WorkerReply, usize), String> {
         let sent = self.pipe.send(&mut self.stdin, encode)?;
         let reply = self
             .pipe
             .recv(&mut self.stdout)?
             .ok_or_else(|| "worker subprocess closed its pipe mid-run".to_string())?;
         let bytes = sent + reply.len();
-        let v = decode_value(reply).map_err(|e| format!("malformed worker reply: {e}"))?;
-        Ok((v, bytes))
+        let reply = decode(reply).map_err(|e| format!("malformed worker reply: {e}"))?;
+        Ok((reply, bytes))
     }
 }
 
@@ -200,8 +208,9 @@ impl Drop for WorkerChild {
 pub(crate) struct ProcessHost<'r, P: PieProgram> {
     codec: &'r dyn ProcessCodec<P>,
     children: Vec<Mutex<WorkerChild>>,
-    /// Fragment index → index into `children`.
-    owner: Vec<usize>,
+    /// Child index → the fragments it owns, in the order every partials
+    /// list on its pipe follows.
+    shards: Vec<Vec<usize>>,
     pipe_bytes: Arc<AtomicUsize>,
 }
 
@@ -224,8 +233,6 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
                 program.name()
             ))
         })?;
-        let m = fragments.len();
-        let workers = workers.clamp(1, m);
         let binary = locate_worker_binary().ok_or_else(|| {
             EngineError::InvalidConfig(format!(
                 "grape-worker binary not found; build the grape-daemon crate \
@@ -233,14 +240,10 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
             ))
         })?;
 
-        let shards = shard_assignment(m, workers);
-        let mut owner = vec![0usize; m];
+        let shards = shard_assignment(fragments.len(), workers.clamp(1, fragments.len()));
         let pipe_bytes = Arc::new(AtomicUsize::new(0));
-        let mut children = Vec::with_capacity(workers);
+        let mut children = Vec::with_capacity(shards.len());
         for (wi, shard) in shards.iter().enumerate() {
-            for &fi in shard {
-                owner[fi] = wi;
-            }
             let mut child = Command::new(&binary)
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
@@ -249,41 +252,39 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
                 .map_err(|e| {
                     EngineError::Worker(format!("cannot spawn {}: {e}", binary.display()))
                 })?;
-            let stdin = child.stdin.take().expect("piped stdin");
-            let stdout = std::io::BufReader::new(child.stdout.take().expect("piped stdout"));
             let mut worker = WorkerChild {
+                stdin: child.stdin.take().expect("piped stdin"),
+                stdout: std::io::BufReader::new(child.stdout.take().expect("piped stdout")),
                 child,
-                stdin,
-                stdout,
                 pipe: Pipe::default(),
             };
             // Handshake: only this shard's fragments (and partials) ship.
-            let shard_frags: Vec<(usize, &Fragment)> = shard
-                .iter()
-                .map(|&fi| (fi, fragments[fi].as_ref()))
-                .collect();
-            let shard_partials: Vec<(usize, Value)> = match partials {
-                Some(ps) => shard
-                    .iter()
-                    .map(|&fi| (fi, codec.encode_partial(&ps[fi])))
-                    .collect(),
-                None => Vec::new(),
+            let handshake = Handshake {
+                program: program.name().to_string(),
+                query: codec.encode_query(query),
+                fragments: shard.clone(),
+                partials: partials.map_or_else(Vec::new, |ps| {
+                    shard
+                        .iter()
+                        .map(|&fi| Some(codec.encode_partial(&ps[fi])))
+                        .collect()
+                }),
             };
-            let query = codec.encode_query(query);
-            let (reply, bytes) = worker
-                .request(|out| {
-                    encode_init(out, program.name(), query, &shard_frags, shard_partials)
+            let records: Vec<&Fragment> = shard.iter().map(|&fi| fragments[fi].as_ref()).collect();
+            worker
+                .request(|out| encode_init(out, handshake, &records))
+                .and_then(|(reply, bytes)| {
+                    pipe_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    reply.expect(done)
                 })
                 .map_err(|e| EngineError::Worker(format!("worker {wi} handshake: {e}")))?;
-            pipe_bytes.fetch_add(bytes, Ordering::Relaxed);
-            check_ok(&reply).map_err(EngineError::Worker)?;
             children.push(Mutex::new(worker));
         }
 
         Ok(ProcessHost {
             codec,
             children,
-            owner,
+            shards,
             pipe_bytes,
         })
     }
@@ -294,140 +295,93 @@ impl<'r, P: PieProgram> ProcessHost<'r, P> {
         self.pipe_bytes.clone()
     }
 
-    fn rpc(&self, wi: usize, request: &Value) -> Result<Value, EngineError> {
-        let (reply, bytes) = self.children[wi]
+    /// Sends `request` to child `wi` and takes what `pick` accepts from
+    /// its reply ([`WorkerReply::expect`]).
+    fn rpc<T>(
+        &self,
+        wi: usize,
+        request: &WorkerRequest,
+        pick: impl FnOnce(WorkerReply) -> Option<T>,
+    ) -> Result<T, EngineError> {
+        self.children[wi]
             .lock()
-            .request(|out| encode_value(out, request))
-            .map_err(|e| EngineError::Worker(format!("worker {wi}: {e}")))?;
-        self.pipe_bytes.fetch_add(bytes, Ordering::Relaxed);
-        check_ok(&reply).map_err(|e| EngineError::Worker(format!("worker {wi}: {e}")))?;
-        Ok(reply)
+            .request(|out| encode_value(out, &request.to_value()))
+            .and_then(|(reply, bytes)| {
+                self.pipe_bytes.fetch_add(bytes, Ordering::Relaxed);
+                reply.expect(pick)
+            })
+            .map_err(|e| EngineError::Worker(format!("worker {wi}: {e}")))
     }
 
-    fn eval(&self, fi: usize, request: Value) -> EvalResult<P> {
-        let reply = self.rpc(self.owner[fi], &request)?;
-        let mut out = Vec::new();
-        match reply.get_field("messages") {
-            Some(Value::Seq(entries)) => {
-                for entry in entries {
-                    out.push(self.codec.decode_message(entry).map_err(|e| {
-                        EngineError::Worker(format!("undecodable worker message: {e}"))
-                    })?);
-                }
-            }
-            _ => {
-                return Err(EngineError::Worker(
-                    "worker reply is missing `messages`".to_string(),
-                ))
-            }
-        }
-        Ok((out, reply.get_field("again") == Some(&Value::Bool(true))))
+    fn eval(&self, fi: usize, request: &WorkerRequest) -> EvalResult<P> {
+        let wi = owner(fi, self.shards.len());
+        let (messages, again) = self.rpc(wi, request, |reply| match reply {
+            WorkerReply::Messages(m) => Some((m, false)),
+            WorkerReply::RunAgain(m) => Some((m, true)),
+            _ => None,
+        })?;
+        let messages = messages
+            .iter()
+            .map(|m| self.codec.decode_message(m))
+            .collect::<Result<_, _>>()
+            .map_err(|e| EngineError::Worker(format!("undecodable worker message: {e}")))?;
+        Ok((messages, again))
     }
-}
-
-fn check_ok(reply: &Value) -> Result<(), String> {
-    match reply.get_field("ok") {
-        Some(Value::Bool(true)) => Ok(()),
-        _ => Err(reply
-            .get_field("error")
-            .and_then(Value::as_str)
-            .unwrap_or("worker reported an unspecified error")
-            .to_string()),
-    }
-}
-
-fn op_frame(op: &str, fields: Vec<(String, Value)>) -> Value {
-    let mut map = vec![("op".to_string(), Value::Str(op.to_string()))];
-    map.extend(fields);
-    Value::Map(map)
 }
 
 impl<P: PieProgram> WorkerHost<P> for ProcessHost<'_, P> {
     fn peval(&self, fi: usize) -> EvalResult<P> {
-        self.eval(
-            fi,
-            op_frame("peval", vec![("fragment".to_string(), fi.to_value())]),
-        )
+        self.eval(fi, &WorkerRequest::Peval { fragment: fi })
     }
 
     fn inc_eval(&self, fi: usize, updates: &[(P::Key, P::Value)]) -> EvalResult<P> {
-        let encoded: Vec<Value> = updates
+        let updates = updates
             .iter()
             .map(|(k, v)| self.codec.encode_message(k, v))
             .collect();
         self.eval(
             fi,
-            op_frame(
-                "inceval",
-                vec![
-                    ("fragment".to_string(), fi.to_value()),
-                    ("updates".to_string(), Value::Seq(encoded)),
-                ],
-            ),
+            &WorkerRequest::Inceval {
+                fragment: fi,
+                updates,
+            },
         )
     }
 
     fn checkpoint_partials(&self) -> Result<Vec<Option<P::Partial>>, EngineError> {
-        let mut out: Vec<Option<P::Partial>> = (0..self.owner.len()).map(|_| None).collect();
-        for wi in 0..self.children.len() {
-            let reply = self.rpc(wi, &op_frame("get_partials", Vec::new()))?;
-            let Some(Value::Seq(entries)) = reply.get_field("partials") else {
-                return Err(EngineError::Worker(
-                    "worker reply is missing `partials`".to_string(),
-                ));
-            };
-            for entry in entries {
-                let id = entry
-                    .get_field("id")
-                    .and_then(|v| usize::from_value(v).ok())
-                    .ok_or_else(|| {
-                        EngineError::Worker("worker partial without an id".to_string())
-                    })?;
-                if id >= out.len() || self.owner[id] != wi {
-                    return Err(EngineError::Worker(format!(
-                        "worker {wi} returned a partial for fragment {id} it does not own"
-                    )));
-                }
-                match entry.get_field("partial") {
-                    Some(Value::Null) | None => {}
-                    Some(v) => {
-                        out[id] = Some(self.codec.decode_partial(v).map_err(|e| {
-                            EngineError::Worker(format!("undecodable partial {id}: {e}"))
-                        })?);
-                    }
-                }
+        let mut out: Vec<Option<P::Partial>> = Vec::new();
+        out.resize_with(self.shards.iter().map(Vec::len).sum(), || None);
+        for (wi, shard) in self.shards.iter().enumerate() {
+            // One slot per owned fragment, or the reply is rejected.
+            let slots = self.rpc(wi, &WorkerRequest::GetPartials, |reply| match reply {
+                WorkerReply::Partials(p) if p.len() == shard.len() => Some(p),
+                _ => None,
+            })?;
+            for (&fi, slot) in shard.iter().zip(&slots) {
+                out[fi] = slot
+                    .as_ref()
+                    .map(|v| self.codec.decode_partial(v))
+                    .transpose()
+                    .map_err(|e| EngineError::Worker(format!("undecodable partial {fi}: {e}")))?;
             }
         }
         Ok(out)
     }
 
     fn restore_partials(&self, saved: &[Option<P::Partial>]) -> Result<(), EngineError> {
-        for wi in 0..self.children.len() {
-            let entries = saved
+        for (wi, shard) in self.shards.iter().enumerate() {
+            let partials = shard
                 .iter()
-                .enumerate()
-                .filter(|&(fi, _)| self.owner.get(fi) == Some(&wi))
-                .map(|(fi, p)| {
-                    let p = match p {
-                        Some(p) => self.codec.encode_partial(p),
-                        None => Value::Null,
-                    };
-                    (fi, p)
-                });
-            self.rpc(
-                wi,
-                &op_frame(
-                    "set_partials",
-                    vec![("partials".to_string(), Value::Seq(partial_entries(entries)))],
-                ),
-            )?;
+                .map(|&fi| saved[fi].as_ref().map(|p| self.codec.encode_partial(p)))
+                .collect();
+            self.rpc(wi, &WorkerRequest::SetPartials { partials }, done)?;
         }
         Ok(())
     }
 
     fn clear_partials(&self) -> Result<(), EngineError> {
         for wi in 0..self.children.len() {
-            self.rpc(wi, &op_frame("clear", Vec::new()))?;
+            self.rpc(wi, &WorkerRequest::Clear, done)?;
         }
         Ok(())
     }
@@ -437,7 +391,7 @@ impl<P: PieProgram> WorkerHost<P> for ProcessHost<'_, P> {
         // Orderly shutdown: `exit` then wait; `WorkerChild::drop` turns any
         // straggler into kill + wait.
         for wi in 0..self.children.len() {
-            let _ = self.rpc(wi, &op_frame("exit", Vec::new()));
+            let _ = self.rpc(wi, &WorkerRequest::Exit, done);
         }
         for child in &self.children {
             let _ = child.lock().child.wait();

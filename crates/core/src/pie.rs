@@ -306,7 +306,9 @@ pub trait ProcessCodec<P: PieProgram>: Sync {
     fn encode_query(&self, query: &P::Query) -> Value;
     /// Decodes a handshake query (worker side).
     fn decode_query(&self, v: &Value) -> Result<P::Query, SerdeError>;
-    /// Encodes one partial result.
+    /// Encodes one partial result.  Never `Value::Null`: on the worker
+    /// pipe `null` marks a fragment that has no partial yet, so such a
+    /// partial would come back missing and fail the run.
     fn encode_partial(&self, partial: &P::Partial) -> Value;
     /// Decodes one partial result.
     fn decode_partial(&self, v: &Value) -> Result<P::Partial, SerdeError>;

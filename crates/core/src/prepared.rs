@@ -507,13 +507,6 @@ impl<P: IncrementalPie> PreparedQuery<P> {
 /// The canonical, key-sorted row form of a [`DeltaOutput`] program's answer.
 pub type CanonicalRows<P> = Vec<(<P as DeltaOutput>::OutKey, <P as DeltaOutput>::OutVal)>;
 
-/// What [`PreparedQuery::update_with_delta`] returns: the refresh report
-/// plus the typed answer delta the refresh induced.
-pub type UpdateWithDelta<P> = (
-    UpdateReport,
-    OutputDelta<<P as DeltaOutput>::OutKey, <P as DeltaOutput>::OutVal>,
-);
-
 impl<P: DeltaOutput> PreparedQuery<P> {
     /// The canonical, key-sorted row form of the current answer
     /// ([`DeltaOutput::canonical`] over a fresh assemble).
@@ -549,19 +542,6 @@ impl<P: DeltaOutput> PreparedQuery<P> {
             return Ok(delta);
         }
         Ok(diff_sorted(previous, &self.canonical_rows()?))
-    }
-
-    /// [`PreparedQuery::update`] that additionally produces the typed
-    /// [`OutputDelta`] the update caused, relative to the pre-update
-    /// answer.
-    pub fn update_with_delta(
-        &mut self,
-        delta: &GraphDelta,
-    ) -> Result<UpdateWithDelta<P>, EngineError> {
-        let previous = self.canonical_rows()?;
-        let report = self.update(delta)?;
-        let output_delta = self.output_delta_since(&previous)?;
-        Ok((report, output_delta))
     }
 }
 

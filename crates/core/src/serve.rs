@@ -1059,7 +1059,8 @@ impl GrapeServer {
             }
             refreshed.push(QueryRefresh { query: id, result });
         }
-        // Deterministic report regardless of fan-out completion order.
+        // Deterministic report regardless of fan-out completion order, and
+        // with the pre-pass's failed replays merged among the refreshes.
         refreshed.sort_by_key(|q| q.query);
         events.sort_by_key(|e| e.query);
         self.pending_events.extend(events.iter().cloned());
@@ -1103,7 +1104,8 @@ impl GrapeServer {
     /// watched query per commit, only after a successful refresh, so a
     /// failed one never advances the watch rows; a catch-up replay the
     /// commit's pre-pass performed folds into the same emission.  Returns
-    /// `(id, outcome, event)` triples sorted by id.  An associated function
+    /// `(id, outcome, event)` triples in completion order (the caller
+    /// sorts the merged report).  An associated function
     /// over the slot slice (not `&mut self`) so the commit loop above can
     /// keep borrowing the rest of the server.
     fn refresh_ready(
@@ -1127,7 +1129,7 @@ impl GrapeServer {
         }
         // `ready` is ascending by construction, so membership is a binary
         // search away and the job list keeps slot order (workers may still
-        // finish out of order; the sort below restores it).
+        // finish out of order; `commit` sorts what it reports).
         let jobs: Vec<(usize, &mut Slot)> = slots
             .iter_mut()
             .enumerate()
@@ -1145,9 +1147,7 @@ impl GrapeServer {
                 });
             }
         });
-        let mut out = results.into_inner().expect("refresh results lock");
-        out.sort_by_key(|(id, ..)| *id);
-        out
+        results.into_inner().expect("refresh results lock")
     }
 
     /// Replays the retained steps into slot `id` while it is behind: until
@@ -2037,6 +2037,36 @@ mod tests {
             .unwrap()
             .output;
         assert_eq!(server.output(&healthy).unwrap(), recompute);
+    }
+
+    /// The report is id-sorted even when the pre-pass pushes first: a
+    /// behind slot whose replay fails is reported before the refresh of a
+    /// ready slot with a lower id has run.
+    #[test]
+    fn a_failed_catch_up_is_reported_in_id_order() {
+        let g = crate::test_support::ring_graph(12);
+        let frag = RangeEdgeCut::new(3).partition(&g).unwrap();
+        let s = GrapeSession::builder()
+            .workers(2)
+            .mode(EngineMode::Sync)
+            .max_supersteps(4)
+            .build()
+            .unwrap();
+        let mut server = GrapeServer::new(s, frag);
+        let healthy = server.register(MinForward, ()).unwrap();
+        let flaky_prog = TrippablePrepare::new();
+        let flaky = server.register(flaky_prog.clone(), ()).unwrap();
+        assert!(healthy.id() < flaky.id());
+
+        flaky_prog.trip();
+        server.apply(&GraphDelta::new().add_edge(0, 2)).unwrap();
+        let r = server.apply(&GraphDelta::new().add_edge(1, 3)).unwrap();
+        let order: Vec<(usize, bool)> = r
+            .refreshed
+            .iter()
+            .map(|q| (q.query, q.result.is_ok()))
+            .collect();
+        assert_eq!(order, vec![(healthy.id(), true), (flaky.id(), false)]);
     }
 
     /// Regression for the same desync via rehydrate(): a replay failure

@@ -14,34 +14,42 @@
 //! Frames use the shared length-delimited framing of [`crate::frame`] over
 //! the child's stdin/stdout.  Every payload is one binary value tree
 //! (`grape_graph::io::write_value_tree`: tagged little-endian, each `f64`
-//! carried as its bits) — except the `init` request, whose tree is
-//! followed by the dense fragment block of
-//! `grape_partition::snapshot::write_fragment_records`.  Nothing may follow
-//! either: decoding rejects trailing bytes.  Every request is answered by
-//! exactly one reply; replies carry `{"ok": true, ...}` on success and
-//! `{"ok": false, "error": "…"}` on failure.
+//! carried as its bits) holding one [`WorkerRequest`] or [`WorkerReply`] —
+//! except the `init` request, whose tree is followed by the dense fragment
+//! block of `grape_partition::snapshot::write_fragment_records`.  Nothing
+//! may follow either: decoding rejects trailing bytes.  Both types derive
+//! their layout, as every daemon message does: a request is a map tagged by
+//! `op`, a reply is `"done"` or a one-entry map named by its variant.
+//! Every request is answered by exactly one reply.
 //!
 //! ## Requests
 //!
-//! | op             | request fields                    | reply fields      |
-//! |----------------|-----------------------------------|-------------------|
-//! | `init`         | `program`, `query`, `fragments`, optional `partials` (+ fragment block) | — |
-//! | `peval`        | `fragment`                        | `messages`, optional `again` |
-//! | `inceval`      | `fragment`, `updates`             | `messages`, optional `again` |
-//! | `get_partials` | —                                 | `partials`        |
-//! | `set_partials` | `partials`                        | —                 |
-//! | `clear`        | —                                 | —                 |
-//! | `exit`         | —                                 | —                 |
+//! | op             | request fields                        | reply                     |
+//! |----------------|---------------------------------------|---------------------------|
+//! | `init`         | `program`, `query`, `fragments`, `partials` unless empty (+ fragment block) | `done` |
+//! | `peval`        | `fragment`                            | `messages` or `run_again` |
+//! | `inceval`      | `fragment`, `updates`                 | `messages` or `run_again` |
+//! | `get_partials` | —                                     | `partials`                |
+//! | `set_partials` | `partials`                            | `done`                    |
+//! | `clear`        | —                                     | `done`                    |
+//! | `exit`         | —                                     | `done`                    |
+//!
+//! Any request after `init` may instead be answered by `{"error": "…"}`
+//! (unknown op, unowned fragment, IncEval before PEval, a payload that
+//! does not decode); the worker keeps serving.
 //!
 //! `fragments` lists the **global** fragment id of each record in the
-//! block, in block order; `partials` entries are `{"id": …, "partial": …}`
-//! with `null` for a slot that has not been evaluated yet;
-//! `messages`/`updates` entries are whatever the program's
-//! [`crate::pie::ProcessCodec`] produces (two-element `[key, value]`
-//! sequences for [`crate::pie::SerdeProcessCodec`]); `again` is `true`, and
-//! present only, when the evaluation called [`crate::pie::Messages::run_again`].
+//! block, in block order: the worker's shard of
+//! [`grape_partition::shard::shard_assignment`].  Every `partials` list
+//! follows that order, one slot per fragment, so no id crosses with a
+//! partial; `null` marks a slot that has not been evaluated yet, which no
+//! partial encodes to ([`crate::pie::ProcessCodec::encode_partial`]).
+//! `query`, `messages`, `updates` and the partials are whatever the
+//! program's [`crate::pie::ProcessCodec`] produces (two-element
+//! `[key, value]` sequences for the messages of
+//! [`crate::pie::SerdeProcessCodec`]); `run_again` carries the messages of
+//! an evaluation that called [`crate::pie::Messages::run_again`].
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
@@ -51,7 +59,7 @@ use grape_partition::snapshot::{read_fragment_records, write_fragment_records};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::frame;
-use crate::pie::{Messages, PieProgram};
+use crate::pie::{Messages, PieProgram, ProcessCodec};
 
 /// Name of the environment variable that pins the worker binary path
 /// (otherwise discovered next to the current executable).
@@ -91,68 +99,111 @@ pub fn locate_worker_binary() -> Option<PathBuf> {
     None
 }
 
+/// One request on the worker pipe, parent to child.  Program payloads
+/// (query, partials, messages) are value trees made by the program's
+/// [`crate::pie::ProcessCodec`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "op", rename_all = "snake_case")]
+pub enum WorkerRequest {
+    /// The first request of every conversation; its payload continues with
+    /// the dense fragment block ([`encode_init`]).
+    Init(Handshake),
+    /// Run PEval on the owned fragment `fragment` (a global id).
+    Peval { fragment: usize },
+    /// Run IncEval on the owned fragment `fragment` with the encoded
+    /// update-parameter messages `updates`.
+    Inceval {
+        fragment: usize,
+        updates: Vec<Value>,
+    },
+    /// Return every owned fragment's partial.
+    GetPartials,
+    /// Overwrite every owned fragment's partial: one slot per owned
+    /// fragment, in shard order; `None` clears it.
+    SetPartials { partials: Vec<Option<Value>> },
+    /// Drop every owned fragment's partial.
+    Clear,
+    /// Answer, then stop serving.
+    Exit,
+}
+
+/// The fields of the `init` request.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Handshake {
+    /// The program's wire name ([`PieProgram::name`]).
+    pub program: String,
+    /// The encoded query.
+    pub query: Value,
+    /// The global id of each record in the fragment block, in block order.
+    pub fragments: Vec<usize>,
+    /// Retained partials, one slot per fragment in block order (an
+    /// incremental refresh); empty, and then absent from the wire, for a
+    /// run that starts from scratch.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub partials: Vec<Option<Value>>,
+}
+
+/// The one reply to each [`WorkerRequest`], child to parent.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum WorkerReply {
+    /// The request succeeded and returns nothing.
+    Done,
+    /// An evaluation's encoded update-parameter messages.
+    Messages(Vec<Value>),
+    /// The same, from an evaluation that called [`Messages::run_again`].
+    RunAgain(Vec<Value>),
+    /// Every owned fragment's partial, in shard order; `None` for one that
+    /// has not been evaluated yet.
+    Partials(Vec<Option<Value>>),
+    /// The request failed; the worker keeps serving.
+    Error(String),
+}
+
+impl WorkerReply {
+    /// What `pick` takes from the reply a request calls for; the worker's
+    /// error, or a reply `pick` rejects, is an error.
+    pub(crate) fn expect<T>(self, pick: impl FnOnce(Self) -> Option<T>) -> Result<T, String> {
+        match self {
+            WorkerReply::Error(e) => Err(e),
+            reply => pick(reply).ok_or_else(|| "unexpected worker reply".to_string()),
+        }
+    }
+}
+
 /// Appends the binary encoding of one value tree to a payload buffer.
 pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     write_value_tree(out, v).expect("writing into a Vec cannot fail");
 }
 
-/// Decodes a payload that holds exactly one value tree.
-pub fn decode_value(payload: &[u8]) -> Result<Value, String> {
+/// Decodes a payload that holds exactly one value tree of `T`'s layout
+/// (`T = Value` for any tree).
+pub fn decode<T: Deserialize>(payload: &[u8]) -> Result<T, String> {
     let mut rest = payload;
     let v = read_value_tree(&mut rest).map_err(|e| e.to_string())?;
     ensure_fully_consumed(&mut rest).map_err(|e| e.to_string())?;
-    Ok(v)
+    T::from_value(&v).map_err(|e| e.to_string())
 }
 
-/// Appends the `init` handshake payload: the header tree (program name,
-/// encoded query, the global ids of `fragments`, and — only when present —
-/// the retained partials paired with their ids), then the dense fragment
-/// block.
-pub fn encode_init(
-    out: &mut Vec<u8>,
-    program: &str,
-    query: Value,
-    fragments: &[(usize, &Fragment)],
-    partials: Vec<(usize, Value)>,
-) {
-    let ids: Vec<Value> = fragments.iter().map(|(id, _)| id.to_value()).collect();
-    let mut map = vec![
-        ("op".to_string(), Value::Str("init".to_string())),
-        ("program".to_string(), Value::Str(program.to_string())),
-        ("query".to_string(), query),
-        ("fragments".to_string(), Value::Seq(ids)),
-    ];
-    if !partials.is_empty() {
-        map.push((
-            "partials".to_string(),
-            Value::Seq(partial_entries(partials)),
-        ));
-    }
-    encode_value(out, &Value::Map(map));
-    let records: Vec<&Fragment> = fragments.iter().map(|&(_, frag)| frag).collect();
-    write_fragment_records(&records, out);
+/// Appends the `init` payload: the request tree, then the dense block of
+/// `records`, the fragments `handshake.fragments` names.
+pub fn encode_init(out: &mut Vec<u8>, handshake: Handshake, records: &[&Fragment]) {
+    encode_value(out, &WorkerRequest::Init(handshake).to_value());
+    write_fragment_records(records, out);
 }
 
-/// Splits an `init` payload into its header tree and the fragments of the
+/// Splits an `init` payload into its handshake and the fragments of the
 /// dense block after it (every byte must belong to one or the other).
-pub fn decode_init(payload: &[u8]) -> Result<(Value, Vec<Fragment>), String> {
+pub fn decode_init(payload: &[u8]) -> Result<(Handshake, Vec<Fragment>), String> {
     let mut rest = payload;
-    let header = read_value_tree(&mut rest).map_err(|e| e.to_string())?;
+    let tree = read_value_tree(&mut rest).map_err(|e| e.to_string())?;
+    let WorkerRequest::Init(handshake) =
+        WorkerRequest::from_value(&tree).map_err(|e| e.to_string())?
+    else {
+        return Err("the first request is not `init`".to_string());
+    };
     let fragments = read_fragment_records(rest).map_err(|e| e.to_string())?;
-    Ok((header, fragments))
-}
-
-/// `{"id": …, "partial": …}` entries, the shape of `partials` fields.
-pub(crate) fn partial_entries(partials: impl IntoIterator<Item = (usize, Value)>) -> Vec<Value> {
-    partials
-        .into_iter()
-        .map(|(id, p)| {
-            Value::Map(vec![
-                ("id".to_string(), id.to_value()),
-                ("partial".to_string(), p),
-            ])
-        })
-        .collect()
+    Ok((handshake, fragments))
 }
 
 /// One end of a worker pipe with its reused buffers: each outgoing payload
@@ -184,9 +235,13 @@ impl Pipe {
         Ok(self.payload.len())
     }
 
-    /// Sends one value tree as a frame.
-    pub(crate) fn send_value(&mut self, w: &mut dyn Write, v: &Value) -> Result<usize, String> {
-        self.send(w, |out| encode_value(out, v))
+    /// Sends one message's value tree as a frame.
+    pub(crate) fn send_value(
+        &mut self,
+        w: &mut dyn Write,
+        msg: &impl Serialize,
+    ) -> Result<usize, String> {
+        self.send(w, |out| encode_value(out, &msg.to_value()))
     }
 
     /// Reads the next frame's payload; `Ok(None)` is a clean end of stream
@@ -200,37 +255,117 @@ impl Pipe {
     }
 }
 
-fn get<'v>(v: &'v Value, name: &str) -> Result<&'v Value, String> {
-    v.get_field(name)
-        .ok_or_else(|| format!("request is missing field `{name}`"))
+/// One worker's state: the fragments it owns and their partials, both in
+/// shard order.
+struct Shard<'p, P: PieProgram> {
+    program: &'p P,
+    codec: &'p dyn ProcessCodec<P>,
+    query: P::Query,
+    ids: Vec<usize>,
+    fragments: Vec<Fragment>,
+    partials: Vec<Option<P::Partial>>,
+    /// [`WORKER_CRASH_ENV`]: exit hard before evaluation number `n`.
+    crash_after: Option<usize>,
+    evals: usize,
 }
 
-fn reply_ok(fields: Vec<(String, Value)>) -> Value {
-    let mut map = vec![("ok".to_string(), Value::Bool(true))];
-    map.extend(fields);
-    Value::Map(map)
-}
+impl<P: PieProgram> Shard<'_, P> {
+    /// Decodes one partial slot per owned fragment.
+    fn decode_partials(&self, slots: &[Option<Value>]) -> Result<Vec<Option<P::Partial>>, String> {
+        let len = self.ids.len();
+        if slots.len() != len {
+            return Err(format!("{} partials for {len} fragments", slots.len()));
+        }
+        slots
+            .iter()
+            .map(|slot| {
+                slot.as_ref()
+                    .map(|v| self.codec.decode_partial(v))
+                    .transpose()
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("undecodable partial: {e}"))
+    }
 
-fn reply_err(msg: &str) -> Value {
-    Value::Map(vec![
-        ("ok".to_string(), Value::Bool(false)),
-        ("error".to_string(), Value::Str(msg.to_string())),
-    ])
+    /// Runs PEval (no `updates`) or IncEval on the owned fragment
+    /// `fragment`.
+    fn eval(&mut self, fragment: usize, updates: Option<&[Value]>) -> Result<WorkerReply, String> {
+        if self.crash_after == Some(self.evals) {
+            std::process::exit(3); // fault injection: die mid-superstep
+        }
+        self.evals += 1;
+        let at = self
+            .ids
+            .iter()
+            .position(|&id| id == fragment)
+            .ok_or_else(|| format!("fragment {fragment} is not owned by this worker"))?;
+        let (program, frag) = (self.program, &self.fragments[at]);
+        let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
+        let mut msgs = Messages::with_aggregator(&aggregate);
+        match updates {
+            None => self.partials[at] = Some(program.peval(&self.query, frag, &mut msgs)),
+            Some(updates) => {
+                let updates = updates
+                    .iter()
+                    .map(|m| self.codec.decode_message(m))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(|e| format!("undecodable update: {e}"))?;
+                let partial = self.partials[at].as_mut().ok_or_else(|| {
+                    format!("IncEval before PEval: fragment {fragment} has no partial")
+                })?;
+                program.inc_eval(&self.query, frag, partial, &updates, &mut msgs);
+            }
+        }
+        let messages = msgs
+            .take()
+            .iter()
+            .map(|(k, v)| self.codec.encode_message(k, v))
+            .collect();
+        Ok(if msgs.runs_again() {
+            WorkerReply::RunAgain(messages)
+        } else {
+            WorkerReply::Messages(messages)
+        })
+    }
+
+    fn handle(&mut self, request: WorkerRequest) -> Result<WorkerReply, String> {
+        match request {
+            WorkerRequest::Peval { fragment } => self.eval(fragment, None),
+            WorkerRequest::Inceval { fragment, updates } => self.eval(fragment, Some(&updates)),
+            WorkerRequest::GetPartials => Ok(WorkerReply::Partials(
+                self.partials
+                    .iter()
+                    .map(|p| p.as_ref().map(|p| self.codec.encode_partial(p)))
+                    .collect(),
+            )),
+            WorkerRequest::SetPartials { partials } => {
+                self.partials = self.decode_partials(&partials)?;
+                Ok(WorkerReply::Done)
+            }
+            WorkerRequest::Clear => {
+                self.partials.fill(None);
+                Ok(WorkerReply::Done)
+            }
+            WorkerRequest::Exit => Ok(WorkerReply::Done),
+            WorkerRequest::Init(_) => Err("a second `init`".to_string()),
+        }
+    }
 }
 
 /// The worker side of the pipe protocol: serves one program's evaluation
 /// requests until `exit` or end of stream.  `init` and `records` are the
-/// already-decoded handshake ([`decode_init`]; the caller peeks at the
-/// header's `program` field to pick `P`).
+/// already-decoded handshake ([`decode_init`]; the caller reads its
+/// `program` to pick `P`).
 ///
-/// Request-level failures (unknown fragment, codec mismatch, IncEval before
-/// PEval) are answered with `{"ok": false}` and the loop keeps serving —
-/// the parent turns them into [`crate::engine::EngineError::Worker`] and
-/// tears the child down.  Only transport-level failures (broken pipe,
-/// malformed frame) abort the loop.
+/// Request-level failures (an undecodable request or unknown op, an
+/// unowned fragment, a codec mismatch, IncEval before PEval) are answered
+/// with [`WorkerReply::Error`] and the loop keeps serving — the parent
+/// turns them into [`crate::engine::EngineError::Worker`] and tears the
+/// child down.  Handshake and transport failures (broken pipe, malformed
+/// frame) end the loop with an error.
 pub fn serve_program<P: PieProgram>(
     program: &P,
-    init: &Value,
+    init: Handshake,
     records: Vec<Fragment>,
     input: &mut dyn BufRead,
     output: &mut dyn Write,
@@ -238,155 +373,50 @@ pub fn serve_program<P: PieProgram>(
     let codec = program
         .process_codec()
         .ok_or_else(|| format!("program `{}` has no process codec", program.name()))?;
-
-    // Handshake: query, owned fragments, optional retained partials.
     let query = codec
-        .decode_query(get(init, "query")?)
+        .decode_query(&init.query)
         .map_err(|e| format!("handshake query: {e}"))?;
-    let ids = Vec::<usize>::from_value(get(init, "fragments")?)
-        .map_err(|e| format!("handshake fragment ids: {e}"))?;
-    if ids.len() != records.len() {
+    if init.fragments.len() != records.len() {
         return Err(format!(
             "handshake names {} fragments but carries {}",
-            ids.len(),
+            init.fragments.len(),
             records.len()
         ));
     }
-    let mut fragments: HashMap<usize, Fragment> = HashMap::new();
-    let mut partials: HashMap<usize, Option<P::Partial>> = HashMap::new();
-    for (&id, frag) in ids.iter().zip(records) {
-        fragments.insert(id, frag);
-        partials.insert(id, None);
-    }
-    if let Some(Value::Seq(entries)) = init.get_field("partials") {
-        for entry in entries {
-            let id =
-                usize::from_value(get(entry, "id")?).map_err(|e| format!("partial id: {e}"))?;
-            if !fragments.contains_key(&id) {
-                return Err(format!("handshake partial for unowned fragment {id}"));
-            }
-            let p = codec
-                .decode_partial(get(entry, "partial")?)
-                .map_err(|e| format!("partial {id}: {e}"))?;
-            partials.insert(id, Some(p));
-        }
+    let mut shard = Shard {
+        program,
+        codec,
+        query,
+        partials: vec![None; records.len()],
+        ids: init.fragments,
+        fragments: records,
+        crash_after: std::env::var(WORKER_CRASH_ENV)
+            .ok()
+            .and_then(|v| v.parse().ok()),
+        evals: 0,
+    };
+    if !init.partials.is_empty() {
+        shard.partials = shard
+            .decode_partials(&init.partials)
+            .map_err(|e| format!("handshake: {e}"))?;
     }
     let mut pipe = Pipe::default();
-    pipe.send_value(output, &reply_ok(Vec::new()))?;
-
-    let crash_after: Option<usize> = std::env::var(WORKER_CRASH_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let mut evals_served = 0usize;
-    let aggregate = |k: &P::Key, a: P::Value, b: P::Value| program.aggregate(k, a, b);
+    pipe.send_value(output, &WorkerReply::Done)?;
 
     loop {
         let Some(payload) = pipe.recv(input)? else {
             return Ok(()); // parent closed the pipe: orderly shutdown
         };
-        let request = decode_value(payload).map_err(|e| format!("malformed request: {e}"))?;
-        let op = request
-            .get_field("op")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-
-        let reply = match op.as_str() {
-            "peval" | "inceval" => {
-                if let Some(n) = crash_after {
-                    if evals_served >= n {
-                        std::process::exit(3); // fault injection: die mid-superstep
-                    }
-                }
-                evals_served += 1;
-                (|| -> Result<Value, String> {
-                    let fi =
-                        usize::from_value(get(&request, "fragment")?).map_err(|e| e.to_string())?;
-                    let frag = fragments
-                        .get(&fi)
-                        .ok_or_else(|| format!("fragment {fi} is not owned by this worker"))?;
-                    let mut msgs = Messages::with_aggregator(&aggregate);
-                    if op == "peval" {
-                        let partial = program.peval(&query, frag, &mut msgs);
-                        partials.insert(fi, Some(partial));
-                    } else {
-                        let mut updates = Vec::new();
-                        match get(&request, "updates")? {
-                            Value::Seq(entries) => {
-                                for entry in entries {
-                                    updates.push(
-                                        codec.decode_message(entry).map_err(|e| e.to_string())?,
-                                    );
-                                }
-                            }
-                            _ => return Err("`updates` is not a sequence".to_string()),
-                        }
-                        let partial =
-                            partials
-                                .get_mut(&fi)
-                                .and_then(Option::as_mut)
-                                .ok_or_else(|| {
-                                    format!("IncEval before PEval: fragment {fi} has no partial")
-                                })?;
-                        program.inc_eval(&query, frag, partial, &updates, &mut msgs);
-                    }
-                    let encoded: Vec<Value> = msgs
-                        .take()
-                        .iter()
-                        .map(|(k, v)| codec.encode_message(k, v))
-                        .collect();
-                    let mut fields = vec![("messages".to_string(), Value::Seq(encoded))];
-                    if msgs.runs_again() {
-                        fields.push(("again".to_string(), Value::Bool(true)));
-                    }
-                    Ok(reply_ok(fields))
-                })()
-                .unwrap_or_else(|e| reply_err(&e))
-            }
-            "get_partials" => {
-                let encoded = partial_entries(ids.iter().map(|&id| {
-                    let p = match &partials[&id] {
-                        Some(p) => codec.encode_partial(p),
-                        None => Value::Null,
-                    };
-                    (id, p)
-                }));
-                reply_ok(vec![("partials".to_string(), Value::Seq(encoded))])
-            }
-            "set_partials" => (|| -> Result<Value, String> {
-                match get(&request, "partials")? {
-                    Value::Seq(entries) => {
-                        for entry in entries {
-                            let id =
-                                usize::from_value(get(entry, "id")?).map_err(|e| e.to_string())?;
-                            if !fragments.contains_key(&id) {
-                                return Err(format!("fragment {id} is not owned by this worker"));
-                            }
-                            let slot = match get(entry, "partial")? {
-                                Value::Null => None,
-                                v => Some(codec.decode_partial(v).map_err(|e| e.to_string())?),
-                            };
-                            partials.insert(id, slot);
-                        }
-                        Ok(reply_ok(Vec::new()))
-                    }
-                    _ => Err("`partials` is not a sequence".to_string()),
-                }
-            })()
-            .unwrap_or_else(|e| reply_err(&e)),
-            "clear" => {
-                for slot in partials.values_mut() {
-                    *slot = None;
-                }
-                reply_ok(Vec::new())
-            }
-            "exit" => {
-                pipe.send_value(output, &reply_ok(Vec::new()))?;
-                return Ok(());
-            }
-            other => reply_err(&format!("unknown op `{other}`")),
-        };
+        let request = decode::<WorkerRequest>(payload);
+        let exit = matches!(request, Ok(WorkerRequest::Exit));
+        let reply = request
+            .map_err(|e| format!("malformed request: {e}"))
+            .and_then(|request| shard.handle(request))
+            .unwrap_or_else(WorkerReply::Error);
         pipe.send_value(output, &reply)?;
+        if exit {
+            return Ok(());
+        }
     }
 }
 
@@ -417,7 +447,7 @@ mod tests {
         let mut reader = Pipe::default();
         for v in [Value::Null, big, Value::Str("x".to_string())] {
             assert_eq!(
-                decode_value(reader.recv(&mut r).unwrap().unwrap()).unwrap(),
+                decode::<Value>(reader.recv(&mut r).unwrap().unwrap()).unwrap(),
                 v
             );
         }
@@ -446,6 +476,197 @@ mod tests {
         }
     }
 
+    fn handshake(partials: Vec<Option<Value>>) -> Handshake {
+        Handshake {
+            program: "sssp".to_string(),
+            query: Value::Null,
+            fragments: vec![2],
+            partials,
+        }
+    }
+
+    /// Every variant of both types, as small instances: the golden table's
+    /// rows and the round trip's inputs.
+    fn requests() -> Vec<(&'static str, WorkerRequest)> {
+        let message = Value::Seq(vec![Value::UInt(3), Value::Float(1.5)]);
+        vec![
+            ("init", WorkerRequest::Init(handshake(Vec::new()))),
+            (
+                "init with partials",
+                WorkerRequest::Init(handshake(vec![Some(Value::UInt(7))])),
+            ),
+            ("peval", WorkerRequest::Peval { fragment: 2 }),
+            (
+                "inceval",
+                WorkerRequest::Inceval {
+                    fragment: 2,
+                    updates: vec![message],
+                },
+            ),
+            ("get_partials", WorkerRequest::GetPartials),
+            (
+                "set_partials",
+                WorkerRequest::SetPartials {
+                    partials: vec![None, Some(Value::UInt(7))],
+                },
+            ),
+            ("clear", WorkerRequest::Clear),
+            ("exit", WorkerRequest::Exit),
+        ]
+    }
+
+    fn replies() -> Vec<(&'static str, WorkerReply)> {
+        let message = Value::Seq(vec![Value::UInt(3), Value::Float(1.5)]);
+        vec![
+            ("done", WorkerReply::Done),
+            ("messages", WorkerReply::Messages(vec![message])),
+            ("run_again", WorkerReply::RunAgain(Vec::new())),
+            (
+                "partials",
+                WorkerReply::Partials(vec![None, Some(Value::UInt(7))]),
+            ),
+            ("error", WorkerReply::Error("x".to_string())),
+        ]
+    }
+
+    fn payload(msg: &impl Serialize) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_value(&mut out, &msg.to_value());
+        out
+    }
+
+    #[test]
+    fn every_variant_round_trips() {
+        for (name, request) in requests() {
+            assert_eq!(
+                decode::<WorkerRequest>(&payload(&request)),
+                Ok(request),
+                "{name}"
+            );
+        }
+        for (name, reply) in replies() {
+            assert_eq!(decode::<WorkerReply>(&payload(&reply)), Ok(reply), "{name}");
+        }
+    }
+
+    /// The exact payload bytes of one instance of each variant, one value
+    /// token per group: a tag byte, `u64` lengths and scalars little-endian.
+    /// Requests keep the `op`-tagged maps of the hand-built wire they
+    /// replace byte for byte (an `init` from scratch has no `partials` key);
+    /// a reply is `"done"` or a one-entry map named by its variant.
+    #[test]
+    fn golden_wire_bytes() {
+        const OP: &str = "02000000000000006f70";
+        let golden = [
+            (
+                "init",
+                "080400000000000000 OP 060400000000000000696e6974 \
+                 070000000000000070726f6772616d 06040000000000000073737370 \
+                 05000000000000007175657279 00 \
+                 0900000000000000667261676d656e7473 070100000000000000 030200000000000000",
+            ),
+            (
+                "init with partials",
+                "080500000000000000 OP 060400000000000000696e6974 \
+                 070000000000000070726f6772616d 06040000000000000073737370 \
+                 05000000000000007175657279 00 \
+                 0900000000000000667261676d656e7473 070100000000000000 030200000000000000 \
+                 08000000000000007061727469616c73 070100000000000000 030700000000000000",
+            ),
+            (
+                "peval",
+                "080200000000000000 OP 060500000000000000706576616c \
+                 0800000000000000667261676d656e74 030200000000000000",
+            ),
+            (
+                "inceval",
+                "080300000000000000 OP 060700000000000000696e636576616c \
+                 0800000000000000667261676d656e74 030200000000000000 \
+                 070000000000000075706461746573 070100000000000000 \
+                 070200000000000000 030300000000000000 05000000000000f83f",
+            ),
+            (
+                "get_partials",
+                "080100000000000000 OP 060c000000000000006765745f7061727469616c73",
+            ),
+            (
+                "set_partials",
+                "080200000000000000 OP 060c000000000000007365745f7061727469616c73 \
+                 08000000000000007061727469616c73 070200000000000000 00 030700000000000000",
+            ),
+            (
+                "clear",
+                "080100000000000000 OP 060500000000000000636c656172",
+            ),
+            ("exit", "080100000000000000 OP 06040000000000000065786974"),
+            ("done", "060400000000000000646f6e65"),
+            (
+                "messages",
+                "080100000000000000 08000000000000006d65737361676573 070100000000000000 \
+                 070200000000000000 030300000000000000 05000000000000f83f",
+            ),
+            (
+                "run_again",
+                "080100000000000000 090000000000000072756e5f616761696e 070000000000000000",
+            ),
+            (
+                "partials",
+                "080100000000000000 08000000000000007061727469616c73 070200000000000000 \
+                 00 030700000000000000",
+            ),
+            (
+                "error",
+                "080100000000000000 05000000000000006572726f72 06010000000000000078",
+            ),
+        ];
+        let encoded: Vec<(&str, Vec<u8>)> = requests()
+            .iter()
+            .map(|(name, r)| (*name, payload(r)))
+            .chain(replies().iter().map(|(name, r)| (*name, payload(r))))
+            .collect();
+        assert_eq!(encoded.len(), golden.len());
+        for ((name, bytes), (golden_name, hex)) in encoded.iter().zip(golden) {
+            assert_eq!(*name, golden_name);
+            let hex: String = hex.replace("OP", OP).split_whitespace().collect();
+            let expected: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            assert_eq!(*bytes, expected, "{name}");
+        }
+    }
+
+    /// The parent takes only what a request calls for: the worker's error
+    /// comes through as the message, and a reply the pick rejects (another
+    /// variant, or partials that do not cover the shard) is an error.
+    #[test]
+    fn replies_are_accepted_only_in_their_expected_shape() {
+        let shard_of = |len: usize| {
+            move |reply| match reply {
+                WorkerReply::Partials(p) if p.len() == len => Some(p),
+                _ => None,
+            }
+        };
+        let two = || WorkerReply::Partials(vec![None, Some(Value::UInt(1))]);
+        assert_eq!(two().expect(shard_of(2)).unwrap().len(), 2);
+        for len in [1, 3] {
+            assert_eq!(
+                two().expect(shard_of(len)).unwrap_err(),
+                "unexpected worker reply"
+            );
+        }
+        assert_eq!(
+            WorkerReply::Done.expect(shard_of(0)).unwrap_err(),
+            "unexpected worker reply"
+        );
+        assert_eq!(
+            WorkerReply::Error("boom".to_string()).expect(shard_of(0)),
+            Err("boom".to_string())
+        );
+    }
+
+    /// A run from scratch ships no `partials` key at all; a refresh ships
+    /// one slot per fragment, and the dense block follows the tree.
     #[test]
     fn init_frame_carries_partials_only_when_present() {
         let graph = GraphBuilder::directed()
@@ -453,47 +674,44 @@ mod tests {
             .add_edge(1, 2)
             .build();
         let frag = RangeEdgeCut::new(2).partition(&graph).unwrap();
-        let shipped = [(1, frag.fragment(1))];
+        let shipped = Handshake {
+            fragments: vec![1],
+            ..handshake(Vec::new())
+        };
 
         let mut payload = Vec::new();
-        encode_init(&mut payload, "sssp", Value::Null, &shipped, Vec::new());
-        let (header, fragments) = decode_init(&payload).unwrap();
-        assert!(header.get_field("partials").is_none());
-        assert_eq!(
-            header.get_field("program").and_then(Value::as_str),
-            Some("sssp")
-        );
-        assert_eq!(
-            header.get_field("fragments"),
-            Some(&Value::Seq(vec![Value::UInt(1)]))
-        );
+        encode_init(&mut payload, shipped.clone(), &[frag.fragment(1)]);
+        let tree = read_value_tree(&mut &payload[..]).unwrap();
+        assert!(tree.get_field("partials").is_none());
+        let (back, fragments) = decode_init(&payload).unwrap();
+        assert_eq!(back, shipped);
         assert_eq!(fragments.len(), 1);
         assert_eq!(fragments[0].num_inner(), frag.fragment(1).num_inner());
 
+        let refresh = Handshake {
+            partials: vec![Some(Value::UInt(7))],
+            ..shipped
+        };
         payload.clear();
-        encode_init(
-            &mut payload,
-            "sssp",
-            Value::Null,
-            &shipped,
-            vec![(1, Value::UInt(7))],
-        );
-        let (header, _) = decode_init(&payload).unwrap();
-        assert!(header.get_field("partials").is_some());
+        encode_init(&mut payload, refresh.clone(), &[frag.fragment(1)]);
+        assert_eq!(decode_init(&payload).unwrap().0, refresh);
     }
 
     #[test]
     fn payloads_reject_trailing_and_missing_bytes() {
-        let mut payload = Vec::new();
-        let clear = Value::Map(vec![("op".to_string(), Value::Str("clear".to_string()))]);
-        encode_value(&mut payload, &clear);
-        assert!(decode_value(&payload).is_ok());
-        let mut longer = payload.clone();
+        let clear = payload(&WorkerRequest::Clear);
+        assert_eq!(decode::<WorkerRequest>(&clear), Ok(WorkerRequest::Clear));
+        let mut longer = clear.clone();
         longer.push(0);
-        assert!(decode_value(&longer).unwrap_err().contains("trailing"));
-        assert!(decode_value(&payload[..payload.len() - 1]).is_err());
+        assert!(decode::<WorkerRequest>(&longer)
+            .unwrap_err()
+            .contains("trailing"));
+        assert!(decode::<WorkerRequest>(&clear[..clear.len() - 1]).is_err());
 
-        // An init header with no fragment block after it.
-        assert!(decode_init(&payload).is_err());
+        // A request tree that is not `init`, and an init with no fragment
+        // block after it.
+        assert!(decode_init(&clear).unwrap_err().contains("not `init`"));
+        let init = payload(&WorkerRequest::Init(handshake(Vec::new())));
+        assert!(decode_init(&init).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Graph readers and writers: plain-text edge lists and binary snapshots.
+//! Graph readers and writers: plain-text edge lists and binary value trees.
 //!
 //! The text format is whitespace separated, one edge per line:
 //!
@@ -8,17 +8,15 @@
 //! ```
 //!
 //! which is compatible with the SNAP-style edge lists the paper's datasets
-//! (liveJournal, traffic) are distributed in.  [`Graph`] additionally
-//! implements `serde::{Serialize, Deserialize}`, and
-//! [`write_binary_snapshot`] / [`read_binary_snapshot`] persist that serde
-//! tree in a compact length-prefixed binary envelope — the first step of the
-//! persistent fragment storage roadmap (graphs no longer need to be re-parsed
-//! or re-generated per process).
+//! (liveJournal, traffic) are distributed in.  [`write_value_tree`] /
+//! [`read_value_tree`] encode any serde [`Value`] tree in a compact tagged,
+//! length-prefixed binary form; the spill files and the worker pipe carry
+//! their records in it.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufWriter, Read, Write};
 use std::path::Path;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 
 use crate::graph::{Directedness, Graph};
 use crate::types::{Edge, Label, VertexId, Weight, NO_LABEL, UNIT_WEIGHT};
@@ -30,7 +28,7 @@ pub enum IoError {
     Io(io::Error),
     /// A line that could not be parsed, with its 1-based line number.
     Parse { line: usize, content: String },
-    /// A binary snapshot that is malformed or from an unknown format version.
+    /// A binary value tree (or a record built from them) that is malformed.
     Snapshot(String),
 }
 
@@ -127,11 +125,8 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<()
 }
 
 // ---------------------------------------------------------------------------
-// Binary snapshots
+// Binary value trees
 // ---------------------------------------------------------------------------
-
-/// Magic header of a binary graph snapshot: "GRPS" + format version 1.
-const SNAPSHOT_MAGIC: &[u8; 5] = b"GRPS\x01";
 
 // One-byte tags of the binary `Value` encoding.
 const TAG_NULL: u8 = 0;
@@ -197,9 +192,9 @@ fn write_value<W: Write>(w: &mut W, v: &Value) -> io::Result<()> {
 }
 
 /// Encodes one serde [`Value`] tree to a writer in the tagged
-/// little-endian format of the binary snapshots.  Public building block of
-/// the persistent-storage stack: the prepared-query spill files compose
-/// their partial records out of these trees.
+/// little-endian format.  The prepared-query spill files compose their
+/// partial records out of these trees, and every worker-pipe payload is
+/// one.
 /// The encoding is self-delimiting, so records can be concatenated into one
 /// stream and read back one at a time with [`read_value_tree`].
 pub fn write_value_tree<W: Write>(writer: &mut W, value: &Value) -> Result<(), IoError> {
@@ -289,52 +284,11 @@ fn read_value<R: Read>(r: &mut R) -> Result<Value, IoError> {
     }
 }
 
-/// Writes a binary snapshot of the graph (magic header + the serde `Value`
-/// tree in a tagged, length-prefixed little-endian encoding).
-pub fn write_binary_snapshot<W: Write>(graph: &Graph, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(SNAPSHOT_MAGIC)?;
-    write_value(&mut w, &graph.to_value())?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a graph back from a binary snapshot produced by
-/// [`write_binary_snapshot`].
-///
-/// The snapshot must cover the whole input: unconsumed bytes after the
-/// encoded value tree are rejected as corruption (a truncated *next* record
-/// glued to a valid one would otherwise read back silently).
-pub fn read_binary_snapshot<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 5];
-    r.read_exact(&mut magic)?;
-    if &magic != SNAPSHOT_MAGIC {
-        return Err(IoError::Snapshot(
-            "bad magic header (not a grape binary snapshot, or wrong version)".to_string(),
-        ));
-    }
-    let value = read_value(&mut r)?;
-    ensure_fully_consumed(&mut r)?;
-    Graph::from_value(&value).map_err(|e| IoError::Snapshot(e.to_string()))
-}
-
-/// Writes a binary snapshot to a file path.
-pub fn write_binary_snapshot_file<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), IoError> {
-    let file = std::fs::File::create(path)?;
-    write_binary_snapshot(graph, file)
-}
-
-/// Reads a binary snapshot from a file path.
-pub fn read_binary_snapshot_file<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
-    let file = std::fs::File::open(path)?;
-    read_binary_snapshot(file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use serde::{Deserialize, Serialize};
     use std::io::Cursor;
 
     #[test]
@@ -393,8 +347,10 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    /// A graph's value tree survives the binary encoding whole: weights,
+    /// edge and vertex labels, isolated vertices and directedness.
     #[test]
-    fn binary_snapshot_roundtrip_preserves_everything() {
+    fn value_tree_roundtrip_preserves_weights_and_labels() {
         let g = GraphBuilder::directed()
             .add_labeled_edge(0, 1, 2.5, 3)
             .add_labeled_edge(1, 4, 0.125, 9)
@@ -402,8 +358,10 @@ mod tests {
             .ensure_vertices(6)
             .build();
         let mut buf = Vec::new();
-        write_binary_snapshot(&g, &mut buf).unwrap();
-        let back = read_binary_snapshot(Cursor::new(buf)).unwrap();
+        write_value_tree(&mut buf, &g.to_value()).unwrap();
+        let mut r = Cursor::new(buf);
+        let back = Graph::from_value(&read_value_tree(&mut r).unwrap()).unwrap();
+        ensure_fully_consumed(&mut r).unwrap();
         assert_eq!(back.num_vertices(), g.num_vertices());
         assert_eq!(back.num_edges(), g.num_edges());
         assert_eq!(back.is_directed(), g.is_directed());
@@ -413,45 +371,31 @@ mod tests {
         assert!(back.check_invariants());
     }
 
+    /// Every proper prefix of an encoded tree is an error, never a value.
     #[test]
-    fn binary_snapshot_file_roundtrip() {
-        let g = GraphBuilder::undirected()
-            .add_weighted_edge(0, 1, 4.0)
-            .add_edge(1, 2)
-            .build();
-        let path = std::env::temp_dir().join("grape_io_test_snapshot.bin");
-        write_binary_snapshot_file(&g, &path).unwrap();
-        let back = read_binary_snapshot_file(&path).unwrap();
-        assert_eq!(back.num_edges(), 2);
-        assert!(!back.is_directed());
-        assert_eq!(back.out_neighbors(0)[0].weight, 4.0);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn binary_snapshot_rejects_wrong_magic() {
-        let err = read_binary_snapshot(Cursor::new(b"NOPE\x01garbage".to_vec())).unwrap_err();
-        assert!(matches!(err, IoError::Snapshot(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn binary_snapshot_rejects_truncation() {
+    fn value_tree_rejects_truncation() {
         let g = GraphBuilder::directed().add_edge(0, 1).build();
         let mut buf = Vec::new();
-        write_binary_snapshot(&g, &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        let err = read_binary_snapshot(Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, IoError::Io(_) | IoError::Snapshot(_)));
+        write_value_tree(&mut buf, &g.to_value()).unwrap();
+        for cut in 0..buf.len() {
+            let err = read_value_tree(&mut Cursor::new(&buf[..cut])).unwrap_err();
+            assert!(
+                matches!(err, IoError::Io(_) | IoError::Snapshot(_)),
+                "cut {cut}: {err:?}"
+            );
+        }
     }
 
+    /// A byte after the tree fails the whole-input check.
     #[test]
-    fn binary_snapshot_rejects_trailing_garbage() {
+    fn value_tree_rejects_trailing_bytes() {
         let g = GraphBuilder::directed().add_edge(0, 1).build();
         let mut buf = Vec::new();
-        write_binary_snapshot(&g, &mut buf).unwrap();
+        write_value_tree(&mut buf, &g.to_value()).unwrap();
         buf.push(0x42);
-        let err = read_binary_snapshot(Cursor::new(buf)).unwrap_err();
-        match err {
+        let mut r = Cursor::new(buf);
+        read_value_tree(&mut r).unwrap();
+        match ensure_fully_consumed(&mut r).unwrap_err() {
             IoError::Snapshot(reason) => assert!(reason.contains("trailing"), "{reason}"),
             other => panic!("expected snapshot error, got {other}"),
         }

@@ -15,8 +15,8 @@
 //!   ≙ *DBpedia*, bipartite ratings ≙ *movieLens*),
 //! * [`delta`] — batched graph updates ([`delta::GraphDelta`]) and
 //!   [`graph::Graph::apply_delta`], the `ΔG` of queries under updates,
-//! * [`io`] — plain-text edge-list readers/writers, binary graph snapshots
-//!   and serde support,
+//! * [`io`] — plain-text edge-list readers/writers and the binary value-tree
+//!   codec of spill files and worker-pipe payloads,
 //! * [`hash`] — the keyed fast hasher of the maps keyed by vertex ids.
 //!
 //! All vertex identifiers are dense `0..n` integers ([`types::VertexId`]);

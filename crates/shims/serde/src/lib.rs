@@ -9,7 +9,8 @@
 //! * `#[derive(Serialize, Deserialize)]` (re-exported from the companion
 //!   `serde_derive` shim) supports structs with named fields, unit structs
 //!   and enums with unit, newtype and struct variants, plus the field
-//!   attributes `skip`, `default` and `flatten` and the container
+//!   attributes `skip`, `default`, `skip_serializing_if` and `flatten` and
+//!   the container
 //!   attributes `tag` and `rename_all = "snake_case"` (see that crate's
 //!   docs for the layouts, which are real serde's),
 //! * the companion `serde_json` shim renders [`Value`] trees to JSON text and

@@ -8,8 +8,10 @@
 //! * structs with named fields (a map), honoring the field attributes
 //!   `#[serde(skip)]` (never serialized, deserialized via `Default`),
 //!   `#[serde(default)]` (deserialized via `Default` when the field is
-//!   absent) and `#[serde(flatten)]` (the field's own map entries are merged
-//!   into the parent map, and the field is deserialized from the whole map),
+//!   absent), `#[serde(skip_serializing_if = "path")]` (left out of the map
+//!   when `path(&field)` is true) and `#[serde(flatten)]` (the field's own
+//!   map entries are merged into the parent map, and the field is
+//!   deserialized from the whole map),
 //! * unit structs (`null`),
 //! * enums whose variants are unit, newtype (`V(T)`) or struct (`V { .. }`,
 //!   with the same field attributes as structs).  Externally tagged by
@@ -35,6 +37,8 @@ struct Field {
     skip: bool,
     /// `#[serde(default)]`: defaulted when absent from the input.
     default: bool,
+    /// `#[serde(skip_serializing_if = "…")]`: the predicate's path.
+    skip_if: Option<String>,
     /// `#[serde(flatten)]`: entries merged into the parent map.
     flatten: bool,
 }
@@ -102,10 +106,13 @@ fn map_expr(fields: &[Field], access: &str) -> String {
                 "::serde::__private::flatten(&mut __e, {value});\n"
             ));
         } else {
-            out.push_str(&format!(
-                "__e.push((\"{}\".to_string(), {value}));\n",
-                f.key
-            ));
+            let push = format!("__e.push((\"{}\".to_string(), {value}));\n", f.key);
+            match &f.skip_if {
+                Some(path) => {
+                    out.push_str(&format!("if !{path}({access}{}) {{ {push} }}\n", f.ident))
+                }
+                None => out.push_str(&push),
+            }
         }
     }
     out + "::serde::Value::Map(__e) }"
@@ -338,19 +345,21 @@ fn parse_fields(body: TokenStream) -> Vec<Field> {
     loop {
         // Attributes.
         let (mut skip, mut default, mut flatten) = (false, false, false);
+        let mut skip_if = None;
         while let Some(TokenTree::Punct(p)) = tokens.peek() {
             if p.as_char() != '#' {
                 break;
             }
             let _ = tokens.next();
-            for (arg, _) in serde_args(tokens.next()) {
-                match arg.as_str() {
-                    "skip" => skip = true,
-                    "default" => default = true,
-                    "flatten" => flatten = true,
-                    other => panic!(
-                        "serde_derive shim: unsupported serde attribute `{other}` \
-                         (only `skip`, `default` and `flatten` are implemented)"
+            for (arg, value) in serde_args(tokens.next()) {
+                match (arg.as_str(), value) {
+                    ("skip", None) => skip = true,
+                    ("default", None) => default = true,
+                    ("flatten", None) => flatten = true,
+                    ("skip_serializing_if", Some(path)) => skip_if = Some(path),
+                    (other, _) => panic!(
+                        "serde_derive shim: unsupported serde attribute `{other}` (only \
+                         `skip`, `default`, `skip_serializing_if` and `flatten` are implemented)"
                     ),
                 }
             }
@@ -386,6 +395,7 @@ fn parse_fields(body: TokenStream) -> Vec<Field> {
             key,
             skip,
             default,
+            skip_if,
             flatten,
         });
     }

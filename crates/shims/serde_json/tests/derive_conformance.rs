@@ -60,6 +60,23 @@ struct FlatStruct {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Marker;
 
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "op", rename_all = "snake_case")]
+enum Optional {
+    Init {
+        id: u64,
+        #[serde(default, skip_serializing_if = "Vec::is_empty")]
+        tags: Vec<u32>,
+    },
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct OptionalStruct {
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    note: Option<String>,
+    id: u64,
+}
+
 /// Asserts `value` serializes to `json` and `json` deserializes to `value`.
 fn same<T>(value: T, json: &str)
 where
@@ -158,6 +175,32 @@ fn default_applies_inside_a_struct_variant() {
     assert_eq!(
         error::<Internal>(r#"{"t":"Struct","b":true}"#),
         "missing field `a`"
+    );
+}
+
+#[test]
+fn skip_serializing_if_leaves_the_field_out_and_default_reads_it_back() {
+    same(
+        Optional::Init {
+            id: 1,
+            tags: vec![],
+        },
+        r#"{"op":"init","id":1}"#,
+    );
+    same(
+        Optional::Init {
+            id: 1,
+            tags: vec![2],
+        },
+        r#"{"op":"init","id":1,"tags":[2]}"#,
+    );
+    same(OptionalStruct { note: None, id: 3 }, r#"{"id":3}"#);
+    same(
+        OptionalStruct {
+            note: Some("n".to_string()),
+            id: 3,
+        },
+        r#"{"note":"n","id":3}"#,
     );
 }
 

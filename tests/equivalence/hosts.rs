@@ -118,13 +118,15 @@ fn pipe_bytes_are_accounted_only_for_the_process_transport() {
         "a Process run must account its pipe traffic"
     );
     assert_eq!(subprocess.metrics.transport, "process");
-    // The binary worker wire moves 4 844 payload bytes for this seeded run:
+    // The binary worker wire moves 4 501 payload bytes for this seeded run:
     // 5 147 → 4 844 when partials stopped carrying their fragment's vertex
-    // ids (the JSON wire the binary one replaced moved 7 901).  The count is
+    // ids, 4 844 → 4 501 when the typed replies dropped `"ok": true` and
+    // partials crossed in shard order without fragment ids (the JSON wire
+    // the binary one replaced moved 7 901).  The count is
     // deterministic under Sync, so the ceiling is exact: a wire that grows
     // fails here before it shows up in a benchmark run.
     assert!(
-        subprocess.metrics.pipe_bytes <= 4_844,
+        subprocess.metrics.pipe_bytes <= 4_501,
         "pipe traffic grew to {} bytes",
         subprocess.metrics.pipe_bytes
     );
